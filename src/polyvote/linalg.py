@@ -1,17 +1,20 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices.
 
-Scalars are ``fractions.Fraction`` throughout; vectors are tuples of
-Fractions and matrices are tuples of row tuples.  Elimination is
-fraction-free (Bareiss): rows are scaled to integers once and every
-intermediate quantity stays an integer, so there is no denominator
-blow-up inside the elimination loops.
+One fraction-free (Bareiss) elimination, :func:`bareiss`, works on
+integer rows in place: every intermediate quantity is an integer and
+every division in it is exact.  The geometry kernel calls it, through
+:func:`integer_determinant`, on rows it already holds as integers.
+``determinant``, ``solve`` and ``rank`` are the ``Fraction`` fronts:
+vectors are tuples of Fractions and matrices tuples of row tuples; each
+front scales the rows to integers once, runs the elimination, and
+divides only at the end.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 Rational = Fraction
 QVector = tuple[Fraction, ...]
@@ -68,47 +71,81 @@ def dot(u, v) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _integer_rows(rows) -> tuple[list[list[int]], Fraction]:
-    """Scale each row to integers.  Returns the rows and the product of
-    the scale factors (det of the scaled matrix = scale * det original)."""
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Scale each row to integers by the lcm of its denominators.
+
+    Returns the rows and the product of the scale factors (det of the
+    scaled matrix = scale * det of the original).  ``int`` and
+    ``Fraction`` entries are read through their numerator/denominator
+    without building new Fractions."""
     out = []
-    scale = Fraction(1)
+    scale = 1
     for row in rows:
-        row = [Fraction(x) for x in row]
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
         m = lcm(*(x.denominator for x in row)) if row else 1
         scale *= m
-        out.append([int(x * m) for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise DimensionError("matrix rows must all have equal length")
     return out, scale
+
+
+def bareiss(m: list[list[int]], cols: int) -> int:
+    """Fraction-free (Bareiss) row echelon of integer rows, in place.
+
+    Pivots are taken from the first ``cols`` columns and every row is
+    eliminated across its full width, so an augmented right-hand side
+    rides along.  A row swap also negates the row moved down, so the
+    determinant keeps its sign.  Returns the rank of the first ``cols``
+    columns.  When that rank equals the row count n, the pivots are
+    ``m[i][i]``, all nonzero, and for a square matrix the last pivot
+    ``m[-1][-1]`` is its determinant."""
+    rows = len(m)
+    width = len(m[0]) if m else 0
+    r = 0
+    prev = 1
+    for c in range(cols):
+        for piv in range(r, rows):
+            if m[piv][c]:
+                break
+        else:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], [-v for v in m[r]]
+        mr = m[r]
+        pivot = mr[c]
+        for i in range(r + 1, rows):
+            mi = m[i]
+            f = mi[c]
+            if f:
+                for j in range(c + 1, width):
+                    mi[j] = (mi[j] * pivot - f * mr[j]) // prev
+                mi[c] = 0
+            elif pivot != prev:
+                # a zero multiplier leaves only the exact rescaling
+                for j in range(c + 1, width):
+                    mi[j] = mi[j] * pivot // prev
+        prev = pivot
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def integer_determinant(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix; ``m`` is overwritten."""
+    n = len(m)
+    if n == 0:
+        return 1
+    return m[-1][-1] if bareiss(m, n) == n else 0
 
 
 def determinant(a) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination."""
-    mat = as_matrix(a)
-    n = len(mat)
-    if n == 0:
-        return Fraction(1)
-    if any(len(r) != n for r in mat):
+    m, scale = _integer_rows(a)
+    if any(len(r) != len(m) for r in m):
         raise DimensionError("determinant requires a square matrix")
-    m, scale = _integer_rows(mat)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mi, mk = m[i], m[k]
-            f = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pivot - f * mk[j]) // prev
-            mi[k] = 0
-        prev = pivot
-    return Fraction(sign * m[n - 1][n - 1]) / scale
+    return Fraction(integer_determinant(m), scale)
 
 
 def solve(a, b) -> QVector | None:
@@ -125,23 +162,8 @@ def solve(a, b) -> QVector | None:
     if n == 0:
         return ()
     aug, _ = _integer_rows([row + (v,) for row, v in zip(mat, rhs)])
-    prev = 1
-    for k in range(n):
-        if aug[k][k] == 0:
-            for r in range(k + 1, n):
-                if aug[r][k] != 0:
-                    aug[k], aug[r] = aug[r], aug[k]
-                    break
-            else:
-                return None
-        pivot = aug[k][k]
-        for i in range(k + 1, n):
-            ai, ak = aug[i], aug[k]
-            f = ai[k]
-            for j in range(k + 1, n + 1):
-                ai[j] = (ai[j] * pivot - f * ak[j]) // prev
-            ai[k] = 0
-        prev = pivot
+    if bareiss(aug, n) < n:
+        return None
     x: list[Fraction] = [Fraction(0)] * n
     for i in range(n - 1, -1, -1):
         s = Fraction(aug[i][n])
@@ -153,25 +175,7 @@ def solve(a, b) -> QVector | None:
 
 def rank(a) -> int:
     """Exact rank over the rationals (fraction-free echelon)."""
-    mat = as_matrix(a)
-    if not mat or not mat[0]:
+    m, _ = _integer_rows(a)
+    if not m or not m[0]:
         return 0
-    m, _ = _integer_rows(mat)
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            for j in range(c, cols):
-                m[i][j] = (m[i][j] * pivot - f * m[r][j]) // prev
-        prev = pivot
-        r += 1
-        if r == rows:
-            break
-    return r
+    return bareiss(m, len(m[0]))

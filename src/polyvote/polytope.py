@@ -1,19 +1,23 @@
 """Rational polytopes in halfspace representation.
 
-An ``HPolytope`` stores closed linear constraints over ``Fraction``
-coordinates, normalized to coprime integer coefficients.  Vertex
+An ``HPolytope`` holds closed linear constraints twice: as ``HalfSpace``
+rows over ``Fraction`` for callers, and as the coprime integer rows they
+canonicalize to, which the geometry kernel works on.  The kernel stays
+in integers from the H-representation to one final division.  Vertex
 enumeration solves d-subsets of constraints as equalities with an
 incremental fraction-free elimination that prunes dependent subsets
-early.  Volume cones the boundary over a vertex and sums exact simplex
-determinants, recursing facet by facet through the vertex/constraint
-incidence structure.
+early, then back-substitutes over a single common denominator.  Volume
+scales the vertices to their common denominator D, cones the boundary
+over a vertex, recursing facet by facet through the vertex/constraint
+incidence structure, sums the integer Bareiss determinants of the
+simplices, and divides once by D^dim * dim!.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -21,10 +25,10 @@ from .linalg import (
     DimensionError,
     QVector,
     as_vector,
-    determinant,
+    bareiss,
     format_rational,
+    integer_determinant,
     parse_rational,
-    rank,
 )
 
 LE, GE, EQ = "<=", ">=", "="
@@ -64,10 +68,14 @@ class HalfSpace:
         return lhs == self.rhs
 
 
-def _canonical(c: HalfSpace, dim: int) -> HalfSpace | None:
+IntRow = tuple[tuple[int, ...], str, int]
+
+
+def _canonical(c: HalfSpace, dim: int) -> IntRow | None:
     """Scale to coprime integers, orient ``>=`` as ``<=``, fix equality
-    signs, drop vacuous rows.  Returns None for rows satisfied everywhere;
-    infeasible constant rows normalize to the single false row 0 <= -1."""
+    signs, drop vacuous rows.  Returns the integer row (coeffs, rel, rhs),
+    or None for rows satisfied everywhere; infeasible constant rows
+    normalize to the single false row 0 <= -1."""
     if len(c.coeffs) != dim:
         raise DimensionError(f"constraint has {len(c.coeffs)} coefficients, expected {dim}")
     coeffs, rel, rhs = list(c.coeffs), c.rel, c.rhs
@@ -80,7 +88,7 @@ def _canonical(c: HalfSpace, dim: int) -> HalfSpace | None:
         feasible = (b >= 0) if rel == LE else (b == 0)
         if feasible:
             return None
-        return HalfSpace((Fraction(0),) * dim, LE, Fraction(-1))
+        return (0,) * dim, LE, -1
     g = gcd(*ints, b)
     ints = [v // g for v in ints]
     b //= g
@@ -89,10 +97,7 @@ def _canonical(c: HalfSpace, dim: int) -> HalfSpace | None:
         if lead < 0:
             ints = [-v for v in ints]
             b = -b
-    return HalfSpace(tuple(Fraction(v) for v in ints), rel, Fraction(b))
-
-
-FALSE_ROW_RHS = Fraction(-1)
+    return tuple(ints), rel, b
 
 
 @dataclass(frozen=True)
@@ -101,21 +106,19 @@ class HPolytope:
 
     dim: int
     constraints: tuple[HalfSpace, ...]
+    _rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, dim: int, constraints):
         if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        seen = set()
-        rows = []
-        for c in constraints:
-            cc = _canonical(c, dim)
-            if cc is None or cc in seen:
-                continue
-            seen.add(cc)
-            rows.append(cc)
-        rows.sort(key=lambda c: (c.rel, c.coeffs, c.rhs))
+        rows = {_canonical(c, dim) for c in constraints}
+        rows.discard(None)
+        rows = tuple(sorted(rows, key=lambda r: (r[1], r[0], r[2])))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "constraints", tuple(rows))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "constraints", tuple(
+            HalfSpace(coeffs, rel, rhs) for coeffs, rel, rhs in rows
+        ))
 
     # -- basic predicates ------------------------------------------------
 
@@ -127,8 +130,8 @@ class HPolytope:
 
     def has_false_row(self) -> bool:
         return any(
-            c.rel == LE and c.rhs == FALSE_ROW_RHS and all(a == 0 for a in c.coeffs)
-            for c in self.constraints
+            rel == LE and rhs == -1 and not any(coeffs)
+            for coeffs, rel, rhs in self._rows
         )
 
     # -- constructive operations ------------------------------------------
@@ -170,12 +173,10 @@ class HPolytope:
 
     # -- derived data ------------------------------------------------------
 
-    def integer_rows(self) -> list[tuple[tuple[int, ...], str, int]]:
-        """Constraints as integer tuples (coeffs, rel, rhs)."""
-        return [
-            (tuple(int(a) for a in c.coeffs), c.rel, int(c.rhs))
-            for c in self.constraints
-        ]
+    def integer_rows(self) -> tuple[IntRow, ...]:
+        """Constraints as the coprime integer tuples (coeffs, rel, rhs)
+        they were canonicalized to."""
+        return self._rows
 
     def enumerate_vertices(self) -> "VPolytope":
         return VPolytope(self.dim, _vertices(self))
@@ -337,16 +338,28 @@ class _Inconsistent(Exception):
 
 
 def _back_solve(echelon, dim):
-    """Solve a rank-dim echelon system; returns (numerators, denominator)."""
-    x: list[Fraction | None] = [None] * dim
+    """Solve a rank-dim echelon system; returns (numerators, denominator)
+    with the least positive common denominator.
+
+    Fraction-free: the unknowns solved so far are ``nums[j] / den``.
+    Each pivot a solves ``a * x_p = rhs - sum(row_j * x_j)``, which
+    multiplies the common denominator by |a|; one gcd at the end
+    reduces the result."""
+    nums = [0] * dim
+    den = 1
     for erow, pivot_col in reversed(echelon):
-        s = Fraction(erow[-1])
-        for j in range(dim):
-            if j != pivot_col and erow[j] != 0:
-                s -= erow[j] * x[j]
-        x[pivot_col] = s / erow[pivot_col]
-    den = lcm(*(xi.denominator for xi in x))
-    return tuple(int(xi * den) for xi in x), den
+        a = erow[pivot_col]
+        s = erow[-1] * den - sum(
+            erow[j] * nums[j] for j in range(dim) if j != pivot_col and erow[j]
+        )
+        if a < 0:
+            a, s = -a, -s
+        if a != 1:
+            nums = [v * a for v in nums]
+            den *= a
+        nums[pivot_col] = s
+    g = gcd(den, *nums)
+    return tuple(v // g for v in nums), den // g
 
 
 def _basic_solutions(rows, dim):
@@ -436,7 +449,7 @@ def _vertices(poly: HPolytope) -> tuple[QVector, ...]:
             boxed.append((unit, LE, big))
             boxed.append((tuple(-u for u in unit), LE, big))
         sols = _basic_solutions(boxed, dim)
-        if any(abs(Fraction(p, q)) >= big for nums, q in sols for p in nums):
+        if any(abs(p) >= big * q for nums, q in sols for p in nums):
             raise UnboundedPolytopeError(
                 "polytope is unbounded (recession direction reached the guard box)"
             )
@@ -447,11 +460,6 @@ def _vertices(poly: HPolytope) -> tuple[QVector, ...]:
 
 # ---------------------------------------------------------------------------
 # volume
-
-
-def _simplex_volume(verts, apex, ids, dim) -> Fraction:
-    mat = [[verts[i][k] - verts[apex][k] for k in range(dim)] for i in ids]
-    return abs(determinant(mat)) / math.factorial(dim)
 
 
 def _cone_triangulate(ids, tights, used, k, tight_count):
@@ -478,28 +486,36 @@ def _cone_triangulate(ids, tights, used, k, tight_count):
 
 
 def _volume(poly: HPolytope) -> Fraction:
+    """Cone the boundary over the apex vertex and sum simplex volumes.
+
+    The vertices are scaled once to their common denominator D, so each
+    simplex determinant is an integer Bareiss on integer differences
+    from the apex; the volume is sum |det| / (D^dim * dim!)."""
     dim = poly.dim
-    verts = _vertices(poly)
-    if len(verts) < dim + 1:
+    fverts = _vertices(poly)
+    if len(fverts) < dim + 1:
         return Fraction(0)
+    D = lcm(*(x.denominator for v in fverts for x in v))
+    verts = [[x.numerator * (D // x.denominator) for x in v] for v in fverts]
     v0 = verts[0]
-    diffs = [[v[k] - v0[k] for k in range(dim)] for v in verts[1:]]
-    if rank(diffs) < dim:
+    diffs = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
+    if bareiss(diffs, dim) < dim:
         return Fraction(0)
-    rows = poly.integer_rows()
     tights = []
-    for coeffs, rel, rhs in rows:
+    for coeffs, rel, rhs in poly.integer_rows():
         if rel == EQ:
             continue
+        b = rhs * D
         tight = frozenset(
             i
             for i, v in enumerate(verts)
-            if sum(a * x for a, x in zip(coeffs, v)) == rhs
+            if sum(a * x for a, x in zip(coeffs, v)) == b
         )
         tights.append(tight)
     tight_count = [sum(i in t for t in tights) for i in range(len(verts))]
     apex = max(range(len(verts)), key=lambda i: (tight_count[i], -i))
-    total = Fraction(0)
+    top = verts[apex]
+    total = 0
     seen = set()
     for j, tight in enumerate(tights):
         if apex in tight or len(tight) < dim or len(tight) == len(verts):
@@ -508,8 +524,9 @@ def _volume(poly: HPolytope) -> Fraction:
             continue
         seen.add(tight)
         for tri in _cone_triangulate(tight, tights, {j}, dim - 1, tight_count):
-            total += _simplex_volume(verts, apex, tri, dim)
-    return total
+            mat = [[x - y for x, y in zip(verts[i], top)] for i in tri]
+            total += abs(integer_determinant(mat))
+    return Fraction(total, D**dim * math.factorial(dim))
 
 
 # ---------------------------------------------------------------------------

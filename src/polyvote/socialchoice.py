@@ -564,6 +564,14 @@ def compile_event_spec(text: str) -> tuple[EventRegion, int]:
     raise ValueError(f"event spec {text!r} does not compile to a single region")
 
 
+def _rule_pair(parts: list[str], sep: str, usage: str) -> tuple[ScoringRule, ScoringRule]:
+    tokens = parts[1].split(sep) if len(parts) == 2 else []
+    if len(tokens) != 2:
+        raise ValueError(f"spec form is {usage}")
+    r1, r2 = (rule_from_token(t) for t in tokens)
+    return r1, r2
+
+
 def probability_for_spec(
     text: str,
     lam: Fraction | None = None,
@@ -571,7 +579,10 @@ def probability_for_spec(
 ) -> EventResult:
     """Evaluate a canonical event-spec string, e.g. ``manipulable:borda``,
     ``condorcet-efficiency:lambda=1/2``,
-    ``agreement:plurality,antiplurality:winner``,
+    ``joint-efficiency:borda,plurality`` (both rules elect the
+    pairwise-majority winner, given that it exists),
+    ``relative-efficiency:borda|plurality`` (Borda elects it, given that
+    plurality does), ``agreement:plurality,antiplurality:winner``,
     ``participation:borda:PPP``, ``referendum:N=7``."""
     spec = text.strip()
     parts = spec.split(":")
@@ -606,6 +617,20 @@ def probability_for_spec(
         rule = rule_arg()
         return EventResult(
             f"condorcet efficiency ({rule.name})", spec, condorcet_efficiency(rule),
+        )
+    if kind == "joint-efficiency":
+        r1, r2 = _rule_pair(parts, ",", "joint-efficiency:RULE,RULE")
+        both = rule_winner_conditions(r1).intersect(rule_winner_conditions(r2))
+        return EventResult(
+            f"{r1.name} and {r2.name} both elect the pairwise-majority winner",
+            spec, conditional_probability(both, condorcet_winner()),
+        )
+    if kind == "relative-efficiency":
+        r1, r2 = _rule_pair(parts, "|", "relative-efficiency:RULE|RULE")
+        given = rule_winner_conditions(r2).intersect(condorcet_winner())
+        return EventResult(
+            f"{r1.name} elects the pairwise-majority winner when {r2.name} does",
+            spec, conditional_probability(rule_winner_conditions(r1), given),
         )
     if kind == "condorcet-loser":
         if len(parts) == 1 and lam is None:
@@ -665,71 +690,40 @@ def probability_for_spec(
 # the summary tables
 
 
-def table_rows(number: int) -> list[EventResult]:
-    """Recompute one of the five summary tables from first principles."""
+def _table_specs(number: int) -> list[tuple[str, str]]:
+    """The (label, event spec) rows of one summary table."""
     if number == 1:
-        cond = condorcet_winner()
-        vol_c = cond.volume()
-        w = {r.name: rule_winner_conditions(r) for r in (PLURALITY, BORDA, ANTIPLURALITY)}
-        p, b, a = w["plurality"], w["borda"], w["antiplurality"]
-
-        def given_c(poly):
-            return poly.intersect(cond).volume() / vol_c
-
         return [
-            EventResult("P | C", "condorcet-efficiency:plurality", given_c(p)),
-            EventResult("A | C", "condorcet-efficiency:antiplurality", given_c(a)),
-            EventResult("B | C", "condorcet-efficiency:borda", given_c(b)),
-            EventResult("(A & B) | C", "joint-efficiency:antiplurality,borda",
-                        given_c(a.intersect(b))),
-            EventResult("(A & P) | C", "joint-efficiency:antiplurality,plurality",
-                        given_c(a.intersect(p))),
-            EventResult("(B & P) | C", "joint-efficiency:borda,plurality",
-                        given_c(b.intersect(p))),
-            EventResult("B | (P & C)", "relative-efficiency:borda|plurality",
-                        conditional_probability(b.intersect(p).intersect(cond),
-                                                p.intersect(cond))),
-            EventResult("B | (A & C)", "relative-efficiency:borda|antiplurality",
-                        conditional_probability(b.intersect(a).intersect(cond),
-                                                a.intersect(cond))),
+            ("P | C", "condorcet-efficiency:plurality"),
+            ("A | C", "condorcet-efficiency:antiplurality"),
+            ("B | C", "condorcet-efficiency:borda"),
+            ("(A & B) | C", "joint-efficiency:antiplurality,borda"),
+            ("(A & P) | C", "joint-efficiency:antiplurality,plurality"),
+            ("(B & P) | C", "joint-efficiency:borda,plurality"),
+            ("B | (P & C)", "relative-efficiency:borda|plurality"),
+            ("B | (A & C)", "relative-efficiency:borda|antiplurality"),
         ]
     if number == 2:
-        rows = []
-        for rule in (PLURALITY, ScoringRule(RULE_M_LAMBDA), BORDA, ANTIPLURALITY):
-            label = "rule M" if rule.lam == RULE_M_LAMBDA else rule.name
-            rows.append(EventResult(
-                label, f"condorcet-loser:lambda={rule.lam}",
-                condorcet_loser_election_probability(rule),
-            ))
-        return rows
+        rules = (PLURALITY, ScoringRule(RULE_M_LAMBDA), BORDA, ANTIPLURALITY)
+        return [("rule M" if rule.lam == RULE_M_LAMBDA else rule.name,
+                 f"condorcet-loser:lambda={rule.lam}") for rule in rules]
     if number == 3:
         pairs = [(ANTIPLURALITY, BORDA), (ANTIPLURALITY, PLURALITY), (PLURALITY, BORDA)]
-        rows = []
-        for r1, r2 in pairs:
-            for mode in ("winner", "ranking"):
-                rows.append(EventResult(
-                    _agreement_label(r1, r2, mode),
-                    f"agreement:{r1.name},{r2.name}:{mode}",
-                    agreement_probability(r1, r2, mode),
-                ))
-        rows.append(EventResult(
-            "all common rules elect the same winner", "all-rules-agree",
-            all_rules_agree_probability(),
-        ))
-        return rows
+        rows = [(_agreement_label(r1, r2, mode), f"agreement:{r1.name},{r2.name}:{mode}")
+                for r1, r2 in pairs for mode in ("winner", "ranking")]
+        return rows + [("all common rules elect the same winner", "all-rules-agree")]
     if number == 4:
-        rows = []
-        for rule in (PLURALITY, BORDA, ANTIPLURALITY):
-            for paradox in PARADOXES:
-                rows.append(EventResult(
-                    f"{rule.name} runoff {paradox}",
-                    f"participation:{rule.name}:{paradox}",
-                    participation_probability(rule, paradox),
-                ))
-        return rows
+        return [(f"{rule.name} runoff {paradox}", f"participation:{rule.name}:{paradox}")
+                for rule in (PLURALITY, BORDA, ANTIPLURALITY) for paradox in PARADOXES]
     if number == 5:
-        return [
-            EventResult(f"{n} districts", f"referendum:N={n}", referendum_probability(n))
-            for n in (3, 4, 5, 6, 7, 9)
-        ]
+        return [(f"{n} districts", f"referendum:N={n}") for n in (3, 4, 5, 6, 7, 9)]
     raise ValueError("table number must be 1..5")
+
+
+def table_rows(number: int) -> list[EventResult]:
+    """Recompute one of the five summary tables from first principles.
+
+    Every row is evaluated through :func:`probability_for_spec` on the
+    spec it prints, so ``polyvote prob SPEC`` reproduces each row."""
+    return [EventResult(label, spec, probability_for_spec(spec).probability)
+            for label, spec in _table_specs(number)]

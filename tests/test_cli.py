@@ -149,6 +149,15 @@ def test_prob_specs(run):
     assert code == 0 and "exact=41/45" in out
 
 
+def test_prob_joint_and_relative_efficiency_specs(run):
+    code, out, _ = run("prob", "joint-efficiency:borda,plurality")
+    assert code == 0 and "exact=2651/3240" in out
+    code, out, _ = run("prob", "relative-efficiency:borda|plurality")
+    assert code == 0 and "exact=2651/2856" in out
+    code, _, err = run("prob", "joint-efficiency:borda")
+    assert code == 2 and "input error" in err
+
+
 def test_exit_code_input_error(run):
     code, _, err = run("prob", "no-such-event")
     assert code == 2 and "input error" in err
