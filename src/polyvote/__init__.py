@@ -1,83 +1,8 @@
 """Exact polytope volumes, lattice counts, Ehrhart quasipolynomials and
-IAC voting-event probabilities."""
+IAC voting-event probabilities.
 
-from .linalg import (
-    DimensionError,
-    QMatrix,
-    QVector,
-    Rational,
-    decimal_string,
-    determinant,
-    format_rational,
-    parse_rational,
-    rank,
-    solve,
-)
-from .polytope import (
-    EventRegion,
-    GeometryError,
-    HalfSpace,
-    HPolytope,
-    UnboundedPolytopeError,
-    VPolytope,
-    format_hrep,
-    parse_hrep,
-    region_volume,
-)
-from .ehrhart import (
-    BudgetExceededError,
-    CountTable,
-    PeriodTooSmallError,
-    PipelineConfig,
-    Quasipolynomial,
-    RationalGF,
-    count_lattice_points,
-    ehrhart_pipeline,
-    expand_factors,
-    gf_coefficients,
-    interpolate_quasipolynomial,
-    leading_coefficient,
-    period_bound,
-    poly_mul,
-    poly_pow,
-    region_count,
-)
+The API lives in the submodules: ``polyvote.linalg``,
+``polyvote.polytope``, ``polyvote.ehrhart``, ``polyvote.socialchoice``
+and the command line in ``polyvote.cli``."""
 
-from .socialchoice import (
-    ANTIPLURALITY,
-    BORDA,
-    FACTOR_RANKING,
-    FACTOR_WINNER,
-    PARADOXES,
-    PLURALITY,
-    RULE_M_LAMBDA,
-    EventResult,
-    ScoringRule,
-    agreement_event,
-    agreement_probability,
-    all_positional_agree_probability,
-    all_rules_agree_probability,
-    compile_event_spec,
-    condorcet_efficiency,
-    condorcet_loser,
-    condorcet_loser_election_probability,
-    condorcet_paradox_probability,
-    condorcet_winner,
-    conditional_probability,
-    iac_probability,
-    manipulability_event,
-    manipulability_probability,
-    participation_event,
-    participation_probability,
-    probability_for_spec,
-    referendum_probability,
-    rule_from_token,
-    rule_m_probabilities,
-    rule_ranking_conditions,
-    rule_winner_conditions,
-    share_space_polytope,
-    table_rows,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -21,14 +21,12 @@ from fractions import Fraction
 from .ehrhart import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    PipelineConfig,
-    count_lattice_points,
     ehrhart_pipeline,
     region_count,
 )
-from .linalg import decimal_string, format_rational, parse_rational
+from .linalg import decimal_string, format_rational
 from .polytope import EventRegion, GeometryError, HPolytope, parse_hrep
-from .socialchoice import probability_for_spec, table_rows
+from .socialchoice import EVENT_SPECS, probability_for_spec, table_rows
 
 
 @dataclass(frozen=True)
@@ -89,28 +87,23 @@ def _load_region(args) -> tuple[EventRegion, str]:
 
 def cmd_volume(args) -> str:
     region, spec = _load_region(args)
-    vol = region.terms[0][1].volume() if len(region.terms) == 1 else region.volume()
-    rec = OutputRecord("volume", vol, spec)
+    rec = OutputRecord("volume", region.volume(), spec)
     return render_records([rec], args.format)
 
 
 def cmd_count(args) -> str:
     region, spec = _load_region(args)
-    if len(region.terms) == 1:
-        total = count_lattice_points(region.terms[0][1], args.n, budget=args.budget)
-    else:
-        total = region_count(region, args.n, budget=args.budget)
+    total = region_count(region, args.n, budget=args.budget)
     rec = OutputRecord(f"lattice count at dilation {args.n}", Fraction(total), spec)
     return render_records([rec], args.format)
 
 
 def cmd_ehrhart(args) -> str:
     region, _ = _load_region(args)
-    target = region.terms[0][1] if len(region.terms) == 1 else region
     classes = None
     if args.classes:
         classes = [int(c) for c in args.classes.split(",")]
-    q = ehrhart_pipeline(target, classes=classes, config=PipelineConfig(budget=args.budget))
+    q = ehrhart_pipeline(region, classes=classes, budget=args.budget)
     fitted = [(r, poly) for r, poly in enumerate(q.polys) if poly is not None]
     if args.format == "json":
         payload = {
@@ -142,8 +135,7 @@ def cmd_table(args) -> str:
 
 
 def cmd_prob(args) -> str:
-    lam = parse_rational(args.lam) if args.lam else None
-    result = probability_for_spec(args.spec, lam=lam, districts=args.districts)
+    result = probability_for_spec(args.spec)
     rec = OutputRecord(result.label, result.probability, result.spec)
     return render_records([rec], args.format)
 
@@ -189,12 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prob", help="probability of a canonical event spec")
     add_common(p)
-    p.add_argument("spec", help="e.g. manipulable:borda, condorcet-paradox, "
-                                "agreement:plurality,antiplurality:winner, "
-                                "participation:borda:PPP, referendum:N=7")
-    p.add_argument("--lambda", dest="lam", metavar="RATIONAL",
-                   help="scoring weight for specs that take a rule")
-    p.add_argument("--districts", type=int, help="district count for referendum")
+    p.add_argument("spec", help="one of " + ", ".join(
+        form.usage for forms in EVENT_SPECS.values() for form in forms)
+        + "; RULE is plurality, borda, antiplurality or lambda=P/Q")
     p.set_defaults(func=cmd_prob)
     return parser
 

@@ -23,6 +23,8 @@ from .linalg import format_rational, parse_rational
 from .polytope import EQ, EventRegion, HPolytope
 
 DEFAULT_BUDGET = 10**9
+# fresh dilations per residue class that check a fit without entering it
+VALIDATION_POINTS = 2
 
 
 class BudgetExceededError(Exception):
@@ -37,14 +39,6 @@ class BudgetExceededError(Exception):
 
 class PeriodTooSmallError(ValueError):
     """Held-back counts disagreed with the interpolated polynomial."""
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for the count-and-interpolate pipeline."""
-
-    budget: int = DEFAULT_BUDGET
-    validation_points: int = 2
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +345,6 @@ def interpolate_quasipolynomial(
     return Quasipolynomial(period, degree, tuple(polys))
 
 
-def leading_coefficient(q: Quasipolynomial) -> Fraction:
-    return q.leading_coefficient()
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -382,19 +372,20 @@ def period_bound(target) -> int:
 def ehrhart_pipeline(
     target,
     classes=None,
-    config: PipelineConfig = PipelineConfig(),
+    budget: int = DEFAULT_BUDGET,
 ) -> Quasipolynomial:
     """Count dilations and interpolate the counting quasipolynomial.
 
     The period used is the vertex-denominator lcm m (the minimal period
     always divides it); each requested residue class is fitted from d+1
-    counts and cross-validated on ``config.validation_points`` fresh
-    dilations that took no part in the fit.
+    counts and cross-validated on ``VALIDATION_POINTS`` fresh dilations
+    that took no part in the fit; ``budget`` caps the candidate points
+    of every count, as in :func:`count_lattice_points`.
     """
     dim, terms = _target_parts(target)
     m = period_bound(target)
     wanted = list(range(m)) if classes is None else sorted(set(c % m for c in classes))
-    per_class = dim + 1 + config.validation_points
+    per_class = dim + 1 + VALIDATION_POINTS
     dilations = sorted(r + m * j for r in wanted for j in range(per_class))
     worst = max(dilations)
     for _, p in terms:
@@ -404,16 +395,16 @@ def ehrhart_pipeline(
         candidates = 1
         for a, b in zip(lo, hi):
             candidates *= max(0, math.floor(worst * b) - math.ceil(worst * a) + 1)
-        if candidates > config.budget:
+        if candidates > budget:
             raise BudgetExceededError(
                 f"interpolation needs {len(dilations)} counts up to dilation "
                 f"{worst}, which spans {candidates} candidate points "
-                f"(budget {config.budget})",
+                f"(budget {budget})",
                 candidates=candidates,
                 dilation=worst,
                 required_counts=len(dilations),
             )
     table = {}
     for n in dilations:
-        table[n] = sum(s * count_lattice_points(p, n, config.budget) for s, p in terms)
+        table[n] = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
     return interpolate_quasipolynomial(CountTable(table), m, dim, classes=wanted)

@@ -4,10 +4,9 @@ One fraction-free (Bareiss) elimination, :func:`bareiss`, works on
 integer rows in place: every intermediate quantity is an integer and
 every division in it is exact.  The geometry kernel calls it, through
 :func:`integer_determinant`, on rows it already holds as integers.
-``determinant``, ``solve`` and ``rank`` are the ``Fraction`` fronts:
-vectors are tuples of Fractions and matrices tuples of row tuples; each
-front scales the rows to integers once, runs the elimination, and
-divides only at the end.
+``determinant`` and ``rank`` are the ``Fraction`` fronts: each scales
+the rows to integers once, runs the elimination, and divides only at
+the end.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-Rational = Fraction
 QVector = tuple[Fraction, ...]
-QMatrix = tuple[QVector, ...]
 
 
 class DimensionError(ValueError):
@@ -58,19 +55,6 @@ def as_vector(values) -> QVector:
     return tuple(Fraction(v) for v in values)
 
 
-def as_matrix(rows) -> QMatrix:
-    mat = tuple(as_vector(r) for r in rows)
-    if mat and any(len(r) != len(mat[0]) for r in mat):
-        raise DimensionError("matrix rows must all have equal length")
-    return mat
-
-
-def dot(u, v) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionError("dot product of vectors with different lengths")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 def _integer_rows(rows) -> tuple[list[list[int]], int]:
     """Scale each row to integers by the lcm of its denominators.
 
@@ -90,21 +74,18 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def bareiss(m: list[list[int]], cols: int) -> int:
+def bareiss(m: list[list[int]]) -> int:
     """Fraction-free (Bareiss) row echelon of integer rows, in place.
 
-    Pivots are taken from the first ``cols`` columns and every row is
-    eliminated across its full width, so an augmented right-hand side
-    rides along.  A row swap also negates the row moved down, so the
-    determinant keeps its sign.  Returns the rank of the first ``cols``
-    columns.  When that rank equals the row count n, the pivots are
-    ``m[i][i]``, all nonzero, and for a square matrix the last pivot
-    ``m[-1][-1]`` is its determinant."""
+    A row swap also negates the row moved down, so the determinant keeps
+    its sign.  Returns the rank.  When the rank equals the row count n,
+    the pivots are ``m[i][i]``, all nonzero, and for a square matrix the
+    last pivot ``m[-1][-1]`` is its determinant."""
     rows = len(m)
     width = len(m[0]) if m else 0
     r = 0
     prev = 1
-    for c in range(cols):
+    for c in range(width):
         for piv in range(r, rows):
             if m[piv][c]:
                 break
@@ -137,7 +118,7 @@ def integer_determinant(m: list[list[int]]) -> int:
     n = len(m)
     if n == 0:
         return 1
-    return m[-1][-1] if bareiss(m, n) == n else 0
+    return m[-1][-1] if bareiss(m) == n else 0
 
 
 def determinant(a) -> Fraction:
@@ -148,34 +129,9 @@ def determinant(a) -> Fraction:
     return Fraction(integer_determinant(m), scale)
 
 
-def solve(a, b) -> QVector | None:
-    """Solve the square system a x = b exactly.
-
-    Returns None when the matrix is singular (callers such as vertex
-    enumeration treat that as "skip", not as an error).
-    """
-    mat = as_matrix(a)
-    rhs = as_vector(b)
-    n = len(mat)
-    if any(len(r) != n for r in mat) or len(rhs) != n:
-        raise DimensionError("solve requires an n x n matrix and length-n rhs")
-    if n == 0:
-        return ()
-    aug, _ = _integer_rows([row + (v,) for row, v in zip(mat, rhs)])
-    if bareiss(aug, n) < n:
-        return None
-    x: list[Fraction] = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(aug[i][n])
-        for j in range(i + 1, n):
-            s -= aug[i][j] * x[j]
-        x[i] = s / aug[i][i]
-    return tuple(x)
-
-
 def rank(a) -> int:
     """Exact rank over the rationals (fraction-free echelon)."""
     m, _ = _integer_rows(a)
     if not m or not m[0]:
         return 0
-    return bareiss(m, len(m[0]))
+    return bareiss(m)

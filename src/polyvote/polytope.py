@@ -252,10 +252,6 @@ class EventRegion:
         return cls(((1, polytope),))
 
 
-def region_volume(region: EventRegion) -> Fraction:
-    return region.volume()
-
-
 # ---------------------------------------------------------------------------
 # vertex enumeration
 
@@ -499,7 +495,7 @@ def _volume(poly: HPolytope) -> Fraction:
     verts = [[x.numerator * (D // x.denominator) for x in v] for v in fverts]
     v0 = verts[0]
     diffs = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
-    if bareiss(diffs, dim) < dim:
+    if bareiss(diffs) < dim:
         return Fraction(0)
     tights = []
     for coeffs, rel, rhs in poly.integer_rows():

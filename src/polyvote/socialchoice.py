@@ -10,10 +10,16 @@ x_1..x_5 bounded by the standard inequalities (x_i >= 0 and
 x_1+..+x_5 <= 1, a simplex of volume 1/120).  A limiting probability is
 the event volume over 1/120, times the number of equally likely
 candidate relabelings the compiled polytope stands for.
+
+Events are named by spec strings such as ``manipulable:borda``; the
+registry ``EVENT_SPECS`` maps each spec kind and argument form to the
+builder that evaluates it, and :func:`probability_for_spec` is the one
+reader of that grammar.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -266,16 +272,12 @@ def iac_probability(target, factor: int) -> Fraction:
     """Limiting probability: factor * volume / (simplex volume 1/120).
 
     ``target`` is an HPolytope or an EventRegion in the reduced share
-    space.
+    space.  Whether the result lies in [0, 1] is checked once, by
+    :func:`probability_for_spec`.
     """
     if factor not in _VALID_FACTORS:
         raise ValueError(f"symmetry factor must be one of {_VALID_FACTORS}")
-    p = factor * target.volume() / SIMPLEX_VOLUME
-    if not 0 <= p <= 1:
-        raise GeometryError(
-            f"probability {p} escaped [0, 1]; wrong symmetry factor?"
-        )
-    return p
+    return factor * target.volume() / SIMPLEX_VOLUME
 
 
 def conditional_probability(event, given) -> Fraction:
@@ -288,28 +290,6 @@ def conditional_probability(event, given) -> Fraction:
     if denom == 0:
         raise GeometryError("conditioning event has zero volume")
     return event.intersect(given).volume() / denom
-
-
-def condorcet_paradox_probability() -> Fraction:
-    """No candidate beats both others pairwise."""
-    return 1 - iac_probability(condorcet_winner(), FACTOR_WINNER)
-
-
-def condorcet_efficiency(rule: ScoringRule) -> Fraction:
-    """Probability the rule elects the pairwise-majority winner when one
-    exists (the label cancels between numerator and denominator)."""
-    return conditional_probability(rule_winner_conditions(rule), condorcet_winner())
-
-
-def condorcet_loser_election_probability(rule: ScoringRule) -> Fraction:
-    """Probability the rule elects a candidate losing every pairwise
-    comparison."""
-    region = rule_winner_conditions(rule).intersect(condorcet_loser())
-    return iac_probability(region, FACTOR_WINNER)
-
-
-def manipulability_probability(rule: ScoringRule) -> Fraction:
-    return iac_probability(manipulability_event(rule), FACTOR_RANKING)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +308,9 @@ def agreement_event(rule1: ScoringRule, rule2: ScoringRule, mode: str):
     raise ValueError("mode must be 'winner' or 'ranking'")
 
 
-def agreement_probability(rule1: ScoringRule, rule2: ScoringRule, mode: str) -> Fraction:
-    poly, factor = agreement_event(rule1, rule2, mode)
-    return iac_probability(poly, factor)
-
-
-def all_positional_agree_probability() -> Fraction:
-    """All positional rules pick one winner; score vectors are convex
-    combinations of the plurality and antiplurality ones, so agreement
-    of those two extremes is equivalent."""
-    return agreement_probability(PLURALITY, ANTIPLURALITY, "winner")
+def _agreement_label(rule1, rule2, mode):
+    what = "elect the same winner" if mode == "winner" else "agree on the full ranking"
+    return f"{rule1.name} and {rule2.name} {what}"
 
 
 def _cycle_rows(reverse: bool) -> list[Row]:
@@ -346,15 +319,6 @@ def _cycle_rows(reverse: bool) -> list[Row]:
                 pairwise_vector("c", "a")]
     return [pairwise_vector("a", "c"), pairwise_vector("c", "b"),
             pairwise_vector("b", "a")]
-
-
-def agree_given_condorcet_probability() -> Fraction:
-    """All positional rules and the pairwise-majority winner coincide,
-    conditioned on that winner existing."""
-    both = rule_winner_conditions(PLURALITY).intersect(
-        rule_winner_conditions(ANTIPLURALITY)
-    )
-    return conditional_probability(both, condorcet_winner())
 
 
 def cyclic_agreement_probability() -> Fraction:
@@ -381,8 +345,13 @@ CYCLIC_CASE_MULTIPLIER = 32
 def all_rules_agree_probability() -> Fraction:
     """All positional rules and every Condorcet-consistent rule elect
     the same candidate: the conditional part when a pairwise-majority
-    winner exists, plus the cyclic-case contribution."""
-    with_winner = agree_given_condorcet_probability() * iac_probability(
+    winner exists, plus the cyclic-case contribution.  Score vectors are
+    convex combinations of the plurality and antiplurality ones, so all
+    positional rules agree exactly when those two extremes do."""
+    both = rule_winner_conditions(PLURALITY).intersect(
+        rule_winner_conditions(ANTIPLURALITY)
+    )
+    with_winner = conditional_probability(both, condorcet_winner()) * iac_probability(
         condorcet_winner(), FACTOR_WINNER
     )
     return with_winner + CYCLIC_CASE_MULTIPLIER * cyclic_agreement_probability()
@@ -454,10 +423,6 @@ def participation_event(rule: ScoringRule, paradox: str) -> HPolytope:
     return share_space_polytope(rows)
 
 
-def participation_probability(rule: ScoringRule, paradox: str) -> Fraction:
-    return iac_probability(participation_event(rule, paradox), FACTOR_RANKING)
-
-
 # ---------------------------------------------------------------------------
 # referendum (compound majority) paradox
 
@@ -493,27 +458,14 @@ def referendum_probability(districts: int) -> Fraction:
 # the most Condorcet-efficient positional rule ("rule M")
 
 
+# a rational approximation of the optimal weight; the exact optimum is an
+# algebraic irrational, so rule M values are only as accurate as this
 RULE_M_LAMBDA = Fraction(37228, 100000)
 
 
-def rule_m_probabilities(lambda_approx: Fraction = RULE_M_LAMBDA) -> dict[str, Fraction]:
-    """Condorcet efficiency, joint efficiency with Borda, and the
-    probability of electing the pairwise loser, all at a rational
-    approximation of the optimal weight (the exact optimum is an
-    algebraic irrational; accuracy follows the approximation)."""
-    rule = ScoringRule(Fraction(lambda_approx))
-    winner = rule_winner_conditions(rule)
-    cond = condorcet_winner()
-    joint = winner.intersect(rule_winner_conditions(BORDA))
-    return {
-        "efficiency": conditional_probability(winner, cond),
-        "joint_with_borda": conditional_probability(joint, cond),
-        "condorcet_loser": condorcet_loser_election_probability(rule),
-    }
-
-
 # ---------------------------------------------------------------------------
-# event specifications (canonical text forms used by the CLI)
+# event specs: one registry maps each spec kind and argument form to the
+# builder that evaluates it
 
 
 @dataclass(frozen=True)
@@ -523,167 +475,181 @@ class EventResult:
     probability: Fraction
 
 
-def _agreement_label(rule1, rule2, mode):
-    what = "elect the same winner" if mode == "winner" else "agree on the full ranking"
-    return f"{rule1.name} and {rule2.name} {what}"
+def _rule_pair(sep: str):
+    def parse(token: str) -> tuple[ScoringRule, ScoringRule]:
+        tokens = token.split(sep)
+        if len(tokens) != 2:
+            raise ValueError(f"expected two rules separated by {sep!r}")
+        return rule_from_token(tokens[0]), rule_from_token(tokens[1])
+    return parse
 
 
-def compile_event_spec(text: str) -> tuple[EventRegion, int]:
-    """Compile a region-style event spec into its signed polytope family
-    and the number of label permutations the family represents.
-
-    Composite specs whose probability is not a single symmetrized region
-    (``condorcet-paradox``, ``condorcet-efficiency``, ``all-rules-agree``,
-    ``referendum``) are rejected; use :func:`probability_for_spec`.
-    """
-    parts = text.strip().split(":")
-    kind = parts[0]
-    if kind == "manipulable":
-        return manipulability_event(rule_from_token(parts[1])), FACTOR_RANKING
-    if kind == "rule-winner":
-        poly = rule_winner_conditions(rule_from_token(parts[1]))
-        return EventRegion.of(poly), FACTOR_WINNER
-    if kind == "condorcet-winner":
-        cand = parts[1] if len(parts) > 1 else "a"
-        return EventRegion.of(condorcet_winner(cand)), FACTOR_WINNER
-    if kind == "condorcet-loser":
-        if len(parts) > 1:
-            poly = rule_winner_conditions(rule_from_token(parts[1])).intersect(
-                condorcet_loser()
-            )
-        else:
-            poly = condorcet_loser()
-        return EventRegion.of(poly), FACTOR_WINNER
-    if kind == "agreement":
-        r1, r2 = (rule_from_token(t) for t in parts[1].split(","))
-        poly, factor = agreement_event(r1, r2, parts[2])
-        return EventRegion.of(poly), factor
-    if kind == "participation":
-        poly = participation_event(rule_from_token(parts[1]), parts[2])
-        return EventRegion.of(poly), FACTOR_RANKING
-    raise ValueError(f"event spec {text!r} does not compile to a single region")
+def _one_of(options: tuple[str, ...]):
+    def parse(token: str) -> str:
+        if token not in options:
+            raise ValueError(f"expected one of {'|'.join(options)}")
+        return token
+    return parse
 
 
-def _rule_pair(parts: list[str], sep: str, usage: str) -> tuple[ScoringRule, ScoringRule]:
-    tokens = parts[1].split(sep) if len(parts) == 2 else []
-    if len(tokens) != 2:
-        raise ValueError(f"spec form is {usage}")
-    r1, r2 = (rule_from_token(t) for t in tokens)
-    return r1, r2
+def _district_count(token: str) -> int:
+    if not token.startswith("N="):
+        raise ValueError("expected N=INT")
+    return int(token[2:])
 
 
-def probability_for_spec(
-    text: str,
-    lam: Fraction | None = None,
-    districts: int | None = None,
-) -> EventResult:
-    """Evaluate a canonical event-spec string, e.g. ``manipulable:borda``,
-    ``condorcet-efficiency:lambda=1/2``,
-    ``joint-efficiency:borda,plurality`` (both rules elect the
-    pairwise-majority winner, given that it exists),
-    ``relative-efficiency:borda|plurality`` (Borda elects it, given that
-    plurality does), ``agreement:plurality,antiplurality:winner``,
-    ``participation:borda:PPP``, ``referendum:N=7``."""
+# how each argument form appearing in a spec is read
+ARGUMENT_FORMS = {
+    "RULE": rule_from_token,
+    "RULE,RULE": _rule_pair(","),
+    "RULE|RULE": _rule_pair("|"),
+    "winner|ranking": _one_of(("winner", "ranking")),
+    "|".join(PARADOXES): _one_of(PARADOXES),
+    "N=INT": _district_count,
+}
+
+
+@dataclass(frozen=True)
+class SpecForm:
+    """One argument form of a spec kind.  ``build`` takes the parsed
+    arguments and returns the row label and the exact probability; its
+    docstring says what the event is."""
+
+    kind: str
+    fields: tuple[str, ...]
+    build: Callable[..., tuple[str, Fraction]]
+
+    @property
+    def usage(self) -> str:
+        return ":".join((self.kind,) + self.fields)
+
+
+EVENT_SPECS: dict[str, list[SpecForm]] = {}
+
+
+def _event(kind: str, *fields: str):
+    def register(build):
+        EVENT_SPECS.setdefault(kind, []).append(SpecForm(kind, fields, build))
+        return build
+    return register
+
+
+@_event("manipulable", "RULE")
+def _manipulable(rule):
+    """A coalition preferring another candidate to the winner can make it win."""
+    return (f"coalitional manipulability ({rule.name})",
+            iac_probability(manipulability_event(rule), FACTOR_RANKING))
+
+
+@_event("condorcet-winner")
+def _condorcet_winner():
+    """A pairwise-majority winner exists."""
+    return ("a pairwise-majority winner exists",
+            iac_probability(condorcet_winner(), FACTOR_WINNER))
+
+
+@_event("condorcet-paradox")
+def _condorcet_paradox():
+    """No pairwise-majority winner exists."""
+    return ("no pairwise-majority winner exists",
+            1 - iac_probability(condorcet_winner(), FACTOR_WINNER))
+
+
+@_event("condorcet-loser")
+def _condorcet_loser():
+    """A pairwise-majority loser exists."""
+    return ("a pairwise-majority loser exists",
+            iac_probability(condorcet_loser(), FACTOR_WINNER))
+
+
+@_event("condorcet-loser", "RULE")
+def _condorcet_loser_elected(rule):
+    """The rule elects a candidate who loses every pairwise comparison."""
+    region = rule_winner_conditions(rule).intersect(condorcet_loser())
+    return f"{rule.name} elects the pairwise loser", iac_probability(region, FACTOR_WINNER)
+
+
+@_event("condorcet-efficiency", "RULE")
+def _condorcet_efficiency(rule):
+    """The rule elects the pairwise-majority winner, given that one exists."""
+    return (f"condorcet efficiency ({rule.name})",
+            conditional_probability(rule_winner_conditions(rule), condorcet_winner()))
+
+
+@_event("joint-efficiency", "RULE,RULE")
+def _joint_efficiency(rules):
+    """Both rules elect the pairwise-majority winner, given that one exists."""
+    r1, r2 = rules
+    both = rule_winner_conditions(r1).intersect(rule_winner_conditions(r2))
+    return (f"{r1.name} and {r2.name} both elect the pairwise-majority winner",
+            conditional_probability(both, condorcet_winner()))
+
+
+@_event("relative-efficiency", "RULE|RULE")
+def _relative_efficiency(rules):
+    """The first rule elects the pairwise-majority winner, given that the second does."""
+    r1, r2 = rules
+    given = rule_winner_conditions(r2).intersect(condorcet_winner())
+    return (f"{r1.name} elects the pairwise-majority winner when {r2.name} does",
+            conditional_probability(rule_winner_conditions(r1), given))
+
+
+@_event("rule-winner", "RULE")
+def _rule_winner(rule):
+    """Candidate a wins under the rule (1/3 by symmetry)."""
+    return (f"candidate a wins under {rule.name}",
+            iac_probability(rule_winner_conditions(rule), 1))
+
+
+@_event("agreement", "RULE,RULE", "winner|ranking")
+def _agreement(rules, mode):
+    """The two rules elect the same winner, or produce the same full ranking."""
+    poly, factor = agreement_event(*rules, mode)
+    return _agreement_label(*rules, mode), iac_probability(poly, factor)
+
+
+@_event("all-rules-agree")
+def _all_rules_agree():
+    """All positional rules and every Condorcet-consistent rule elect the same winner."""
+    return "all common rules elect the same winner", all_rules_agree_probability()
+
+
+@_event("participation", "RULE", "|".join(PARADOXES))
+def _participation(rule, paradox):
+    """The runoff of the rule shows the named participation or abstention paradox."""
+    return (f"{paradox} for {rule.name} runoff",
+            iac_probability(participation_event(rule, paradox), FACTOR_RANKING))
+
+
+@_event("referendum", "N=INT")
+def _referendum(districts):
+    """The winner of a majority of N equal districts loses the popular vote."""
+    return f"referendum paradox with {districts} districts", referendum_probability(districts)
+
+
+def probability_for_spec(text: str) -> EventResult:
+    """Evaluate a canonical event-spec string such as
+    ``manipulable:borda``, ``condorcet-efficiency:lambda=1/2``,
+    ``agreement:plurality,antiplurality:winner`` or ``referendum:N=7``;
+    ``EVENT_SPECS`` lists every kind and argument form.  Every value
+    returned has been checked to lie in [0, 1]."""
     spec = text.strip()
-    parts = spec.split(":")
-    kind = parts[0]
-
-    def rule_arg(pos=1, default=None):
-        if len(parts) > pos:
-            return rule_from_token(parts[pos])
-        if lam is not None:
-            return ScoringRule(lam)
-        if default is not None:
-            return default
-        raise ValueError(f"spec {spec!r} needs a rule (or --lambda)")
-
-    if kind == "manipulable":
-        rule = rule_arg()
-        return EventResult(
-            f"coalitional manipulability ({rule.name})",
-            spec, manipulability_probability(rule),
-        )
-    if kind == "condorcet-paradox":
-        return EventResult(
-            "no pairwise-majority winner exists", spec,
-            condorcet_paradox_probability(),
-        )
-    if kind == "condorcet-winner":
-        return EventResult(
-            "a pairwise-majority winner exists", spec,
-            iac_probability(condorcet_winner(), FACTOR_WINNER),
-        )
-    if kind == "condorcet-efficiency":
-        rule = rule_arg()
-        return EventResult(
-            f"condorcet efficiency ({rule.name})", spec, condorcet_efficiency(rule),
-        )
-    if kind == "joint-efficiency":
-        r1, r2 = _rule_pair(parts, ",", "joint-efficiency:RULE,RULE")
-        both = rule_winner_conditions(r1).intersect(rule_winner_conditions(r2))
-        return EventResult(
-            f"{r1.name} and {r2.name} both elect the pairwise-majority winner",
-            spec, conditional_probability(both, condorcet_winner()),
-        )
-    if kind == "relative-efficiency":
-        r1, r2 = _rule_pair(parts, "|", "relative-efficiency:RULE|RULE")
-        given = rule_winner_conditions(r2).intersect(condorcet_winner())
-        return EventResult(
-            f"{r1.name} elects the pairwise-majority winner when {r2.name} does",
-            spec, conditional_probability(rule_winner_conditions(r1), given),
-        )
-    if kind == "condorcet-loser":
-        if len(parts) == 1 and lam is None:
-            return EventResult(
-                "a pairwise-majority loser exists", spec,
-                iac_probability(condorcet_loser(), FACTOR_WINNER),
-            )
-        rule = rule_arg()
-        return EventResult(
-            f"{rule.name} elects the pairwise loser", spec,
-            condorcet_loser_election_probability(rule),
-        )
-    if kind == "rule-winner":
-        rule = rule_arg()
-        return EventResult(
-            f"candidate a wins under {rule.name}", spec,
-            iac_probability(rule_winner_conditions(rule), 1),
-        )
-    if kind == "agreement":
-        if len(parts) != 3:
-            raise ValueError("agreement spec is agreement:RULE,RULE:winner|ranking")
-        r1, r2 = (rule_from_token(t) for t in parts[1].split(","))
-        mode = parts[2]
-        return EventResult(
-            _agreement_label(r1, r2, mode), spec,
-            agreement_probability(r1, r2, mode),
-        )
-    if kind == "all-rules-agree":
-        return EventResult(
-            "all common rules elect the same winner", spec,
-            all_rules_agree_probability(),
-        )
-    if kind == "participation":
-        if len(parts) != 3 or parts[2] not in PARADOXES:
-            raise ValueError("participation spec is participation:RULE:PPP|NPP|PAP|NAP")
-        rule = rule_from_token(parts[1])
-        return EventResult(
-            f"{parts[2]} for {rule.name} runoff", spec,
-            participation_probability(rule, parts[2]),
-        )
-    if kind == "referendum":
-        n = districts
-        if len(parts) > 1:
-            if not parts[1].startswith("N="):
-                raise ValueError("referendum spec is referendum:N=INT")
-            n = int(parts[1][2:])
-        if n is None:
-            raise ValueError("referendum needs N (spec referendum:N=INT or --districts)")
-        return EventResult(
-            f"referendum paradox with {n} districts",
-            f"referendum:N={n}", referendum_probability(n),
-        )
-    raise ValueError(f"unknown event spec {spec!r}")
+    kind, *args = spec.split(":")
+    if kind not in EVENT_SPECS:
+        raise ValueError(f"unknown event spec {spec!r}")
+    forms = EVENT_SPECS[kind]
+    form = next((f for f in forms if len(f.fields) == len(args)), None)
+    if form is None:
+        usages = " or ".join(f.usage for f in forms)
+        raise ValueError(f"spec {spec!r} does not match the form {usages}")
+    try:
+        values = [ARGUMENT_FORMS[f](a) for f, a in zip(form.fields, args)]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"spec {spec!r} does not match the form {form.usage}: {exc}") from None
+    label, p = form.build(*values)
+    if not 0 <= p <= 1:
+        raise GeometryError(f"{spec}: probability {p} escaped [0, 1]")
+    return EventResult(label, spec, p)
 
 
 # ---------------------------------------------------------------------------

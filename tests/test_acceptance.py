@@ -15,7 +15,6 @@ import pytest
 import polyvote.socialchoice as sc
 from polyvote.ehrhart import (
     BudgetExceededError,
-    PipelineConfig,
     ehrhart_pipeline,
     gf_coefficients,
     period_bound,
@@ -31,6 +30,11 @@ from helpers import (
 )
 
 DECIMAL_TOL = F(5, 10**6)
+RULE_M = "lambda=37228/100000"
+
+
+def prob(spec: str) -> F:
+    return sc.probability_for_spec(spec).probability
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -89,7 +93,7 @@ def test_criterion_2_manipulability(plurality_region, borda_region):
 def test_criterion_2b_borda_pipeline_budget_guard(borda_region):
     assert period_bound(borda_region) == 2520
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(borda_region, classes=[0], config=PipelineConfig())
+        ehrhart_pipeline(borda_region, classes=[0])
     ok = err.value.required_counts is not None and err.value.candidates > 10**9
     report("criterion 2 addendum (scale guard on the coarse-period region)", ok,
            f"requires {err.value.required_counts} counts up to dilation {err.value.dilation}")
@@ -144,7 +148,7 @@ TABLE1_PRINTED = {
 def test_criterion_4_condorcet():
     rows = {r.label: r.probability for r in sc.table_rows(1)}
     checks = [
-        sc.condorcet_paradox_probability() == F(1, 16),
+        prob("condorcet-paradox") == F(1, 16),
         rows["P | C"] == F(119, 135),
         rows["B | C"] == F(41, 45),
         rows["A | C"] == F(17, 27),
@@ -173,27 +177,25 @@ def test_criterion_4b_published_relative_efficiency_entry():
 
 
 def test_criterion_5_borda_paradox():
-    probs = sc.rule_m_probabilities()
     checks = [
-        sc.condorcet_loser_election_probability(sc.PLURALITY) == F(1, 36),
-        sc.condorcet_loser_election_probability(sc.BORDA) == 0,
-        sc.condorcet_loser_election_probability(sc.ANTIPLURALITY) == F(17, 576),
-        abs(probs["condorcet_loser"] - F("0.00131")) <= F(2, 10**4),
+        prob("condorcet-loser:plurality") == F(1, 36),
+        prob("condorcet-loser:borda") == 0,
+        prob("condorcet-loser:antiplurality") == F(17, 576),
+        abs(prob(f"condorcet-loser:{RULE_M}") - F("0.00131")) <= F(2, 10**4),
     ]
     report("criterion 5 (pairwise-loser elections)", all(checks))
 
 
 def test_criterion_6_agreement():
-    winner = sc.agreement_probability
     checks = [
-        winner(sc.PLURALITY, sc.ANTIPLURALITY, "winner") == F(113, 216),
-        winner(sc.PLURALITY, sc.BORDA, "winner") == F(89, 108),
-        winner(sc.ANTIPLURALITY, sc.BORDA, "winner") == F(1039, 1512),
-        sc.agree_given_condorcet_probability() == F(3437, 6480),
+        prob("agreement:plurality,antiplurality:winner") == F(113, 216),
+        prob("agreement:plurality,borda:winner") == F(89, 108),
+        prob("agreement:antiplurality,borda:winner") == F(1039, 1512),
+        prob("joint-efficiency:antiplurality,plurality") == F(3437, 6480),
         sc.cyclic_agreement_probability() == F(5, 10368),
         sc.all_rules_agree_probability() == F(10631, 20736),
-        winner(sc.PLURALITY, sc.ANTIPLURALITY, "ranking") == F(8, 27),
-        winner(sc.PLURALITY, sc.BORDA, "ranking") == F(61, 108),
+        prob("agreement:plurality,antiplurality:ranking") == F(8, 27),
+        prob("agreement:plurality,borda:ranking") == F(61, 108),
         F(3437, 6480) * F(15, 16) + F(5, 324) == F(10631, 20736),
     ]
     table3 = {r.label: r.probability for r in sc.table_rows(3)}
@@ -212,22 +214,22 @@ def test_criterion_6_agreement():
 
 def test_criterion_7_participation():
     borda_exact = [
-        sc.participation_probability(sc.BORDA, "PPP") == F(1, 72),
-        sc.participation_probability(sc.BORDA, "NPP") == F(1, 48),
-        sc.participation_probability(sc.BORDA, "PAP") == F(1, 96),
-        sc.participation_probability(sc.BORDA, "NAP") == F(1, 72),
+        prob("participation:borda:PPP") == F(1, 72),
+        prob("participation:borda:NPP") == F(1, 48),
+        prob("participation:borda:PAP") == F(1, 96),
+        prob("participation:borda:NAP") == F(1, 72),
     ]
     zeros = [
-        sc.participation_probability(sc.PLURALITY, "PPP") == 0,
-        sc.participation_probability(sc.PLURALITY, "PAP") == 0,
-        sc.participation_probability(sc.ANTIPLURALITY, "NPP") == 0,
-        sc.participation_probability(sc.ANTIPLURALITY, "NAP") == 0,
+        prob("participation:plurality:PPP") == 0,
+        prob("participation:plurality:PAP") == 0,
+        prob("participation:antiplurality:NPP") == 0,
+        prob("participation:antiplurality:NAP") == 0,
     ]
     decimals = [
-        close(sc.participation_probability(sc.PLURALITY, "NPP"), "0.07292"),
-        close(sc.participation_probability(sc.PLURALITY, "NAP"), "0.04080"),
-        close(sc.participation_probability(sc.ANTIPLURALITY, "PPP"), "0.03822"),
-        close(sc.participation_probability(sc.ANTIPLURALITY, "PAP"), "0.04253"),
+        close(prob("participation:plurality:NPP"), "0.07292"),
+        close(prob("participation:plurality:NAP"), "0.04080"),
+        close(prob("participation:antiplurality:PPP"), "0.03822"),
+        close(prob("participation:antiplurality:PAP"), "0.04253"),
     ]
     report("criterion 7 (participation paradoxes)",
            all(borda_exact + zeros + decimals))
@@ -251,14 +253,14 @@ def test_criterion_8_referendum():
 
 
 def test_criterion_9_rule_m():
-    probs = sc.rule_m_probabilities()
+    efficiency = prob(f"condorcet-efficiency:{RULE_M}")
+    joint = prob(f"joint-efficiency:{RULE_M},borda")
     checks = [
-        abs(probs["efficiency"] - F("0.92546")) <= F(1, 1000),
-        abs(probs["joint_with_borda"] - F("0.89183")) <= F(1, 1000),
+        abs(efficiency - F("0.92546")) <= F(1, 1000),
+        abs(joint - F("0.89183")) <= F(1, 1000),
     ]
     report("criterion 9 (most Condorcet-efficient positional rule)", all(checks),
-           f"efficiency {decimal_string(probs['efficiency'])}, "
-           f"joint {decimal_string(probs['joint_with_borda'])}")
+           f"efficiency {decimal_string(efficiency)}, joint {decimal_string(joint)}")
 
 
 def test_criterion_10_property_suite():

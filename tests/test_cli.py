@@ -143,9 +143,9 @@ def test_prob_specs(run):
     assert code == 0 and "exact=1/16" in out
     code, out, _ = run("prob", "referendum:N=5")
     assert code == 0 and "exact=61/384" in out
-    code, out, _ = run("prob", "referendum", "--districts", "4")
+    code, out, _ = run("prob", "referendum:N=4")
     assert code == 0 and "exact=1/48" in out
-    code, out, _ = run("prob", "condorcet-efficiency", "--lambda", "1/2")
+    code, out, _ = run("prob", "condorcet-efficiency:lambda=1/2")
     assert code == 0 and "exact=41/45" in out
 
 
@@ -161,6 +161,13 @@ def test_prob_joint_and_relative_efficiency_specs(run):
 def test_exit_code_input_error(run):
     code, _, err = run("prob", "no-such-event")
     assert code == 2 and "input error" in err
+    for spec in ("manipulable:borda:junk", "condorcet-paradox:foo", "rule-winner:borda:x",
+                 "condorcet-winner:z", "agreement:plurality,borda,antiplurality:winner"):
+        code, out, err = run("prob", spec)
+        assert code == 2 and out == "" and "does not match the form" in err, spec
+    # rule weights and district counts are spelled inside the spec only
+    assert run("prob", "condorcet-efficiency", "--lambda", "1/2")[0] == 2
+    assert run("prob", "referendum", "--districts", "4")[0] == 2
     code, _, err = run("count", "--n", "3", files=[("--polytope-file", "dim 2\n1 0 < 1\n")])
     assert code == 2
 

@@ -7,7 +7,6 @@ from polyvote.ehrhart import (
     BudgetExceededError,
     CountTable,
     PeriodTooSmallError,
-    PipelineConfig,
     Quasipolynomial,
     RationalGF,
     count_lattice_points,
@@ -15,7 +14,6 @@ from polyvote.ehrhart import (
     expand_factors,
     gf_coefficients,
     interpolate_quasipolynomial,
-    leading_coefficient,
     period_bound,
     poly_mul,
     region_count,
@@ -260,7 +258,7 @@ def test_pipeline_budget_guard_reports_requirements():
     )
     assert period_bound(wide) == 3 * 5 * 7 * 11
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(wide, config=PipelineConfig(budget=10**6))
+        ehrhart_pipeline(wide, budget=10**6)
     assert err.value.required_counts is not None
 
 
@@ -269,4 +267,4 @@ def test_pipeline_restricted_classes():
     q = ehrhart_pipeline(seg, classes=[0])
     assert q.polys[1] is None
     assert q.class_coefficients(0) == (1, F(1, 2))
-    assert leading_coefficient(q) == F(1, 2)
+    assert q.leading_coefficient() == F(1, 2)

@@ -8,18 +8,35 @@ from polyvote.linalg import (
     DimensionError,
     decimal_string,
     determinant,
-    dot,
     format_rational,
     parse_rational,
     rank,
-    solve,
 )
+from polyvote.polytope import _back_solve, _Inconsistent, _reduce_against
 
 ints = st.integers(min_value=-6, max_value=6)
 
 
 def square(n, draw_ints):
     return st.lists(st.lists(draw_ints, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def solve(a, b):
+    """Solve the square integer system a x = b as vertex enumeration
+    solves each d-subset of tight constraints: incremental fraction-free
+    elimination, then back substitution over one common denominator.
+    None when the matrix is singular."""
+    echelon = []
+    for row, rhs in zip(a, b):
+        try:
+            red = _reduce_against(echelon, list(row) + [rhs])
+        except _Inconsistent:
+            return None
+        if red is None:
+            return None
+        echelon.append((red, next(j for j, v in enumerate(red[:-1]) if v)))
+    nums, den = _back_solve(echelon, len(a))
+    return tuple(F(v, den) for v in nums)
 
 
 def test_parse_and_format_round_trip():
@@ -81,8 +98,8 @@ def test_determinant_rational_entries():
 
 
 def test_solve_identity():
-    eye = [[F(int(i == j)) for j in range(3)] for i in range(3)]
-    assert solve(eye, [F(2), F(-1), F(5, 3)]) == (F(2), F(-1), F(5, 3))
+    three_eye = [[3 * int(i == j) for j in range(3)] for i in range(3)]
+    assert solve(three_eye, [6, -3, 5]) == (F(2), F(-1), F(5, 3))
 
 
 def test_solve_forced_by_elimination():
@@ -93,20 +110,10 @@ def test_solve_singular_returns_none():
     assert solve([[1, 2], [2, 4]], [1, 1]) is None
 
 
-def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionError):
-        solve([[1, 2], [3, 4]], [1, 2, 3])
-
-
 def test_rank_basics():
     assert rank([[0, 0], [0, 0]]) == 0
     assert rank([[F(int(i == j)) for j in range(4)] for i in range(4)]) == 4
     assert rank([[1, 2, 3], [2, 4, 6]]) == 1
-
-
-def test_dot_checks_length():
-    with pytest.raises(DimensionError):
-        dot([1, 2], [1, 2, 3])
 
 
 def _rank_oracle(rows):
@@ -144,7 +151,7 @@ def test_solve_multiplies_back(a, b):
         assert determinant(a) == 0
     else:
         for row, rhs in zip(a, b):
-            assert dot([F(v) for v in row], x) == rhs
+            assert sum(v * xi for v, xi in zip(row, x)) == rhs
 
 
 @given(st.lists(st.lists(ints, min_size=4, max_size=4), min_size=2, max_size=5))

@@ -11,7 +11,6 @@ from polyvote.polytope import (
     UnboundedPolytopeError,
     format_hrep,
     parse_hrep,
-    region_volume,
 )
 
 
@@ -189,8 +188,8 @@ def test_vertex_denominator_lcm_requires_vertices():
 
 def test_region_volume_single_term_and_cancellation():
     p = unit_box(2)
-    assert region_volume(EventRegion.of(p)) == 1
-    assert region_volume(EventRegion(((1, p), (-1, p)))) == 0
+    assert EventRegion.of(p).volume() == 1
+    assert EventRegion(((1, p), (-1, p))).volume() == 0
 
 
 def test_region_validation():

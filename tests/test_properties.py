@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 from math import comb
 
-from polyvote.ehrhart import PipelineConfig, count_lattice_points, ehrhart_pipeline
+from polyvote.ehrhart import count_lattice_points, ehrhart_pipeline
 from polyvote.polytope import HalfSpace, HPolytope
 
 from helpers import brute_count
@@ -57,7 +57,7 @@ def _sample_polytopes(count, dims, max_period, seed):
 def test_leading_coefficient_equals_volume_on_100_random_polytopes():
     polys = _sample_polytopes(100, dims=(2, 2, 3, 3, 4), max_period=3, seed=96)
     for poly in polys:
-        q = ehrhart_pipeline(poly, classes=[0], config=PipelineConfig(budget=10**8))
+        q = ehrhart_pipeline(poly, classes=[0], budget=10**8)
         assert q.leading_coefficient() == poly.volume()
 
 

@@ -18,6 +18,10 @@ from helpers import (
 )
 
 
+def prob(spec):
+    return sc.probability_for_spec(spec).probability
+
+
 # -- share-space plumbing ------------------------------------------------------
 
 
@@ -116,19 +120,19 @@ def test_condorcet_events_symmetric_under_relabeling():
 
 
 def test_condorcet_paradox_probability():
-    assert sc.condorcet_paradox_probability() == F(1, 16)
+    assert prob("condorcet-paradox") == F(1, 16)
 
 
 def test_condorcet_efficiencies():
-    assert sc.condorcet_efficiency(sc.PLURALITY) == F(119, 135)
-    assert sc.condorcet_efficiency(sc.BORDA) == F(41, 45)
-    assert sc.condorcet_efficiency(sc.ANTIPLURALITY) == F(17, 27)
+    assert prob("condorcet-efficiency:plurality") == F(119, 135)
+    assert prob("condorcet-efficiency:borda") == F(41, 45)
+    assert prob("condorcet-efficiency:antiplurality") == F(17, 27)
 
 
 def test_condorcet_loser_elections():
-    assert sc.condorcet_loser_election_probability(sc.PLURALITY) == F(1, 36)
-    assert sc.condorcet_loser_election_probability(sc.BORDA) == 0
-    assert sc.condorcet_loser_election_probability(sc.ANTIPLURALITY) == F(17, 576)
+    assert prob("condorcet-loser:plurality") == F(1, 36)
+    assert prob("condorcet-loser:borda") == 0
+    assert prob("condorcet-loser:antiplurality") == F(17, 576)
 
 
 def test_iac_probability_of_whole_simplex_is_one():
@@ -164,17 +168,17 @@ def test_borda_manipulation_volumes_and_period_bounds():
 
 
 def test_borda_manipulability_probability():
-    value = sc.manipulability_probability(sc.BORDA)
+    value = prob("manipulable:borda")
     assert value == F(132953, 264600)
     assert decimal_string(value, 10) == "0.5024678760"
 
 
 def test_plurality_manipulability_probability():
-    assert sc.manipulability_probability(sc.PLURALITY) == F(7, 24)
+    assert prob("manipulable:plurality") == F(7, 24)
 
 
 def test_antiplurality_manipulability_probability():
-    assert sc.manipulability_probability(sc.ANTIPLURALITY) == F(14, 27)
+    assert prob("manipulable:antiplurality") == F(14, 27)
 
 
 def test_plurality_counts_match_known_series():
@@ -233,15 +237,15 @@ def test_all_positional_agreement():
     assert poly.volume() == F(113, 77760)
     assert len(verts) == 18
     assert verts.denominator_lcm() == 12
-    assert sc.all_positional_agree_probability() == F(113, 216)
+    assert prob("agreement:plurality,antiplurality:winner") == F(113, 216)
 
 
 def test_pairwise_agreement_probabilities():
-    assert sc.agreement_probability(sc.PLURALITY, sc.BORDA, "winner") == F(89, 108)
-    assert sc.agreement_probability(sc.ANTIPLURALITY, sc.BORDA, "winner") == F(1039, 1512)
-    assert sc.agreement_probability(sc.PLURALITY, sc.ANTIPLURALITY, "ranking") == F(8, 27)
-    assert sc.agreement_probability(sc.PLURALITY, sc.BORDA, "ranking") == F(61, 108)
-    assert sc.agreement_probability(sc.ANTIPLURALITY, sc.BORDA, "ranking") == F(61, 108)
+    assert prob("agreement:plurality,borda:winner") == F(89, 108)
+    assert prob("agreement:antiplurality,borda:winner") == F(1039, 1512)
+    assert prob("agreement:plurality,antiplurality:ranking") == F(8, 27)
+    assert prob("agreement:plurality,borda:ranking") == F(61, 108)
+    assert prob("agreement:antiplurality,borda:ranking") == F(61, 108)
     with pytest.raises(ValueError):
         sc.agreement_event(sc.PLURALITY, sc.BORDA, "podium")
 
@@ -252,7 +256,7 @@ def test_agreement_given_condorcet_winner():
     )
     joint = both.intersect(sc.condorcet_winner())
     assert len(joint.enumerate_vertices()) == 29
-    assert sc.agree_given_condorcet_probability() == F(3437, 6480)
+    assert prob("joint-efficiency:antiplurality,plurality") == F(3437, 6480)
 
 
 def test_cyclic_agreement_contribution():
@@ -272,33 +276,33 @@ BORDA_ROW = {"PPP": F(1, 72), "NPP": F(1, 48), "PAP": F(1, 96), "NAP": F(1, 72)}
 
 def test_borda_runoff_participation_row_exact():
     for paradox, expected in BORDA_ROW.items():
-        assert sc.participation_probability(sc.BORDA, paradox) == expected
+        assert prob(f"participation:borda:{paradox}") == expected
 
 
 def test_participation_structural_zeros():
-    assert sc.participation_probability(sc.PLURALITY, "PPP") == 0
-    assert sc.participation_probability(sc.PLURALITY, "PAP") == 0
-    assert sc.participation_probability(sc.ANTIPLURALITY, "NPP") == 0
-    assert sc.participation_probability(sc.ANTIPLURALITY, "NAP") == 0
+    assert prob("participation:plurality:PPP") == 0
+    assert prob("participation:plurality:PAP") == 0
+    assert prob("participation:antiplurality:NPP") == 0
+    assert prob("participation:antiplurality:NAP") == 0
 
 
 def test_participation_decimals():
     cells = {
-        (sc.PLURALITY, "NPP"): "0.07292",
-        (sc.PLURALITY, "NAP"): "0.04080",
-        (sc.ANTIPLURALITY, "PPP"): "0.03822",
-        (sc.ANTIPLURALITY, "PAP"): "0.04253",
+        "participation:plurality:NPP": "0.07292",
+        "participation:plurality:NAP": "0.04080",
+        "participation:antiplurality:PPP": "0.03822",
+        "participation:antiplurality:PAP": "0.04253",
     }
-    for (rule, paradox), text in cells.items():
-        assert decimal_string(sc.participation_probability(rule, paradox)) == text
+    for spec, text in cells.items():
+        assert decimal_string(prob(spec)) == text
 
 
 def test_participation_exact_fractions():
     # engine-derived exact values behind the published decimals
-    assert sc.participation_probability(sc.PLURALITY, "NPP") == F(7, 96)
-    assert sc.participation_probability(sc.PLURALITY, "NAP") == F(47, 1152)
-    assert sc.participation_probability(sc.ANTIPLURALITY, "PPP") == F(43, 1125)
-    assert sc.participation_probability(sc.ANTIPLURALITY, "PAP") == F(49, 1152)
+    assert prob("participation:plurality:NPP") == F(7, 96)
+    assert prob("participation:plurality:NAP") == F(47, 1152)
+    assert prob("participation:antiplurality:PPP") == F(43, 1125)
+    assert prob("participation:antiplurality:PAP") == F(49, 1152)
 
 
 def test_borda_ppp_polytope_shape():
@@ -343,11 +347,14 @@ def test_referendum_polytope_shape():
 # -- rule M ---------------------------------------------------------------------
 
 
+RULE_M = "lambda=37228/100000"
+
+
 def test_rule_m_probabilities():
-    probs = sc.rule_m_probabilities()
-    assert abs(probs["efficiency"] - F(92546, 100000)) < F(1, 1000)
-    assert abs(probs["joint_with_borda"] - F(89183, 100000)) < F(1, 1000)
-    assert abs(probs["condorcet_loser"] - F(131, 100000)) < F(2, 10000)
+    assert F(RULE_M.removeprefix("lambda=")) == sc.RULE_M_LAMBDA
+    assert abs(prob(f"condorcet-efficiency:{RULE_M}") - F(92546, 100000)) < F(1, 1000)
+    assert abs(prob(f"joint-efficiency:{RULE_M},borda") - F(89183, 100000)) < F(1, 1000)
+    assert abs(prob(f"condorcet-loser:{RULE_M}") - F(131, 100000)) < F(2, 10000)
 
 
 # -- event specs and tables -------------------------------------------------------
@@ -370,42 +377,54 @@ def test_probability_for_spec_round_trip():
         "referendum:N=5": F(61, 384),
     }
     for spec, expected in checks.items():
-        assert sc.probability_for_spec(spec).probability == expected
+        assert prob(spec) == expected
 
 
-def test_probability_for_spec_flag_arguments():
-    assert sc.probability_for_spec("condorcet-efficiency", lam=F(1, 2)).probability == F(41, 45)
-    assert sc.probability_for_spec("referendum", districts=4).probability == F(1, 48)
-
-
-def test_compile_event_spec():
-    region, factor = sc.compile_event_spec("manipulable:borda")
-    assert factor == 6 and len(region.terms) == 3
-    assert sc.iac_probability(region, factor) == F(132953, 264600)
-    region, factor = sc.compile_event_spec("condorcet-winner")
-    assert factor == 3 and sc.iac_probability(region, factor) == F(15, 16)
-    region, factor = sc.compile_event_spec("agreement:plurality,antiplurality:winner")
-    assert factor == 3 and sc.iac_probability(region, factor) == F(113, 216)
-    region, factor = sc.compile_event_spec("participation:borda:NPP")
-    assert factor == 6 and sc.iac_probability(region, factor) == F(1, 48)
-    with pytest.raises(ValueError):
-        sc.compile_event_spec("condorcet-efficiency:borda")
-    with pytest.raises(ValueError):
-        sc.compile_event_spec("referendum:N=5")
+def test_probability_for_spec_inline_arguments():
+    # a rule weight and a district count are part of the spec itself
+    assert prob("condorcet-efficiency:lambda=1/2") == F(41, 45)
+    assert prob("referendum:N=4") == F(1, 48)
 
 
 def test_probability_for_spec_errors():
     for bad in ("mystery", "agreement:plurality:winner", "participation:borda:XXX",
-                "referendum:K=5", "condorcet-efficiency"):
+                "referendum:K=5", "condorcet-efficiency", "rule-winner:lambda=1/0",
+                # too many or too few fields
+                "manipulable:borda:junk", "condorcet-paradox:foo", "rule-winner:borda:x",
+                "condorcet-winner:z", "agreement:plurality,borda,antiplurality:winner"):
         with pytest.raises(ValueError):
             sc.probability_for_spec(bad)
+    with pytest.raises(ValueError, match=r"agreement:RULE,RULE:winner\|ranking"):
+        sc.probability_for_spec("agreement:plurality,borda,antiplurality:winner")
+    with pytest.raises(ValueError, match="form manipulable:RULE"):
+        sc.probability_for_spec("manipulable:borda:junk")
+
+
+def test_registry_forms_are_distinct_and_readable():
+    for kind, forms in sc.EVENT_SPECS.items():
+        assert len({len(f.fields) for f in forms}) == len(forms), kind
+        for form in forms:
+            assert form.kind == kind and form.build.__doc__
+            assert all(field in sc.ARGUMENT_FORMS for field in form.fields)
+
+
+@pytest.mark.parametrize("value", [F(-1, 16), F(17, 16)])
+def test_probability_for_spec_guards_unit_interval(monkeypatch, value):
+    # every registry entry returns through one [0, 1] check
+    for kind, forms in sc.EVENT_SPECS.items():
+        broken = [sc.SpecForm(f.kind, f.fields, lambda *args: ("broken", value))
+                  for f in forms]
+        monkeypatch.setitem(sc.EVENT_SPECS, kind, broken)
+    for spec in ("condorcet-paradox", "manipulable:borda", "referendum:N=3",
+                 "agreement:plurality,borda:winner"):
+        with pytest.raises(GeometryError, match="escaped"):
+            sc.probability_for_spec(spec)
 
 
 def test_table1_exact_fractions_and_cross_identities():
     rows = {r.label: r.probability for r in sc.table_rows(1)}
     # both extreme rules electing the pairwise winner is the same event as
     # all positional rules agreeing with it
-    assert rows["(A & P) | C"] == sc.agree_given_condorcet_probability()
     assert rows["(A & P) | C"] == F(3437, 6480)
     # relative efficiencies equal the ratio of their joint and marginal rows
     assert rows["B | (P & C)"] == rows["(B & P) | C"] / rows["P | C"]
