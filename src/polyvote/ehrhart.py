@@ -4,22 +4,28 @@ Counting enumerates integer points of the dilation nP over the exact
 vertex bounding box, tightening the feasible interval of each
 coordinate from the constraint residuals before descending, and
 closing the innermost coordinate as an interval length rather than a
-loop.  Quasipolynomials are recovered per residue class by exact
+loop.  The subtree below a level reads only the residuals of its
+active rows (those with a nonzero coefficient on a coordinate at or
+after it), so a count is memoized on them at the levels where two
+prefixes can reach the same residuals: where the rank of the active
+rows on the prefix grew by less than the coordinates fixed since the
+last memoized level.  Share-space rows that see coordinates only
+through their sums (plurality's x0 + x1) make such levels; rows that
+separate every prefix make none, and the recursion runs unmemoized.
+Quasipolynomials are recovered per residue class by exact
 Lagrange/Newton interpolation on enumerated counts, with spare counts
 held back to cross-validate the fitted degree and period.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 
-from .linalg import format_rational, parse_rational
+from .linalg import bareiss
 from .polytope import EQ, EventRegion, HPolytope
 
 DEFAULT_BUDGET = 10**9
@@ -54,6 +60,37 @@ def _le_rows(poly: HPolytope):
     return rows
 
 
+def _dilated_box(poly: HPolytope, n: int) -> tuple[list[int], list[int], int]:
+    """Integer bounds of the vertex bounding box of nP, and the number of
+    lattice points the box holds."""
+    lo_f, hi_f = poly.bounding_box()
+    lo = [math.ceil(n * v) for v in lo_f]
+    hi = [math.floor(n * v) for v in hi_f]
+    return lo, hi, math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+
+
+def _memo_keys(rows, dim: int) -> dict[int, list[int]]:
+    """The levels whose subtrees are memoized, each mapped to the rows
+    whose residuals key it: its active rows, those with a nonzero
+    coefficient on some coordinate >= level, the only rows a subtree
+    there reads.
+
+    The key is an affine image of the prefix x[:level], of rank r.
+    Level 0 and the innermost level (closed as an interval) are never
+    memoized.  A level is taken only when its key can repeat: when r
+    grew by less than the number of coordinates fixed since the last
+    memoized level m (m = 0, r = 0 before any)."""
+    keys = {}
+    last, last_rank = 0, 0
+    for level in range(1, dim - 1):
+        active = [j for j, (coeffs, _) in enumerate(rows) if any(coeffs[level:])]
+        r = bareiss([list(rows[j][0][:level]) for j in active])
+        if r - last_rank < level - last:
+            keys[level] = active
+            last, last_rank = level, r
+    return keys
+
+
 def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of integer points x with x/n in P (points of the dilation nP)."""
     if n < 0:
@@ -62,12 +99,7 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
     if not verts.vertices:
         return 0
     dim = poly.dim
-    lo_f, hi_f = poly.bounding_box()
-    lo = [math.ceil(n * v) for v in lo_f]
-    hi = [math.floor(n * v) for v in hi_f]
-    candidates = 1
-    for a, b in zip(lo, hi):
-        candidates *= max(0, b - a + 1)
+    lo, hi, candidates = _dilated_box(poly, n)
     if candidates > budget:
         raise BudgetExceededError(
             f"dilation {n} spans {candidates} candidate points (budget {budget})",
@@ -120,12 +152,13 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
             return xhi - xlo + 1
         sub = res[:]
         dl = deltas[level]
+        descend = enter[level + 1]
         for j, a in dl:
             sub[j] -= a * xlo
         total = 0
         x = xlo
         while True:
-            total += rec(level + 1, sub)
+            total += descend(level + 1, sub)
             if x == xhi:
                 break
             x += 1
@@ -133,7 +166,18 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
                 sub[j] -= a
         return total
 
-    return rec(0, rhs)
+    memos = {level: ({}, itemgetter(*key)) for level, key in _memo_keys(rows, dim).items()}
+
+    def memoized(level: int, res: list[int]) -> int:
+        memo, key_of = memos[level]
+        key = key_of(res)
+        total = memo.get(key)
+        if total is None:
+            total = memo[key] = rec(level, res)
+        return total
+
+    enter = [memoized if level in memos else rec for level in range(dim)]
+    return enter[0](0, rhs)
 
 
 def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -185,22 +229,6 @@ class RationalGF:
         object.__setattr__(self, "numerator", tuple(c / c0 for c in num))
         object.__setattr__(self, "denominator", tuple(c / c0 for c in den))
 
-    @classmethod
-    def from_json(cls, text: str) -> "RationalGF":
-        data = json.loads(text)
-        return cls(
-            [parse_rational(c) for c in data["num"]],
-            [parse_rational(c) for c in data["den"]],
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num": [format_rational(c) for c in self.numerator],
-                "den": [format_rational(c) for c in self.denominator],
-            }
-        )
-
 
 @dataclass(frozen=True)
 class CountTable:
@@ -219,22 +247,6 @@ class CountTable:
 
     def residue_class(self, r: int, period: int) -> list[tuple[int, int]]:
         return sorted((n, c) for n, c in self.entries.items() if n % period == r)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "count"])
-        for n in sorted(self.entries):
-            writer.writerow([n, self.entries[n]])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "CountTable":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if header != ["n", "count"]:
-            raise ValueError("expected CSV header 'n,count'")
-        return cls({int(row[0]): int(row[1]) for row in reader if row})
 
 
 def gf_coefficients(gf: RationalGF, upto: int) -> CountTable:
@@ -391,10 +403,7 @@ def ehrhart_pipeline(
     for _, p in terms:
         if p.is_empty():
             continue
-        lo, hi = p.bounding_box()
-        candidates = 1
-        for a, b in zip(lo, hi):
-            candidates *= max(0, math.floor(worst * b) - math.ceil(worst * a) + 1)
+        candidates = _dilated_box(p, worst)[2]
         if candidates > budget:
             raise BudgetExceededError(
                 f"interpolation needs {len(dilations)} counts up to dilation "

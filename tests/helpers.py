@@ -34,6 +34,33 @@ UNION_CLASS_6 = [F(5, 8), F(61, 60), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)
 UNION_CLASS_1 = [F(-209, 1296), F(-917, 17280), F(5, 36), F(341, 5184), F(1, 108), F(7, 17280)]
 
 
+def integer_halfspaces(poly):
+    """Each constraint ``a.x REL b`` of ``poly`` cleared of denominators
+    to integers (a, REL, b); the solution set is unchanged."""
+    out = []
+    for c in poly.constraints:
+        m = math.lcm(*(a.denominator for a in c.coeffs), c.rhs.denominator)
+        out.append((tuple(int(a * m) for a in c.coeffs), c.rel, int(c.rhs * m)))
+    return out
+
+
+def dilation_contains(halfspaces, point, n):
+    """Whether the integer point lies in nP, for P given by
+    :func:`integer_halfspaces`: ``a.point REL b*n`` on ints."""
+    for coeffs, rel, rhs in halfspaces:
+        lhs = sum(a * x for a, x in zip(coeffs, point))
+        bound = rhs * n
+        if rel == "<=":
+            ok = lhs <= bound
+        elif rel == ">=":
+            ok = lhs >= bound
+        else:
+            ok = lhs == bound
+        if not ok:
+            return False
+    return True
+
+
 def brute_count(poly, n):
     """Count lattice points of the n-fold dilation by scanning the whole
     integer bounding box and testing membership pointwise."""
@@ -45,8 +72,5 @@ def brute_count(poly, n):
     axes = [
         range(math.ceil(n * a), math.floor(n * b) + 1) for a, b in zip(lo, hi)
     ]
-    total = 0
-    for point in itertools.product(*axes):
-        if poly.contains(tuple(F(x, n) for x in point)):
-            total += 1
-    return total
+    halfspaces = integer_halfspaces(poly)
+    return sum(dilation_contains(halfspaces, point, n) for point in itertools.product(*axes))

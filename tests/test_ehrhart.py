@@ -9,6 +9,8 @@ from polyvote.ehrhart import (
     PeriodTooSmallError,
     Quasipolynomial,
     RationalGF,
+    _le_rows,
+    _memo_keys,
     count_lattice_points,
     ehrhart_pipeline,
     expand_factors,
@@ -19,8 +21,9 @@ from polyvote.ehrhart import (
     region_count,
 )
 from polyvote.polytope import EventRegion, HalfSpace, HPolytope
+from polyvote.socialchoice import BORDA, PLURALITY, manipulability_event
 
-from helpers import FAVOR_B_SERIES, brute_count
+from helpers import brute_count
 
 
 def ge(coeffs, rhs=0):
@@ -143,23 +146,8 @@ def test_gf_normalizes_constant_term():
     assert gf_coefficients(gf, 3).entries == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
-def test_gf_json_round_trip():
-    text = FAVOR_B_SERIES.to_json()
-    again = RationalGF.from_json(text)
-    assert again == FAVOR_B_SERIES
-    assert gf_coefficients(again, 5).entries == gf_coefficients(FAVOR_B_SERIES, 5).entries
-
-
 def test_poly_mul():
     assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
-
-
-def test_count_table_csv_round_trip():
-    table = CountTable({0: 1, 3: 10, 12: 455})
-    again = CountTable.from_csv(table.to_csv())
-    assert again == table
-    with pytest.raises(ValueError):
-        CountTable.from_csv("wrong,header\n1,2\n")
 
 
 def test_count_table_rejects_negative():
@@ -268,3 +256,19 @@ def test_pipeline_restricted_classes():
     assert q.polys[1] is None
     assert q.class_coefficients(0) == (1, F(1, 2))
     assert q.leading_coefficient() == F(1, 2)
+
+
+def _memo_levels_of(poly):
+    return list(_memo_keys(_le_rows(poly), poly.dim))
+
+
+def test_memo_levels_follow_the_rank_rule():
+    # plurality rows see x0, x1 only as x0 + x1: the level-2 key repeats
+    for _, term in manipulability_event(PLURALITY).terms:
+        assert _memo_levels_of(term) == [2]
+    # every Borda prefix reaches its own key
+    for _, term in manipulability_event(BORDA).terms:
+        assert _memo_levels_of(term) == []
+    # below levels 2 and 3 the simplex depends only on a partial sum
+    assert _memo_levels_of(standard_simplex(5)) == [2, 3]
+    assert _memo_levels_of(unit_box(4)) == [1, 2]

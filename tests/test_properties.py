@@ -2,14 +2,21 @@
 together on small polytopes, plus the grid-convergence and
 inclusion-exclusion identities."""
 
+import itertools
+import math
 import random
 from fractions import Fraction as F
 from math import comb
 
-from polyvote.ehrhart import count_lattice_points, ehrhart_pipeline
+from polyvote.ehrhart import (
+    _le_rows,
+    _memo_keys,
+    count_lattice_points,
+    ehrhart_pipeline,
+)
 from polyvote.polytope import HalfSpace, HPolytope
 
-from helpers import brute_count
+from helpers import brute_count, dilation_contains, integer_halfspaces
 
 
 def ge(coeffs, rhs=0):
@@ -89,9 +96,6 @@ def test_count_inclusion_exclusion_identity_random_pairs():
 
 
 def _brute_union_count(p, q, n):
-    import itertools
-    import math
-
     los, his = [], []
     for poly in (p, q):
         lo, hi = poly.bounding_box()
@@ -103,12 +107,11 @@ def _brute_union_count(p, q, n):
         )
         for l1, l2, h1, h2 in zip(los[0], los[1], his[0], his[1])
     ]
-    total = 0
-    for point in itertools.product(*axes):
-        shares = tuple(F(x, n) for x in point)
-        if p.contains(shares) or q.contains(shares):
-            total += 1
-    return total
+    hp, hq = integer_halfspaces(p), integer_halfspaces(q)
+    return sum(
+        dilation_contains(hp, point, n) or dilation_contains(hq, point, n)
+        for point in itertools.product(*axes)
+    )
 
 
 def test_volume_invariant_under_random_coordinate_permutations():
@@ -140,3 +143,37 @@ def test_counts_match_brute_force_on_random_polytopes():
     for poly in _sample_polytopes(6, dims=(2, 3), max_period=4, seed=3):
         for n in (1, 2, 5):
             assert count_lattice_points(poly, n) == brute_count(poly, n)
+
+
+def _repeated_column_polytope(rng, dim):
+    """A random polytope in the unit box whose other rows see the
+    coordinates through a few column directions, repeated and scaled
+    (by 0 too, so rows skip coordinates), so that distinct prefixes
+    reach the same residuals; one row in four is an equality."""
+    directions = rng.randint(1, dim - 2)
+    source = [rng.randrange(directions) for _ in range(dim)]
+    scale = [rng.choice([1, 1, 2, -1, 0]) for _ in range(dim)]
+    rows = []
+    for i in range(dim):
+        e = tuple(int(i == j) for j in range(dim))
+        rows += [ge(e), le(e, 1)]
+    for _ in range(rng.randint(1, 3)):
+        column = [rng.choice([-2, -1, 0, 1, 2, 3]) for _ in range(directions)]
+        coeffs = tuple(F(column[source[i]] * scale[i]) for i in range(dim))
+        rel = rng.choice(("<=", "<=", ">=", "="))
+        rows.append(HalfSpace(coeffs, rel, F(rng.randint(-dim, 2 * dim), 2)))
+    return HPolytope(dim, rows)
+
+
+def test_memoized_counts_match_brute_force_on_repeated_columns():
+    rng = random.Random(404)
+    checked = equalities = 0
+    while checked < 40:
+        poly = _repeated_column_polytope(rng, rng.choice((3, 4, 5)))
+        if poly.is_empty() or not _memo_keys(_le_rows(poly), poly.dim):
+            continue
+        checked += 1
+        equalities += any(c.rel == "=" for c in poly.constraints)
+        for n in (2, 3, 4):
+            assert count_lattice_points(poly, n) == brute_count(poly, n)
+    assert equalities >= 5

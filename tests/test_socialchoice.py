@@ -189,6 +189,12 @@ def test_plurality_counts_match_known_series():
         table = gf_coefficients(gf, 30)
         for n in range(31):
             assert count_lattice_points(poly, n) == table.entries[n]
+    # dilations whose bounding boxes (7.0e9 points at n = 200) exceed the
+    # default budget, against the union series
+    union = gf_coefficients(MANIPULABLE_UNION_SERIES, 300).entries
+    for n in (200, 300):
+        signed = sum(s * count_lattice_points(p, n, 10**11) for s, p in region.terms)
+        assert signed == union[n]
 
 
 def test_plurality_union_series_consistency():
