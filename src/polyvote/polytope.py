@@ -1,23 +1,27 @@
 """Rational polytopes in halfspace representation.
 
-An ``HPolytope`` holds closed linear constraints twice: as ``HalfSpace``
-rows over ``Fraction`` for callers, and as the coprime integer rows they
-canonicalize to, which the geometry kernel works on.  The kernel stays
-in integers from the H-representation to one final division.  Vertex
-enumeration solves d-subsets of constraints as equalities with an
-incremental fraction-free elimination that prunes dependent subsets
-early, then back-substitutes over a single common denominator.  Volume
-scales the vertices to their common denominator D, cones the boundary
-over a vertex, recursing facet by facet through the vertex/constraint
-incidence structure, sums the integer Bareiss determinants of the
-simplices, and divides once by D^dim * dim!.
+An ``HPolytope`` holds the sorted, deduplicated coprime integer rows
+its closed linear constraints canonicalize to, and compares and hashes
+by them; the ``HalfSpace`` rows over ``Fraction`` are rebuilt for
+callers on first use.  Intersection merges the stored rows, and
+equality elimination substitutes on them in integers.  The geometry
+kernel stays in integers from the H-representation to one final
+division.  Vertex enumeration is a double-description method on the
+homogenized cone {(x, t) : a.x <= b.t, t >= 0}: a simplicial seed cone
+of dim+1 independent rows is cut by the other rows one at a time, new
+rays combine adjacent pairs, and adjacency is a combinatorial test on
+zero sets kept as int bitmasks; the rays with t > 0 are the vertices.
+Volume scales the vertices to their common denominator D, cones the
+boundary over a vertex, recursing facet by facet through the
+vertex/constraint incidence structure, sums the integer Bareiss
+determinants of the simplices, and divides once by D^dim * dim!.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -72,53 +76,68 @@ IntRow = tuple[tuple[int, ...], str, int]
 
 
 def _canonical(c: HalfSpace, dim: int) -> IntRow | None:
-    """Scale to coprime integers, orient ``>=`` as ``<=``, fix equality
-    signs, drop vacuous rows.  Returns the integer row (coeffs, rel, rhs),
-    or None for rows satisfied everywhere; infeasible constant rows
-    normalize to the single false row 0 <= -1."""
+    """Scale to integers, orient ``>=`` as ``<=`` and hand the row to
+    ``_integer_row``."""
     if len(c.coeffs) != dim:
         raise DimensionError(f"constraint has {len(c.coeffs)} coefficients, expected {dim}")
     coeffs, rel, rhs = list(c.coeffs), c.rel, c.rhs
     if rel == GE:
         coeffs, rel, rhs = [-a for a in coeffs], LE, -rhs
     mult = lcm(*(a.denominator for a in coeffs), rhs.denominator)
-    ints = [int(a * mult) for a in coeffs]
-    b = int(rhs * mult)
-    if all(v == 0 for v in ints):
+    return _integer_row([int(a * mult) for a in coeffs], rel, int(rhs * mult))
+
+
+def _integer_row(ints: list[int], rel: str, b: int) -> IntRow | None:
+    """Divide an integer ``<=`` or ``=`` row by its gcd and make an
+    equality's leading coefficient positive.  Returns the row (coeffs,
+    rel, rhs), or None for rows satisfied everywhere; infeasible
+    constant rows normalize to the single false row 0 <= -1."""
+    if not any(ints):
         feasible = (b >= 0) if rel == LE else (b == 0)
         if feasible:
             return None
-        return (0,) * dim, LE, -1
+        return (0,) * len(ints), LE, -1
     g = gcd(*ints, b)
-    ints = [v // g for v in ints]
-    b //= g
-    if rel == EQ:
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
-            b = -b
-    return tuple(ints), rel, b
+    if rel == EQ and next(v for v in ints if v != 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints), rel, b // g
 
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Intersection of closed halfspaces and hyperplanes in R^dim."""
+    """Intersection of closed halfspaces and hyperplanes in R^dim.
+
+    Held as the sorted, deduplicated coprime integer rows its
+    constraints canonicalize to; polytopes compare and hash by
+    (dim, rows).  ``constraints`` rebuilds the ``HalfSpace`` rows from
+    them on first use."""
 
     dim: int
-    constraints: tuple[HalfSpace, ...]
-    _rows: tuple[IntRow, ...] = field(init=False, repr=False, compare=False)
+    _rows: tuple[IntRow, ...]
 
     def __init__(self, dim: int, constraints):
+        self._set_rows(dim, (_canonical(c, dim) for c in constraints))
+
+    @classmethod
+    def _from_rows(cls, dim: int, rows) -> "HPolytope":
+        """Build from integer rows already in ``_integer_row`` form."""
+        poly = object.__new__(cls)
+        poly._set_rows(dim, rows)
+        return poly
+
+    def _set_rows(self, dim: int, rows) -> None:
         if dim < 1:
             raise ValueError("ambient dimension must be >= 1")
-        rows = {_canonical(c, dim) for c in constraints}
+        rows = set(rows)
         rows.discard(None)
-        rows = tuple(sorted(rows, key=lambda r: (r[1], r[0], r[2])))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "constraints", tuple(
-            HalfSpace(coeffs, rel, rhs) for coeffs, rel, rhs in rows
+        object.__setattr__(self, "_rows", tuple(
+            sorted(rows, key=lambda r: (r[1], r[0], r[2]))
         ))
+
+    @functools.cached_property
+    def constraints(self) -> tuple[HalfSpace, ...]:
+        return tuple(HalfSpace(coeffs, rel, rhs) for coeffs, rel, rhs in self._rows)
 
     # -- basic predicates ------------------------------------------------
 
@@ -139,7 +158,7 @@ class HPolytope:
     def intersect(self, other: "HPolytope") -> "HPolytope":
         if self.dim != other.dim:
             raise DimensionError("cannot intersect polytopes of different dimensions")
-        return HPolytope(self.dim, self.constraints + other.constraints)
+        return HPolytope._from_rows(self.dim, self._rows + other._rows)
 
     def eliminate_equality(self, var_index: int) -> "HPolytope":
         """Substitute out coordinate ``var_index`` using an equality row.
@@ -150,26 +169,31 @@ class HPolytope:
         coefficient is +-1 the substitution maps lattice points of a
         dilation one-to-one, so counts in the reduced space equal counts
         in the original slice.
+
+        On the integer rows, equality (a, b) turns row (c, r) into
+        sign(a_j) * (a_j * c - c_j * a, a_j * r - c_j * b), a positive
+        multiple of the substituted row.
         """
         if not 0 <= var_index < self.dim:
             raise DimensionError("variable index out of range")
         row = next(
-            (c for c in self.constraints if c.rel == EQ and c.coeffs[var_index] != 0),
-            None,
+            (r for r in self._rows if r[1] == EQ and r[0][var_index] != 0), None
         )
         if row is None:
             raise GeometryError(f"no equality constraint involves coordinate {var_index}")
-        aj = row.coeffs[var_index]
-        keep = [i for i in range(self.dim) if i != var_index]
+        a, _, b = row
+        aj = a[var_index]
+        if aj < 0:
+            a, b, aj = [-v for v in a], -b, -aj
         reduced = []
-        for c in self.constraints:
-            if c is row:
+        for coeffs, rel, rhs in self._rows:
+            if (coeffs, rel, rhs) == row:
                 continue
-            cj = c.coeffs[var_index]
-            coeffs = tuple(c.coeffs[i] - cj * row.coeffs[i] / aj for i in keep)
-            rhs = c.rhs - cj * row.rhs / aj
-            reduced.append(HalfSpace(coeffs, c.rel, rhs))
-        return HPolytope(self.dim - 1, reduced)
+            cj = coeffs[var_index]
+            ints = [aj * c - cj * ai for c, ai in zip(coeffs, a)]
+            del ints[var_index]
+            reduced.append(_integer_row(ints, rel, aj * rhs - cj * b))
+        return HPolytope._from_rows(self.dim - 1, reduced)
 
     # -- derived data ------------------------------------------------------
 
@@ -359,61 +383,82 @@ def _back_solve(echelon, dim):
 
 
 def _basic_solutions(rows, dim):
-    """All feasible solutions of d independent tight constraints.
+    """Vertices of a bounded row system, by double description.
 
-    Equality rows are forced into every basis.  Returns normalized
-    (numerator tuple, denominator) pairs."""
-    eq_aug = []
-    ineq_aug = []
-    for coeffs, rel, rhs in rows:
-        aug = list(coeffs) + [rhs]
-        (eq_aug if rel == EQ else ineq_aug).append(aug)
+    The rows are homogenized to the cone {(x, t) : a.x - b.t <= 0, with
+    = for equalities, t >= 0} in R^(dim+1); its extreme rays with t > 0
+    are the vertices scaled by their denominators.  The cone starts as
+    the simplicial cone of dim+1 independent rows, equalities first,
+    then t >= 0, and each other inequality cuts it in turn (Fukuda &
+    Prodon 1996): rays with h.r <= 0 stay, and each adjacent pair with
+    h.r+ > 0 > h.r- gives (h.r+) r- - (h.r-) r+, reduced by its gcd.
+    Two rays are adjacent when no third ray is tight on every processed
+    row both are tight on; zero sets are int bitmasks over the rows.
+    Returns normalized (numerator tuple, denominator) pairs."""
+    width = dim + 1
+    cone = [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel == EQ]
+    t_row = len(cone)
+    cone.append((0,) * dim + (-1,))
+    cone += [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel != EQ]
 
     echelon: list[tuple[list[int], int]] = []
-    try:
-        for aug in eq_aug:
-            red = _reduce_against(echelon, aug)
-            if red is not None:
-                pivot = next(j for j in range(dim) if red[j] != 0)
-                echelon.append((red, pivot))
-    except _Inconsistent:
-        return []
+    seed = []
+    for i, h in enumerate(cone):
+        if len(seed) == width:
+            break
+        red = _reduce_against(echelon, [*h, 0])
+        if red is not None:
+            echelon.append((red, next(j for j in range(width) if red[j])))
+            seed.append(i)
+    if t_row not in seed:
+        return []  # the equalities force t = 0: they are inconsistent
+    # an equality that is not in the seed is implied by the ones that are
 
-    found: dict[tuple, tuple] = {}
+    seed_rows = [cone[i] for i in seed]
+    seed_mask = sum(1 << i for i in seed if i >= t_row)
+    rays, zeros = [], []
+    for s, i in enumerate(seed):
+        if i < t_row:
+            continue
+        # the ray tight on every other seed row, strictly inside row i
+        ech = []
+        for k, h in enumerate(seed_rows):
+            red = _reduce_against(ech, [*h, -1 if k == s else 0])
+            ech.append((red, next(j for j in range(width) if red[j])))
+        nums, _ = _back_solve(ech, width)
+        g = gcd(*nums)
+        rays.append(tuple(v // g for v in nums))
+        zeros.append(seed_mask & ~(1 << i))
 
-    def feasible(nums, den):
-        for coeffs, rel, rhs in rows:
-            lhs = sum(a * p for a, p in zip(coeffs, nums))
-            if rel == EQ:
-                if lhs != rhs * den:
-                    return False
-            elif lhs > rhs * den:
-                return False
-        return True
-
-    def leaf(echelon_state):
-        nums, den = _back_solve(echelon_state, dim)
-        key = (nums, den)
-        if key not in found and feasible(nums, den):
-            found[key] = (nums, den)
-
-    def extend(echelon_state, start):
-        need = dim - len(echelon_state)
-        if need == 0:
-            leaf(echelon_state)
-            return
-        for i in range(start, len(ineq_aug) - need + 1):
-            try:
-                red = _reduce_against(echelon_state, ineq_aug[i])
-            except _Inconsistent:
+    # adjacent rays share a 2-face, so at least this many tight
+    # inequalities besides the seed's equalities
+    need = width - 2 - seed.index(t_row)
+    seeded = set(seed)
+    for i in range(t_row, len(cone)):
+        if i in seeded:
+            continue
+        h, bit = cone[i], 1 << i
+        vals = [sum(a * r for a, r in zip(h, ray)) for ray in rays]
+        fresh_rays, fresh_zeros = [], []
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
                 continue
-            if red is None:
-                continue
-            pivot = next(j for j in range(dim) if red[j] != 0)
-            extend(echelon_state + [(red, pivot)], i + 1)
-
-    extend(echelon, 0)
-    return list(found.values())
+            zp = zeros[p]
+            for n in neg:
+                z = zp & zeros[n]
+                # p and n themselves are two of the rays tight on z
+                if z.bit_count() < need or list(map(z.__and__, zeros)).count(z) > 2:
+                    continue
+                vn = vals[n]
+                ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
+                g = gcd(*ray)
+                fresh_rays.append(tuple(v // g for v in ray))
+                fresh_zeros.append(z | bit)
+        keep = [k for k, v in enumerate(vals) if v <= 0]
+        rays = [rays[k] for k in keep] + fresh_rays
+        zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + fresh_zeros
+    return [(ray[:dim], ray[dim]) for ray in rays if ray[dim] > 0]
 
 
 def _hadamard_box(rows, dim) -> int:

@@ -1,12 +1,14 @@
 """Shared test fixtures: known generating functions for the plurality
-manipulation regions, and a brute-force lattice counter kept independent
-of the production counting path."""
+manipulation regions, a brute-force lattice counter kept independent
+of the production counting path, and equality elimination done in
+``Fraction`` arithmetic as a reference for the integer one."""
 
 import itertools
 import math
 from fractions import Fraction as F
 
 from polyvote.ehrhart import RationalGF, expand_factors
+from polyvote.polytope import HalfSpace, HPolytope
 
 # Ehrhart series of the region where a coalition can elect b (plurality,
 # sincere ranking a > b > c), its b<->c mirror, and their intersection.
@@ -74,3 +76,16 @@ def brute_count(poly, n):
     ]
     halfspaces = integer_halfspaces(poly)
     return sum(dilation_contains(halfspaces, point, n) for point in itertools.product(*axes))
+
+
+def eliminate_over_fractions(poly, j):
+    """``poly.eliminate_equality(j)`` done on the ``HalfSpace`` rows in
+    ``Fraction`` arithmetic and canonicalized by ``HPolytope``."""
+    row = next(c for c in poly.constraints if c.rel == "=" and c.coeffs[j] != 0)
+    keep = [i for i in range(poly.dim) if i != j]
+    return HPolytope(poly.dim - 1, [
+        HalfSpace(tuple(c.coeffs[i] - c.coeffs[j] * row.coeffs[i] / row.coeffs[j]
+                        for i in keep),
+                  c.rel, c.rhs - c.coeffs[j] * row.rhs / row.coeffs[j])
+        for c in poly.constraints if c != row
+    ])

@@ -23,9 +23,9 @@ def square(n, draw_ints):
 
 def solve(a, b):
     """Solve the square integer system a x = b as vertex enumeration
-    solves each d-subset of tight constraints: incremental fraction-free
-    elimination, then back substitution over one common denominator.
-    None when the matrix is singular."""
+    solves for its seed rays: incremental fraction-free elimination,
+    then back substitution over one common denominator.  None when the
+    matrix is singular."""
     echelon = []
     for row, rhs in zip(a, b):
         try:

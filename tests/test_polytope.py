@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polyvote.linalg import DimensionError
 from polyvote.polytope import (
@@ -9,9 +11,12 @@ from polyvote.polytope import (
     HalfSpace,
     HPolytope,
     UnboundedPolytopeError,
+    _propagate_bounds,
     format_hrep,
     parse_hrep,
 )
+
+from helpers import eliminate_over_fractions
 
 
 def ge(coeffs, rhs=0):
@@ -45,6 +50,14 @@ def test_constraints_normalize_to_coprime_integers():
     p = HPolytope(2, [le((F(2, 3), F(4, 3)), F(2))])
     (c,) = p.constraints
     assert c.coeffs == (1, 2) and c.rhs == 3 and c.rel == "<="
+
+
+def test_polytopes_compare_and_hash_by_integer_rows():
+    p = HPolytope(2, [le((F(2, 3), F(4, 3)), F(2)), ge((1, 0)), ge((1, 0))])
+    q = HPolytope(2, [le((-2, 0), 0), le((1, 2), 3)])
+    assert p == q and hash(p) == hash(q)
+    assert p.integer_rows() == q.integer_rows() == (((-1, 0), "<=", 0), ((1, 2), "<=", 3))
+    assert p != HPolytope(2, [le((1, 2), 3)])
 
 
 def test_ge_rows_store_as_le():
@@ -91,6 +104,29 @@ def test_eliminate_equality_to_segment():
     assert seg.dim == 1
     verts = sorted(seg.enumerate_vertices().vertices)
     assert verts == [(0,), (1,)]
+
+
+@st.composite
+def rows_with_equality(draw):
+    dim = draw(st.integers(min_value=2, max_value=4))
+    j = draw(st.integers(min_value=0, max_value=dim - 1))
+    ints = st.integers(min_value=-3, max_value=3)
+    rhs = st.builds(F, ints, st.integers(min_value=1, max_value=3))
+    coeffs = st.lists(ints, min_size=dim, max_size=dim).map(tuple)
+    pivot = draw(coeffs.filter(lambda c: c[j] != 0))
+    rows = [HalfSpace(pivot, "=", draw(rhs))]
+    rows += draw(st.lists(st.builds(HalfSpace, coeffs, st.sampled_from(("<=", ">=", "=")),
+                                    rhs), max_size=6))
+    return HPolytope(dim, rows), j
+
+
+@given(rows_with_equality())
+def test_eliminate_equality_matches_fraction_substitution(case):
+    poly, j = case
+    reduced = poly.eliminate_equality(j)
+    expected = eliminate_over_fractions(poly, j)
+    assert reduced.integer_rows() == expected.integer_rows()
+    assert reduced.constraints == expected.constraints
 
 
 def test_eliminate_equality_requires_equality():
@@ -142,6 +178,62 @@ def test_empty_with_free_direction_is_empty_not_unbounded():
     p = HPolytope(2, [ge((1, 0), 2), le((1, 0), 1)])
     assert p.enumerate_vertices().vertices == ()
     assert p.volume() == 0
+
+
+def bound_status(poly):
+    return _propagate_bounds(poly.integer_rows(), poly.dim, poly.dim + 3)[0]
+
+
+def test_bounded_without_propagated_bounds():
+    # every row couples two coordinates, so only the guard box bounds them
+    diamond = HPolytope(
+        2, [le((1, 1), 1), le((1, -1), 1), le((-1, 1), 1), le((-1, -1), 1)]
+    )
+    assert bound_status(diamond) == "unknown"
+    assert diamond.enumerate_vertices().vertices == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    # a hexagon in the plane sum(x) = 0 cut by |x_i - x_j| <= 1
+    rows = [eq((1, 1, 1), 0)]
+    for i in range(3):
+        for j in range(3):
+            if i != j:
+                rows.append(le(tuple((k == i) - (k == j) for k in range(3)), 1))
+    hexagon = HPolytope(3, rows)
+    assert bound_status(hexagon) == "unknown"
+    assert hexagon.enumerate_vertices().vertices == tuple(
+        tuple(F(v, 3) for v in nums)
+        for nums in [(-2, 1, 1), (-1, -1, 2), (-1, 2, -1),
+                     (1, -2, 1), (1, 1, -2), (2, -1, -1)]
+    )
+    assert hexagon.volume() == 0
+
+
+def test_unbounded_along_one_ray_reaches_the_guard_box():
+    # a strip |x - y| <= 1 closed below by x + y >= 0, open along (1, 1)
+    strip = HPolytope(2, [le((1, -1), 1), le((-1, 1), 1), ge((1, 1), 0)])
+    # a slab on the plane x + y + z = 1, open along (-1, -1, 2)
+    sloped = HPolytope(3, [eq((1, 1, 1), 1), le((1, -1, 0), 1), le((-1, 1, 0), 1),
+                           ge((0, 0, 1), 0)])
+    for poly in (strip, sloped):
+        assert bound_status(poly) == "unknown"
+        with pytest.raises(UnboundedPolytopeError):
+            poly.enumerate_vertices()
+        with pytest.raises(UnboundedPolytopeError):
+            poly.volume()
+
+
+def test_inconsistent_equalities_are_empty():
+    # bound propagation boxes none of these, so they reach vertex
+    # enumeration through the guard box: parallel equalities, three
+    # equalities in the plane with no common point, and parallel
+    # equalities with a free direction besides
+    parallel = HPolytope(2, [eq((1, 1), 1), eq((1, 1), 2)])
+    overdetermined = HPolytope(2, [eq((1, 1), 1), eq((1, -1), 0), eq((1, 2), 5)])
+    with_rays = HPolytope(3, [eq((1, 1, 0), 1), eq((2, 2, 0), 3), ge((0, 0, 1), 0)])
+    for poly in (parallel, overdetermined, with_rays):
+        assert bound_status(poly) == "unknown"
+        assert poly.enumerate_vertices().vertices == ()
+        assert poly.is_empty()
+        assert poly.volume() == 0
 
 
 def test_volume_unit_cube():

@@ -15,6 +15,7 @@ from helpers import (
     FAVOR_C_SERIES,
     MANIPULABLE_UNION_SERIES,
     brute_count,
+    eliminate_over_fractions,
 )
 
 
@@ -455,3 +456,27 @@ def test_table_shapes_and_spot_values():
     assert [r.spec for r in t5] == [f"referendum:N={n}" for n in (3, 4, 5, 6, 7, 9)]
     with pytest.raises(ValueError):
         sc.table_rows(6)
+
+
+def test_table_polytopes_equal_their_fraction_construction(monkeypatch):
+    # intersect and eliminate_equality work on the stored integer rows;
+    # every polytope tables 1-4 build that way must equal the one built
+    # from the Fraction constraints (table 5 builds none that way)
+    built = []
+    for name in ("intersect", "eliminate_equality"):
+        def spy(self, arg, _method=getattr(HPolytope, name), _name=name):
+            out = _method(self, arg)
+            built.append((_name, self, arg, out))
+            return out
+        monkeypatch.setattr(HPolytope, name, spy)
+    for number in (1, 2, 3, 4):
+        sc.table_rows(number)
+    assert {name for name, *_ in built} == {"intersect", "eliminate_equality"}
+    for name, poly, arg, out in built:
+        if name == "intersect":
+            expected = HPolytope(poly.dim, poly.constraints + arg.constraints)
+        else:
+            expected = eliminate_over_fractions(poly, arg)
+        assert out.integer_rows() == expected.integer_rows()
+        assert out.constraints == expected.constraints
+        assert out == expected and hash(out) == hash(expected)
