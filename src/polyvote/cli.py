@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -140,7 +141,10 @@ def cmd_prob(args) -> str:
     return render_records([rec], args.format)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves no
+    state in it."""
     parser = argparse.ArgumentParser(
         prog="polyvote",
         description="Exact polytope volumes, lattice counts, Ehrhart "

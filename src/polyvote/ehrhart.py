@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import lcm
 from operator import itemgetter
 
+from . import polytope
 from .linalg import bareiss
 from .polytope import EQ, EventRegion, HPolytope
 
@@ -61,11 +62,12 @@ def _le_rows(poly: HPolytope):
 
 
 def _dilated_box(poly: HPolytope, n: int) -> tuple[list[int], list[int], int]:
-    """Integer bounds of the vertex bounding box of nP, and the number of
-    lattice points the box holds."""
-    lo_f, hi_f = poly.bounding_box()
-    lo = [math.ceil(n * v) for v in lo_f]
-    hi = [math.floor(n * v) for v in hi_f]
+    """Integer bounds of the vertex bounding box of nP (P not empty), and
+    the number of lattice points the box holds: ceil and floor of
+    n * p / q in ints."""
+    verts = polytope._vertices(poly)
+    lo = [min(-(-n * nums[i] // den) for nums, den in verts) for i in range(poly.dim)]
+    hi = [max(n * nums[i] // den for nums, den in verts) for i in range(poly.dim)]
     return lo, hi, math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
 
 
@@ -95,8 +97,7 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
     """Number of integer points x with x/n in P (points of the dilation nP)."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
-    verts = poly.enumerate_vertices()
-    if not verts.vertices:
+    if poly.is_empty():
         return 0
     dim = poly.dim
     lo, hi, candidates = _dilated_box(poly, n)
@@ -186,48 +187,7 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
 
 
 # ---------------------------------------------------------------------------
-# rational generating functions
-
-
-def poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def poly_pow(p: list[Fraction], k: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(k):
-        out = poly_mul(out, p)
-    return out
-
-
-def expand_factors(factors) -> list[Fraction]:
-    """Multiply out ``[(coeff_list, power), ...]`` (ascending coefficients)."""
-    out = [Fraction(1)]
-    for coeffs, power in factors:
-        out = poly_mul(out, poly_pow([Fraction(c) for c in coeffs], power))
-    return out
-
-
-@dataclass(frozen=True)
-class RationalGF:
-    """F(t) = P(t)/Q(t) by ascending coefficient lists, scaled so Q(0) = 1."""
-
-    numerator: tuple[Fraction, ...]
-    denominator: tuple[Fraction, ...]
-
-    def __init__(self, numerator, denominator):
-        num = [Fraction(c) for c in numerator]
-        den = [Fraction(c) for c in denominator]
-        if not den or den[0] == 0:
-            raise ValueError("denominator must have a nonzero constant term")
-        c0 = den[0]
-        object.__setattr__(self, "numerator", tuple(c / c0 for c in num))
-        object.__setattr__(self, "denominator", tuple(c / c0 for c in den))
+# quasipolynomials
 
 
 @dataclass(frozen=True)
@@ -247,28 +207,6 @@ class CountTable:
 
     def residue_class(self, r: int, period: int) -> list[tuple[int, int]]:
         return sorted((n, c) for n, c in self.entries.items() if n % period == r)
-
-
-def gf_coefficients(gf: RationalGF, upto: int) -> CountTable:
-    """Maclaurin coefficients a_0..a_upto of P(t)/Q(t) by the forward
-    linear recurrence a_n = b_n - sum_{k>=1} c_k a_{n-k}."""
-    num, den = gf.numerator, gf.denominator
-    coeffs: list[Fraction] = []
-    for n in range(upto + 1):
-        b = num[n] if n < len(num) else Fraction(0)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            b -= den[k] * coeffs[n - k]
-        coeffs.append(b)
-    table = {}
-    for n, a in enumerate(coeffs):
-        if a.denominator != 1:
-            raise ValueError(f"coefficient a_{n} = {a} is not an integer")
-        table[n] = int(a)
-    return CountTable(table)
-
-
-# ---------------------------------------------------------------------------
-# quasipolynomials
 
 
 @dataclass(frozen=True)

@@ -2,18 +2,15 @@
 
 One fraction-free (Bareiss) elimination, :func:`bareiss`, works on
 integer rows in place: every intermediate quantity is an integer and
-every division in it is exact.  The geometry kernel calls it, through
-:func:`integer_determinant`, on rows it already holds as integers.
-``determinant`` and ``rank`` are the ``Fraction`` fronts: each scales
-the rows to integers once, runs the elimination, and divides only at
-the end.
+every division in it is exact.  The geometry kernel calls it on rows
+it already holds as integers: for ranks directly, and for simplex
+volumes through :func:`integer_determinant`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
 
 QVector = tuple[Fraction, ...]
 
@@ -53,25 +50,6 @@ def decimal_string(q: Fraction, places: int = 5) -> str:
 
 def as_vector(values) -> QVector:
     return tuple(Fraction(v) for v in values)
-
-
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Scale each row to integers by the lcm of its denominators.
-
-    Returns the rows and the product of the scale factors (det of the
-    scaled matrix = scale * det of the original).  ``int`` and
-    ``Fraction`` entries are read through their numerator/denominator
-    without building new Fractions."""
-    out = []
-    scale = 1
-    for row in rows:
-        row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-        m = lcm(*(x.denominator for x in row)) if row else 1
-        scale *= m
-        out.append([x.numerator * (m // x.denominator) for x in row])
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionError("matrix rows must all have equal length")
-    return out, scale
 
 
 def bareiss(m: list[list[int]]) -> int:
@@ -119,19 +97,3 @@ def integer_determinant(m: list[list[int]]) -> int:
     if n == 0:
         return 1
     return m[-1][-1] if bareiss(m) == n else 0
-
-
-def determinant(a) -> Fraction:
-    """Exact determinant by fraction-free Bareiss elimination."""
-    m, scale = _integer_rows(a)
-    if any(len(r) != len(m) for r in m):
-        raise DimensionError("determinant requires a square matrix")
-    return Fraction(integer_determinant(m), scale)
-
-
-def rank(a) -> int:
-    """Exact rank over the rationals (fraction-free echelon)."""
-    m, _ = _integer_rows(a)
-    if not m or not m[0]:
-        return 0
-    return bareiss(m)

@@ -3,7 +3,8 @@
 An ``HPolytope`` holds the sorted, deduplicated coprime integer rows
 its closed linear constraints canonicalize to, and compares and hashes
 by them; the ``HalfSpace`` rows over ``Fraction`` are rebuilt for
-callers on first use.  Intersection merges the stored rows, and
+callers on first use.  Event compilers hand integer rows straight to
+``HPolytope._from_rows``.  Intersection merges the stored rows, and
 equality elimination substitutes on them in integers.  The geometry
 kernel stays in integers from the H-representation to one final
 division.  Vertex enumeration is a double-description method on the
@@ -11,10 +12,15 @@ homogenized cone {(x, t) : a.x <= b.t, t >= 0}: a simplicial seed cone
 of dim+1 independent rows is cut by the other rows one at a time, new
 rays combine adjacent pairs, and adjacency is a combinatorial test on
 zero sets kept as int bitmasks; the rays with t > 0 are the vertices.
-Volume scales the vertices to their common denominator D, cones the
-boundary over a vertex, recursing facet by facet through the
-vertex/constraint incidence structure, sums the integer Bareiss
-determinants of the simplices, and divides once by D^dim * dim!.
+When the rows have rank dim the cone is pointed and also decides
+emptiness (no ray with t > 0) and boundedness (no ray with t = 0);
+only rank-deficient systems, empty or holding a line, are cut by a
+Hadamard guard box to tell which.  Vertices stay (numerators,
+denominator) pairs inside the kernel.  Volume scales them to their
+common denominator D, cones the boundary over a vertex, recursing
+facet by facet through the vertex/constraint incidence structure, sums
+the integer Bareiss determinants of the simplices, and divides once by
+D^dim * dim!.  Vertices and volumes are memoized per polytope.
 """
 
 from __future__ import annotations
@@ -60,16 +66,6 @@ class HalfSpace:
             raise ValueError(f"relation must be one of {_RELATIONS}")
         object.__setattr__(self, "coeffs", as_vector(self.coeffs))
         object.__setattr__(self, "rhs", Fraction(self.rhs))
-
-    def evaluate(self, point) -> bool:
-        if len(point) != len(self.coeffs):
-            raise DimensionError("point/constraint dimension mismatch")
-        lhs = sum(a * x for a, x in zip(self.coeffs, point))
-        if self.rel == LE:
-            return lhs <= self.rhs
-        if self.rel == GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
 
 
 IntRow = tuple[tuple[int, ...], str, int]
@@ -141,12 +137,6 @@ class HPolytope:
 
     # -- basic predicates ------------------------------------------------
 
-    def contains(self, point) -> bool:
-        point = as_vector(point)
-        if len(point) != self.dim:
-            raise DimensionError("point dimension mismatch")
-        return all(c.evaluate(point) for c in self.constraints)
-
     def has_false_row(self) -> bool:
         return any(
             rel == LE and rhs == -1 and not any(coeffs)
@@ -203,16 +193,17 @@ class HPolytope:
         return self._rows
 
     def enumerate_vertices(self) -> "VPolytope":
-        return VPolytope(self.dim, _vertices(self))
+        return VPolytope(self.dim, tuple(
+            tuple(Fraction(p, den) for p in nums) for nums, den in _vertices(self)
+        ))
 
     def bounding_box(self) -> tuple[QVector, QVector]:
         """Componentwise (min, max) over the vertices."""
-        verts = _vertices(self)
+        verts = self.enumerate_vertices().vertices
         if not verts:
             raise GeometryError("empty polytope has no bounding box")
-        lo = tuple(min(v[i] for v in verts) for i in range(self.dim))
-        hi = tuple(max(v[i] for v in verts) for i in range(self.dim))
-        return lo, hi
+        coords = list(zip(*verts))
+        return tuple(map(min, coords)), tuple(map(max, coords))
 
     def volume(self) -> Fraction:
         return _volume(self)
@@ -280,56 +271,6 @@ class EventRegion:
 # vertex enumeration
 
 
-def _propagate_bounds(rows, dim, sweeps):
-    """Interval tightening from single constraints.
-
-    Returns ("empty", None), ("bounded", (lo, hi)) or ("unknown", None).
-    Sound but incomplete: "unknown" does not imply unbounded.
-    """
-    le_rows = []
-    for coeffs, rel, rhs in rows:
-        le_rows.append((coeffs, rhs))
-        if rel == EQ:
-            le_rows.append((tuple(-a for a in coeffs), -rhs))
-    lo: list[Fraction | None] = [None] * dim
-    hi: list[Fraction | None] = [None] * dim
-    for _ in range(sweeps):
-        changed = False
-        for coeffs, rhs in le_rows:
-            support = [i for i in range(dim) if coeffs[i] != 0]
-            for i in support:
-                rest = Fraction(0)
-                ok = True
-                for k in support:
-                    if k == i:
-                        continue
-                    a = coeffs[k]
-                    bound = lo[k] if a > 0 else hi[k]
-                    if bound is None:
-                        ok = False
-                        break
-                    rest += a * bound
-                if not ok:
-                    continue
-                cand = Fraction(rhs - rest, coeffs[i])
-                if coeffs[i] > 0:
-                    if hi[i] is None or cand < hi[i]:
-                        hi[i] = cand
-                        changed = True
-                else:
-                    if lo[i] is None or cand > lo[i]:
-                        lo[i] = cand
-                        changed = True
-        for i in range(dim):
-            if lo[i] is not None and hi[i] is not None and lo[i] > hi[i]:
-                return "empty", None
-        if not changed:
-            break
-    if all(lo[i] is not None and hi[i] is not None for i in range(dim)):
-        return "bounded", (lo, hi)
-    return "unknown", None
-
-
 def _reduce_against(echelon, row):
     """Eliminate the pivots of ``echelon`` from ``row`` (ints, rhs last).
 
@@ -383,7 +324,7 @@ def _back_solve(echelon, dim):
 
 
 def _basic_solutions(rows, dim):
-    """Vertices of a bounded row system, by double description.
+    """Vertices and recession rays of a row system, by double description.
 
     The rows are homogenized to the cone {(x, t) : a.x - b.t <= 0, with
     = for equalities, t >= 0} in R^(dim+1); its extreme rays with t > 0
@@ -394,7 +335,10 @@ def _basic_solutions(rows, dim):
     h.r+ > 0 > h.r- gives (h.r+) r- - (h.r-) r+, reduced by its gcd.
     Two rays are adjacent when no third ray is tight on every processed
     row both are tight on; zero sets are int bitmasks over the rows.
-    Returns normalized (numerator tuple, denominator) pairs."""
+    Returns the vertices as normalized (numerator tuple, denominator)
+    pairs, and the extreme rays with t = 0, the recession directions;
+    both are exact only when the cone is pointed, i.e. when the rows
+    have rank dim."""
     width = dim + 1
     cone = [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel == EQ]
     t_row = len(cone)
@@ -411,7 +355,7 @@ def _basic_solutions(rows, dim):
             echelon.append((red, next(j for j in range(width) if red[j])))
             seed.append(i)
     if t_row not in seed:
-        return []  # the equalities force t = 0: they are inconsistent
+        return [], []  # the equalities force t = 0: they are inconsistent
     # an equality that is not in the seed is implied by the ones that are
 
     seed_rows = [cone[i] for i in seed]
@@ -458,7 +402,8 @@ def _basic_solutions(rows, dim):
         keep = [k for k, v in enumerate(vals) if v <= 0]
         rays = [rays[k] for k in keep] + fresh_rays
         zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + fresh_zeros
-    return [(ray[:dim], ray[dim]) for ray in rays if ray[dim] > 0]
+    return ([(ray[:dim], ray[dim]) for ray in rays if ray[dim] > 0],
+            [ray[:dim] for ray in rays if ray[dim] == 0])
 
 
 def _hadamard_box(rows, dim) -> int:
@@ -472,31 +417,34 @@ def _hadamard_box(rows, dim) -> int:
 
 
 @functools.lru_cache(maxsize=4096)
-def _vertices(poly: HPolytope) -> tuple[QVector, ...]:
+def _vertices(poly: HPolytope) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Sorted (numerators, denominator) pairs of the vertices; () when
+    the polytope is empty.
+
+    Rows of rank dim make the homogenized cone pointed, so its extreme
+    rays decide: none with t > 0 means empty, and one with t = 0 beside
+    them is a recession direction.  Rows of lower rank leave a line in
+    the cone: the polytope is empty or holds a line, and only the
+    Hadamard guard box, which holds a point of every nonempty one,
+    tells which."""
     dim = poly.dim
     if poly.has_false_row():
         return ()
     rows = poly.integer_rows()
-    status, _ = _propagate_bounds(rows, dim, sweeps=dim + 3)
-    if status == "empty":
-        return ()
-    if status == "bounded":
-        sols = _basic_solutions(rows, dim)
-    else:
+    if bareiss([list(coeffs) for coeffs, _, _ in rows]) < dim:
         big = _hadamard_box(rows, dim)
         boxed = list(rows)
         for i in range(dim):
             unit = tuple(1 if j == i else 0 for j in range(dim))
             boxed.append((unit, LE, big))
             boxed.append((tuple(-u for u in unit), LE, big))
-        sols = _basic_solutions(boxed, dim)
-        if any(abs(p) >= big * q for nums, q in sols for p in nums):
-            raise UnboundedPolytopeError(
-                "polytope is unbounded (recession direction reached the guard box)"
-            )
-    return tuple(
-        tuple(Fraction(p, den) for p in nums) for nums, den in sorted(sols)
-    )
+        if _basic_solutions(boxed, dim)[0]:
+            raise UnboundedPolytopeError("polytope is unbounded (its rows leave a line)")
+        return ()
+    sols, rays = _basic_solutions(rows, dim)
+    if sols and rays:
+        raise UnboundedPolytopeError("polytope is unbounded (the cone has a ray at t = 0)")
+    return tuple(sorted(sols))
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +474,7 @@ def _cone_triangulate(ids, tights, used, k, tight_count):
     return pieces
 
 
+@functools.lru_cache(maxsize=4096)
 def _volume(poly: HPolytope) -> Fraction:
     """Cone the boundary over the apex vertex and sum simplex volumes.
 
@@ -533,11 +482,11 @@ def _volume(poly: HPolytope) -> Fraction:
     simplex determinant is an integer Bareiss on integer differences
     from the apex; the volume is sum |det| / (D^dim * dim!)."""
     dim = poly.dim
-    fverts = _vertices(poly)
-    if len(fverts) < dim + 1:
+    pairs = _vertices(poly)
+    if len(pairs) < dim + 1:
         return Fraction(0)
-    D = lcm(*(x.denominator for v in fverts for x in v))
-    verts = [[x.numerator * (D // x.denominator) for x in v] for v in fverts]
+    D = lcm(*(den for _, den in pairs))
+    verts = [[p * (D // den) for p in nums] for nums, den in pairs]
     v0 = verts[0]
     diffs = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
     if bareiss(diffs) < dim:

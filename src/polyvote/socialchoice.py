@@ -5,11 +5,12 @@ Voting situations are counted by the six preference orders abc, acb,
 bac, bca, cab, cba; coordinates x_1..x_6 are the corresponding voter
 shares, so events live on the simplex sum(x_i) = 1, x_i >= 0.  Every
 event compiles to homogeneous constraint rows in the full 6-dimensional
-space; the simplex equality is then eliminated, leaving a polytope over
-x_1..x_5 bounded by the standard inequalities (x_i >= 0 and
-x_1+..+x_5 <= 1, a simplex of volume 1/120).  A limiting probability is
-the event volume over 1/120, times the number of equally likely
-candidate relabelings the compiled polytope stands for.
+space, cleared to integers; substituting x_6 = 1 - (x_1+..+x_5) turns
+them into integer rows of a polytope over x_1..x_5 bounded by the
+standard inequalities (x_i >= 0 and x_1+..+x_5 <= 1, a simplex of
+volume 1/120).  A limiting probability is the event volume over 1/120,
+times the number of equally likely candidate relabelings the compiled
+polytope stands for.
 
 Events are named by spec strings such as ``manipulable:borda``; the
 registry ``EVENT_SPECS`` maps each spec kind and argument form to the
@@ -22,9 +23,9 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
-from .polytope import EventRegion, GeometryError, HalfSpace, HPolytope
+from .polytope import LE, EventRegion, GeometryError, HPolytope, _integer_row
 
 ORDERS = ("abc", "acb", "bac", "bca", "cab", "cba")
 CANDIDATES = ("a", "b", "c")
@@ -46,11 +47,8 @@ Row = tuple[Fraction, ...]
 
 def scoring_vector(candidate: str, lam: Fraction) -> Row:
     """Per-order points the candidate receives under weights (1, lam, 0)."""
-    out = []
-    for order in ORDERS:
-        pos = order.index(candidate)
-        out.append((Fraction(1), Fraction(lam), Fraction(0))[pos])
-    return tuple(out)
+    weights = (Fraction(1), Fraction(lam), Fraction(0))
+    return tuple(weights[order.index(candidate)] for order in ORDERS)
 
 
 def pairwise_vector(x: str, y: str) -> Row:
@@ -96,21 +94,28 @@ def _unit(i: int) -> Row:
     return tuple(Fraction(1 if j == i else 0) for j in range(6))
 
 
+# x_i >= 0 for i <= 5, and x_6 = 1 - (x_1 + ... + x_5) >= 0
+_SIMPLEX_ROWS = tuple(
+    (tuple(-int(i == j) for j in range(5)), LE, 0) for i in range(5)
+) + (((1,) * 5, LE, 1),)
+
+
 def share_space_polytope(rows: list[Row]) -> HPolytope:
     """Compile homogeneous rows (each meaning row . x >= 0 on the share
     simplex) into the reduced 5-dimensional polytope.
 
-    The full-space polytope carries the simplex equality and
-    nonnegativity; eliminating x_6 through the equality yields the
-    standard inequalities plus the reduced event rows.  The eliminated
-    coefficient is 1, so dilation lattice counts are preserved.
+    Each row is cleared to integers c, and x_6 = 1 - (x_1 + ... + x_5)
+    is substituted: c . x >= 0 becomes (c_6 - c_i)_i . x <= c_6.  The
+    standard inequalities of the reduced simplex are added.  The
+    eliminated coefficient is 1, so dilation lattice counts are
+    preserved.
     """
-    constraints = [HalfSpace((Fraction(1),) * 6, "=", Fraction(1))]
-    for i in range(6):
-        constraints.append(HalfSpace(_unit(i), ">=", Fraction(0)))
+    out = list(_SIMPLEX_ROWS)
     for row in rows:
-        constraints.append(HalfSpace(row, ">=", Fraction(0)))
-    return HPolytope(6, constraints).eliminate_equality(5)
+        m = lcm(*(a.denominator for a in row))
+        c = [a.numerator * (m // a.denominator) for a in row]
+        out.append(_integer_row([c[5] - a for a in c[:5]], LE, c[5]))
+    return HPolytope._from_rows(5, out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +327,15 @@ def _cycle_rows(reverse: bool) -> list[Row]:
 
 
 def cyclic_agreement_probability() -> Fraction:
-    """Pairwise comparisons form a cycle while plurality and
-    antiplurality (hence all positional rules) produce one common full
-    ranking; both cycle orientations contribute."""
+    """Volume ratio, over the simplex, of the cases where the pairwise
+    comparisons form a cycle and plurality and antiplurality (hence all
+    positional rules) rank the candidates in one fixed way, summed over
+    the two cycle orientations.
+
+    Each orientation contributes one ranking class only: a > b > c for
+    the cycle a > b > c > a, and a > c > b for the reverse cycle.  The
+    other common rankings, and the cases where the rules share a winner
+    but not a full ranking, are not counted here."""
     total = Fraction(0)
     for reverse, ranking_perm in ((False, None), (True, PERM_SWAP_BC)):
         rows = _cycle_rows(reverse)
@@ -432,14 +443,14 @@ def referendum_district_polytope(districts: int, k: int) -> HPolytope:
     loses the rest, yet b holds the overall popular majority."""
     rows = []
     for i in range(districts):
-        e = tuple(Fraction(1 if j == i else 0) for j in range(districts))
+        e = [int(j == i) for j in range(districts)]
         if i < k:
-            rows.append(HalfSpace(e, ">=", Fraction(1, 2)))
+            rows.append(_integer_row([-2 * v for v in e], LE, -1))
         else:
-            rows.append(HalfSpace(e, ">=", Fraction(0)))
-            rows.append(HalfSpace(e, "<=", Fraction(1, 2)))
-    rows.append(HalfSpace((Fraction(1),) * districts, "<=", Fraction(districts, 2)))
-    return HPolytope(districts, rows)
+            rows.append(_integer_row([-v for v in e], LE, 0))
+            rows.append(_integer_row([2 * v for v in e], LE, 1))
+    rows.append(_integer_row([2] * districts, LE, districts))
+    return HPolytope._from_rows(districts, rows)
 
 
 def referendum_probability(districts: int) -> Fraction:

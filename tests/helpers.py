@@ -1,14 +1,81 @@
-"""Shared test fixtures: known generating functions for the plurality
-manipulation regions, a brute-force lattice counter kept independent
-of the production counting path, and equality elimination done in
-``Fraction`` arithmetic as a reference for the integer one."""
+"""Shared test fixtures and oracles that production code does not use:
+rational generating functions and the known series of the plurality
+manipulation regions, ``Fraction`` fronts for the Bareiss kernel
+(determinant and rank), pointwise membership, a brute-force lattice
+counter kept independent of the production counting path, and equality
+elimination done in ``Fraction`` arithmetic as a reference for the
+integer one."""
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction as F
 
-from polyvote.ehrhart import RationalGF, expand_factors
+from polyvote.ehrhart import CountTable
+from polyvote.linalg import DimensionError, bareiss, integer_determinant
 from polyvote.polytope import HalfSpace, HPolytope
+
+# -- rational generating functions --------------------------------------------
+
+
+def poly_mul(p, q):
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return out
+
+
+def poly_pow(p, k):
+    out = [F(1)]
+    for _ in range(k):
+        out = poly_mul(out, p)
+    return out
+
+
+def expand_factors(factors):
+    """Multiply out ``[(coeff_list, power), ...]`` (ascending coefficients)."""
+    out = [F(1)]
+    for coeffs, power in factors:
+        out = poly_mul(out, poly_pow([F(c) for c in coeffs], power))
+    return out
+
+
+@dataclass(frozen=True)
+class RationalGF:
+    """F(t) = P(t)/Q(t) by ascending coefficient lists, scaled so Q(0) = 1."""
+
+    numerator: tuple
+    denominator: tuple
+
+    def __init__(self, numerator, denominator):
+        num = [F(c) for c in numerator]
+        den = [F(c) for c in denominator]
+        if not den or den[0] == 0:
+            raise ValueError("denominator must have a nonzero constant term")
+        c0 = den[0]
+        object.__setattr__(self, "numerator", tuple(c / c0 for c in num))
+        object.__setattr__(self, "denominator", tuple(c / c0 for c in den))
+
+
+def gf_coefficients(gf, upto):
+    """Maclaurin coefficients a_0..a_upto of P(t)/Q(t) by the forward
+    linear recurrence a_n = b_n - sum_{k>=1} c_k a_{n-k}."""
+    num, den = gf.numerator, gf.denominator
+    coeffs = []
+    for n in range(upto + 1):
+        b = num[n] if n < len(num) else F(0)
+        for k in range(1, min(n, len(den) - 1) + 1):
+            b -= den[k] * coeffs[n - k]
+        coeffs.append(b)
+    table = {}
+    for n, a in enumerate(coeffs):
+        if a.denominator != 1:
+            raise ValueError(f"coefficient a_{n} = {a} is not an integer")
+        table[n] = int(a)
+    return CountTable(table)
+
 
 # Ehrhart series of the region where a coalition can elect b (plurality,
 # sincere ranking a > b > c), its b<->c mirror, and their intersection.
@@ -36,6 +103,45 @@ UNION_CLASS_6 = [F(5, 8), F(61, 60), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)
 UNION_CLASS_1 = [F(-209, 1296), F(-917, 17280), F(5, 36), F(341, 5184), F(1, 108), F(7, 17280)]
 
 
+# -- Fraction fronts for the Bareiss kernel -----------------------------------
+
+
+def _integer_rows(rows):
+    """Scale each row to integers by the lcm of its denominators.
+
+    Returns the rows and the product of the scale factors (det of the
+    scaled matrix = scale * det of the original)."""
+    out = []
+    scale = 1
+    for row in rows:
+        row = [F(x) for x in row]
+        m = math.lcm(*(x.denominator for x in row)) if row else 1
+        scale *= m
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    if out and any(len(r) != len(out[0]) for r in out):
+        raise DimensionError("matrix rows must all have equal length")
+    return out, scale
+
+
+def determinant(a):
+    """Exact determinant by fraction-free Bareiss elimination."""
+    m, scale = _integer_rows(a)
+    if any(len(r) != len(m) for r in m):
+        raise DimensionError("determinant requires a square matrix")
+    return F(integer_determinant(m), scale)
+
+
+def rank(a):
+    """Exact rank over the rationals (fraction-free echelon)."""
+    m, _ = _integer_rows(a)
+    if not m or not m[0]:
+        return 0
+    return bareiss(m)
+
+
+# -- membership and lattice counting ------------------------------------------
+
+
 def integer_halfspaces(poly):
     """Each constraint ``a.x REL b`` of ``poly`` cleared of denominators
     to integers (a, REL, b); the solution set is unchanged."""
@@ -61,6 +167,14 @@ def dilation_contains(halfspaces, point, n):
         if not ok:
             return False
     return True
+
+
+def contains(poly, point):
+    """Whether the rational point lies in ``poly``, tested on its
+    constraints cleared to integers."""
+    if len(point) != poly.dim:
+        raise DimensionError("point dimension mismatch")
+    return dilation_contains(integer_halfspaces(poly), [F(x) for x in point], 1)
 
 
 def brute_count(poly, n):

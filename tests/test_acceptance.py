@@ -16,7 +16,6 @@ import polyvote.socialchoice as sc
 from polyvote.ehrhart import (
     BudgetExceededError,
     ehrhart_pipeline,
-    gf_coefficients,
     period_bound,
     region_count,
 )
@@ -27,6 +26,7 @@ from helpers import (
     UNION_CLASS_0,
     UNION_CLASS_1,
     UNION_CLASS_6,
+    gf_coefficients,
 )
 
 DECIMAL_TOL = F(5, 10**6)

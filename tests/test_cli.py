@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from polyvote import cli
 from polyvote.cli import main
 from polyvote.polytope import format_hrep
 import polyvote.socialchoice as sc
@@ -199,3 +200,20 @@ def test_output_is_deterministic(run):
     first = run("table", "--table", "3", "--format", "json")
     second = run("table", "--table", "3", "--format", "json")
     assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_state(run):
+    cli.build_parser.cache_clear()
+    code, out, err = run("volume", "--format", "json")  # no --polytope-file
+    assert code == 2 and out == "" and "--polytope-file" in err
+    code, out, _ = run("volume", files=[("--polytope-file", CUBE3)])
+    assert code == 0 and out.startswith("volume: exact=1 decimal=1.00000 spec=")
+    assert len(out.split("spec=")[1].split("+")) == 1
+    # --polytope-file appends: a list kept from the last run would grow
+    code, out, _ = run("volume", files=[("--polytope-file", CUBE3), ("--polytope-file", CUBE3)])
+    assert code == 0 and "exact=2 " in out
+    assert len(out.split("spec=")[1].split("+")) == 2
+    code, out, _ = run("prob", "condorcet-paradox")
+    assert code == 0 and out.startswith("no pairwise-majority winner exists: exact=1/16 ")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb
+from math import ceil, comb, floor, prod
 
 import pytest
 
@@ -8,22 +8,19 @@ from polyvote.ehrhart import (
     CountTable,
     PeriodTooSmallError,
     Quasipolynomial,
-    RationalGF,
+    _dilated_box,
     _le_rows,
     _memo_keys,
     count_lattice_points,
     ehrhart_pipeline,
-    expand_factors,
-    gf_coefficients,
     interpolate_quasipolynomial,
     period_bound,
-    poly_mul,
     region_count,
 )
 from polyvote.polytope import EventRegion, HalfSpace, HPolytope
 from polyvote.socialchoice import BORDA, PLURALITY, manipulability_event
 
-from helpers import brute_count
+from helpers import RationalGF, brute_count, expand_factors, gf_coefficients, poly_mul
 
 
 def ge(coeffs, rhs=0):
@@ -72,6 +69,19 @@ def test_count_of_empty_polytope_is_zero():
 def test_count_rejects_negative_dilation():
     with pytest.raises(ValueError):
         count_lattice_points(unit_box(2), -1)
+
+
+def test_dilated_box_is_the_integer_box_of_the_dilated_vertices():
+    # vertices (-7/3, 1/4), (-7/3, 29/12), (2, 1/4): both signs, fractions
+    triangle = HPolytope(2, [ge((1, 0), F(-7, 3)), ge((0, 1), F(1, 4)),
+                             le((1, 2), F(5, 2))])
+    lo_f, hi_f = triangle.bounding_box()
+    assert (lo_f, hi_f) == ((F(-7, 3), F(1, 4)), (F(2), F(29, 12)))
+    for n in range(13):
+        lo = [ceil(n * v) for v in lo_f]
+        hi = [floor(n * v) for v in hi_f]
+        expected = prod(max(0, b - a + 1) for a, b in zip(lo, hi))
+        assert _dilated_box(triangle, n) == (lo, hi, expected)
 
 
 def test_count_matches_brute_force_on_skew_polytope():

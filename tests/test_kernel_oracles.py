@@ -10,13 +10,19 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from polyvote.polytope import HalfSpace, HPolytope, _back_solve, _reduce_against
+from polyvote.polytope import (
+    HalfSpace,
+    HPolytope,
+    UnboundedPolytopeError,
+    _back_solve,
+    _reduce_against,
+)
 
 small_ints = st.integers(min_value=-5, max_value=5)
 rationals = st.builds(F, st.integers(min_value=-6, max_value=6),
@@ -205,3 +211,157 @@ def test_capped_district_vertices_match_brute_force(won):
     rows = _capped_district_rows(won)
     vertices = _polytope(8, rows).enumerate_vertices().vertices
     assert vertices == _brute_force_vertices(8, rows)
+
+
+# -- emptiness and boundedness against Fourier-Motzkin elimination ---------
+#
+# sympy's exact simplex (sympy.solvers.simplex.lpmin/lpmax, 1.14) is no
+# oracle here: on x + y = 0 with x + y = 1 it raises UnboundedLPError for
+# max x and returns the point (1, 0) for max 0, and it returns points
+# outside systems of parallel equalities even after a slack relaxation.
+
+
+@st.composite
+def cone_cases(draw):
+    """Row systems in dims 2-5 whose emptiness or boundedness the
+    double-description cone, or the guard box, must decide: rows of rank
+    below dim, lines in a sheared direction, inconsistent equalities,
+    a strip along the diagonal open on one side, and polytopes only
+    coupled rows close; each with up to three random rows added."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    kind = draw(st.sampled_from(("rank", "line", "inconsistent", "strip", "coupled")))
+    ints = st.integers(-3, 3)
+    vector = st.lists(ints, min_size=dim, max_size=dim).map(tuple)
+    rhs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    relation = st.sampled_from(("<=", ">=", "="))
+    rows = []
+    if kind == "rank":
+        basis = draw(st.lists(vector, min_size=1, max_size=dim - 1))
+        for _ in range(draw(st.integers(1, 6))):
+            w = draw(st.lists(ints, min_size=len(basis), max_size=len(basis)))
+            coeffs = tuple(sum(a * b[j] for a, b in zip(w, basis)) for j in range(dim))
+            rows.append((coeffs, draw(relation), draw(rhs)))
+    elif kind == "line":
+        # a box on x_0..x_(d-2), sheared along (shift, 1)
+        shift = draw(st.lists(ints, min_size=dim - 1, max_size=dim - 1))
+        for i in range(dim - 1):
+            e = [int(i == j) for j in range(dim - 1)]
+            lo = draw(rhs)
+            for sign, bound in ((1, lo + draw(st.integers(0, 2))), (-1, -lo)):
+                coeffs = [sign * v for v in e]
+                coeffs.append(-sum(c * s for c, s in zip(coeffs, shift)))
+                rows.append((tuple(coeffs), "<=", bound))
+    elif kind == "inconsistent":
+        coeffs = draw(vector.filter(any))
+        b = draw(rhs)
+        k = draw(st.sampled_from((1, 2, -1)))
+        rows += [(coeffs, "=", b), (tuple(k * c for c in coeffs), "=", k * b + 1)]
+    else:
+        # |x_i - x_(i+1)| <= c: a strip along the diagonal, cut by
+        # sum(x) >= c, and closed by sum(x) <= c for "coupled"
+        for i in range(dim - 1):
+            for sign in (1, -1):
+                coeffs = [0] * dim
+                coeffs[i], coeffs[i + 1] = sign, -sign
+                rows.append((tuple(coeffs), "<=", draw(rhs) + 2))
+        rows.append(((1,) * dim, ">=", draw(rhs)))
+        if kind == "coupled":
+            rows.append(((1,) * dim, "<=", draw(rhs) + 3))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.append((draw(vector.filter(any)), draw(relation), draw(rhs)))
+    return dim, rows
+
+
+def _coordinate_range(dim, rows, keep):
+    """(min, max) of coordinate ``keep`` over the rows (coeffs, rel, rhs),
+    with None for a side that is unbounded, or None when they have no
+    common point.
+
+    Every other coordinate is eliminated in ``Fraction`` arithmetic: by
+    substitution through an equality that involves it, else by
+    Fourier-Motzkin, the coordinate with the fewest new rows first.
+    Each inequality carries the set of input rows it was combined from;
+    after k Fourier-Motzkin steps a row from more than k + 1 of them is
+    implied by the others and is dropped (Chernikov's rule)."""
+    eqs, les = [], []
+    for i, (a, rel, b) in enumerate(rows):
+        a, b = [F(c) for c in a], F(b)
+        if rel == ">=":
+            a, b = [-c for c in a], -b
+        if rel == "=":
+            eqs.append((a, b))
+        else:
+            les.append((a, b, frozenset([i])))
+    free = [j for j in range(dim) if j != keep]
+    while eqs:
+        a, b = eqs.pop()
+        j = next((j for j in free if a[j]), None)
+        if j is None:
+            if not any(a):
+                if b:
+                    return None
+                continue
+            les += [(a, b, frozenset()), ([-v for v in a], -b, frozenset())]
+            continue
+        free.remove(j)
+
+        def sub(c, d):
+            f = c[j] / a[j]
+            return [x - f * y for x, y in zip(c, a)], d - f * b
+        eqs = [sub(c, d) for c, d in eqs]
+        les = [(*sub(c, d), h) for c, d, h in les]
+    steps = 0
+    while free:
+        j = min(free, key=lambda j: sum(c[j] > 0 for c, _, _ in les)
+                * sum(c[j] < 0 for c, _, _ in les))
+        free.remove(j)
+        steps += 1
+        pos = [r for r in les if r[0][j] > 0]
+        neg = [r for r in les if r[0][j] < 0]
+        les = [r for r in les if r[0][j] == 0]
+        for cp, dp, hp in pos:
+            for cn, dn, hn in neg:
+                h = hp | hn
+                if len(h) > steps + 1:
+                    continue
+                s, t = -cn[j], cp[j]
+                les.append(([s * x + t * y for x, y in zip(cp, cn)], s * dp + t * dn, h))
+    lo, hi = None, None
+    for c, d, _ in les:
+        if not c[keep]:
+            if d < 0:
+                return None
+        elif c[keep] > 0:
+            hi = d / c[keep] if hi is None else min(hi, d / c[keep])
+        else:
+            lo = d / c[keep] if lo is None else max(lo, d / c[keep])
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _elimination_outcome(dim, rows):
+    """"empty", "unbounded" or the (min, max) of every coordinate, from
+    :func:`_coordinate_range`."""
+    ranges = [_coordinate_range(dim, rows, i) for i in range(dim)]
+    if None in ranges:
+        return "empty"
+    if any(None in r for r in ranges):
+        return "unbounded"
+    return tuple(lo for lo, _ in ranges), tuple(hi for _, hi in ranges)
+
+
+def _vertex_outcome(poly):
+    try:
+        if poly.is_empty():
+            return "empty"
+    except UnboundedPolytopeError:
+        return "unbounded"
+    return poly.bounding_box()
+
+
+@settings(max_examples=200)
+@given(cone_cases())
+def test_emptiness_and_boundedness_match_fourier_motzkin(case):
+    dim, rows = case
+    assert _vertex_outcome(_polytope(dim, rows)) == _elimination_outcome(dim, rows)

@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polyvote.linalg import (
-    DimensionError,
-    decimal_string,
-    determinant,
-    format_rational,
-    parse_rational,
-    rank,
-)
+from polyvote.linalg import DimensionError, decimal_string, format_rational, parse_rational
 from polyvote.polytope import _back_solve, _Inconsistent, _reduce_against
+
+from helpers import determinant, rank
 
 ints = st.integers(min_value=-6, max_value=6)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polyvote import polytope
 from polyvote.linalg import DimensionError
 from polyvote.polytope import (
     EventRegion,
@@ -11,12 +12,11 @@ from polyvote.polytope import (
     HalfSpace,
     HPolytope,
     UnboundedPolytopeError,
-    _propagate_bounds,
     format_hrep,
     parse_hrep,
 )
 
-from helpers import eliminate_over_fractions
+from helpers import contains, eliminate_over_fractions
 
 
 def ge(coeffs, rhs=0):
@@ -149,13 +149,29 @@ def test_vertices_satisfy_constraints_with_d_tight():
     p = standard_simplex(4).intersect(HPolytope(4, [le((1, 1, 0, 0), F(1, 2))]))
     rows = p.integer_rows()
     for vert in p.enumerate_vertices().vertices:
-        assert p.contains(vert)
+        assert contains(p, vert)
         tight = sum(
             1
             for coeffs, rel, rhs in rows
             if sum(a * x for a, x in zip(coeffs, vert)) == rhs
         )
         assert tight >= 4
+
+
+def vertex_path(poly):
+    """"full rank" when the rows have rank dim and the double-description
+    cone decides emptiness and boundedness by itself, "guard box" when
+    vertex enumeration has to cut the rows by the Hadamard box."""
+    boxed = []
+    real = polytope._hadamard_box
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_hadamard_box",
+                   lambda rows, dim: boxed.append(dim) or real(rows, dim))
+        try:
+            polytope._vertices.__wrapped__(poly)
+        except UnboundedPolytopeError:
+            pass
+    return "guard box" if boxed else "full rank"
 
 
 def test_unbounded_raises():
@@ -166,7 +182,7 @@ def test_unbounded_raises():
 
 
 def test_diamond_needs_no_axis_bounds():
-    # no single-coordinate bounds: exercises the guard-box fallback
+    # no single-coordinate bounds: the coupled rows alone close it
     diamond = HPolytope(
         2, [le((1, 1), 1), le((1, -1), 1), le((-1, 1), 1), le((-1, -1), 1)]
     )
@@ -175,21 +191,19 @@ def test_diamond_needs_no_axis_bounds():
 
 
 def test_empty_with_free_direction_is_empty_not_unbounded():
+    # rank 1 in the plane: the guard box tells empty from a line
     p = HPolytope(2, [ge((1, 0), 2), le((1, 0), 1)])
+    assert vertex_path(p) == "guard box"
     assert p.enumerate_vertices().vertices == ()
     assert p.volume() == 0
 
 
-def bound_status(poly):
-    return _propagate_bounds(poly.integer_rows(), poly.dim, poly.dim + 3)[0]
-
-
-def test_bounded_without_propagated_bounds():
-    # every row couples two coordinates, so only the guard box bounds them
+def test_bounded_without_axis_bounds():
+    # every row couples two coordinates; the cone has no ray at t = 0
     diamond = HPolytope(
         2, [le((1, 1), 1), le((1, -1), 1), le((-1, 1), 1), le((-1, -1), 1)]
     )
-    assert bound_status(diamond) == "unknown"
+    assert vertex_path(diamond) == "full rank"
     assert diamond.enumerate_vertices().vertices == ((-1, 0), (0, -1), (0, 1), (1, 0))
     # a hexagon in the plane sum(x) = 0 cut by |x_i - x_j| <= 1
     rows = [eq((1, 1, 1), 0)]
@@ -198,7 +212,7 @@ def test_bounded_without_propagated_bounds():
             if i != j:
                 rows.append(le(tuple((k == i) - (k == j) for k in range(3)), 1))
     hexagon = HPolytope(3, rows)
-    assert bound_status(hexagon) == "unknown"
+    assert vertex_path(hexagon) == "full rank"
     assert hexagon.enumerate_vertices().vertices == tuple(
         tuple(F(v, 3) for v in nums)
         for nums in [(-2, 1, 1), (-1, -1, 2), (-1, 2, -1),
@@ -207,14 +221,14 @@ def test_bounded_without_propagated_bounds():
     assert hexagon.volume() == 0
 
 
-def test_unbounded_along_one_ray_reaches_the_guard_box():
+def test_unbounded_along_one_ray_has_a_cone_ray_at_t0():
     # a strip |x - y| <= 1 closed below by x + y >= 0, open along (1, 1)
     strip = HPolytope(2, [le((1, -1), 1), le((-1, 1), 1), ge((1, 1), 0)])
     # a slab on the plane x + y + z = 1, open along (-1, -1, 2)
     sloped = HPolytope(3, [eq((1, 1, 1), 1), le((1, -1, 0), 1), le((-1, 1, 0), 1),
                            ge((0, 0, 1), 0)])
     for poly in (strip, sloped):
-        assert bound_status(poly) == "unknown"
+        assert vertex_path(poly) == "full rank"
         with pytest.raises(UnboundedPolytopeError):
             poly.enumerate_vertices()
         with pytest.raises(UnboundedPolytopeError):
@@ -222,15 +236,16 @@ def test_unbounded_along_one_ray_reaches_the_guard_box():
 
 
 def test_inconsistent_equalities_are_empty():
-    # bound propagation boxes none of these, so they reach vertex
-    # enumeration through the guard box: parallel equalities, three
-    # equalities in the plane with no common point, and parallel
-    # equalities with a free direction besides
+    # parallel equalities (rank 1 in the plane: guard box), three
+    # equalities in the plane with no common point (rank 2: the seed
+    # equalities force t = 0), and parallel equalities with a free
+    # direction besides (rank 2 in space: guard box)
     parallel = HPolytope(2, [eq((1, 1), 1), eq((1, 1), 2)])
     overdetermined = HPolytope(2, [eq((1, 1), 1), eq((1, -1), 0), eq((1, 2), 5)])
     with_rays = HPolytope(3, [eq((1, 1, 0), 1), eq((2, 2, 0), 3), ge((0, 0, 1), 0)])
-    for poly in (parallel, overdetermined, with_rays):
-        assert bound_status(poly) == "unknown"
+    paths = {parallel: "guard box", overdetermined: "full rank", with_rays: "guard box"}
+    for poly, path in paths.items():
+        assert vertex_path(poly) == path
         assert poly.enumerate_vertices().vertices == ()
         assert poly.is_empty()
         assert poly.volume() == 0
@@ -243,6 +258,16 @@ def test_volume_unit_cube():
 
 def test_volume_standard_simplex():
     assert standard_simplex(5).volume() == F(1, 120)
+
+
+def test_volume_memo_is_keyed_on_the_rows():
+    meet = standard_simplex(3).intersect(HPolytope(3, [le((1, 1, 0), F(1, 2))]))
+    same = HPolytope._from_rows(3, reversed(meet.integer_rows()))
+    polytope._volume.cache_clear()
+    assert meet.volume() == F(1, 12)
+    assert same is not meet and same.volume() == F(1, 12)
+    info = polytope._volume.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_volume_split_cube_halves():
@@ -266,10 +291,10 @@ def test_volume_invariant_under_coordinate_permutation():
 
 def test_contains():
     simplex = standard_simplex(5)
-    assert simplex.contains((F(1, 6),) * 5)
-    assert not simplex.contains((2, 0, 0, 0, 0))
+    assert contains(simplex, (F(1, 6),) * 5)
+    assert not contains(simplex, (2, 0, 0, 0, 0))
     with pytest.raises(DimensionError):
-        simplex.contains((0, 0))
+        contains(simplex, (0, 0))
 
 
 def test_vertex_denominator_lcm_requires_vertices():

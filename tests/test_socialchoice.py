@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polyvote.socialchoice as sc
-from polyvote.ehrhart import count_lattice_points, gf_coefficients
+from polyvote import polytope
+from polyvote.ehrhart import count_lattice_points
 from polyvote.linalg import decimal_string
-from polyvote.polytope import GeometryError, HPolytope
+from polyvote.polytope import GeometryError, HalfSpace, HPolytope
 
 from helpers import (
     FAVOR_B_SERIES,
@@ -16,6 +17,7 @@ from helpers import (
     MANIPULABLE_UNION_SERIES,
     brute_count,
     eliminate_over_fractions,
+    gf_coefficients,
 )
 
 
@@ -442,6 +444,16 @@ def test_table1_exact_fractions_and_cross_identities():
     assert rows["B | (A & C)"] == F(4003, 4080)
 
 
+def test_table_volumes_are_computed_once():
+    polytope._volume.cache_clear()
+    first = sc.table_rows(1)
+    cold = polytope._volume.cache_info()
+    assert sc.table_rows(1) == first
+    warm = polytope._volume.cache_info()
+    assert cold.misses > 0 and warm.misses == cold.misses
+    assert warm.hits - cold.hits == cold.hits + cold.misses
+
+
 def test_table_shapes_and_spot_values():
     t1 = sc.table_rows(1)
     assert [r.label for r in t1][:3] == ["P | C", "A | C", "B | C"]
@@ -458,25 +470,61 @@ def test_table_shapes_and_spot_values():
         sc.table_rows(6)
 
 
+def _same_polytope(out, expected):
+    assert out.integer_rows() == expected.integer_rows()
+    assert out.constraints == expected.constraints
+    assert out == expected and hash(out) == hash(expected)
+
+
 def test_table_polytopes_equal_their_fraction_construction(monkeypatch):
-    # intersect and eliminate_equality work on the stored integer rows;
-    # every polytope tables 1-4 build that way must equal the one built
-    # from the Fraction constraints (table 5 builds none that way)
-    built = []
-    for name in ("intersect", "eliminate_equality"):
-        def spy(self, arg, _method=getattr(HPolytope, name), _name=name):
-            out = _method(self, arg)
-            built.append((_name, self, arg, out))
-            return out
-        monkeypatch.setattr(HPolytope, name, spy)
+    # share_space_polytope compiles integer rows and substitutes x_6
+    # itself, and intersect merges stored rows; every polytope tables 1-4,
+    # the manipulability terms and the Condorcet events build either way
+    # must equal the one built from the Fraction constraints in 6-d with
+    # the simplex equality eliminated
+    compiled, intersected = [], []
+    compile_rows = sc.share_space_polytope
+
+    def compile_spy(rows):
+        out = compile_rows(rows)
+        compiled.append((rows, out))
+        return out
+
+    def intersect_spy(self, other, _intersect=HPolytope.intersect):
+        out = _intersect(self, other)
+        intersected.append((self, other, out))
+        return out
+
+    monkeypatch.setattr(sc, "share_space_polytope", compile_spy)
+    monkeypatch.setattr(HPolytope, "intersect", intersect_spy)
     for number in (1, 2, 3, 4):
         sc.table_rows(number)
-    assert {name for name, *_ in built} == {"intersect", "eliminate_equality"}
-    for name, poly, arg, out in built:
-        if name == "intersect":
-            expected = HPolytope(poly.dim, poly.constraints + arg.constraints)
-        else:
-            expected = eliminate_over_fractions(poly, arg)
-        assert out.integer_rows() == expected.integer_rows()
-        assert out.constraints == expected.constraints
-        assert out == expected and hash(out) == hash(expected)
+    for rule in (sc.PLURALITY, sc.BORDA, sc.ANTIPLURALITY):
+        sc.manipulability_event(rule)
+    for candidate in sc.CANDIDATES:
+        sc.condorcet_winner(candidate)
+        sc.condorcet_loser(candidate)
+    assert compiled and intersected
+    for rows, out in compiled:
+        halfspaces = [HalfSpace((1,) * 6, "=", 1)]
+        halfspaces += [HalfSpace(tuple(int(i == j) for j in range(6)), ">=", 0)
+                       for i in range(6)]
+        halfspaces += [HalfSpace(row, ">=", 0) for row in rows]
+        _same_polytope(out, eliminate_over_fractions(HPolytope(6, halfspaces), 5))
+    for poly, other, out in intersected:
+        _same_polytope(out, HPolytope(poly.dim, poly.constraints + other.constraints))
+
+
+def test_referendum_district_polytope_equals_its_fraction_construction():
+    for districts in range(3, 10):
+        for k in range(districts + 1):
+            rows = []
+            for i in range(districts):
+                e = tuple(int(j == i) for j in range(districts))
+                if i < k:
+                    rows.append(HalfSpace(e, ">=", F(1, 2)))
+                else:
+                    rows += [HalfSpace(e, ">=", 0), HalfSpace(e, "<=", F(1, 2))]
+            rows.append(HalfSpace((1,) * districts, "<=", F(districts, 2)))
+            _same_polytope(sc.referendum_district_polytope(districts, k),
+                           HPolytope(districts, rows))
