@@ -2,9 +2,8 @@
 
 One fraction-free (Bareiss) elimination, :func:`bareiss`, works on
 integer rows in place: every intermediate quantity is an integer and
-every division in it is exact.  The geometry kernel calls it on rows
-it already holds as integers: for ranks directly, and for simplex
-volumes through :func:`integer_determinant`.
+every division in it is exact.  The geometry kernel calls it for the
+rank of rows it already holds as integers.
 """
 
 from __future__ import annotations
@@ -89,11 +88,3 @@ def bareiss(m: list[list[int]]) -> int:
         if r == rows:
             break
     return r
-
-
-def integer_determinant(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix; ``m`` is overwritten."""
-    n = len(m)
-    if n == 0:
-        return 1
-    return m[-1][-1] if bareiss(m) == n else 0

@@ -11,16 +11,18 @@ division.  Vertex enumeration is a double-description method on the
 homogenized cone {(x, t) : a.x <= b.t, t >= 0}: a simplicial seed cone
 of dim+1 independent rows is cut by the other rows one at a time, new
 rays combine adjacent pairs, and adjacency is a combinatorial test on
-zero sets kept as int bitmasks; the rays with t > 0 are the vertices.
-When the rows have rank dim the cone is pointed and also decides
-emptiness (no ray with t > 0) and boundedness (no ray with t = 0);
-only rank-deficient systems, empty or holding a line, are cut by a
-Hadamard guard box to tell which.  Vertices stay (numerators,
-denominator) pairs inside the kernel.  Volume scales them to their
-common denominator D, cones the boundary over a vertex, recursing
-facet by facet through the vertex/constraint incidence structure, sums
-the integer Bareiss determinants of the simplices, and divides once by
-D^dim * dim!.  Vertices and volumes are memoized per polytope.
+zero sets kept as int bitmasks; the rays with t > 0 are the vertices,
+and their zero sets are the vertex/row incidence.  When the rows have
+rank dim the cone is pointed and also decides emptiness (no ray with
+t > 0) and boundedness (no ray with t = 0); only rank-deficient
+systems, empty or holding a line, are cut by a Hadamard guard box to
+tell which.  Vertices stay (numerators, denominator) pairs inside the
+kernel.  Volume scales them to their common denominator D and sums the
+determinants of a pulling triangulation by a facet recursion down the
+face lattice, read from the incidence bitmasks and memoized on faces;
+each step is one integer product and one exact division, and the sum
+is divided once by D^dim * dim!.  Vertices and volumes are memoized
+per polytope.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .linalg import (
     DimensionError,
@@ -37,7 +40,6 @@ from .linalg import (
     as_vector,
     bareiss,
     format_rational,
-    integer_determinant,
     parse_rational,
 )
 
@@ -335,10 +337,13 @@ def _basic_solutions(rows, dim):
     h.r+ > 0 > h.r- gives (h.r+) r- - (h.r-) r+, reduced by its gcd.
     Two rays are adjacent when no third ray is tight on every processed
     row both are tight on; zero sets are int bitmasks over the rows.
-    Returns the vertices as normalized (numerator tuple, denominator)
-    pairs, and the extreme rays with t = 0, the recession directions;
-    both are exact only when the cone is pointed, i.e. when the rows
-    have rank dim."""
+    A new ray is tight exactly on the rows both its parents are tight
+    on, and on the row that made it, so every zero set is exact.
+    Returns the vertices as ((numerator tuple, denominator), mask)
+    pairs, the mask holding bit k when the vertex is tight on the k-th
+    inequality row, and the extreme rays with t = 0, the recession
+    directions; both are exact only when the cone is pointed, i.e. when
+    the rows have rank dim."""
     width = dim + 1
     cone = [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel == EQ]
     t_row = len(cone)
@@ -402,7 +407,8 @@ def _basic_solutions(rows, dim):
         keep = [k for k, v in enumerate(vals) if v <= 0]
         rays = [rays[k] for k in keep] + fresh_rays
         zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + fresh_zeros
-    return ([(ray[:dim], ray[dim]) for ray in rays if ray[dim] > 0],
+    first = t_row + 1
+    return ([((ray[:dim], ray[dim]), z >> first) for ray, z in zip(rays, zeros) if ray[dim] > 0],
             [ray[:dim] for ray in rays if ray[dim] == 0])
 
 
@@ -416,10 +422,18 @@ def _hadamard_box(rows, dim) -> int:
     return bound + 1
 
 
+class _Vertices(tuple):
+    """Sorted (numerators, denominator) pairs of a polytope's vertices.
+
+    ``incidence`` has one int per inequality row, in the order of
+    ``integer_rows()``: bit v is set when vertex v lies on the row."""
+
+    incidence: tuple[int, ...] = ()
+
+
 @functools.lru_cache(maxsize=4096)
-def _vertices(poly: HPolytope) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Sorted (numerators, denominator) pairs of the vertices; () when
-    the polytope is empty.
+def _vertices(poly: HPolytope) -> _Vertices:
+    """The vertices and their row incidence; empty when the polytope is.
 
     Rows of rank dim make the homogenized cone pointed, so its extreme
     rays decide: none with t > 0 means empty, and one with t = 0 beside
@@ -429,7 +443,7 @@ def _vertices(poly: HPolytope) -> tuple[tuple[tuple[int, ...], int], ...]:
     tells which."""
     dim = poly.dim
     if poly.has_false_row():
-        return ()
+        return _Vertices()
     rows = poly.integer_rows()
     if bareiss([list(coeffs) for coeffs, _, _ in rows]) < dim:
         big = _hadamard_box(rows, dim)
@@ -440,83 +454,104 @@ def _vertices(poly: HPolytope) -> tuple[tuple[tuple[int, ...], int], ...]:
             boxed.append((tuple(-u for u in unit), LE, big))
         if _basic_solutions(boxed, dim)[0]:
             raise UnboundedPolytopeError("polytope is unbounded (its rows leave a line)")
-        return ()
+        return _Vertices()
     sols, rays = _basic_solutions(rows, dim)
     if sols and rays:
         raise UnboundedPolytopeError("polytope is unbounded (the cone has a ray at t = 0)")
-    return tuple(sorted(sols))
+    sols.sort()
+    incidence = [0] * sum(rel != EQ for _, rel, _ in rows)
+    for v, (_, zeros) in enumerate(sols):
+        while zeros:
+            low = zeros & -zeros
+            incidence[low.bit_length() - 1] |= 1 << v
+            zeros ^= low
+    out = _Vertices(pair for pair, _ in sols)
+    out.incidence = tuple(incidence)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # volume
 
 
-def _cone_triangulate(ids, tights, used, k, tight_count):
-    """k-simplices (as vertex-id lists) covering the face spanned by ids."""
-    if k == 0 or len(ids) == 1:
-        return [[min(ids)]]
-    if len(ids) == k + 1:
-        return [sorted(ids)]
-    apex = max(ids, key=lambda i: (tight_count[i], -i))
-    pieces = []
-    seen = set()
-    for j, tight in enumerate(tights):
-        if j in used:
-            continue
-        sub = ids & tight
-        if not sub or apex in sub or len(sub) < k or sub == ids:
-            continue
-        if sub in seen:
-            continue
-        seen.add(sub)
-        for tri in _cone_triangulate(sub, tights, used | {j}, k - 1, tight_count):
-            pieces.append([apex] + tri)
-    return pieces
-
-
 @functools.lru_cache(maxsize=4096)
 def _volume(poly: HPolytope) -> Fraction:
-    """Cone the boundary over the apex vertex and sum simplex volumes.
+    """Sum the simplex determinants of a pulling triangulation by a
+    facet recursion on the vertex incidence, and divide once.
 
-    The vertices are scaled once to their common denominator D, so each
-    simplex determinant is an integer Bareiss on integer differences
-    from the apex; the volume is sum |det| / (D^dim * dim!)."""
+    The vertices are scaled to their common denominator D.  For a face
+    F of dimension k, projected one-to-one onto a coordinate set C,
+    S(F, C) is the sum of |det| over the simplices of the pulling
+    triangulation of F: the cones from its lowest vertex p over the
+    facets G that miss p.  A facet's row a.x <= b, rewritten in the
+    coordinates C, has a first nonzero a_j; the cone over G then adds
+    |b - a.p| * S(G, C - {j}) / |a_j|, an integer.  The facets of F are
+    the inclusion-maximal proper nonempty sets of its vertices tight on
+    one row; the facets of G are its intersections with the other
+    facets of F, whose rows take G's row substituted for x_j (Lasserre
+    1983).  S is memoized on (vertex set, C), and the volume is
+    S(P, all) / (D^dim * dim!).  A polytope with an equality row, or
+    with an inequality tight on every vertex, is flat: volume 0."""
     dim = poly.dim
-    pairs = _vertices(poly)
-    if len(pairs) < dim + 1:
+    verts = _vertices(poly)
+    full = (1 << len(verts)) - 1
+    rows = poly.integer_rows()
+    if not verts or full in verts.incidence or any(rel == EQ for _, rel, _ in rows):
         return Fraction(0)
-    D = lcm(*(den for _, den in pairs))
-    verts = [[p * (D // den) for p in nums] for nums, den in pairs]
-    v0 = verts[0]
-    diffs = [[x - y for x, y in zip(v, v0)] for v in verts[1:]]
-    if bareiss(diffs) < dim:
-        return Fraction(0)
-    tights = []
-    for coeffs, rel, rhs in poly.integer_rows():
-        if rel == EQ:
-            continue
-        b = rhs * D
-        tight = frozenset(
-            i
-            for i, v in enumerate(verts)
-            if sum(a * x for a, x in zip(coeffs, v)) == b
-        )
-        tights.append(tight)
-    tight_count = [sum(i in t for t in tights) for i in range(len(verts))]
-    apex = max(range(len(verts)), key=lambda i: (tight_count[i], -i))
-    top = verts[apex]
-    total = 0
-    seen = set()
-    for j, tight in enumerate(tights):
-        if apex in tight or len(tight) < dim or len(tight) == len(verts):
-            continue
-        if tight in seen:
-            continue
-        seen.add(tight)
-        for tri in _cone_triangulate(tight, tights, {j}, dim - 1, tight_count):
-            mat = [[x - y for x, y in zip(verts[i], top)] for i in tri]
-            total += abs(integer_determinant(mat))
-    return Fraction(total, D**dim * math.factorial(dim))
+    D = lcm(*(den for _, den in verts))
+    points = [[p * (D // den) for p in nums] for nums, den in verts]
+    memo = {}
+
+    def faces(ids, cols, cuts):
+        """S(F, C) for the face F with vertex bitmask ``ids``, projected
+        onto the coordinate tuple ``cols``, one per dimension of F.
+        ``cuts`` hold the rows that may cut a facet from F (those of the
+        parent's facets that meet F in a proper subset) as (mask,
+        coefficients on ``cols``, rhs)."""
+        k = len(cols)
+        if k == 1:
+            lo = ids & -ids
+            c = cols[0]
+            return abs(points[(ids ^ lo).bit_length() - 1][c] - points[lo.bit_length() - 1][c])
+        sets = {}
+        for row in cuts:
+            sets.setdefault(row[0] & ids, row)
+        # a facet of a k-face has at least k vertices
+        facets = []
+        for sub in sorted(sets, key=int.bit_count, reverse=True):
+            if sub.bit_count() < k:
+                break
+            for g, _ in facets:
+                if sub & g == sub:
+                    break
+            else:
+                facets.append((sub, sets[sub]))
+        apex_bit = ids & -ids
+        apex = [points[apex_bit.bit_length() - 1][c] for c in cols]
+        total = 0
+        for g, (_, a, b) in facets:
+            if g & apex_bit:
+                continue
+            j = next(j for j, v in enumerate(a) if v)
+            aj = a[j]
+            key = g, cols[:j] + cols[j + 1:]
+            base = memo.get(key)
+            if base is None:
+                # G's facets are its ridges with the other facets of F
+                child = []
+                if k > 2:
+                    for h, (mask, c, r) in facets:
+                        if h != g and (h & g).bit_count() >= k - 1:
+                            cj = c[j]
+                            reduced = [aj * x - cj * y for x, y in zip(c, a)]
+                            del reduced[j]
+                            child.append((mask, reduced, aj * r - cj * b))
+                base = memo[key] = faces(g, key[1], child)
+            total += abs(b - sum(map(mul, a, apex))) * base // abs(aj)
+        return total
+
+    top = [(mask, coeffs, rhs * D) for mask, (coeffs, _, rhs) in zip(verts.incidence, rows) if mask]
+    return Fraction(faces(full, tuple(range(dim)), top), D**dim * math.factorial(dim))
 
 
 # ---------------------------------------------------------------------------

@@ -439,13 +439,15 @@ def participation_event(rule: ScoringRule, paradox: str) -> HPolytope:
 
 
 def referendum_district_polytope(districts: int, k: int) -> HPolytope:
-    """Candidate a takes districts 1..k outright (share >= 1/2 each),
-    loses the rest, yet b holds the overall popular majority."""
+    """Candidate a takes districts 1..k outright (share in [1/2, 1]
+    each), loses the rest (share in [0, 1/2]), yet b holds the overall
+    popular majority."""
     rows = []
     for i in range(districts):
         e = [int(j == i) for j in range(districts)]
         if i < k:
             rows.append(_integer_row([-2 * v for v in e], LE, -1))
+            rows.append(_integer_row(e, LE, 1))
         else:
             rows.append(_integer_row([-v for v in e], LE, 0))
             rows.append(_integer_row([2 * v for v in e], LE, 1))

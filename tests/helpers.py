@@ -1,7 +1,7 @@
 """Shared test fixtures and oracles that production code does not use:
 rational generating functions and the known series of the plurality
-manipulation regions, ``Fraction`` fronts for the Bareiss kernel
-(determinant and rank), pointwise membership, a brute-force lattice
+manipulation regions, integer and ``Fraction`` determinants and rank
+on the Bareiss kernel, pointwise membership, a brute-force lattice
 counter kept independent of the production counting path, and equality
 elimination done in ``Fraction`` arithmetic as a reference for the
 integer one."""
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction as F
 
 from polyvote.ehrhart import CountTable
-from polyvote.linalg import DimensionError, bareiss, integer_determinant
+from polyvote.linalg import DimensionError, bareiss
 from polyvote.polytope import HalfSpace, HPolytope
 
 # -- rational generating functions --------------------------------------------
@@ -121,6 +121,17 @@ def _integer_rows(rows):
     if out and any(len(r) != len(out[0]) for r in out):
         raise DimensionError("matrix rows must all have equal length")
     return out, scale
+
+
+def integer_determinant(m):
+    """Determinant of a square integer matrix; ``m`` is overwritten.
+
+    For a full-rank square matrix the last Bareiss pivot is the
+    determinant."""
+    n = len(m)
+    if n == 0:
+        return 1
+    return m[-1][-1] if bareiss(m) == n else 0
 
 
 def determinant(a):

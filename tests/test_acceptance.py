@@ -236,20 +236,37 @@ def test_criterion_7_participation():
 
 
 def test_criterion_8_referendum():
+    # won districts have shares in [1/2, 1]; each value equals the
+    # Irwin-Hall closed form 2 * sum_k C(N,k) * IH_N(N-k) / 2^N
     t0 = time.perf_counter()
     nine = sc.referendum_probability(9)
     elapsed = time.perf_counter() - t0
     checks = [
         sc.referendum_probability(3) == F(1, 8),
         sc.referendum_probability(4) == F(1, 48),
-        sc.referendum_probability(5) == F(61, 384),
-        sc.referendum_probability(7) == F(9409, 46080),
-        close(sc.referendum_probability(6), "0.04063"),
-        close(nine, "0.26954"),
+        sc.referendum_probability(5) == F(55, 384),
+        sc.referendum_probability(6) == F(73, 1920),
+        sc.referendum_probability(7) == F(577, 3840),
+        nine == F(1589879, 10321920),
         elapsed < 60,
     ]
     report("criterion 8 (referendum paradox)", all(checks),
            f"9 districts in {elapsed:.1f}s, budget 60s")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the printed 0.04063 (N = 6) and 0.26954 (N = 9) are the volumes "
+    "of district polytopes without the cap x_i <= 1 on won districts "
+    "(13/320 at N = 6); the stated model, per-district shares uniform on "
+    "[0, 1], gives 73/1920 = 0.03802 and 1589879/10321920 = 0.15403, equal "
+    "to the Irwin-Hall closed form, and a Monte Carlo estimate at N = 5 "
+    "reads 0.1418 against 55/384 = 0.14323 capped and 61/384 = 0.15885 "
+    "uncapped",
+)
+def test_criterion_8b_published_referendum_decimals():
+    assert close(sc.referendum_probability(6), "0.04063")
+    assert close(sc.referendum_probability(9), "0.26954")
 
 
 def test_criterion_9_rule_m():

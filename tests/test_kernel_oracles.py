@@ -16,12 +16,14 @@ from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
+import polyvote.socialchoice as sc
 from polyvote.polytope import (
     HalfSpace,
     HPolytope,
     UnboundedPolytopeError,
     _back_solve,
     _reduce_against,
+    _vertices,
 )
 
 small_ints = st.integers(min_value=-5, max_value=5)
@@ -124,6 +126,64 @@ def test_capped_district_polytope_matches_irwin_hall(won, expected):
     assert _polytope(districts, _capped_district_rows(won)).volume() == expected
 
 
+@pytest.mark.parametrize("districts", range(3, 10))
+def test_referendum_probability_matches_irwin_hall(districts):
+    # k won districts: x_i = (1 + u_i) / 2 for i < k, u_i / 2 after, u in
+    # the unit cube, and sum(x) <= N/2 is sum(u) <= N - k
+    expected = 2 * sum(
+        math.comb(districts, k) * _irwin_hall_cdf(districts, districts - k)
+        for k in range(districts // 2 + 1, districts)
+    ) / 2**districts
+    assert sc.referendum_probability(districts) == expected
+
+
+@st.composite
+def cut_boxes(draw):
+    """A box prod [l_i, u_i] with rational sides in dims 2-7, cut by one
+    row w.x <= t with weights in +-1..+-5; t is sometimes w at a corner
+    of the box, so that the cut runs through it."""
+    dim = draw(st.integers(min_value=2, max_value=7))
+    lower = [F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(dim)]
+    sides = [F(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(dim)]
+    weights = [draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))) for _ in range(dim)]
+    low = sum(w * (l + (s if w < 0 else 0)) for w, l, s in zip(weights, lower, sides))
+    high = sum(w * (l + (s if w > 0 else 0)) for w, l, s in zip(weights, lower, sides))
+    if draw(st.booleans()):
+        corner = [l + draw(st.sampled_from((0, s))) for l, s in zip(lower, sides)]
+        t = sum(w * x for w, x in zip(weights, corner))
+    else:
+        t = low + (high - low) * F(draw(st.integers(1, 15)), 16)
+    return lower, sides, weights, t
+
+
+def _cut_box_volume(lower, sides, weights, t):
+    """Generalized Irwin-Hall: with z_i = x_i - l_i, reflected to
+    s_i - z_i where w_i < 0, the region is the box prod [0, s_i] under
+    sum |w_i| z_i <= t', and inclusion-exclusion over the sides a point
+    exceeds gives sum_S (-1)^|S| (t' - sum_S |w_i| s_i)_+^d / (d! prod |w_i|)."""
+    dim = len(weights)
+    t -= sum(w * (l + (s if w < 0 else 0)) for w, l, s in zip(weights, lower, sides))
+    steps = [abs(w) * s for w, s in zip(weights, sides)]
+    total = F(0)
+    for size in range(dim + 1):
+        for subset in itertools.combinations(steps, size):
+            rest = t - sum(subset)
+            if rest > 0:
+                total += (-1) ** size * rest**dim
+    return total / (math.factorial(dim) * math.prod(abs(w) for w in weights))
+
+
+@given(cut_boxes())
+def test_cut_box_volume_matches_generalized_irwin_hall(case):
+    lower, sides, weights, t = case
+    dim = len(weights)
+    rows = [(tuple(weights), "<=", t)]
+    for i, (l, s) in enumerate(zip(lower, sides)):
+        e = tuple(int(i == j) for j in range(dim))
+        rows += [(e, ">=", l), (e, "<=", l + s)]
+    assert _polytope(dim, rows).volume() == _cut_box_volume(lower, sides, weights, t)
+
+
 # -- vertex enumeration against brute force ---------------------------------
 
 
@@ -204,6 +264,20 @@ def test_vertices_match_brute_force_on_degenerate_polytopes(case):
     dim, rows = case
     vertices = _polytope(dim, rows).enumerate_vertices().vertices
     assert vertices == _brute_force_vertices(dim, rows)
+
+
+@given(degenerate_polytopes())
+def test_vertex_incidence_matches_row_evaluation(case):
+    # bit v of a row's mask is set exactly when a.v == b; corners the
+    # extra rows pass through are tight on more than dim rows
+    poly = _polytope(*case)
+    verts = _vertices(poly)
+    inequalities = [(a, b) for a, rel, b in poly.integer_rows() if rel != "="]
+    assert len(verts.incidence) == len(inequalities)
+    for (a, b), mask in zip(inequalities, verts.incidence):
+        tight = sum(1 << v for v, (nums, den) in enumerate(verts)
+                    if sum(x * y for x, y in zip(a, nums)) == b * den)
+        assert mask == tight
 
 
 @pytest.mark.parametrize("won", [5, 6, 7])

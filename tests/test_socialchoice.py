@@ -332,13 +332,13 @@ def test_participation_rejects_unknown_paradox():
 def test_referendum_exact_values():
     assert sc.referendum_probability(3) == F(1, 8)
     assert sc.referendum_probability(4) == F(1, 48)
-    assert sc.referendum_probability(5) == F(61, 384)
-    assert sc.referendum_probability(7) == F(9409, 46080)
+    assert sc.referendum_probability(5) == F(55, 384)
+    assert sc.referendum_probability(7) == F(577, 3840)
 
 
 def test_referendum_decimals():
-    assert decimal_string(sc.referendum_probability(6)) == "0.04063"
-    assert decimal_string(sc.referendum_probability(9)) == "0.26954"
+    assert decimal_string(sc.referendum_probability(6)) == "0.03802"
+    assert decimal_string(sc.referendum_probability(9)) == "0.15403"
 
 
 def test_referendum_rejects_small_n():
@@ -347,10 +347,12 @@ def test_referendum_rejects_small_n():
 
 
 def test_referendum_polytope_shape():
-    # the k=4 polytope for 7 districts is the most constrained one
+    # the k=4 polytope for 7 districts is the most constrained one: in
+    # u_i = 2 x_i - [i < k] it is the unit cube cut by sum(u) <= 3, whose
+    # vertices are the C(7,0) + ... + C(7,3) = 64 corners with sum <= 3
     poly = sc.referendum_district_polytope(7, 4)
-    assert len(poly.constraints) == 11
-    assert len(poly.enumerate_vertices()) == 36
+    assert len(poly.constraints) == 15
+    assert len(poly.enumerate_vertices()) == 64
 
 
 # -- rule M ---------------------------------------------------------------------
@@ -383,7 +385,7 @@ def test_probability_for_spec_round_trip():
         "agreement:plurality,borda:ranking": F(61, 108),
         "all-rules-agree": F(10631, 20736),
         "participation:borda:PPP": F(1, 72),
-        "referendum:N=5": F(61, 384),
+        "referendum:N=5": F(55, 384),
     }
     for spec, expected in checks.items():
         assert prob(spec) == expected
@@ -522,7 +524,7 @@ def test_referendum_district_polytope_equals_its_fraction_construction():
             for i in range(districts):
                 e = tuple(int(j == i) for j in range(districts))
                 if i < k:
-                    rows.append(HalfSpace(e, ">=", F(1, 2)))
+                    rows += [HalfSpace(e, ">=", F(1, 2)), HalfSpace(e, "<=", 1)]
                 else:
                     rows += [HalfSpace(e, ">=", 0), HalfSpace(e, "<=", F(1, 2))]
             rows.append(HalfSpace((1,) * districts, "<=", F(districts, 2)))

@@ -1,9 +1,9 @@
-"""Bit-for-bit guard on the exact values of summary tables 1-4.
+"""Bit-for-bit guard on the exact values of the five summary tables.
 
-``tests/data/tables_golden.json`` maps every spec the four tables print
-to its exact rational, recorded before the geometry kernel moved to
-integer-only arithmetic.  Table 5 (the referendum paradox) is left out:
-its polytope is due to change."""
+``tests/data/tables_golden.json`` maps every spec the tables print to
+its exact rational.  Tables 1-4 were recorded before the geometry
+kernel moved to integer-only arithmetic; table 5 (the referendum
+paradox) was recorded once won districts were capped at share 1."""
 
 import json
 from pathlib import Path
@@ -15,7 +15,7 @@ import polyvote.socialchoice as sc
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "tables_golden.json").read_text(encoding="utf-8")
 )
-TABLES = (1, 2, 3, 4)
+TABLES = (1, 2, 3, 4, 5)
 
 
 @pytest.fixture(scope="module")
