@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ehrhart", help="counting quasipolynomial by interpolation")
     add_common(p, files=True, budget=True)
     p.add_argument("--classes", metavar="R1,R2,...",
-                   help="restrict to these residue classes (default: all)")
+                   help="restrict to these residue classes (taken modulo the "
+                        "period); default: all")
     p.set_defaults(func=cmd_ehrhart)
 
     p = sub.add_parser("table", help="recompute one of the five summary tables")

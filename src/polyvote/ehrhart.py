@@ -13,8 +13,12 @@ last memoized level.  Share-space rows that see coordinates only
 through their sums (plurality's x0 + x1) make such levels; rows that
 separate every prefix make none, and the recursion runs unmemoized.
 Quasipolynomials are recovered per residue class by exact
-Lagrange/Newton interpolation on enumerated counts, with spare counts
-held back to cross-validate the fitted degree and period.
+Lagrange/Newton interpolation on the dilations of least |n| in the
+class, with spare values held back to cross-validate the fitted degree
+and period.  By Ehrhart-Macdonald reciprocity the value at n = -k is
+(-1)^dim(P) times the lattice count of the relative interior of kP,
+whose rows not tight on all of P are strict: a.x <= b.k - 1.  So no
+count needs n beyond about (dim + 3) / 2 periods, not dim + 2.
 """
 
 from __future__ import annotations
@@ -99,6 +103,30 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
         raise ValueError("dilation must be non-negative")
     if poly.is_empty():
         return 0
+    return _count(poly, n, [b * n for _, b in _le_rows(poly)], budget)
+
+
+def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
+    """The counting quasipolynomial of a nonempty P at n: the count of
+    nP for n >= 0, and at n = -k (-1)^dim(P) times the lattice points of
+    the relative interior of kP, where the implicit equalities stay and
+    every other inequality row becomes a.x <= b.k - 1."""
+    if n >= 0:
+        return count_lattice_points(poly, n, budget)
+    k = -n
+    kept = polytope._implicit_equalities(poly)
+    rhs = []
+    for row in poly.integer_rows():
+        _, rel, b = row
+        rhs += [b * k, -b * k] if rel == EQ else [b * k - (row not in kept)]
+    codim = bareiss([list(coeffs) for coeffs, _, _ in kept])
+    return (-1) ** (poly.dim - codim) * _count(poly, k, rhs, budget)
+
+
+def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
+    """Integer points x of the vertex box of nP (P not empty) with
+    a.x <= rhs[j] on the j-th row (a, b) of ``_le_rows``: b.n for nP
+    itself, b.n - 1 on the strict rows of its relative interior."""
     dim = poly.dim
     lo, hi, candidates = _dilated_box(poly, n)
     if candidates > budget:
@@ -112,7 +140,6 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
 
     rows = _le_rows(poly)
     nrows = len(rows)
-    rhs = [b * n for _, b in rows]
     # minrest[level][j]: least possible contribution of coordinates > level
     # to row j, given the box.
     minrest = []
@@ -232,11 +259,9 @@ class Quasipolynomial:
         return poly
 
     def evaluate(self, n: int) -> Fraction:
-        poly = self.class_coefficients(n % self.period)
-        acc = Fraction(0)
-        for c in reversed(poly):
-            acc = acc * n + c
-        return acc
+        """For a counting quasipolynomial and n = -k < 0, (-1)^dim(P)
+        times the lattice points of the relative interior of kP."""
+        return _horner(self.class_coefficients(n % self.period), n)
 
     def leading_coefficient(self) -> Fraction:
         leads = {p[self.degree] for p in self.polys if p is not None}
@@ -245,6 +270,13 @@ class Quasipolynomial:
         if len(leads) != 1:
             raise ValueError(f"leading coefficients differ between classes: {leads}")
         return leads.pop()
+
+
+def _horner(poly, n: int) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(poly):
+        acc = acc * n + c
+    return acc
 
 
 def _newton_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
@@ -271,22 +303,21 @@ def interpolate_quasipolynomial(
     ``period``; any supplied count beyond the d+1 used for fitting must
     agree with the fit or the period/degree is rejected."""
     wanted = range(period) if classes is None else sorted(set(c % period for c in classes))
+    return _fit_classes({r: counts.residue_class(r, period) for r in wanted}, period, degree)
+
+
+def _fit_classes(points: dict, period: int, degree: int) -> Quasipolynomial:
+    """Fit each class r on its first degree+1 (n, value) points and
+    check the fit on the rest."""
     polys: list[tuple[Fraction, ...] | None] = [None] * period
-    for r in wanted:
-        pts = counts.residue_class(r, period)
+    for r, pts in points.items():
         if len(pts) < degree + 1:
             raise ValueError(
                 f"class {r} mod {period} has {len(pts)} counts, needs {degree + 1}"
             )
-        fit_pts = [(n, Fraction(c)) for n, c in pts[: degree + 1]]
-        coeffs = _newton_fit(fit_pts)
-        coeffs += [Fraction(0)] * (degree + 1 - len(coeffs))
-        poly = tuple(coeffs[: degree + 1])
+        poly = tuple(_newton_fit(pts[: degree + 1]))
         for n, c in pts[degree + 1 :]:
-            acc = Fraction(0)
-            for coef in reversed(poly):
-                acc = acc * n + coef
-            if acc != c:
+            if _horner(poly, n) != c:
                 raise PeriodTooSmallError(
                     f"count at n={n} deviates from the class-{r} fit; "
                     f"period {period} or degree {degree} is too small"
@@ -324,34 +355,43 @@ def ehrhart_pipeline(
     classes=None,
     budget: int = DEFAULT_BUDGET,
 ) -> Quasipolynomial:
-    """Count dilations and interpolate the counting quasipolynomial.
+    """Evaluate the counting quasipolynomial on dilations and
+    interpolate it.
 
     The period used is the vertex-denominator lcm m (the minimal period
-    always divides it); each requested residue class is fitted from d+1
-    counts and cross-validated on ``VALIDATION_POINTS`` fresh dilations
-    that took no part in the fit; ``budget`` caps the candidate points
-    of every count, as in :func:`count_lattice_points`.
+    always divides it).  Each requested residue class r is fitted on
+    the d+1 dilations n == r (mod m) of least |n|, positive n first on
+    ties, and cross-validated on the next ``VALIDATION_POINTS``.  The
+    value at n >= 0 is the signed count of nP over the terms, and at
+    n = -k the signed sum of their reciprocity values (see
+    ``_quasipolynomial_value``).  ``budget`` caps the candidate points
+    of every count, and is checked up front at the largest |n|.
     """
     dim, terms = _target_parts(target)
+    terms = [(s, p) for s, p in terms if not p.is_empty()]
     m = period_bound(target)
     wanted = list(range(m)) if classes is None else sorted(set(c % m for c in classes))
     per_class = dim + 1 + VALIDATION_POINTS
-    dilations = sorted(r + m * j for r in wanted for j in range(per_class))
-    worst = max(dilations)
+    dilations = {
+        r: sorted(range(r - m * per_class, r + m * per_class, m),
+                  key=lambda n: (abs(n), n < 0))[:per_class]
+        for r in wanted
+    }
+    worst = max(abs(n) for ns in dilations.values() for n in ns)
+    required = per_class * len(wanted)
     for _, p in terms:
-        if p.is_empty():
-            continue
         candidates = _dilated_box(p, worst)[2]
         if candidates > budget:
             raise BudgetExceededError(
-                f"interpolation needs {len(dilations)} counts up to dilation "
+                f"interpolation needs {required} counts up to dilation "
                 f"{worst}, which spans {candidates} candidate points "
                 f"(budget {budget})",
                 candidates=candidates,
                 dilation=worst,
-                required_counts=len(dilations),
+                required_counts=required,
             )
-    table = {}
-    for n in dilations:
-        table[n] = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
-    return interpolate_quasipolynomial(CountTable(table), m, dim, classes=wanted)
+    points = {
+        r: [(n, sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)) for n in ns]
+        for r, ns in dilations.items()
+    }
+    return _fit_classes(points, m, dim)

@@ -470,6 +470,18 @@ def _vertices(poly: HPolytope) -> _Vertices:
     return out
 
 
+def _implicit_equalities(poly: HPolytope) -> tuple[IntRow, ...]:
+    """The rows tight on every point of a nonempty polytope: its ``=``
+    rows and the inequality rows tight on every vertex.  Holding them
+    with equality cuts out the affine hull."""
+    verts = _vertices(poly)
+    full = (1 << len(verts)) - 1
+    rows = poly.integer_rows()
+    # inequality rows sort first, in the order of the incidence
+    tight = tuple(row for row, mask in zip(rows, verts.incidence) if mask == full)
+    return tight + tuple(row for row in rows if row[1] == EQ)
+
+
 # ---------------------------------------------------------------------------
 # volume
 
@@ -490,14 +502,14 @@ def _volume(poly: HPolytope) -> Fraction:
     one row; the facets of G are its intersections with the other
     facets of F, whose rows take G's row substituted for x_j (Lasserre
     1983).  S is memoized on (vertex set, C), and the volume is
-    S(P, all) / (D^dim * dim!).  A polytope with an equality row, or
-    with an inequality tight on every vertex, is flat: volume 0."""
+    S(P, all) / (D^dim * dim!).  A polytope with an implicit equality
+    is flat: volume 0."""
     dim = poly.dim
     verts = _vertices(poly)
+    if not verts or _implicit_equalities(poly):
+        return Fraction(0)
     full = (1 << len(verts)) - 1
     rows = poly.integer_rows()
-    if not verts or full in verts.incidence or any(rel == EQ for _, rel, _ in rows):
-        return Fraction(0)
     D = lcm(*(den for _, den in verts))
     points = [[p * (D // den) for p in nums] for nums, den in verts]
     memo = {}

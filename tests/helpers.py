@@ -1,19 +1,26 @@
 """Shared test fixtures and oracles that production code does not use:
 rational generating functions and the known series of the plurality
 manipulation regions, integer and ``Fraction`` determinants and rank
-on the Bareiss kernel, pointwise membership, a brute-force lattice
-counter kept independent of the production counting path, and equality
-elimination done in ``Fraction`` arithmetic as a reference for the
-integer one."""
+on the Bareiss kernel, pointwise membership, brute-force lattice
+counters of dilations and of their relative interiors kept independent
+of the production counting path, a quasipolynomial fit on positive
+dilations alone, and equality elimination done in ``Fraction``
+arithmetic as a reference for the integer one."""
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
-from polyvote.ehrhart import CountTable
+from polyvote.ehrhart import (
+    VALIDATION_POINTS,
+    CountTable,
+    interpolate_quasipolynomial,
+    period_bound,
+    region_count,
+)
 from polyvote.linalg import DimensionError, bareiss
-from polyvote.polytope import HalfSpace, HPolytope
+from polyvote.polytope import EventRegion, HalfSpace, HPolytope
 
 # -- rational generating functions --------------------------------------------
 
@@ -201,6 +208,37 @@ def brute_count(poly, n):
     ]
     halfspaces = integer_halfspaces(poly)
     return sum(dilation_contains(halfspaces, point, n) for point in itertools.product(*axes))
+
+
+def relint_count(poly, k, vertices):
+    """Count lattice points of the relative interior of the k-fold
+    dilation by scanning the integer box of k * ``vertices`` (P's
+    vertices, from the caller's oracle): a point counts when it lies in
+    kP and is off every row some vertex is off (a.v != b), which makes
+    those rows strict."""
+    halfspaces = integer_halfspaces(poly)
+    strict = [
+        (coeffs, rhs) for coeffs, _, rhs in halfspaces
+        if any(sum(a * x for a, x in zip(coeffs, v)) != rhs for v in vertices)
+    ]
+    axes = [range(math.ceil(k * min(c)), math.floor(k * max(c)) + 1) for c in zip(*vertices)]
+    return sum(
+        dilation_contains(halfspaces, point, k)
+        and all(sum(a * x for a, x in zip(coeffs, point)) != rhs * k for coeffs, rhs in strict)
+        for point in itertools.product(*axes)
+    )
+
+
+def positive_dilation_fit(target, classes=None):
+    """The counting quasipolynomial fitted on counts at n = r + m*j,
+    j = 0 ... dim + 2 (m the period bound), with no value at a negative
+    dilation: a ``CountTable`` handed to ``interpolate_quasipolynomial``."""
+    region = target if isinstance(target, EventRegion) else EventRegion.of(target)
+    m = period_bound(target)
+    wanted = range(m) if classes is None else {c % m for c in classes}
+    dilations = [r + m * j for r in wanted for j in range(region.dim + 1 + VALIDATION_POINTS)]
+    table = CountTable({n: region_count(region, n) for n in dilations})
+    return interpolate_quasipolynomial(table, m, region.dim, classes=wanted)
 
 
 def eliminate_over_fractions(poly, j):

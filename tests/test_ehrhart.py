@@ -2,6 +2,8 @@ from fractions import Fraction as F
 from math import ceil, comb, floor, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyvote.ehrhart import (
     BudgetExceededError,
@@ -20,7 +22,15 @@ from polyvote.ehrhart import (
 from polyvote.polytope import EventRegion, HalfSpace, HPolytope
 from polyvote.socialchoice import BORDA, PLURALITY, manipulability_event
 
-from helpers import RationalGF, brute_count, expand_factors, gf_coefficients, poly_mul
+from helpers import (
+    MANIPULABLE_UNION_SERIES,
+    RationalGF,
+    brute_count,
+    expand_factors,
+    gf_coefficients,
+    poly_mul,
+    positive_dilation_fit,
+)
 
 
 def ge(coeffs, rhs=0):
@@ -257,7 +267,19 @@ def test_pipeline_budget_guard_reports_requirements():
     assert period_bound(wide) == 3 * 5 * 7 * 11
     with pytest.raises(BudgetExceededError) as err:
         ehrhart_pipeline(wide, budget=10**6)
-    assert err.value.required_counts is not None
+    # 7 dilations per class; class 577 reaches furthest:
+    # 577, -578, 1732, -1733, 2887, -2888, 4042
+    assert err.value.required_counts == 7 * 1155
+    assert err.value.dilation == 577 + 3 * 1155
+
+
+def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda():
+    # class 0 of period 2520 is fitted at 0, +-2520, +-5040, +-7560, 10080
+    with pytest.raises(BudgetExceededError) as err:
+        ehrhart_pipeline(manipulability_event(BORDA), classes=[0])
+    assert err.value.dilation == 10080
+    assert err.value.required_counts == 8
+    assert "counts up to dilation 10080" in str(err.value)
 
 
 def test_pipeline_restricted_classes():
@@ -266,6 +288,47 @@ def test_pipeline_restricted_classes():
     assert q.polys[1] is None
     assert q.class_coefficients(0) == (1, F(1, 2))
     assert q.leading_coefficient() == F(1, 2)
+
+
+@st.composite
+def small_polytopes(draw, dim):
+    """A box with sides in multiples of 1/2 or 1/3, some of them flat,
+    cut by up to two rows through its centre, some of them equalities."""
+    q = draw(st.sampled_from((1, 2, 3)))
+    rows = []
+    centre = []
+    for i in range(dim):
+        e = tuple(int(i == j) for j in range(dim))
+        lo = F(draw(st.integers(-2, 2)), q)
+        hi = lo + F(draw(st.integers(0, 3)), q)
+        rows += [ge(e, lo), le(e, hi)]
+        centre.append((lo + hi) / 2)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
+        rel = draw(st.sampled_from(("<=", ">=", "=")))
+        rhs = sum(c * x for c, x in zip(coeffs, centre))
+        rows.append(HalfSpace(tuple(F(c) for c in coeffs), rel, rhs))
+    return HPolytope(dim, rows)
+
+
+@given(st.integers(1, 3).flatmap(small_polytopes))
+def test_pipeline_equals_positive_dilation_fit(poly):
+    assert ehrhart_pipeline(poly) == positive_dilation_fit(poly)
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(small_polytopes(d), small_polytopes(d))))
+def test_pipeline_equals_positive_dilation_fit_on_regions(pair):
+    p, r = pair
+    region = EventRegion(((1, p), (1, r), (-1, p.intersect(r))))
+    assert ehrhart_pipeline(region) == positive_dilation_fit(region)
+
+
+def test_pipeline_fits_every_plurality_class_to_the_series():
+    q = ehrhart_pipeline(manipulability_event(PLURALITY))
+    assert q.period == 12
+    series = gf_coefficients(MANIPULABLE_UNION_SERIES, 12 * 10).entries
+    assert all(q.evaluate(n) == c for n, c in series.items())
 
 
 def _memo_levels_of(poly):

@@ -17,6 +17,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 import polyvote.socialchoice as sc
+from polyvote.ehrhart import ehrhart_pipeline
 from polyvote.polytope import (
     HalfSpace,
     HPolytope,
@@ -25,6 +26,8 @@ from polyvote.polytope import (
     _reduce_against,
     _vertices,
 )
+
+from helpers import relint_count
 
 small_ints = st.integers(min_value=-5, max_value=5)
 rationals = st.builds(F, st.integers(min_value=-6, max_value=6),
@@ -232,11 +235,11 @@ def _holds(lhs, rel, rhs):
 
 
 @st.composite
-def degenerate_polytopes(draw):
+def degenerate_polytopes(draw, max_dim=4):
     """A box, some sides of it flat, cut by rows through its corners or
     its centre (some of them equalities), with rows repeated at other
     scales, and now and then a row no point of the box meets."""
-    dim = draw(st.integers(min_value=1, max_value=4))
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
     lo = [F(draw(st.integers(-4, 2)), 2) for _ in range(dim)]
     hi = [v + F(draw(st.integers(0, 4)), 2) for v in lo]
     rows = []
@@ -285,6 +288,74 @@ def test_capped_district_vertices_match_brute_force(won):
     rows = _capped_district_rows(won)
     vertices = _polytope(8, rows).enumerate_vertices().vertices
     assert vertices == _brute_force_vertices(8, rows)
+
+
+# -- Ehrhart-Macdonald reciprocity against brute-force interior counts ----
+#
+# The fitted quasipolynomial at -k must be (-1)^dim(P) times the lattice
+# points of the relative interior of kP.  The vertices, hence which rows
+# are tight on all of P and the affine dimension, come from the sympy
+# brute force above; the interior points from a scan of the box.
+
+
+def _affine_dimension(vertices):
+    base = vertices[0]
+    diffs = [[sympy.Rational(x - y) for x, y in zip(v, base)] for v in vertices[1:]]
+    return sympy.Matrix(diffs).rank() if diffs else 0
+
+
+def _check_reciprocity(dim, rows):
+    vertices = _brute_force_vertices(dim, rows)
+    poly = _polytope(dim, rows)
+    q = ehrhart_pipeline(poly)
+    sign = (-1) ** _affine_dimension(vertices)
+    for k in (1, 2, 3):
+        assert q.evaluate(-k) == sign * relint_count(poly, k, vertices)
+
+
+def _unit(i, dim, scale=1):
+    return tuple(scale * int(i == j) for j in range(dim))
+
+
+RECIPROCITY_CASES = {
+    # full-dimensional, with fractional vertices of both signs
+    "rational box": (2, [(_unit(0, 2), ">=", F(-1, 2)), (_unit(0, 2), "<=", F(4, 3)),
+                         (_unit(1, 2), ">=", F(1, 3)), (_unit(1, 2), "<=", F(2))]),
+    "skew triangle": (2, [(_unit(0, 2), ">=", F(-7, 3)), (_unit(1, 2), ">=", F(1, 4)),
+                          ((1, 2), "<=", F(5, 2))]),
+    "cut cube": (3, [(_unit(i, 3), rel, b) for i in range(3)
+                     for rel, b in ((">=", 0), ("<=", 1))] + [((1, 1, 2), "<=", F(5, 2))]),
+    # = rows
+    "triangle x+y+z = 1": (3, [(_unit(i, 3), ">=", 0) for i in range(3)]
+                           + [((1, 1, 1), "=", 1)]),
+    "hexagon x+y+z = 3/2": (3, [(_unit(i, 3), rel, b) for i in range(3)
+                                for rel, b in ((">=", 0), ("<=", 1))]
+                            + [((1, 1, 1), "=", F(3, 2))]),
+    # pairs of opposite inequalities
+    "segment x = 1/2": (2, [(_unit(0, 2), "<=", F(1, 2)), (_unit(0, 2), ">=", F(1, 2)),
+                            (_unit(1, 2), ">=", 0), (_unit(1, 2), "<=", 2)]),
+    "diagonal x+y = 2": (2, [((1, 1), "<=", 2), ((1, 1), ">=", 2),
+                             (_unit(0, 2), ">=", 0), (_unit(1, 2), ">=", 0)]),
+    # rows tight on all of P that pair with no opposite row
+    "segment on the z axis": (3, [(_unit(i, 3), ">=", 0) for i in range(3)]
+                              + [((1, 1, 0), "<=", 0), (_unit(2, 3), "<=", F(3, 2))]),
+    # single points
+    "corner point": (2, [(_unit(0, 2), ">=", 0), (_unit(1, 2), ">=", 0), ((1, 1), "<=", 0)]),
+    "point (1/2, 1, 0)": (3, [(_unit(0, 3, 2), "<=", 1), (_unit(0, 3, 2), ">=", 1),
+                              (_unit(1, 3), "=", 1), (_unit(2, 3), ">=", 0),
+                              ((1, 0, 1), "<=", F(1, 2))]),
+}
+
+
+@pytest.mark.parametrize("name", RECIPROCITY_CASES)
+def test_reciprocity_matches_brute_force_interior_counts(name):
+    _check_reciprocity(*RECIPROCITY_CASES[name])
+
+
+@given(degenerate_polytopes(max_dim=3))
+def test_reciprocity_on_degenerate_polytopes(case):
+    assume(_brute_force_vertices(*case))
+    _check_reciprocity(*case)
 
 
 # -- emptiness and boundedness against Fourier-Motzkin elimination ---------
