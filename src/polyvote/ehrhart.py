@@ -23,6 +23,7 @@ count needs n beyond about (dim + 3) / 2 periods, not dim + 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -103,7 +104,7 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
         raise ValueError("dilation must be non-negative")
     if poly.is_empty():
         return 0
-    return _count(poly, n, [b * n for _, b in _le_rows(poly)], budget)
+    return _count(poly, n, [b * n for _, b in _count_plan(poly)[0]], budget)
 
 
 def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
@@ -123,6 +124,21 @@ def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
     return (-1) ** (poly.dim - codim) * _count(poly, k, rhs, budget)
 
 
+@functools.lru_cache(maxsize=4096)
+def _count_plan(poly: HPolytope):
+    """What a count of P reads that does not depend on the dilation:
+    the rows of ``_le_rows``, per level the (row, coefficient) pairs
+    with a nonzero coefficient there, and the memoized levels of
+    ``_memo_keys``, each with the getter of its key."""
+    rows = tuple(_le_rows(poly))
+    deltas = tuple(
+        tuple((j, coeffs[level]) for j, (coeffs, _) in enumerate(rows) if coeffs[level])
+        for level in range(poly.dim)
+    )
+    memo_keys = {level: itemgetter(*key) for level, key in _memo_keys(rows, poly.dim).items()}
+    return rows, deltas, memo_keys
+
+
 def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     """Integer points x of the vertex box of nP (P not empty) with
     a.x <= rhs[j] on the j-th row (a, b) of ``_le_rows``: b.n for nP
@@ -138,8 +154,7 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     if candidates == 0:
         return 0
 
-    rows = _le_rows(poly)
-    nrows = len(rows)
+    rows, deltas, memo_keys = _count_plan(poly)
     # minrest[level][j]: least possible contribution of coordinates > level
     # to row j, given the box.
     minrest = []
@@ -155,10 +170,6 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
                     s += a * hi[k]
             vals.append(s)
         minrest.append(vals)
-    deltas = [
-        [(j, rows[j][0][level]) for j in range(nrows) if rows[j][0][level] != 0]
-        for level in range(dim)
-    ]
     last = dim - 1
 
     def rec(level: int, res: list[int]) -> int:
@@ -194,7 +205,7 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
                 sub[j] -= a
         return total
 
-    memos = {level: ({}, itemgetter(*key)) for level, key in _memo_keys(rows, dim).items()}
+    memos = {level: ({}, key_of) for level, key_of in memo_keys.items()}
 
     def memoized(level: int, res: list[int]) -> int:
         memo, key_of = memos[level]

@@ -9,10 +9,14 @@ equality elimination substitutes on them in integers.  The geometry
 kernel stays in integers from the H-representation to one final
 division.  Vertex enumeration is a double-description method on the
 homogenized cone {(x, t) : a.x <= b.t, t >= 0}: a simplicial seed cone
-of dim+1 independent rows is cut by the other rows one at a time, new
-rays combine adjacent pairs, and adjacency is a combinatorial test on
-zero sets kept as int bitmasks; the rays with t > 0 are the vertices,
-and their zero sets are the vertex/row incidence.  When the rows have
+of dim+1 independent rows (the equalities, t >= 0, then the sparsest
+inequalities), whose rays are read off one fraction-free inverse of
+the seed matrix, is cut by the other rows one at a time, densest
+first.  New rays combine adjacent pairs, and adjacency is a
+combinatorial test on zero sets kept as int bitmasks: the AND of the
+per-row bitsets of the rays tight on a pair's common rows must hold
+the pair alone.  The rays with t > 0 are the vertices, and their zero
+sets are the vertex/row incidence.  When the rows have
 rank dim the cone is pointed and also decides emptiness (no ray with
 t > 0) and boundedness (no ray with t = 0); only rank-deficient
 systems, empty or holding a line, are cut by a Hadamard guard box to
@@ -73,12 +77,11 @@ class HalfSpace:
 IntRow = tuple[tuple[int, ...], str, int]
 
 
-def _canonical(c: HalfSpace, dim: int) -> IntRow | None:
-    """Scale to integers, orient ``>=`` as ``<=`` and hand the row to
-    ``_integer_row``."""
-    if len(c.coeffs) != dim:
-        raise DimensionError(f"constraint has {len(c.coeffs)} coefficients, expected {dim}")
-    coeffs, rel, rhs = list(c.coeffs), c.rel, c.rhs
+def _canonical(coeffs: QVector, rel: str, rhs: Fraction, dim: int) -> IntRow | None:
+    """Scale a row over ``Fraction`` to integers, orient ``>=`` as
+    ``<=`` and hand it to ``_integer_row``."""
+    if len(coeffs) != dim:
+        raise DimensionError(f"constraint has {len(coeffs)} coefficients, expected {dim}")
     if rel == GE:
         coeffs, rel, rhs = [-a for a in coeffs], LE, -rhs
     mult = lcm(*(a.denominator for a in coeffs), rhs.denominator)
@@ -114,7 +117,7 @@ class HPolytope:
     _rows: tuple[IntRow, ...]
 
     def __init__(self, dim: int, constraints):
-        self._set_rows(dim, (_canonical(c, dim) for c in constraints))
+        self._set_rows(dim, (_canonical(c.coeffs, c.rel, c.rhs, dim) for c in constraints))
 
     @classmethod
     def _from_rows(cls, dim: int, rows) -> "HPolytope":
@@ -274,55 +277,51 @@ class EventRegion:
 
 
 def _reduce_against(echelon, row):
-    """Eliminate the pivots of ``echelon`` from ``row`` (ints, rhs last).
-
-    Returns the reduced row divided by its gcd, or None when dependent.
-    Raises _Inconsistent for a dependent row with nonzero rhs (the
-    tight system selected so far has no solution)."""
-    width = len(row)
+    """Eliminate the pivots of ``echelon``, a list of (row, pivot
+    column) pairs, from the integer ``row``.  Returns the reduced row
+    divided by its gcd, or None when ``row`` depends on the echelon."""
     for erow, pivot_col in echelon:
         f = row[pivot_col]
-        if f == 0:
-            continue
-        p = erow[pivot_col]
-        row = [r * p - e * f for r, e in zip(row, erow)]
-    if all(v == 0 for v in row[: width - 1]):
-        if row[-1] != 0:
-            raise _Inconsistent()
+        if f:
+            p = erow[pivot_col]
+            row = [r * p - e * f for r, e in zip(row, erow)]
+    if not any(row):
         return None
     g = gcd(*row)
-    if g > 1:
-        row = [v // g for v in row]
-    return row
+    return [v // g for v in row] if g > 1 else row
 
 
-class _Inconsistent(Exception):
-    pass
+def _seed_inverse(m):
+    """Fraction-free Gauss-Jordan inverse of a square integer matrix.
+
+    Every row, above the pivot as well as below, becomes
+    (p * row - f * pivot_row) / p_prev, an exact division, so the
+    augmented matrix [m | I] ends as [d I | d m^-1] with d = +-det m.
+    Returns (adj, |d|) with adj = |d| m^-1 an integer matrix, or None
+    when m is singular."""
+    n = len(m)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c]), None)
+        if piv is None:
+            return None
+        a[c], a[piv] = a[piv], a[c]
+        rc = a[c]
+        p = rc[c]
+        for i in range(n):
+            if i != c:
+                f = a[i][c]
+                if f or p != prev:
+                    a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], rc)]
+        prev = p
+    if prev < 0:
+        return [[-v for v in row[n:]] for row in a], -prev
+    return [row[n:] for row in a], prev
 
 
-def _back_solve(echelon, dim):
-    """Solve a rank-dim echelon system; returns (numerators, denominator)
-    with the least positive common denominator.
-
-    Fraction-free: the unknowns solved so far are ``nums[j] / den``.
-    Each pivot a solves ``a * x_p = rhs - sum(row_j * x_j)``, which
-    multiplies the common denominator by |a|; one gcd at the end
-    reduces the result."""
-    nums = [0] * dim
-    den = 1
-    for erow, pivot_col in reversed(echelon):
-        a = erow[pivot_col]
-        s = erow[-1] * den - sum(
-            erow[j] * nums[j] for j in range(dim) if j != pivot_col and erow[j]
-        )
-        if a < 0:
-            a, s = -a, -s
-        if a != 1:
-            nums = [v * a for v in nums]
-            den *= a
-        nums[pivot_col] = s
-    g = gcd(den, *nums)
-    return tuple(v // g for v in nums), den // g
+def _nonzeros(row) -> int:
+    return len(row) - row.count(0)
 
 
 def _basic_solutions(rows, dim):
@@ -331,14 +330,21 @@ def _basic_solutions(rows, dim):
     The rows are homogenized to the cone {(x, t) : a.x - b.t <= 0, with
     = for equalities, t >= 0} in R^(dim+1); its extreme rays with t > 0
     are the vertices scaled by their denominators.  The cone starts as
-    the simplicial cone of dim+1 independent rows, equalities first,
-    then t >= 0, and each other inequality cuts it in turn (Fukuda &
-    Prodon 1996): rays with h.r <= 0 stay, and each adjacent pair with
-    h.r+ > 0 > h.r- gives (h.r+) r- - (h.r-) r+, reduced by its gcd.
-    Two rays are adjacent when no third ray is tight on every processed
-    row both are tight on; zero sets are int bitmasks over the rows.
-    A new ray is tight exactly on the rows both its parents are tight
-    on, and on the row that made it, so every zero set is exact.
+    the simplicial cone of dim+1 independent rows: the equalities, then
+    t >= 0, then the inequalities sparsest first, by nonzero count.  Its
+    rays are the columns of one fraction-free inverse of the seed
+    matrix (``_seed_inverse``), negated: each is tight on every seed row
+    but one.  The other inequalities then cut the cone densest first
+    (Fukuda & Prodon 1996: the order decides how large the cone grows;
+    a dense row such as the popular vote of a district polytope, cut
+    before the box rows, keeps it small).  Rays with h.r <= 0 stay, and
+    each adjacent pair with h.r+ > 0 > h.r- gives (h.r+) r- - (h.r-) r+,
+    reduced by its gcd.  Two rays are adjacent when no third ray is
+    tight on every processed row both are tight on: zero sets are int
+    bitmasks over the rows, and each cut ANDs the bitsets of the rays
+    tight on each row of the pair's common zero set.  A new ray is
+    tight exactly on the rows both its parents are tight on, and on the
+    row that made it, so every zero set is exact.
     Returns the vertices as ((numerator tuple, denominator), mask)
     pairs, the mask holding bit k when the vertex is tight on the k-th
     inequality row, and the extreme rays with t = 0, the recession
@@ -349,61 +355,76 @@ def _basic_solutions(rows, dim):
     t_row = len(cone)
     cone.append((0,) * dim + (-1,))
     cone += [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel != EQ]
+    inequalities = range(t_row + 1, len(cone))
 
-    echelon: list[tuple[list[int], int]] = []
+    echelon = []
     seed = []
-    for i, h in enumerate(cone):
-        if len(seed) == width:
-            break
-        red = _reduce_against(echelon, [*h, 0])
+    for i in [*range(t_row + 1), *sorted(inequalities, key=lambda i: _nonzeros(cone[i]))]:
+        red = _reduce_against(echelon, cone[i])
         if red is not None:
-            echelon.append((red, next(j for j in range(width) if red[j])))
+            echelon.append((red, next(j for j, v in enumerate(red) if v)))
             seed.append(i)
+            if len(seed) == width:
+                break
     if t_row not in seed:
         return [], []  # the equalities force t = 0: they are inconsistent
     # an equality that is not in the seed is implied by the ones that are
 
-    seed_rows = [cone[i] for i in seed]
+    adj, _ = _seed_inverse([cone[i] for i in seed])
     seed_mask = sum(1 << i for i in seed if i >= t_row)
     rays, zeros = [], []
     for s, i in enumerate(seed):
-        if i < t_row:
-            continue
-        # the ray tight on every other seed row, strictly inside row i
-        ech = []
-        for k, h in enumerate(seed_rows):
-            red = _reduce_against(ech, [*h, -1 if k == s else 0])
-            ech.append((red, next(j for j in range(width) if red[j])))
-        nums, _ = _back_solve(ech, width)
-        g = gcd(*nums)
-        rays.append(tuple(v // g for v in nums))
-        zeros.append(seed_mask & ~(1 << i))
+        if i >= t_row:
+            # -(column s of the inverse): tight on every other seed row,
+            # strictly inside row i
+            ray = [-row[s] for row in adj]
+            g = gcd(*ray)
+            rays.append(tuple(v // g for v in ray))
+            zeros.append(seed_mask & ~(1 << i))
 
     # adjacent rays share a 2-face, so at least this many tight
     # inequalities besides the seed's equalities
     need = width - 2 - seed.index(t_row)
     seeded = set(seed)
-    for i in range(t_row, len(cone)):
+    for i in sorted(inequalities, key=lambda i: -_nonzeros(cone[i])):
         if i in seeded:
             continue
         h, bit = cone[i], 1 << i
-        vals = [sum(a * r for a, r in zip(h, ray)) for ray in rays]
+        vals = [sum(map(mul, h, ray)) for ray in rays]
         fresh_rays, fresh_zeros = [], []
+        pos = [k for k, v in enumerate(vals) if v > 0]
         neg = [k for k, v in enumerate(vals) if v < 0]
-        for p, vp in enumerate(vals):
-            if vp <= 0:
-                continue
-            zp = zeros[p]
-            for n in neg:
-                z = zp & zeros[n]
-                # p and n themselves are two of the rays tight on z
-                if z.bit_count() < need or list(map(z.__and__, zeros)).count(z) > 2:
-                    continue
-                vn = vals[n]
-                ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
-                g = gcd(*ray)
-                fresh_rays.append(tuple(v // g for v in ray))
-                fresh_zeros.append(z | bit)
+        if pos and neg:
+            # tight[row bit]: bitset of the rays tight on that row
+            every = (1 << len(rays)) - 1
+            tight = {}
+            for k, z in enumerate(zeros):
+                while z:
+                    low = z & -z
+                    tight[low] = tight.get(low, 0) | 1 << k
+                    z ^= low
+            for p in pos:
+                zp, vp = zeros[p], vals[p]
+                for n in neg:
+                    z = zp & zeros[n]
+                    if z.bit_count() < need:
+                        continue
+                    # p and n are tight on z; adjacent when no third ray is
+                    pair = 1 << p | 1 << n
+                    common, rest = every, z
+                    while rest:
+                        low = rest & -rest
+                        common &= tight[low]
+                        if common == pair:
+                            break
+                        rest ^= low
+                    if common != pair:
+                        continue
+                    vn = vals[n]
+                    ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
+                    g = gcd(*ray)
+                    fresh_rays.append(tuple(v // g for v in ray))
+                    fresh_zeros.append(z | bit)
         keep = [k for k, v in enumerate(vals) if v <= 0]
         rays = [rays[k] for k in keep] + fresh_rays
         zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + fresh_zeros
@@ -574,7 +595,7 @@ def parse_hrep(text: str) -> HPolytope:
     """Parse the plaintext format: first line ``dim d``, one constraint
     ``c_1 ... c_d REL rhs`` per following line, ``#`` comments ignored."""
     dim = None
-    constraints = []
+    rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -592,12 +613,11 @@ def parse_hrep(text: str) -> HPolytope:
         rel = parts[dim]
         if rel not in _RELATIONS:
             raise ValueError(f"line {lineno}: unknown relation {rel!r}")
-        coeffs = tuple(parse_rational(p) for p in parts[:dim])
-        rhs = parse_rational(parts[dim + 1])
-        constraints.append(HalfSpace(coeffs, rel, rhs))
+        coeffs = [parse_rational(p) for p in parts[:dim]]
+        rows.append(_canonical(coeffs, rel, parse_rational(parts[dim + 1]), dim))
     if dim is None:
         raise ValueError("missing 'dim d' header line")
-    return HPolytope(dim, constraints)
+    return HPolytope._from_rows(dim, rows)
 
 
 def format_hrep(poly: HPolytope) -> str:

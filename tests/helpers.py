@@ -5,7 +5,8 @@ on the Bareiss kernel, pointwise membership, brute-force lattice
 counters of dilations and of their relative interiors kept independent
 of the production counting path, a quasipolynomial fit on positive
 dilations alone, and equality elimination done in ``Fraction``
-arithmetic as a reference for the integer one."""
+arithmetic as a reference for the integer one, and the Irwin-Hall
+closed form of the referendum paradox."""
 
 import itertools
 import math
@@ -108,6 +109,25 @@ MANIPULABLE_UNION_SERIES = RationalGF(
 UNION_CLASS_0 = [F(1), F(137, 120), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)]
 UNION_CLASS_6 = [F(5, 8), F(61, 60), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)]
 UNION_CLASS_1 = [F(-209, 1296), F(-917, 17280), F(5, 36), F(341, 5184), F(1, 108), F(7, 17280)]
+
+
+# -- the referendum paradox in closed form -------------------------------------
+
+
+def irwin_hall_cdf(n, t):
+    """P(u_1 + ... + u_n <= t) for n independent uniforms on [0, 1]."""
+    return F(sum((-1) ** j * math.comb(n, j) * (t - j) ** n
+                 for j in range(math.floor(t) + 1)), math.factorial(n))
+
+
+def referendum_irwin_hall(districts):
+    """2 * sum_k C(N, k) * IH_N(N - k) / 2^N over the majorities k < N:
+    k won districts hold x_i = (1 + u_i) / 2, the others u_i / 2, u in
+    the unit cube, and sum(x) <= N/2 is sum(u) <= N - k."""
+    return 2 * sum(
+        math.comb(districts, k) * irwin_hall_cdf(districts, districts - k)
+        for k in range(districts // 2 + 1, districts)
+    ) / 2**districts
 
 
 # -- Fraction fronts for the Bareiss kernel -----------------------------------

@@ -22,12 +22,12 @@ from polyvote.polytope import (
     HalfSpace,
     HPolytope,
     UnboundedPolytopeError,
-    _back_solve,
-    _reduce_against,
+    _basic_solutions,
+    _seed_inverse,
     _vertices,
 )
 
-from helpers import relint_count
+from helpers import irwin_hall_cdf, referendum_irwin_hall, relint_count
 
 small_ints = st.integers(min_value=-5, max_value=5)
 rationals = st.builds(F, st.integers(min_value=-6, max_value=6),
@@ -44,20 +44,16 @@ def square_systems(draw, max_dim=5):
 
 
 @given(square_systems())
-def test_back_solve_matches_sympy_lu_solve(system):
-    a, b = system
+def test_seed_inverse_matches_sympy_inv(system):
+    a, _ = system
     mat = sympy.Matrix(a)
-    assume(mat.det() != 0)
-    x = mat.LUsolve(sympy.Matrix(b))
-    den = math.lcm(*(int(xi.q) for xi in x))
-    expected = (tuple(int(xi * den) for xi in x), den)
-
-    echelon = []
-    for row, rhs in zip(a, b):
-        red = _reduce_against(echelon, list(row) + [rhs])
-        pivot = next(j for j, v in enumerate(red[:-1]) if v != 0)
-        echelon.append((red, pivot))
-    assert _back_solve(echelon, len(a)) == expected
+    inverse = _seed_inverse(a)
+    if mat.det() == 0:
+        assert inverse is None
+        return
+    adj, den = inverse
+    assert den > 0
+    assert sympy.Matrix(adj) / den == mat.inv()
 
 
 @given(st.integers(min_value=1, max_value=4).flatmap(
@@ -98,11 +94,6 @@ def test_simplex_volume_matches_sympy_determinant(points):
     assert HPolytope(dim, rows).volume() == F(str(expected))
 
 
-def _irwin_hall_cdf(n, t):
-    return F(sum((-1) ** j * math.comb(n, j) * (t - j) ** n
-                 for j in range(math.floor(t) + 1)), math.factorial(n))
-
-
 def _capped_district_rows(won, districts=8):
     # won districts x_i in [1/2, 1], lost ones in [0, 1/2], sum(x) <= N/2
     rows = []
@@ -125,19 +116,13 @@ def test_capped_district_polytope_matches_irwin_hall(won, expected):
     # with x_i = (won_i + u_i) / 2 the region is the unit cube of u cut
     # by sum(u) <= 8 - won, scaled by 2^-8
     districts = 8
-    assert expected == _irwin_hall_cdf(districts, districts - won) / 2**districts
+    assert expected == irwin_hall_cdf(districts, districts - won) / 2**districts
     assert _polytope(districts, _capped_district_rows(won)).volume() == expected
 
 
-@pytest.mark.parametrize("districts", range(3, 10))
+@pytest.mark.parametrize("districts", range(3, 12))
 def test_referendum_probability_matches_irwin_hall(districts):
-    # k won districts: x_i = (1 + u_i) / 2 for i < k, u_i / 2 after, u in
-    # the unit cube, and sum(x) <= N/2 is sum(u) <= N - k
-    expected = 2 * sum(
-        math.comb(districts, k) * _irwin_hall_cdf(districts, districts - k)
-        for k in range(districts // 2 + 1, districts)
-    ) / 2**districts
-    assert sc.referendum_probability(districts) == expected
+    assert sc.referendum_probability(districts) == referendum_irwin_hall(districts)
 
 
 @st.composite
@@ -281,6 +266,25 @@ def test_vertex_incidence_matches_row_evaluation(case):
         tight = sum(1 << v for v, (nums, den) in enumerate(verts)
                     if sum(x * y for x, y in zip(a, nums)) == b * den)
         assert mask == tight
+
+
+@given(degenerate_polytopes(), st.data())
+def test_double_description_ignores_row_order(case, data):
+    # the seed and the cut order follow the rows' sparsity, ties broken
+    # by their order; any order must give the same vertices, and zero
+    # sets that name the same rows
+    dim = case[0]
+    rows = _polytope(*case).integer_rows()
+    order = data.draw(st.permutations(range(len(rows))))
+    shuffled = [rows[i] for i in order]
+
+    def by_vertex(rows_in_order, row_ids):
+        sols, rays = _basic_solutions(rows_in_order, dim)
+        ineq = [i for i, row in zip(row_ids, rows_in_order) if row[1] != "="]
+        return {pair: {ineq[k] for k in range(len(ineq)) if mask >> k & 1}
+                for pair, mask in sols}, sorted(rays)
+
+    assert by_vertex(shuffled, order) == by_vertex(list(rows), range(len(rows)))
 
 
 @pytest.mark.parametrize("won", [5, 6, 7])

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from polyvote.linalg import DimensionError, decimal_string, format_rational, parse_rational
-from polyvote.polytope import _back_solve, _Inconsistent, _reduce_against
+from polyvote.polytope import _seed_inverse
 
 from helpers import determinant, rank
 
@@ -17,21 +18,14 @@ def square(n, draw_ints):
 
 
 def solve(a, b):
-    """Solve the square integer system a x = b as vertex enumeration
-    solves for its seed rays: incremental fraction-free elimination,
-    then back substitution over one common denominator.  None when the
-    matrix is singular."""
-    echelon = []
-    for row, rhs in zip(a, b):
-        try:
-            red = _reduce_against(echelon, list(row) + [rhs])
-        except _Inconsistent:
-            return None
-        if red is None:
-            return None
-        echelon.append((red, next(j for j, v in enumerate(red[:-1]) if v)))
-    nums, den = _back_solve(echelon, len(a))
-    return tuple(F(v, den) for v in nums)
+    """Solve the square integer system a x = b through the fraction-free
+    inverse that vertex enumeration takes its seed rays from.  None when
+    the matrix is singular."""
+    inverse = _seed_inverse(a)
+    if inverse is None:
+        return None
+    adj, den = inverse
+    return tuple(F(sum(v * y for v, y in zip(row, b)), den) for row in adj)
 
 
 def test_parse_and_format_round_trip():
@@ -147,6 +141,8 @@ def test_solve_multiplies_back(a, b):
     else:
         for row, rhs in zip(a, b):
             assert sum(v * xi for v, xi in zip(row, x)) == rhs
+        adj, den = _seed_inverse(a)
+        assert sympy.Matrix(adj) / den == sympy.Matrix(a).inv()
 
 
 @given(st.lists(st.lists(ints, min_size=4, max_size=4), min_size=2, max_size=5))

@@ -5,7 +5,10 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
+
+from helpers import referendum_irwin_hall
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -26,3 +29,11 @@ def test_plurality_quasipolynomial_script_checks_its_fit():
     fitted = re.search(r"^f\(96\) by the fitted polynomial: (\d+)$", out, re.MULTILINE)
     assert enumerated and fitted
     assert enumerated.group(1) == fitted.group(1) == "4176821"
+
+
+def test_referendum_scan_matches_irwin_hall():
+    out = run_script("referendum_scan.py", "--max-districts", "9")
+    printed = re.findall(r"^N=\s*(\d+)\s+(\S+)\s+= ", out, re.MULTILINE)
+    assert [int(n) for n, _ in printed] == list(range(3, 10))
+    for n, exact in printed:
+        assert F(exact) == referendum_irwin_hall(int(n))
