@@ -4,19 +4,21 @@ region and cross-check one large dilation against direct enumeration.
 
 The region is the inclusion-exclusion union of the polytopes where a
 coalition can elect b or c instead of the sincere winner a; its counting
-function is a degree-5 quasipolynomial of period 12.
+function is a degree-5 quasipolynomial of period 12.  Like `polyvote
+count`, the enumeration refuses a dilation whose box holds more than
+--budget lattice points; the default budget refuses n >= 136.
 """
 
 import argparse
 import time
 from fractions import Fraction
 
-from polyvote.ehrhart import ehrhart_pipeline, region_count
+from polyvote.ehrhart import DEFAULT_BUDGET, ehrhart_pipeline, region_count
 from polyvote.linalg import format_rational
 from polyvote.socialchoice import PLURALITY, manipulability_event
 
 
-def run(classes, check_at):
+def run(classes, check_at, budget):
     region = manipulability_event(PLURALITY)
     t0 = time.perf_counter()
     q = ehrhart_pipeline(region, classes=classes)
@@ -31,7 +33,7 @@ def run(classes, check_at):
     print(f"limiting manipulability probability: "
           f"{720 * q.leading_coefficient()}")
     t0 = time.perf_counter()
-    enumerated = region_count(region, check_at)
+    enumerated = region_count(region, check_at, budget)
     print(f"f({check_at}) by enumeration: {enumerated}"
           f"  (in {time.perf_counter()-t0:.1f}s)")
     print(f"f({check_at}) by the fitted polynomial: {q.evaluate(check_at)}")
@@ -42,6 +44,9 @@ if __name__ == "__main__":
     parser.add_argument("--classes", default="0,1,6",
                         help="residue classes to fit, or 'all'")
     parser.add_argument("--check-at", type=int, default=96)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        help="ceiling on the lattice points of the box scanned "
+                             "at --check-at")
     args = parser.parse_args()
     classes = None if args.classes == "all" else [int(c) for c in args.classes.split(",")]
-    run(classes, args.check_at)
+    run(classes, args.check_at, args.budget)

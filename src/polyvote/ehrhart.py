@@ -2,9 +2,15 @@
 
 Counting enumerates integer points of the dilation nP over the exact
 vertex bounding box, tightening the feasible interval of each
-coordinate from the constraint residuals before descending, and
-closing the innermost coordinate as an interval length rather than a
-loop.  The subtree below a level reads only the residuals of its
+coordinate from the constraint residuals before descending, down to
+the next-to-last coordinate x.  There the last coordinate y ranges
+over a polygon: each row with a nonzero coefficient on y bounds it by
+the floor or ceiling of a line in x, the least upper and the greatest
+lower line change only where lines cross, and on each piece between
+crossings the count of y is a sum of floor((a.i + b) / m), which
+Euclid's algorithm closes in O(log m) (the AtCoder Library's
+``floor_sum``).  A one-dimensional P is closed as an interval.  The
+subtree below a level reads only the residuals of its
 active rows (those with a nonzero coefficient on a coordinate at or
 after it), so a count is memoized on them at the levels where two
 prefixes can reach the same residuals: where the rank of the active
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -83,8 +89,9 @@ def _memo_keys(rows, dim: int) -> dict[int, list[int]]:
     there reads.
 
     The key is an affine image of the prefix x[:level], of rank r.
-    Level 0 and the innermost level (closed as an interval) are never
-    memoized.  A level is taken only when its key can repeat: when r
+    Level 0 is never memoized, nor level dim - 1, which the polygon
+    closure of level dim - 2 sums without entering.  A level is taken
+    only when its key can repeat: when r
     grew by less than the number of coordinates fixed since the last
     memoized level m (m = 0, r = 0 before any)."""
     keys = {}
@@ -128,21 +135,110 @@ def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
 def _count_plan(poly: HPolytope):
     """What a count of P reads that does not depend on the dilation:
     the rows of ``_le_rows``, per level the (row, coefficient) pairs
-    with a nonzero coefficient there, and the memoized levels of
-    ``_memo_keys``, each with the getter of its key."""
+    with a nonzero coefficient there, the memoized levels of
+    ``_memo_keys``, each with the getter of its key, and, for dim >= 2,
+    the rows that bound the last coordinate y from above and from
+    below as (row, coefficient on the next-to-last coordinate x, |c|)
+    for a row a.x + c.y <= r with c > 0 and c < 0."""
     rows = tuple(_le_rows(poly))
     deltas = tuple(
         tuple((j, coeffs[level]) for j, (coeffs, _) in enumerate(rows) if coeffs[level])
         for level in range(poly.dim)
     )
     memo_keys = {level: itemgetter(*key) for level, key in _memo_keys(rows, poly.dim).items()}
-    return rows, deltas, memo_keys
+    upper, lower = [], []
+    if poly.dim >= 2:
+        for j, (coeffs, _) in enumerate(rows):
+            a, c = coeffs[-2], coeffs[-1]
+            if c:
+                (upper if c > 0 else lower).append((j, a, abs(c)))
+    return rows, deltas, memo_keys, tuple(upper), tuple(lower)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*i + b) / m) for i in range(n)), for n >= 0 and
+    m >= 1, in O(log m) steps: Euclid's algorithm on (m, a) as in the
+    AtCoder Library's ``floor_sum``, the floor divisions taking negative
+    a and b to [0, m) first."""
+    total = 0
+    while True:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        # the terms are now floor((a*i + b) / m) with 0 <= a, b < m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
+
+
+def _binding(bounds, res: list[int], x: int, end: int):
+    """Of the bounds (j, a, c) on y, each c.y <= res[j] - a.x, the one
+    least at x (ties to the least slope -a/c, so it is least just after
+    x too), and the last integer <= end up to which it stays least."""
+    jb = None
+    for j, a, c in bounds:
+        v = res[j] - a * x
+        if jb is None or v * cb < vb * c or (v * cb == vb * c and a * cb > ab * c):
+            jb, ab, cb, vb = j, a, c, v
+    for j, a, c in bounds:
+        # a bound of lesser slope overtakes it past x + (cb.v - c.vb) / dd
+        dd = a * cb - ab * c
+        if dd > 0:
+            t = x + (cb * (res[j] - a * x) - c * vb) // dd
+            if t < end:
+                end = t
+    return ab, cb, res[jb], end
+
+
+def _polygon_count(upper, lower, res: list[int], xlo: int, xhi: int) -> int:
+    """Lattice points (x, y) with xlo <= x <= xhi, c.y <= res[j] - a.x
+    on each (j, a, c) of ``upper`` and -c.y <= res[j] - a.x on each of
+    ``lower`` (c > 0; both nonempty, as the rows of a bounded P must be).
+
+    The walk splits [xlo, xhi] where the binding upper bound U or
+    lower bound L on y changes row, clips each piece to where U >= L
+    over the reals, and sums floor(U) - ceil(L) + 1 there by two floor
+    sums.  That set of x is an interval, U - L being concave, so the
+    walk stops at the first piece that leaves it to the right."""
+    total = 0
+    x = xlo
+    uend = lend = x - 1
+    while x <= xhi:
+        if uend < x:
+            au, cu, ru, uend = _binding(upper, res, x, xhi)
+        if lend < x:
+            al, cl, rl, lend = _binding(lower, res, x, xhi)
+        end = min(uend, lend)
+        # U(t) >= L(t) over the reals on this piece: e.t <= f
+        e = cl * au + cu * al
+        f = cl * ru + cu * rl
+        first, last = x, end
+        if e > 0:
+            last = min(end, f // e)
+        elif e < 0:
+            first = max(x, -(f // -e))
+        elif f < 0:
+            last = x - 1
+        if first <= last:
+            k = last - first + 1
+            total += (k + _floor_sum(k, cu, -au, ru - au * first)
+                      + _floor_sum(k, cl, -al, rl - al * first))
+        if last < end and e > 0:
+            break
+        x = end + 1
+    return total
 
 
 def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     """Integer points x of the vertex box of nP (P not empty) with
     a.x <= rhs[j] on the j-th row (a, b) of ``_le_rows``: b.n for nP
-    itself, b.n - 1 on the strict rows of its relative interior."""
+    itself, b.n - 1 on the strict rows of its relative interior.
+
+    Coordinates before the last two are enumerated; the last two are
+    closed by ``_polygon_count`` (a 1-dimensional P by its interval)."""
     dim = poly.dim
     lo, hi, candidates = _dilated_box(poly, n)
     if candidates > budget:
@@ -154,7 +250,7 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     if candidates == 0:
         return 0
 
-    rows, deltas, memo_keys = _count_plan(poly)
+    rows, deltas, memo_keys, upper, lower = _count_plan(poly)
     # minrest[level][j]: least possible contribution of coordinates > level
     # to row j, given the box.
     minrest = []
@@ -170,7 +266,7 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
                     s += a * hi[k]
             vals.append(s)
         minrest.append(vals)
-    last = dim - 1
+    closed = dim - 2
 
     def rec(level: int, res: list[int]) -> int:
         xlo, xhi = lo[level], hi[level]
@@ -187,7 +283,9 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
                     xlo = q
             if xlo > xhi:
                 return 0
-        if level == last:
+        if level == closed:
+            return _polygon_count(upper, lower, res, xlo, xhi)
+        if level > closed:  # P is one-dimensional
             return xhi - xlo + 1
         sub = res[:]
         dl = deltas[level]
@@ -226,25 +324,6 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
 
 # ---------------------------------------------------------------------------
 # quasipolynomials
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Map from dilation n to the lattice count of nP."""
-
-    entries: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for n, c in self.entries.items():
-            n, c = int(n), int(c)
-            if n < 0 or c < 0:
-                raise ValueError("dilations and counts must be non-negative")
-            clean[n] = c
-        object.__setattr__(self, "entries", clean)
-
-    def residue_class(self, r: int, period: int) -> list[tuple[int, int]]:
-        return sorted((n, c) for n, c in self.entries.items() if n % period == r)
 
 
 @dataclass(frozen=True)
@@ -305,16 +384,6 @@ def _newton_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
             poly[i] -= poly[i + 1] * xs[k]
         poly[0] += divided[k]
     return poly
-
-
-def interpolate_quasipolynomial(
-    counts: CountTable, period: int, degree: int, classes=None
-) -> Quasipolynomial:
-    """Fit a degree-``degree`` polynomial on each residue class modulo
-    ``period``; any supplied count beyond the d+1 used for fitting must
-    agree with the fit or the period/degree is rejected."""
-    wanted = range(period) if classes is None else sorted(set(c % period for c in classes))
-    return _fit_classes({r: counts.residue_class(r, period) for r in wanted}, period, degree)
 
 
 def _fit_classes(points: dict, period: int, degree: int) -> Quasipolynomial:

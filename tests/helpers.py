@@ -3,25 +3,49 @@ rational generating functions and the known series of the plurality
 manipulation regions, integer and ``Fraction`` determinants and rank
 on the Bareiss kernel, pointwise membership, brute-force lattice
 counters of dilations and of their relative interiors kept independent
-of the production counting path, a quasipolynomial fit on positive
-dilations alone, and equality elimination done in ``Fraction``
-arithmetic as a reference for the integer one, and the Irwin-Hall
-closed form of the referendum paradox."""
+of the production counting path, a table of counts by dilation and a
+quasipolynomial fit on positive dilations alone, and equality
+elimination done in ``Fraction`` arithmetic as a reference for the
+integer one, and the Irwin-Hall closed form of the referendum paradox."""
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as F
 
-from polyvote.ehrhart import (
-    VALIDATION_POINTS,
-    CountTable,
-    interpolate_quasipolynomial,
-    period_bound,
-    region_count,
-)
+from polyvote.ehrhart import VALIDATION_POINTS, _fit_classes, period_bound, region_count
 from polyvote.linalg import DimensionError, bareiss
 from polyvote.polytope import EventRegion, HalfSpace, HPolytope
+
+# -- count tables and their fit -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class CountTable:
+    """Map from dilation n to the lattice count of nP."""
+
+    entries: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        clean = {}
+        for n, c in self.entries.items():
+            n, c = int(n), int(c)
+            if n < 0 or c < 0:
+                raise ValueError("dilations and counts must be non-negative")
+            clean[n] = c
+        object.__setattr__(self, "entries", clean)
+
+    def residue_class(self, r, period):
+        return sorted((n, c) for n, c in self.entries.items() if n % period == r)
+
+
+def interpolate_quasipolynomial(counts, period, degree, classes=None):
+    """Fit a degree-``degree`` polynomial on each residue class modulo
+    ``period``; any supplied count beyond the d+1 used for fitting must
+    agree with the fit or the period/degree is rejected."""
+    wanted = range(period) if classes is None else sorted(set(c % period for c in classes))
+    return _fit_classes({r: counts.residue_class(r, period) for r in wanted}, period, degree)
+
 
 # -- rational generating functions --------------------------------------------
 
@@ -227,6 +251,15 @@ def brute_count(poly, n):
         range(math.ceil(n * a), math.floor(n * b) + 1) for a, b in zip(lo, hi)
     ]
     halfspaces = integer_halfspaces(poly)
+    return sum(dilation_contains(halfspaces, point, n) for point in itertools.product(*axes))
+
+
+def vertex_box_count(poly, n, vertices):
+    """Count lattice points of the n-fold dilation by scanning the
+    integer box of n * ``vertices`` (P's vertices, from the caller's
+    oracle) and testing membership pointwise."""
+    halfspaces = integer_halfspaces(poly)
+    axes = [range(math.ceil(n * min(c)), math.floor(n * max(c)) + 1) for c in zip(*vertices)]
     return sum(dilation_contains(halfspaces, point, n) for point in itertools.product(*axes))
 
 

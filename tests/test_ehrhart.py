@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from polyvote.ehrhart import (
     BudgetExceededError,
-    CountTable,
     PeriodTooSmallError,
     Quasipolynomial,
     _dilated_box,
+    _floor_sum,
     _le_rows,
     _memo_keys,
+    _polygon_count,
     count_lattice_points,
     ehrhart_pipeline,
-    interpolate_quasipolynomial,
     period_bound,
     region_count,
 )
@@ -24,10 +24,12 @@ from polyvote.socialchoice import BORDA, PLURALITY, manipulability_event
 
 from helpers import (
     MANIPULABLE_UNION_SERIES,
+    CountTable,
     RationalGF,
     brute_count,
     expand_factors,
     gf_coefficients,
+    interpolate_quasipolynomial,
     poly_mul,
     positive_dilation_fit,
 )
@@ -115,6 +117,39 @@ def test_count_handles_equality_constraints():
     assert count_lattice_points(p, 2) == 3  # permutations of (1,0,0)
     assert count_lattice_points(p, 3) == 0
     assert count_lattice_points(p, 4) == 6  # (2,0,0)x3 and (1,1,0)x3
+
+
+@given(st.integers(0, 50), st.integers(1, 20), st.integers(-100, 100), st.integers(-100, 100))
+def test_floor_sum_matches_the_naive_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+@st.composite
+def polygon_sections(draw):
+    """One to four bounds (j, a, c) on y from above and from below, each
+    c.y <= res[j] - a.x or -c.y <= res[j] - a.x with 0 < c <= 4, over an
+    x interval that may be empty: slopes tie, lines cross inside the
+    interval, and many sections hold no integer y."""
+    bounds = []
+    for _ in range(2):
+        bounds.append(tuple(
+            (len(bounds) * 4 + i, draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+            for i in range(draw(st.integers(1, 4)))
+        ))
+    res = draw(st.lists(st.integers(-30, 30), min_size=8, max_size=8))
+    xlo = draw(st.integers(-10, 10))
+    return (*bounds, res, xlo, xlo + draw(st.integers(-1, 20)))
+
+
+@given(polygon_sections())
+def test_polygon_count_matches_a_scan_over_x(case):
+    upper, lower, res, xlo, xhi = case
+    expected = 0
+    for x in range(xlo, xhi + 1):
+        top = min((res[j] - a * x) // c for j, a, c in upper)
+        bottom = max(-((res[j] - a * x) // c) for j, a, c in lower)
+        expected += max(0, top - bottom + 1)
+    assert _polygon_count(upper, lower, res, xlo, xhi) == expected
 
 
 def test_count_budget_guard():

@@ -17,7 +17,12 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 import polyvote.socialchoice as sc
-from polyvote.ehrhart import ehrhart_pipeline
+from polyvote.ehrhart import (
+    DEFAULT_BUDGET,
+    _quasipolynomial_value,
+    count_lattice_points,
+    ehrhart_pipeline,
+)
 from polyvote.polytope import (
     HalfSpace,
     HPolytope,
@@ -27,7 +32,7 @@ from polyvote.polytope import (
     _vertices,
 )
 
-from helpers import irwin_hall_cdf, referendum_irwin_hall, relint_count
+from helpers import irwin_hall_cdf, referendum_irwin_hall, relint_count, vertex_box_count
 
 small_ints = st.integers(min_value=-5, max_value=5)
 rationals = st.builds(F, st.integers(min_value=-6, max_value=6),
@@ -360,6 +365,58 @@ def test_reciprocity_matches_brute_force_interior_counts(name):
 def test_reciprocity_on_degenerate_polytopes(case):
     assume(_brute_force_vertices(*case))
     _check_reciprocity(*case)
+
+
+# -- the closure of the last two coordinates against box scans -------------
+#
+# Counting sums the last coordinate over the next-to-last one in closed
+# form; its bounds are floors and ceilings of lines through the section.
+# Rows with last coefficient +-2 or +-3 make those lines steep or shallow
+# and leave many sections of a small dilation without a lattice point.
+
+
+@st.composite
+def slanted_polytopes(draw):
+    """A box of dimension 2 or 3 cut by two or three rows through
+    points of it, the first with a positive last coefficient, the second
+    with a negative one, each of them 2 or 3 in size, some of the rows
+    equalities."""
+    dim = draw(st.integers(2, 3))
+    lo = [F(draw(st.integers(-3, 1)), 2) for _ in range(dim)]
+    hi = [v + F(draw(st.integers(1, 5)), 2) for v in lo]
+    rows = []
+    for i in range(dim):
+        e = tuple(int(i == j) for j in range(dim))
+        rows += [(e, ">=", lo[i]), (e, "<=", hi[i])]
+    signs = [1, -1] + draw(st.lists(st.sampled_from((1, -1)), max_size=1))
+    for sign in signs:
+        coeffs = tuple(draw(st.lists(st.integers(-3, 3), min_size=dim - 1, max_size=dim - 1)))
+        coeffs += (sign * draw(st.sampled_from((2, 3))),)
+        point = [l + (h - l) * F(draw(st.integers(0, 4)), 4) for l, h in zip(lo, hi)]
+        rel = draw(st.sampled_from(("<=", ">=", "=")))
+        rows.append((coeffs, rel, sum(c * v for c, v in zip(coeffs, point))))
+    return dim, rows
+
+
+@given(slanted_polytopes())
+def test_counts_through_the_closure_match_a_box_scan(case):
+    vertices = _brute_force_vertices(*case)
+    assume(vertices)
+    poly = _polytope(*case)
+    for n in (1, 2, 3, 5):
+        assert count_lattice_points(poly, n) == vertex_box_count(poly, n, vertices)
+
+
+@given(slanted_polytopes())
+def test_interior_counts_through_the_closure_match_a_box_scan(case):
+    # the strict rows a.x <= b.k - 1 of the relative interior of kP
+    vertices = _brute_force_vertices(*case)
+    assume(vertices)
+    poly = _polytope(*case)
+    sign = (-1) ** _affine_dimension(vertices)
+    for k in (1, 2, 3):
+        assert (_quasipolynomial_value(poly, -k, DEFAULT_BUDGET)
+                == sign * relint_count(poly, k, vertices))
 
 
 # -- emptiness and boundedness against Fourier-Motzkin elimination ---------

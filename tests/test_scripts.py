@@ -31,6 +31,16 @@ def test_plurality_quasipolynomial_script_checks_its_fit():
     assert enumerated.group(1) == fitted.group(1) == "4176821"
 
 
+def test_plurality_quasipolynomial_script_checks_past_the_default_budget():
+    # the default budget refuses n >= 136; n = 1000 is class 4 mod 12
+    out = run_script("plurality_quasipolynomial.py", "--classes", "4",
+                     "--check-at", "1000", "--budget", str(10**14))
+    enumerated = re.search(r"^f\(1000\) by enumeration: (\d+)", out, re.MULTILINE)
+    fitted = re.search(r"^f\(1000\) by the fitted polynomial: (\d+)$", out, re.MULTILINE)
+    assert enumerated and fitted
+    assert enumerated.group(1) == fitted.group(1) == "414433614658"
+
+
 def test_referendum_scan_matches_irwin_hall():
     out = run_script("referendum_scan.py", "--max-districts", "9")
     printed = re.findall(r"^N=\s*(\d+)\s+(\S+)\s+= ", out, re.MULTILINE)

@@ -192,11 +192,11 @@ def test_plurality_counts_match_known_series():
         table = gf_coefficients(gf, 30)
         for n in range(31):
             assert count_lattice_points(poly, n) == table.entries[n]
-    # dilations whose bounding boxes (7.0e9 points at n = 200) exceed the
-    # default budget, against the union series
-    union = gf_coefficients(MANIPULABLE_UNION_SERIES, 300).entries
-    for n in (200, 300):
-        signed = sum(s * count_lattice_points(p, n, 10**11) for s, p in region.terms)
+    # dilations whose bounding boxes (7.0e9 points at n = 200, 2.1e13 at
+    # n = 1000) exceed the default budget, against the union series
+    union = gf_coefficients(MANIPULABLE_UNION_SERIES, 1000).entries
+    for n in (200, 300, 1000):
+        signed = sum(s * count_lattice_points(p, n, 10**14) for s, p in region.terms)
         assert signed == union[n]
 
 
@@ -214,6 +214,12 @@ def test_plurality_counts_match_brute_force():
     favor_b = region.terms[0][1]
     for n in (1, 3, 6, 9):
         assert count_lattice_points(favor_b, n) == brute_count(favor_b, n)
+
+
+def test_borda_counts_match_brute_force():
+    for _, term in sc.manipulability_event(sc.BORDA).terms:
+        for n in range(9):
+            assert count_lattice_points(term, n) == brute_count(term, n)
 
 
 def test_printed_strategic_variant_row_is_redundant():
