@@ -21,7 +21,12 @@ rank dim the cone is pointed and also decides emptiness (no ray with
 t > 0) and boundedness (no ray with t = 0); only rank-deficient
 systems, empty or holding a line, are cut by a Hadamard guard box to
 tell which.  Vertices stay (numerators, denominator) pairs inside the
-kernel.  Volume scales them to their common denominator D and sums the
+kernel.  Volume first finds the classes of interchangeable coordinates,
+those whose swap maps the integer rows onto themselves; when some
+class has three or more members, it orders every class and works on
+that Weyl chamber alone, multiplying by the product of the classes'
+factorials, so the full polytope's vertices are never enumerated.  It
+scales the vertices to their common denominator D and sums the
 determinants of a pulling triangulation by a facet recursion down the
 face lattice, read from the incidence bitmasks and memoized on faces;
 each step is one integer product and one exact division, and the sum
@@ -201,14 +206,6 @@ class HPolytope:
         return VPolytope(self.dim, tuple(
             tuple(Fraction(p, den) for p in nums) for nums, den in _vertices(self)
         ))
-
-    def bounding_box(self) -> tuple[QVector, QVector]:
-        """Componentwise (min, max) over the vertices."""
-        verts = self.enumerate_vertices().vertices
-        if not verts:
-            raise GeometryError("empty polytope has no bounding box")
-        coords = list(zip(*verts))
-        return tuple(map(min, coords)), tuple(map(max, coords))
 
     def volume(self) -> Fraction:
         return _volume(self)
@@ -507,6 +504,60 @@ def _implicit_equalities(poly: HPolytope) -> tuple[IntRow, ...]:
 # volume
 
 
+def _interchangeable_classes(rows, dim) -> list[list[int]]:
+    """The classes of coordinates whose swap maps the row set onto
+    itself, each in increasing order.  Interchangeability is an
+    equivalence ((i k) = (i j)(j k)(i j)), so each coordinate is
+    compared with the first member of every class found so far; a row
+    with equal coefficients on the two maps to itself."""
+    row_set = set(rows)
+    classes = []
+    for i in range(dim):
+        for cls in classes:
+            j = cls[0]
+            for coeffs, rel, rhs in rows:
+                ci, cj = coeffs[i], coeffs[j]
+                if ci != cj:
+                    swapped = list(coeffs)
+                    swapped[i], swapped[j] = cj, ci
+                    if (tuple(swapped), rel, rhs) not in row_set:
+                        break
+            else:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
+def _weyl_chamber(poly: HPolytope) -> tuple[HPolytope, int]:
+    """(chamber, copies) with vol(poly) = copies * vol(chamber).
+
+    The classes C of interchangeable coordinates give the subgroup
+    prod S_C of the polytope's symmetries.  When some class has at least
+    three members, every class of two or more is ordered,
+    x_c(0) >= x_c(1) >= ..., by rows x_c(t+1) - x_c(t) <= 0, and copies
+    is prod |C|!: the group maps this chamber onto each of the others,
+    and they overlap in measure zero.  A polytope whose classes have at
+    most two members is returned as it is, with copies 1: the 5-d
+    share-space polytopes have classes of size 2, and their halves
+    have as many vertices as they do, so the extra row costs more than
+    halving saves."""
+    dim = poly.dim
+    rows = poly.integer_rows()
+    classes = [c for c in _interchangeable_classes(rows, dim) if len(c) > 1]
+    if all(len(c) < 3 for c in classes):
+        return poly, 1
+    order = []
+    for cls in classes:
+        for a, b in zip(cls, cls[1:]):
+            coeffs = [0] * dim
+            coeffs[a], coeffs[b] = -1, 1
+            order.append((tuple(coeffs), LE, 0))
+    return (HPolytope._from_rows(dim, rows + tuple(order)),
+            math.prod(math.factorial(len(c)) for c in classes))
+
+
 @functools.lru_cache(maxsize=4096)
 def _volume(poly: HPolytope) -> Fraction:
     """Sum the simplex determinants of a pulling triangulation by a
@@ -524,13 +575,20 @@ def _volume(poly: HPolytope) -> Fraction:
     facets of F, whose rows take G's row substituted for x_j (Lasserre
     1983).  S is memoized on (vertex set, C), and the volume is
     S(P, all) / (D^dim * dim!).  A polytope with an implicit equality
-    is flat: volume 0."""
+    is flat: volume 0.
+
+    All of this runs on the Weyl chamber of ``_weyl_chamber``, and the
+    sum is multiplied by its number of copies; the full polytope's
+    vertices are never enumerated.  An invariant polytope that is
+    empty, flat or unbounded has a chamber that is too, so those
+    answers carry over."""
     dim = poly.dim
-    verts = _vertices(poly)
-    if not verts or _implicit_equalities(poly):
+    chamber, copies = _weyl_chamber(poly)
+    verts = _vertices(chamber)
+    if not verts or _implicit_equalities(chamber):
         return Fraction(0)
     full = (1 << len(verts)) - 1
-    rows = poly.integer_rows()
+    rows = chamber.integer_rows()
     D = lcm(*(den for _, den in verts))
     points = [[p * (D // den) for p in nums] for nums, den in verts]
     memo = {}
@@ -584,7 +642,7 @@ def _volume(poly: HPolytope) -> Fraction:
         return total
 
     top = [(mask, coeffs, rhs * D) for mask, (coeffs, _, rhs) in zip(verts.incidence, rows) if mask]
-    return Fraction(faces(full, tuple(range(dim)), top), D**dim * math.factorial(dim))
+    return Fraction(copies * faces(full, tuple(range(dim)), top), D**dim * math.factorial(dim))
 
 
 # ---------------------------------------------------------------------------

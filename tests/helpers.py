@@ -1,12 +1,13 @@
 """Shared test fixtures and oracles that production code does not use:
 rational generating functions and the known series of the plurality
 manipulation regions, integer and ``Fraction`` determinants and rank
-on the Bareiss kernel, pointwise membership, brute-force lattice
-counters of dilations and of their relative interiors kept independent
-of the production counting path, a table of counts by dilation and a
-quasipolynomial fit on positive dilations alone, and equality
-elimination done in ``Fraction`` arithmetic as a reference for the
-integer one, and the Irwin-Hall closed form of the referendum paradox."""
+on the Bareiss kernel, pointwise membership, the bounding box of a
+polytope's vertices, brute-force lattice counters of dilations and of
+their relative interiors kept independent of the production counting
+path, a table of counts by dilation and a quasipolynomial fit on
+positive dilations alone, and equality elimination done in
+``Fraction`` arithmetic as a reference for the integer one, and the
+Irwin-Hall closed form of the referendum paradox."""
 
 import itertools
 import math
@@ -15,7 +16,7 @@ from fractions import Fraction as F
 
 from polyvote.ehrhart import VALIDATION_POINTS, _fit_classes, period_bound, region_count
 from polyvote.linalg import DimensionError, bareiss
-from polyvote.polytope import EventRegion, HalfSpace, HPolytope
+from polyvote.polytope import EventRegion, HalfSpace, HPolytope, _vertices
 
 # -- count tables and their fit -----------------------------------------------
 
@@ -239,6 +240,12 @@ def contains(poly, point):
     return dilation_contains(integer_halfspaces(poly), [F(x) for x in point], 1)
 
 
+def bounding_box(poly):
+    """Componentwise (min, max) over the vertices of a nonempty ``poly``."""
+    coords = list(zip(*(tuple(F(p, den) for p in nums) for nums, den in _vertices(poly))))
+    return tuple(map(min, coords)), tuple(map(max, coords))
+
+
 def brute_count(poly, n):
     """Count lattice points of the n-fold dilation by scanning the whole
     integer bounding box and testing membership pointwise."""
@@ -246,7 +253,7 @@ def brute_count(poly, n):
         return 0
     if n == 0:
         return 1
-    lo, hi = poly.bounding_box()
+    lo, hi = bounding_box(poly)
     axes = [
         range(math.ceil(n * a), math.floor(n * b) + 1) for a, b in zip(lo, hi)
     ]

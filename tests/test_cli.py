@@ -10,6 +10,8 @@ from polyvote.cli import main
 from polyvote.polytope import format_hrep
 import polyvote.socialchoice as sc
 
+from helpers import referendum_irwin_hall
+
 SIMPLEX5 = """\
 dim 5
 1 0 0 0 0 >= 0
@@ -135,6 +137,12 @@ def test_table_text_json_csv_agree(run):
     # decimal always derives from the exact value
     for row in json.loads(json_out):
         assert abs(row["decimal"] - F(row["exact"])) <= F(1, 2 * 10**5)
+
+
+def test_prob_referendum_at_fifteen_districts(run):
+    code, out, _ = run("prob", "referendum:N=15")
+    assert code == 0
+    assert F(out.split("exact=")[1].split()[0]) == referendum_irwin_hall(15)
 
 
 def test_prob_specs(run):

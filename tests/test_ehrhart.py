@@ -26,6 +26,7 @@ from helpers import (
     MANIPULABLE_UNION_SERIES,
     CountTable,
     RationalGF,
+    bounding_box,
     brute_count,
     expand_factors,
     gf_coefficients,
@@ -87,7 +88,7 @@ def test_dilated_box_is_the_integer_box_of_the_dilated_vertices():
     # vertices (-7/3, 1/4), (-7/3, 29/12), (2, 1/4): both signs, fractions
     triangle = HPolytope(2, [ge((1, 0), F(-7, 3)), ge((0, 1), F(1, 4)),
                              le((1, 2), F(5, 2))])
-    lo_f, hi_f = triangle.bounding_box()
+    lo_f, hi_f = bounding_box(triangle)
     assert (lo_f, hi_f) == ((F(-7, 3), F(1, 4)), (F(2), F(29, 12)))
     for n in range(13):
         lo = [ceil(n * v) for v in lo_f]

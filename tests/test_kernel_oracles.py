@@ -28,11 +28,19 @@ from polyvote.polytope import (
     HPolytope,
     UnboundedPolytopeError,
     _basic_solutions,
+    _interchangeable_classes,
     _seed_inverse,
     _vertices,
+    _weyl_chamber,
 )
 
-from helpers import irwin_hall_cdf, referendum_irwin_hall, relint_count, vertex_box_count
+from helpers import (
+    bounding_box,
+    irwin_hall_cdf,
+    referendum_irwin_hall,
+    relint_count,
+    vertex_box_count,
+)
 
 small_ints = st.integers(min_value=-5, max_value=5)
 rationals = st.builds(F, st.integers(min_value=-6, max_value=6),
@@ -125,7 +133,7 @@ def test_capped_district_polytope_matches_irwin_hall(won, expected):
     assert _polytope(districts, _capped_district_rows(won)).volume() == expected
 
 
-@pytest.mark.parametrize("districts", range(3, 12))
+@pytest.mark.parametrize("districts", range(3, 16))
 def test_referendum_probability_matches_irwin_hall(districts):
     assert sc.referendum_probability(districts) == referendum_irwin_hall(districts)
 
@@ -139,14 +147,27 @@ def cut_boxes(draw):
     lower = [F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in range(dim)]
     sides = [F(draw(st.integers(1, 4)), draw(st.integers(1, 3))) for _ in range(dim)]
     weights = [draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))) for _ in range(dim)]
+    return lower, sides, weights, _draw_threshold(draw, lower, sides, weights)
+
+
+def _draw_threshold(draw, lower, sides, weights):
+    """t for the cut w.x <= t of the box: sometimes w at a corner of the
+    box, else a point strictly inside the range of w.x over it."""
     low = sum(w * (l + (s if w < 0 else 0)) for w, l, s in zip(weights, lower, sides))
     high = sum(w * (l + (s if w > 0 else 0)) for w, l, s in zip(weights, lower, sides))
     if draw(st.booleans()):
         corner = [l + draw(st.sampled_from((0, s))) for l, s in zip(lower, sides)]
-        t = sum(w * x for w, x in zip(weights, corner))
-    else:
-        t = low + (high - low) * F(draw(st.integers(1, 15)), 16)
-    return lower, sides, weights, t
+        return sum(w * x for w, x in zip(weights, corner))
+    return low + (high - low) * F(draw(st.integers(1, 15)), 16)
+
+
+def _cut_box(lower, sides, weights, t):
+    dim = len(weights)
+    rows = [(tuple(weights), "<=", t)]
+    for i, (l, s) in enumerate(zip(lower, sides)):
+        e = tuple(int(i == j) for j in range(dim))
+        rows += [(e, ">=", l), (e, "<=", l + s)]
+    return _polytope(dim, rows)
 
 
 def _cut_box_volume(lower, sides, weights, t):
@@ -168,13 +189,81 @@ def _cut_box_volume(lower, sides, weights, t):
 
 @given(cut_boxes())
 def test_cut_box_volume_matches_generalized_irwin_hall(case):
-    lower, sides, weights, t = case
-    dim = len(weights)
-    rows = [(tuple(weights), "<=", t)]
-    for i, (l, s) in enumerate(zip(lower, sides)):
-        e = tuple(int(i == j) for j in range(dim))
-        rows += [(e, ">=", l), (e, "<=", l + s)]
-    assert _polytope(dim, rows).volume() == _cut_box_volume(lower, sides, weights, t)
+    assert _cut_box(*case).volume() == _cut_box_volume(*case)
+
+
+# -- volumes of symmetric polytopes ------------------------------------------
+#
+# Volume integrates one Weyl chamber of the interchangeable coordinates
+# and multiplies by the number of its copies; these polytopes have
+# classes of 2-5 such coordinates, one only a joint swap, and one is
+# flat.
+
+
+@st.composite
+def symmetric_cut_boxes(draw):
+    """A cut box as in ``cut_boxes`` whose coordinates repeat a few
+    (lower, side, weight) triples, the first 2-5 times and the others
+    1-5 times, in dims 2-7, at shuffled positions.  Returns the case
+    and the groups of positions that share a triple."""
+    triples = []
+    while len(triples) < 3 and sum(k for _, k in triples) < 7:
+        room = 7 - sum(k for _, k in triples)
+        triple = (F(draw(st.integers(-3, 3)), draw(st.integers(1, 3))),
+                  F(draw(st.integers(1, 4)), draw(st.integers(1, 3))),
+                  draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1))))
+        repeats = draw(st.integers(1 if triples else 2, min(5, room)))
+        triples.append((triple, repeats))
+        if not draw(st.booleans()):
+            break
+    dim = sum(k for _, k in triples)
+    positions = draw(st.permutations(range(dim)))
+    coords = [None] * dim
+    groups, start = [], 0
+    for triple, repeats in triples:
+        group = positions[start:start + repeats]
+        start += repeats
+        groups.append(sorted(group))
+        for i in group:
+            coords[i] = triple
+    lower, sides, weights = (list(c) for c in zip(*coords))
+    return (lower, sides, weights, _draw_threshold(draw, lower, sides, weights)), groups
+
+
+@given(symmetric_cut_boxes())
+def test_symmetric_cut_box_volume_matches_generalized_irwin_hall(case):
+    box, groups = case
+    poly = _cut_box(*box)
+    classes = _interchangeable_classes(poly.integer_rows(), poly.dim)
+    for group in groups:
+        assert any(set(group) <= set(c) for c in classes)
+    assert poly.volume() == _cut_box_volume(*box)
+
+
+def test_joint_swap_gives_no_class():
+    # {(u, v) in [0, 1]^2 : u + 2v <= 3/2} on (x0, x2) times the same on
+    # (x1, x3): (0 1)(2 3) maps it onto itself, no transposition does;
+    # the area of each factor is the integral of (3/2 - u) / 2 over
+    # [0, 1], i.e. 1/2
+    rows = [(_unit(i, 4), rel, b) for i in range(4) for rel, b in ((">=", 0), ("<=", 1))]
+    rows += [((1, 0, 2, 0), "<=", F(3, 2)), ((0, 1, 0, 2), "<=", F(3, 2))]
+    poly = _polytope(4, rows)
+    joint = _polytope(4, [((c[1], c[0], c[3], c[2]), rel, b) for c, rel, b in rows])
+    assert joint == poly
+    assert _interchangeable_classes(poly.integer_rows(), 4) == [[0], [1], [2], [3]]
+    assert poly.volume() == F(1, 4) == _cut_box_volume([0, 0], [1, 1], [1, 2], F(3, 2)) ** 2
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_symmetric_slice_has_volume_zero(dim):
+    # the cube cut by sum(x) = dim/2: every coordinate interchangeable,
+    # the chamber a nonempty flat slice
+    rows = [(_unit(i, dim), rel, b) for i in range(dim) for rel, b in ((">=", 0), ("<=", 1))]
+    rows.append(((1,) * dim, "=", F(dim, 2)))
+    poly = _polytope(dim, rows)
+    chamber, copies = _weyl_chamber(poly)
+    assert copies == math.factorial(dim) and not chamber.is_empty()
+    assert poly.volume() == 0
 
 
 # -- vertex enumeration against brute force ---------------------------------
@@ -563,7 +652,7 @@ def _vertex_outcome(poly):
             return "empty"
     except UnboundedPolytopeError:
         return "unbounded"
-    return poly.bounding_box()
+    return bounding_box(poly)
 
 
 @settings(max_examples=200)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -15,6 +16,7 @@ from polyvote.polytope import (
     format_hrep,
     parse_hrep,
 )
+from polyvote.socialchoice import referendum_district_polytope
 
 from helpers import contains, eliminate_over_fractions
 
@@ -268,6 +270,24 @@ def test_volume_memo_is_keyed_on_the_rows():
     assert same is not meet and same.volume() == F(1, 12)
     info = polytope._volume.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_volume_enumerates_only_the_weyl_chamber():
+    # S_7 x S_6 permutes the won and the lost districts; volume takes the
+    # vertices of the chamber x_0 >= ... >= x_6, x_7 >= ... >= x_12 alone
+    district = referendum_district_polytope(13, 7)
+    polytope._volume.cache_clear()
+    polytope._vertices.cache_clear()
+    district.volume()
+    info = polytope._vertices.cache_info()
+    assert info.currsize == 1
+    chamber, copies = polytope._weyl_chamber(district)
+    assert copies == factorial(7) * factorial(6)
+    assert len(polytope._vertices(chamber)) == 119
+    assert polytope._vertices.cache_info().misses == info.misses
+    full = len(polytope._vertices(district))
+    assert polytope._vertices.cache_info().misses == info.misses + 1
+    assert full == 4096 and 119 * 30 < full
 
 
 def test_volume_split_cube_halves():

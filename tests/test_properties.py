@@ -16,7 +16,7 @@ from polyvote.ehrhart import (
 )
 from polyvote.polytope import HalfSpace, HPolytope
 
-from helpers import brute_count, dilation_contains, integer_halfspaces
+from helpers import bounding_box, brute_count, dilation_contains, integer_halfspaces
 
 
 def ge(coeffs, rhs=0):
@@ -98,7 +98,7 @@ def test_count_inclusion_exclusion_identity_random_pairs():
 def _brute_union_count(p, q, n):
     los, his = [], []
     for poly in (p, q):
-        lo, hi = poly.bounding_box()
+        lo, hi = bounding_box(poly)
         los.append(lo)
         his.append(hi)
     axes = [
