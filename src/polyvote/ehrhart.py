@@ -420,14 +420,11 @@ def _target_parts(target) -> tuple[int, list[tuple[int, HPolytope]]]:
 
 def period_bound(target) -> int:
     """LCM of vertex-coordinate denominators across the target's terms
-    (empty terms contribute nothing; an entirely empty target has period 1)."""
+    (empty terms contribute nothing; an entirely empty target has period 1).
+    Each vertex is a (numerators, denominator) pair reduced by its gcd,
+    so its denominator is the lcm of its coordinates' denominators."""
     _, terms = _target_parts(target)
-    lcms = [
-        p.enumerate_vertices().denominator_lcm()
-        for _, p in terms
-        if not p.is_empty()
-    ]
-    return lcm(*lcms) if lcms else 1
+    return lcm(*(den for _, p in terms for _, den in polytope._vertices(p)))
 
 
 def ehrhart_pipeline(

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-QVector = tuple[Fraction, ...]
-
 
 class DimensionError(ValueError):
     """Operands have incompatible shapes."""
@@ -22,10 +20,13 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the serialized form "p/q" (or "p"), optional leading sign."""
+    """Parse the serialized form "p/q" (or "p"), optional leading sign;
+    the denominator q must be nonzero."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
+    if "/" in s and not int(s.partition("/")[2]):
+        raise ValueError(f"zero denominator in {text!r}")
     return Fraction(s)
 
 
@@ -45,10 +46,6 @@ def decimal_string(q: Fraction, places: int = 5) -> str:
     sign = "-" if q < 0 and units else ""
     whole, frac = divmod(units, scale)
     return f"{sign}{whole}.{frac:0{places}d}"
-
-
-def as_vector(values) -> QVector:
-    return tuple(Fraction(v) for v in values)
 
 
 def bareiss(m: list[list[int]]) -> int:

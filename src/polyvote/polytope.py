@@ -1,11 +1,12 @@
 """Rational polytopes in halfspace representation.
 
-An ``HPolytope`` holds the sorted, deduplicated coprime integer rows
-its closed linear constraints canonicalize to, and compares and hashes
-by them; the ``HalfSpace`` rows over ``Fraction`` are rebuilt for
-callers on first use.  Event compilers hand integer rows straight to
-``HPolytope._from_rows``.  Intersection merges the stored rows, and
-equality elimination substitutes on them in integers.  The geometry
+A row is a triple (coeffs, rel, rhs) meaning ``coeffs . x rel rhs``,
+with rel one of ``<=``, ``>=`` and ``=``.  An ``HPolytope`` holds the
+sorted, deduplicated coprime integer rows its closed rows canonicalize
+to, and compares and hashes by them; ``integer_rows()`` hands them out.
+Event compilers build integer rows and pass them straight to
+``HPolytope._from_rows``; rational rows are scaled to integers once, on
+construction, and intersection merges the stored rows.  The geometry
 kernel stays in integers from the H-representation to one final
 division.  Vertex enumeration is a double-description method on the
 homogenized cone {(x, t) : a.x <= b.t, t >= 0}: a simplicial seed cone
@@ -20,12 +21,13 @@ sets are the vertex/row incidence.  When the rows have
 rank dim the cone is pointed and also decides emptiness (no ray with
 t > 0) and boundedness (no ray with t = 0); only rank-deficient
 systems, empty or holding a line, are cut by a Hadamard guard box to
-tell which.  Vertices stay (numerators, denominator) pairs inside the
-kernel.  Volume first finds the classes of interchangeable coordinates,
-those whose swap maps the integer rows onto themselves; when some
-class has three or more members, it orders every class and works on
-that Weyl chamber alone, multiplying by the product of the classes'
-factorials, so the full polytope's vertices are never enumerated.  It
+tell which.  Vertices stay (numerators, denominator) pairs reduced by
+their gcd.  Volume first finds the classes of interchangeable
+coordinates, those whose swap maps the integer rows onto themselves;
+when some class has three or more members, it orders every class and
+works on that Weyl chamber alone, multiplying by the product of the
+classes' factorials, so the full polytope's vertices are never
+enumerated.  It
 scales the vertices to their common denominator D and sums the
 determinants of a pulling triangulation by a facet recursion down the
 face lattice, read from the incidence bitmasks and memoized on faces;
@@ -43,14 +45,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import (
-    DimensionError,
-    QVector,
-    as_vector,
-    bareiss,
-    format_rational,
-    parse_rational,
-)
+from .linalg import DimensionError, bareiss, parse_rational
 
 LE, GE, EQ = "<=", ">=", "="
 _RELATIONS = (LE, GE, EQ)
@@ -64,27 +59,14 @@ class UnboundedPolytopeError(GeometryError):
     """The polytope admits a recession direction."""
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """One closed constraint ``coeffs . x REL rhs``."""
-
-    coeffs: QVector
-    rel: str
-    rhs: Fraction
-
-    def __post_init__(self):
-        if self.rel not in _RELATIONS:
-            raise ValueError(f"relation must be one of {_RELATIONS}")
-        object.__setattr__(self, "coeffs", as_vector(self.coeffs))
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
-
-
 IntRow = tuple[tuple[int, ...], str, int]
 
 
-def _canonical(coeffs: QVector, rel: str, rhs: Fraction, dim: int) -> IntRow | None:
+def _canonical(coeffs, rel: str, rhs: Fraction, dim: int) -> IntRow | None:
     """Scale a row over ``Fraction`` to integers, orient ``>=`` as
     ``<=`` and hand it to ``_integer_row``."""
+    if rel not in _RELATIONS:
+        raise ValueError(f"relation must be one of {_RELATIONS}")
     if len(coeffs) != dim:
         raise DimensionError(f"constraint has {len(coeffs)} coefficients, expected {dim}")
     if rel == GE:
@@ -113,16 +95,18 @@ def _integer_row(ints: list[int], rel: str, b: int) -> IntRow | None:
 class HPolytope:
     """Intersection of closed halfspaces and hyperplanes in R^dim.
 
-    Held as the sorted, deduplicated coprime integer rows its
-    constraints canonicalize to; polytopes compare and hash by
-    (dim, rows).  ``constraints`` rebuilds the ``HalfSpace`` rows from
-    them on first use."""
+    Built from rational rows (coeffs, rel, rhs) and held as the sorted,
+    deduplicated coprime integer rows they canonicalize to; polytopes
+    compare and hash by (dim, rows)."""
 
     dim: int
     _rows: tuple[IntRow, ...]
 
-    def __init__(self, dim: int, constraints):
-        self._set_rows(dim, (_canonical(c.coeffs, c.rel, c.rhs, dim) for c in constraints))
+    def __init__(self, dim: int, rows):
+        self._set_rows(dim, (
+            _canonical(tuple(map(Fraction, coeffs)), rel, Fraction(rhs), dim)
+            for coeffs, rel, rhs in rows
+        ))
 
     @classmethod
     def _from_rows(cls, dim: int, rows) -> "HPolytope":
@@ -141,10 +125,6 @@ class HPolytope:
             sorted(rows, key=lambda r: (r[1], r[0], r[2]))
         ))
 
-    @functools.cached_property
-    def constraints(self) -> tuple[HalfSpace, ...]:
-        return tuple(HalfSpace(coeffs, rel, rhs) for coeffs, rel, rhs in self._rows)
-
     # -- basic predicates ------------------------------------------------
 
     def has_false_row(self) -> bool:
@@ -160,41 +140,6 @@ class HPolytope:
             raise DimensionError("cannot intersect polytopes of different dimensions")
         return HPolytope._from_rows(self.dim, self._rows + other._rows)
 
-    def eliminate_equality(self, var_index: int) -> "HPolytope":
-        """Substitute out coordinate ``var_index`` using an equality row.
-
-        The solved variable is expressed from the first equality with a
-        nonzero coefficient there and substituted into every other
-        constraint, giving a polytope in dimension dim-1.  When that
-        coefficient is +-1 the substitution maps lattice points of a
-        dilation one-to-one, so counts in the reduced space equal counts
-        in the original slice.
-
-        On the integer rows, equality (a, b) turns row (c, r) into
-        sign(a_j) * (a_j * c - c_j * a, a_j * r - c_j * b), a positive
-        multiple of the substituted row.
-        """
-        if not 0 <= var_index < self.dim:
-            raise DimensionError("variable index out of range")
-        row = next(
-            (r for r in self._rows if r[1] == EQ and r[0][var_index] != 0), None
-        )
-        if row is None:
-            raise GeometryError(f"no equality constraint involves coordinate {var_index}")
-        a, _, b = row
-        aj = a[var_index]
-        if aj < 0:
-            a, b, aj = [-v for v in a], -b, -aj
-        reduced = []
-        for coeffs, rel, rhs in self._rows:
-            if (coeffs, rel, rhs) == row:
-                continue
-            cj = coeffs[var_index]
-            ints = [aj * c - cj * ai for c, ai in zip(coeffs, a)]
-            del ints[var_index]
-            reduced.append(_integer_row(ints, rel, aj * rhs - cj * b))
-        return HPolytope._from_rows(self.dim - 1, reduced)
-
     # -- derived data ------------------------------------------------------
 
     def integer_rows(self) -> tuple[IntRow, ...]:
@@ -202,33 +147,11 @@ class HPolytope:
         they were canonicalized to."""
         return self._rows
 
-    def enumerate_vertices(self) -> "VPolytope":
-        return VPolytope(self.dim, tuple(
-            tuple(Fraction(p, den) for p in nums) for nums, den in _vertices(self)
-        ))
-
     def volume(self) -> Fraction:
         return _volume(self)
 
     def is_empty(self) -> bool:
         return not _vertices(self)
-
-
-@dataclass(frozen=True)
-class VPolytope:
-    """Vertex list produced by exact enumeration."""
-
-    dim: int
-    vertices: tuple[QVector, ...]
-
-    def denominator_lcm(self) -> int:
-        """Least m such that scaling by m makes every vertex integral."""
-        if not self.vertices:
-            raise GeometryError("empty vertex list has no denominator lcm")
-        return lcm(*(x.denominator for v in self.vertices for x in v))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -680,7 +603,6 @@ def parse_hrep(text: str) -> HPolytope:
 
 def format_hrep(poly: HPolytope) -> str:
     lines = [f"dim {poly.dim}"]
-    for c in poly.constraints:
-        coeffs = " ".join(format_rational(a) for a in c.coeffs)
-        lines.append(f"{coeffs} {c.rel} {format_rational(c.rhs)}")
+    for coeffs, rel, rhs in poly.integer_rows():
+        lines.append(f"{' '.join(map(str, coeffs))} {rel} {rhs}")
     return "\n".join(lines) + "\n"

@@ -4,11 +4,13 @@ limiting probabilities under the Impartial Anonymous Culture model.
 Voting situations are counted by the six preference orders abc, acb,
 bac, bca, cab, cba; coordinates x_1..x_6 are the corresponding voter
 shares, so events live on the simplex sum(x_i) = 1, x_i >= 0.  Every
-event compiles to homogeneous constraint rows in the full 6-dimensional
-space, cleared to integers; substituting x_6 = 1 - (x_1+..+x_5) turns
-them into integer rows of a polytope over x_1..x_5 bounded by the
-standard inequalities (x_i >= 0 and x_1+..+x_5 <= 1, a simplex of
-volume 1/120).  A limiting probability is the event volume over 1/120,
+event compiles to homogeneous integer rows in the full 6-dimensional
+space: a scoring rule with weights (1, lam, 0), lam = p/q, scores with
+the integer weights (q, p, 0), and a row that weighs terms by lam and
+1 - lam weighs them by p and q - p instead, a positive multiple of the
+rational row.  Substituting x_6 = 1 - (x_1+..+x_5) turns them into
+integer rows of a polytope over x_1..x_5 bounded by the standard
+inequalities (x_i >= 0 and x_1+..+x_5 <= 1, a simplex of volume 1/120).  A limiting probability is the event volume over 1/120,
 times the number of equally likely candidate relabelings the compiled
 polytope stands for.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .polytope import LE, EventRegion, GeometryError, HPolytope, _integer_row
 
@@ -38,7 +40,7 @@ FACTOR_RANKING = 6
 FACTOR_WINNER = 3
 _VALID_FACTORS = (1, 3, 6)
 
-Row = tuple[Fraction, ...]
+Row = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -46,17 +48,15 @@ Row = tuple[Fraction, ...]
 
 
 def scoring_vector(candidate: str, lam: Fraction) -> Row:
-    """Per-order points the candidate receives under weights (1, lam, 0)."""
-    weights = (Fraction(1), Fraction(lam), Fraction(0))
+    """Per-order points the candidate receives under weights (q, p, 0),
+    q times the weights (1, lam, 0) for lam = p/q."""
+    weights = (lam.denominator, lam.numerator, 0)
     return tuple(weights[order.index(candidate)] for order in ORDERS)
 
 
 def pairwise_vector(x: str, y: str) -> Row:
     """Per-order +-1 margin contribution of x against y."""
-    return tuple(
-        Fraction(1) if order.index(x) < order.index(y) else Fraction(-1)
-        for order in ORDERS
-    )
+    return tuple(1 if order.index(x) < order.index(y) else -1 for order in ORDERS)
 
 
 def order_permutation(swap: dict[str, str]) -> tuple[int, ...]:
@@ -75,23 +75,19 @@ PERM_SWAP_AC = order_permutation({"a": "c", "c": "a"})
 
 
 def permute_row(row: Row, perm: tuple[int, ...]) -> Row:
-    out: list[Fraction] = [Fraction(0)] * 6
+    out = [0] * 6
     for i, c in enumerate(row):
         out[perm[i]] = c
     return tuple(out)
 
 
-def _sub(u: Row, v: Row) -> Row:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def _scale(u: Row, s) -> Row:
-    s = Fraction(s)
-    return tuple(s * a for a in u)
+def _sub(u: Row, v: Row, s: int = 1, t: int = 1) -> Row:
+    """The integer combination s * u - t * v."""
+    return tuple(s * a - t * b for a, b in zip(u, v))
 
 
 def _unit(i: int) -> Row:
-    return tuple(Fraction(1 if j == i else 0) for j in range(6))
+    return tuple(int(j == i) for j in range(6))
 
 
 # x_i >= 0 for i <= 5, and x_6 = 1 - (x_1 + ... + x_5) >= 0
@@ -101,19 +97,16 @@ _SIMPLEX_ROWS = tuple(
 
 
 def share_space_polytope(rows: list[Row]) -> HPolytope:
-    """Compile homogeneous rows (each meaning row . x >= 0 on the share
-    simplex) into the reduced 5-dimensional polytope.
+    """Compile homogeneous integer rows (each meaning row . x >= 0 on the
+    share simplex) into the reduced 5-dimensional polytope.
 
-    Each row is cleared to integers c, and x_6 = 1 - (x_1 + ... + x_5)
-    is substituted: c . x >= 0 becomes (c_6 - c_i)_i . x <= c_6.  The
-    standard inequalities of the reduced simplex are added.  The
-    eliminated coefficient is 1, so dilation lattice counts are
-    preserved.
+    x_6 = 1 - (x_1 + ... + x_5) is substituted: c . x >= 0 becomes
+    (c_6 - c_i)_i . x <= c_6.  The standard inequalities of the reduced
+    simplex are added.  The eliminated coefficient is 1, so dilation
+    lattice counts are preserved.
     """
     out = list(_SIMPLEX_ROWS)
-    for row in rows:
-        m = lcm(*(a.denominator for a in row))
-        c = [a.numerator * (m // a.denominator) for a in row]
+    for c in rows:
         out.append(_integer_row([c[5] - a for a in c[:5]], LE, c[5]))
     return HPolytope._from_rows(5, out)
 
@@ -231,20 +224,11 @@ def _strategic_rows_for_b(rule: ScoringRule) -> list[Row]:
     """
     lam = rule.lam
     if lam == 0:
-        return [
-            (Fraction(-1), Fraction(-1), Fraction(1), Fraction(1), Fraction(0), Fraction(1)),
-            (Fraction(0), Fraction(0), Fraction(1), Fraction(1), Fraction(-1), Fraction(1)),
-        ]
+        return [(-1, -1, 1, 1, 0, 1), (0, 0, 1, 1, -1, 1)]
     if lam == Fraction(1, 2):
-        return [
-            (Fraction(-1), Fraction(-2), Fraction(2), Fraction(2), Fraction(-1), Fraction(2)),
-            (Fraction(0), Fraction(-1), Fraction(1), Fraction(1), Fraction(-1), Fraction(1)),
-        ]
+        return [(-1, -2, 2, 2, -1, 2), (0, -1, 1, 1, -1, 1)]
     if lam == 1:
-        return [
-            (Fraction(0), Fraction(-1), Fraction(1), Fraction(1), Fraction(-1), Fraction(1)),
-            (Fraction(1), Fraction(-2), Fraction(1), Fraction(1), Fraction(-2), Fraction(1)),
-        ]
+        return [(0, -1, 1, 1, -1, 1), (1, -2, 1, 1, -2, 1)]
     raise ValueError(
         f"manipulability systems are defined for plurality, borda and "
         f"antiplurality, not {rule.name}"
@@ -400,34 +384,38 @@ def participation_event(rule: ScoringRule, paradox: str) -> HPolytope:
     The first-stage conditions require only that the eliminated
     candidate scores (weakly) last; the original winner is fixed by the
     runoff comparison, not by the score order of the two finalists.
+
+    With lam = p/q the scores carry the factor q, so the rates lam and
+    1 - lam become p and q - p: each row is q (or q^2) times the row
+    with rational rates.
     """
-    lam = rule.lam
-    sa, sb, sc = (scoring_vector(c, lam) for c in CANDIDATES)
+    p, q = rule.lam.numerator, rule.lam.denominator
+    sa, sb, sc = (scoring_vector(c, rule.lam) for c in CANDIDATES)
     m_ab = pairwise_vector("a", "b")
     m_ca = pairwise_vector("c", "a")
     if paradox == "PPP":
         rows = [
             _sub(sa, sc), _sub(sb, sc), m_ab, m_ca,
-            _sub(_scale(m_ca, lam), _sub(sb, sc)),
+            _sub(m_ca, _sub(sb, sc), p),
         ]
     elif paradox == "NAP":
         rows = [
             _sub(sa, sc), _sub(sb, sc), m_ab, m_ca,
-            _sub(_scale(m_ca, 1 - lam), _sub(sb, sc)),
-            _sub(_scale(_unit(3), 1 - lam), _sub(sb, sc)),
+            _sub(m_ca, _sub(sb, sc), q - p),
+            _sub(_unit(3), _sub(sb, sc), q - p),
         ]
     elif paradox == "NPP":
         rows = [
             _sub(sa, sb), _sub(sc, sb), m_ca, m_ab,
-            _sub(_scale(_sub(sa, sc), 1 - lam), _scale(_sub(sc, sb), lam)),
-            _sub(_scale(m_ab, 1 - lam), _sub(sc, sb)),
+            _sub(_sub(sa, sc), _sub(sc, sb), q - p, p),
+            _sub(m_ab, _sub(sc, sb), q - p),
         ]
     elif paradox == "PAP":
         rows = [
             _sub(sa, sb), _sub(sc, sb), m_ca, m_ab,
-            _sub(_scale(_unit(1), lam), _sub(sc, sb)),
-            _sub(_scale(_sub(sa, sc), lam), _scale(_sub(sc, sb), 1 - lam)),
-            _sub(_scale(m_ab, lam), _sub(sc, sb)),
+            _sub(_unit(1), _sub(sc, sb), p),
+            _sub(_sub(sa, sc), _sub(sc, sb), p, q - p),
+            _sub(m_ab, _sub(sc, sb), p),
         ]
     else:
         raise ValueError(f"paradox must be one of {PARADOXES}")

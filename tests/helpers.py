@@ -1,13 +1,13 @@
 """Shared test fixtures and oracles that production code does not use:
 rational generating functions and the known series of the plurality
 manipulation regions, integer and ``Fraction`` determinants and rank
-on the Bareiss kernel, pointwise membership, the bounding box of a
-polytope's vertices, brute-force lattice counters of dilations and of
-their relative interiors kept independent of the production counting
-path, a table of counts by dilation and a quasipolynomial fit on
-positive dilations alone, and equality elimination done in
-``Fraction`` arithmetic as a reference for the integer one, and the
-Irwin-Hall closed form of the referendum paradox."""
+on the Bareiss kernel, pointwise membership, a polytope's vertices as
+``Fraction`` tuples and their bounding box, brute-force lattice
+counters of dilations and of their relative interiors kept independent
+of the production counting path, a table of counts by dilation and a
+quasipolynomial fit on positive dilations alone, equality elimination
+done in ``Fraction`` arithmetic as a reference for the share-space
+compiler, and the Irwin-Hall closed form of the referendum paradox."""
 
 import itertools
 import math
@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 from polyvote.ehrhart import VALIDATION_POINTS, _fit_classes, period_bound, region_count
 from polyvote.linalg import DimensionError, bareiss
-from polyvote.polytope import EventRegion, HalfSpace, HPolytope, _vertices
+from polyvote.polytope import EventRegion, HPolytope, _vertices
 
 # -- count tables and their fit -----------------------------------------------
 
@@ -205,19 +205,9 @@ def rank(a):
 # -- membership and lattice counting ------------------------------------------
 
 
-def integer_halfspaces(poly):
-    """Each constraint ``a.x REL b`` of ``poly`` cleared of denominators
-    to integers (a, REL, b); the solution set is unchanged."""
-    out = []
-    for c in poly.constraints:
-        m = math.lcm(*(a.denominator for a in c.coeffs), c.rhs.denominator)
-        out.append((tuple(int(a * m) for a in c.coeffs), c.rel, int(c.rhs * m)))
-    return out
-
-
 def dilation_contains(halfspaces, point, n):
-    """Whether the integer point lies in nP, for P given by
-    :func:`integer_halfspaces`: ``a.point REL b*n`` on ints."""
+    """Whether the point lies in nP, for P given by integer rows
+    (a, REL, b) such as ``integer_rows()``: ``a.point REL b*n``."""
     for coeffs, rel, rhs in halfspaces:
         lhs = sum(a * x for a, x in zip(coeffs, point))
         bound = rhs * n
@@ -234,15 +224,21 @@ def dilation_contains(halfspaces, point, n):
 
 def contains(poly, point):
     """Whether the rational point lies in ``poly``, tested on its
-    constraints cleared to integers."""
+    integer rows."""
     if len(point) != poly.dim:
         raise DimensionError("point dimension mismatch")
-    return dilation_contains(integer_halfspaces(poly), [F(x) for x in point], 1)
+    return dilation_contains(poly.integer_rows(), [F(x) for x in point], 1)
+
+
+def vertices(poly):
+    """The vertices of ``poly`` as ``Fraction`` tuples, in the sorted
+    order of ``_vertices``; empty when ``poly`` is."""
+    return tuple(tuple(F(p, den) for p in nums) for nums, den in _vertices(poly))
 
 
 def bounding_box(poly):
     """Componentwise (min, max) over the vertices of a nonempty ``poly``."""
-    coords = list(zip(*(tuple(F(p, den) for p in nums) for nums, den in _vertices(poly))))
+    coords = list(zip(*vertices(poly)))
     return tuple(map(min, coords)), tuple(map(max, coords))
 
 
@@ -257,7 +253,7 @@ def brute_count(poly, n):
     axes = [
         range(math.ceil(n * a), math.floor(n * b) + 1) for a, b in zip(lo, hi)
     ]
-    halfspaces = integer_halfspaces(poly)
+    halfspaces = poly.integer_rows()
     return sum(dilation_contains(halfspaces, point, n) for point in itertools.product(*axes))
 
 
@@ -265,7 +261,7 @@ def vertex_box_count(poly, n, vertices):
     """Count lattice points of the n-fold dilation by scanning the
     integer box of n * ``vertices`` (P's vertices, from the caller's
     oracle) and testing membership pointwise."""
-    halfspaces = integer_halfspaces(poly)
+    halfspaces = poly.integer_rows()
     axes = [range(math.ceil(n * min(c)), math.floor(n * max(c)) + 1) for c in zip(*vertices)]
     return sum(dilation_contains(halfspaces, point, n) for point in itertools.product(*axes))
 
@@ -276,7 +272,7 @@ def relint_count(poly, k, vertices):
     vertices, from the caller's oracle): a point counts when it lies in
     kP and is off every row some vertex is off (a.v != b), which makes
     those rows strict."""
-    halfspaces = integer_halfspaces(poly)
+    halfspaces = poly.integer_rows()
     strict = [
         (coeffs, rhs) for coeffs, _, rhs in halfspaces
         if any(sum(a * x for a, x in zip(coeffs, v)) != rhs for v in vertices)
@@ -302,13 +298,15 @@ def positive_dilation_fit(target, classes=None):
 
 
 def eliminate_over_fractions(poly, j):
-    """``poly.eliminate_equality(j)`` done on the ``HalfSpace`` rows in
-    ``Fraction`` arithmetic and canonicalized by ``HPolytope``."""
-    row = next(c for c in poly.constraints if c.rel == "=" and c.coeffs[j] != 0)
+    """Substitute coordinate ``j`` of ``poly`` out of its other rows by
+    the first equality row with a nonzero coefficient there, in
+    ``Fraction`` arithmetic on the (coeffs, rel, rhs) triples, and
+    canonicalize the result by ``HPolytope``."""
+    rows = poly.integer_rows()
+    row = next(r for r in rows if r[1] == "=" and r[0][j] != 0)
+    a, _, b = row
     keep = [i for i in range(poly.dim) if i != j]
     return HPolytope(poly.dim - 1, [
-        HalfSpace(tuple(c.coeffs[i] - c.coeffs[j] * row.coeffs[i] / row.coeffs[j]
-                        for i in keep),
-                  c.rel, c.rhs - c.coeffs[j] * row.rhs / row.coeffs[j])
-        for c in poly.constraints if c != row
+        (tuple(c[i] - F(c[j] * a[i], a[j]) for i in keep), rel, rhs - F(c[j] * b, a[j]))
+        for c, rel, rhs in rows if (c, rel, rhs) != row
     ])

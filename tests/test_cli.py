@@ -181,6 +181,11 @@ def test_exit_code_input_error(run):
     assert code == 2
 
 
+def test_zero_denominator_is_an_input_error(run):
+    code, out, err = run("volume", files=[("--polytope-file", "dim 2\n1/0 0 <= 1\n")])
+    assert code == 2 and out == "" and "input error" in err and "zero denominator" in err
+
+
 def test_exit_code_geometric_error(run):
     code, _, err = run("count", "--n", "3", files=[("--polytope-file", UNBOUNDED2)])
     assert code == 3 and "geometric error" in err

@@ -19,7 +19,7 @@ from polyvote.ehrhart import (
     period_bound,
     region_count,
 )
-from polyvote.polytope import EventRegion, HalfSpace, HPolytope
+from polyvote.polytope import EventRegion, HPolytope
 from polyvote.socialchoice import BORDA, PLURALITY, manipulability_event
 
 from helpers import (
@@ -37,11 +37,11 @@ from helpers import (
 
 
 def ge(coeffs, rhs=0):
-    return HalfSpace(tuple(F(c) for c in coeffs), ">=", F(rhs))
+    return tuple(coeffs), ">=", rhs
 
 
 def le(coeffs, rhs):
-    return HalfSpace(tuple(F(c) for c in coeffs), "<=", F(rhs))
+    return tuple(coeffs), "<=", rhs
 
 
 def standard_simplex(dim):
@@ -113,7 +113,7 @@ def test_count_handles_equality_constraints():
         3,
         [ge((1, 0, 0)), ge((0, 1, 0)), ge((0, 0, 1)),
          le((1, 0, 0), 1), le((0, 1, 0), 1), le((0, 0, 1), 1),
-         HalfSpace((F(1), F(1), F(1)), "=", F(1, 2))],
+         ((1, 1, 1), "=", F(1, 2))],
     )
     assert count_lattice_points(p, 2) == 3  # permutations of (1,0,0)
     assert count_lattice_points(p, 3) == 0
@@ -162,7 +162,7 @@ def test_count_budget_guard():
 
 def test_count_monotone_under_inclusion():
     inner = standard_simplex(3)
-    outer = HPolytope(3, [c for c in inner.constraints][:-1] + [le((1, 1, 1), 2)])
+    outer = HPolytope(3, list(inner.integer_rows())[:-1] + [le((1, 1, 1), 2)])
     for n in (3, 8):
         assert count_lattice_points(inner, n) <= count_lattice_points(outer, n)
 
@@ -343,7 +343,7 @@ def small_polytopes(draw, dim):
         coeffs = draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim))
         rel = draw(st.sampled_from(("<=", ">=", "=")))
         rhs = sum(c * x for c, x in zip(coeffs, centre))
-        rows.append(HalfSpace(tuple(F(c) for c in coeffs), rel, rhs))
+        rows.append((tuple(coeffs), rel, rhs))
     return HPolytope(dim, rows)
 
 

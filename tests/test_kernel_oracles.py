@@ -24,7 +24,6 @@ from polyvote.ehrhart import (
     ehrhart_pipeline,
 )
 from polyvote.polytope import (
-    HalfSpace,
     HPolytope,
     UnboundedPolytopeError,
     _basic_solutions,
@@ -40,6 +39,7 @@ from helpers import (
     referendum_irwin_hall,
     relint_count,
     vertex_box_count,
+    vertices,
 )
 
 small_ints = st.integers(min_value=-5, max_value=5)
@@ -78,7 +78,7 @@ def test_box_volume_is_product_of_sides(bounds):
     rows = []
     for i, (lo, hi) in enumerate(bounds):
         e = tuple(int(i == j) for j in range(dim))
-        rows += [HalfSpace(e, ">=", lo), HalfSpace(e, "<=", hi)]
+        rows += [(e, ">=", lo), (e, "<=", hi)]
     assert HPolytope(dim, rows).volume() == math.prod(hi - lo for lo, hi in bounds)
 
 
@@ -99,10 +99,9 @@ def test_simplex_volume_matches_sympy_determinant(points):
     rows = []
     for i in range(dim):
         coeffs = tuple(F(str(c)) for c in inv.row(i))
-        rows.append(HalfSpace(coeffs, ">=", F(str((inv.row(i) * v0)[0]))))
+        rows.append((coeffs, ">=", F(str((inv.row(i) * v0)[0]))))
     total = sympy.ones(1, dim) * inv
-    rows.append(HalfSpace(tuple(F(str(c)) for c in total), "<=",
-                          F(str(1 + (total * v0)[0]))))
+    rows.append((tuple(F(str(c)) for c in total), "<=", F(str(1 + (total * v0)[0]))))
     expected = abs(det) / sympy.factorial(dim)
     assert HPolytope(dim, rows).volume() == F(str(expected))
 
@@ -118,10 +117,6 @@ def _capped_district_rows(won, districts=8):
     return rows
 
 
-def _polytope(dim, rows):
-    return HPolytope(dim, [HalfSpace(c, rel, rhs) for c, rel, rhs in rows])
-
-
 @pytest.mark.parametrize("won, expected", [
     (5, F(4541, 10321920)), (6, F(31, 1290240)), (7, F(1, 10321920)),
 ])
@@ -130,7 +125,7 @@ def test_capped_district_polytope_matches_irwin_hall(won, expected):
     # by sum(u) <= 8 - won, scaled by 2^-8
     districts = 8
     assert expected == irwin_hall_cdf(districts, districts - won) / 2**districts
-    assert _polytope(districts, _capped_district_rows(won)).volume() == expected
+    assert HPolytope(districts, _capped_district_rows(won)).volume() == expected
 
 
 @pytest.mark.parametrize("districts", range(3, 16))
@@ -167,7 +162,7 @@ def _cut_box(lower, sides, weights, t):
     for i, (l, s) in enumerate(zip(lower, sides)):
         e = tuple(int(i == j) for j in range(dim))
         rows += [(e, ">=", l), (e, "<=", l + s)]
-    return _polytope(dim, rows)
+    return HPolytope(dim, rows)
 
 
 def _cut_box_volume(lower, sides, weights, t):
@@ -247,8 +242,8 @@ def test_joint_swap_gives_no_class():
     # [0, 1], i.e. 1/2
     rows = [(_unit(i, 4), rel, b) for i in range(4) for rel, b in ((">=", 0), ("<=", 1))]
     rows += [((1, 0, 2, 0), "<=", F(3, 2)), ((0, 1, 0, 2), "<=", F(3, 2))]
-    poly = _polytope(4, rows)
-    joint = _polytope(4, [((c[1], c[0], c[3], c[2]), rel, b) for c, rel, b in rows])
+    poly = HPolytope(4, rows)
+    joint = HPolytope(4, [((c[1], c[0], c[3], c[2]), rel, b) for c, rel, b in rows])
     assert joint == poly
     assert _interchangeable_classes(poly.integer_rows(), 4) == [[0], [1], [2], [3]]
     assert poly.volume() == F(1, 4) == _cut_box_volume([0, 0], [1, 1], [1, 2], F(3, 2)) ** 2
@@ -260,7 +255,7 @@ def test_symmetric_slice_has_volume_zero(dim):
     # the chamber a nonempty flat slice
     rows = [(_unit(i, dim), rel, b) for i in range(dim) for rel, b in ((">=", 0), ("<=", 1))]
     rows.append(((1,) * dim, "=", F(dim, 2)))
-    poly = _polytope(dim, rows)
+    poly = HPolytope(dim, rows)
     chamber, copies = _weyl_chamber(poly)
     assert copies == math.factorial(dim) and not chamber.is_empty()
     assert poly.volume() == 0
@@ -271,7 +266,7 @@ def test_symmetric_slice_has_volume_zero(dim):
 
 def _brute_force_vertices(dim, rows):
     """Every feasible point that solves some d-subset of the rows as
-    equations, deduplicated, in the order ``enumerate_vertices`` uses:
+    equations, deduplicated, in the order ``_vertices`` uses:
     by the numerators over the least common denominator, then by it.
     Rows are (coeffs, rel, rhs); a subset holding two parallel rows is
     singular and skipped before sympy sees it."""
@@ -344,15 +339,14 @@ def degenerate_polytopes(draw, max_dim=4):
 @given(degenerate_polytopes())
 def test_vertices_match_brute_force_on_degenerate_polytopes(case):
     dim, rows = case
-    vertices = _polytope(dim, rows).enumerate_vertices().vertices
-    assert vertices == _brute_force_vertices(dim, rows)
+    assert vertices(HPolytope(dim, rows)) == _brute_force_vertices(dim, rows)
 
 
 @given(degenerate_polytopes())
 def test_vertex_incidence_matches_row_evaluation(case):
     # bit v of a row's mask is set exactly when a.v == b; corners the
     # extra rows pass through are tight on more than dim rows
-    poly = _polytope(*case)
+    poly = HPolytope(*case)
     verts = _vertices(poly)
     inequalities = [(a, b) for a, rel, b in poly.integer_rows() if rel != "="]
     assert len(verts.incidence) == len(inequalities)
@@ -368,7 +362,7 @@ def test_double_description_ignores_row_order(case, data):
     # by their order; any order must give the same vertices, and zero
     # sets that name the same rows
     dim = case[0]
-    rows = _polytope(*case).integer_rows()
+    rows = HPolytope(*case).integer_rows()
     order = data.draw(st.permutations(range(len(rows))))
     shuffled = [rows[i] for i in order]
 
@@ -384,8 +378,7 @@ def test_double_description_ignores_row_order(case, data):
 @pytest.mark.parametrize("won", [5, 6, 7])
 def test_capped_district_vertices_match_brute_force(won):
     rows = _capped_district_rows(won)
-    vertices = _polytope(8, rows).enumerate_vertices().vertices
-    assert vertices == _brute_force_vertices(8, rows)
+    assert vertices(HPolytope(8, rows)) == _brute_force_vertices(8, rows)
 
 
 # -- Ehrhart-Macdonald reciprocity against brute-force interior counts ----
@@ -404,7 +397,7 @@ def _affine_dimension(vertices):
 
 def _check_reciprocity(dim, rows):
     vertices = _brute_force_vertices(dim, rows)
-    poly = _polytope(dim, rows)
+    poly = HPolytope(dim, rows)
     q = ehrhart_pipeline(poly)
     sign = (-1) ** _affine_dimension(vertices)
     for k in (1, 2, 3):
@@ -491,7 +484,7 @@ def slanted_polytopes(draw):
 def test_counts_through_the_closure_match_a_box_scan(case):
     vertices = _brute_force_vertices(*case)
     assume(vertices)
-    poly = _polytope(*case)
+    poly = HPolytope(*case)
     for n in (1, 2, 3, 5):
         assert count_lattice_points(poly, n) == vertex_box_count(poly, n, vertices)
 
@@ -501,7 +494,7 @@ def test_interior_counts_through_the_closure_match_a_box_scan(case):
     # the strict rows a.x <= b.k - 1 of the relative interior of kP
     vertices = _brute_force_vertices(*case)
     assume(vertices)
-    poly = _polytope(*case)
+    poly = HPolytope(*case)
     sign = (-1) ** _affine_dimension(vertices)
     for k in (1, 2, 3):
         assert (_quasipolynomial_value(poly, -k, DEFAULT_BUDGET)
@@ -659,4 +652,4 @@ def _vertex_outcome(poly):
 @given(cone_cases())
 def test_emptiness_and_boundedness_match_fourier_motzkin(case):
     dim, rows = case
-    assert _vertex_outcome(_polytope(dim, rows)) == _elimination_outcome(dim, rows)
+    assert _vertex_outcome(HPolytope(dim, rows)) == _elimination_outcome(dim, rows)

@@ -34,7 +34,7 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_rejects_non_rational_literals():
-    for bad in ["1.5", "3/4/5", "a", "", "1e3", "2/-3"]:
+    for bad in ["1.5", "3/4/5", "a", "", "1e3", "2/-3", "1/0", "-3/00"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
 

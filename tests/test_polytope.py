@@ -1,36 +1,40 @@
 from fractions import Fraction as F
 from math import factorial
+from pathlib import Path
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from polyvote import polytope
+from polyvote.ehrhart import period_bound
 from polyvote.linalg import DimensionError
 from polyvote.polytope import (
     EventRegion,
     GeometryError,
-    HalfSpace,
     HPolytope,
     UnboundedPolytopeError,
     format_hrep,
     parse_hrep,
 )
-from polyvote.socialchoice import referendum_district_polytope
+from polyvote.socialchoice import (
+    PLURALITY,
+    manipulability_event,
+    referendum_district_polytope,
+    share_space_polytope,
+)
 
-from helpers import contains, eliminate_over_fractions
+from helpers import contains, vertices
 
 
 def ge(coeffs, rhs=0):
-    return HalfSpace(tuple(F(c) for c in coeffs), ">=", F(rhs))
+    return tuple(coeffs), ">=", rhs
 
 
 def le(coeffs, rhs):
-    return HalfSpace(tuple(F(c) for c in coeffs), "<=", F(rhs))
+    return tuple(coeffs), "<=", rhs
 
 
 def eq(coeffs, rhs):
-    return HalfSpace(tuple(F(c) for c in coeffs), "=", F(rhs))
+    return tuple(coeffs), "=", rhs
 
 
 def unit_box(dim):
@@ -50,8 +54,7 @@ def standard_simplex(dim):
 
 def test_constraints_normalize_to_coprime_integers():
     p = HPolytope(2, [le((F(2, 3), F(4, 3)), F(2))])
-    (c,) = p.constraints
-    assert c.coeffs == (1, 2) and c.rhs == 3 and c.rel == "<="
+    assert p.integer_rows() == (((1, 2), "<=", 3),)
 
 
 def test_polytopes_compare_and_hash_by_integer_rows():
@@ -64,13 +67,18 @@ def test_polytopes_compare_and_hash_by_integer_rows():
 
 def test_ge_rows_store_as_le():
     p = HPolytope(2, [ge((1, 1), 1)])
-    (c,) = p.constraints
-    assert c.rel == "<=" and c.coeffs == (-1, -1) and c.rhs == -1
+    assert p.integer_rows() == (((-1, -1), "<=", -1),)
+
+
+def test_bad_relation_rejected():
+    for rel in ("<", "==", "=>"):
+        with pytest.raises(ValueError, match="relation"):
+            HPolytope(2, [((1, 0), rel, 1)])
 
 
 def test_vacuous_rows_dropped_and_false_rows_kept():
     p = HPolytope(2, [le((0, 0), 5), ge((1, 0))])
-    assert len(p.constraints) == 1
+    assert len(p.integer_rows()) == 1
     empty = HPolytope(2, [le((0, 0), -3)])
     assert empty.has_false_row()
     assert empty.volume() == 0
@@ -94,63 +102,25 @@ def test_cube_meets_facet_plane_has_volume_zero():
 
 
 def test_eliminate_share_simplex_gives_standard_inequalities():
-    rows = [eq((1,) * 6, 1)] + [ge(tuple(int(i == j) for j in range(6))) for i in range(6)]
-    reduced = HPolytope(6, rows).eliminate_equality(5)
-    expected = standard_simplex(5)
-    assert reduced == expected
-
-
-def test_eliminate_equality_to_segment():
-    p = HPolytope(2, [eq((1, 1), 1), ge((1, 0)), ge((0, 1))])
-    seg = p.eliminate_equality(1)
-    assert seg.dim == 1
-    verts = sorted(seg.enumerate_vertices().vertices)
-    assert verts == [(0,), (1,)]
-
-
-@st.composite
-def rows_with_equality(draw):
-    dim = draw(st.integers(min_value=2, max_value=4))
-    j = draw(st.integers(min_value=0, max_value=dim - 1))
-    ints = st.integers(min_value=-3, max_value=3)
-    rhs = st.builds(F, ints, st.integers(min_value=1, max_value=3))
-    coeffs = st.lists(ints, min_size=dim, max_size=dim).map(tuple)
-    pivot = draw(coeffs.filter(lambda c: c[j] != 0))
-    rows = [HalfSpace(pivot, "=", draw(rhs))]
-    rows += draw(st.lists(st.builds(HalfSpace, coeffs, st.sampled_from(("<=", ">=", "=")),
-                                    rhs), max_size=6))
-    return HPolytope(dim, rows), j
-
-
-@given(rows_with_equality())
-def test_eliminate_equality_matches_fraction_substitution(case):
-    poly, j = case
-    reduced = poly.eliminate_equality(j)
-    expected = eliminate_over_fractions(poly, j)
-    assert reduced.integer_rows() == expected.integer_rows()
-    assert reduced.constraints == expected.constraints
-
-
-def test_eliminate_equality_requires_equality():
-    with pytest.raises(GeometryError):
-        standard_simplex(2).eliminate_equality(0)
+    # substituting x_6 = 1 - (x_1 + ... + x_5) into x >= 0 on R^6
+    assert share_space_polytope([]) == standard_simplex(5)
 
 
 def test_unit_square_vertices():
-    verts = sorted(unit_box(2).enumerate_vertices().vertices)
+    verts = sorted(vertices(unit_box(2)))
     assert verts == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_standard_simplex_vertices():
-    v = standard_simplex(5).enumerate_vertices()
-    assert len(v) == 6
-    assert v.denominator_lcm() == 1
+    simplex = standard_simplex(5)
+    assert len(vertices(simplex)) == 6
+    assert period_bound(simplex) == 1
 
 
 def test_vertices_satisfy_constraints_with_d_tight():
     p = standard_simplex(4).intersect(HPolytope(4, [le((1, 1, 0, 0), F(1, 2))]))
     rows = p.integer_rows()
-    for vert in p.enumerate_vertices().vertices:
+    for vert in vertices(p):
         assert contains(p, vert)
         tight = sum(
             1
@@ -178,9 +148,9 @@ def vertex_path(poly):
 
 def test_unbounded_raises():
     with pytest.raises(UnboundedPolytopeError):
-        HPolytope(2, [ge((1, 0)), ge((0, 1))]).enumerate_vertices()
+        vertices(HPolytope(2, [ge((1, 0)), ge((0, 1))]))
     with pytest.raises(UnboundedPolytopeError):
-        HPolytope(2, [eq((1, -1), 0)]).enumerate_vertices()
+        vertices(HPolytope(2, [eq((1, -1), 0)]))
 
 
 def test_diamond_needs_no_axis_bounds():
@@ -188,7 +158,7 @@ def test_diamond_needs_no_axis_bounds():
     diamond = HPolytope(
         2, [le((1, 1), 1), le((1, -1), 1), le((-1, 1), 1), le((-1, -1), 1)]
     )
-    assert len(diamond.enumerate_vertices()) == 4
+    assert len(vertices(diamond)) == 4
     assert diamond.volume() == 2
 
 
@@ -196,7 +166,7 @@ def test_empty_with_free_direction_is_empty_not_unbounded():
     # rank 1 in the plane: the guard box tells empty from a line
     p = HPolytope(2, [ge((1, 0), 2), le((1, 0), 1)])
     assert vertex_path(p) == "guard box"
-    assert p.enumerate_vertices().vertices == ()
+    assert vertices(p) == ()
     assert p.volume() == 0
 
 
@@ -206,7 +176,7 @@ def test_bounded_without_axis_bounds():
         2, [le((1, 1), 1), le((1, -1), 1), le((-1, 1), 1), le((-1, -1), 1)]
     )
     assert vertex_path(diamond) == "full rank"
-    assert diamond.enumerate_vertices().vertices == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    assert vertices(diamond) == ((-1, 0), (0, -1), (0, 1), (1, 0))
     # a hexagon in the plane sum(x) = 0 cut by |x_i - x_j| <= 1
     rows = [eq((1, 1, 1), 0)]
     for i in range(3):
@@ -215,7 +185,7 @@ def test_bounded_without_axis_bounds():
                 rows.append(le(tuple((k == i) - (k == j) for k in range(3)), 1))
     hexagon = HPolytope(3, rows)
     assert vertex_path(hexagon) == "full rank"
-    assert hexagon.enumerate_vertices().vertices == tuple(
+    assert vertices(hexagon) == tuple(
         tuple(F(v, 3) for v in nums)
         for nums in [(-2, 1, 1), (-1, -1, 2), (-1, 2, -1),
                      (1, -2, 1), (1, 1, -2), (2, -1, -1)]
@@ -232,7 +202,7 @@ def test_unbounded_along_one_ray_has_a_cone_ray_at_t0():
     for poly in (strip, sloped):
         assert vertex_path(poly) == "full rank"
         with pytest.raises(UnboundedPolytopeError):
-            poly.enumerate_vertices()
+            vertices(poly)
         with pytest.raises(UnboundedPolytopeError):
             poly.volume()
 
@@ -248,7 +218,7 @@ def test_inconsistent_equalities_are_empty():
     paths = {parallel: "guard box", overdetermined: "full rank", with_rays: "guard box"}
     for poly, path in paths.items():
         assert vertex_path(poly) == path
-        assert poly.enumerate_vertices().vertices == ()
+        assert vertices(poly) == ()
         assert poly.is_empty()
         assert poly.volume() == 0
 
@@ -301,10 +271,7 @@ def test_volume_invariant_under_coordinate_permutation():
     p = standard_simplex(3).intersect(HPolytope(3, [le((2, 1, 0), 1)]))
     swapped = HPolytope(
         3,
-        [
-            HalfSpace((c.coeffs[1], c.coeffs[2], c.coeffs[0]), c.rel, c.rhs)
-            for c in p.constraints
-        ],
+        [((c[1], c[2], c[0]), rel, rhs) for c, rel, rhs in p.integer_rows()],
     )
     assert p.volume() == swapped.volume()
 
@@ -317,10 +284,10 @@ def test_contains():
         contains(simplex, (0, 0))
 
 
-def test_vertex_denominator_lcm_requires_vertices():
+def test_period_bound_of_empty_target_is_one():
     empty = HPolytope(2, [le((0, 0), -1)])
-    with pytest.raises(GeometryError):
-        empty.enumerate_vertices().denominator_lcm()
+    assert period_bound(empty) == 1
+    assert period_bound(EventRegion(((1, empty), (-1, empty)))) == 1
 
 
 def test_region_volume_single_term_and_cancellation():
@@ -364,6 +331,17 @@ def test_parse_hrep_and_round_trip():
     assert parse_hrep(format_hrep(p)) == p
 
 
+def test_format_hrep_reproduces_the_benchmark_inputs():
+    # the quasipolynomial benchmark reads the plurality manipulability
+    # terms from checked-in files; they must match what the compiler builds
+    inputs = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+    names = ("plurality_favor_b.hrep", "plurality_favor_c.hrep", "plurality_both.hrep")
+    terms = manipulability_event(PLURALITY).terms
+    assert [s for s, _ in terms] == [1, 1, -1]
+    for (_, poly), name in zip(terms, names):
+        assert format_hrep(poly) == (inputs / name).read_text(encoding="utf-8")
+
+
 def test_parse_hrep_errors():
     with pytest.raises(ValueError):
         parse_hrep("1 0 <= 1\n")  # missing header
@@ -373,3 +351,5 @@ def test_parse_hrep_errors():
         parse_hrep("dim 2\n1 0 1 <= 1\n")  # wrong arity
     with pytest.raises(ValueError):
         parse_hrep("dim 2\n1 0.5 <= 1\n")  # not a rational literal
+    with pytest.raises(ValueError):
+        parse_hrep("dim 2\n1/0 0 <= 1\n")  # zero denominator

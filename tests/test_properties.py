@@ -13,18 +13,19 @@ from polyvote.ehrhart import (
     _memo_keys,
     count_lattice_points,
     ehrhart_pipeline,
+    period_bound,
 )
-from polyvote.polytope import HalfSpace, HPolytope
+from polyvote.polytope import HPolytope
 
-from helpers import bounding_box, brute_count, dilation_contains, integer_halfspaces
+from helpers import bounding_box, brute_count, dilation_contains, vertices
 
 
 def ge(coeffs, rhs=0):
-    return HalfSpace(tuple(F(c) for c in coeffs), ">=", F(rhs))
+    return tuple(coeffs), ">=", rhs
 
 
 def le(coeffs, rhs):
-    return HalfSpace(tuple(F(c) for c in coeffs), "<=", F(rhs))
+    return tuple(coeffs), "<=", rhs
 
 
 def standard_simplex(dim):
@@ -52,10 +53,9 @@ def _sample_polytopes(count, dims, max_period, seed):
     found = []
     while len(found) < count:
         poly = _random_polytope(rng, rng.choice(dims))
-        verts = poly.enumerate_vertices()
-        if len(verts) <= poly.dim:
+        if len(vertices(poly)) <= poly.dim:
             continue
-        if verts.denominator_lcm() > max_period:
+        if period_bound(poly) > max_period:
             continue
         found.append(poly)
     return found
@@ -107,7 +107,7 @@ def _brute_union_count(p, q, n):
         )
         for l1, l2, h1, h2 in zip(los[0], los[1], his[0], his[1])
     ]
-    hp, hq = integer_halfspaces(p), integer_halfspaces(q)
+    hp, hq = p.integer_rows(), q.integer_rows()
     return sum(
         dilation_contains(hp, point, n) or dilation_contains(hq, point, n)
         for point in itertools.product(*axes)
@@ -122,8 +122,8 @@ def test_volume_invariant_under_random_coordinate_permutations():
         permuted = HPolytope(
             poly.dim,
             [
-                HalfSpace(tuple(c.coeffs[perm[i]] for i in range(poly.dim)), c.rel, c.rhs)
-                for c in poly.constraints
+                (tuple(c[perm[i]] for i in range(poly.dim)), rel, rhs)
+                for c, rel, rhs in poly.integer_rows()
             ],
         )
         assert permuted.volume() == poly.volume()
@@ -161,7 +161,7 @@ def _repeated_column_polytope(rng, dim):
         column = [rng.choice([-2, -1, 0, 1, 2, 3]) for _ in range(directions)]
         coeffs = tuple(F(column[source[i]] * scale[i]) for i in range(dim))
         rel = rng.choice(("<=", "<=", ">=", "="))
-        rows.append(HalfSpace(coeffs, rel, F(rng.randint(-dim, 2 * dim), 2)))
+        rows.append((coeffs, rel, F(rng.randint(-dim, 2 * dim), 2)))
     return HPolytope(dim, rows)
 
 
@@ -173,7 +173,7 @@ def test_memoized_counts_match_brute_force_on_repeated_columns():
         if poly.is_empty() or not _memo_keys(_le_rows(poly), poly.dim):
             continue
         checked += 1
-        equalities += any(c.rel == "=" for c in poly.constraints)
+        equalities += any(rel == "=" for _, rel, _ in poly.integer_rows())
         for n in (2, 3, 4):
             assert count_lattice_points(poly, n) == brute_count(poly, n)
     assert equalities >= 5

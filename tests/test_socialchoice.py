@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import polyvote.socialchoice as sc
 from polyvote import polytope
-from polyvote.ehrhart import count_lattice_points
+from polyvote.ehrhart import count_lattice_points, period_bound
 from polyvote.linalg import decimal_string
-from polyvote.polytope import GeometryError, HalfSpace, HPolytope
+from polyvote.polytope import GeometryError, HPolytope
 
 from helpers import (
     FAVOR_B_SERIES,
@@ -18,6 +18,7 @@ from helpers import (
     brute_count,
     eliminate_over_fractions,
     gf_coefficients,
+    vertices,
 )
 
 
@@ -29,9 +30,13 @@ def prob(spec):
 
 
 def test_scoring_vector_pattern():
-    assert sc.scoring_vector("a", F(1, 2)) == (1, 1, F(1, 2), 0, F(1, 2), 0)
+    # weights (q, p, 0) for lam = p/q, over the orders abc, acb, bac, bca, cab, cba
+    assert sc.scoring_vector("a", F(1, 2)) == (2, 2, 1, 0, 1, 0)
     assert sc.scoring_vector("b", F(0)) == (0, 0, 1, 1, 0, 0)
     assert sc.scoring_vector("c", F(1)) == (0, 1, 0, 1, 1, 1)
+    assert sc.scoring_vector("c", F(2, 5)) == (0, 2, 0, 2, 5, 5)
+    for lam in (F(0), F(1, 3), F(37228, 100000), F(1)):
+        assert all(type(v) is int for v in sc.scoring_vector("a", lam))
 
 
 def test_pairwise_vector_antisymmetry():
@@ -43,7 +48,7 @@ def test_pairwise_vector_antisymmetry():
 
 
 def test_candidate_swap_is_involution():
-    row = tuple(F(k) for k in range(6))
+    row = tuple(range(6))
     once = sc.permute_row(row, sc.PERM_SWAP_BC)
     assert sc.permute_row(once, sc.PERM_SWAP_BC) == row
     assert once != row
@@ -70,7 +75,7 @@ def test_winner_conditions_reduce_to_known_rows():
     # 2x1 + (2-lam)x2 + (1+lam)x3 + (1-lam)x4 + lam*x5 >= 1     (a vs c)
     lam = F(2, 5)
     poly = sc.rule_winner_conditions(sc.ScoringRule(lam))
-    rows = {(c.coeffs, c.rel, c.rhs) for c in poly.constraints}
+    rows = set(poly.integer_rows())
 
     def normalized(coeffs, rhs):
         from math import gcd, lcm
@@ -80,7 +85,7 @@ def test_winner_conditions_reduce_to_known_rows():
         g = gcd(*ints)
         ints = [v // g for v in ints]
         # stored as <= rows
-        return (tuple(F(-v) for v in ints[:-1]), "<=", F(-ints[-1]))
+        return (tuple(-v for v in ints[:-1]), "<=", -ints[-1])
 
     row_ab = normalized([1, 1 + lam, 2 * lam - 1, lam - 1, 2 * lam], lam)
     row_ac = normalized([2, 2 - lam, 1 + lam, 1 - lam, lam], 1)
@@ -89,9 +94,9 @@ def test_winner_conditions_reduce_to_known_rows():
 
 def test_plurality_winner_row_matches_top_share_comparison():
     poly = sc.rule_winner_conditions(sc.PLURALITY)
-    rows = {(c.coeffs, c.rel, c.rhs) for c in poly.constraints}
+    rows = set(poly.integer_rows())
     # a's top shares beat b's: x1 + x2 - x3 - x4 >= 0
-    assert ((F(-1), F(-1), F(1), F(1), F(0)), "<=", F(0)) in rows
+    assert ((-1, -1, 1, 1, 0), "<=", 0) in rows
 
 
 # -- probabilities of single events ---------------------------------------------
@@ -165,9 +170,9 @@ def test_borda_manipulation_volumes_and_period_bounds():
     assert favor_b.volume() == F(371, 559872)
     assert favor_c.volume() == F(881, 6531840)
     assert both.volume() == F(170873, 1714608000)
-    assert favor_b.enumerate_vertices().denominator_lcm() == 72
-    assert favor_c.enumerate_vertices().denominator_lcm() == 504
-    assert both.enumerate_vertices().denominator_lcm() == 1260
+    assert period_bound(favor_b) == 72
+    assert period_bound(favor_c) == 504
+    assert period_bound(both) == 1260
 
 
 def test_borda_manipulability_probability():
@@ -228,9 +233,7 @@ def test_printed_strategic_variant_row_is_redundant():
     region = sc.manipulability_event(sc.PLURALITY)
     favor_b = region.terms[0][1]
     variant = favor_b.intersect(
-        sc.share_space_polytope(
-            [(F(-1), F(1), F(2), F(2), F(-1), F(0))]
-        )
+        sc.share_space_polytope([(-1, 1, 2, 2, -1, 0)])
     )
     assert variant.volume() == favor_b.volume()
     for n in (2, 5, 11):
@@ -248,10 +251,9 @@ def test_manipulability_rejects_other_rules():
 def test_all_positional_agreement():
     poly, factor = sc.agreement_event(sc.PLURALITY, sc.ANTIPLURALITY, "winner")
     assert factor == 3
-    verts = poly.enumerate_vertices()
     assert poly.volume() == F(113, 77760)
-    assert len(verts) == 18
-    assert verts.denominator_lcm() == 12
+    assert len(vertices(poly)) == 18
+    assert period_bound(poly) == 12
     assert prob("agreement:plurality,antiplurality:winner") == F(113, 216)
 
 
@@ -270,7 +272,7 @@ def test_agreement_given_condorcet_winner():
         sc.rule_winner_conditions(sc.ANTIPLURALITY)
     )
     joint = both.intersect(sc.condorcet_winner())
-    assert len(joint.enumerate_vertices()) == 29
+    assert len(vertices(joint)) == 29
     assert prob("joint-efficiency:antiplurality,plurality") == F(3437, 6480)
 
 
@@ -322,9 +324,8 @@ def test_participation_exact_fractions():
 
 def test_borda_ppp_polytope_shape():
     poly = sc.participation_event(sc.BORDA, "PPP")
-    verts = poly.enumerate_vertices()
-    assert len(verts) == 6
-    assert verts.denominator_lcm() == 18
+    assert len(vertices(poly)) == 6
+    assert period_bound(poly) == 18
 
 
 def test_participation_rejects_unknown_paradox():
@@ -357,8 +358,8 @@ def test_referendum_polytope_shape():
     # u_i = 2 x_i - [i < k] it is the unit cube cut by sum(u) <= 3, whose
     # vertices are the C(7,0) + ... + C(7,3) = 64 corners with sum <= 3
     poly = sc.referendum_district_polytope(7, 4)
-    assert len(poly.constraints) == 15
-    assert len(poly.enumerate_vertices()) == 64
+    assert len(poly.integer_rows()) == 15
+    assert len(vertices(poly)) == 64
 
 
 # -- rule M ---------------------------------------------------------------------
@@ -480,7 +481,6 @@ def test_table_shapes_and_spot_values():
 
 def _same_polytope(out, expected):
     assert out.integer_rows() == expected.integer_rows()
-    assert out.constraints == expected.constraints
     assert out == expected and hash(out) == hash(expected)
 
 
@@ -488,8 +488,8 @@ def test_table_polytopes_equal_their_fraction_construction(monkeypatch):
     # share_space_polytope compiles integer rows and substitutes x_6
     # itself, and intersect merges stored rows; every polytope tables 1-4,
     # the manipulability terms and the Condorcet events build either way
-    # must equal the one built from the Fraction constraints in 6-d with
-    # the simplex equality eliminated
+    # must equal the one built from the rows in 6-d with the simplex
+    # equality eliminated in Fraction arithmetic
     compiled, intersected = [], []
     compile_rows = sc.share_space_polytope
 
@@ -514,13 +514,13 @@ def test_table_polytopes_equal_their_fraction_construction(monkeypatch):
         sc.condorcet_loser(candidate)
     assert compiled and intersected
     for rows, out in compiled:
-        halfspaces = [HalfSpace((1,) * 6, "=", 1)]
-        halfspaces += [HalfSpace(tuple(int(i == j) for j in range(6)), ">=", 0)
-                       for i in range(6)]
-        halfspaces += [HalfSpace(row, ">=", 0) for row in rows]
-        _same_polytope(out, eliminate_over_fractions(HPolytope(6, halfspaces), 5))
+        assert all(type(v) is int for row in rows for v in row)
+        full = [((1,) * 6, "=", 1)]
+        full += [(tuple(int(i == j) for j in range(6)), ">=", 0) for i in range(6)]
+        full += [(row, ">=", 0) for row in rows]
+        _same_polytope(out, eliminate_over_fractions(HPolytope(6, full), 5))
     for poly, other, out in intersected:
-        _same_polytope(out, HPolytope(poly.dim, poly.constraints + other.constraints))
+        _same_polytope(out, HPolytope(poly.dim, poly.integer_rows() + other.integer_rows()))
 
 
 def test_referendum_district_polytope_equals_its_fraction_construction():
@@ -530,9 +530,9 @@ def test_referendum_district_polytope_equals_its_fraction_construction():
             for i in range(districts):
                 e = tuple(int(j == i) for j in range(districts))
                 if i < k:
-                    rows += [HalfSpace(e, ">=", F(1, 2)), HalfSpace(e, "<=", 1)]
+                    rows += [(e, ">=", F(1, 2)), (e, "<=", 1)]
                 else:
-                    rows += [HalfSpace(e, ">=", 0), HalfSpace(e, "<=", F(1, 2))]
-            rows.append(HalfSpace((1,) * districts, "<=", F(districts, 2)))
+                    rows += [(e, ">=", 0), (e, "<=", F(1, 2))]
+            rows.append(((1,) * districts, "<=", F(districts, 2)))
             _same_polytope(sc.referendum_district_polytope(districts, k),
                            HPolytope(districts, rows))
