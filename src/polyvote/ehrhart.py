@@ -1,9 +1,14 @@
 """Lattice-point counting in dilations and Ehrhart quasipolynomials.
 
 Counting enumerates integer points of the dilation nP over the exact
-vertex bounding box, tightening the feasible interval of each
-coordinate from the constraint residuals before descending, down to
-the next-to-last coordinate x.  There the last coordinate y ranges
+vertex bounding box, one coordinate at a time down to the next-to-last
+coordinate x.  Each coordinate x_l is bounded by the exact shadow of
+P on x[:l+1]: one Fourier-Motzkin projection per polytope (Chernikov's
+rule keeps it small) gives each shadow row as nonnegative multipliers
+on the rows of P, so its bound is that combination of the prefix's
+residuals, for any right-hand sides.  An enumerated prefix therefore
+always has a real point of nP above it, and only integer rounding can
+leave its subtree empty.  At x the last coordinate y ranges
 over a polygon: each row with a nonzero coefficient on y bounds it by
 the floor or ceiling of a line in x, the least upper and the greatest
 lower line change only where lines cross, and on each piece between
@@ -131,15 +136,61 @@ def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
     return (-1) ** (poly.dim - codim) * _count(poly, k, rhs, budget)
 
 
+def _shadows(rows, dim: int):
+    """Per level l, the rows of the projection of {x : a.x <= r} onto
+    x[:l+1] that have a nonzero coefficient on x_l, as two tuples:
+    those bounding x_l from above and those bounding it from below.
+    Each row is (|c|, ((j, lam_j), ...)), with c its coefficient on
+    x_l and lam_j >= 0 the sparse multipliers over ``rows`` of the
+    combination, which has coefficient c on x_l and 0 on every later
+    coordinate.  So with res[j] = r_j - a_j[:l].x[:l] the row reads
+    c.x_l <= sum(lam_j * res[j]), whatever the right-hand sides r.
+
+    Fourier-Motzkin eliminates x_{dim-1} down to x_1, divides each row
+    by the gcd of its coefficients and multipliers together, and drops
+    all-zero rows, repeated rows and, by Chernikov's rule, every
+    combination of more than k + 1 rows after k eliminations, which
+    the others imply."""
+    system = {(coeffs, ((j, 1),)) for j, (coeffs, _) in enumerate(rows) if any(coeffs)}
+    levels = [None] * dim
+    for level in range(dim - 1, -1, -1):
+        pos = sorted((c, lam) for c, lam in system if c[level] > 0)
+        neg = sorted((c, lam) for c, lam in system if c[level] < 0)
+        levels[level] = (tuple((c[level], lam) for c, lam in pos),
+                         tuple((-c[level], lam) for c, lam in neg))
+        if level == 0:
+            break
+        support_cap = dim - level + 1  # k + 1 after k = dim - level eliminations
+        system = {(c[:level], lam) for c, lam in system if not c[level] and any(c[:level])}
+        for cp, lp in pos:
+            for cn, ln in neg:
+                u, v = -cn[level], cp[level]
+                multipliers = dict.fromkeys((j for j, _ in lp + ln), 0)
+                if len(multipliers) > support_cap:
+                    continue
+                coeffs = [u * a + v * b for a, b in zip(cp[:level], cn[:level])]
+                if not any(coeffs):
+                    continue
+                for j, m in lp:
+                    multipliers[j] += u * m
+                for j, m in ln:
+                    multipliers[j] += v * m
+                g = math.gcd(*coeffs, *multipliers.values())
+                system.add((tuple(a // g for a in coeffs),
+                            tuple(sorted((j, m // g) for j, m in multipliers.items()))))
+    return tuple(levels)
+
+
 @functools.lru_cache(maxsize=4096)
 def _count_plan(poly: HPolytope):
     """What a count of P reads that does not depend on the dilation:
     the rows of ``_le_rows``, per level the (row, coefficient) pairs
-    with a nonzero coefficient there, the memoized levels of
-    ``_memo_keys``, each with the getter of its key, and, for dim >= 2,
-    the rows that bound the last coordinate y from above and from
-    below as (row, coefficient on the next-to-last coordinate x, |c|)
-    for a row a.x + c.y <= r with c > 0 and c < 0."""
+    with a nonzero coefficient there, the ``_shadows`` bounds of each
+    level, the memoized levels of ``_memo_keys``, each with the getter
+    of its key, and, for dim >= 2, the rows that bound the last
+    coordinate y from above and from below as (row, coefficient on the
+    next-to-last coordinate x, |c|) for a row a.x + c.y <= r with c > 0
+    and c < 0."""
     rows = tuple(_le_rows(poly))
     deltas = tuple(
         tuple((j, coeffs[level]) for j, (coeffs, _) in enumerate(rows) if coeffs[level])
@@ -152,7 +203,7 @@ def _count_plan(poly: HPolytope):
             a, c = coeffs[-2], coeffs[-1]
             if c:
                 (upper if c > 0 else lower).append((j, a, abs(c)))
-    return rows, deltas, memo_keys, tuple(upper), tuple(lower)
+    return rows, deltas, _shadows(rows, poly.dim), memo_keys, tuple(upper), tuple(lower)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -237,8 +288,9 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     a.x <= rhs[j] on the j-th row (a, b) of ``_le_rows``: b.n for nP
     itself, b.n - 1 on the strict rows of its relative interior.
 
-    Coordinates before the last two are enumerated; the last two are
-    closed by ``_polygon_count`` (a 1-dimensional P by its interval)."""
+    Coordinates before the last two are enumerated between their
+    ``_shadows`` bounds, clipped to the box; the last two are closed by
+    ``_polygon_count`` (a 1-dimensional P by its interval)."""
     dim = poly.dim
     lo, hi, candidates = _dilated_box(poly, n)
     if candidates > budget:
@@ -250,39 +302,28 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     if candidates == 0:
         return 0
 
-    rows, deltas, memo_keys, upper, lower = _count_plan(poly)
-    # minrest[level][j]: least possible contribution of coordinates > level
-    # to row j, given the box.
-    minrest = []
-    for level in range(dim):
-        vals = []
-        for coeffs, _ in rows:
-            s = 0
-            for k in range(level + 1, dim):
-                a = coeffs[k]
-                if a > 0:
-                    s += a * lo[k]
-                elif a < 0:
-                    s += a * hi[k]
-            vals.append(s)
-        minrest.append(vals)
+    _, deltas, shadows, memo_keys, upper, lower = _count_plan(poly)
     closed = dim - 2
 
     def rec(level: int, res: list[int]) -> int:
         xlo, xhi = lo[level], hi[level]
-        mr = minrest[level]
-        for j, a in deltas[level]:
-            t = res[j] - mr[j]
-            if a > 0:
-                q = t // a
-                if q < xhi:
-                    xhi = q
-            else:
-                q = -(t // -a)
-                if q > xlo:
-                    xlo = q
-            if xlo > xhi:
-                return 0
+        above, below = shadows[level]
+        for c, lam in above:
+            t = 0
+            for j, m in lam:
+                t += m * res[j]
+            q = t // c
+            if q < xhi:
+                xhi = q
+        for c, lam in below:
+            t = 0
+            for j, m in lam:
+                t += m * res[j]
+            q = -(t // c)
+            if q > xlo:
+                xlo = q
+        if xlo > xhi:
+            return 0
         if level == closed:
             return _polygon_count(upper, lower, res, xlo, xhi)
         if level > closed:  # P is one-dimensional

@@ -585,7 +585,11 @@ def parse_hrep(text: str) -> HPolytope:
         if dim is None:
             if len(parts) != 2 or parts[0] != "dim":
                 raise ValueError(f"line {lineno}: expected 'dim d' header")
-            dim = int(parts[1])
+            try:
+                dim = int(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: dimension {parts[1]!r} is not an integer") from None
             if dim < 1:
                 raise ValueError(f"line {lineno}: dimension must be positive")
             continue
@@ -594,8 +598,12 @@ def parse_hrep(text: str) -> HPolytope:
         rel = parts[dim]
         if rel not in _RELATIONS:
             raise ValueError(f"line {lineno}: unknown relation {rel!r}")
-        coeffs = [parse_rational(p) for p in parts[:dim]]
-        rows.append(_canonical(coeffs, rel, parse_rational(parts[dim + 1]), dim))
+        try:
+            coeffs = [parse_rational(p) for p in parts[:dim]]
+            rhs = parse_rational(parts[dim + 1])
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        rows.append(_canonical(coeffs, rel, rhs, dim))
     if dim is None:
         raise ValueError("missing 'dim d' header line")
     return HPolytope._from_rows(dim, rows)

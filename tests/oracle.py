@@ -12,6 +12,7 @@ top score wins, and a tied pairwise comparison is won by both sides.
 Nothing here calls polyvote: scores, pairwise margins and the
 coalition's strategic ballots are computed from the voter counts."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -100,6 +101,41 @@ def plurality_manipulable(profile):
     preferring b to a can make b win, or those preferring c to a can
     make c win."""
     return rule_ranking(profile, 0) and any(_coalition_elects(profile, t) for t in "bc")
+
+
+@functools.lru_cache(maxsize=None)
+def _coalition_totals(size, lam):
+    """Every score vector (a, b, c) that ``size`` ballots add under lam,
+    each ballot any of the six orders: the totals of every multiset of
+    ballots, built one ballot at a time."""
+    if size == 0:
+        return frozenset({(0, 0, 0)})
+    ballots = {tuple(scores([int(i == k) for k in range(6)], lam).values()) for i in range(6)}
+    return frozenset(tuple(map(sum, zip(total, ballot)))
+                     for total in _coalition_totals(size - 1, lam) for ballot in ballots)
+
+
+def _coalition_elects_by_ballots(profile, target, lam):
+    """Whether the voters who prefer ``target`` to a can cast some
+    multiset of ballots under which ``target`` scores at least as much
+    as a and as c, with every other voter sincere."""
+    sincere = tuple(0 if order.index(target) < order.index("a") else count
+                    for order, count in zip(ORDERS, profile))
+    base = scores(sincere, lam)
+    t = CANDIDATES.index(target)
+    for added in _coalition_totals(sum(profile) - sum(sincere), lam):
+        total = [base[c] + v for c, v in zip(CANDIDATES, added)]
+        if all(total[t] >= s for s in total):
+            return True
+    return False
+
+
+def manipulable(profile, lam):
+    """The sincere scores rank a >= b >= c, and the voters preferring b
+    to a can cast ballots that make b win, or those preferring c to a
+    ballots that make c win."""
+    return rule_ranking(profile, lam) and any(
+        _coalition_elects_by_ballots(profile, t, lam) for t in "bc")
 
 
 def count(event, n, *args):

@@ -183,7 +183,11 @@ def test_exit_code_input_error(run):
 
 def test_zero_denominator_is_an_input_error(run):
     code, out, err = run("volume", files=[("--polytope-file", "dim 2\n1/0 0 <= 1\n")])
-    assert code == 2 and out == "" and "input error" in err and "zero denominator" in err
+    assert code == 2 and out == ""
+    assert "input error: line 2: zero denominator in '1/0'" in err
+    code, out, err = run("volume", files=[("--polytope-file", "dim 2\n1 0 <= 1\n0 0.5 <= 1\n")])
+    assert code == 2 and out == ""
+    assert "input error: line 3: not a rational literal: '0.5'" in err
 
 
 def test_exit_code_geometric_error(run):

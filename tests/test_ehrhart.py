@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from itertools import product
 from math import ceil, comb, floor, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polyvote.ehrhart import (
@@ -14,13 +15,14 @@ from polyvote.ehrhart import (
     _le_rows,
     _memo_keys,
     _polygon_count,
+    _shadows,
     count_lattice_points,
     ehrhart_pipeline,
     period_bound,
     region_count,
 )
 from polyvote.polytope import EventRegion, HPolytope
-from polyvote.socialchoice import BORDA, PLURALITY, manipulability_event
+from polyvote.socialchoice import ANTIPLURALITY, BORDA, PLURALITY, manipulability_event
 
 from helpers import (
     MANIPULABLE_UNION_SERIES,
@@ -151,6 +153,75 @@ def test_polygon_count_matches_a_scan_over_x(case):
         bottom = max(-((res[j] - a * x) // c) for j, a, c in lower)
         expected += max(0, top - bottom + 1)
     assert _polygon_count(upper, lower, res, xlo, xhi) == expected
+
+
+@st.composite
+def cut_boxes(draw):
+    """A box of dimension 2 to 4 with sides in multiples of 1/2, some
+    of them flat, cut by one to three rows through points of the box,
+    some of them equalities."""
+    dim = draw(st.integers(2, 4))
+    rows = []
+    lo = [F(draw(st.integers(-2, 2)), 2) for _ in range(dim)]
+    hi = [v + F(draw(st.integers(0, 4 if dim < 4 else 2)), 2) for v in lo]
+    for i in range(dim):
+        e = tuple(int(i == j) for j in range(dim))
+        rows += [ge(e, lo[i]), le(e, hi[i])]
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim))
+        point = [l + (h - l) * F(draw(st.integers(0, 4)), 4) for l, h in zip(lo, hi)]
+        rel = draw(st.sampled_from(("<=", "<=", ">=", "=")))
+        rows.append((tuple(coeffs), rel, sum(c * v for c, v in zip(coeffs, point))))
+    return HPolytope(dim, rows)
+
+
+def _shadows_hold(rows, shadows, rhs, prefix):
+    """Whether every shadow row of the levels < len(prefix) holds at the
+    integer prefix, for the right-hand sides ``rhs`` of ``rows``."""
+    for level, x in enumerate(prefix):
+        res = [r - sum(a * v for a, v in zip(coeffs, prefix[:level]))
+               for (coeffs, _), r in zip(rows, rhs)]
+        above, below = shadows[level]
+        for sign, bounds in ((1, above), (-1, below)):
+            if any(sign * c * x > sum(m * res[j] for j, m in lam) for c, lam in bounds):
+                return False
+    return True
+
+
+@settings(max_examples=100)
+@given(cut_boxes(), st.integers(1, 3))
+def test_shadows_hold_exactly_on_the_prefixes_of_real_points(poly, n):
+    # fixing the prefix by `=` rows and asking double description, which
+    # shares no code with the projection, whether any real point is left
+    assume(not poly.is_empty())
+    rows = _le_rows(poly)
+    shadows = _shadows(rows, poly.dim)
+    rhs = [b * n for _, b in rows]
+    dilated = [(coeffs, rel, b * n) for coeffs, rel, b in poly.integer_rows()]
+    lo, hi, _ = _dilated_box(poly, n)
+    for length in range(1, poly.dim + 1):
+        for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:length], hi[:length]))):
+            fixed = HPolytope(poly.dim, dilated + [
+                (tuple(int(i == j) for j in range(poly.dim)), "=", v) for i, v in enumerate(prefix)
+            ])
+            assert _shadows_hold(rows, shadows, rhs, prefix) == (not fixed.is_empty()), prefix
+
+
+def test_shadow_multipliers_are_nonnegative_and_cancel_every_later_coordinate():
+    polys = [term for rule in (PLURALITY, BORDA, ANTIPLURALITY)
+             for _, term in manipulability_event(rule).terms]
+    polys += [standard_simplex(5), unit_box(4)]
+    for poly in polys:
+        rows = _le_rows(poly)
+        for level, (above, below) in enumerate(_shadows(rows, poly.dim)):
+            assert above and below
+            for sign, bounds in ((1, above), (-1, below)):
+                for c, lam in bounds:
+                    assert c > 0 and all(m > 0 for _, m in lam)
+                    assert len({j for j, _ in lam}) == len(lam)
+                    combined = [sum(m * rows[j][0][i] for j, m in lam) for i in range(poly.dim)]
+                    assert combined[level] == sign * c
+                    assert not any(combined[level + 1:])
 
 
 def test_count_budget_guard():

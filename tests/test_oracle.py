@@ -63,3 +63,10 @@ def test_plurality_manipulability_counts():
     assert counts == [region_count(region, n) for n in DILATIONS]
     series = gf_coefficients(MANIPULABLE_UNION_SERIES, DILATIONS[-1]).entries
     assert counts == [series[n] for n in DILATIONS]
+
+
+@pytest.mark.parametrize("rule", (sc.PLURALITY, sc.BORDA, sc.ANTIPLURALITY), ids=lambda r: r.name)
+def test_manipulability_counts_against_every_coalition_ballot(rule):
+    region = sc.manipulability_event(rule)
+    counts = [oracle.count(oracle.manipulable, n, rule.lam) for n in DILATIONS]
+    assert counts == [region_count(region, n) for n in DILATIONS]

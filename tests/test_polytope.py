@@ -349,7 +349,11 @@ def test_parse_hrep_errors():
         parse_hrep("dim 2\n1 0 < 1\n")  # bad relation
     with pytest.raises(ValueError):
         parse_hrep("dim 2\n1 0 1 <= 1\n")  # wrong arity
-    with pytest.raises(ValueError):
-        parse_hrep("dim 2\n1 0.5 <= 1\n")  # not a rational literal
-    with pytest.raises(ValueError):
-        parse_hrep("dim 2\n1/0 0 <= 1\n")  # zero denominator
+    with pytest.raises(ValueError, match=r"^line 3: not a rational literal: '0\.5'$"):
+        parse_hrep("dim 2\n0 1 <= 1\n1 0.5 <= 1\n")
+    with pytest.raises(ValueError, match=r"^line 2: zero denominator in '1/0'$"):
+        parse_hrep("dim 2\n1/0 0 <= 1\n")
+    with pytest.raises(ValueError, match=r"^line 3: zero denominator in '3/0'$"):
+        parse_hrep("# rhs\ndim 2\n1 0 <= 3/0\n")
+    with pytest.raises(ValueError, match=r"^line 1: dimension 'two' is not an integer$"):
+        parse_hrep("dim two\n1 0 <= 1\n")
