@@ -11,10 +11,8 @@ count`, the enumeration refuses a dilation whose box holds more than
 
 import argparse
 import time
-from fractions import Fraction
 
 from polyvote.ehrhart import DEFAULT_BUDGET, ehrhart_pipeline, region_count
-from polyvote.linalg import format_rational
 from polyvote.socialchoice import PLURALITY, manipulability_event
 
 
@@ -26,7 +24,7 @@ def run(classes, check_at, budget):
     for r, poly in enumerate(q.polys):
         if poly is None:
             continue
-        coeffs = " ".join(format_rational(c) for c in poly)
+        coeffs = " ".join(map(str, poly))
         print(f"class {r}: {coeffs}")
     print(f"leading coefficient {q.leading_coefficient()}"
           f" = region volume {region.volume()}")

@@ -25,7 +25,7 @@ from .ehrhart import (
     ehrhart_pipeline,
     region_count,
 )
-from .linalg import decimal_string, format_rational
+from .linalg import decimal_string
 from .polytope import EventRegion, GeometryError, HPolytope, parse_hrep
 from .socialchoice import EVENT_SPECS, probability_for_spec, table_rows
 
@@ -38,7 +38,7 @@ class OutputRecord:
 
     @property
     def exact_str(self) -> str:
-        return format_rational(self.exact) if self.exact is not None else "n/a"
+        return str(self.exact) if self.exact is not None else "n/a"
 
     @property
     def decimal_str(self) -> str:
@@ -47,7 +47,7 @@ class OutputRecord:
     def as_json_obj(self):
         return {
             "label": self.label,
-            "exact": format_rational(self.exact) if self.exact is not None else None,
+            "exact": str(self.exact) if self.exact is not None else None,
             "decimal": float(self.decimal_str) if self.exact is not None else None,
             "spec": self.spec,
         }
@@ -111,7 +111,7 @@ def cmd_ehrhart(args) -> str:
             "period": q.period,
             "degree": q.degree,
             "classes": {
-                str(r): [format_rational(c) for c in poly] for r, poly in fitted
+                str(r): list(map(str, poly)) for r, poly in fitted
             },
         }
         return json.dumps(payload, indent=2) + "\n"
@@ -120,11 +120,11 @@ def cmd_ehrhart(args) -> str:
         writer = csv.writer(buf)
         writer.writerow(["class"] + [f"c{i}" for i in range(q.degree + 1)])
         for r, poly in fitted:
-            writer.writerow([r] + [format_rational(c) for c in poly])
+            writer.writerow([r] + list(map(str, poly)))
         return buf.getvalue()
     lines = [f"period {q.period}", f"degree {q.degree}"]
     for r, poly in fitted:
-        coeffs = " ".join(format_rational(c) for c in poly)
+        coeffs = " ".join(map(str, poly))
         lines.append(f"class {r}: {coeffs}")
     return "\n".join(lines) + "\n"
 

@@ -42,7 +42,6 @@ from math import lcm
 from operator import itemgetter
 
 from . import polytope
-from .linalg import bareiss
 from .polytope import EQ, EventRegion, HPolytope
 
 DEFAULT_BUDGET = 10**9
@@ -69,11 +68,18 @@ class PeriodTooSmallError(ValueError):
 
 
 def _le_rows(poly: HPolytope):
+    """The rows of a nonempty P as (coeffs, rhs, strict) with coeffs.x <=
+    rhs, an equality giving two.  ``strict`` is 1 on an inequality row
+    not tight on all of P, which the relative interior holds strictly,
+    and 0 on the others."""
+    kept = set(polytope._implicit_equalities(poly))
     rows = []
-    for coeffs, rel, rhs in poly.integer_rows():
-        rows.append((coeffs, rhs))
+    for row in poly.integer_rows():
+        coeffs, rel, rhs = row
         if rel == EQ:
-            rows.append((tuple(-a for a in coeffs), -rhs))
+            rows += [(coeffs, rhs, 0), (tuple(-a for a in coeffs), -rhs, 0)]
+        else:
+            rows.append((coeffs, rhs, int(row not in kept)))
     return rows
 
 
@@ -102,8 +108,8 @@ def _memo_keys(rows, dim: int) -> dict[int, list[int]]:
     keys = {}
     last, last_rank = 0, 0
     for level in range(1, dim - 1):
-        active = [j for j, (coeffs, _) in enumerate(rows) if any(coeffs[level:])]
-        r = bareiss([list(rows[j][0][:level]) for j in active])
+        active = [j for j, (coeffs, _, _) in enumerate(rows) if any(coeffs[level:])]
+        r = polytope._rank([rows[j][0][:level] for j in active])
         if r - last_rank < level - last:
             keys[level] = active
             last, last_rank = level, r
@@ -116,7 +122,7 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
         raise ValueError("dilation must be non-negative")
     if poly.is_empty():
         return 0
-    return _count(poly, n, [b * n for _, b in _count_plan(poly)[0]], budget)
+    return _count(poly, n, [b * n for _, b, _ in _count_plan(poly)[0]], budget)
 
 
 def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
@@ -127,13 +133,9 @@ def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
     if n >= 0:
         return count_lattice_points(poly, n, budget)
     k = -n
-    kept = polytope._implicit_equalities(poly)
-    rhs = []
-    for row in poly.integer_rows():
-        _, rel, b = row
-        rhs += [b * k, -b * k] if rel == EQ else [b * k - (row not in kept)]
-    codim = bareiss([list(coeffs) for coeffs, _, _ in kept])
-    return (-1) ** (poly.dim - codim) * _count(poly, k, rhs, budget)
+    plan = _count_plan(poly)
+    rhs = [b * k - strict for _, b, strict in plan[0]]
+    return (-1) ** (poly.dim - plan[-1]) * _count(poly, k, rhs, budget)
 
 
 def _shadows(rows, dim: int):
@@ -151,7 +153,7 @@ def _shadows(rows, dim: int):
     all-zero rows, repeated rows and, by Chernikov's rule, every
     combination of more than k + 1 rows after k eliminations, which
     the others imply."""
-    system = {(coeffs, ((j, 1),)) for j, (coeffs, _) in enumerate(rows) if any(coeffs)}
+    system = {(coeffs, ((j, 1),)) for j, (coeffs, _, _) in enumerate(rows) if any(coeffs)}
     levels = [None] * dim
     for level in range(dim - 1, -1, -1):
         pos = sorted((c, lam) for c, lam in system if c[level] > 0)
@@ -190,20 +192,23 @@ def _count_plan(poly: HPolytope):
     of its key, and, for dim >= 2, the rows that bound the last
     coordinate y from above and from below as (row, coefficient on the
     next-to-last coordinate x, |c|) for a row a.x + c.y <= r with c > 0
-    and c < 0."""
+    and c < 0, and the codimension of P, the rank of its implicit
+    equalities."""
     rows = tuple(_le_rows(poly))
     deltas = tuple(
-        tuple((j, coeffs[level]) for j, (coeffs, _) in enumerate(rows) if coeffs[level])
+        tuple((j, coeffs[level]) for j, (coeffs, _, _) in enumerate(rows) if coeffs[level])
         for level in range(poly.dim)
     )
     memo_keys = {level: itemgetter(*key) for level, key in _memo_keys(rows, poly.dim).items()}
     upper, lower = [], []
     if poly.dim >= 2:
-        for j, (coeffs, _) in enumerate(rows):
+        for j, (coeffs, _, _) in enumerate(rows):
             a, c = coeffs[-2], coeffs[-1]
             if c:
                 (upper if c > 0 else lower).append((j, a, abs(c)))
-    return rows, deltas, _shadows(rows, poly.dim), memo_keys, tuple(upper), tuple(lower)
+    codim = polytope._rank([coeffs for coeffs, _, _ in polytope._implicit_equalities(poly)])
+    return (rows, deltas, _shadows(rows, poly.dim), memo_keys, tuple(upper), tuple(lower),
+            codim)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -285,8 +290,8 @@ def _polygon_count(upper, lower, res: list[int], xlo: int, xhi: int) -> int:
 
 def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     """Integer points x of the vertex box of nP (P not empty) with
-    a.x <= rhs[j] on the j-th row (a, b) of ``_le_rows``: b.n for nP
-    itself, b.n - 1 on the strict rows of its relative interior.
+    a.x <= rhs[j] on the j-th row (a, b, s) of ``_le_rows``: b.n for nP
+    itself, b.n - s for its relative interior.
 
     Coordinates before the last two are enumerated between their
     ``_shadows`` bounds, clipped to the box; the last two are closed by
@@ -302,7 +307,7 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     if candidates == 0:
         return 0
 
-    _, deltas, shadows, memo_keys, upper, lower = _count_plan(poly)
+    _, deltas, shadows, memo_keys, upper, lower, _ = _count_plan(poly)
     closed = dim - 2
 
     def rec(level: int, res: list[int]) -> int:

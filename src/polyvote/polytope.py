@@ -17,23 +17,25 @@ first.  New rays combine adjacent pairs, and adjacency is a
 combinatorial test on zero sets kept as int bitmasks: the AND of the
 per-row bitsets of the rays tight on a pair's common rows must hold
 the pair alone.  The rays with t > 0 are the vertices, and their zero
-sets are the vertex/row incidence.  When the rows have
-rank dim the cone is pointed and also decides emptiness (no ray with
-t > 0) and boundedness (no ray with t = 0); only rank-deficient
-systems, empty or holding a line, are cut by a Hadamard guard box to
-tell which.  Vertices stay (numerators, denominator) pairs reduced by
-their gcd.  Volume first finds the classes of interchangeable
-coordinates, those whose swap maps the integer rows onto themselves;
-when some class has three or more members, it orders every class and
-works on that Weyl chamber alone, multiplying by the product of the
-classes' factorials, so the full polytope's vertices are never
-enumerated.  It
-scales the vertices to their common denominator D and sums the
-determinants of a pulling triangulation by a facet recursion down the
-face lattice, read from the incidence bitmasks and memoized on faces;
-each step is one integer product and one exact division, and the sum
-is divided once by D^dim * dim!.  Vertices and volumes are memoized
-per polytope.
+sets are the vertex/row incidence.  The greedy reduction that picks
+the seed (``_independent``) answers every rank question of the
+kernel.  When the seed fills, the rows have rank dim, and the pointed
+cone also decides emptiness (no ray with t > 0) and boundedness (no
+ray with t = 0).  When it holds t >= 0 but fewer rows, the rows have
+rank below dim and the polytope is empty or holds a line; the unit
+rows that complete them to a basis pin those coordinates to 0, and one
+more run on that system of rank dim tells which.  Vertices stay
+(numerators, denominator) pairs reduced by their gcd.  Volume first
+finds the classes of interchangeable coordinates, those whose swap
+maps the integer rows onto themselves; when some class has three or
+more members, it orders every class and works on that Weyl chamber
+alone, multiplying by the product of the classes' factorials, so the
+full polytope's vertices are never enumerated.  It scales the
+vertices to their common denominator D and sums the determinants of a
+pulling triangulation by a facet recursion down the face lattice, read
+from the incidence bitmasks and memoized on faces; each step is one
+integer product and one exact division, and the sum is divided once
+by D^dim * dim!.  Vertices and volumes are memoized per polytope.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import DimensionError, bareiss, parse_rational
+from .linalg import DimensionError, parse_rational
 
 LE, GE, EQ = "<=", ">=", "="
 _RELATIONS = (LE, GE, EQ)
@@ -240,6 +242,24 @@ def _seed_inverse(m):
     return [row[n:] for row in a], prev
 
 
+def _independent(rows, limit=None) -> list[int]:
+    """Indices of the integer rows independent of the rows before them,
+    a greedy basis by ``_reduce_against``, stopping after ``limit``."""
+    echelon, picked = [], []
+    for i, row in enumerate(rows):
+        red = _reduce_against(echelon, row)
+        if red is not None:
+            echelon.append((red, next(j for j, v in enumerate(red) if v)))
+            picked.append(i)
+            if len(picked) == limit:
+                break
+    return picked
+
+
+def _rank(rows) -> int:
+    return len(_independent(rows))
+
+
 def _nonzeros(row) -> int:
     return len(row) - row.count(0)
 
@@ -268,8 +288,9 @@ def _basic_solutions(rows, dim):
     Returns the vertices as ((numerator tuple, denominator), mask)
     pairs, the mask holding bit k when the vertex is tight on the k-th
     inequality row, and the extreme rays with t = 0, the recession
-    directions; both are exact only when the cone is pointed, i.e. when
-    the rows have rank dim."""
+    directions; ([], []) when the equalities are inconsistent, and None
+    when the seed holds t >= 0 but fewer than dim+1 rows: the rows then
+    have rank < dim, and the cone is not pointed."""
     width = dim + 1
     cone = [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel == EQ]
     t_row = len(cone)
@@ -277,17 +298,12 @@ def _basic_solutions(rows, dim):
     cone += [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel != EQ]
     inequalities = range(t_row + 1, len(cone))
 
-    echelon = []
-    seed = []
-    for i in [*range(t_row + 1), *sorted(inequalities, key=lambda i: _nonzeros(cone[i]))]:
-        red = _reduce_against(echelon, cone[i])
-        if red is not None:
-            echelon.append((red, next(j for j, v in enumerate(red) if v)))
-            seed.append(i)
-            if len(seed) == width:
-                break
+    order = [*range(t_row + 1), *sorted(inequalities, key=lambda i: _nonzeros(cone[i]))]
+    seed = [order[k] for k in _independent([cone[i] for i in order], width)]
     if t_row not in seed:
         return [], []  # the equalities force t = 0: they are inconsistent
+    if len(seed) < width:
+        return None  # the rows have rank < dim: the cone holds a line
     # an equality that is not in the seed is implied by the ones that are
 
     adj, _ = _seed_inverse([cone[i] for i in seed])
@@ -353,16 +369,6 @@ def _basic_solutions(rows, dim):
             [ray[:dim] for ray in rays if ray[dim] == 0])
 
 
-def _hadamard_box(rows, dim) -> int:
-    """Bound exceeding any vertex coordinate of the row system (Cramer:
-    coordinates are ratios of integer minors, denominators >= 1)."""
-    bound = 1
-    for coeffs, _, rhs in rows:
-        s = sum(abs(a) for a in coeffs) + abs(rhs)
-        bound *= max(1, s)
-    return bound + 1
-
-
 class _Vertices(tuple):
     """Sorted (numerators, denominator) pairs of a polytope's vertices.
 
@@ -379,24 +385,24 @@ def _vertices(poly: HPolytope) -> _Vertices:
     Rows of rank dim make the homogenized cone pointed, so its extreme
     rays decide: none with t > 0 means empty, and one with t = 0 beside
     them is a recession direction.  Rows of lower rank leave a line in
-    the cone: the polytope is empty or holds a line, and only the
-    Hadamard guard box, which holds a point of every nonempty one,
-    tells which."""
+    the cone: the polytope is empty or holds a line.  The unit rows e_j
+    that complete the rows to a basis pin x_j = 0.  The null space of
+    the rows maps one-to-one onto the pinned coordinates, so a nonempty
+    polytope meets x_j = 0, and the pinned system, of rank dim, has a
+    vertex exactly when the polytope is nonempty."""
     dim = poly.dim
     if poly.has_false_row():
         return _Vertices()
     rows = poly.integer_rows()
-    if bareiss([list(coeffs) for coeffs, _, _ in rows]) < dim:
-        big = _hadamard_box(rows, dim)
-        boxed = list(rows)
-        for i in range(dim):
-            unit = tuple(1 if j == i else 0 for j in range(dim))
-            boxed.append((unit, LE, big))
-            boxed.append((tuple(-u for u in unit), LE, big))
-        if _basic_solutions(boxed, dim)[0]:
+    found = _basic_solutions(rows, dim)
+    if found is None:
+        units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        basis = _independent([coeffs for coeffs, _, _ in rows] + units)
+        pinned = [(units[k - len(rows)], EQ, 0) for k in basis if k >= len(rows)]
+        if _basic_solutions(rows + tuple(pinned), dim)[0]:
             raise UnboundedPolytopeError("polytope is unbounded (its rows leave a line)")
         return _Vertices()
-    sols, rays = _basic_solutions(rows, dim)
+    sols, rays = found
     if sols and rays:
         raise UnboundedPolytopeError("polytope is unbounded (the cone has a ray at t = 0)")
     sols.sort()

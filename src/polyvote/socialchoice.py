@@ -165,10 +165,15 @@ def rule_winner_conditions(rule: ScoringRule) -> HPolytope:
     return share_space_polytope(rows)
 
 
+def _ranking_rows(rule: ScoringRule) -> list[Row]:
+    """The rows s_a - s_b >= 0 and s_b - s_c >= 0 of the rule's scores."""
+    sa, sb, sc = (scoring_vector(c, rule.lam) for c in CANDIDATES)
+    return [_sub(sa, sb), _sub(sb, sc)]
+
+
 def rule_ranking_conditions(rule: ScoringRule) -> HPolytope:
     """Scores order the candidates a >= b >= c (factor 6 event)."""
-    sa, sb, sc = (scoring_vector(c, rule.lam) for c in CANDIDATES)
-    return share_space_polytope([_sub(sa, sb), _sub(sb, sc)])
+    return share_space_polytope(_ranking_rows(rule))
 
 
 def _candidate_perm(candidate: str) -> tuple[int, ...] | None:
@@ -201,11 +206,6 @@ def condorcet_loser(candidate: str = "a") -> HPolytope:
 
 # ---------------------------------------------------------------------------
 # coalitional manipulability (fixed sincere ranking a > b > c, factor 6)
-
-
-def _sincere_rows(rule: ScoringRule) -> list[Row]:
-    sa, sb, sc = (scoring_vector(c, rule.lam) for c in CANDIDATES)
-    return [_sub(sa, sb), _sub(sb, sc)]
 
 
 def _strategic_rows_for_b(rule: ScoringRule) -> list[Row]:
@@ -244,7 +244,7 @@ def manipulability_event(rule: ScoringRule) -> EventRegion:
     sincere rows as well would describe elections with a different
     sincere outcome and an empty overlap.
     """
-    sincere = _sincere_rows(rule)
+    sincere = _ranking_rows(rule)
     strategic_b = _strategic_rows_for_b(rule)
     strategic_c = [permute_row(r, PERM_SWAP_BC) for r in strategic_b]
     favor_b = share_space_polytope(sincere + strategic_b)
@@ -324,8 +324,7 @@ def cyclic_agreement_probability() -> Fraction:
     for reverse, ranking_perm in ((False, None), (True, PERM_SWAP_BC)):
         rows = _cycle_rows(reverse)
         for rule in (PLURALITY, ANTIPLURALITY):
-            sa, sb, sc = (scoring_vector(c, rule.lam) for c in CANDIDATES)
-            ranked = [_sub(sa, sb), _sub(sb, sc)]
+            ranked = _ranking_rows(rule)
             if ranking_perm:
                 ranked = [permute_row(r, ranking_perm) for r in ranked]
             rows += ranked

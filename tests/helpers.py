@@ -1,7 +1,6 @@
 """Shared test fixtures and oracles that production code does not use:
 rational generating functions and the known series of the plurality
-manipulation regions, integer and ``Fraction`` determinants and rank
-on the Bareiss kernel, pointwise membership, a polytope's vertices as
+manipulation regions, pointwise membership, a polytope's vertices as
 ``Fraction`` tuples and their bounding box, brute-force lattice
 counters of dilations and of their relative interiors kept independent
 of the production counting path, a table of counts by dilation and a
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as F
 
 from polyvote.ehrhart import VALIDATION_POINTS, _fit_classes, period_bound, region_count
-from polyvote.linalg import DimensionError, bareiss
+from polyvote.linalg import DimensionError
 from polyvote.polytope import EventRegion, HPolytope, _vertices
 
 # -- count tables and their fit -----------------------------------------------
@@ -153,53 +152,6 @@ def referendum_irwin_hall(districts):
         math.comb(districts, k) * irwin_hall_cdf(districts, districts - k)
         for k in range(districts // 2 + 1, districts)
     ) / 2**districts
-
-
-# -- Fraction fronts for the Bareiss kernel -----------------------------------
-
-
-def _integer_rows(rows):
-    """Scale each row to integers by the lcm of its denominators.
-
-    Returns the rows and the product of the scale factors (det of the
-    scaled matrix = scale * det of the original)."""
-    out = []
-    scale = 1
-    for row in rows:
-        row = [F(x) for x in row]
-        m = math.lcm(*(x.denominator for x in row)) if row else 1
-        scale *= m
-        out.append([x.numerator * (m // x.denominator) for x in row])
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionError("matrix rows must all have equal length")
-    return out, scale
-
-
-def integer_determinant(m):
-    """Determinant of a square integer matrix; ``m`` is overwritten.
-
-    For a full-rank square matrix the last Bareiss pivot is the
-    determinant."""
-    n = len(m)
-    if n == 0:
-        return 1
-    return m[-1][-1] if bareiss(m) == n else 0
-
-
-def determinant(a):
-    """Exact determinant by fraction-free Bareiss elimination."""
-    m, scale = _integer_rows(a)
-    if any(len(r) != len(m) for r in m):
-        raise DimensionError("determinant requires a square matrix")
-    return F(integer_determinant(m), scale)
-
-
-def rank(a):
-    """Exact rank over the rationals (fraction-free echelon)."""
-    m, _ = _integer_rows(a)
-    if not m or not m[0]:
-        return 0
-    return bareiss(m)
 
 
 # -- membership and lattice counting ------------------------------------------

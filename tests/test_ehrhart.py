@@ -180,7 +180,7 @@ def _shadows_hold(rows, shadows, rhs, prefix):
     integer prefix, for the right-hand sides ``rhs`` of ``rows``."""
     for level, x in enumerate(prefix):
         res = [r - sum(a * v for a, v in zip(coeffs, prefix[:level]))
-               for (coeffs, _), r in zip(rows, rhs)]
+               for (coeffs, _, _), r in zip(rows, rhs)]
         above, below = shadows[level]
         for sign, bounds in ((1, above), (-1, below)):
             if any(sign * c * x > sum(m * res[j] for j, m in lam) for c, lam in bounds):
@@ -196,7 +196,7 @@ def test_shadows_hold_exactly_on_the_prefixes_of_real_points(poly, n):
     assume(not poly.is_empty())
     rows = _le_rows(poly)
     shadows = _shadows(rows, poly.dim)
-    rhs = [b * n for _, b in rows]
+    rhs = [b * n for _, b, _ in rows]
     dilated = [(coeffs, rel, b * n) for coeffs, rel, b in poly.integer_rows()]
     lo, hi, _ = _dilated_box(poly, n)
     for length in range(1, poly.dim + 1):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ
 from sympy.polys.matrices import DomainMatrix
@@ -512,7 +512,7 @@ def test_interior_counts_through_the_closure_match_a_box_scan(case):
 @st.composite
 def cone_cases(draw):
     """Row systems in dims 2-5 whose emptiness or boundedness the
-    double-description cone, or the guard box, must decide: rows of rank
+    double-description cone must decide: rows of rank
     below dim, lines in a sheared direction, inconsistent equalities,
     a strip along the diagonal open on one side, and polytopes only
     coupled rows close; each with up to three random rows added."""
@@ -648,8 +648,22 @@ def _vertex_outcome(poly):
     return bounding_box(poly)
 
 
+# rank-deficient systems with coefficients near 10^6: in R^4, rows of
+# rank 2 that only a combination of two of them shows empty; in R^5,
+# rows of rank 3 that leave a plane of lines
+_U4 = (1000003, -999983, 999979, 1000033)
+_V4 = (999961, 1000037, -1000039, 999953)
+_U5 = (1000003, -999983, 999979, 1000033, -1000037)
+_V5 = (999961, 1000037, -1000039, 999953, 999931)
+_W5 = (-1000081, 999907, 1000099, -999883, 1000117)
+
+
 @settings(max_examples=200)
 @given(cone_cases())
+@example((4, [(_U4, "<=", 1), (_V4, "<=", 1), (tuple(map(sum, zip(_U4, _V4))), ">=", 3),
+              (tuple(a - b for a, b in zip(_U4, _V4)), "=", 999999)]))
+@example((5, [(_U5, "<=", 10**6), (_U5, ">=", -10**6), (_V5, "=", 999999), (_W5, "<=", 3),
+              (tuple(a - b for a, b in zip(_U5, _W5)), ">=", -2 * 10**6)]))
 def test_emptiness_and_boundedness_match_fourier_motzkin(case):
     dim, rows = case
     assert _vertex_outcome(HPolytope(dim, rows)) == _elimination_outcome(dim, rows)

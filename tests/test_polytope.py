@@ -131,26 +131,38 @@ def test_vertices_satisfy_constraints_with_d_tight():
 
 
 def vertex_path(poly):
-    """"full rank" when the rows have rank dim and the double-description
-    cone decides emptiness and boundedness by itself, "guard box" when
-    vertex enumeration has to cut the rows by the Hadamard box."""
-    boxed = []
-    real = polytope._hadamard_box
+    """"one run" when one double-description run decides emptiness and
+    boundedness by itself: the rows have rank dim, or the seed finds the
+    equalities inconsistent.  "pinned" when the seed finds the rows of
+    rank below dim and a second run, on the rows and unit rows x_j = 0,
+    tells empty from a line."""
+    runs = []
+    real = polytope._basic_solutions
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytope, "_hadamard_box",
-                   lambda rows, dim: boxed.append(dim) or real(rows, dim))
+        mp.setattr(polytope, "_basic_solutions",
+                   lambda rows, dim: runs.append(rows) or real(rows, dim))
         try:
             polytope._vertices.__wrapped__(poly)
         except UnboundedPolytopeError:
             pass
-    return "guard box" if boxed else "full rank"
+    if len(runs) == 1:
+        return "one run"
+    first, second = runs
+    units = {tuple(int(i == j) for j in range(poly.dim)) for i in range(poly.dim)}
+    assert tuple(second[:len(first)]) == tuple(first)
+    assert all(coeffs in units and rel == "=" and rhs == 0
+               for coeffs, rel, rhs in second[len(first):])
+    return "pinned"
 
 
 def test_unbounded_raises():
     with pytest.raises(UnboundedPolytopeError):
         vertices(HPolytope(2, [ge((1, 0)), ge((0, 1))]))
+    # rank 1 in the plane: pinning x_0 = 0 leaves the vertex (0, 0)
+    line = HPolytope(2, [eq((1, -1), 0)])
+    assert vertex_path(line) == "pinned"
     with pytest.raises(UnboundedPolytopeError):
-        vertices(HPolytope(2, [eq((1, -1), 0)]))
+        vertices(line)
 
 
 def test_diamond_needs_no_axis_bounds():
@@ -163,9 +175,9 @@ def test_diamond_needs_no_axis_bounds():
 
 
 def test_empty_with_free_direction_is_empty_not_unbounded():
-    # rank 1 in the plane: the guard box tells empty from a line
+    # rank 1 in the plane: pinning x_1 = 0 tells empty from a line
     p = HPolytope(2, [ge((1, 0), 2), le((1, 0), 1)])
-    assert vertex_path(p) == "guard box"
+    assert vertex_path(p) == "pinned"
     assert vertices(p) == ()
     assert p.volume() == 0
 
@@ -175,7 +187,7 @@ def test_bounded_without_axis_bounds():
     diamond = HPolytope(
         2, [le((1, 1), 1), le((1, -1), 1), le((-1, 1), 1), le((-1, -1), 1)]
     )
-    assert vertex_path(diamond) == "full rank"
+    assert vertex_path(diamond) == "one run"
     assert vertices(diamond) == ((-1, 0), (0, -1), (0, 1), (1, 0))
     # a hexagon in the plane sum(x) = 0 cut by |x_i - x_j| <= 1
     rows = [eq((1, 1, 1), 0)]
@@ -184,7 +196,7 @@ def test_bounded_without_axis_bounds():
             if i != j:
                 rows.append(le(tuple((k == i) - (k == j) for k in range(3)), 1))
     hexagon = HPolytope(3, rows)
-    assert vertex_path(hexagon) == "full rank"
+    assert vertex_path(hexagon) == "one run"
     assert vertices(hexagon) == tuple(
         tuple(F(v, 3) for v in nums)
         for nums in [(-2, 1, 1), (-1, -1, 2), (-1, 2, -1),
@@ -200,7 +212,7 @@ def test_unbounded_along_one_ray_has_a_cone_ray_at_t0():
     sloped = HPolytope(3, [eq((1, 1, 1), 1), le((1, -1, 0), 1), le((-1, 1, 0), 1),
                            ge((0, 0, 1), 0)])
     for poly in (strip, sloped):
-        assert vertex_path(poly) == "full rank"
+        assert vertex_path(poly) == "one run"
         with pytest.raises(UnboundedPolytopeError):
             vertices(poly)
         with pytest.raises(UnboundedPolytopeError):
@@ -208,16 +220,14 @@ def test_unbounded_along_one_ray_has_a_cone_ray_at_t0():
 
 
 def test_inconsistent_equalities_are_empty():
-    # parallel equalities (rank 1 in the plane: guard box), three
-    # equalities in the plane with no common point (rank 2: the seed
-    # equalities force t = 0), and parallel equalities with a free
-    # direction besides (rank 2 in space: guard box)
+    # parallel equalities, three equalities in the plane with no common
+    # point, and parallel equalities with a free direction besides: in
+    # each the seed equalities force t = 0, whatever the rank of the rows
     parallel = HPolytope(2, [eq((1, 1), 1), eq((1, 1), 2)])
     overdetermined = HPolytope(2, [eq((1, 1), 1), eq((1, -1), 0), eq((1, 2), 5)])
     with_rays = HPolytope(3, [eq((1, 1, 0), 1), eq((2, 2, 0), 3), ge((0, 0, 1), 0)])
-    paths = {parallel: "guard box", overdetermined: "full rank", with_rays: "guard box"}
-    for poly, path in paths.items():
-        assert vertex_path(poly) == path
+    for poly in (parallel, overdetermined, with_rays):
+        assert vertex_path(poly) == "one run"
         assert vertices(poly) == ()
         assert poly.is_empty()
         assert poly.volume() == 0
