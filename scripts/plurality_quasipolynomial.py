@@ -18,6 +18,8 @@ from polyvote.socialchoice import PLURALITY, manipulability_event
 
 def run(classes, check_at, budget):
     region = manipulability_event(PLURALITY)
+    if classes is not None:
+        classes = classes + [check_at]  # the check evaluates check_at's class
     t0 = time.perf_counter()
     q = ehrhart_pipeline(region, classes=classes)
     print(f"period {q.period}, degree {q.degree}  (fit in {time.perf_counter()-t0:.1f}s)")

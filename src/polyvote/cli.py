@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .ehrhart import (
@@ -30,11 +30,10 @@ from .polytope import EventRegion, GeometryError, HPolytope, parse_hrep
 from .socialchoice import EVENT_SPECS, probability_for_spec, table_rows
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    label: str
-    exact: Fraction | None
-    spec: str
+class OutputRecord(namedtuple("OutputRecord", "label exact spec")):
+    """One output row: a label, an exact value or None, and its spec."""
+
+    __slots__ = ()
 
     @property
     def exact_str(self) -> str:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -372,21 +372,19 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
 # quasipolynomials
 
 
-@dataclass(frozen=True)
-class Quasipolynomial:
+class Quasipolynomial(namedtuple("Quasipolynomial", "period degree polys")):
     """One degree-d polynomial per residue class modulo the period.
 
     ``polys[r]`` holds ascending coefficients for n == r (mod period);
     classes not fitted (a restricted pipeline run) hold None.
     """
 
-    period: int
-    degree: int
-    polys: tuple[tuple[Fraction, ...] | None, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.period < 1 or len(self.polys) != self.period:
+    def __new__(cls, period: int, degree: int, polys):
+        if period < 1 or len(polys) != period:
             raise ValueError("need one (possibly None) polynomial per residue class")
+        return super().__new__(cls, period, degree, polys)
 
     def class_coefficients(self, r: int) -> tuple[Fraction, ...]:
         poly = self.polys[r % self.period]

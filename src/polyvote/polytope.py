@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -93,16 +93,16 @@ def _integer_row(ints: list[int], rel: str, b: int) -> IntRow | None:
     return tuple(v // g for v in ints), rel, b // g
 
 
-@dataclass(frozen=True)
 class HPolytope:
     """Intersection of closed halfspaces and hyperplanes in R^dim.
 
     Built from rational rows (coeffs, rel, rhs) and held as the sorted,
     deduplicated coprime integer rows they canonicalize to; polytopes
-    compare and hash by (dim, rows)."""
+    compare and hash by (dim, rows).  The hash is computed once, on
+    construction, since every memo lookup of the kernel takes it.
+    Polytopes are immutable: assigning a field raises AttributeError."""
 
-    dim: int
-    _rows: tuple[IntRow, ...]
+    __slots__ = ("dim", "_rows", "_hash")
 
     def __init__(self, dim: int, rows):
         self._set_rows(dim, (
@@ -122,10 +122,27 @@ class HPolytope:
             raise ValueError("ambient dimension must be >= 1")
         rows = set(rows)
         rows.discard(None)
+        rows = tuple(sorted(rows, key=lambda r: (r[1], r[0], r[2])))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_rows", tuple(
-            sorted(rows, key=lambda r: (r[1], r[0], r[2]))
-        ))
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_hash", hash((dim, rows)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an HPolytope")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an HPolytope")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self._rows == other._rows
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"HPolytope(dim={self.dim!r}, _rows={self._rows!r})"
 
     # -- basic predicates ------------------------------------------------
 
@@ -156,14 +173,14 @@ class HPolytope:
         return not _vertices(self)
 
 
-@dataclass(frozen=True)
-class EventRegion:
-    """Signed inclusion-exclusion decomposition of a union of polytopes."""
+class EventRegion(namedtuple("EventRegion", "terms")):
+    """Signed inclusion-exclusion decomposition of a union of polytopes:
+    ``terms`` holds (sign, polytope) pairs, each sign +1 or -1."""
 
-    terms: tuple[tuple[int, HPolytope], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        terms = tuple((int(s), p) for s, p in self.terms)
+    def __new__(cls, terms):
+        terms = tuple((int(s), p) for s, p in terms)
         if not terms:
             raise ValueError("region needs at least one term")
         if any(s not in (1, -1) for s, _ in terms):
@@ -171,7 +188,7 @@ class EventRegion:
         dims = {p.dim for _, p in terms}
         if len(dims) != 1:
             raise DimensionError("all region terms must share one dimension")
-        object.__setattr__(self, "terms", terms)
+        return super().__new__(cls, terms)
 
     @property
     def dim(self) -> int:

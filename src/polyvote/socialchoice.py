@@ -22,8 +22,7 @@ reader of that grammar.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -115,17 +114,16 @@ def share_space_polytope(rows: list[Row]) -> HPolytope:
 # rules
 
 
-@dataclass(frozen=True)
-class ScoringRule:
+class ScoringRule(namedtuple("ScoringRule", "lam")):
     """Positional rule with weights (1, lam, 0)."""
 
-    lam: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        lam = Fraction(self.lam)
+    def __new__(cls, lam):
+        lam = Fraction(lam)
         if not 0 <= lam <= 1:
             raise ValueError("scoring weight lam must lie in [0, 1]")
-        object.__setattr__(self, "lam", lam)
+        return super().__new__(cls, lam)
 
     @property
     def name(self) -> str:
@@ -468,11 +466,7 @@ RULE_M_LAMBDA = Fraction(37228, 100000)
 # builder that evaluates it
 
 
-@dataclass(frozen=True)
-class EventResult:
-    label: str
-    spec: str
-    probability: Fraction
+EventResult = namedtuple("EventResult", "label spec probability")
 
 
 def _rule_pair(sep: str):
@@ -509,15 +503,13 @@ ARGUMENT_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class SpecForm:
-    """One argument form of a spec kind.  ``build`` takes the parsed
-    arguments and returns the row label and the exact probability; its
-    docstring says what the event is."""
+class SpecForm(namedtuple("SpecForm", "kind fields build")):
+    """One argument form of a spec kind: the spec ``kind``, the argument
+    forms ``fields`` and ``build``, which takes the parsed arguments and
+    returns the row label and the exact probability; its docstring says
+    what the event is."""
 
-    kind: str
-    fields: tuple[str, ...]
-    build: Callable[..., tuple[str, Fraction]]
+    __slots__ = ()
 
     @property
     def usage(self) -> str:

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from polyvote.polytope import format_hrep
 import polyvote.socialchoice as sc
 
 from helpers import referendum_irwin_hall
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SIMPLEX5 = """\
 dim 5
@@ -211,6 +217,25 @@ def test_ehrhart_budget_exit_reports_requirements(run):
 
 def test_usage_error_exit_code(run):
     assert run("volume")[0] == 2  # missing required --polytope-file
+
+
+def test_output_records_render_by_field():
+    half = cli.OutputRecord(label="half", exact=F(1, 2), spec="s")
+    assert cli.render_records([half], "text") == "half: exact=1/2 decimal=0.50000 spec=s\n"
+    blank = cli.OutputRecord(label="none", exact=None, spec="t")
+    assert json.loads(cli.render_records([blank], "json")) == {
+        "label": "none", "exact": None, "decimal": None, "spec": "t"}
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # every command line call pays for the modules its import chain loads
+    code = ("import sys; before = set(sys.modules); import polyvote.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=60, check=True).stdout.split())
+    assert "polyvote.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_output_is_deterministic(run):

@@ -65,6 +65,24 @@ def test_polytopes_compare_and_hash_by_integer_rows():
     assert p != HPolytope(2, [le((1, 2), 3)])
 
 
+def test_equal_polytopes_share_one_memo_entry_and_are_immutable():
+    box = unit_box(2)
+    copies = (HPolytope._from_rows(2, reversed(box.integer_rows())), parse_hrep(HREP_TEXT))
+    for other in copies:
+        assert other is not box and other == box and hash(other) == hash(box)
+    polytope._vertices.cache_clear()
+    for poly in (box,) + copies:
+        polytope._vertices(poly)
+    info = polytope._vertices.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    for field, value in (("dim", 3), ("_rows", ())):
+        with pytest.raises(AttributeError):
+            setattr(box, field, value)
+        with pytest.raises(AttributeError):
+            delattr(box, field)
+    assert repr(box) == f"HPolytope(dim=2, _rows={box.integer_rows()!r})"
+
+
 def test_ge_rows_store_as_le():
     p = HPolytope(2, [ge((1, 1), 1)])
     assert p.integer_rows() == (((-1, -1), "<=", -1),)
@@ -312,6 +330,8 @@ def test_region_validation():
         EventRegion(((2, p),))
     with pytest.raises(DimensionError):
         EventRegion(((1, p), (1, unit_box(3))))
+    with pytest.raises(AttributeError):
+        EventRegion.of(p).terms = ()
     surplus = EventRegion(((1, standard_simplex(2)), (-1, unit_box(2))))
     with pytest.raises(GeometryError):
         surplus.volume()

@@ -41,6 +41,16 @@ def test_plurality_quasipolynomial_script_checks_past_the_default_budget():
     assert enumerated.group(1) == fitted.group(1) == "414433614658"
 
 
+def test_plurality_quasipolynomial_script_fits_the_class_it_checks():
+    # n = 100 is class 4 mod 12, which --classes 0 leaves out
+    out = run_script("plurality_quasipolynomial.py", "--classes", "0", "--check-at", "100")
+    assert re.findall(r"^class (\d+): ", out, re.MULTILINE) == ["0", "4"]
+    enumerated = re.search(r"^f\(100\) by enumeration: (\d+)", out, re.MULTILINE)
+    fitted = re.search(r"^f\(100\) by the fitted polynomial: (\d+)$", out, re.MULTILINE)
+    assert enumerated and fitted
+    assert enumerated.group(1) == fitted.group(1) == "5061918"
+
+
 def test_referendum_scan_matches_irwin_hall():
     out = run_script("referendum_scan.py", "--max-districts", "9")
     printed = re.findall(r"^N=\s*(\d+)\s+(\S+)\s+= ", out, re.MULTILINE)

@@ -67,6 +67,8 @@ def test_rule_validation():
     assert sc.rule_from_token("lambda=2/5").lam == F(2, 5)
     with pytest.raises(ValueError):
         sc.rule_from_token("approval")
+    with pytest.raises(AttributeError):
+        sc.BORDA.lam = F(1)
 
 
 def test_winner_conditions_reduce_to_known_rows():
@@ -402,6 +404,9 @@ def test_probability_for_spec_inline_arguments():
     # a rule weight and a district count are part of the spec itself
     assert prob("condorcet-efficiency:lambda=1/2") == F(41, 45)
     assert prob("referendum:N=4") == F(1, 48)
+    result = sc.probability_for_spec("referendum:N=4")
+    assert result == sc.EventResult(label="referendum paradox with 4 districts",
+                                    spec="referendum:N=4", probability=F(1, 48))
 
 
 def test_probability_for_spec_errors():
@@ -423,6 +428,7 @@ def test_registry_forms_are_distinct_and_readable():
         assert len({len(f.fields) for f in forms}) == len(forms), kind
         for form in forms:
             assert form.kind == kind and form.build.__doc__
+            assert form == sc.SpecForm(kind=form.kind, fields=form.fields, build=form.build)
             assert all(field in sc.ARGUMENT_FORMS for field in form.fields)
 
 
