@@ -210,32 +210,29 @@ def _strategic_rows_for_b(rule: ScoringRule) -> list[Row]:
     """Conditions under which the voters preferring b to the sincere
     winner a (orders bac, bca, cba) can misreport so that b wins.
 
-    Plurality: the cba voters switch to b, so b must then beat both a
-    and c on first-place tallies.  Borda: the coalition ranks b first
-    and splits its second places between a and c; b wins for some split
-    iff b's total covers a's with no help (row 1) and the two score
-    gaps together do not exceed the coalition's weight (row 2).
-    Antiplurality: the coalition directs its vetoes; alpha of them veto
-    a and the rest veto c, which works iff the vetoes b already carries
-    fit inside the coalition (row 1) and inside the slack left after
-    covering c's deficit (row 2).
+    Score with the weights (q, p, 0) of lam = p/q.  The coalition, of
+    share w, ranks b first, which never lowers b against a or c.  Let
+    S_x be x's score from the voters outside the coalition and
+    B = S_b + q * w.  The coalition gives its second places to a (an
+    amount alpha in [0, w]) and to c (the rest), so b wins iff
+    B >= S_a + p * alpha and B >= S_c + p * (w - alpha).  Eliminating
+    alpha leaves B - S_a >= 0, B - S_c >= 0 and, when p > 0,
+    2B - S_a - S_c - p * w >= 0; at p = 0 alpha drops out.
     """
     lam = rule.lam
-    if lam == 0:
-        return [(-1, -1, 1, 1, 0, 1), (0, 0, 1, 1, -1, 1)]
-    if lam == Fraction(1, 2):
-        return [(-1, -2, 2, 2, -1, 2), (0, -1, 1, 1, -1, 1)]
-    if lam == 1:
-        return [(0, -1, 1, 1, -1, 1), (1, -2, 1, 1, -2, 1)]
-    raise ValueError(
-        f"manipulability systems are defined for plurality, borda and "
-        f"antiplurality, not {rule.name}"
-    )
+    coalition = tuple(int(order.index("b") < order.index("a")) for order in ORDERS)
+    s_a, s_b, s_c = (tuple(s * (1 - u) for s, u in zip(scoring_vector(x, lam), coalition))
+                     for x in CANDIDATES)
+    big_b = tuple(s + lam.denominator * u for s, u in zip(s_b, coalition))
+    rows = [_sub(big_b, s_a), _sub(big_b, s_c)]
+    if lam.numerator:
+        rows.append(tuple(u + v - lam.numerator * c for u, v, c in zip(*rows, coalition)))
+    return rows
 
 
 def manipulability_event(rule: ScoringRule) -> EventRegion:
     """Signed union of the regions where a coalition can make b, or c,
-    win instead of the sincere winner a.
+    win instead of the sincere winner a, for any positional rule.
 
     The c-side system keeps the sincere ranking rows and applies the
     b <-> c candidate swap to the strategic rows only; swapping the
@@ -300,14 +297,6 @@ def _agreement_label(rule1, rule2, mode):
     return f"{rule1.name} and {rule2.name} {what}"
 
 
-def _cycle_rows(reverse: bool) -> list[Row]:
-    if not reverse:
-        return [pairwise_vector("a", "b"), pairwise_vector("b", "c"),
-                pairwise_vector("c", "a")]
-    return [pairwise_vector("a", "c"), pairwise_vector("c", "b"),
-            pairwise_vector("b", "a")]
-
-
 def cyclic_agreement_probability() -> Fraction:
     """Volume ratio, over the simplex, of the cases where the pairwise
     comparisons form a cycle and plurality and antiplurality (hence all
@@ -315,19 +304,17 @@ def cyclic_agreement_probability() -> Fraction:
     the two cycle orientations.
 
     Each orientation contributes one ranking class only: a > b > c for
-    the cycle a > b > c > a, and a > c > b for the reverse cycle.  The
-    other common rankings, and the cases where the rules share a winner
-    but not a full ranking, are not counted here."""
-    total = Fraction(0)
-    for reverse, ranking_perm in ((False, None), (True, PERM_SWAP_BC)):
-        rows = _cycle_rows(reverse)
-        for rule in (PLURALITY, ANTIPLURALITY):
-            ranked = _ranking_rows(rule)
-            if ranking_perm:
-                ranked = [permute_row(r, ranking_perm) for r in ranked]
-            rows += ranked
-        total += share_space_polytope(rows).volume() / SIMPLEX_VOLUME
-    return total
+    the cycle a > b > c > a, and its b <-> c relabeling, a > c > b for
+    the reverse cycle.  The other common rankings, and the cases where
+    the rules share a winner but not a full ranking, are not counted
+    here."""
+    forward = [pairwise_vector("a", "b"), pairwise_vector("b", "c"),
+               pairwise_vector("c", "a")]
+    for rule in (PLURALITY, ANTIPLURALITY):
+        forward += _ranking_rows(rule)
+    reverse = [permute_row(r, PERM_SWAP_BC) for r in forward]
+    volume = sum(share_space_polytope(rows).volume() for rows in (forward, reverse))
+    return volume / SIMPLEX_VOLUME
 
 
 # label permutations the cyclic agreement case stands for

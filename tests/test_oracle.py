@@ -65,8 +65,8 @@ def test_plurality_manipulability_counts():
     assert counts == [series[n] for n in DILATIONS]
 
 
-@pytest.mark.parametrize("rule", (sc.PLURALITY, sc.BORDA, sc.ANTIPLURALITY), ids=lambda r: r.name)
-def test_manipulability_counts_against_every_coalition_ballot(rule):
-    region = sc.manipulability_event(rule)
-    counts = [oracle.count(oracle.manipulable, n, rule.lam) for n in DILATIONS]
+@pytest.mark.parametrize("lam", LAMBDAS, ids=lambda lam: sc.ScoringRule(lam).name)
+def test_manipulability_counts_against_every_coalition_ballot(lam):
+    region = sc.manipulability_event(sc.ScoringRule(lam))
+    counts = [oracle.count(oracle.manipulable, n, lam) for n in DILATIONS]
     assert counts == [region_count(region, n) for n in DILATIONS]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -242,9 +243,32 @@ def test_printed_strategic_variant_row_is_redundant():
         assert count_lattice_points(variant, n) == count_lattice_points(favor_b, n)
 
 
-def test_manipulability_rejects_other_rules():
-    with pytest.raises(ValueError):
-        sc.manipulability_event(sc.ScoringRule(F(1, 3)))
+# reference strategic rows of the b-favoring coalition, eliminated by
+# hand for the three named rules: plurality's cba voters switch to b;
+# Borda's coalition splits its second places between a and c;
+# antiplurality's coalition splits its vetoes between a and c
+HAND_STRATEGIC_ROWS = {
+    F(0): [(-1, -1, 1, 1, 0, 1), (0, 0, 1, 1, -1, 1)],
+    F(1, 2): [(-1, -2, 2, 2, -1, 2), (0, -1, 1, 1, -1, 1)],
+    F(1): [(0, -1, 1, 1, -1, 1), (1, -2, 1, 1, -2, 1)],
+}
+
+
+def test_derived_strategic_rows_match_the_hand_eliminated_systems(monkeypatch):
+    derived = {r: sc.manipulability_event(r).terms
+               for r in (sc.PLURALITY, sc.BORDA, sc.ANTIPLURALITY)}
+    monkeypatch.setattr(sc, "_strategic_rows_for_b",
+                        lambda rule: HAND_STRATEGIC_ROWS[rule.lam])
+    for rule, terms in derived.items():
+        hand = sc.manipulability_event(rule).terms
+        assert [s for s, _ in terms] == [s for s, _ in hand] == [1, 1, -1]
+        for (_, ours), (_, theirs) in zip(terms, hand):
+            if rule == sc.PLURALITY:
+                assert ours.integer_rows() == theirs.integer_rows()
+            else:
+                # redundant rows added, the same polytope
+                assert set(ours.integer_rows()) > set(theirs.integer_rows())
+                assert vertices(ours) == vertices(theirs)
 
 
 # -- agreement -------------------------------------------------------------------
@@ -380,10 +404,27 @@ def test_rule_m_probabilities():
 # -- event specs and tables -------------------------------------------------------
 
 
+def test_every_rule_form_accepts_any_positional_rule():
+    # no spec kind special-cases the rules it is given: every form with a
+    # RULE field evaluates at lambda = 1/3 (and 2/5 as the second rule),
+    # with every option of its other fields
+    rules = {"RULE": ["lambda=1/3"], "RULE,RULE": ["lambda=1/3,lambda=2/5"],
+             "RULE|RULE": ["lambda=1/3|lambda=2/5"]}
+    forms = [f for fs in sc.EVENT_SPECS.values() for f in fs
+             if any(field in rules for field in f.fields)]
+    assert {f.kind for f in forms} >= {"manipulable", "participation", "agreement"}
+    for form in forms:
+        options = [rules.get(field, field.split("|")) for field in form.fields]
+        for args in product(*options):
+            spec = ":".join((form.kind,) + args)
+            assert 0 <= prob(spec) <= 1, spec
+
+
 def test_probability_for_spec_round_trip():
     checks = {
         "manipulable:plurality": F(7, 24),
         "manipulable:borda": F(132953, 264600),
+        "manipulable:lambda=1/3": F(923984242439, 2146654224000),
         "condorcet-paradox": F(1, 16),
         "condorcet-winner": F(15, 16),
         "condorcet-efficiency:borda": F(41, 45),
