@@ -271,6 +271,17 @@ def test_derived_strategic_rows_match_the_hand_eliminated_systems(monkeypatch):
                 assert vertices(ours) == vertices(theirs)
 
 
+def test_manipulability_rejects_other_rules():
+    # every positional rule (1, lam, 0) with 0 <= lam <= 1 is evaluated;
+    # weights outside that family and non-positional rules are refused
+    with pytest.raises(ValueError):
+        sc.manipulability_event(sc.ScoringRule(F(4, 3)))
+    for spec in ("manipulable:lambda=4/3", "manipulable:lambda=-1",
+                 "manipulable:copeland"):
+        with pytest.raises(ValueError):
+            prob(spec)
+
+
 # -- agreement -------------------------------------------------------------------
 
 
