@@ -23,13 +23,16 @@ rows on the prefix grew by less than the coordinates fixed since the
 last memoized level.  Share-space rows that see coordinates only
 through their sums (plurality's x0 + x1) make such levels; rows that
 separate every prefix make none, and the recursion runs unmemoized.
-Quasipolynomials are recovered per residue class by exact
-Lagrange/Newton interpolation on the dilations of least |n| in the
-class, with spare values held back to cross-validate the fitted degree
-and period.  By Ehrhart-Macdonald reciprocity the value at n = -k is
-(-1)^dim(P) times the lattice count of the relative interior of kP,
-whose rows not tight on all of P are strict: a.x <= b.k - 1.  So no
-count needs n beyond about (dim + 3) / 2 periods, not dim + 2.
+The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
+deg D, where the cyclotomic Phi_k divides D at most min(dim + 1,
+#{vertices v of a term : k divides den v}) times (Stanley, EC I, 4.6).
+So the deg D values of one window fix every residue class: spare
+values check the recurrence D gives, which then extends them to the
+dilations each class is fitted on.  By Ehrhart-Macdonald reciprocity
+the value at n = -k is (-1)^dim(P) times the lattice count of the
+relative interior of kP, whose rows not tight on all of P are strict:
+a.x <= b.k - 1.  So the window is about n = -deg D / 2 ... deg D / 2,
+whatever the period.
 """
 
 from __future__ import annotations
@@ -45,22 +48,22 @@ from . import polytope
 from .polytope import EQ, EventRegion, HPolytope
 
 DEFAULT_BUDGET = 10**9
-# fresh dilations per residue class that check a fit without entering it
+# window counts past deg D that check the series recurrence without entering it
 VALIDATION_POINTS = 2
 
 
 class BudgetExceededError(Exception):
     """A count would scan more candidate points than the ceiling allows."""
 
-    def __init__(self, message, candidates=None, dilation=None, required_counts=None):
+    def __init__(self, message, candidates=None, dilation=None):
         super().__init__(message)
         self.candidates = candidates
         self.dilation = dilation
-        self.required_counts = required_counts
 
 
 class PeriodTooSmallError(ValueError):
-    """Held-back counts disagreed with the interpolated polynomial."""
+    """Held-back counts disagreed with the series recurrence or the
+    interpolated polynomial."""
 
 
 # ---------------------------------------------------------------------------
@@ -471,48 +474,75 @@ def period_bound(target) -> int:
     return lcm(*(den for _, p in terms for _, den in polytope._vertices(p)))
 
 
+def _series_denominator(dim: int, terms) -> list[int]:
+    """Ascending coefficients of D = prod_k Phi_k^c_k, c_k the largest
+    over the nonempty ``terms`` of min(dim + 1, #{v : k divides den v}),
+    built as prod_j (1 - t^j)^e_j, where e_j is c_j less the e of j's
+    proper multiples: the factors with e_j > 0 multiplied in first, the
+    others divided out (so D(0) = 1 and every step stays in ints)."""
+    mult = {}
+    for _, p in terms:
+        dens = [den for _, den in polytope._vertices(p)]
+        for k in range(1, max(dens) + 1):
+            c = min(dim + 1, sum(den % k == 0 for den in dens))
+            mult[k] = max(mult.get(k, 0), c)
+    exps = {}
+    for k in sorted(mult, reverse=True):
+        exps[k] = mult[k] - sum(e for j, e in exps.items() if j % k == 0)
+    d = [1]
+    for j, e in sorted(exps.items(), key=lambda je: -je[1]):
+        for _ in range(e):  # times 1 - t^j
+            d += [0] * j
+            for i in range(len(d) - 1, j - 1, -1):
+                d[i] -= d[i - j]
+        for _ in range(-e):  # over 1 - t^j
+            for i in range(j, len(d)):
+                d[i] += d[i - j]
+            del d[-j:]
+    return d
+
+
 def ehrhart_pipeline(
     target,
     classes=None,
     budget: int = DEFAULT_BUDGET,
 ) -> Quasipolynomial:
-    """Evaluate the counting quasipolynomial on dilations and
-    interpolate it.
+    """Evaluate the counting quasipolynomial on one window of dilations
+    and interpolate it.
 
     The period used is the vertex-denominator lcm m (the minimal period
-    always divides it).  Each requested residue class r is fitted on
-    the d+1 dilations n == r (mod m) of least |n|, positive n first on
-    ties, and cross-validated on the next ``VALIDATION_POINTS``.  The
-    value at n >= 0 is the signed count of nP over the terms, and at
-    n = -k the signed sum of their reciprocity values (see
-    ``_quasipolynomial_value``).  ``budget`` caps the candidate points
-    of every count, and is checked up front at the largest |n|.
+    always divides it).  With D = ``_series_denominator``, the values at
+    n = -floor(deg D / 2) ... and ``VALIDATION_POINTS`` more are counted,
+    largest |n| first, so a count over ``budget`` candidate points is
+    refused before any other runs.  The value at n >= 0 is the signed
+    count of nP over the terms, and at n = -k the signed sum of their
+    reciprocity values (see ``_quasipolynomial_value``).  The held-back
+    values must satisfy sum_i d_i f(n - i) = 0, or PeriodTooSmallError;
+    the recurrence then extends the values, and each requested residue
+    class r is fitted on n = r, r + m, ..., r + dim * m.
     """
     dim, terms = _target_parts(target)
     terms = [(s, p) for s, p in terms if not p.is_empty()]
     m = period_bound(target)
     wanted = list(range(m)) if classes is None else sorted(set(c % m for c in classes))
-    per_class = dim + 1 + VALIDATION_POINTS
-    dilations = {
-        r: sorted(range(r - m * per_class, r + m * per_class, m),
-                  key=lambda n: (abs(n), n < 0))[:per_class]
-        for r in wanted
+    d = _series_denominator(dim, terms)
+    deg = len(d) - 1
+    start = -(deg // 2)
+    window = range(start, start + deg + VALIDATION_POINTS)
+    counted = {
+        n: sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
+        for n in sorted(window, key=abs, reverse=True)
     }
-    worst = max(abs(n) for ns in dilations.values() for n in ns)
-    required = per_class * len(wanted)
-    for _, p in terms:
-        candidates = _dilated_box(p, worst)[2]
-        if candidates > budget:
-            raise BudgetExceededError(
-                f"interpolation needs {required} counts up to dilation "
-                f"{worst}, which spans {candidates} candidate points "
-                f"(budget {budget})",
-                candidates=candidates,
-                dilation=worst,
-                required_counts=required,
+    values = [counted[n] for n in window]
+    for i in range(deg, max(len(values), max(wanted, default=0) + dim * m - start + 1)):
+        f = -sum(c * v for c, v in zip(d[1:], reversed(values[i - deg : i])))
+        if i == len(values):
+            values.append(f)
+        elif values[i] != f:
+            raise PeriodTooSmallError(
+                f"count at n={start + i} deviates from the series recurrence "
+                f"of degree {deg}"
             )
-    points = {
-        r: [(n, sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)) for n in ns]
-        for r, ns in dilations.items()
-    }
+    points = {r: [(n, values[n - start]) for n in range(r, r + (dim + 1) * m, m)]
+              for r in wanted}
     return _fit_classes(points, m, dim)

@@ -14,7 +14,6 @@ import pytest
 
 import polyvote.socialchoice as sc
 from polyvote.ehrhart import (
-    BudgetExceededError,
     ehrhart_pipeline,
     period_bound,
     region_count,
@@ -91,13 +90,19 @@ def test_criterion_2_manipulability(plurality_region, borda_region):
            f"volume and leading-coefficient routes in {elapsed:.1f}s")
 
 
-def test_criterion_2b_borda_pipeline_budget_guard(borda_region):
+def test_criterion_2b_borda_quasipolynomial(borda_region):
     assert period_bound(borda_region) == 2520
-    with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(borda_region, classes=[0])
-    ok = err.value.required_counts is not None and err.value.candidates > 10**9
-    report("criterion 2 addendum (scale guard on the coarse-period region)", ok,
-           f"requires {err.value.required_counts} counts up to dilation {err.value.dilation}")
+    t0 = time.perf_counter()
+    q = ehrhart_pipeline(borda_region, classes=[0, 60, 120])
+    elapsed = time.perf_counter() - t0
+    ok = (
+        720 * q.leading_coefficient() == F(132953, 264600)
+        and q.evaluate(60) == 716414 == region_count(borda_region, 60)
+        and q.evaluate(120) == 19983919
+        and elapsed < 30
+    )
+    report("criterion 2 addendum (Borda quasipolynomial, period 2520)", ok,
+           f"classes 0, 60 and 120 from one window of counts in {elapsed:.1f}s")
 
 
 def test_criterion_3_plurality_quasipolynomial(plurality_region):

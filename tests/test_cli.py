@@ -211,8 +211,9 @@ def test_ehrhart_budget_exit_reports_requirements(run):
     wide = "dim 3\n7 0 0 >= 0\n7 0 0 <= 1\n0 11 0 >= 0\n0 11 0 <= 1\n0 0 13 >= 0\n0 0 13 <= 1\n"
     code, _, err = run("ehrhart", "--budget", "100000",
                        files=[("--polytope-file", wide)])
+    # deg D = 1340, so the window's first count is at n = 671
     assert code == 4
-    assert "counts up to dilation" in err
+    assert "dilation 671 spans 309504 candidate points (budget 100000)" in err
 
 
 def test_usage_error_exit_code(run):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from polyvote import ehrhart
 from polyvote.ehrhart import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     PeriodTooSmallError,
     Quasipolynomial,
@@ -15,6 +17,7 @@ from polyvote.ehrhart import (
     _le_rows,
     _memo_keys,
     _polygon_count,
+    _series_denominator,
     _shadows,
     count_lattice_points,
     ehrhart_pipeline,
@@ -363,7 +366,21 @@ def test_pipeline_leading_coefficient_equals_volume():
     assert q.leading_coefficient() == skew.volume()
 
 
-def test_pipeline_budget_guard_reports_requirements():
+def _asked_dilations(monkeypatch):
+    """The dilations the pipeline asks ``_quasipolynomial_value`` for,
+    in order."""
+    asked = []
+    value = ehrhart._quasipolynomial_value
+
+    def spy(poly, n, budget):
+        asked.append(n)
+        return value(poly, n, budget)
+
+    monkeypatch.setattr(ehrhart, "_quasipolynomial_value", spy)
+    return asked
+
+
+def test_pipeline_budget_guard_reports_requirements(monkeypatch):
     wide = HPolytope(
         4,
         [ge((3, 0, 0, 0)), le((3, 0, 0, 0), 1),
@@ -372,21 +389,61 @@ def test_pipeline_budget_guard_reports_requirements():
          ge((0, 0, 0, 11), 0), le((0, 0, 0, 11), 1)],
     )
     assert period_bound(wide) == 3 * 5 * 7 * 11
+    # deg D = 5 + 5 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
+    #         + 2 (48 + 80 + 120 + 240) + 480: the window is -1113 ... 1115
+    assert len(_series_denominator(4, [(1, wide)])) - 1 == 2227
+    asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
         ehrhart_pipeline(wide, budget=10**6)
-    # 7 dilations per class; class 577 reaches furthest:
-    # 577, -578, 1732, -1733, 2887, -2888, 4042
-    assert err.value.required_counts == 7 * 1155
-    assert err.value.dilation == 577 + 3 * 1155
+    # the window's largest |n| is counted first, and its box is refused
+    assert asked == [1115]
+    assert err.value.dilation == 1115
+    assert err.value.candidates == _dilated_box(wide, 1115)[2] == 372 * 224 * 160 * 102
+    assert not hasattr(err.value, "required_counts")
 
 
-def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda():
-    # class 0 of period 2520 is fitted at 0, +-2520, +-5040, +-7560, 10080
+def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda(monkeypatch):
+    # deg D = 118: the window is -59 ... 60, whose n = 60 spans more
+    # than 10**5 candidate points but fits the default budget
+    borda = manipulability_event(BORDA)
+    asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(manipulability_event(BORDA), classes=[0])
-    assert err.value.dilation == 10080
-    assert err.value.required_counts == 8
-    assert "counts up to dilation 10080" in str(err.value)
+        ehrhart_pipeline(borda, classes=[0], budget=10**5)
+    assert asked == [60]
+    assert err.value.dilation == 60
+    assert "dilation 60 spans" in str(err.value)
+    assert 10**5 < err.value.candidates < DEFAULT_BUDGET
+
+
+def test_series_denominator_degrees_and_lattice_polytopes():
+    for rule, degree in ((PLURALITY, 32), (BORDA, 118), (ANTIPLURALITY, 18)):
+        region = manipulability_event(rule)
+        assert all(not p.is_empty() for _, p in region.terms)
+        assert len(_series_denominator(region.dim, region.terms)) - 1 == degree
+    for dim in (1, 2, 3, 5):
+        one_minus_t = expand_factors([([1, -1], dim + 1)])
+        for poly in (unit_box(dim), standard_simplex(dim)):
+            assert _series_denominator(dim, [(1, poly)]) == one_minus_t
+
+
+def test_series_denominator_is_a_multiple_of_the_plurality_series_denominator():
+    region = manipulability_event(PLURALITY)
+    d = _series_denominator(region.dim, region.terms)
+    deg = len(d) - 1
+    series = gf_coefficients(MANIPULABLE_UNION_SERIES, deg + 60).entries
+    # D * h / Q is a polynomial of degree < deg D when Q divides D
+    product = poly_mul(d, [series[n] for n in range(deg + 61)])
+    assert all(c == 0 for c in product[deg : deg + 61])
+
+
+def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
+    # (1 - t)^6 annihilates polynomials of degree 5, not plurality's
+    # period-12 quasipolynomial: a held-back count must disagree
+    region = manipulability_event(PLURALITY)
+    monkeypatch.setattr(ehrhart, "_series_denominator",
+                        lambda dim, terms: expand_factors([([1, -1], dim + 1)]))
+    with pytest.raises(PeriodTooSmallError, match="series recurrence"):
+        ehrhart_pipeline(region, classes=[0])
 
 
 def test_pipeline_restricted_classes():
@@ -395,6 +452,7 @@ def test_pipeline_restricted_classes():
     assert q.polys[1] is None
     assert q.class_coefficients(0) == (1, F(1, 2))
     assert q.leading_coefficient() == F(1, 2)
+    assert ehrhart_pipeline(seg, classes=[]).polys == (None, None)
 
 
 @st.composite
