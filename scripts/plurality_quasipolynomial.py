@@ -5,8 +5,8 @@ region and cross-check one large dilation against direct enumeration.
 The region is the inclusion-exclusion union of the polytopes where a
 coalition can elect b or c instead of the sincere winner a; its counting
 function is a degree-5 quasipolynomial of period 12.  Like `polyvote
-count`, the enumeration refuses a dilation whose box holds more than
---budget lattice points; the default budget refuses n >= 136.
+count`, the enumeration stops once a term's count visits more than
+--budget nodes; n = 1000 visits about 3.4e5 under the default.
 """
 
 import argparse
@@ -45,7 +45,7 @@ if __name__ == "__main__":
                         help="residue classes to fit, or 'all'")
     parser.add_argument("--check-at", type=int, default=96)
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="ceiling on the lattice points of the box scanned "
+                        help="ceiling on the nodes each term's count visits "
                              "at --check-at")
     args = parser.parse_args()
     classes = None if args.classes == "all" else [int(c) for c in args.classes.split(",")]

@@ -160,7 +160,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="file whose count enters with sign -1 (repeatable)")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="candidate-point ceiling per count")
+                           help="ceiling on the nodes each count visits: an "
+                                "enumerated range of a coordinate costs its "
+                                "length")
 
     p = sub.add_parser("volume", help="exact volume of a polytope file")
     add_common(p, files=True)

@@ -1,14 +1,14 @@
 """Lattice-point counting in dilations and Ehrhart quasipolynomials.
 
-Counting enumerates integer points of the dilation nP over the exact
-vertex bounding box, one coordinate at a time down to the next-to-last
-coordinate x.  Each coordinate x_l is bounded by the exact shadow of
-P on x[:l+1]: one Fourier-Motzkin projection per polytope (Chernikov's
-rule keeps it small) gives each shadow row as nonnegative multipliers
-on the rows of P, so its bound is that combination of the prefix's
-residuals, for any right-hand sides.  An enumerated prefix therefore
-always has a real point of nP above it, and only integer rounding can
-leave its subtree empty.  At x the last coordinate y ranges
+Counting enumerates integer points of the dilation nP one coordinate
+at a time down to the next-to-last coordinate x.  Each coordinate x_l
+is bounded by the exact shadow of P on x[:l+1] alone: one
+Fourier-Motzkin projection per polytope (Chernikov's rule keeps it
+small) gives each shadow row as nonnegative multipliers on the rows
+of P, so its bound is that combination of the prefix's residuals,
+for any right-hand sides.  An enumerated prefix therefore always has
+a real point of nP above it, and only integer rounding can leave its
+subtree empty.  At x the last coordinate y ranges
 over a polygon: each row with a nonzero coefficient on y bounds it by
 the floor or ceiling of a line in x, the least upper and the greatest
 lower line change only where lines cross, and on each piece between
@@ -23,6 +23,9 @@ rows on the prefix grew by less than the coordinates fixed since the
 last memoized level.  Share-space rows that see coordinates only
 through their sums (plurality's x0 + x1) make such levels; rows that
 separate every prefix make none, and the recursion runs unmemoized.
+A count is budgeted on the nodes it visits: each enumerated range of
+x_l charges its length, so a memo hit costs one node and the closures
+none.
 The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
 deg D, where the cyclotomic Phi_k divides D at most min(dim + 1,
 #{vertices v of a term : k divides den v}) times (Stanley, EC I, 4.6).
@@ -45,25 +48,24 @@ from math import lcm
 from operator import itemgetter
 
 from . import polytope
-from .polytope import EQ, EventRegion, HPolytope
+from .polytope import EQ, EventRegion, GeometryError, HPolytope
 
-DEFAULT_BUDGET = 10**9
+DEFAULT_BUDGET = 10**6
 # window counts past deg D that check the series recurrence without entering it
 VALIDATION_POINTS = 2
 
 
 class BudgetExceededError(Exception):
-    """A count would scan more candidate points than the ceiling allows."""
+    """A count visited more nodes than its budget allows."""
 
-    def __init__(self, message, candidates=None, dilation=None):
+    def __init__(self, message, nodes=None, dilation=None):
         super().__init__(message)
-        self.candidates = candidates
+        self.nodes = nodes
         self.dilation = dilation
 
 
 class PeriodTooSmallError(ValueError):
-    """Held-back counts disagreed with the series recurrence or the
-    interpolated polynomial."""
+    """Held-back counts disagreed with the series recurrence."""
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +86,6 @@ def _le_rows(poly: HPolytope):
         else:
             rows.append((coeffs, rhs, int(row not in kept)))
     return rows
-
-
-def _dilated_box(poly: HPolytope, n: int) -> tuple[list[int], list[int], int]:
-    """Integer bounds of the vertex bounding box of nP (P not empty), and
-    the number of lattice points the box holds: ceil and floor of
-    n * p / q in ints."""
-    verts = polytope._vertices(poly)
-    lo = [min(-(-n * nums[i] // den) for nums, den in verts) for i in range(poly.dim)]
-    hi = [max(n * nums[i] // den for nums, den in verts) for i in range(poly.dim)]
-    return lo, hi, math.prod(max(0, b - a + 1) for a, b in zip(lo, hi))
 
 
 def _memo_keys(rows, dim: int) -> dict[int, list[int]]:
@@ -120,7 +112,9 @@ def _memo_keys(rows, dim: int) -> dict[int, list[int]]:
 
 
 def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Number of integer points x with x/n in P (points of the dilation nP)."""
+    """Number of integer points x with x/n in P (points of the dilation
+    nP); BudgetExceededError once the count visits more than ``budget``
+    nodes (see ``_count``)."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     if poly.is_empty():
@@ -292,43 +286,37 @@ def _polygon_count(upper, lower, res: list[int], xlo: int, xhi: int) -> int:
 
 
 def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
-    """Integer points x of the vertex box of nP (P not empty) with
-    a.x <= rhs[j] on the j-th row (a, b, s) of ``_le_rows``: b.n for nP
-    itself, b.n - s for its relative interior.
+    """Integer points x of a nonempty P's dilation with a.x <= rhs[j]
+    on the j-th row (a, b, s) of ``_le_rows``: b.n for nP itself,
+    b.n - s for its relative interior.
 
     Coordinates before the last two are enumerated between their
-    ``_shadows`` bounds, clipped to the box; the last two are closed by
-    ``_polygon_count`` (a 1-dimensional P by its interval)."""
-    dim = poly.dim
-    lo, hi, candidates = _dilated_box(poly, n)
-    if candidates > budget:
-        raise BudgetExceededError(
-            f"dilation {n} spans {candidates} candidate points (budget {budget})",
-            candidates=candidates,
-            dilation=n,
-        )
-    if candidates == 0:
-        return 0
-
+    ``_shadows`` bounds, which a bounded P has on both sides at every
+    level; the last two are closed by ``_polygon_count`` (a
+    1-dimensional P by its interval).  Each enumeration of x_l over
+    [xlo, xhi] first charges xhi - xlo + 1 nodes, and a charge past
+    ``budget`` raises BudgetExceededError."""
     _, deltas, shadows, memo_keys, upper, lower, _ = _count_plan(poly)
-    closed = dim - 2
+    closed = poly.dim - 2
+    nodes = 0
 
     def rec(level: int, res: list[int]) -> int:
-        xlo, xhi = lo[level], hi[level]
+        nonlocal nodes
         above, below = shadows[level]
+        xhi = xlo = None
         for c, lam in above:
             t = 0
             for j, m in lam:
                 t += m * res[j]
             q = t // c
-            if q < xhi:
+            if xhi is None or q < xhi:
                 xhi = q
         for c, lam in below:
             t = 0
             for j, m in lam:
                 t += m * res[j]
             q = -(t // c)
-            if q > xlo:
+            if xlo is None or q > xlo:
                 xlo = q
         if xlo > xhi:
             return 0
@@ -336,6 +324,13 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
             return _polygon_count(upper, lower, res, xlo, xhi)
         if level > closed:  # P is one-dimensional
             return xhi - xlo + 1
+        nodes += xhi - xlo + 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"dilation {n} reached {nodes} nodes (budget {budget})",
+                nodes=nodes,
+                dilation=n,
+            )
         sub = res[:]
         dl = deltas[level]
         descend = enter[level + 1]
@@ -362,13 +357,18 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
             total = memo[key] = rec(level, res)
         return total
 
-    enter = [memoized if level in memos else rec for level in range(dim)]
+    enter = [memoized if level in memos else rec for level in range(poly.dim)]
     return enter[0](0, rhs)
 
 
 def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Signed inclusion-exclusion count over the region's terms."""
-    return sum(s * count_lattice_points(p, n, budget) for s, p in region.terms)
+    """Signed inclusion-exclusion count over the region's terms.  A
+    negative total means the terms describe no set of points, which
+    raises GeometryError, as a negative volume does."""
+    total = sum(s * count_lattice_points(p, n, budget) for s, p in region.terms)
+    if total < 0:
+        raise GeometryError(f"signed region count at dilation {n} came out negative")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +433,6 @@ def _newton_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
     return poly
 
 
-def _fit_classes(points: dict, period: int, degree: int) -> Quasipolynomial:
-    """Fit each class r on its first degree+1 (n, value) points and
-    check the fit on the rest."""
-    polys: list[tuple[Fraction, ...] | None] = [None] * period
-    for r, pts in points.items():
-        if len(pts) < degree + 1:
-            raise ValueError(
-                f"class {r} mod {period} has {len(pts)} counts, needs {degree + 1}"
-            )
-        poly = tuple(_newton_fit(pts[: degree + 1]))
-        for n, c in pts[degree + 1 :]:
-            if _horner(poly, n) != c:
-                raise PeriodTooSmallError(
-                    f"count at n={n} deviates from the class-{r} fit; "
-                    f"period {period} or degree {degree} is too small"
-                )
-        polys[r] = poly
-    return Quasipolynomial(period, degree, tuple(polys))
-
-
 # ---------------------------------------------------------------------------
 # pipeline
 
@@ -513,13 +493,14 @@ def ehrhart_pipeline(
     The period used is the vertex-denominator lcm m (the minimal period
     always divides it).  With D = ``_series_denominator``, the values at
     n = -floor(deg D / 2) ... and ``VALIDATION_POINTS`` more are counted,
-    largest |n| first, so a count over ``budget`` candidate points is
-    refused before any other runs.  The value at n >= 0 is the signed
-    count of nP over the terms, and at n = -k the signed sum of their
-    reciprocity values (see ``_quasipolynomial_value``).  The held-back
-    values must satisfy sum_i d_i f(n - i) = 0, or PeriodTooSmallError;
-    the recurrence then extends the values, and each requested residue
-    class r is fitted on n = r, r + m, ..., r + dim * m.
+    largest |n| first, so the count likeliest to pass ``budget`` nodes
+    runs before the others.  The value at n >= 0 is the signed count of
+    nP over the terms, which must not be negative (GeometryError), and
+    at n = -k the signed sum of their reciprocity values (see
+    ``_quasipolynomial_value``).  The held-back values must satisfy
+    sum_i d_i f(n - i) = 0, or PeriodTooSmallError; the recurrence then
+    extends the values, and each requested residue class r is
+    interpolated through n = r, r + m, ..., r + dim * m.
     """
     dim, terms = _target_parts(target)
     terms = [(s, p) for s, p in terms if not p.is_empty()]
@@ -529,10 +510,11 @@ def ehrhart_pipeline(
     deg = len(d) - 1
     start = -(deg // 2)
     window = range(start, start + deg + VALIDATION_POINTS)
-    counted = {
-        n: sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
-        for n in sorted(window, key=abs, reverse=True)
-    }
+    counted = {}
+    for n in sorted(window, key=abs, reverse=True):
+        counted[n] = sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
+        if counted[n] < 0 <= n:
+            raise GeometryError(f"signed region count at dilation {n} came out negative")
     values = [counted[n] for n in window]
     for i in range(deg, max(len(values), max(wanted, default=0) + dim * m - start + 1)):
         f = -sum(c * v for c, v in zip(d[1:], reversed(values[i - deg : i])))
@@ -543,6 +525,8 @@ def ehrhart_pipeline(
                 f"count at n={start + i} deviates from the series recurrence "
                 f"of degree {deg}"
             )
-    points = {r: [(n, values[n - start]) for n in range(r, r + (dim + 1) * m, m)]
-              for r in wanted}
-    return _fit_classes(points, m, dim)
+    polys = [None] * m
+    for r in wanted:
+        polys[r] = tuple(_newton_fit([(n, values[n - start])
+                                      for n in range(r, r + (dim + 1) * m, m)]))
+    return Quasipolynomial(m, dim, tuple(polys))

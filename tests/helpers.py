@@ -4,7 +4,8 @@ manipulation regions, pointwise membership, a polytope's vertices as
 ``Fraction`` tuples and their bounding box, brute-force lattice
 counters of dilations and of their relative interiors kept independent
 of the production counting path, a table of counts by dilation and a
-quasipolynomial fit on positive dilations alone, equality elimination
+quasipolynomial fit on positive dilations alone, interpolated by
+Lagrange's formula over ``Fraction``, equality elimination
 done in ``Fraction`` arithmetic as a reference for the share-space
 compiler, and the Irwin-Hall closed form of the referendum paradox."""
 
@@ -13,7 +14,13 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
-from polyvote.ehrhart import VALIDATION_POINTS, _fit_classes, period_bound, region_count
+from polyvote.ehrhart import (
+    VALIDATION_POINTS,
+    PeriodTooSmallError,
+    Quasipolynomial,
+    period_bound,
+    region_count,
+)
 from polyvote.linalg import DimensionError
 from polyvote.polytope import EventRegion, HPolytope, _vertices
 
@@ -39,12 +46,38 @@ class CountTable:
         return sorted((n, c) for n, c in self.entries.items() if n % period == r)
 
 
+def lagrange_fit(points):
+    """Ascending coefficients of the polynomial through the (x, y)
+    points: the sum of y_i times the Lagrange basis polynomial of x_i,
+    multiplied out over ``Fraction``."""
+    coeffs = [F(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis, scale = [F(1)], F(yi)
+        for j, (xj, _) in enumerate(points):
+            if j != i:
+                basis = poly_mul(basis, [F(-xj), F(1)])
+                scale /= xi - xj
+        for k, b in enumerate(basis):
+            coeffs[k] += scale * b
+    return tuple(coeffs)
+
+
 def interpolate_quasipolynomial(counts, period, degree, classes=None):
     """Fit a degree-``degree`` polynomial on each residue class modulo
     ``period``; any supplied count beyond the d+1 used for fitting must
     agree with the fit or the period/degree is rejected."""
     wanted = range(period) if classes is None else sorted(set(c % period for c in classes))
-    return _fit_classes({r: counts.residue_class(r, period) for r in wanted}, period, degree)
+    polys = [None] * period
+    for r in wanted:
+        points = counts.residue_class(r, period)
+        if len(points) < degree + 1:
+            raise ValueError(f"class {r} mod {period} has {len(points)} counts, "
+                             f"needs {degree + 1}")
+        polys[r] = lagrange_fit(points[: degree + 1])
+        for n, c in points[degree + 1 :]:
+            if sum(a * n**k for k, a in enumerate(polys[r])) != c:
+                raise PeriodTooSmallError(f"count at n={n} deviates from the class-{r} fit")
+    return Quasipolynomial(period, degree, tuple(polys))
 
 
 # -- rational generating functions --------------------------------------------

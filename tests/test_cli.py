@@ -209,11 +209,38 @@ def test_exit_code_budget_error(run):
 
 def test_ehrhart_budget_exit_reports_requirements(run):
     wide = "dim 3\n7 0 0 >= 0\n7 0 0 <= 1\n0 11 0 >= 0\n0 11 0 <= 1\n0 0 13 >= 0\n0 0 13 <= 1\n"
-    code, _, err = run("ehrhart", "--budget", "100000",
-                       files=[("--polytope-file", wide)])
-    # deg D = 1340, so the window's first count is at n = 671
-    assert code == 4
-    assert "dilation 671 spans 309504 candidate points (budget 100000)" in err
+    # deg D = 1340, so the window's first count is at n = 671, where
+    # x0 takes 96 values and the polygon of (x1, x2) costs nothing
+    code, out, err = run("ehrhart", "--budget", "95", files=[("--polytope-file", wide)])
+    assert code == 4 and out == ""
+    assert "budget exceeded: dilation 671 reached 96 nodes (budget 95)" in err
+    code, _, _ = run("ehrhart", "--budget", "96", "--classes", "0",
+                     files=[("--polytope-file", wide)])
+    assert code == 0
+
+
+def test_count_at_n_1000_fits_the_default_budget(run):
+    files = [(flag, (ROOT / "perfbench" / "inputs" / f"plurality_{name}.hrep").read_text())
+             for flag, name in (("--polytope-file", "favor_b"), ("--polytope-file", "favor_c"),
+                                ("--subtract-file", "both"))]
+    code, out, err = run("count", "--n", "1000", "--format", "json", files=files)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact"] == "414433614658"
+
+
+# the triangle x, y >= 0, x + y <= 1 less the unit square: a signed
+# region whose count is -n(n + 1)/2
+NEGATIVE_REGION = [
+    ("--polytope-file", "dim 2\n1 0 >= 0\n0 1 >= 0\n1 1 <= 1\n"),
+    ("--subtract-file", "dim 2\n1 0 >= 0\n0 1 >= 0\n1 0 <= 1\n0 1 <= 1\n"),
+]
+
+
+@pytest.mark.parametrize("command", [("volume",), ("count", "--n", "4"), ("ehrhart",)])
+def test_negative_signed_region_is_a_geometric_error(run, command):
+    code, out, err = run(*command, files=NEGATIVE_REGION)
+    assert code == 3 and out == ""
+    assert "geometric error: signed region" in err and "came out negative" in err
 
 
 def test_usage_error_exit_code(run):

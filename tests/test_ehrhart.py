@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import product
-from math import ceil, comb, floor, prod
+from math import ceil, comb, floor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +12,6 @@ from polyvote.ehrhart import (
     BudgetExceededError,
     PeriodTooSmallError,
     Quasipolynomial,
-    _dilated_box,
     _floor_sum,
     _le_rows,
     _memo_keys,
@@ -87,19 +86,6 @@ def test_count_of_empty_polytope_is_zero():
 def test_count_rejects_negative_dilation():
     with pytest.raises(ValueError):
         count_lattice_points(unit_box(2), -1)
-
-
-def test_dilated_box_is_the_integer_box_of_the_dilated_vertices():
-    # vertices (-7/3, 1/4), (-7/3, 29/12), (2, 1/4): both signs, fractions
-    triangle = HPolytope(2, [ge((1, 0), F(-7, 3)), ge((0, 1), F(1, 4)),
-                             le((1, 2), F(5, 2))])
-    lo_f, hi_f = bounding_box(triangle)
-    assert (lo_f, hi_f) == ((F(-7, 3), F(1, 4)), (F(2), F(29, 12)))
-    for n in range(13):
-        lo = [ceil(n * v) for v in lo_f]
-        hi = [floor(n * v) for v in hi_f]
-        expected = prod(max(0, b - a + 1) for a, b in zip(lo, hi))
-        assert _dilated_box(triangle, n) == (lo, hi, expected)
 
 
 def test_count_matches_brute_force_on_skew_polytope():
@@ -201,9 +187,10 @@ def test_shadows_hold_exactly_on_the_prefixes_of_real_points(poly, n):
     shadows = _shadows(rows, poly.dim)
     rhs = [b * n for _, b, _ in rows]
     dilated = [(coeffs, rel, b * n) for coeffs, rel, b in poly.integer_rows()]
-    lo, hi, _ = _dilated_box(poly, n)
+    lo, hi = bounding_box(poly)
+    axes = [range(ceil(n * a), floor(n * b) + 1) for a, b in zip(lo, hi)]
     for length in range(1, poly.dim + 1):
-        for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:length], hi[:length]))):
+        for prefix in product(*axes[:length]):
             fixed = HPolytope(poly.dim, dilated + [
                 (tuple(int(i == j) for j in range(poly.dim)), "=", v) for i, v in enumerate(prefix)
             ])
@@ -228,10 +215,25 @@ def test_shadow_multipliers_are_nonnegative_and_cancel_every_later_coordinate():
 
 
 def test_count_budget_guard():
+    # x0 takes 1001 values, each a node at the memoized level 1; all but
+    # the first are memo hits, and the first enumerates x1 over 1001
+    # values whose polygons (x2, x3) cost nothing: 2002 nodes in all
+    assert count_lattice_points(unit_box(4), 1000, budget=2002) == 1001**4
     with pytest.raises(BudgetExceededError) as err:
-        count_lattice_points(unit_box(4), 1000, budget=10**6)
-    assert err.value.candidates == 1001**4
+        count_lattice_points(unit_box(4), 1000, budget=2001)
+    assert err.value.nodes == 2002
     assert err.value.dilation == 1000
+    assert str(err.value) == "dilation 1000 reached 2002 nodes (budget 2001)"
+
+
+def test_count_budget_guard_charges_the_range_before_enumerating_it():
+    # the first level charges its 100001 values before visiting any
+    with pytest.raises(BudgetExceededError) as err:
+        count_lattice_points(unit_box(3), 100000, budget=1000)
+    assert err.value.nodes == 100001
+    # a one-dimensional count and a two-dimensional polygon cost nothing
+    assert count_lattice_points(unit_box(1), 10**6, budget=0) == 10**6 + 1
+    assert count_lattice_points(unit_box(2), 10**6, budget=0) == (10**6 + 1) ** 2
 
 
 def test_count_monotone_under_inclusion():
@@ -394,25 +396,28 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
     assert len(_series_denominator(4, [(1, wide)])) - 1 == 2227
     asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(wide, budget=10**6)
-    # the window's largest |n| is counted first, and its box is refused
+        ehrhart_pipeline(wide, budget=595)
+    # the window's largest |n| is counted first: x0 takes 372 values and
+    # the first of them (the rest hit its memo) x1 224, the polygon of
+    # (x2, x3) costing nothing
     assert asked == [1115]
     assert err.value.dilation == 1115
-    assert err.value.candidates == _dilated_box(wide, 1115)[2] == 372 * 224 * 160 * 102
+    assert err.value.nodes == 372 + 224
     assert not hasattr(err.value, "required_counts")
 
 
 def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda(monkeypatch):
-    # deg D = 118: the window is -59 ... 60, whose n = 60 spans more
-    # than 10**5 candidate points but fits the default budget
+    # deg D = 118: the window is -59 ... 60, whose n = 60 visits more
+    # than 10**4 nodes on the first term but fits the default budget
     borda = manipulability_event(BORDA)
     asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(borda, classes=[0], budget=10**5)
+        ehrhart_pipeline(borda, classes=[0], budget=10**4)
     assert asked == [60]
     assert err.value.dilation == 60
-    assert "dilation 60 spans" in str(err.value)
-    assert 10**5 < err.value.candidates < DEFAULT_BUDGET
+    assert "dilation 60 reached" in str(err.value)
+    assert err.value.nodes > 10**4
+    count_lattice_points(borda.terms[0][1], 60, budget=DEFAULT_BUDGET)
 
 
 def test_series_denominator_degrees_and_lattice_polytopes():

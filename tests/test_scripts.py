@@ -32,9 +32,10 @@ def test_plurality_quasipolynomial_script_checks_its_fit():
 
 
 def test_plurality_quasipolynomial_script_checks_past_the_default_budget():
-    # the default budget refuses n >= 136; n = 1000 is class 4 mod 12
+    # n = 1000 (class 4 mod 12) visits about 3.4e5 nodes, within the
+    # default budget, though its vertex box holds 2.1e13 points
     out = run_script("plurality_quasipolynomial.py", "--classes", "4",
-                     "--check-at", "1000", "--budget", str(10**14))
+                     "--check-at", "1000")
     enumerated = re.search(r"^f\(1000\) by enumeration: (\d+)", out, re.MULTILINE)
     fitted = re.search(r"^f\(1000\) by the fitted polynomial: (\d+)$", out, re.MULTILINE)
     assert enumerated and fitted
