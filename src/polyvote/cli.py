@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                            help="ceiling on the nodes each count visits: an "
                                 "enumerated range of a coordinate costs its "
-                                "length")
+                                "length; where count reads the Ehrhart "
+                                "series, it holds for each count of the window")
 
     p = sub.add_parser("volume", help="exact volume of a polytope file")
     add_common(p, files=True)

@@ -35,7 +35,9 @@ dilations each class is fitted on.  By Ehrhart-Macdonald reciprocity
 the value at n = -k is (-1)^dim(P) times the lattice count of the
 relative interior of kP, whose rows not tight on all of P are strict:
 a.x <= b.k - 1.  So the window is about n = -deg D / 2 ... deg D / 2,
-whatever the period.
+whatever the period.  It is counted once per region, and a region
+count past it reads the series by Fiduccia's method when the window's
+counts visit fewer nodes than enumerating nP would.
 """
 
 from __future__ import annotations
@@ -364,8 +366,32 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
 def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Signed inclusion-exclusion count over the region's terms.  A
     negative total means the terms describe no set of points, which
-    raises GeometryError, as a negative volume does."""
-    total = sum(s * count_lattice_points(p, n, budget) for s, p in region.terms)
+    raises GeometryError, as a negative volume does.
+
+    A count of nP visits about (n + 1)^(dim - 2) nodes, so when the
+    window of ``ehrhart_pipeline`` visits fewer, summed over its n',
+    the count reads the Ehrhart series instead: the window is counted
+    once per region (``_window``), checked against the recurrence D
+    gives on every call, and f(n) is read off x^(n - start) modulo the
+    reversed D (``_recurrence_value``).  Before D is built, the same
+    test runs on its lower bound deg D >= the largest vertex
+    denominator, which 1 - t^den dividing D gives; a dimension <= 2
+    always enumerates.  On either route ``budget`` bounds each count."""
+    if n < 0:
+        raise ValueError("dilation must be non-negative")
+    dim = region.dim
+    terms = tuple((s, p) for s, p in region.terms if not p.is_empty())
+    d = None
+    if dim > 2 and terms:
+        nodes = (n + 1) ** (dim - 2)
+        least = max(den for _, p in terms for _, den in polytope._vertices(p))
+        if _window_nodes(least, dim) < nodes:
+            d = _series_denominator(dim, terms)
+    if d is not None and _window_nodes(len(d) - 1, dim) < nodes:
+        start, values = _checked_window(terms, d, budget)
+        total = _recurrence_value(d, values, n - start)
+    else:
+        total = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
     if total < 0:
         raise GeometryError(f"signed region count at dilation {n} came out negative")
     return total
@@ -466,9 +492,10 @@ def _series_denominator(dim: int, terms) -> list[int]:
         for k in range(1, max(dens) + 1):
             c = min(dim + 1, sum(den % k == 0 for den in dens))
             mult[k] = max(mult.get(k, 0), c)
+    top = max(mult, default=0)
     exps = {}
-    for k in sorted(mult, reverse=True):
-        exps[k] = mult[k] - sum(e for j, e in exps.items() if j % k == 0)
+    for k in range(top, 0, -1):  # mult holds every k up to top
+        exps[k] = mult[k] - sum(exps[j] for j in range(2 * k, top + 1, k))
     d = [1]
     for j, e in sorted(exps.items(), key=lambda je: -je[1]):
         for _ in range(e):  # times 1 - t^j
@@ -482,6 +509,97 @@ def _series_denominator(dim: int, terms) -> list[int]:
     return d
 
 
+@functools.lru_cache(maxsize=64)
+def _window(terms, deg: int, budget: int) -> tuple[int, tuple[int, ...]]:
+    """(start, values): the signed quasipolynomial values of the
+    nonempty ``terms`` at n = start ... start + deg + VALIDATION_POINTS
+    - 1, start = -floor(deg / 2), the window of a series denominator of
+    degree ``deg``.  They are counted largest |n| first, so the count
+    likeliest to pass ``budget`` nodes runs before the others; the value
+    at n >= 0 is the signed count of nP, which must not be negative
+    (GeometryError), and at n = -k the signed sum of the terms'
+    reciprocity values (see ``_quasipolynomial_value``).  Cached, so a
+    region counts its window once whether ``ehrhart_pipeline`` or
+    ``region_count`` asks first; neither cache nor window checks the
+    recurrence, which ``_checked_window`` does on every call."""
+    start = -(deg // 2)
+    window = range(start, start + deg + VALIDATION_POINTS)
+    counted = {}
+    for n in sorted(window, key=abs, reverse=True):
+        counted[n] = sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
+        if counted[n] < 0 <= n:
+            raise GeometryError(f"signed region count at dilation {n} came out negative")
+    return start, tuple(counted[n] for n in window)
+
+
+def _checked_window(terms, d, budget: int) -> tuple[int, tuple[int, ...]]:
+    """The ``_window`` of the series denominator ``d``, whose values past
+    the first deg D must satisfy sum_i d_i f(n - i) = 0, or
+    PeriodTooSmallError."""
+    deg = len(d) - 1
+    start, values = _window(terms, deg, budget)
+    for i in range(deg, len(values)):
+        if _recurrence_term(d, values, i) != values[i]:
+            raise PeriodTooSmallError(
+                f"count at n={start + i} deviates from the series recurrence "
+                f"of degree {deg}"
+            )
+    return start, values
+
+
+def _recurrence_term(d, values, i: int) -> int:
+    """Term i of the sequence ``values`` as the recurrence sum_j d_j
+    a_(i-j) = 0 (d_0 = 1) gives it from the deg D terms before it."""
+    deg = len(d) - 1
+    return -sum(c * v for c, v in zip(d[1:], reversed(values[i - deg : i])))
+
+
+def _recurrence_value(d, values, i: int) -> int:
+    """Term i of the sequence that begins with ``values`` (at least deg D
+    terms) and satisfies the recurrence of ``_recurrence_term``, by
+    Fiduccia's method: if x^i = sum_j r_j x^j modulo the characteristic
+    polynomial x^deg + d_1 x^(deg-1) + ... + d_deg, D reversed, then
+    a_i = sum_j r_j a_j.  x^i is built from the bits of i by squaring
+    and shifting: O(deg^2 log i) operations on deg coefficients."""
+    deg = len(d) - 1
+    r = [1] + [0] * (deg - 1)
+    for bit in bin(i)[2:]:
+        sq = [0] * (2 * deg - 1)
+        for a, ra in enumerate(r):
+            if ra:
+                for b, rb in enumerate(r):
+                    sq[a + b] += ra * rb
+        if bit == "1":
+            sq.insert(0, 0)
+        for k in range(len(sq) - 1, deg - 1, -1):  # x^k = -sum_j d_j x^(k-j)
+            c = sq.pop()
+            if c:
+                for j in range(1, deg + 1):
+                    sq[k - j] -= d[j] * c
+        r = sq
+    return sum(c * v for c, v in zip(r, values))
+
+
+def _window_nodes(deg: int, dim: int) -> int:
+    """The node bound of the window of a series denominator of degree
+    ``deg`` in dimension dim >= 3: the sum of (|n| + 1)^(dim - 2) over
+    its n, in closed form by sum_{k=1}^{K} k^p = sum_j S(p, j) j!
+    C(K + 1, j + 1), S the Stirling numbers of the second kind."""
+    p = dim - 2
+    stirling = [1]  # S(q, j) for j = 0 ... q, up to q = p
+    for q in range(1, p + 1):
+        stirling = [0] + [j * s + t for j, s, t in
+                          zip(range(1, q + 1), stirling[1:] + [0], stirling)]
+
+    def power_sum(k: int) -> int:
+        return sum(s * math.factorial(j) * math.comb(k + 1, j + 1)
+                   for j, s in enumerate(stirling))
+
+    half = deg // 2
+    # n = -half ... 0 and 0 ... deg - half + VALIDATION_POINTS - 1
+    return power_sum(half + 1) + power_sum(deg - half + VALIDATION_POINTS) - 1
+
+
 def ehrhart_pipeline(
     target,
     classes=None,
@@ -491,40 +609,22 @@ def ehrhart_pipeline(
     and interpolate it.
 
     The period used is the vertex-denominator lcm m (the minimal period
-    always divides it).  With D = ``_series_denominator``, the values at
-    n = -floor(deg D / 2) ... and ``VALIDATION_POINTS`` more are counted,
-    largest |n| first, so the count likeliest to pass ``budget`` nodes
-    runs before the others.  The value at n >= 0 is the signed count of
-    nP over the terms, which must not be negative (GeometryError), and
-    at n = -k the signed sum of their reciprocity values (see
-    ``_quasipolynomial_value``).  The held-back values must satisfy
-    sum_i d_i f(n - i) = 0, or PeriodTooSmallError; the recurrence then
-    extends the values, and each requested residue class r is
+    always divides it).  With D = ``_series_denominator``, the deg D +
+    ``VALIDATION_POINTS`` values of ``_window`` from n = -floor(deg D / 2)
+    on are counted (or read from its cache) and checked against the
+    recurrence D gives, or PeriodTooSmallError; the recurrence then
+    extends them term by term, and each requested residue class r is
     interpolated through n = r, r + m, ..., r + dim * m.
     """
     dim, terms = _target_parts(target)
-    terms = [(s, p) for s, p in terms if not p.is_empty()]
+    terms = tuple((s, p) for s, p in terms if not p.is_empty())
     m = period_bound(target)
     wanted = list(range(m)) if classes is None else sorted(set(c % m for c in classes))
     d = _series_denominator(dim, terms)
-    deg = len(d) - 1
-    start = -(deg // 2)
-    window = range(start, start + deg + VALIDATION_POINTS)
-    counted = {}
-    for n in sorted(window, key=abs, reverse=True):
-        counted[n] = sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
-        if counted[n] < 0 <= n:
-            raise GeometryError(f"signed region count at dilation {n} came out negative")
-    values = [counted[n] for n in window]
-    for i in range(deg, max(len(values), max(wanted, default=0) + dim * m - start + 1)):
-        f = -sum(c * v for c, v in zip(d[1:], reversed(values[i - deg : i])))
-        if i == len(values):
-            values.append(f)
-        elif values[i] != f:
-            raise PeriodTooSmallError(
-                f"count at n={start + i} deviates from the series recurrence "
-                f"of degree {deg}"
-            )
+    start, values = _checked_window(terms, d, budget)
+    values = list(values)
+    for i in range(len(values), max(wanted, default=0) + dim * m - start + 1):
+        values.append(_recurrence_term(d, values, i))
     polys = [None] * m
     for r in wanted:
         polys[r] = tuple(_newton_fit([(n, values[n - start])

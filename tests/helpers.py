@@ -3,7 +3,8 @@ rational generating functions and the known series of the plurality
 manipulation regions, pointwise membership, a polytope's vertices as
 ``Fraction`` tuples and their bounding box, brute-force lattice
 counters of dilations and of their relative interiors kept independent
-of the production counting path, a table of counts by dilation and a
+of the production counting path, region counts by enumeration alone, a
+table of counts by dilation and a
 quasipolynomial fit on positive dilations alone, interpolated by
 Lagrange's formula over ``Fraction``, equality elimination
 done in ``Fraction`` arithmetic as a reference for the share-space
@@ -18,8 +19,8 @@ from polyvote.ehrhart import (
     VALIDATION_POINTS,
     PeriodTooSmallError,
     Quasipolynomial,
+    count_lattice_points,
     period_bound,
-    region_count,
 )
 from polyvote.linalg import DimensionError
 from polyvote.polytope import EventRegion, HPolytope, _vertices
@@ -270,6 +271,13 @@ def relint_count(poly, k, vertices):
     )
 
 
+def enumerated_count(region, n):
+    """The signed sum of ``count_lattice_points`` over the region's
+    terms: a count of nP by enumeration alone, which ``region_count``
+    may instead read off the Ehrhart series."""
+    return sum(s * count_lattice_points(p, n) for s, p in region.terms)
+
+
 def positive_dilation_fit(target, classes=None):
     """The counting quasipolynomial fitted on counts at n = r + m*j,
     j = 0 ... dim + 2 (m the period bound), with no value at a negative
@@ -278,7 +286,7 @@ def positive_dilation_fit(target, classes=None):
     m = period_bound(target)
     wanted = range(m) if classes is None else {c % m for c in classes}
     dilations = [r + m * j for r in wanted for j in range(region.dim + 1 + VALIDATION_POINTS)]
-    table = CountTable({n: region_count(region, n) for n in dilations})
+    table = CountTable({n: enumerated_count(region, n) for n in dilations})
     return interpolate_quasipolynomial(table, m, region.dim, classes=wanted)
 
 

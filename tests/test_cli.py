@@ -38,6 +38,9 @@ dim 3
 0 0 1 <= 1
 """
 
+# the box [0, 1/7] x [0, 1/11] x [0, 1/13]
+WIDE3 = "dim 3\n7 0 0 >= 0\n7 0 0 <= 1\n0 11 0 >= 0\n0 11 0 <= 1\n0 0 13 >= 0\n0 0 13 <= 1\n"
+
 EMPTY2 = """\
 dim 2
 1 0 >= 2
@@ -202,20 +205,27 @@ def test_exit_code_geometric_error(run):
 
 
 def test_exit_code_budget_error(run):
+    # WIDE3's window (deg D = 1340) bounds more nodes than enumerating
+    # n = 100000 does, so the count enumerates, and x0 alone takes 14,286
+    # values
     code, _, err = run("count", "--n", "100000", "--budget", "1000",
-                       files=[("--polytope-file", CUBE3)])
+                       files=[("--polytope-file", WIDE3)])
     assert code == 4 and "budget exceeded" in err
+    # the unit cube's window is n = -2 ... 3: the series route stays
+    # inside the budget
+    code, out, _ = run("count", "--n", "100000", "--budget", "1000",
+                       files=[("--polytope-file", CUBE3)])
+    assert code == 0 and "exact=1000030000300001 " in out
 
 
 def test_ehrhart_budget_exit_reports_requirements(run):
-    wide = "dim 3\n7 0 0 >= 0\n7 0 0 <= 1\n0 11 0 >= 0\n0 11 0 <= 1\n0 0 13 >= 0\n0 0 13 <= 1\n"
     # deg D = 1340, so the window's first count is at n = 671, where
     # x0 takes 96 values and the polygon of (x1, x2) costs nothing
-    code, out, err = run("ehrhart", "--budget", "95", files=[("--polytope-file", wide)])
+    code, out, err = run("ehrhart", "--budget", "95", files=[("--polytope-file", WIDE3)])
     assert code == 4 and out == ""
     assert "budget exceeded: dilation 671 reached 96 nodes (budget 95)" in err
     code, _, _ = run("ehrhart", "--budget", "96", "--classes", "0",
-                     files=[("--polytope-file", wide)])
+                     files=[("--polytope-file", WIDE3)])
     assert code == 0
 
 

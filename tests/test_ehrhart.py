@@ -1,6 +1,7 @@
+import time
 from fractions import Fraction as F
 from itertools import product
-from math import ceil, comb, floor
+from math import ceil, comb, floor, isqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from polyvote import ehrhart
 from polyvote.ehrhart import (
     DEFAULT_BUDGET,
+    VALIDATION_POINTS,
     BudgetExceededError,
     PeriodTooSmallError,
     Quasipolynomial,
@@ -24,7 +26,13 @@ from polyvote.ehrhart import (
     region_count,
 )
 from polyvote.polytope import EventRegion, HPolytope
-from polyvote.socialchoice import ANTIPLURALITY, BORDA, PLURALITY, manipulability_event
+from polyvote.socialchoice import (
+    ANTIPLURALITY,
+    BORDA,
+    PLURALITY,
+    ScoringRule,
+    manipulability_event,
+)
 
 from helpers import (
     MANIPULABLE_UNION_SERIES,
@@ -32,6 +40,7 @@ from helpers import (
     RationalGF,
     bounding_box,
     brute_count,
+    enumerated_count,
     expand_factors,
     gf_coefficients,
     interpolate_quasipolynomial,
@@ -253,6 +262,117 @@ def test_region_count_inclusion_exclusion():
         assert region_count(region, n) == count_lattice_points(cube, n)
 
 
+def test_recurrence_value_raises_x_to_the_index():
+    fib = [0, 1]
+    while len(fib) < 301:
+        fib.append(fib[-1] + fib[-2])
+    for i in (0, 1, 2, 7, 64, 300):
+        assert ehrhart._recurrence_value([1, -1, -1], (0, 1), i) == fib[i]
+    assert ehrhart._recurrence_value([1, -3], (5,), 40) == 5 * 3**40
+    # (1 - t)^4 continues the cubes from any four consecutive ones
+    cubes = tuple((n - 2) ** 3 for n in range(4))
+    d = expand_factors([([1, -1], 4)])
+    assert ehrhart._recurrence_value(d, cubes, 10**6) == (10**6 - 2) ** 3
+
+
+def test_window_nodes_sums_the_window():
+    for dim in (3, 4, 5, 7):
+        for deg in range(40):
+            half = deg // 2
+            window = range(-half, -half + deg + VALIDATION_POINTS)
+            assert (ehrhart._window_nodes(deg, dim)
+                    == sum((abs(n) + 1) ** (dim - 2) for n in window))
+
+
+def _first_series_dilation(dim, deg):
+    """The least n whose (n + 1)^(dim - 2) nodes exceed the window's,
+    for dim 3 or 4."""
+    nodes = ehrhart._window_nodes(deg, dim)
+    return nodes if dim == 3 else isqrt(nodes)
+
+
+@settings(max_examples=50)
+@given(st.integers(3, 4).flatmap(lambda d: st.tuples(small_polytopes(d), small_polytopes(d))),
+       st.booleans())
+def test_region_count_equals_enumeration_past_and_inside_the_window(pair, union):
+    p, r = pair
+    region = EventRegion(((1, p), (1, r), (-1, p.intersect(r)))) if union else EventRegion.of(p)
+    terms = [(s, t) for s, t in region.terms if not t.is_empty()]
+    assume(terms)
+    deg = len(_series_denominator(region.dim, terms)) - 1
+    past = _first_series_dilation(region.dim, deg)
+    inside = deg - deg // 2 + VALIDATION_POINTS - 1  # the window's last n
+    for n, reads_window in ((past, True), (inside, False)):
+        info = ehrhart._window.cache_info()
+        assert region_count(region, n) == enumerated_count(region, n)
+        after = ehrhart._window.cache_info()
+        assert (after.hits + after.misses > info.hits + info.misses) == reads_window
+
+
+class _Enumerated(Exception):
+    pass
+
+
+def _route_spies(monkeypatch, stop_at=None):
+    """The dilations ``count_lattice_points`` is asked for and the
+    dimensions ``_series_denominator`` builds D in, as lists that fill
+    as ``region_count`` runs; an enumeration at ``stop_at`` raises
+    _Enumerated instead of counting."""
+    counted, built = [], []
+    count, denominator = ehrhart.count_lattice_points, ehrhart._series_denominator
+
+    def count_spy(poly, n, budget=DEFAULT_BUDGET):
+        counted.append(n)
+        if n == stop_at:
+            raise _Enumerated
+        return count(poly, n, budget)
+
+    def denominator_spy(dim, terms):
+        built.append(dim)
+        return denominator(dim, terms)
+
+    monkeypatch.setattr(ehrhart, "count_lattice_points", count_spy)
+    monkeypatch.setattr(ehrhart, "_series_denominator", denominator_spy)
+    return counted, built
+
+
+def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
+    counted, built = _route_spies(monkeypatch, stop_at=120)
+    # plurality: deg D = 32, a window of 52,649 nodes against 97^3
+    assert region_count(manipulability_event(PLURALITY), 96) == 4176821
+    assert 96 not in counted and built == [5]
+    # Borda: deg D = 118, a window of 6,924,780 nodes against 121^3
+    assert ehrhart._window_nodes(118, 5) == 6924780 > 121**3
+    counted.clear()
+    built.clear()
+    with pytest.raises(_Enumerated):
+        region_count(manipulability_event(BORDA), 120)
+    assert counted == [120] and built == [5]
+    # a segment always enumerates
+    counted.clear()
+    built.clear()
+    seg = EventRegion.of(HPolytope(1, [ge((1,)), le((3,), 1)]))
+    assert region_count(seg, 10**12) == 10**12 // 3 + 1
+    assert counted == [10**12] and built == []
+    # rule M's vertex denominators bound deg D below by 1.27e18, so its
+    # counts enumerate without building D
+    rule_m = manipulability_event(ScoringRule(F(9307, 25000)))
+    assert max(den for _, t in rule_m.terms for _, den in ehrhart.polytope._vertices(t)) > 10**18
+    counted.clear()
+    for n in range(11):
+        region_count(rule_m, n)
+    assert built == [] and sorted(set(counted)) == list(range(11))
+
+
+def test_region_count_reads_plurality_at_a_billion():
+    region = manipulability_event(PLURALITY)
+    t0 = time.perf_counter()
+    value = region_count(region, 10**9)
+    elapsed = time.perf_counter() - t0
+    assert value == ehrhart_pipeline(region, classes=[10**9]).evaluate(10**9)
+    assert elapsed < 1
+
+
 # -- generating functions ----------------------------------------------------
 
 
@@ -445,10 +565,23 @@ def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
     # (1 - t)^6 annihilates polynomials of degree 5, not plurality's
     # period-12 quasipolynomial: a held-back count must disagree
     region = manipulability_event(PLURALITY)
+    ehrhart_pipeline(region, classes=[0])
     monkeypatch.setattr(ehrhart, "_series_denominator",
                         lambda dim, terms: expand_factors([([1, -1], dim + 1)]))
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         ehrhart_pipeline(region, classes=[0])
+    # (1 - t)^6 (1 + t)^26 has plurality's degree 32, so it keys the
+    # window the unpatched call cached, but it annihilates only
+    # quasipolynomials of period 2: the cached window is checked again
+    hits = ehrhart._window.cache_info().hits
+    monkeypatch.setattr(ehrhart, "_series_denominator",
+                        lambda dim, terms: expand_factors([([1, -1], dim + 1),
+                                                           ([1, 1], 32 - dim - 1)]))
+    with pytest.raises(PeriodTooSmallError, match="series recurrence"):
+        ehrhart_pipeline(region, classes=[0])
+    with pytest.raises(PeriodTooSmallError, match="series recurrence"):
+        region_count(region, 96)
+    assert ehrhart._window.cache_info().hits == hits + 2
 
 
 def test_pipeline_restricted_classes():
