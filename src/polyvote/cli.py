@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ceiling on the nodes each count visits: an "
                                 "enumerated range of a coordinate costs its "
                                 "length; where count reads the Ehrhart "
-                                "series, it holds for each count of the window")
+                                "series, it holds for each count of the window "
+                                "and for the steps of reading the series")
 
     p = sub.add_parser("volume", help="exact volume of a polytope file")
     add_common(p, files=True)

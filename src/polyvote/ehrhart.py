@@ -35,9 +35,9 @@ dilations each class is fitted on.  By Ehrhart-Macdonald reciprocity
 the value at n = -k is (-1)^dim(P) times the lattice count of the
 relative interior of kP, whose rows not tight on all of P are strict:
 a.x <= b.k - 1.  So the window is about n = -deg D / 2 ... deg D / 2,
-whatever the period.  It is counted once per region, and a region
-count past it reads the series by Fiduccia's method when the window's
-counts visit fewer nodes than enumerating nP would.
+whatever the period.  A region count past it reads the series by
+Fiduccia's method when the window's counts and that step cost less
+than enumerating nP would.
 """
 
 from __future__ import annotations
@@ -368,27 +368,31 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     negative total means the terms describe no set of points, which
     raises GeometryError, as a negative volume does.
 
-    A count of nP visits about (n + 1)^(dim - 2) nodes, so when the
-    window of ``ehrhart_pipeline`` visits fewer, summed over its n',
-    the count reads the Ehrhart series instead: the window is counted
-    once per region (``_window``), checked against the recurrence D
-    gives on every call, and f(n) is read off x^(n - start) modulo the
-    reversed D (``_recurrence_value``).  Before D is built, the same
-    test runs on its lower bound deg D >= the largest vertex
-    denominator, which 1 - t^den dividing D gives; a dimension <= 2
-    always enumerates.  On either route ``budget`` bounds each count."""
+    A count of nP visits about (n + 1)^(dim - 2) nodes.  When reading
+    the Ehrhart series costs less (``_series_cost``: the window of
+    ``ehrhart_pipeline``, D's build and Fiduccia's step together) and
+    the steps beyond the window fit in ``budget``, the window is
+    counted and checked against the recurrence D gives (``_window``),
+    and f(n) is read off x^(n - start) modulo the reversed D
+    (``_recurrence_value``).  Before D is built, the same test runs on
+    its lower bound deg D >= the largest vertex denominator, which
+    1 - t^den dividing D gives; a dimension <= 2 always enumerates.
+    On either route ``budget`` also bounds each count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
-    terms = tuple((s, p) for s, p in region.terms if not p.is_empty())
+    terms = [(s, p) for s, p in region.terms if not p.is_empty()]
+    dens = [den for _, p in terms for _, den in polytope._vertices(p)]
+
+    def reads_series(deg: int) -> bool:
+        cost, steps = _series_cost(deg, dim, n, len(dens))
+        return steps <= budget and cost < (n + 1) ** (dim - 2)
+
     d = None
-    if dim > 2 and terms:
-        nodes = (n + 1) ** (dim - 2)
-        least = max(den for _, p in terms for _, den in polytope._vertices(p))
-        if _window_nodes(least, dim) < nodes:
-            d = _series_denominator(dim, terms)
-    if d is not None and _window_nodes(len(d) - 1, dim) < nodes:
-        start, values = _checked_window(terms, d, budget)
+    if dim > 2 and terms and reads_series(max(dens)):
+        d = _series_denominator(dim, terms)
+    if d is not None and reads_series(len(d) - 1):
+        start, values = _window(terms, d, budget)
         total = _recurrence_value(d, values, n - start)
     else:
         total = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
@@ -509,19 +513,17 @@ def _series_denominator(dim: int, terms) -> list[int]:
     return d
 
 
-@functools.lru_cache(maxsize=64)
-def _window(terms, deg: int, budget: int) -> tuple[int, tuple[int, ...]]:
+def _window(terms, d, budget: int) -> tuple[int, list[int]]:
     """(start, values): the signed quasipolynomial values of the
-    nonempty ``terms`` at n = start ... start + deg + VALIDATION_POINTS
-    - 1, start = -floor(deg / 2), the window of a series denominator of
-    degree ``deg``.  They are counted largest |n| first, so the count
-    likeliest to pass ``budget`` nodes runs before the others; the value
-    at n >= 0 is the signed count of nP, which must not be negative
-    (GeometryError), and at n = -k the signed sum of the terms'
-    reciprocity values (see ``_quasipolynomial_value``).  Cached, so a
-    region counts its window once whether ``ehrhart_pipeline`` or
-    ``region_count`` asks first; neither cache nor window checks the
-    recurrence, which ``_checked_window`` does on every call."""
+    nonempty ``terms`` at n = start ... start + deg D + VALIDATION_POINTS
+    - 1, start = -floor(deg D / 2), for the series denominator ``d``.
+    They are counted largest |n| first, so the count likeliest to pass
+    ``budget`` nodes runs before the others; the value at n >= 0 is the
+    signed count of nP, which must not be negative (GeometryError), and
+    at n = -k the signed sum of the terms' reciprocity values (see
+    ``_quasipolynomial_value``).  The values past the first deg D must
+    satisfy sum_i d_i f(n - i) = 0, or PeriodTooSmallError."""
+    deg = len(d) - 1
     start = -(deg // 2)
     window = range(start, start + deg + VALIDATION_POINTS)
     counted = {}
@@ -529,15 +531,7 @@ def _window(terms, deg: int, budget: int) -> tuple[int, tuple[int, ...]]:
         counted[n] = sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
         if counted[n] < 0 <= n:
             raise GeometryError(f"signed region count at dilation {n} came out negative")
-    return start, tuple(counted[n] for n in window)
-
-
-def _checked_window(terms, d, budget: int) -> tuple[int, tuple[int, ...]]:
-    """The ``_window`` of the series denominator ``d``, whose values past
-    the first deg D must satisfy sum_i d_i f(n - i) = 0, or
-    PeriodTooSmallError."""
-    deg = len(d) - 1
-    start, values = _window(terms, deg, budget)
+    values = [counted[n] for n in window]
     for i in range(deg, len(values)):
         if _recurrence_term(d, values, i) != values[i]:
             raise PeriodTooSmallError(
@@ -600,6 +594,19 @@ def _window_nodes(deg: int, dim: int) -> int:
     return power_sum(half + 1) + power_sum(deg - half + VALIDATION_POINTS) - 1
 
 
+def _series_cost(deg: int, dim: int, n: int, vertices: int) -> tuple[int, int]:
+    """(cost, steps): the work of reading the count at n off a series
+    denominator of degree ``deg`` in dimension dim >= 3, its terms
+    having ``vertices`` vertices in all, a step counted as a node.
+    ``steps`` is D's build, about deg steps per vertex (its exponent
+    loop runs up to the largest denominator, at most deg D), and
+    Fiduccia's squaring and reduction, 2 deg^2 steps per bit of n;
+    ``cost`` adds the window's ``_window_nodes``.  Both grow with
+    deg."""
+    steps = deg * (vertices + 2 * deg * n.bit_length())
+    return _window_nodes(deg, dim) + steps, steps
+
+
 def ehrhart_pipeline(
     target,
     classes=None,
@@ -611,18 +618,17 @@ def ehrhart_pipeline(
     The period used is the vertex-denominator lcm m (the minimal period
     always divides it).  With D = ``_series_denominator``, the deg D +
     ``VALIDATION_POINTS`` values of ``_window`` from n = -floor(deg D / 2)
-    on are counted (or read from its cache) and checked against the
-    recurrence D gives, or PeriodTooSmallError; the recurrence then
-    extends them term by term, and each requested residue class r is
-    interpolated through n = r, r + m, ..., r + dim * m.
+    on are counted and checked against the recurrence D gives, or
+    PeriodTooSmallError; the recurrence then extends them term by term,
+    and each requested residue class r is interpolated through n = r,
+    r + m, ..., r + dim * m.
     """
     dim, terms = _target_parts(target)
-    terms = tuple((s, p) for s, p in terms if not p.is_empty())
+    terms = [(s, p) for s, p in terms if not p.is_empty()]
     m = period_bound(target)
     wanted = list(range(m)) if classes is None else sorted(set(c % m for c in classes))
     d = _series_denominator(dim, terms)
-    start, values = _checked_window(terms, d, budget)
-    values = list(values)
+    start, values = _window(terms, d, budget)
     for i in range(len(values), max(wanted, default=0) + dim * m - start + 1):
         values.append(_recurrence_term(d, values, i))
     polys = [None] * m

@@ -211,6 +211,12 @@ def test_exit_code_budget_error(run):
     code, _, err = run("count", "--n", "100000", "--budget", "1000",
                        files=[("--polytope-file", WIDE3)])
     assert code == 4 and "budget exceeded" in err
+    # at n = 10^6 the window alone bounds fewer nodes, but Fiduccia's
+    # 2 * 1340^2 steps per bit of n put the series past enumeration and
+    # past the budget: the count enumerates and stops at once
+    code, _, err = run("count", "--n", "1000000", "--budget", "1000",
+                       files=[("--polytope-file", WIDE3)])
+    assert code == 4 and "budget exceeded: dilation 1000000" in err
     # the unit cube's window is n = -2 ... 3: the series route stays
     # inside the budget
     code, out, _ = run("count", "--n", "100000", "--budget", "1000",

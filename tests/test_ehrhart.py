@@ -2,6 +2,7 @@ import time
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, comb, floor, isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -284,11 +285,19 @@ def test_window_nodes_sums_the_window():
                     == sum((abs(n) + 1) ** (dim - 2) for n in window))
 
 
-def _first_series_dilation(dim, deg):
-    """The least n whose (n + 1)^(dim - 2) nodes exceed the window's,
-    for dim 3 or 4."""
-    nodes = ehrhart._window_nodes(deg, dim)
-    return nodes if dim == 3 else isqrt(nodes)
+def _first_series_dilation(region, deg):
+    """An n at which a count of the region (dim 3 or 4) reads a series
+    denominator of degree ``deg``: n is raised to the root of the series
+    cost at n until enumeration's (n + 1)^(dim - 2) nodes exceed it."""
+    dim = region.dim
+    vertices = sum(len(ehrhart.polytope._vertices(t)) for _, t in region.terms if not t.is_empty())
+    n = 0
+    while True:
+        cost, steps = ehrhart._series_cost(deg, dim, n, vertices)
+        if cost < (n + 1) ** (dim - 2):
+            assert steps <= DEFAULT_BUDGET
+            return n
+        n = max(n + 1, cost if dim == 3 else isqrt(cost))
 
 
 @settings(max_examples=50)
@@ -300,13 +309,14 @@ def test_region_count_equals_enumeration_past_and_inside_the_window(pair, union)
     terms = [(s, t) for s, t in region.terms if not t.is_empty()]
     assume(terms)
     deg = len(_series_denominator(region.dim, terms)) - 1
-    past = _first_series_dilation(region.dim, deg)
+    past = _first_series_dilation(region, deg)
+    # the oracle enumerates nP at n = past, about 15 us a node
+    assume((past + 1) ** (region.dim - 2) <= 50_000)
     inside = deg - deg // 2 + VALIDATION_POINTS - 1  # the window's last n
     for n, reads_window in ((past, True), (inside, False)):
-        info = ehrhart._window.cache_info()
-        assert region_count(region, n) == enumerated_count(region, n)
-        after = ehrhart._window.cache_info()
-        assert (after.hits + after.misses > info.hits + info.misses) == reads_window
+        with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
+            assert region_count(region, n) == enumerated_count(region, n)
+        assert window.called == reads_window
 
 
 class _Enumerated(Exception):
@@ -338,11 +348,14 @@ def _route_spies(monkeypatch, stop_at=None):
 
 def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     counted, built = _route_spies(monkeypatch, stop_at=120)
-    # plurality: deg D = 32, a window of 52,649 nodes against 97^3
+    # plurality: deg D = 32 and 42 vertices, a window of 52,649 nodes
+    # and 15,680 steps to build D and square x^(n - start) up, against
+    # 97^3 nodes
+    assert ehrhart._series_cost(32, 5, 96, 42) == (68329, 15680)
     assert region_count(manipulability_event(PLURALITY), 96) == 4176821
     assert 96 not in counted and built == [5]
-    # Borda: deg D = 118, a window of 6,924,780 nodes against 121^3
-    assert ehrhart._window_nodes(118, 5) == 6924780 > 121**3
+    # Borda: deg D = 118, a window of 7,125,380 nodes against 121^3
+    assert ehrhart._series_cost(118, 5, 120, 48)[0] == 7125380 > 121**3
     counted.clear()
     built.clear()
     with pytest.raises(_Enumerated):
@@ -371,6 +384,27 @@ def test_region_count_reads_plurality_at_a_billion():
     elapsed = time.perf_counter() - t0
     assert value == ehrhart_pipeline(region, classes=[10**9]).evaluate(10**9)
     assert elapsed < 1
+    # D's build and the 30 squarings take 62,784 steps: a smaller budget
+    # enumerates, which passes it at once
+    assert ehrhart._series_cost(32, 5, 10**9, 42)[1] == 62784
+    assert region_count(region, 10**9, budget=62784) == value
+    with pytest.raises(BudgetExceededError):
+        region_count(region, 10**9, budget=62783)
+
+
+def test_region_count_charges_the_series_steps():
+    # [0, 1/7] x [0, 1/11] x [0, 1/13]: deg D = 1340, so at n = 10^6 the
+    # window's 451,583 nodes are fewer than enumeration's, but with
+    # Fiduccia's 2 * 1340^2 steps per bit of n the series costs more
+    box = HPolytope(3, [ge((7, 0, 0)), le((7, 0, 0), 1), ge((0, 11, 0)), le((0, 11, 0), 1),
+                        ge((0, 0, 13)), le((0, 0, 13), 1)])
+    assert len(_series_denominator(3, [(1, box)])) - 1 == 1340
+    cost, steps = ehrhart._series_cost(1340, 3, 10**6, 8)
+    assert ehrhart._window_nodes(1340, 3) == 451583 < 10**6 + 1 < cost
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="dilation 1000000 reached"):
+        region_count(EventRegion.of(box), 10**6, budget=1000)
+    assert time.perf_counter() - t0 < 1
 
 
 # -- generating functions ----------------------------------------------------
@@ -565,23 +599,13 @@ def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
     # (1 - t)^6 annihilates polynomials of degree 5, not plurality's
     # period-12 quasipolynomial: a held-back count must disagree
     region = manipulability_event(PLURALITY)
-    ehrhart_pipeline(region, classes=[0])
     monkeypatch.setattr(ehrhart, "_series_denominator",
                         lambda dim, terms: expand_factors([([1, -1], dim + 1)]))
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         ehrhart_pipeline(region, classes=[0])
-    # (1 - t)^6 (1 + t)^26 has plurality's degree 32, so it keys the
-    # window the unpatched call cached, but it annihilates only
-    # quasipolynomials of period 2: the cached window is checked again
-    hits = ehrhart._window.cache_info().hits
-    monkeypatch.setattr(ehrhart, "_series_denominator",
-                        lambda dim, terms: expand_factors([([1, -1], dim + 1),
-                                                           ([1, 1], 32 - dim - 1)]))
-    with pytest.raises(PeriodTooSmallError, match="series recurrence"):
-        ehrhart_pipeline(region, classes=[0])
+    # a count past the window reads the same checked window
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         region_count(region, 96)
-    assert ehrhart._window.cache_info().hits == hits + 2
 
 
 def test_pipeline_restricted_classes():
