@@ -29,20 +29,23 @@ none.
 The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
 deg D, where the cyclotomic Phi_k divides D at most min(dim + 1,
 #{vertices v of a term : k divides den v}) times (Stanley, EC I, 4.6).
-So the deg D values of one window fix every residue class: spare
-values check the recurrence D gives, which then extends them to the
-dilations each class is fitted on.  By Ehrhart-Macdonald reciprocity
-the value at n = -k is (-1)^dim(P) times the lattice count of the
-relative interior of kP, whose rows not tight on all of P are strict:
-a.x <= b.k - 1.  So the window is about n = -deg D / 2 ... deg D / 2,
-whatever the period.  A region count past it reads the series by
-Fiduccia's method when the window's counts and that step cost less
-than enumerating nP would.
+So the deg D values of one window fix every residue class.  D stays
+factored as prod_j (1 - t^j)^e_j, and each use of it is one strided
+pass per factor (``_times_d``): the window times D gives the numerator
+h and spare values that must vanish, and h divided by D extends it to
+the dilations each class is fitted on.  By Ehrhart-Macdonald
+reciprocity the value at n = -k is (-1)^dim(P) times the lattice count
+of the relative interior of kP, whose rows not tight on all of P are
+strict: a.x <= b.k - 1.  So the window is about n = -deg D / 2 ...
+deg D / 2, whatever the period.  A region count past it reads h / D
+by Bostan and Mori's halving of n on D's factors when the window's
+counts and those rounds cost less than enumerating nP would.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -370,30 +373,31 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
 
     A count of nP visits about (n + 1)^(dim - 2) nodes.  When reading
     the Ehrhart series costs less (``_series_cost``: the window of
-    ``ehrhart_pipeline``, D's build and Fiduccia's step together) and
+    ``ehrhart_pipeline``, D's build and the halving rounds together) and
     the steps beyond the window fit in ``budget``, the window is
-    counted and checked against the recurrence D gives (``_window``),
-    and f(n) is read off x^(n - start) modulo the reversed D
-    (``_recurrence_value``).  Before D is built, the same test runs on
-    its lower bound deg D >= the largest vertex denominator, which
-    1 - t^den dividing D gives; a dimension <= 2 always enumerates.
-    On either route ``budget`` also bounds each count."""
+    counted and checked against D (``_window``), and f(n) is read off
+    h / D by halving n - start (``_series_term``).  Before D is built,
+    the same test runs on its lower bound: deg D and sum_j j.|e_j| are
+    at least the largest vertex denominator, as 1 - t^den divides D; a
+    dimension <= 2 always enumerates.  On either route ``budget`` also
+    bounds each count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
     terms = [(s, p) for s, p in region.terms if not p.is_empty()]
     dens = [den for _, p in terms for _, den in polytope._vertices(p)]
 
-    def reads_series(deg: int) -> bool:
-        cost, steps = _series_cost(deg, dim, n, len(dens))
+    def reads_series(deg: int, weight: int) -> bool:
+        cost, steps = _series_cost(deg, weight, dim, n, len(dens))
         return steps <= budget and cost < (n + 1) ** (dim - 2)
 
-    d = None
-    if dim > 2 and terms and reads_series(max(dens)):
-        d = _series_denominator(dim, terms)
-    if d is not None and reads_series(len(d) - 1):
-        start, values = _window(terms, d, budget)
-        total = _recurrence_value(d, values, n - start)
+    exps = None
+    if dim > 2 and terms and reads_series(max(dens), max(dens)):
+        exps = _series_denominator(dim, terms)
+    if exps is not None and reads_series(sum(j * e for j, e in exps.items()),
+                                         sum(j * abs(e) for j, e in exps.items())):
+        start, h = _window(terms, exps, budget)
+        total = _series_term(h, exps, n - start)
     else:
         total = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
     if total < 0:
@@ -484,12 +488,11 @@ def period_bound(target) -> int:
     return lcm(*(den for _, p in terms for _, den in polytope._vertices(p)))
 
 
-def _series_denominator(dim: int, terms) -> list[int]:
-    """Ascending coefficients of D = prod_k Phi_k^c_k, c_k the largest
-    over the nonempty ``terms`` of min(dim + 1, #{v : k divides den v}),
-    built as prod_j (1 - t^j)^e_j, where e_j is c_j less the e of j's
-    proper multiples: the factors with e_j > 0 multiplied in first, the
-    others divided out (so D(0) = 1 and every step stays in ints)."""
+def _series_denominator(dim: int, terms) -> dict[int, int]:
+    """D = prod_k Phi_k^c_k, c_k the largest over the nonempty ``terms``
+    of min(dim + 1, #{v : k divides den v}), as its factors {j: e_j} of
+    D = prod_j (1 - t^j)^e_j: e_j is c_j less the e of j's proper
+    multiples, and may be negative.  D(0) = 1 and deg D = sum_j j.e_j."""
     mult = {}
     for _, p in terms:
         dens = [den for _, den in polytope._vertices(p)]
@@ -500,30 +503,35 @@ def _series_denominator(dim: int, terms) -> list[int]:
     exps = {}
     for k in range(top, 0, -1):  # mult holds every k up to top
         exps[k] = mult[k] - sum(exps[j] for j in range(2 * k, top + 1, k))
-    d = [1]
-    for j, e in sorted(exps.items(), key=lambda je: -je[1]):
-        for _ in range(e):  # times 1 - t^j
-            d += [0] * j
-            for i in range(len(d) - 1, j - 1, -1):
-                d[i] -= d[i - j]
-        for _ in range(-e):  # over 1 - t^j
-            for i in range(j, len(d)):
-                d[i] += d[i - j]
-            del d[-j:]
-    return d
+    return {j: e for j, e in exps.items() if e}
 
 
-def _window(terms, d, budget: int) -> tuple[int, list[int]]:
-    """(start, values): the signed quasipolynomial values of the
-    nonempty ``terms`` at n = start ... start + deg D + VALIDATION_POINTS
-    - 1, start = -floor(deg D / 2), for the series denominator ``d``.
-    They are counted largest |n| first, so the count likeliest to pass
-    ``budget`` nodes runs before the others; the value at n >= 0 is the
+def _times_d(seq, exps, power: int) -> list[int]:
+    """The power series ``seq`` times D^power (power = 1 or -1), D =
+    prod_j (1 - t^j)^e_j from ``exps``, cut to len(seq): each factor
+    multiplied in is one strided difference, each factor divided out
+    one strided prefix sum, so every step stays in ints."""
+    s = list(seq)
+    for j, e in exps.items():
+        for _ in range(power * e):  # times 1 - t^j
+            s[j:] = [a - b for a, b in zip(s[j:], s)]
+        for _ in range(-power * e):  # over 1 - t^j
+            for r in range(j):
+                s[r::j] = itertools.accumulate(s[r::j])
+    return s
+
+
+def _window(terms, exps, budget: int) -> tuple[int, list[int]]:
+    """(start, h): start = -floor(deg D / 2) and the deg D coefficients
+    h of sum_i f(start + i) t^i = h(t) / D(t), f the signed value of the
+    nonempty ``terms``.  f is counted at n = start ... start + deg D +
+    VALIDATION_POINTS - 1, largest |n| first, so the count likeliest to
+    pass ``budget`` nodes runs before the others; at n >= 0 it is the
     signed count of nP, which must not be negative (GeometryError), and
     at n = -k the signed sum of the terms' reciprocity values (see
-    ``_quasipolynomial_value``).  The values past the first deg D must
-    satisfy sum_i d_i f(n - i) = 0, or PeriodTooSmallError."""
-    deg = len(d) - 1
+    ``_quasipolynomial_value``).  The values times D are h and then
+    held-back coefficients that must be 0, or PeriodTooSmallError."""
+    deg = sum(j * e for j, e in exps.items())
     start = -(deg // 2)
     window = range(start, start + deg + VALIDATION_POINTS)
     counted = {}
@@ -531,47 +539,35 @@ def _window(terms, d, budget: int) -> tuple[int, list[int]]:
         counted[n] = sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
         if counted[n] < 0 <= n:
             raise GeometryError(f"signed region count at dilation {n} came out negative")
-    values = [counted[n] for n in window]
-    for i in range(deg, len(values)):
-        if _recurrence_term(d, values, i) != values[i]:
+    h = _times_d([counted[n] for n in window], exps, 1)
+    for i in range(deg, len(h)):
+        if h[i]:
             raise PeriodTooSmallError(
                 f"count at n={start + i} deviates from the series recurrence "
                 f"of degree {deg}"
             )
-    return start, values
+    return start, h[:deg]
 
 
-def _recurrence_term(d, values, i: int) -> int:
-    """Term i of the sequence ``values`` as the recurrence sum_j d_j
-    a_(i-j) = 0 (d_0 = 1) gives it from the deg D terms before it."""
-    deg = len(d) - 1
-    return -sum(c * v for c, v in zip(d[1:], reversed(values[i - deg : i])))
-
-
-def _recurrence_value(d, values, i: int) -> int:
-    """Term i of the sequence that begins with ``values`` (at least deg D
-    terms) and satisfies the recurrence of ``_recurrence_term``, by
-    Fiduccia's method: if x^i = sum_j r_j x^j modulo the characteristic
-    polynomial x^deg + d_1 x^(deg-1) + ... + d_deg, D reversed, then
-    a_i = sum_j r_j a_j.  x^i is built from the bits of i by squaring
-    and shifting: O(deg^2 log i) operations on deg coefficients."""
-    deg = len(d) - 1
-    r = [1] + [0] * (deg - 1)
-    for bit in bin(i)[2:]:
-        sq = [0] * (2 * deg - 1)
-        for a, ra in enumerate(r):
-            if ra:
-                for b, rb in enumerate(r):
-                    sq[a + b] += ra * rb
-        if bit == "1":
-            sq.insert(0, 0)
-        for k in range(len(sq) - 1, deg - 1, -1):  # x^k = -sum_j d_j x^(k-j)
-            c = sq.pop()
-            if c:
-                for j in range(1, deg + 1):
-                    sq[k - j] -= d[j] * c
-        r = sq
-    return sum(c * v for c, v in zip(r, values))
+def _series_term(h, exps, i: int) -> int:
+    """Coefficient i of h / D, h of deg D coefficients, by Bostan and
+    Mori's halving: h(t) D(-t) / (D(t) D(-t)) has a denominator in t^2,
+    of factors (j/2, 2e) for an even j and (j, e) for an odd one, so
+    coefficient i is coefficient i // 2 of the numerator's terms of i's
+    parity over it.  h(t) D(-t) is (h(-t) D(t)) at -t.  deg D and sum_j
+    j.|e_j| stay as they were; at i = 0 it is h(0), as D(0) = 1."""
+    while i:
+        parity = i % 2
+        w = _times_d([-c if k % 2 else c for k, c in enumerate(h)] + [0] * len(h), exps, 1)
+        h = [-c for c in w[parity::2]] if parity else w[::2]
+        halved = {}
+        for j, e in exps.items():
+            if j % 2 == 0:
+                j, e = j // 2, 2 * e
+            halved[j] = halved.get(j, 0) + e
+        exps = {j: e for j, e in halved.items() if e}
+        i //= 2
+    return h[0] if h else 0
 
 
 def _window_nodes(deg: int, dim: int) -> int:
@@ -594,16 +590,17 @@ def _window_nodes(deg: int, dim: int) -> int:
     return power_sum(half + 1) + power_sum(deg - half + VALIDATION_POINTS) - 1
 
 
-def _series_cost(deg: int, dim: int, n: int, vertices: int) -> tuple[int, int]:
+def _series_cost(deg: int, weight: int, dim: int, n: int, vertices: int) -> tuple[int, int]:
     """(cost, steps): the work of reading the count at n off a series
-    denominator of degree ``deg`` in dimension dim >= 3, its terms
-    having ``vertices`` vertices in all, a step counted as a node.
-    ``steps`` is D's build, about deg steps per vertex (its exponent
-    loop runs up to the largest denominator, at most deg D), and
-    Fiduccia's squaring and reduction, 2 deg^2 steps per bit of n;
-    ``cost`` adds the window's ``_window_nodes``.  Both grow with
-    deg."""
-    steps = deg * (vertices + 2 * deg * n.bit_length())
+    denominator of degree ``deg`` and ``weight`` sum_j j.|e_j| in
+    dimension dim >= 3, its terms having ``vertices`` vertices in all, a
+    step counted as a node.  ``steps`` is D's build, about deg steps
+    per vertex (its exponent loop runs up to the largest denominator,
+    at most deg D), and ``_series_term``'s rounds, one per bit of n -
+    start, each of at most ``weight`` strided passes over 2 deg
+    coefficients; ``cost`` adds the window's ``_window_nodes``.  Both
+    grow with deg and weight."""
+    steps = deg * (vertices + 2 * weight * (n + deg // 2).bit_length())
     return _window_nodes(deg, dim) + steps, steps
 
 
@@ -618,19 +615,19 @@ def ehrhart_pipeline(
     The period used is the vertex-denominator lcm m (the minimal period
     always divides it).  With D = ``_series_denominator``, the deg D +
     ``VALIDATION_POINTS`` values of ``_window`` from n = -floor(deg D / 2)
-    on are counted and checked against the recurrence D gives, or
-    PeriodTooSmallError; the recurrence then extends them term by term,
-    and each requested residue class r is interpolated through n = r,
-    r + m, ..., r + dim * m.
+    on are counted and checked against D, or PeriodTooSmallError; its
+    numerator h, padded with zeros and divided by D factor by factor,
+    extends them, and each requested residue class r is interpolated
+    through n = r, r + m, ..., r + dim * m.
     """
     dim, terms = _target_parts(target)
     terms = [(s, p) for s, p in terms if not p.is_empty()]
     m = period_bound(target)
     wanted = list(range(m)) if classes is None else sorted(set(c % m for c in classes))
-    d = _series_denominator(dim, terms)
-    start, values = _window(terms, d, budget)
-    for i in range(len(values), max(wanted, default=0) + dim * m - start + 1):
-        values.append(_recurrence_term(d, values, i))
+    exps = _series_denominator(dim, terms)
+    start, h = _window(terms, exps, budget)
+    size = max(wanted, default=0) + dim * m - start + 1
+    values = _times_d(h + [0] * (size - len(h)), exps, -1)
     polys = [None] * m
     for r in wanted:
         polys[r] = tuple(_newton_fit([(n, values[n - start])

@@ -125,9 +125,9 @@ class RationalGF:
         object.__setattr__(self, "denominator", tuple(c / c0 for c in den))
 
 
-def gf_coefficients(gf, upto):
-    """Maclaurin coefficients a_0..a_upto of P(t)/Q(t) by the forward
-    linear recurrence a_n = b_n - sum_{k>=1} c_k a_{n-k}."""
+def gf_series(gf, upto):
+    """Maclaurin coefficients a_0..a_upto of P(t)/Q(t), of any sign, by
+    the forward linear recurrence a_n = b_n - sum_{k>=1} c_k a_{n-k}."""
     num, den = gf.numerator, gf.denominator
     coeffs = []
     for n in range(upto + 1):
@@ -135,12 +135,15 @@ def gf_coefficients(gf, upto):
         for k in range(1, min(n, len(den) - 1) + 1):
             b -= den[k] * coeffs[n - k]
         coeffs.append(b)
-    table = {}
     for n, a in enumerate(coeffs):
         if a.denominator != 1:
             raise ValueError(f"coefficient a_{n} = {a} is not an integer")
-        table[n] = int(a)
-    return CountTable(table)
+    return [int(a) for a in coeffs]
+
+
+def gf_coefficients(gf, upto):
+    """``gf_series`` as a CountTable of counts."""
+    return CountTable(dict(enumerate(gf_series(gf, upto))))
 
 
 # Ehrhart series of the region where a coalition can elect b (plurality,

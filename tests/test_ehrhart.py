@@ -20,7 +20,9 @@ from polyvote.ehrhart import (
     _memo_keys,
     _polygon_count,
     _series_denominator,
+    _series_term,
     _shadows,
+    _times_d,
     count_lattice_points,
     ehrhart_pipeline,
     period_bound,
@@ -32,6 +34,7 @@ from polyvote.socialchoice import (
     BORDA,
     PLURALITY,
     ScoringRule,
+    condorcet_winner,
     manipulability_event,
 )
 
@@ -44,6 +47,7 @@ from helpers import (
     enumerated_count,
     expand_factors,
     gf_coefficients,
+    gf_series,
     interpolate_quasipolynomial,
     poly_mul,
     positive_dilation_fit,
@@ -263,17 +267,41 @@ def test_region_count_inclusion_exclusion():
         assert region_count(region, n) == count_lattice_points(cube, n)
 
 
-def test_recurrence_value_raises_x_to_the_index():
-    fib = [0, 1]
-    while len(fib) < 301:
-        fib.append(fib[-1] + fib[-2])
-    for i in (0, 1, 2, 7, 64, 300):
-        assert ehrhart._recurrence_value([1, -1, -1], (0, 1), i) == fib[i]
-    assert ehrhart._recurrence_value([1, -3], (5,), 40) == 5 * 3**40
+def test_series_term_halves_the_index():
     # (1 - t)^4 continues the cubes from any four consecutive ones
-    cubes = tuple((n - 2) ** 3 for n in range(4))
-    d = expand_factors([([1, -1], 4)])
-    assert ehrhart._recurrence_value(d, cubes, 10**6) == (10**6 - 2) ** 3
+    cubes = [(n - 2) ** 3 for n in range(4)]
+    h = _times_d(cubes, {1: 4}, 1)
+    assert _series_term(h, {1: 4}, 10**6) == (10**6 - 2) ** 3
+
+
+@st.composite
+def factored_series(draw):
+    """(h, exps): D = prod_k Phi_k^c_k for random c_k, as the factors
+    {j: e_j} of prod_j (1 - t^j)^e_j, e_j = c_j less the e of j's proper
+    multiples, and a random h with deg h < deg D."""
+    top = draw(st.integers(1, 8))
+    mult = draw(st.lists(st.integers(0, 3), min_size=top, max_size=top))
+    exps = {}
+    for k in range(top, 0, -1):
+        exps[k] = mult[k - 1] - sum(exps[j] for j in range(2 * k, top + 1, k))
+    exps = {j: e for j, e in exps.items() if e}
+    deg = sum(j * e for j, e in exps.items())
+    assume(deg > 0)
+    h = draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg))
+    return h, exps
+
+
+@settings(max_examples=60)
+@given(factored_series(), st.integers(0, 2000))
+def test_series_primitive_matches_the_expanded_recurrence(case, i):
+    h, exps = case
+    # h / D = h Q / P, P and Q the factors with positive and negative e_j
+    num = expand_factors([([1] + [0] * (j - 1) + [-1], -e) for j, e in exps.items() if e < 0])
+    den = expand_factors([([1] + [0] * (j - 1) + [-1], e) for j, e in exps.items() if e > 0])
+    series = gf_series(RationalGF(poly_mul(h, num), den), i)
+    size = max(i + 1, len(h))
+    assert _times_d(h + [0] * (size - len(h)), exps, -1)[: i + 1] == series
+    assert _series_term(h, exps, i) == series[i]
 
 
 def test_window_nodes_sums_the_window():
@@ -285,15 +313,24 @@ def test_window_nodes_sums_the_window():
                     == sum((abs(n) + 1) ** (dim - 2) for n in window))
 
 
-def _first_series_dilation(region, deg):
-    """An n at which a count of the region (dim 3 or 4) reads a series
-    denominator of degree ``deg``: n is raised to the root of the series
-    cost at n until enumeration's (n + 1)^(dim - 2) nodes exceed it."""
+def _degree(exps):
+    return sum(j * e for j, e in exps.items())
+
+
+def _weight(exps):
+    return sum(j * abs(e) for j, e in exps.items())
+
+
+def _first_series_dilation(region, exps):
+    """An n at which a count of the region (dim 3 or 4) reads the series
+    denominator of factors ``exps``: n is raised to the root of the
+    series cost at n until enumeration's (n + 1)^(dim - 2) nodes exceed
+    it."""
     dim = region.dim
     vertices = sum(len(ehrhart.polytope._vertices(t)) for _, t in region.terms if not t.is_empty())
     n = 0
     while True:
-        cost, steps = ehrhart._series_cost(deg, dim, n, vertices)
+        cost, steps = ehrhart._series_cost(_degree(exps), _weight(exps), dim, n, vertices)
         if cost < (n + 1) ** (dim - 2):
             assert steps <= DEFAULT_BUDGET
             return n
@@ -308,8 +345,9 @@ def test_region_count_equals_enumeration_past_and_inside_the_window(pair, union)
     region = EventRegion(((1, p), (1, r), (-1, p.intersect(r)))) if union else EventRegion.of(p)
     terms = [(s, t) for s, t in region.terms if not t.is_empty()]
     assume(terms)
-    deg = len(_series_denominator(region.dim, terms)) - 1
-    past = _first_series_dilation(region, deg)
+    exps = _series_denominator(region.dim, terms)
+    deg = _degree(exps)
+    past = _first_series_dilation(region, exps)
     # the oracle enumerates nP at n = past, about 15 us a node
     assume((past + 1) ** (region.dim - 2) <= 50_000)
     inside = deg - deg // 2 + VALIDATION_POINTS - 1  # the window's last n
@@ -348,14 +386,17 @@ def _route_spies(monkeypatch, stop_at=None):
 
 def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     counted, built = _route_spies(monkeypatch, stop_at=120)
-    # plurality: deg D = 32 and 42 vertices, a window of 52,649 nodes
-    # and 15,680 steps to build D and square x^(n - start) up, against
-    # 97^3 nodes
-    assert ehrhart._series_cost(32, 5, 96, 42) == (68329, 15680)
+    # plurality: deg D = 32, sum_j j.|e_j| = 44 and 42 vertices, a
+    # window of 52,649 nodes and 21,056 steps to build D and halve
+    # n - start = 112 down, against 97^3 nodes
+    exps = _series_denominator(5, manipulability_event(PLURALITY).terms)
+    assert (_degree(exps), _weight(exps)) == (32, 44)
+    assert ehrhart._series_cost(32, 44, 5, 96, 42) == (73705, 21056)
     assert region_count(manipulability_event(PLURALITY), 96) == 4176821
     assert 96 not in counted and built == [5]
-    # Borda: deg D = 118, a window of 7,125,380 nodes against 121^3
-    assert ehrhart._series_cost(118, 5, 120, 48)[0] == 7125380 > 121**3
+    # Borda: deg D = 118 and sum_j j.|e_j| = 162, a window of 6,924,780
+    # nodes and 311,520 steps against 121^3
+    assert ehrhart._series_cost(118, 162, 5, 120, 48)[0] == 7236300 > 121**3
     counted.clear()
     built.clear()
     with pytest.raises(_Enumerated):
@@ -384,27 +425,57 @@ def test_region_count_reads_plurality_at_a_billion():
     elapsed = time.perf_counter() - t0
     assert value == ehrhart_pipeline(region, classes=[10**9]).evaluate(10**9)
     assert elapsed < 1
-    # D's build and the 30 squarings take 62,784 steps: a smaller budget
+    # D's build and the 30 halvings take 85,824 steps: a smaller budget
     # enumerates, which passes it at once
-    assert ehrhart._series_cost(32, 5, 10**9, 42)[1] == 62784
-    assert region_count(region, 10**9, budget=62784) == value
+    assert ehrhart._series_cost(32, 44, 5, 10**9, 42)[1] == 85824
+    assert region_count(region, 10**9, budget=85824) == value
     with pytest.raises(BudgetExceededError):
-        region_count(region, 10**9, budget=62783)
+        region_count(region, 10**9, budget=85823)
 
 
 def test_region_count_charges_the_series_steps():
     # [0, 1/7] x [0, 1/11] x [0, 1/13]: deg D = 1340, so at n = 10^6 the
-    # window's 451,583 nodes are fewer than enumeration's, but with
-    # Fiduccia's 2 * 1340^2 steps per bit of n the series costs more
+    # window's 451,583 nodes are fewer than enumeration's, but with the
+    # halving's 2 * 1340 * 1346 steps per bit of n the series costs more
     box = HPolytope(3, [ge((7, 0, 0)), le((7, 0, 0), 1), ge((0, 11, 0)), le((0, 11, 0), 1),
                         ge((0, 0, 13)), le((0, 0, 13), 1)])
-    assert len(_series_denominator(3, [(1, box)])) - 1 == 1340
-    cost, steps = ehrhart._series_cost(1340, 3, 10**6, 8)
+    exps = _series_denominator(3, [(1, box)])
+    assert (_degree(exps), _weight(exps)) == (1340, 1346)
+    cost, steps = ehrhart._series_cost(1340, 1346, 3, 10**6, 8)
     assert ehrhart._window_nodes(1340, 3) == 451583 < 10**6 + 1 < cost
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="dilation 1000000 reached"):
         region_count(EventRegion.of(box), 10**6, budget=1000)
     assert time.perf_counter() - t0 < 1
+
+
+def test_region_count_reads_a_long_period_without_its_classes():
+    # conv{e1/5, e2/7, e3/11, -e1/13, -e2/17, -e3/19}: period 1,616,615
+    # but deg D = 70, and the halving reads D's factors, not the period
+    octahedron = HPolytope(3, [
+        le(tuple(p if s > 0 else -q for s, p, q in zip(signs, (5, 7, 11), (13, 17, 19))), 1)
+        for signs in product((1, -1), repeat=3)
+    ])
+    assert period_bound(octahedron) == 1616615
+    exps = _series_denominator(3, [(1, octahedron)])
+    assert _degree(exps) == 70
+    start, h = ehrhart._window([(1, octahedron)], exps, DEFAULT_BUDGET)
+    assert _series_term(h, exps, 50000 - start) == count_lattice_points(octahedron, 50000)
+    t0 = time.perf_counter()
+    with mock.patch.object(ehrhart, "count_lattice_points", wraps=count_lattice_points) as count:
+        value = region_count(EventRegion.of(octahedron), 10**9)
+    assert time.perf_counter() - t0 < 1
+    assert 10**9 not in [call.args[1] for call in count.call_args_list]
+    assert value == _series_term(h, exps, 10**9 - start)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 101, 1001, 10**9 + 1])
+def test_condorcet_winner_counts_follow_gehrlein_and_fishburn_at_odd_n(n):
+    # 3 count(a wins) / C(n + 5, 5) = 15 (n + 3)^2 / (16 (n + 2) (n + 4)):
+    # odd n has no pairwise tie; D = (1 - t^2)^6, so a large n reads the
+    # series
+    count = region_count(EventRegion.of(condorcet_winner("a")), n)
+    assert F(3 * count, comb(n + 5, 5)) == F(15 * (n + 3) ** 2, 16 * (n + 2) * (n + 4))
 
 
 # -- generating functions ----------------------------------------------------
@@ -547,7 +618,7 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
     assert period_bound(wide) == 3 * 5 * 7 * 11
     # deg D = 5 + 5 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
     #         + 2 (48 + 80 + 120 + 240) + 480: the window is -1113 ... 1115
-    assert len(_series_denominator(4, [(1, wide)])) - 1 == 2227
+    assert _degree(_series_denominator(4, [(1, wide)])) == 2227
     asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
         ehrhart_pipeline(wide, budget=595)
@@ -578,20 +649,19 @@ def test_series_denominator_degrees_and_lattice_polytopes():
     for rule, degree in ((PLURALITY, 32), (BORDA, 118), (ANTIPLURALITY, 18)):
         region = manipulability_event(rule)
         assert all(not p.is_empty() for _, p in region.terms)
-        assert len(_series_denominator(region.dim, region.terms)) - 1 == degree
+        assert _degree(_series_denominator(region.dim, region.terms)) == degree
     for dim in (1, 2, 3, 5):
-        one_minus_t = expand_factors([([1, -1], dim + 1)])
         for poly in (unit_box(dim), standard_simplex(dim)):
-            assert _series_denominator(dim, [(1, poly)]) == one_minus_t
+            assert _series_denominator(dim, [(1, poly)]) == {1: dim + 1}
 
 
 def test_series_denominator_is_a_multiple_of_the_plurality_series_denominator():
     region = manipulability_event(PLURALITY)
-    d = _series_denominator(region.dim, region.terms)
-    deg = len(d) - 1
+    exps = _series_denominator(region.dim, region.terms)
+    deg = _degree(exps)
     series = gf_coefficients(MANIPULABLE_UNION_SERIES, deg + 60).entries
     # D * h / Q is a polynomial of degree < deg D when Q divides D
-    product = poly_mul(d, [series[n] for n in range(deg + 61)])
+    product = _times_d([series[n] for n in range(deg + 61)], exps, 1)
     assert all(c == 0 for c in product[deg : deg + 61])
 
 
@@ -599,8 +669,7 @@ def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
     # (1 - t)^6 annihilates polynomials of degree 5, not plurality's
     # period-12 quasipolynomial: a held-back count must disagree
     region = manipulability_event(PLURALITY)
-    monkeypatch.setattr(ehrhart, "_series_denominator",
-                        lambda dim, terms: expand_factors([([1, -1], dim + 1)]))
+    monkeypatch.setattr(ehrhart, "_series_denominator", lambda dim, terms: {1: dim + 1})
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         ehrhart_pipeline(region, classes=[0])
     # a count past the window reads the same checked window
@@ -615,6 +684,16 @@ def test_pipeline_restricted_classes():
     assert q.class_coefficients(0) == (1, F(1, 2))
     assert q.leading_coefficient() == F(1, 2)
     assert ehrhart_pipeline(seg, classes=[]).polys == (None, None)
+
+
+def test_pipeline_extends_a_wide_segment_by_the_factors_of_d():
+    # [0, 1/12000]: D = (1 - t)(1 - t^12000), so class 0 reads 18,001
+    # values past a window of 12,003 counts
+    seg = HPolytope(1, [ge((1,)), le((12000,), 1)])
+    t0 = time.perf_counter()
+    q = ehrhart_pipeline(seg, classes=[0])
+    assert time.perf_counter() - t0 < 1
+    assert q.class_coefficients(0) == (1, F(1, 12000))
 
 
 @st.composite
