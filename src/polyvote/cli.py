@@ -164,7 +164,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "enumerated range of a coordinate costs its "
                                 "length; where count reads the Ehrhart "
                                 "series, it holds for each count of the window "
-                                "and for the steps of reading the series")
+                                "and for the steps of reading the series, each "
+                                "halving round priced by its factors; ehrhart "
+                                "stops at once when the window's first count "
+                                "would pass it")
 
     p = sub.add_parser("volume", help="exact volume of a polytope file")
     add_common(p, files=True)

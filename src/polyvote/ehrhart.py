@@ -376,29 +376,31 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     ``ehrhart_pipeline``, D's build and the halving rounds together) and
     the steps beyond the window fit in ``budget``, the window is
     counted and checked against D (``_window``), and f(n) is read off
-    h / D by halving n - start (``_series_term``).  Before D is built,
-    the same test runs on its lower bound: deg D and sum_j j.|e_j| are
-    at least the largest vertex denominator, as 1 - t^den divides D; a
-    dimension <= 2 always enumerates.  On either route ``budget`` also
-    bounds each count."""
+    h / D by halving n - start (``_series_term``).  The rounds are
+    priced by halving D's factors alone (``_halvings``).  Before D is
+    built, the same test runs on a lower bound, without the rounds:
+    deg D is at least the largest vertex denominator, as 1 - t^den
+    divides D; a dimension <= 2 always enumerates.  On either route
+    ``budget`` also bounds each count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
     terms = [(s, p) for s, p in region.terms if not p.is_empty()]
     dens = [den for _, p in terms for _, den in polytope._vertices(p)]
 
-    def reads_series(deg: int, weight: int) -> bool:
-        cost, steps = _series_cost(deg, weight, dim, n, len(dens))
+    def reads_series(deg: int, passes: int) -> bool:
+        cost, steps = _series_cost(deg, passes, dim, len(dens))
         return steps <= budget and cost < (n + 1) ** (dim - 2)
 
-    exps = None
-    if dim > 2 and terms and reads_series(max(dens), max(dens)):
+    total = None
+    if dim > 2 and terms and reads_series(max(dens), 0):
         exps = _series_denominator(dim, terms)
-    if exps is not None and reads_series(sum(j * e for j, e in exps.items()),
-                                         sum(j * abs(e) for j, e in exps.items())):
-        start, h = _window(terms, exps, budget)
-        total = _series_term(h, exps, n - start)
-    else:
+        deg = sum(j * e for j, e in exps.items())
+        passes = sum(abs(e) for _, f in _halvings(exps, n + deg // 2) for e in f.values())
+        if reads_series(deg, passes):
+            start, h = _window(terms, exps, budget)
+            total = _series_term(h, exps, n - start)
+    if total is None:
         total = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
     if total < 0:
         raise GeometryError(f"signed region count at dilation {n} came out negative")
@@ -549,17 +551,14 @@ def _window(terms, exps, budget: int) -> tuple[int, list[int]]:
     return start, h[:deg]
 
 
-def _series_term(h, exps, i: int) -> int:
-    """Coefficient i of h / D, h of deg D coefficients, by Bostan and
-    Mori's halving: h(t) D(-t) / (D(t) D(-t)) has a denominator in t^2,
-    of factors (j/2, 2e) for an even j and (j, e) for an odd one, so
-    coefficient i is coefficient i // 2 of the numerator's terms of i's
-    parity over it.  h(t) D(-t) is (h(-t) D(t)) at -t.  deg D and sum_j
-    j.|e_j| stay as they were; at i = 0 it is h(0), as D(0) = 1."""
+def _halvings(exps, i: int):
+    """The rounds of ``_series_term``'s halving of i, on D's factors
+    alone: (i, exps) before each round, exps the factors {j: e_j} of
+    that round's denominator.  D(t) D(-t) is a series in u = t^2 whose
+    factors are (j/2, 2e) for an even j and (j, e) for an odd one; its
+    degree in u is deg D again."""
     while i:
-        parity = i % 2
-        w = _times_d([-c if k % 2 else c for k, c in enumerate(h)] + [0] * len(h), exps, 1)
-        h = [-c for c in w[parity::2]] if parity else w[::2]
+        yield i, exps
         halved = {}
         for j, e in exps.items():
             if j % 2 == 0:
@@ -567,6 +566,17 @@ def _series_term(h, exps, i: int) -> int:
             halved[j] = halved.get(j, 0) + e
         exps = {j: e for j, e in halved.items() if e}
         i //= 2
+
+
+def _series_term(h, exps, i: int) -> int:
+    """Coefficient i of h / D, h of deg D coefficients, by Bostan and
+    Mori's halving: h(t) D(-t) / (D(t) D(-t)) has a denominator in t^2,
+    of the factors ``_halvings`` gives, so coefficient i is coefficient
+    i // 2 of the numerator's terms of i's parity over it.  h(t) D(-t)
+    is (h(-t) D(t)) at -t.  At i = 0 it is h(0), as D(0) = 1."""
+    for i, exps in _halvings(exps, i):
+        w = _times_d([-c if k % 2 else c for k, c in enumerate(h)] + [0] * len(h), exps, 1)
+        h = [-c for c in w[1::2]] if i % 2 else w[::2]
     return h[0] if h else 0
 
 
@@ -590,17 +600,17 @@ def _window_nodes(deg: int, dim: int) -> int:
     return power_sum(half + 1) + power_sum(deg - half + VALIDATION_POINTS) - 1
 
 
-def _series_cost(deg: int, weight: int, dim: int, n: int, vertices: int) -> tuple[int, int]:
-    """(cost, steps): the work of reading the count at n off a series
-    denominator of degree ``deg`` and ``weight`` sum_j j.|e_j| in
-    dimension dim >= 3, its terms having ``vertices`` vertices in all, a
-    step counted as a node.  ``steps`` is D's build, about deg steps
-    per vertex (its exponent loop runs up to the largest denominator,
-    at most deg D), and ``_series_term``'s rounds, one per bit of n -
-    start, each of at most ``weight`` strided passes over 2 deg
-    coefficients; ``cost`` adds the window's ``_window_nodes``.  Both
-    grow with deg and weight."""
-    steps = deg * (vertices + 2 * weight * (n + deg // 2).bit_length())
+def _series_cost(deg: int, passes: int, dim: int, vertices: int) -> tuple[int, int]:
+    """(cost, steps): the work of reading a count off a series
+    denominator of degree ``deg`` in dimension dim >= 3, its terms
+    having ``vertices`` vertices in all, a step counted as a node.
+    ``steps`` is D's build, about deg steps per vertex (its exponent
+    loop runs up to the largest denominator, at most deg D), and
+    ``_series_term``'s rounds, which make ``passes`` strided passes over
+    2 deg coefficients in all, one per factor (sum_j |e_j|) of each
+    round's denominator; ``cost`` adds the window's ``_window_nodes``.
+    Both grow with deg and passes."""
+    steps = deg * (vertices + 2 * passes)
     return _window_nodes(deg, dim) + steps, steps
 
 
@@ -619,11 +629,26 @@ def ehrhart_pipeline(
     numerator h, padded with zeros and divided by D factor by factor,
     extends them, and each requested residue class r is interpolated
     through n = r, r + m, ..., r + dim * m.
+
+    deg D is at least the largest vertex denominator den, so in
+    dimension >= 3 the window's first count is at some n >= ceil(den /
+    2) + 1, where x0 alone takes at least floor(n.w) values, w a term's
+    width in x0.  When those pass ``budget``, that count would too:
+    BudgetExceededError is raised before D, whose build loops up to
+    den, is built.
     """
     dim, terms = _target_parts(target)
     terms = [(s, p) for s, p in terms if not p.is_empty()]
     m = period_bound(target)
-    wanted = list(range(m)) if classes is None else sorted(set(c % m for c in classes))
+    wanted = range(m) if classes is None else sorted(set(c % m for c in classes))
+    if dim > 2 and terms:
+        top = max(den for _, p in terms for _, den in polytope._vertices(p))
+        first = top - top // 2 + VALIDATION_POINTS - 1
+        x0 = [[Fraction(v[0], den) for v, den in polytope._vertices(p)] for _, p in terms]
+        nodes = max(first * (max(x) - min(x)) for x in x0) // 1
+        if nodes > budget:
+            raise BudgetExceededError(f"dilation {first} or more reached {nodes} nodes or more "
+                                      f"(budget {budget}): the window of denominator {top}")
     exps = _series_denominator(dim, terms)
     start, h = _window(terms, exps, budget)
     size = max(wanted, default=0) + dim * m - start + 1

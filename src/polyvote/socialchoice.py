@@ -12,7 +12,9 @@ rational row.  Substituting x_6 = 1 - (x_1+..+x_5) turns them into
 integer rows of a polytope over x_1..x_5 bounded by the standard
 inequalities (x_i >= 0 and x_1+..+x_5 <= 1, a simplex of volume 1/120).  A limiting probability is the event volume over 1/120,
 times the number of equally likely candidate relabelings the compiled
-polytope stands for.
+polytope stands for.  Every row is built from candidate names
+(``scoring_vector``, ``pairwise_vector``), so a relabeled event is the
+same builder called with other names.
 
 Events are named by spec strings such as ``manipulable:borda``; the
 registry ``EVENT_SPECS`` maps each spec kind and argument form to the
@@ -56,28 +58,6 @@ def scoring_vector(candidate: str, lam: Fraction) -> Row:
 def pairwise_vector(x: str, y: str) -> Row:
     """Per-order +-1 margin contribution of x against y."""
     return tuple(1 if order.index(x) < order.index(y) else -1 for order in ORDERS)
-
-
-def order_permutation(swap: dict[str, str]) -> tuple[int, ...]:
-    """Index permutation of ORDERS induced by relabeling candidates."""
-    table = {c: swap.get(c, c) for c in CANDIDATES}
-    perm = []
-    for order in ORDERS:
-        renamed = "".join(table[c] for c in order)
-        perm.append(ORDERS.index(renamed))
-    return tuple(perm)
-
-
-PERM_SWAP_BC = order_permutation({"b": "c", "c": "b"})
-PERM_SWAP_AB = order_permutation({"a": "b", "b": "a"})
-PERM_SWAP_AC = order_permutation({"a": "c", "c": "a"})
-
-
-def permute_row(row: Row, perm: tuple[int, ...]) -> Row:
-    out = [0] * 6
-    for i, c in enumerate(row):
-        out[perm[i]] = c
-    return tuple(out)
 
 
 def _sub(u: Row, v: Row, s: int = 1, t: int = 1) -> Row:
@@ -163,10 +143,11 @@ def rule_winner_conditions(rule: ScoringRule) -> HPolytope:
     return share_space_polytope(rows)
 
 
-def _ranking_rows(rule: ScoringRule) -> list[Row]:
-    """The rows s_a - s_b >= 0 and s_b - s_c >= 0 of the rule's scores."""
-    sa, sb, sc = (scoring_vector(c, rule.lam) for c in CANDIDATES)
-    return [_sub(sa, sb), _sub(sb, sc)]
+def _ranking_rows(rule: ScoringRule, order: str = "abc") -> list[Row]:
+    """The rows s_x - s_y >= 0 and s_y - s_z >= 0 of the rule's scores,
+    for the ranking x > y > z named by ``order``."""
+    sx, sy, sz = (scoring_vector(c, rule.lam) for c in order)
+    return [_sub(sx, sy), _sub(sy, sz)]
 
 
 def rule_ranking_conditions(rule: ScoringRule) -> HPolytope:
@@ -174,57 +155,47 @@ def rule_ranking_conditions(rule: ScoringRule) -> HPolytope:
     return share_space_polytope(_ranking_rows(rule))
 
 
-def _candidate_perm(candidate: str) -> tuple[int, ...] | None:
-    if candidate == "a":
-        return None
-    if candidate == "b":
-        return PERM_SWAP_AB
-    if candidate == "c":
-        return PERM_SWAP_AC
-    raise ValueError(f"unknown candidate {candidate!r}")
+def _others(candidate: str) -> list[str]:
+    if candidate not in CANDIDATES:
+        raise ValueError(f"unknown candidate {candidate!r}")
+    return [c for c in CANDIDATES if c != candidate]
 
 
 def condorcet_winner(candidate: str = "a") -> HPolytope:
     """The candidate beats both others in pairwise majority comparisons."""
-    rows = [pairwise_vector("a", "b"), pairwise_vector("a", "c")]
-    perm = _candidate_perm(candidate)
-    if perm:
-        rows = [permute_row(r, perm) for r in rows]
-    return share_space_polytope(rows)
+    return share_space_polytope([pairwise_vector(candidate, o) for o in _others(candidate)])
 
 
 def condorcet_loser(candidate: str = "a") -> HPolytope:
     """The candidate loses both pairwise comparisons."""
-    rows = [pairwise_vector("b", "a"), pairwise_vector("c", "a")]
-    perm = _candidate_perm(candidate)
-    if perm:
-        rows = [permute_row(r, perm) for r in rows]
-    return share_space_polytope(rows)
+    return share_space_polytope([pairwise_vector(o, candidate) for o in _others(candidate)])
 
 
 # ---------------------------------------------------------------------------
 # coalitional manipulability (fixed sincere ranking a > b > c, factor 6)
 
 
-def _strategic_rows_for_b(rule: ScoringRule) -> list[Row]:
-    """Conditions under which the voters preferring b to the sincere
-    winner a (orders bac, bca, cba) can misreport so that b wins.
+def _strategic_rows(rule: ScoringRule, x: str) -> list[Row]:
+    """Conditions under which the voters preferring x (b or c) to the
+    sincere winner a can misreport so that x wins; y is the third
+    candidate.
 
     Score with the weights (q, p, 0) of lam = p/q.  The coalition, of
-    share w, ranks b first, which never lowers b against a or c.  Let
-    S_x be x's score from the voters outside the coalition and
-    B = S_b + q * w.  The coalition gives its second places to a (an
-    amount alpha in [0, w]) and to c (the rest), so b wins iff
-    B >= S_a + p * alpha and B >= S_c + p * (w - alpha).  Eliminating
-    alpha leaves B - S_a >= 0, B - S_c >= 0 and, when p > 0,
-    2B - S_a - S_c - p * w >= 0; at p = 0 alpha drops out.
+    share w, ranks x first, which never lowers x against a or y.  Let
+    S_z be z's score from the voters outside the coalition and
+    X = S_x + q * w.  The coalition gives its second places to a (an
+    amount alpha in [0, w]) and to y (the rest), so x wins iff
+    X >= S_a + p * alpha and X >= S_y + p * (w - alpha).  Eliminating
+    alpha leaves X - S_a >= 0, X - S_y >= 0 and, when p > 0,
+    2X - S_a - S_y - p * w >= 0; at p = 0 alpha drops out.
     """
     lam = rule.lam
-    coalition = tuple(int(order.index("b") < order.index("a")) for order in ORDERS)
-    s_a, s_b, s_c = (tuple(s * (1 - u) for s, u in zip(scoring_vector(x, lam), coalition))
-                     for x in CANDIDATES)
-    big_b = tuple(s + lam.denominator * u for s, u in zip(s_b, coalition))
-    rows = [_sub(big_b, s_a), _sub(big_b, s_c)]
+    y = "c" if x == "b" else "b"
+    coalition = tuple(int(order.index(x) < order.index("a")) for order in ORDERS)
+    s_a, s_x, s_y = (tuple(s * (1 - u) for s, u in zip(scoring_vector(z, lam), coalition))
+                     for z in ("a", x, y))
+    big_x = tuple(s + lam.denominator * u for s, u in zip(s_x, coalition))
+    rows = [_sub(big_x, s_a), _sub(big_x, s_y)]
     if lam.numerator:
         rows.append(tuple(u + v - lam.numerator * c for u, v, c in zip(*rows, coalition)))
     return rows
@@ -234,14 +205,12 @@ def manipulability_event(rule: ScoringRule) -> EventRegion:
     """Signed union of the regions where a coalition can make b, or c,
     win instead of the sincere winner a, for any positional rule.
 
-    The c-side system keeps the sincere ranking rows and applies the
-    b <-> c candidate swap to the strategic rows only; swapping the
-    sincere rows as well would describe elections with a different
-    sincere outcome and an empty overlap.
+    Both sides keep the sincere ranking rows a > b > c; only the
+    strategic rows name b or c as the coalition's favourite.
     """
     sincere = _ranking_rows(rule)
-    strategic_b = _strategic_rows_for_b(rule)
-    strategic_c = [permute_row(r, PERM_SWAP_BC) for r in strategic_b]
+    strategic_b = _strategic_rows(rule, "b")
+    strategic_c = _strategic_rows(rule, "c")
     favor_b = share_space_polytope(sincere + strategic_b)
     favor_c = share_space_polytope(sincere + strategic_c)
     both = share_space_polytope(sincere + strategic_b + strategic_c)
@@ -308,12 +277,12 @@ def cyclic_agreement_probability() -> Fraction:
     the reverse cycle.  The other common rankings, and the cases where
     the rules share a winner but not a full ranking, are not counted
     here."""
-    forward = [pairwise_vector("a", "b"), pairwise_vector("b", "c"),
-               pairwise_vector("c", "a")]
-    for rule in (PLURALITY, ANTIPLURALITY):
-        forward += _ranking_rows(rule)
-    reverse = [permute_row(r, PERM_SWAP_BC) for r in forward]
-    volume = sum(share_space_polytope(rows).volume() for rows in (forward, reverse))
+    volume = 0
+    for order in ("abc", "acb"):
+        rows = [pairwise_vector(x, y) for x, y in zip(order, order[1:] + order[0])]
+        for rule in (PLURALITY, ANTIPLURALITY):
+            rows += _ranking_rows(rule, order)
+        volume += share_space_polytope(rows).volume()
     return volume / SIMPLEX_VOLUME
 
 

@@ -8,7 +8,8 @@ table of counts by dilation and a
 quasipolynomial fit on positive dilations alone, interpolated by
 Lagrange's formula over ``Fraction``, equality elimination
 done in ``Fraction`` arithmetic as a reference for the share-space
-compiler, and the Irwin-Hall closed form of the referendum paradox."""
+compiler, the rule weights the event tests sweep, and the Irwin-Hall
+closed form of the referendum paradox."""
 
 import itertools
 import math
@@ -306,3 +307,7 @@ def eliminate_over_fractions(poly, j):
         (tuple(c[i] - F(c[j] * a[i], a[j]) for i in keep), rel, rhs - F(c[j] * b, a[j]))
         for c, rel, rhs in rows if (c, rel, rhs) != row
     ])
+
+
+# rule weights lam of (1, lam, 0) at which the event tests check every rule
+LAMBDAS = (F(0), F(1, 3), F(2, 5), F(1, 2), F(37228, 100000), F(1))

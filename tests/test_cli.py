@@ -211,10 +211,9 @@ def test_exit_code_budget_error(run):
     code, _, err = run("count", "--n", "100000", "--budget", "1000",
                        files=[("--polytope-file", WIDE3)])
     assert code == 4 and "budget exceeded" in err
-    # at n = 10^6 the window alone bounds fewer nodes, but the halving's
-    # 2 * 1340 * 1346 steps per bit of n (1346 = sum_j j.|e_j| over D's
-    # factors) put the series past enumeration and past the budget: the
-    # count enumerates and stops at once
+    # at n = 10^6 reading the series costs fewer nodes than enumerating,
+    # but D's build and the halving rounds take 546,720 steps, past the
+    # budget: the count enumerates and stops at once
     code, _, err = run("count", "--n", "1000000", "--budget", "1000",
                        files=[("--polytope-file", WIDE3)])
     assert code == 4 and "budget exceeded: dilation 1000000" in err

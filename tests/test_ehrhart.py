@@ -317,8 +317,10 @@ def _degree(exps):
     return sum(j * e for j, e in exps.items())
 
 
-def _weight(exps):
-    return sum(j * abs(e) for j, e in exps.items())
+def _passes(exps, n):
+    """The strided passes of the halving rounds that read the count at n."""
+    rounds = ehrhart._halvings(exps, n + _degree(exps) // 2)
+    return sum(abs(e) for _, f in rounds for e in f.values())
 
 
 def _first_series_dilation(region, exps):
@@ -330,7 +332,7 @@ def _first_series_dilation(region, exps):
     vertices = sum(len(ehrhart.polytope._vertices(t)) for _, t in region.terms if not t.is_empty())
     n = 0
     while True:
-        cost, steps = ehrhart._series_cost(_degree(exps), _weight(exps), dim, n, vertices)
+        cost, steps = ehrhart._series_cost(_degree(exps), _passes(exps, n), dim, vertices)
         if cost < (n + 1) ** (dim - 2):
             assert steps <= DEFAULT_BUDGET
             return n
@@ -386,17 +388,19 @@ def _route_spies(monkeypatch, stop_at=None):
 
 def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     counted, built = _route_spies(monkeypatch, stop_at=120)
-    # plurality: deg D = 32, sum_j j.|e_j| = 44 and 42 vertices, a
-    # window of 52,649 nodes and 21,056 steps to build D and halve
-    # n - start = 112 down, against 97^3 nodes
+    # plurality: deg D = 32 and 42 vertices, a window of 52,649 nodes
+    # and 9,920 steps to build D and halve n - start = 112 down in
+    # rounds of 134 factor passes in all, against 97^3 nodes
     exps = _series_denominator(5, manipulability_event(PLURALITY).terms)
-    assert (_degree(exps), _weight(exps)) == (32, 44)
-    assert ehrhart._series_cost(32, 44, 5, 96, 42) == (73705, 21056)
+    assert (_degree(exps), _passes(exps, 96)) == (32, 134)
+    assert ehrhart._series_cost(32, 134, 5, 42) == (62569, 9920)
     assert region_count(manipulability_event(PLURALITY), 96) == 4176821
     assert 96 not in counted and built == [5]
-    # Borda: deg D = 118 and sum_j j.|e_j| = 162, a window of 6,924,780
-    # nodes and 311,520 steps against 121^3
-    assert ehrhart._series_cost(118, 162, 5, 120, 48)[0] == 7236300 > 121**3
+    # Borda: deg D = 118 and 232 factor passes, a window of 6,924,780
+    # nodes and 60,416 steps against 121^3
+    exps = _series_denominator(5, manipulability_event(BORDA).terms)
+    assert (_degree(exps), _passes(exps, 120)) == (118, 232)
+    assert ehrhart._series_cost(118, 232, 5, 48)[0] == 6985196 > 121**3
     counted.clear()
     built.clear()
     with pytest.raises(_Enumerated):
@@ -425,28 +429,50 @@ def test_region_count_reads_plurality_at_a_billion():
     elapsed = time.perf_counter() - t0
     assert value == ehrhart_pipeline(region, classes=[10**9]).evaluate(10**9)
     assert elapsed < 1
-    # D's build and the 30 halvings take 85,824 steps: a smaller budget
-    # enumerates, which passes it at once
-    assert ehrhart._series_cost(32, 44, 5, 10**9, 42)[1] == 85824
-    assert region_count(region, 10**9, budget=85824) == value
+    # D's build and the 30 halvings, of 594 factor passes in all, take
+    # 39,360 steps: a smaller budget enumerates, which passes it at once
+    exps = _series_denominator(5, region.terms)
+    assert _passes(exps, 10**9) == 594
+    assert ehrhart._series_cost(32, 594, 5, 42)[1] == 39360
+    assert region_count(region, 10**9, budget=39360) == value
     with pytest.raises(BudgetExceededError):
-        region_count(region, 10**9, budget=85823)
+        region_count(region, 10**9, budget=39359)
+
+
+def _wide_box(shift=0):
+    """[shift/7, (shift + 1)/7] x [0, 1/11] x [0, 1/13], with deg D = 1340."""
+    return HPolytope(3, [ge((7, 0, 0), shift), le((7, 0, 0), shift + 1), ge((0, 11, 0)),
+                         le((0, 11, 0), 1), ge((0, 0, 13)), le((0, 0, 13), 1)])
 
 
 def test_region_count_charges_the_series_steps():
-    # [0, 1/7] x [0, 1/11] x [0, 1/13]: deg D = 1340, so at n = 10^6 the
-    # window's 451,583 nodes are fewer than enumeration's, but with the
-    # halving's 2 * 1340 * 1346 steps per bit of n the series costs more
-    box = HPolytope(3, [ge((7, 0, 0)), le((7, 0, 0), 1), ge((0, 11, 0)), le((0, 11, 0), 1),
-                        ge((0, 0, 13)), le((0, 0, 13), 1)])
+    # at n = 10^6 the window's 451,583 nodes and the 546,720 steps of
+    # D's build and of halving rounds of 200 factor passes in all cost
+    # less than enumeration's 10^6 + 1 nodes, but a budget of 1000 does
+    # not hold those steps: the count enumerates and stops at once
+    box = _wide_box()
     exps = _series_denominator(3, [(1, box)])
-    assert (_degree(exps), _weight(exps)) == (1340, 1346)
-    cost, steps = ehrhart._series_cost(1340, 1346, 3, 10**6, 8)
-    assert ehrhart._window_nodes(1340, 3) == 451583 < 10**6 + 1 < cost
+    assert (_degree(exps), _passes(exps, 10**6)) == (1340, 200)
+    cost, steps = ehrhart._series_cost(1340, 200, 3, 8)
+    assert ehrhart._window_nodes(1340, 3) == 451583 < cost == 998303 < 10**6 + 1
+    assert steps == 546720 > 1000
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="dilation 1000000 reached"):
         region_count(EventRegion.of(box), 10**6, budget=1000)
     assert time.perf_counter() - t0 < 1
+
+
+def test_region_count_reads_a_wide_box_at_ten_million():
+    # the rounds are priced by the factors each one has, 240 passes in
+    # all, so the series costs 1,105,503 against 10^7 + 1 nodes
+    box = _wide_box()
+    n = 10**7
+    exps = _series_denominator(3, [(1, box)])
+    assert ehrhart._series_cost(1340, _passes(exps, n), 3, 8) == (1105503, 653920)
+    with mock.patch.object(ehrhart, "count_lattice_points", wraps=count_lattice_points) as count:
+        value = region_count(EventRegion.of(box), n)
+    assert value == (n // 7 + 1) * (n // 11 + 1) * (n // 13 + 1)
+    assert n not in [call.args[1] for call in count.call_args_list]
 
 
 def test_region_count_reads_a_long_period_without_its_classes():
@@ -643,6 +669,35 @@ def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda(monkeypatch
     assert "dilation 60 reached" in str(err.value)
     assert err.value.nodes > 10**4
     count_lattice_points(borda.terms[0][1], 60, budget=DEFAULT_BUDGET)
+
+
+def test_pipeline_refuses_a_window_past_the_budget_before_building_d(monkeypatch):
+    # rule M's largest vertex denominator is 1,267,319,014,866,450,000, so
+    # the window's first count is at n >= 633,659,507,433,225,001, where
+    # x0 alone, of width 25000/40693 on the first term, takes more values
+    # than the budget
+    rule_m = manipulability_event(ScoringRule(F(9307, 25000)))
+    _, built = _route_spies(monkeypatch)
+    asked = _asked_dilations(monkeypatch)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="dilation 633659507433225001 or more"):
+        ehrhart_pipeline(rule_m, classes=[0])
+    assert time.perf_counter() - t0 < 1
+    assert built == [] and asked == []
+    # on [0, 1/7] x [0, 1/11] x [0, 1/13] the largest vertex denominator
+    # is 1001, so n >= 502, where x0 takes floor(502 / 7) = 71 values or
+    # more; deg D = 1340 starts the window at 671, with 96.  Moving x0
+    # to [1, 8/7] changes neither.
+    for shift in (0, 7):
+        built.clear()
+        asked.clear()
+        with pytest.raises(BudgetExceededError,
+                           match=r"dilation 502 or more reached 71 nodes or more \(budget 70\)"):
+            ehrhart_pipeline(_wide_box(shift), budget=70)
+        assert built == [] and asked == []
+        with pytest.raises(BudgetExceededError, match="dilation 671 reached 96 nodes"):
+            ehrhart_pipeline(_wide_box(shift), budget=71)
+        assert built == [3] and asked == [671]
 
 
 def test_series_denominator_degrees_and_lattice_polytopes():

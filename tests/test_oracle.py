@@ -11,10 +11,9 @@ import polyvote.socialchoice as sc
 from polyvote.ehrhart import count_lattice_points, region_count
 
 import oracle
-from helpers import MANIPULABLE_UNION_SERIES, gf_coefficients
+from helpers import LAMBDAS, MANIPULABLE_UNION_SERIES, gf_coefficients
 
 DILATIONS = range(11)
-LAMBDAS = (F(0), F(1, 3), F(2, 5), F(1, 2), F(37228, 100000), F(1))
 
 
 def test_profiles_are_the_lattice_points_of_the_share_simplex():

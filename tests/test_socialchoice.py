@@ -15,6 +15,7 @@ from helpers import (
     FAVOR_B_SERIES,
     FAVOR_BOTH_SERIES,
     FAVOR_C_SERIES,
+    LAMBDAS,
     MANIPULABLE_UNION_SERIES,
     brute_count,
     eliminate_over_fractions,
@@ -46,13 +47,6 @@ def test_pairwise_vector_antisymmetry():
         vy = sc.pairwise_vector(y, x)
         assert all(p == -q for p, q in zip(vx, vy))
         assert all(abs(p) == 1 for p in vx)
-
-
-def test_candidate_swap_is_involution():
-    row = tuple(range(6))
-    once = sc.permute_row(row, sc.PERM_SWAP_BC)
-    assert sc.permute_row(once, sc.PERM_SWAP_BC) == row
-    assert once != row
 
 
 def test_share_space_polytope_has_standard_inequalities():
@@ -258,8 +252,9 @@ HAND_STRATEGIC_ROWS = {
 def test_derived_strategic_rows_match_the_hand_eliminated_systems(monkeypatch):
     derived = {r: sc.manipulability_event(r).terms
                for r in (sc.PLURALITY, sc.BORDA, sc.ANTIPLURALITY)}
-    monkeypatch.setattr(sc, "_strategic_rows_for_b",
-                        lambda rule: HAND_STRATEGIC_ROWS[rule.lam])
+    # the c side is the b side with b and c exchanged
+    monkeypatch.setattr(sc, "_strategic_rows", lambda rule, x: [
+        relabel(r, "bc") if x == "c" else r for r in HAND_STRATEGIC_ROWS[rule.lam]])
     for rule, terms in derived.items():
         hand = sc.manipulability_event(rule).terms
         assert [s for s, _ in terms] == [s for s, _ in hand] == [1, 1, -1]
@@ -270,6 +265,34 @@ def test_derived_strategic_rows_match_the_hand_eliminated_systems(monkeypatch):
                 # redundant rows added, the same polytope
                 assert set(ours.integer_rows()) > set(theirs.integer_rows())
                 assert vertices(ours) == vertices(theirs)
+
+
+# a's pairwise margins over the orders abc, acb, bac, bca, cab, cba
+A_BEATS_B = (1, 1, -1, -1, 1, -1)
+A_BEATS_C = (1, 1, 1, -1, -1, -1)
+
+
+def relabel(row, swap):
+    """The homogeneous row with the two candidates of ``swap``
+    exchanged: each order takes the row's entry of that order renamed."""
+    names = str.maketrans(swap, swap[::-1])
+    return tuple(row[sc.ORDERS.index(order.translate(names))] for order in sc.ORDERS)
+
+
+def test_events_named_by_other_candidates_are_relabelings():
+    for lam in LAMBDAS:
+        rule = sc.ScoringRule(lam)
+        assert sc._strategic_rows(rule, "c") == [relabel(r, "bc")
+                                                 for r in sc._strategic_rows(rule, "b")]
+    winner_a = [A_BEATS_B, A_BEATS_C]
+    loser_a = [tuple(-v for v in r) for r in winner_a]
+    for c in "bc":
+        for event, rows in ((sc.condorcet_winner, winner_a), (sc.condorcet_loser, loser_a)):
+            expected = sc.share_space_polytope([relabel(r, "a" + c) for r in rows])
+            assert event(c).integer_rows() == expected.integer_rows()
+    for event in (sc.condorcet_winner, sc.condorcet_loser):
+        with pytest.raises(ValueError, match="unknown candidate"):
+            event("d")
 
 
 def test_manipulability_rejects_other_rules():
