@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "series, it holds for each count of the window "
                                 "and for the steps of reading the series, each "
                                 "halving round priced by its factors; ehrhart "
-                                "stops at once when the window's first count "
+                                "stops at once when the window's first count, "
+                                "or in dimension <= 2 its number of values, "
                                 "would pass it")
 
     p = sub.add_parser("volume", help="exact volume of a polytope file")

@@ -27,9 +27,12 @@ A count is budgeted on the nodes it visits: each enumerated range of
 x_l charges its length, so a memo hit costs one node and the closures
 none.
 The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
-deg D, where the cyclotomic Phi_k divides D at most min(dim + 1,
-#{vertices v of a term : k divides den v}) times (Stanley, EC I, 4.6).
-So the deg D values of one window fix every residue class.  D stays
+deg D, where the cyclotomic Phi_k divides D at most #{vertices v of a
+term : k divides den v} times (Stanley, EC I, 4.6), and at most 1 +
+min e_q times, q over 1 and the prime powers exactly dividing k, e_q
+the largest dimension of a face of the term whose vertex denominators
+q all divides (McMullen 1978: q divides the index of that face).  So
+the deg D values of one window fix every residue class.  D stays
 factored as prod_j (1 - t^j)^e_j, and each use of it is one strided
 pass per factor (``_times_d``): the window times D gives the numerator
 h and spare values that must vanish, and h divided by D extends it to
@@ -378,26 +381,27 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     counted and checked against D (``_window``), and f(n) is read off
     h / D by halving n - start (``_series_term``).  The rounds are
     priced by halving D's factors alone (``_halvings``).  Before D is
-    built, the same test runs on a lower bound, without the rounds:
-    deg D is at least the largest vertex denominator, as 1 - t^den
-    divides D; a dimension <= 2 always enumerates.  On either route
-    ``budget`` also bounds each count."""
+    built, the same test runs on a lower bound, without the build and
+    the rounds: deg D is at least the largest vertex denominator, as
+    1 - t^den divides D; a dimension <= 2 always enumerates.  On either
+    route ``budget`` also bounds each count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
     terms = [(s, p) for s, p in region.terms if not p.is_empty()]
     dens = [den for _, p in terms for _, den in polytope._vertices(p)]
 
-    def reads_series(deg: int, passes: int) -> bool:
-        cost, steps = _series_cost(deg, passes, dim, len(dens))
+    def reads_series(deg: int, passes: int, tests: int) -> bool:
+        cost, steps = _series_cost(deg, passes, dim, tests)
         return steps <= budget and cost < (n + 1) ** (dim - 2)
 
     total = None
-    if dim > 2 and terms and reads_series(max(dens), 0):
-        exps = _series_denominator(dim, terms)
+    if dim > 2 and terms and reads_series(max(dens), 0, 0):
+        exps = _series_denominator(terms)
         deg = sum(j * e for j, e in exps.items())
         passes = sum(abs(e) for _, f in _halvings(exps, n + deg // 2) for e in f.values())
-        if reads_series(deg, passes):
+        tests = sum(len(_divisors(p)) * len(polytope._vertices(p)) for _, p in terms)
+        if reads_series(deg, passes, tests):
             start, h = _window(terms, exps, budget)
             total = _series_term(h, exps, n - start)
     if total is None:
@@ -490,22 +494,115 @@ def period_bound(target) -> int:
     return lcm(*(den for _, p in terms for _, den in polytope._vertices(p)))
 
 
-def _series_denominator(dim: int, terms) -> dict[int, int]:
+@functools.lru_cache(maxsize=4096)
+def _divisors(poly: HPolytope) -> dict[int, tuple[int, ...]]:
+    """{k: qs} for k over the divisors of a nonempty P's vertex
+    denominators, qs holding 1 and the prime powers exactly dividing
+    k.  Each distinct denominator is factored once, by trial division."""
+    divisors = {}
+    for den in {den for _, den in polytope._vertices(poly)}:
+        parts = {1: (1,)}
+        p = 2
+        while den > 1:
+            if p * p > den:
+                p = den
+            a = 0
+            while den % p == 0:
+                den //= p
+                a += 1
+            parts = {k * p**i: qs + (p**i,) if i else qs
+                     for k, qs in parts.items() for i in range(a + 1)}
+            p += 1
+        divisors.update(parts)
+    return divisors
+
+
+@functools.lru_cache(maxsize=4096)
+def _deepest_faces(poly: HPolytope) -> dict[int, int]:
+    """{q: e_q} for q = 1 and every prime power q dividing a vertex
+    denominator of a nonempty P (the qs of ``_divisors``): e_q is the
+    largest dimension of a face of P all of whose vertices v have q |
+    den v, so e_1 = dim P.
+
+    The faces inside V_q, the vertices with q | den, grow from its
+    vertices by joins: the least face holding a vertex set S is the AND
+    of the incidence masks of the rows tight on all of S, and a join is
+    kept only while it stays inside V_q.  A face's dimension is dim
+    less the rank of the equalities and the rows tight on it, read on
+    the inclusion-maximal faces: those no join keeps inside V_q."""
+    verts = polytope._vertices(poly)
+    rows = poly.integer_rows()
+    incidence = verts.incidence
+    equalities = [coeffs for coeffs, rel, _ in rows if rel == EQ]
+    full = (1 << len(verts)) - 1
+
+    def closure(s: int) -> int:
+        face = full
+        for mask in incidence:
+            if mask & s == s:
+                face &= mask
+        return face
+
+    def face_dim(face: int) -> int:
+        tight = [rows[i][0] for i, mask in enumerate(incidence) if mask & face == face]
+        return poly.dim - polytope._rank(equalities + tight)
+
+    deepest = {}
+    for q in set().union(*_divisors(poly).values()):
+        inside = sum(1 << v for v, (_, den) in enumerate(verts) if den % q == 0)
+        if closure(inside) == inside:  # V_q is a face itself
+            deepest[q] = face_dim(inside)
+            continue
+        faces = {1 << v for v in range(len(verts)) if inside >> v & 1}
+        stack = list(faces)
+        deepest[q] = 0
+        while stack:
+            face = stack.pop()
+            maximal = True
+            rest = inside & ~face
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                joined = closure(face | low)
+                if joined & ~inside == 0:  # a larger face inside V_q
+                    maximal = False
+                    if joined not in faces:
+                        faces.add(joined)
+                        stack.append(joined)
+            if maximal:
+                deepest[q] = max(deepest[q], face_dim(face))
+    return deepest
+
+
+def _series_denominator(terms) -> dict[int, int]:
     """D = prod_k Phi_k^c_k, c_k the largest over the nonempty ``terms``
-    of min(dim + 1, #{v : k divides den v}), as its factors {j: e_j} of
-    D = prod_j (1 - t^j)^e_j: e_j is c_j less the e of j's proper
-    multiples, and may be negative.  D(0) = 1 and deg D = sum_j j.e_j."""
+    of the least of two bounds, as its factors {j: e_j} of D = prod_j
+    (1 - t^j)^e_j: e_j is c_j less the e of j's proper multiples, and
+    may be negative.  D(0) = 1 and deg D = sum_j j.e_j.
+
+    Stanley's bound is #{v : k divides den v} (EC I, 4.6; its cap
+    dim + 1 is implied by the other).  McMullen's: the coefficient of
+    n^i has a period dividing the least p for which the affine hull of
+    every i-face of pP holds an integer point, and den(v).v is one for
+    a vertex v of the face, so a prime power q dividing that p divides
+    den v for every vertex of some i-face.  Hence Phi_k divides D at
+    most 1 + min e_q times, q over 1 and the prime powers exactly
+    dividing k (``_deepest_faces``).  k walks the divisors of each
+    term's vertex denominators (``_divisors``); c_k = 0 for every other
+    k."""
     mult = {}
     for _, p in terms:
         dens = [den for _, den in polytope._vertices(p)]
-        for k in range(1, max(dens) + 1):
-            c = min(dim + 1, sum(den % k == 0 for den in dens))
+        deepest = _deepest_faces(p)
+        for k, qs in _divisors(p).items():
+            c = min(sum(den % k == 0 for den in dens), 1 + min(deepest[q] for q in qs))
             mult[k] = max(mult.get(k, 0), c)
-    top = max(mult, default=0)
     exps = {}
-    for k in range(top, 0, -1):  # mult holds every k up to top
-        exps[k] = mult[k] - sum(exps[j] for j in range(2 * k, top + 1, k))
-    return {j: e for j, e in exps.items() if e}
+    for k in sorted(mult, reverse=True):
+        e = mult[k] - sum(f for j, f in exps.items() if j % k == 0)
+        if e:
+            exps[k] = e
+    return exps
 
 
 def _times_d(seq, exps, power: int) -> list[int]:
@@ -600,17 +697,18 @@ def _window_nodes(deg: int, dim: int) -> int:
     return power_sum(half + 1) + power_sum(deg - half + VALIDATION_POINTS) - 1
 
 
-def _series_cost(deg: int, passes: int, dim: int, vertices: int) -> tuple[int, int]:
+def _series_cost(deg: int, passes: int, dim: int, tests: int) -> tuple[int, int]:
     """(cost, steps): the work of reading a count off a series
-    denominator of degree ``deg`` in dimension dim >= 3, its terms
-    having ``vertices`` vertices in all, a step counted as a node.
-    ``steps`` is D's build, about deg steps per vertex (its exponent
-    loop runs up to the largest denominator, at most deg D), and
-    ``_series_term``'s rounds, which make ``passes`` strided passes over
-    2 deg coefficients in all, one per factor (sum_j |e_j|) of each
-    round's denominator; ``cost`` adds the window's ``_window_nodes``.
-    Both grow with deg and passes."""
-    steps = deg * (vertices + 2 * passes)
+    denominator of degree ``deg`` in dimension dim >= 3, a step counted
+    as a node.  ``steps`` is D's build, the ``tests`` of a vertex
+    denominator by a divisor k that ``_series_denominator`` makes (per
+    term, its vertices times its ``_divisors``), and ``_series_term``'s
+    rounds, which make ``passes`` strided passes over 2 deg
+    coefficients in all, one per factor (sum_j |e_j|) of each round's
+    denominator; ``cost`` adds the window's ``_window_nodes``.  The face
+    search of ``_deepest_faces`` is memoized per polytope, as its
+    vertices are, and is not priced.  Both grow with each argument."""
+    steps = tests + 2 * deg * passes
     return _window_nodes(deg, dim) + steps, steps
 
 
@@ -633,23 +731,30 @@ def ehrhart_pipeline(
     deg D is at least the largest vertex denominator den, so in
     dimension >= 3 the window's first count is at some n >= ceil(den /
     2) + 1, where x0 alone takes at least floor(n.w) values, w a term's
-    width in x0.  When those pass ``budget``, that count would too:
-    BudgetExceededError is raised before D, whose build loops up to
-    den, is built.
+    width in x0.  When those pass ``budget``, that count would too.  In
+    dimension <= 2 no count charges a node, so each window value
+    charges one, den + ``VALIDATION_POINTS`` or more in all.  Either
+    way BudgetExceededError is raised before D, whose build factors
+    every vertex denominator, is built.
     """
     dim, terms = _target_parts(target)
     terms = [(s, p) for s, p in terms if not p.is_empty()]
     m = period_bound(target)
     wanted = range(m) if classes is None else sorted(set(c % m for c in classes))
-    if dim > 2 and terms:
+    if terms:
         top = max(den for _, p in terms for _, den in polytope._vertices(p))
-        first = top - top // 2 + VALIDATION_POINTS - 1
-        x0 = [[Fraction(v[0], den) for v, den in polytope._vertices(p)] for _, p in terms]
-        nodes = max(first * (max(x) - min(x)) for x in x0) // 1
+        if dim > 2:
+            first = top - top // 2 + VALIDATION_POINTS - 1
+            x0 = [[Fraction(v[0], den) for v, den in polytope._vertices(p)] for _, p in terms]
+            nodes = max(first * (max(x) - min(x)) for x in x0) // 1
+            reached = f"dilation {first} or more reached {nodes} nodes or more"
+        else:
+            nodes = top + VALIDATION_POINTS
+            reached = f"{nodes} window values or more, a node each"
         if nodes > budget:
-            raise BudgetExceededError(f"dilation {first} or more reached {nodes} nodes or more "
-                                      f"(budget {budget}): the window of denominator {top}")
-    exps = _series_denominator(dim, terms)
+            raise BudgetExceededError(f"{reached} (budget {budget}): the window of "
+                                      f"denominator {top}", nodes=nodes)
+    exps = _series_denominator(terms)
     start, h = _window(terms, exps, budget)
     size = max(wanted, default=0) + dim * m - start + 1
     values = _times_d(h + [0] * (size - len(h)), exps, -1)

@@ -1,8 +1,8 @@
 """Exact rationals at the edges of the library: parsing "p/q"
-literals, fixed-point decimals, and the error for operands of
-incompatible dimensions.  The elimination the geometry kernel needs,
-ranks and the seed inverse of double description, runs on its integer
-rows in ``polyvote.polytope``.
+literals to integer pairs, fixed-point decimals, and the error for
+operands of incompatible dimensions.  The elimination the geometry
+kernel needs, ranks and the seed inverse of double description, runs
+on its integer rows in ``polyvote.polytope``.
 """
 
 from __future__ import annotations
@@ -18,15 +18,18 @@ class DimensionError(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the serialized form "p/q" (or "p"), optional leading sign;
-    the denominator q must be nonzero."""
+def parse_rational(text: str) -> tuple[int, int]:
+    """Parse the serialized form "p/q" (or "p"), optional leading sign,
+    to the integers (p, q), q = 1 for "p"; the denominator q must be
+    nonzero.  The pair is not reduced."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in s and not int(s.partition("/")[2]):
+    num, slash, den = s.partition("/")
+    den = int(den) if slash else 1
+    if not den:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(s)
+    return int(num), den
 
 
 def decimal_string(q: Fraction, places: int = 5) -> str:

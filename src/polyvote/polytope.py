@@ -64,17 +64,21 @@ class UnboundedPolytopeError(GeometryError):
 IntRow = tuple[tuple[int, ...], str, int]
 
 
-def _canonical(coeffs, rel: str, rhs: Fraction, dim: int) -> IntRow | None:
-    """Scale a row over ``Fraction`` to integers, orient ``>=`` as
-    ``<=`` and hand it to ``_integer_row``."""
+def _canonical(coeffs, rel: str, rhs: tuple[int, int], dim: int) -> IntRow | None:
+    """Scale a row whose coefficients and right-hand side are
+    (numerator, denominator) pairs, denominators positive, to integers
+    by the lcm of its denominators, orient ``>=`` as ``<=`` and hand it
+    to ``_integer_row``."""
     if rel not in _RELATIONS:
         raise ValueError(f"relation must be one of {_RELATIONS}")
     if len(coeffs) != dim:
         raise DimensionError(f"constraint has {len(coeffs)} coefficients, expected {dim}")
+    mult = lcm(*(den for _, den in coeffs), rhs[1])
+    ints = [num * (mult // den) for num, den in coeffs]
+    b = rhs[0] * (mult // rhs[1])
     if rel == GE:
-        coeffs, rel, rhs = [-a for a in coeffs], LE, -rhs
-    mult = lcm(*(a.denominator for a in coeffs), rhs.denominator)
-    return _integer_row([int(a * mult) for a in coeffs], rel, int(rhs * mult))
+        ints, rel, b = [-a for a in ints], LE, -b
+    return _integer_row(ints, rel, b)
 
 
 def _integer_row(ints: list[int], rel: str, b: int) -> IntRow | None:
@@ -106,7 +110,8 @@ class HPolytope:
 
     def __init__(self, dim: int, rows):
         self._set_rows(dim, (
-            _canonical(tuple(map(Fraction, coeffs)), rel, Fraction(rhs), dim)
+            _canonical([Fraction(a).as_integer_ratio() for a in coeffs], rel,
+                       Fraction(rhs).as_integer_ratio(), dim)
             for coeffs, rel, rhs in rows
         ))
 
@@ -597,7 +602,9 @@ def _volume(poly: HPolytope) -> Fraction:
 
 def parse_hrep(text: str) -> HPolytope:
     """Parse the plaintext format: first line ``dim d``, one constraint
-    ``c_1 ... c_d REL rhs`` per following line, ``#`` comments ignored."""
+    ``c_1 ... c_d REL rhs`` per following line, ``#`` comments ignored.
+    Each token is read as an integer pair (``parse_rational``), and
+    ``_canonical`` scales each row once by the lcm of its denominators."""
     dim = None
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

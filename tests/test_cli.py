@@ -205,14 +205,14 @@ def test_exit_code_geometric_error(run):
 
 
 def test_exit_code_budget_error(run):
-    # WIDE3's window (deg D = 1340) bounds more nodes than enumerating
+    # WIDE3's window (deg D = 1312) bounds more nodes than enumerating
     # n = 100000 does, so the count enumerates, and x0 alone takes 14,286
     # values
     code, _, err = run("count", "--n", "100000", "--budget", "1000",
                        files=[("--polytope-file", WIDE3)])
     assert code == 4 and "budget exceeded" in err
     # at n = 10^6 reading the series costs fewer nodes than enumerating,
-    # but D's build and the halving rounds take 546,720 steps, past the
+    # but D's build and the halving rounds take 209,984 steps, past the
     # budget: the count enumerates and stops at once
     code, _, err = run("count", "--n", "1000000", "--budget", "1000",
                        files=[("--polytope-file", WIDE3)])
@@ -225,14 +225,23 @@ def test_exit_code_budget_error(run):
 
 
 def test_ehrhart_budget_exit_reports_requirements(run):
-    # deg D = 1340, so the window's first count is at n = 671, where
-    # x0 takes 96 values and the polygon of (x1, x2) costs nothing
-    code, out, err = run("ehrhart", "--budget", "95", files=[("--polytope-file", WIDE3)])
+    # deg D = 1312, so the window's first count is at n = -656 + 1312 +
+    # 1 = 657, where x0 takes floor(657 / 7) + 1 = 94 values and the
+    # polygon of (x1, x2) costs nothing
+    code, out, err = run("ehrhart", "--budget", "93", files=[("--polytope-file", WIDE3)])
     assert code == 4 and out == ""
-    assert "budget exceeded: dilation 671 reached 96 nodes (budget 95)" in err
-    code, _, _ = run("ehrhart", "--budget", "96", "--classes", "0",
+    assert "budget exceeded: dilation 657 reached 94 nodes (budget 93)" in err
+    code, _, _ = run("ehrhart", "--budget", "94", "--classes", "0",
                      files=[("--polytope-file", WIDE3)])
     assert code == 0
+
+
+def test_ehrhart_budget_exit_on_a_huge_segment_window(run):
+    # [0, 1/10^6]: a window of 10^6 + 2 values or more, a node each
+    code, out, err = run("ehrhart", "--budget", "1000", "--classes", "0",
+                         files=[("--polytope-file", "dim 1\n1 >= 0\n1000000 <= 1\n")])
+    assert code == 4 and out == ""
+    assert "budget exceeded: 1000002 window values or more, a node each (budget 1000)" in err
 
 
 def test_count_at_n_1000_fits_the_default_budget(run):

@@ -329,10 +329,12 @@ def _first_series_dilation(region, exps):
     series cost at n until enumeration's (n + 1)^(dim - 2) nodes exceed
     it."""
     dim = region.dim
-    vertices = sum(len(ehrhart.polytope._vertices(t)) for _, t in region.terms if not t.is_empty())
+    # D's build tests each vertex denominator of a term by its divisors
+    tests = sum(len(ehrhart._divisors(t)) * len(ehrhart.polytope._vertices(t))
+                for _, t in region.terms if not t.is_empty())
     n = 0
     while True:
-        cost, steps = ehrhart._series_cost(_degree(exps), _passes(exps, n), dim, vertices)
+        cost, steps = ehrhart._series_cost(_degree(exps), _passes(exps, n), dim, tests)
         if cost < (n + 1) ** (dim - 2):
             assert steps <= DEFAULT_BUDGET
             return n
@@ -347,7 +349,7 @@ def test_region_count_equals_enumeration_past_and_inside_the_window(pair, union)
     region = EventRegion(((1, p), (1, r), (-1, p.intersect(r)))) if union else EventRegion.of(p)
     terms = [(s, t) for s, t in region.terms if not t.is_empty()]
     assume(terms)
-    exps = _series_denominator(region.dim, terms)
+    exps = _series_denominator(terms)
     deg = _degree(exps)
     past = _first_series_dilation(region, exps)
     # the oracle enumerates nP at n = past, about 15 us a node
@@ -377,9 +379,9 @@ def _route_spies(monkeypatch, stop_at=None):
             raise _Enumerated
         return count(poly, n, budget)
 
-    def denominator_spy(dim, terms):
-        built.append(dim)
-        return denominator(dim, terms)
+    def denominator_spy(terms):
+        built.append(terms[0][1].dim)
+        return denominator(terms)
 
     monkeypatch.setattr(ehrhart, "count_lattice_points", count_spy)
     monkeypatch.setattr(ehrhart, "_series_denominator", denominator_spy)
@@ -388,19 +390,22 @@ def _route_spies(monkeypatch, stop_at=None):
 
 def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     counted, built = _route_spies(monkeypatch, stop_at=120)
-    # plurality: deg D = 32 and 42 vertices, a window of 52,649 nodes
-    # and 9,920 steps to build D and halve n - start = 112 down in
-    # rounds of 134 factor passes in all, against 97^3 nodes
-    exps = _series_denominator(5, manipulability_event(PLURALITY).terms)
-    assert (_degree(exps), _passes(exps, 96)) == (32, 134)
-    assert ehrhart._series_cost(32, 134, 5, 42) == (62569, 9920)
+    # plurality: deg D = 24, a window of 19,305 nodes, and 4,968 steps:
+    # 168 to build D (each term's 14 vertices times its 4 divisors
+    # 1, 2, 3, 4) and 2 * 24 * 100 to halve n - start = 108 down in
+    # rounds of 100 factor passes in all, against 97^3 nodes
+    exps = _series_denominator(manipulability_event(PLURALITY).terms)
+    assert (_degree(exps), _passes(exps, 96)) == (24, 100)
+    assert ehrhart._window_nodes(24, 5) == 19305
+    assert ehrhart._series_cost(24, 100, 5, 3 * 14 * 4) == (24273, 4968)
     assert region_count(manipulability_event(PLURALITY), 96) == 4176821
     assert 96 not in counted and built == [5]
-    # Borda: deg D = 118 and 232 factor passes, a window of 6,924,780
-    # nodes and 60,416 steps against 121^3
-    exps = _series_denominator(5, manipulability_event(BORDA).terms)
-    assert (_degree(exps), _passes(exps, 120)) == (118, 232)
-    assert ehrhart._series_cost(118, 232, 5, 48)[0] == 6985196 > 121**3
+    # Borda: deg D = 90 and 160 factor passes, a window of 2,440,944
+    # nodes and 29,225 steps (425 to build D, 2 * 90 * 160 to halve)
+    # against 121^3
+    exps = _series_denominator(manipulability_event(BORDA).terms)
+    assert (_degree(exps), _passes(exps, 120)) == (90, 160)
+    assert ehrhart._series_cost(90, 160, 5, 425)[0] == 2470169 > 121**3
     counted.clear()
     built.clear()
     with pytest.raises(_Enumerated):
@@ -429,33 +434,41 @@ def test_region_count_reads_plurality_at_a_billion():
     elapsed = time.perf_counter() - t0
     assert value == ehrhart_pipeline(region, classes=[10**9]).evaluate(10**9)
     assert elapsed < 1
-    # D's build and the 30 halvings, of 594 factor passes in all, take
-    # 39,360 steps: a smaller budget enumerates, which passes it at once
-    exps = _series_denominator(5, region.terms)
-    assert _passes(exps, 10**9) == 594
-    assert ehrhart._series_cost(32, 594, 5, 42)[1] == 39360
-    assert region_count(region, 10**9, budget=39360) == value
+    # D's build, 168 tests (3 terms of 14 vertices, 4 divisors each),
+    # and the 30 halvings, of 468 factor passes in all over 2 * 24
+    # coefficients, take 168 + 22,464 = 22,632 steps: a smaller budget
+    # enumerates, which passes it at once
+    exps = _series_denominator(region.terms)
+    assert _passes(exps, 10**9) == 468
+    assert ehrhart._series_cost(24, 468, 5, 168)[1] == 22632
+    assert region_count(region, 10**9, budget=22632) == value
     with pytest.raises(BudgetExceededError):
-        region_count(region, 10**9, budget=39359)
+        region_count(region, 10**9, budget=22631)
 
 
 def _wide_box(shift=0):
-    """[shift/7, (shift + 1)/7] x [0, 1/11] x [0, 1/13], with deg D = 1340."""
+    """[shift/7, (shift + 1)/7] x [0, 1/11] x [0, 1/13], with deg D = 1312.
+
+    Its vertex denominators are the 8 divisors of 1001, and a prime q
+    among 7, 11, 13 divides the denominators of a facet's vertices
+    alone: Phi_1^4, Phi_q^3 for each q, Phi_pq^2 and Phi_1001, 28 less
+    than Stanley's Phi_q^4, of degree 1340."""
     return HPolytope(3, [ge((7, 0, 0), shift), le((7, 0, 0), shift + 1), ge((0, 11, 0)),
                          le((0, 11, 0), 1), ge((0, 0, 13)), le((0, 0, 13), 1)])
 
 
 def test_region_count_charges_the_series_steps():
-    # at n = 10^6 the window's 451,583 nodes and the 546,720 steps of
-    # D's build and of halving rounds of 200 factor passes in all cost
-    # less than enumeration's 10^6 + 1 nodes, but a budget of 1000 does
-    # not hold those steps: the count enumerates and stops at once
+    # at n = 10^6 the window's 432,963 nodes and the 209,984 steps of
+    # D's build (8 vertices times 8 divisors) and of halving rounds of
+    # 80 factor passes in all (2 * 1312 * 80) cost less than
+    # enumeration's 10^6 + 1 nodes, but a budget of 1000 does not hold
+    # those steps: the count enumerates and stops at once
     box = _wide_box()
-    exps = _series_denominator(3, [(1, box)])
-    assert (_degree(exps), _passes(exps, 10**6)) == (1340, 200)
-    cost, steps = ehrhart._series_cost(1340, 200, 3, 8)
-    assert ehrhart._window_nodes(1340, 3) == 451583 < cost == 998303 < 10**6 + 1
-    assert steps == 546720 > 1000
+    exps = _series_denominator([(1, box)])
+    assert (_degree(exps), _passes(exps, 10**6)) == (1312, 80)
+    cost, steps = ehrhart._series_cost(1312, 80, 3, 64)
+    assert ehrhart._window_nodes(1312, 3) == 432963 < cost == 642947 < 10**6 + 1
+    assert steps == 209984 > 1000
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="dilation 1000000 reached"):
         region_count(EventRegion.of(box), 10**6, budget=1000)
@@ -463,12 +476,14 @@ def test_region_count_charges_the_series_steps():
 
 
 def test_region_count_reads_a_wide_box_at_ten_million():
-    # the rounds are priced by the factors each one has, 240 passes in
-    # all, so the series costs 1,105,503 against 10^7 + 1 nodes
+    # the rounds are priced by the factors each one has, 96 passes in
+    # all, so the series costs 432,963 + 64 + 2 * 1312 * 96 = 684,931
+    # against 10^7 + 1 nodes
     box = _wide_box()
     n = 10**7
-    exps = _series_denominator(3, [(1, box)])
-    assert ehrhart._series_cost(1340, _passes(exps, n), 3, 8) == (1105503, 653920)
+    exps = _series_denominator([(1, box)])
+    assert _passes(exps, n) == 96
+    assert ehrhart._series_cost(1312, 96, 3, 64) == (684931, 251968)
     with mock.patch.object(ehrhart, "count_lattice_points", wraps=count_lattice_points) as count:
         value = region_count(EventRegion.of(box), n)
     assert value == (n // 7 + 1) * (n // 11 + 1) * (n // 13 + 1)
@@ -483,7 +498,7 @@ def test_region_count_reads_a_long_period_without_its_classes():
         for signs in product((1, -1), repeat=3)
     ])
     assert period_bound(octahedron) == 1616615
-    exps = _series_denominator(3, [(1, octahedron)])
+    exps = _series_denominator([(1, octahedron)])
     assert _degree(exps) == 70
     start, h = ehrhart._window([(1, octahedron)], exps, DEFAULT_BUDGET)
     assert _series_term(h, exps, 50000 - start) == count_lattice_points(octahedron, 50000)
@@ -642,33 +657,36 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
          ge((0, 0, 0, 11), 0), le((0, 0, 0, 11), 1)],
     )
     assert period_bound(wide) == 3 * 5 * 7 * 11
-    # deg D = 5 + 5 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
-    #         + 2 (48 + 80 + 120 + 240) + 480: the window is -1113 ... 1115
-    assert _degree(_series_denominator(4, [(1, wide)])) == 2227
+    # a prime q among 3, 5, 7, 11 divides the denominators of a facet's
+    # vertices alone, so Phi_q divides D 1 + 3 times, not Stanley's 5:
+    # deg D = 5 + 4 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
+    #         + 2 (48 + 80 + 120 + 240) + 480: the window is -1102 ... 1104
+    assert _degree(_series_denominator([(1, wide)])) == 2205
     asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(wide, budget=595)
-    # the window's largest |n| is counted first: x0 takes 372 values and
-    # the first of them (the rest hit its memo) x1 224, the polygon of
+        ehrhart_pipeline(wide, budget=589)
+    # the window's largest |n| is counted first: x0 takes 369 values and
+    # the first of them (the rest hit its memo) x1 221, the polygon of
     # (x2, x3) costing nothing
-    assert asked == [1115]
-    assert err.value.dilation == 1115
-    assert err.value.nodes == 372 + 224
+    assert asked == [1104]
+    assert err.value.dilation == 1104
+    assert err.value.nodes == 369 + 221
     assert not hasattr(err.value, "required_counts")
 
 
 def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda(monkeypatch):
-    # deg D = 118: the window is -59 ... 60, whose n = 60 visits more
-    # than 10**4 nodes on the first term but fits the default budget
+    # deg D = 90: the window is -45 ... 46, whose n = 46 visits 8,423
+    # nodes on the first term, more than a budget of 8,000, but fits the
+    # default budget
     borda = manipulability_event(BORDA)
     asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(borda, classes=[0], budget=10**4)
-    assert asked == [60]
-    assert err.value.dilation == 60
-    assert "dilation 60 reached" in str(err.value)
-    assert err.value.nodes > 10**4
-    count_lattice_points(borda.terms[0][1], 60, budget=DEFAULT_BUDGET)
+        ehrhart_pipeline(borda, classes=[0], budget=8000)
+    assert asked == [46]
+    assert err.value.dilation == 46
+    assert "dilation 46 reached" in str(err.value)
+    assert err.value.nodes > 8000
+    count_lattice_points(borda.terms[0][1], 46, budget=DEFAULT_BUDGET)
 
 
 def test_pipeline_refuses_a_window_past_the_budget_before_building_d(monkeypatch):
@@ -686,7 +704,8 @@ def test_pipeline_refuses_a_window_past_the_budget_before_building_d(monkeypatch
     assert built == [] and asked == []
     # on [0, 1/7] x [0, 1/11] x [0, 1/13] the largest vertex denominator
     # is 1001, so n >= 502, where x0 takes floor(502 / 7) = 71 values or
-    # more; deg D = 1340 starts the window at 671, with 96.  Moving x0
+    # more; deg D = 1312 puts the window's largest |n| at -656 + 1312 + 1
+    # = 657, where x0 takes floor(657 / 7) + 1 = 94 values.  Moving x0
     # to [1, 8/7] changes neither.
     for shift in (0, 7):
         built.clear()
@@ -695,24 +714,51 @@ def test_pipeline_refuses_a_window_past_the_budget_before_building_d(monkeypatch
                            match=r"dilation 502 or more reached 71 nodes or more \(budget 70\)"):
             ehrhart_pipeline(_wide_box(shift), budget=70)
         assert built == [] and asked == []
-        with pytest.raises(BudgetExceededError, match="dilation 671 reached 96 nodes"):
+        with pytest.raises(BudgetExceededError, match="dilation 657 reached 94 nodes"):
             ehrhart_pipeline(_wide_box(shift), budget=71)
-        assert built == [3] and asked == [671]
+        assert built == [3] and asked == [657]
+
+
+def test_pipeline_refuses_a_huge_window_in_dimension_two_or_less(monkeypatch):
+    # no count of a segment or a polygon charges a node, so each window
+    # value charges one: [0, 1/10^6] has at least 10^6 + 2 of them, past
+    # a budget of 1000, and stops before D is built
+    _, built = _route_spies(monkeypatch)
+    asked = _asked_dilations(monkeypatch)
+    for seg in (HPolytope(1, [ge((1,)), le((10**6,), 1)]),
+                HPolytope(2, [ge((1, 0)), le((10**6, 0), 1), ge((0, 1)), le((0, 1), 0)])):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError,
+                           match=r"1000002 window values or more, a node each \(budget 1000\): "
+                                 r"the window of denominator 1000000") as err:
+            ehrhart_pipeline(seg, classes=[0], budget=1000)
+        assert time.perf_counter() - t0 < 1
+        assert err.value.nodes == 10**6 + 2
+    assert built == [] and asked == []
+    # [0, 1/12000] needs 12,002 values or more, inside the default budget
+    # (``test_pipeline_extends_a_wide_segment_by_the_factors_of_d``)
+    seg = HPolytope(1, [ge((1,)), le((12000,), 1)])
+    assert ehrhart_pipeline(seg, classes=[0]).class_coefficients(0) == (1, F(1, 12000))
 
 
 def test_series_denominator_degrees_and_lattice_polytopes():
-    for rule, degree in ((PLURALITY, 32), (BORDA, 118), (ANTIPLURALITY, 18)):
+    # plurality: Phi_1^6 Phi_2^4 Phi_3^4 Phi_4^3, of degree 24, where
+    # Stanley's count alone gives Phi_2^6 Phi_3^6 Phi_4^4 and 32: no face
+    # of dimension above 3 has every vertex denominator even, nor one
+    # above 2 every one divisible by 4.  Borda 118 -> 90, antiplurality
+    # Phi_1^6 Phi_3^5: 18 -> 16
+    for rule, degree in ((PLURALITY, 24), (BORDA, 90), (ANTIPLURALITY, 16)):
         region = manipulability_event(rule)
         assert all(not p.is_empty() for _, p in region.terms)
-        assert _degree(_series_denominator(region.dim, region.terms)) == degree
+        assert _degree(_series_denominator(region.terms)) == degree
     for dim in (1, 2, 3, 5):
         for poly in (unit_box(dim), standard_simplex(dim)):
-            assert _series_denominator(dim, [(1, poly)]) == {1: dim + 1}
+            assert _series_denominator([(1, poly)]) == {1: dim + 1}
 
 
 def test_series_denominator_is_a_multiple_of_the_plurality_series_denominator():
     region = manipulability_event(PLURALITY)
-    exps = _series_denominator(region.dim, region.terms)
+    exps = _series_denominator(region.terms)
     deg = _degree(exps)
     series = gf_coefficients(MANIPULABLE_UNION_SERIES, deg + 60).entries
     # D * h / Q is a polynomial of degree < deg D when Q divides D
@@ -724,7 +770,7 @@ def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
     # (1 - t)^6 annihilates polynomials of degree 5, not plurality's
     # period-12 quasipolynomial: a held-back count must disagree
     region = manipulability_event(PLURALITY)
-    monkeypatch.setattr(ehrhart, "_series_denominator", lambda dim, terms: {1: dim + 1})
+    monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: {1: 6})
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         ehrhart_pipeline(region, classes=[0])
     # a count past the window reads the same checked window

@@ -20,6 +20,7 @@ import polyvote.socialchoice as sc
 from polyvote.ehrhart import (
     DEFAULT_BUDGET,
     _quasipolynomial_value,
+    _series_denominator,
     count_lattice_points,
     ehrhart_pipeline,
 )
@@ -447,6 +448,96 @@ def test_reciprocity_matches_brute_force_interior_counts(name):
 def test_reciprocity_on_degenerate_polytopes(case):
     assume(_brute_force_vertices(*case))
     _check_reciprocity(*case)
+
+
+# -- the Ehrhart series denominator against brute-force counts -------------
+#
+# D must annihilate the series of the counts f(0), f(1), ...: every
+# coefficient of D times it from deg D on is 0.  Its degree is at most
+# Stanley's, from the vertex denominators alone, and at least the order
+# of the shortest recurrence of the counts, the rank of their Hankel
+# matrix (Kronecker), which no D enters.
+
+
+@st.composite
+def rational_polytopes(draw):
+    """A box in [0, 1]^dim, dim 1 to 3, its sides at multiples of 1/q
+    for q up to 4, a quarter of them flat, cut by up to two rows through
+    a corner or the centre of it, some of them equalities."""
+    dim = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4))
+    lo = [draw(st.integers(0, q - 1)) for _ in range(dim)]
+    hi = [v if draw(st.integers(0, 3)) == 0 else draw(st.integers(v + 1, q)) for v in lo]
+    lo, hi = [F(v, q) for v in lo], [F(v, q) for v in hi]
+    rows = []
+    for i in range(dim):
+        rows += [(_unit(i, dim), ">=", lo[i]), (_unit(i, dim), "<=", hi[i])]
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = tuple(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)))
+        point = draw(st.sampled_from((
+            [draw(st.sampled_from((l, h))) for l, h in zip(lo, hi)],
+            [(l + h) / 2 for l, h in zip(lo, hi)],
+        )))
+        rel = draw(st.sampled_from(("<=", ">=", "=")))
+        rows.append((coeffs, rel, sum(c * v for c, v in zip(coeffs, point))))
+    return dim, rows
+
+
+def _counts(dim, rows, vertices, upto):
+    """f(n) for n < ``upto``, the lattice points of nP: a scan of the
+    integer box of n times the vertices in every coordinate but the
+    last, which takes the integer values between the bounds the rows
+    leave it."""
+    les = []
+    for coeffs, rel, rhs in rows:
+        scale = math.lcm(*(F(c).denominator for c in coeffs), F(rhs).denominator)
+        a, b = [int(c * scale) for c in coeffs], int(rhs * scale)
+        if rel != ">=":
+            les.append((a, b))
+        if rel != "<=":
+            les.append(([-c for c in a], -b))
+    counts = []
+    for n in range(upto):
+        axes = [range(math.ceil(n * min(c)), math.floor(n * max(c)) + 1) for c in zip(*vertices)]
+        total = 0
+        for prefix in itertools.product(*axes[:-1]):
+            lo, hi = axes[-1].start, axes[-1].stop - 1
+            for a, b in les:
+                r = b * n - sum(x * y for x, y in zip(a, prefix))
+                if a[-1] > 0:
+                    hi = min(hi, r // a[-1])
+                elif a[-1] < 0:
+                    lo = max(lo, -(r // -a[-1]))
+                elif r < 0:
+                    hi = lo - 1
+            total += max(0, hi - lo + 1)
+        counts.append(total)
+    return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_polytopes())
+def test_series_denominator_annihilates_brute_force_counts(case):
+    dim, rows = case
+    vertices = _brute_force_vertices(dim, rows)
+    assume(vertices)
+    exps = _series_denominator([(1, HPolytope(dim, rows))])
+    t = sympy.Symbol("t")
+    d = sympy.Poly(sympy.cancel(sympy.prod([(1 - t**j) ** e for j, e in exps.items()])), t)
+    deg = d.degree()
+    assert deg == sum(j * e for j, e in exps.items())
+    counts = _counts(dim, rows, vertices, deg + 40)
+    product = (sympy.Poly(list(reversed(counts)), t) * d).all_coeffs()[::-1]
+    assert all(c == 0 for c in product[deg:deg + 40])
+    # Stanley: Phi_k divides D at most min(dim + 1, #{v : k | den v}) times
+    dens = [math.lcm(*(x.denominator for x in v)) for v in vertices]
+    stanley = sum(sympy.totient(k) * min(dim + 1, sum(den % k == 0 for den in dens))
+                  for k in range(1, max(dens) + 1))
+    assert deg <= stanley
+    size = (len(counts) + 1) // 2
+    hankel = DomainMatrix([[ZZ(counts[i + j]) for j in range(size)] for i in range(size)],
+                          (size, size), ZZ)
+    assert hankel.rank() <= deg
 
 
 # -- the closure of the last two coordinates against box scans -------------

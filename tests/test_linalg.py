@@ -29,7 +29,9 @@ def solve(a, b):
 
 def test_parse_and_format_round_trip():
     for text in ["3/4", "-3/4", "7", "-7", "0"]:
-        assert str(parse_rational(text)) == text
+        assert str(F(*parse_rational(text))) == text
+    # the integer pair as written, not reduced
+    assert parse_rational("+6/8") == (6, 8) and parse_rational("-5") == (-5, 1)
 
 
 def test_parse_rejects_non_rational_literals():
