@@ -31,23 +31,19 @@ from .socialchoice import EVENT_SPECS, probability_for_spec, table_rows
 
 
 class OutputRecord(namedtuple("OutputRecord", "label exact spec")):
-    """One output row: a label, an exact value or None, and its spec."""
+    """One output row: a label, an exact value and its spec."""
 
     __slots__ = ()
 
     @property
-    def exact_str(self) -> str:
-        return str(self.exact) if self.exact is not None else "n/a"
-
-    @property
     def decimal_str(self) -> str:
-        return decimal_string(self.exact) if self.exact is not None else "n/a"
+        return decimal_string(self.exact)
 
     def as_json_obj(self):
         return {
             "label": self.label,
-            "exact": str(self.exact) if self.exact is not None else None,
-            "decimal": float(self.decimal_str) if self.exact is not None else None,
+            "exact": str(self.exact),
+            "decimal": float(self.decimal_str),
             "spec": self.spec,
         }
 
@@ -61,9 +57,9 @@ def render_records(records: list[OutputRecord], fmt: str) -> str:
         writer = csv.writer(buf)
         writer.writerow(["label", "exact", "decimal", "spec"])
         for r in records:
-            writer.writerow([r.label, r.exact_str, r.decimal_str, r.spec])
+            writer.writerow([r.label, r.exact, r.decimal_str, r.spec])
         return buf.getvalue()
-    lines = [f"{r.label}: exact={r.exact_str} decimal={r.decimal_str} spec={r.spec}"
+    lines = [f"{r.label}: exact={r.exact} decimal={r.decimal_str} spec={r.spec}"
              for r in records]
     return "\n".join(lines) + "\n"
 
@@ -160,15 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="file whose count enters with sign -1 (repeatable)")
         if budget:
             p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="ceiling on the nodes each count visits: an "
-                                "enumerated range of a coordinate costs its "
-                                "length; where count reads the Ehrhart "
-                                "series, it holds for each count of the window "
-                                "and for the steps of reading the series, each "
-                                "halving round priced by its factors; ehrhart "
-                                "stops at once when the window's first count, "
-                                "or in dimension <= 2 its number of values, "
-                                "would pass it")
+                           help="ceiling on the nodes each lattice count "
+                                "visits; count also holds the steps of reading "
+                                "the Ehrhart series to it; ehrhart stops at once "
+                                "when its window would pass it, checked before "
+                                "building the series denominator and, in "
+                                "dimension <= 2, again after")
 
     p = sub.add_parser("volume", help="exact volume of a polytope file")
     add_common(p, files=True)

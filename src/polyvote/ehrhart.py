@@ -40,9 +40,11 @@ the dilations each class is fitted on.  By Ehrhart-Macdonald
 reciprocity the value at n = -k is (-1)^dim(P) times the lattice count
 of the relative interior of kP, whose rows not tight on all of P are
 strict: a.x <= b.k - 1.  So the window is about n = -deg D / 2 ...
-deg D / 2, whatever the period.  A region count past it reads h / D
-by Bostan and Mori's halving of n on D's factors when the window's
-counts and those rounds cost less than enumerating nP would.
+deg D / 2, whatever the period (``_window_span``).  A region count
+past it reads h / D by Bostan and Mori's halving of n on D's factors
+when the window's counts and those rounds cost less than enumerating
+nP would.  A window past the budget is refused before D is built, and
+in dimension <= 2 once more after.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
         raise ValueError("dilation must be non-negative")
     if poly.is_empty():
         return 0
-    return _count(poly, n, [b * n for _, b, _ in _count_plan(poly)[0]], budget)
+    return _count(poly, n, 0, budget)
 
 
 def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
@@ -137,10 +139,7 @@ def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
     every other inequality row becomes a.x <= b.k - 1."""
     if n >= 0:
         return count_lattice_points(poly, n, budget)
-    k = -n
-    plan = _count_plan(poly)
-    rhs = [b * k - strict for _, b, strict in plan[0]]
-    return (-1) ** (poly.dim - plan[-1]) * _count(poly, k, rhs, budget)
+    return (-1) ** (poly.dim - _count_plan(poly)[-1]) * _count(poly, -n, 1, budget)
 
 
 def _shadows(rows, dim: int):
@@ -293,10 +292,10 @@ def _polygon_count(upper, lower, res: list[int], xlo: int, xhi: int) -> int:
     return total
 
 
-def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
-    """Integer points x of a nonempty P's dilation with a.x <= rhs[j]
-    on the j-th row (a, b, s) of ``_le_rows``: b.n for nP itself,
-    b.n - s for its relative interior.
+def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
+    """Integer points x of a nonempty P's dilation with a.x <= b.n -
+    interior.s on each row (a, b, s) of ``_le_rows``: nP itself at
+    interior = 0, its relative interior at interior = 1.
 
     Coordinates before the last two are enumerated between their
     ``_shadows`` bounds, which a bounded P has on both sides at every
@@ -304,7 +303,7 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
     1-dimensional P by its interval).  Each enumeration of x_l over
     [xlo, xhi] first charges xhi - xlo + 1 nodes, and a charge past
     ``budget`` raises BudgetExceededError."""
-    _, deltas, shadows, memo_keys, upper, lower, _ = _count_plan(poly)
+    rows, deltas, shadows, memo_keys, upper, lower, _ = _count_plan(poly)
     closed = poly.dim - 2
     nodes = 0
 
@@ -366,7 +365,7 @@ def _count(poly: HPolytope, n: int, rhs: list[int], budget: int) -> int:
         return total
 
     enter = [memoized if level in memos else rec for level in range(poly.dim)]
-    return enter[0](0, rhs)
+    return enter[0](0, [b * n - interior * s for _, b, s in rows])
 
 
 def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -374,36 +373,36 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     negative total means the terms describe no set of points, which
     raises GeometryError, as a negative volume does.
 
-    A count of nP visits about (n + 1)^(dim - 2) nodes.  When reading
-    the Ehrhart series costs less (``_series_cost``: the window of
-    ``ehrhart_pipeline``, D's build and the halving rounds together) and
-    the steps beyond the window fit in ``budget``, the window is
-    counted and checked against D (``_window``), and f(n) is read off
-    h / D by halving n - start (``_series_term``).  The rounds are
-    priced by halving D's factors alone (``_halvings``).  Before D is
-    built, the same test runs on a lower bound, without the build and
-    the rounds: deg D is at least the largest vertex denominator, as
-    1 - t^den divides D; a dimension <= 2 always enumerates.  On either
-    route ``budget`` also bounds each count."""
+    A count of nP visits about (n + 1)^(dim - 2) nodes.  The Ehrhart
+    series is read instead when its steps fit in ``budget`` and, with
+    the window's ``_window_nodes``, make fewer nodes: a step per test of
+    a vertex denominator by a divisor in D's build (per term, its
+    vertices times its ``_divisors``; the face search is memoized and
+    not priced), and 2 deg D per factor of each halving round's
+    denominator (``_halvings``).  The window is then counted and checked
+    against D (``_window``), and f(n) read off h / D by halving n less
+    the window's first n (``_series_term``).  Before D is built, the
+    window's nodes alone are tested on the largest vertex denominator,
+    a lower bound of deg D as 1 - t^den divides D; a dimension <= 2
+    always enumerates.  On either route ``budget`` also bounds each
+    count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
     terms = [(s, p) for s, p in region.terms if not p.is_empty()]
-    dens = [den for _, p in terms for _, den in polytope._vertices(p)]
-
-    def reads_series(deg: int, passes: int, tests: int) -> bool:
-        cost, steps = _series_cost(deg, passes, dim, tests)
-        return steps <= budget and cost < (n + 1) ** (dim - 2)
-
     total = None
-    if dim > 2 and terms and reads_series(max(dens), 0, 0):
-        exps = _series_denominator(terms)
-        deg = sum(j * e for j, e in exps.items())
-        passes = sum(abs(e) for _, f in _halvings(exps, n + deg // 2) for e in f.values())
-        tests = sum(len(_divisors(p)) * len(polytope._vertices(p)) for _, p in terms)
-        if reads_series(deg, passes, tests):
-            start, h = _window(terms, exps, budget)
-            total = _series_term(h, exps, n - start)
+    if dim > 2 and terms:
+        nodes = (n + 1) ** (dim - 2)
+        top = max(den for _, p in terms for _, den in polytope._vertices(p))
+        if _window_nodes(top, dim) < nodes:
+            exps = _series_denominator(terms)
+            deg = sum(j * e for j, e in exps.items())
+            i = n - _window_span(deg).start
+            passes = sum(abs(e) for _, f in _halvings(exps, i) for e in f.values())
+            tests = sum(len(_divisors(p)) * len(polytope._vertices(p)) for _, p in terms)
+            steps = tests + 2 * deg * passes
+            if steps <= budget and _window_nodes(deg, dim) + steps < nodes:
+                total = _series_term(_window(terms, exps, budget)[1], exps, i)
     if total is None:
         total = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
     if total < 0:
@@ -620,19 +619,26 @@ def _times_d(seq, exps, power: int) -> list[int]:
     return s
 
 
+def _window_span(deg: int) -> range:
+    """The window's dilations for a series denominator of degree
+    ``deg``: deg + VALIDATION_POINTS of them from n = -floor(deg / 2),
+    about n = 0 so that the largest |n| is least."""
+    return range(-(deg // 2), deg - deg // 2 + VALIDATION_POINTS)
+
+
 def _window(terms, exps, budget: int) -> tuple[int, list[int]]:
-    """(start, h): start = -floor(deg D / 2) and the deg D coefficients
-    h of sum_i f(start + i) t^i = h(t) / D(t), f the signed value of the
-    nonempty ``terms``.  f is counted at n = start ... start + deg D +
-    VALIDATION_POINTS - 1, largest |n| first, so the count likeliest to
+    """(start, h): start the first n of ``_window_span`` and the deg D
+    coefficients h of sum_i f(start + i) t^i = h(t) / D(t), f the
+    signed value of the nonempty ``terms``.  f is counted at every n of
+    the span, largest |n| first, so the count likeliest to
     pass ``budget`` nodes runs before the others; at n >= 0 it is the
     signed count of nP, which must not be negative (GeometryError), and
     at n = -k the signed sum of the terms' reciprocity values (see
     ``_quasipolynomial_value``).  The values times D are h and then
     held-back coefficients that must be 0, or PeriodTooSmallError."""
     deg = sum(j * e for j, e in exps.items())
-    start = -(deg // 2)
-    window = range(start, start + deg + VALIDATION_POINTS)
+    window = _window_span(deg)
+    start = window.start
     counted = {}
     for n in sorted(window, key=abs, reverse=True):
         counted[n] = sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
@@ -692,24 +698,9 @@ def _window_nodes(deg: int, dim: int) -> int:
         return sum(s * math.factorial(j) * math.comb(k + 1, j + 1)
                    for j, s in enumerate(stirling))
 
-    half = deg // 2
-    # n = -half ... 0 and 0 ... deg - half + VALIDATION_POINTS - 1
-    return power_sum(half + 1) + power_sum(deg - half + VALIDATION_POINTS) - 1
-
-
-def _series_cost(deg: int, passes: int, dim: int, tests: int) -> tuple[int, int]:
-    """(cost, steps): the work of reading a count off a series
-    denominator of degree ``deg`` in dimension dim >= 3, a step counted
-    as a node.  ``steps`` is D's build, the ``tests`` of a vertex
-    denominator by a divisor k that ``_series_denominator`` makes (per
-    term, its vertices times its ``_divisors``), and ``_series_term``'s
-    rounds, which make ``passes`` strided passes over 2 deg
-    coefficients in all, one per factor (sum_j |e_j|) of each round's
-    denominator; ``cost`` adds the window's ``_window_nodes``.  The face
-    search of ``_deepest_faces`` is memoized per polytope, as its
-    vertices are, and is not priced.  Both grow with each argument."""
-    steps = tests + 2 * deg * passes
-    return _window_nodes(deg, dim) + steps, steps
+    span = _window_span(deg)
+    # n = start ... 0 and 0 ... the last n, n = 0 counted once
+    return power_sum(1 - span.start) + power_sum(span[-1] + 1) - 1
 
 
 def ehrhart_pipeline(
@@ -728,33 +719,40 @@ def ehrhart_pipeline(
     extends them, and each requested residue class r is interpolated
     through n = r, r + m, ..., r + dim * m.
 
-    deg D is at least the largest vertex denominator den, so in
-    dimension >= 3 the window's first count is at some n >= ceil(den /
-    2) + 1, where x0 alone takes at least floor(n.w) values, w a term's
-    width in x0.  When those pass ``budget``, that count would too.  In
-    dimension <= 2 no count charges a node, so each window value
-    charges one, den + ``VALIDATION_POINTS`` or more in all.  Either
-    way BudgetExceededError is raised before D, whose build factors
-    every vertex denominator, is built.
+    A window of degree deg or more is refused on ``_window_span(deg)``.
+    In dimension >= 3 its first count is at its last n, where x0 alone
+    takes at least floor(n.w) values, w a term's width in x0; when those
+    pass ``budget``, that count would too.  In dimension <= 2 no count
+    charges a node, so each window value charges one.  The check runs on
+    the largest vertex denominator, which deg D is at least, before D,
+    whose build factors every vertex denominator, is built, and in
+    dimension <= 2 once more on deg D.  Either raises
+    BudgetExceededError before any count.
     """
     dim, terms = _target_parts(target)
     terms = [(s, p) for s, p in terms if not p.is_empty()]
     m = period_bound(target)
     wanted = range(m) if classes is None else sorted(set(c % m for c in classes))
-    if terms:
-        top = max(den for _, p in terms for _, den in polytope._vertices(p))
+
+    def refuse_past_budget(deg: int, what: str) -> None:
+        span = _window_span(deg)
         if dim > 2:
-            first = top - top // 2 + VALIDATION_POINTS - 1
             x0 = [[Fraction(v[0], den) for v, den in polytope._vertices(p)] for _, p in terms]
-            nodes = max(first * (max(x) - min(x)) for x in x0) // 1
-            reached = f"dilation {first} or more reached {nodes} nodes or more"
+            nodes = max(span[-1] * (max(x) - min(x)) for x in x0) // 1
+            reached = f"dilation {span[-1]} or more reached {nodes} nodes or more"
         else:
-            nodes = top + VALIDATION_POINTS
+            nodes = len(span)
             reached = f"{nodes} window values or more, a node each"
         if nodes > budget:
             raise BudgetExceededError(f"{reached} (budget {budget}): the window of "
-                                      f"denominator {top}", nodes=nodes)
+                                      f"{what} {deg}", nodes=nodes)
+
+    if terms:
+        refuse_past_budget(max(den for _, p in terms for _, den in polytope._vertices(p)),
+                           "denominator")
     exps = _series_denominator(terms)
+    if terms and dim <= 2:
+        refuse_past_budget(sum(j * e for j, e in exps.items()), "degree")
     start, h = _window(terms, exps, budget)
     size = max(wanted, default=0) + dim * m - start + 1
     values = _times_d(h + [0] * (size - len(h)), exps, -1)

@@ -108,6 +108,12 @@ def test_ehrhart_unit_cube(run):
     assert "class 0: 1 3 3 1" in out
 
 
+def test_ehrhart_csv_rows(run):
+    square = "dim 2\n1 0 >= 0\n0 1 >= 0\n1 0 <= 1\n0 1 <= 1\n"
+    code, out, _ = run("ehrhart", "--format", "csv", files=[("--polytope-file", square)])
+    assert code == 0 and out == "class,c0,c1,c2\r\n0,1,2,1\r\n"
+
+
 def test_ehrhart_json_shape(run):
     code, out, _ = run("ehrhart", "--format", "json",
                        files=[("--polytope-file", CUBE3)])
@@ -190,6 +196,21 @@ def test_exit_code_input_error(run):
     assert code == 2
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "input error: cannot read "),
+    ("dim 0\n", "input error: line 1: dimension must be positive"),
+    ("# no header\n", "input error: missing 'dim d' header line"),
+    ("dim 3\n1 0 0 0 <= 1\n", "input error: line 2: expected 3 coefficients, REL, rhs"),
+])
+def test_polytope_file_errors_are_input_errors(run, tmp_path, content, message):
+    if content is None:  # a path with no file behind it
+        code, out, err = run("volume", "--polytope-file", str(tmp_path / "missing.hrep"))
+    else:
+        code, out, err = run("volume", files=[("--polytope-file", content)])
+    assert code == 2 and out == ""
+    assert err.startswith(message)
+
+
 def test_zero_denominator_is_an_input_error(run):
     code, out, err = run("volume", files=[("--polytope-file", "dim 2\n1/0 0 <= 1\n")])
     assert code == 2 and out == ""
@@ -244,6 +265,16 @@ def test_ehrhart_budget_exit_on_a_huge_segment_window(run):
     assert "budget exceeded: 1000002 window values or more, a node each (budget 1000)" in err
 
 
+def test_ehrhart_budget_exit_on_a_triangle_window_past_its_denominator(run):
+    # (0, 0), (1/997, 0), (0, 1/991): 999 window values on the largest
+    # denominator, but 1,991 once D, of degree 1 + 997 + 991, is built
+    code, out, err = run("ehrhart", "--budget", "1000", "--classes", "0",
+                         files=[("--polytope-file", "dim 2\n1 0 >= 0\n0 1 >= 0\n997 991 <= 1\n")])
+    assert code == 4 and out == ""
+    assert err == ("budget exceeded: 1991 window values or more, a node each (budget 1000): "
+                   "the window of degree 1989\n")
+
+
 def test_count_at_n_1000_fits_the_default_budget(run):
     files = [(flag, (ROOT / "perfbench" / "inputs" / f"plurality_{name}.hrep").read_text())
              for flag, name in (("--polytope-file", "favor_b"), ("--polytope-file", "favor_c"),
@@ -275,9 +306,6 @@ def test_usage_error_exit_code(run):
 def test_output_records_render_by_field():
     half = cli.OutputRecord(label="half", exact=F(1, 2), spec="s")
     assert cli.render_records([half], "text") == "half: exact=1/2 decimal=0.50000 spec=s\n"
-    blank = cli.OutputRecord(label="none", exact=None, spec="t")
-    assert json.loads(cli.render_records([blank], "json")) == {
-        "label": "none", "exact": None, "decimal": None, "spec": "t"}
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():

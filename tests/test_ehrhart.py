@@ -309,6 +309,7 @@ def test_window_nodes_sums_the_window():
         for deg in range(40):
             half = deg // 2
             window = range(-half, -half + deg + VALIDATION_POINTS)
+            assert ehrhart._window_span(deg) == window
             assert (ehrhart._window_nodes(deg, dim)
                     == sum((abs(n) + 1) ** (dim - 2) for n in window))
 
@@ -319,8 +320,15 @@ def _degree(exps):
 
 def _passes(exps, n):
     """The strided passes of the halving rounds that read the count at n."""
-    rounds = ehrhart._halvings(exps, n + _degree(exps) // 2)
+    rounds = ehrhart._halvings(exps, n - ehrhart._window_span(_degree(exps)).start)
     return sum(abs(e) for _, f in rounds for e in f.values())
+
+
+def _series_cost(deg, passes, dim, tests):
+    """(cost, steps) of reading a count off the series as ``region_count``
+    prices it: the window's nodes and the steps of D's build and halving."""
+    steps = tests + 2 * deg * passes
+    return ehrhart._window_nodes(deg, dim) + steps, steps
 
 
 def _first_series_dilation(region, exps):
@@ -334,7 +342,7 @@ def _first_series_dilation(region, exps):
                 for _, t in region.terms if not t.is_empty())
     n = 0
     while True:
-        cost, steps = ehrhart._series_cost(_degree(exps), _passes(exps, n), dim, tests)
+        cost, steps = _series_cost(_degree(exps), _passes(exps, n), dim, tests)
         if cost < (n + 1) ** (dim - 2):
             assert steps <= DEFAULT_BUDGET
             return n
@@ -354,7 +362,7 @@ def test_region_count_equals_enumeration_past_and_inside_the_window(pair, union)
     past = _first_series_dilation(region, exps)
     # the oracle enumerates nP at n = past, about 15 us a node
     assume((past + 1) ** (region.dim - 2) <= 50_000)
-    inside = deg - deg // 2 + VALIDATION_POINTS - 1  # the window's last n
+    inside = ehrhart._window_span(deg)[-1]
     for n, reads_window in ((past, True), (inside, False)):
         with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
             assert region_count(region, n) == enumerated_count(region, n)
@@ -397,7 +405,7 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     exps = _series_denominator(manipulability_event(PLURALITY).terms)
     assert (_degree(exps), _passes(exps, 96)) == (24, 100)
     assert ehrhart._window_nodes(24, 5) == 19305
-    assert ehrhart._series_cost(24, 100, 5, 3 * 14 * 4) == (24273, 4968)
+    assert _series_cost(24, 100, 5, 3 * 14 * 4) == (24273, 4968)
     assert region_count(manipulability_event(PLURALITY), 96) == 4176821
     assert 96 not in counted and built == [5]
     # Borda: deg D = 90 and 160 factor passes, a window of 2,440,944
@@ -405,7 +413,7 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     # against 121^3
     exps = _series_denominator(manipulability_event(BORDA).terms)
     assert (_degree(exps), _passes(exps, 120)) == (90, 160)
-    assert ehrhart._series_cost(90, 160, 5, 425)[0] == 2470169 > 121**3
+    assert _series_cost(90, 160, 5, 425)[0] == 2470169 > 121**3
     counted.clear()
     built.clear()
     with pytest.raises(_Enumerated):
@@ -416,7 +424,8 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     built.clear()
     seg = EventRegion.of(HPolytope(1, [ge((1,)), le((3,), 1)]))
     assert region_count(seg, 10**12) == 10**12 // 3 + 1
-    assert counted == [10**12] and built == []
+    assert region_count(seg, 10**400) == 10**400 // 3 + 1  # past any float
+    assert counted == [10**12, 10**400] and built == []
     # rule M's vertex denominators bound deg D below by 1.27e18, so its
     # counts enumerate without building D
     rule_m = manipulability_event(ScoringRule(F(9307, 25000)))
@@ -440,7 +449,7 @@ def test_region_count_reads_plurality_at_a_billion():
     # enumerates, which passes it at once
     exps = _series_denominator(region.terms)
     assert _passes(exps, 10**9) == 468
-    assert ehrhart._series_cost(24, 468, 5, 168)[1] == 22632
+    assert _series_cost(24, 468, 5, 168)[1] == 22632
     assert region_count(region, 10**9, budget=22632) == value
     with pytest.raises(BudgetExceededError):
         region_count(region, 10**9, budget=22631)
@@ -466,7 +475,7 @@ def test_region_count_charges_the_series_steps():
     box = _wide_box()
     exps = _series_denominator([(1, box)])
     assert (_degree(exps), _passes(exps, 10**6)) == (1312, 80)
-    cost, steps = ehrhart._series_cost(1312, 80, 3, 64)
+    cost, steps = _series_cost(1312, 80, 3, 64)
     assert ehrhart._window_nodes(1312, 3) == 432963 < cost == 642947 < 10**6 + 1
     assert steps == 209984 > 1000
     t0 = time.perf_counter()
@@ -483,7 +492,7 @@ def test_region_count_reads_a_wide_box_at_ten_million():
     n = 10**7
     exps = _series_denominator([(1, box)])
     assert _passes(exps, n) == 96
-    assert ehrhart._series_cost(1312, 96, 3, 64) == (684931, 251968)
+    assert _series_cost(1312, 96, 3, 64) == (684931, 251968)
     with mock.patch.object(ehrhart, "count_lattice_points", wraps=count_lattice_points) as count:
         value = region_count(EventRegion.of(box), n)
     assert value == (n // 7 + 1) * (n // 11 + 1) * (n // 13 + 1)
@@ -735,6 +744,18 @@ def test_pipeline_refuses_a_huge_window_in_dimension_two_or_less(monkeypatch):
         assert time.perf_counter() - t0 < 1
         assert err.value.nodes == 10**6 + 2
     assert built == [] and asked == []
+    # the triangle (0, 0), (1/997, 0), (0, 1/991) passes that check on its
+    # largest denominator, 997 + 2 values, but deg D = 1 + 997 + 991 puts
+    # 1,991 values in its window: D is built, and no count runs
+    triangle = HPolytope(2, [ge((1, 0)), ge((0, 1)), le((997, 991), 1)])
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceededError,
+                       match=r"^1991 window values or more, a node each \(budget 1000\): "
+                             r"the window of degree 1989$") as err:
+        ehrhart_pipeline(triangle, classes=[0], budget=1000)
+    assert time.perf_counter() - t0 < 1
+    assert err.value.nodes == 1991
+    assert built == [2] and asked == []
     # [0, 1/12000] needs 12,002 values or more, inside the default budget
     # (``test_pipeline_extends_a_wide_segment_by_the_factors_of_d``)
     seg = HPolytope(1, [ge((1,)), le((12000,), 1)])
