@@ -1,8 +1,8 @@
 """Exact rationals at the edges of the library: parsing "p/q"
 literals to integer pairs, fixed-point decimals, and the error for
 operands of incompatible dimensions.  The elimination the geometry
-kernel needs, ranks and the seed inverse of double description, runs
-on its integer rows in ``polyvote.polytope``.
+kernel needs, ranks and the seed rays of double description, runs on
+its integer rows in ``polyvote.polytope``.
 """
 
 from __future__ import annotations

@@ -11,15 +11,15 @@ kernel stays in integers from the H-representation to one final
 division.  Vertex enumeration is a double-description method on the
 homogenized cone {(x, t) : a.x <= b.t, t >= 0}: a simplicial seed cone
 of dim+1 independent rows (the equalities, t >= 0, then the sparsest
-inequalities), whose rays are read off one fraction-free inverse of
-the seed matrix, is cut by the other rows one at a time, densest
-first.  New rays combine adjacent pairs, and adjacency is a
-combinatorial test on zero sets kept as int bitmasks: the AND of the
-per-row bitsets of the rays tight on a pair's common rows must hold
-the pair alone.  The rays with t > 0 are the vertices, and their zero
-sets are the vertex/row incidence.  The greedy reduction that picks
-the seed (``_independent``) answers every rank question of the
-kernel.  When the seed fills, the rows have rank dim, and the pointed
+inequalities), whose rays are read off a Gauss-Jordan elimination of
+the seed matrix that combines only the rows nonzero in each pivot
+column, is cut by the other rows one at a time, densest first.  New
+rays combine adjacent pairs, and adjacency is a combinatorial test on
+zero sets kept as int bitmasks: a scan of the current zero sets must
+find no third ray tight on every row the pair is tight on.  The rays
+with t > 0 are the vertices, and their zero sets are the vertex/row
+incidence.  The greedy reduction that picks the seed
+(``_independent``) answers every rank question of the kernel.  When the seed fills, the rows have rank dim, and the pointed
 cone also decides emptiness (no ray with t > 0) and boundedness (no
 ray with t = 0).  When it holds t >= 0 but fewer rows, the rows have
 rank below dim and the polytope is empty or holds a line; the unit
@@ -235,17 +235,18 @@ def _reduce_against(echelon, row):
     return [v // g for v in row] if g > 1 else row
 
 
-def _seed_inverse(m):
-    """Fraction-free Gauss-Jordan inverse of a square integer matrix.
+def _seed_rays(m):
+    """The columns of -m^-1 for a square integer matrix m, each as the
+    primitive integer vector of its direction; None when m is singular.
 
-    Every row, above the pivot as well as below, becomes
-    (p * row - f * pivot_row) / p_prev, an exact division, so the
-    augmented matrix [m | I] ends as [d I | d m^-1] with d = +-det m.
-    Returns (adj, |d|) with adj = |d| m^-1 an integer matrix, or None
-    when m is singular."""
+    Gauss-Jordan on [m | I] touches a row only when it is nonzero in
+    the pivot column: it becomes p * row - f * pivot_row, divided by its
+    gcd.  Each pivot row is zero in the earlier pivot columns, so
+    [m | I] ends as [diag(d) | B] with m^-1 = diag(d)^-1 B, and column
+    s of -m^-1, scaled by lcm(d), is -B[i][s] * lcm(d) / d_i.  A seed
+    of unit rows, a signed permutation, takes no combination at all."""
     n = len(m)
     a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
-    prev = 1
     for c in range(n):
         piv = next((i for i in range(c, n) if a[i][c]), None)
         if piv is None:
@@ -254,14 +255,19 @@ def _seed_inverse(m):
         rc = a[c]
         p = rc[c]
         for i in range(n):
-            if i != c:
-                f = a[i][c]
-                if f or p != prev:
-                    a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], rc)]
-        prev = p
-    if prev < 0:
-        return [[-v for v in row[n:]] for row in a], -prev
-    return [row[n:] for row in a], prev
+            f = a[i][c]
+            if f and i != c:
+                row = [x * p - f * y for x, y in zip(a[i], rc)]
+                g = gcd(*row)
+                a[i] = [v // g for v in row] if g > 1 else row
+    d = lcm(*(a[i][i] for i in range(n)))
+    scale = [d // a[i][i] for i in range(n)]
+    rays = []
+    for s in range(n, 2 * n):
+        ray = [-row[s] * k for row, k in zip(a, scale)]
+        g = gcd(*ray)
+        rays.append(tuple(v // g for v in ray) if g > 1 else tuple(ray))
+    return rays
 
 
 def _independent(rows, limit=None) -> list[int]:
@@ -294,19 +300,21 @@ def _basic_solutions(rows, dim):
     are the vertices scaled by their denominators.  The cone starts as
     the simplicial cone of dim+1 independent rows: the equalities, then
     t >= 0, then the inequalities sparsest first, by nonzero count.  Its
-    rays are the columns of one fraction-free inverse of the seed
-    matrix (``_seed_inverse``), negated: each is tight on every seed row
-    but one.  The other inequalities then cut the cone densest first
-    (Fukuda & Prodon 1996: the order decides how large the cone grows;
-    a dense row such as the popular vote of a district polytope, cut
-    before the box rows, keeps it small).  Rays with h.r <= 0 stay, and
-    each adjacent pair with h.r+ > 0 > h.r- gives (h.r+) r- - (h.r-) r+,
-    reduced by its gcd.  Two rays are adjacent when no third ray is
-    tight on every processed row both are tight on: zero sets are int
-    bitmasks over the rows, and each cut ANDs the bitsets of the rays
-    tight on each row of the pair's common zero set.  A new ray is
-    tight exactly on the rows both its parents are tight on, and on the
-    row that made it, so every zero set is exact.
+    rays are the columns of the seed matrix's inverse, negated
+    (``_seed_rays``): each is tight on every seed row but one.  The
+    other inequalities then cut the cone densest first (Fukuda &
+    Prodon 1996: the order decides how large the cone grows; a dense
+    row such as the popular vote of a district polytope, cut before the
+    box rows, keeps it small).  A cut that no ray violates only adds
+    its row to the zero sets of the rays on it.  Otherwise rays with
+    h.r <= 0 stay, and each adjacent pair with h.r+ > 0 > h.r- gives
+    (h.r+) r- - (h.r-) r+, reduced by its gcd.  Two rays are adjacent
+    when no third ray is tight on every processed row both are tight
+    on: zero sets are int bitmasks over the rows, and the test scans
+    the current zero sets for supersets of the pair's common one,
+    stopping at the third.  A new ray is tight exactly on the rows both
+    its parents are tight on, and on the row that made it, so every
+    zero set is exact.
     Returns the vertices as ((numerator tuple, denominator), mask)
     pairs, the mask holding bit k when the vertex is tight on the k-th
     inequality row, and the extreme rays with t = 0, the recession
@@ -328,16 +336,14 @@ def _basic_solutions(rows, dim):
         return None  # the rows have rank < dim: the cone holds a line
     # an equality that is not in the seed is implied by the ones that are
 
-    adj, _ = _seed_inverse([cone[i] for i in seed])
+    # column s of -m^-1 is tight on every seed row but the s-th, and
+    # strictly inside that one
+    seed_rays = _seed_rays([cone[i] for i in seed])
     seed_mask = sum(1 << i for i in seed if i >= t_row)
     rays, zeros = [], []
-    for s, i in enumerate(seed):
+    for ray, i in zip(seed_rays, seed):
         if i >= t_row:
-            # -(column s of the inverse): tight on every other seed row,
-            # strictly inside row i
-            ray = [-row[s] for row in adj]
-            g = gcd(*ray)
-            rays.append(tuple(v // g for v in ray))
+            rays.append(ray)
             zeros.append(seed_mask & ~(1 << i))
 
     # adjacent rays share a 2-face, so at least this many tight
@@ -349,43 +355,36 @@ def _basic_solutions(rows, dim):
             continue
         h, bit = cone[i], 1 << i
         vals = [sum(map(mul, h, ray)) for ray in rays]
-        fresh_rays, fresh_zeros = [], []
         pos = [k for k, v in enumerate(vals) if v > 0]
+        if not pos:
+            # no ray violates the row: the cone stays, the rays on it
+            # gain its bit
+            zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
+            continue
         neg = [k for k, v in enumerate(vals) if v < 0]
-        if pos and neg:
-            # tight[row bit]: bitset of the rays tight on that row
-            every = (1 << len(rays)) - 1
-            tight = {}
-            for k, z in enumerate(zeros):
-                while z:
-                    low = z & -z
-                    tight[low] = tight.get(low, 0) | 1 << k
-                    z ^= low
-            for p in pos:
-                zp, vp = zeros[p], vals[p]
-                for n in neg:
-                    z = zp & zeros[n]
-                    if z.bit_count() < need:
-                        continue
-                    # p and n are tight on z; adjacent when no third ray is
-                    pair = 1 << p | 1 << n
-                    common, rest = every, z
-                    while rest:
-                        low = rest & -rest
-                        common &= tight[low]
-                        if common == pair:
+        fresh_rays, fresh_zeros = [], []
+        for p in pos:
+            zp, vp = zeros[p], vals[p]
+            for n in neg:
+                z = zp & zeros[n]
+                if z.bit_count() < need:
+                    continue
+                # p and n are tight on z; adjacent when no third ray is
+                hits = 0
+                for zk in zeros:
+                    if zk & z == z:
+                        hits += 1
+                        if hits > 2:
                             break
-                        rest ^= low
-                    if common != pair:
-                        continue
-                    vn = vals[n]
-                    ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
-                    g = gcd(*ray)
-                    fresh_rays.append(tuple(v // g for v in ray))
-                    fresh_zeros.append(z | bit)
-        keep = [k for k, v in enumerate(vals) if v <= 0]
-        rays = [rays[k] for k in keep] + fresh_rays
-        zeros = [zeros[k] | bit if vals[k] == 0 else zeros[k] for k in keep] + fresh_zeros
+                if hits > 2:
+                    continue
+                vn = vals[n]
+                ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
+                g = gcd(*ray)
+                fresh_rays.append(tuple(v // g for v in ray))
+                fresh_zeros.append(z | bit)
+        rays = [ray for ray, v in zip(rays, vals) if v <= 0] + fresh_rays
+        zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals) if v <= 0] + fresh_zeros
     first = t_row + 1
     return ([((ray[:dim], ray[dim]), z >> first) for ray, z in zip(rays, zeros) if ray[dim] > 0],
             [ray[:dim] for ray in rays if ray[dim] == 0])

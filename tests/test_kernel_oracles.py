@@ -6,6 +6,7 @@ by hypothesis and kept small, so vertex enumeration stays cheap."""
 
 import itertools
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -29,7 +30,7 @@ from polyvote.polytope import (
     UnboundedPolytopeError,
     _basic_solutions,
     _interchangeable_classes,
-    _seed_inverse,
+    _seed_rays,
     _vertices,
     _weyl_chamber,
 )
@@ -58,16 +59,22 @@ def square_systems(draw, max_dim=5):
 
 
 @given(square_systems())
-def test_seed_inverse_matches_sympy_inv(system):
+def test_seed_rays_match_sympy_inverse(system):
+    # ray s is the primitive integer vector with the direction of
+    # -(column s of a^-1); None exactly when a is singular
     a, _ = system
     mat = sympy.Matrix(a)
-    inverse = _seed_inverse(a)
+    rays = _seed_rays(a)
     if mat.det() == 0:
-        assert inverse is None
+        assert rays is None
         return
-    adj, den = inverse
-    assert den > 0
-    assert sympy.Matrix(adj) / den == mat.inv()
+    inverse = mat.inv()
+    assert len(rays) == len(a)
+    for s, ray in enumerate(rays):
+        column = -inverse[:, s]
+        assert math.gcd(*ray) == 1
+        scale = next(r / v for r, v in zip(ray, column) if v != 0)
+        assert scale > 0 and sympy.Matrix(ray) == scale * column
 
 
 @given(st.integers(min_value=1, max_value=4).flatmap(
@@ -380,6 +387,29 @@ def test_double_description_ignores_row_order(case, data):
 def test_capped_district_vertices_match_brute_force(won):
     rows = _capped_district_rows(won)
     assert vertices(HPolytope(8, rows)) == _brute_force_vertices(8, rows)
+
+
+def _event_polytope(lam, term):
+    rule = sc.ScoringRule(lam)
+    if term < 3:
+        return sc.manipulability_event(rule).terms[term][1]
+    return sc.participation_event(rule, sc.PARADOXES[term - 3])
+
+
+@settings(max_examples=20)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=6), st.integers(0, 6))
+def test_event_vertices_match_brute_force(lam, term):
+    # the share-space polytopes of the tables: their vertices lie on
+    # many more rows than dim, so double description meets pairs with a
+    # common zero set that a third ray also holds
+    poly = _event_polytope(lam, term)
+    rows = poly.integer_rows()
+    expected = _brute_force_vertices(poly.dim, rows)
+    assert vertices(poly) == expected
+    inequalities = [(a, b) for a, rel, b in rows if rel != "="]
+    assert _vertices(poly).incidence == tuple(
+        sum(1 << v for v, x in enumerate(expected) if sum(map(operator.mul, a, x)) == b)
+        for a, b in inequalities)
 
 
 # -- Ehrhart-Macdonald reciprocity against brute-force interior counts ----

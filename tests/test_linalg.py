@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polyvote.linalg import decimal_string, parse_rational
-from polyvote.polytope import _rank, _seed_inverse
+from polyvote.polytope import _rank, _seed_rays
 
 ints = st.integers(min_value=-6, max_value=6)
 
@@ -17,14 +17,19 @@ def square(n, draw_ints):
 
 
 def solve(a, b):
-    """Solve the square integer system a x = b through the fraction-free
-    inverse that vertex enumeration takes its seed rays from.  None when
-    the matrix is singular."""
-    inverse = _seed_inverse(a)
-    if inverse is None:
+    """Solve the square integer system a x = b through the seed rays of
+    vertex enumeration.  Ray s points along -(column s of a^-1), so
+    a r_s = -k_s e_s with k_s > 0, and x = -sum_s b_s r_s / k_s.  None
+    when the matrix is singular."""
+    rays = _seed_rays(a)
+    if rays is None:
         return None
-    adj, den = inverse
-    return tuple(F(sum(v * y for v, y in zip(row, b)), den) for row in adj)
+    x = [F(0)] * len(a)
+    for row, ray, rhs in zip(a, rays, b):
+        k = -sum(v * r for v, r in zip(row, ray))
+        assert k > 0
+        x = [xi - F(rhs * r, k) for xi, r in zip(x, ray)]
+    return tuple(x)
 
 
 def test_parse_and_format_round_trip():
@@ -50,27 +55,19 @@ def test_decimal_string_rounds_half_away_from_zero():
     assert decimal_string(F(10631, 20736)) == "0.51268"
 
 
-def abs_det(m):
-    """|det m|, the denominator of the fraction-free seed inverse; 0
-    when m is singular."""
-    inverse = _seed_inverse(m)
-    return 0 if inverse is None else inverse[1]
-
-
-def test_determinant_identity():
-    eye = [[int(i == j) for j in range(5)] for i in range(5)]
-    assert _seed_inverse(eye) == (eye, 1)
-
-
-def test_determinant_permutation_matrices():
+def test_seed_rays_of_signed_permutations():
+    # the inverse of a signed permutation is its transpose, so ray s is
+    # minus row s; every seed of the share-space events is of this kind
     for perm in itertools.permutations(range(4)):
-        mat = [[int(perm[i] == j) for j in range(4)] for i in range(4)]
-        assert _seed_inverse(mat) == ([list(col) for col in zip(*mat)], 1)
+        for signs in itertools.product((1, -1), repeat=4):
+            mat = [[signs[i] * int(perm[i] == j) for j in range(4)] for i in range(4)]
+            assert _seed_rays(mat) == [tuple(-v for v in row) for row in mat]
 
 
 def test_determinant_repeated_row_is_zero():
-    assert _seed_inverse([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) is None
-    assert abs_det([[1, 2, 3], [4, 5, 6], [1, 2, 3]]) == 0
+    mat = [[1, 2, 3], [4, 5, 6], [1, 2, 3]]
+    assert sympy.Matrix(mat).det() == 0
+    assert _seed_rays(mat) is None
 
 
 def test_solve_identity():
@@ -110,21 +107,15 @@ def _rank_oracle(rows):
     return r
 
 
-@given(square(3, ints), square(3, ints))
-def test_determinant_is_multiplicative(a, b):
-    ab = [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
-    assert abs_det(a) == abs(sympy.Matrix(a).det())
-    assert abs_det(ab) == abs_det(a) * abs_det(b)
-
-
 @given(square(3, ints))
-def test_determinant_alternates_on_row_swap(a):
-    # |det| stays, and the inverse swaps its columns
+def test_seed_rays_swap_on_row_swap(a):
+    # swapping two rows of a swaps the same two columns of a^-1
     swapped = [a[1], a[0], a[2]]
-    assert abs_det(swapped) == abs_det(a)
-    if abs_det(a):
-        adj, den = _seed_inverse(a)
-        assert _seed_inverse(swapped) == ([[r[1], r[0], r[2]] for r in adj], den)
+    rays = _seed_rays(a)
+    if rays is None:
+        assert _seed_rays(swapped) is None
+    else:
+        assert _seed_rays(swapped) == [rays[1], rays[0], rays[2]]
 
 
 @given(square(3, ints), st.lists(ints, min_size=3, max_size=3))
@@ -135,8 +126,6 @@ def test_solve_multiplies_back(a, b):
     else:
         for row, rhs in zip(a, b):
             assert sum(v * xi for v, xi in zip(row, x)) == rhs
-        adj, den = _seed_inverse(a)
-        assert sympy.Matrix(adj) / den == sympy.Matrix(a).inv()
 
 
 @given(st.lists(st.lists(ints, min_size=4, max_size=4), min_size=2, max_size=5))
