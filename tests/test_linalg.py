@@ -55,7 +55,13 @@ def test_decimal_string_rounds_half_away_from_zero():
     assert decimal_string(F(10631, 20736)) == "0.51268"
 
 
-def test_seed_rays_of_signed_permutations():
+def test_determinant_identity():
+    # the inverse of the identity is itself, so ray s is -e_s
+    eye = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert _seed_rays(eye) == [tuple(-v for v in row) for row in eye]
+
+
+def test_determinant_permutation_matrices():
     # the inverse of a signed permutation is its transpose, so ray s is
     # minus row s; every seed of the share-space events is of this kind
     for perm in itertools.permutations(range(4)):
