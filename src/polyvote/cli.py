@@ -96,10 +96,7 @@ def cmd_count(args) -> str:
 
 def cmd_ehrhart(args) -> str:
     region, _ = _load_region(args)
-    classes = None
-    if args.classes:
-        classes = [int(c) for c in args.classes.split(",")]
-    q = ehrhart_pipeline(region, classes=classes, budget=args.budget)
+    q = ehrhart_pipeline(region, classes=args.classes, budget=args.budget)
     fitted = [(r, poly) for r, poly in enumerate(q.polys) if poly is not None]
     if args.format == "json":
         payload = {
@@ -136,6 +133,26 @@ def cmd_prob(args) -> str:
     return render_records([rec], args.format)
 
 
+def _budget(text: str) -> int:
+    """``--budget``: a non-negative integer."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = None
+    if budget is None or budget < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return budget
+
+
+def _classes(text: str) -> list[int] | None:
+    """``--classes``: comma-separated integers; empty means every class."""
+    try:
+        return [int(c) for c in text.split(",")] if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers such as 0,1,6, got {text!r}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves no
@@ -155,9 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--subtract-file", action="append", metavar="PATH",
                            help="file whose count enters with sign -1 (repeatable)")
         if budget:
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="ceiling on the nodes each lattice count "
-                                "visits; count also holds the steps of reading "
+            p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                           help="ceiling (>= 0) on the nodes each lattice count "
+                                "visits; a count already made in this process "
+                                "(by polytope and dilation) is reused and "
+                                "charges the nodes it visited the first time; "
+                                "count also holds the steps of reading "
                                 "the Ehrhart series to it; ehrhart stops at once "
                                 "when its window would pass it, checked before "
                                 "building the series denominator and, in "
@@ -174,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ehrhart", help="counting quasipolynomial by interpolation")
     add_common(p, files=True, budget=True)
-    p.add_argument("--classes", metavar="R1,R2,...",
+    p.add_argument("--classes", type=_classes, metavar="R1,R2,...",
                    help="restrict to these residue classes (taken modulo the "
                         "period); default: all")
     p.set_defaults(func=cmd_ehrhart)

@@ -245,6 +245,21 @@ def test_exit_code_budget_error(run):
     assert code == 0 and "exact=1000030000300001 " in out
 
 
+def test_negative_budget_is_an_input_error(run):
+    code, out, err = run("count", "--n", "5", "--budget", "-5",
+                         files=[("--polytope-file", CUBE3)])
+    assert (code, out) == (2, "")
+    assert "argument --budget: expected a non-negative integer, got '-5'" in err
+
+
+@pytest.mark.parametrize("classes", [",0", "0,x"])
+def test_malformed_classes_name_the_flag(run, classes):
+    code, out, err = run("ehrhart", "--classes", classes, files=[("--polytope-file", CUBE3)])
+    assert (code, out) == (2, "")
+    assert ("argument --classes: expected comma-separated integers such as 0,1,6, "
+            f"got {classes!r}") in err
+
+
 def test_ehrhart_budget_exit_reports_requirements(run):
     # deg D = 1312, so the window's first count is at n = -656 + 1312 +
     # 1 = 657, where x0 takes floor(657 / 7) + 1 = 94 values and the

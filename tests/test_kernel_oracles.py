@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
@@ -18,6 +19,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
 import polyvote.socialchoice as sc
+from polyvote import ehrhart
 from polyvote.ehrhart import (
     DEFAULT_BUDGET,
     _quasipolynomial_value,
@@ -620,6 +622,26 @@ def test_interior_counts_through_the_closure_match_a_box_scan(case):
     for k in (1, 2, 3):
         assert (_quasipolynomial_value(poly, -k, DEFAULT_BUDGET)
                 == sign * relint_count(poly, k, vertices))
+
+
+@given(rational_polytopes(), st.lists(st.integers(-3, 5), min_size=1, max_size=4))
+def test_memoized_counts_match_a_box_scan(case, dilations):
+    # each value is counted cold, then read from the count memo: both
+    # equal the box scan, and only the cold one enumerates
+    vertices = _brute_force_vertices(*case)
+    assume(vertices)
+    poly = HPolytope(*case)
+    sign = (-1) ** _affine_dimension(vertices)
+    for n in dilations:
+        want = (vertex_box_count(poly, n, vertices) if n >= 0
+                else sign * relint_count(poly, -n, vertices))
+        ehrhart._counts.pop((poly, abs(n), int(n < 0)), None)
+        with mock.patch.object(ehrhart, "_enumerate", wraps=ehrhart._enumerate) as spy:
+            cold = _quasipolynomial_value(poly, n, DEFAULT_BUDGET)
+            memoized = _quasipolynomial_value(poly, n, DEFAULT_BUDGET)
+        assert cold == memoized == want
+        assert spy.call_count == 1
+        assert len(ehrhart._counts) <= ehrhart._COUNTS_MAX
 
 
 # -- emptiness and boundedness against Fourier-Motzkin elimination ---------
