@@ -144,10 +144,11 @@ def _budget(text: str) -> int:
     return budget
 
 
-def _classes(text: str) -> list[int] | None:
-    """``--classes``: comma-separated integers; empty means every class."""
+def _classes(text: str) -> list[int]:
+    """``--classes``: one or more comma-separated integers.  An empty
+    value is an input error; leaving the flag out fits every class."""
     try:
-        return [int(c) for c in text.split(",")] if text else None
+        return [int(c) for c in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers such as 0,1,6, got {text!r}") from None
@@ -196,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, files=True, budget=True)
     p.add_argument("--classes", type=_classes, metavar="R1,R2,...",
                    help="restrict to these residue classes (taken modulo the "
-                        "period); default: all")
+                        "period), one or more comma-separated integers; "
+                        "default, with the flag left out: all")
     p.set_defaults(func=cmd_ehrhart)
 
     p = sub.add_parser("table", help="recompute one of the five summary tables")

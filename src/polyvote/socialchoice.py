@@ -20,10 +20,19 @@ Events are named by spec strings such as ``manipulable:borda``; the
 registry ``EVENT_SPECS`` maps each spec kind and argument form to the
 builder that evaluates it, and :func:`probability_for_spec` is the one
 reader of that grammar.
+
+Evaluated events and the builders shared across specs
+(``scoring_vector``, ``pairwise_vector``, ``rule_winner_conditions``,
+``rule_ranking_conditions``, ``condorcet_winner``, ``condorcet_loser``)
+are memoized per process in bounded LRU caches, keyed on the parsed
+spec form and arguments or on the builder's arguments; each returns an
+immutable tuple or ``HPolytope``.  Failures are never memoized.  The
+geometry below keeps its own per-polytope memo of vertices and volumes.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from fractions import Fraction
 from math import comb
@@ -48,6 +57,7 @@ Row = tuple[int, ...]
 # share-space primitives
 
 
+@functools.lru_cache(maxsize=4096)
 def scoring_vector(candidate: str, lam: Fraction) -> Row:
     """Per-order points the candidate receives under weights (q, p, 0),
     q times the weights (1, lam, 0) for lam = p/q."""
@@ -55,6 +65,7 @@ def scoring_vector(candidate: str, lam: Fraction) -> Row:
     return tuple(weights[order.index(candidate)] for order in ORDERS)
 
 
+@functools.lru_cache(maxsize=4096)
 def pairwise_vector(x: str, y: str) -> Row:
     """Per-order +-1 margin contribution of x against y."""
     return tuple(1 if order.index(x) < order.index(y) else -1 for order in ORDERS)
@@ -135,6 +146,7 @@ def rule_from_token(token: str) -> ScoringRule:
 # basic events
 
 
+@functools.lru_cache(maxsize=4096)
 def rule_winner_conditions(rule: ScoringRule) -> HPolytope:
     """Candidate a scores at least b and at least c (factor 3 event)."""
     sa = scoring_vector("a", rule.lam)
@@ -150,6 +162,7 @@ def _ranking_rows(rule: ScoringRule, order: str = "abc") -> list[Row]:
     return [_sub(sx, sy), _sub(sy, sz)]
 
 
+@functools.lru_cache(maxsize=4096)
 def rule_ranking_conditions(rule: ScoringRule) -> HPolytope:
     """Scores order the candidates a >= b >= c (factor 6 event)."""
     return share_space_polytope(_ranking_rows(rule))
@@ -161,11 +174,13 @@ def _others(candidate: str) -> list[str]:
     return [c for c in CANDIDATES if c != candidate]
 
 
+@functools.lru_cache(maxsize=4096)
 def condorcet_winner(candidate: str = "a") -> HPolytope:
     """The candidate beats both others in pairwise majority comparisons."""
     return share_space_polytope([pairwise_vector(candidate, o) for o in _others(candidate)])
 
 
+@functools.lru_cache(maxsize=4096)
 def condorcet_loser(candidate: str = "a") -> HPolytope:
     """The candidate loses both pairwise comparisons."""
     return share_space_polytope([pairwise_vector(o, candidate) for o in _others(candidate)])
@@ -580,7 +595,16 @@ def probability_for_spec(text: str) -> EventResult:
     ``manipulable:borda``, ``condorcet-efficiency:lambda=1/2``,
     ``agreement:plurality,antiplurality:winner`` or ``referendum:N=7``;
     ``EVENT_SPECS`` lists every kind and argument form.  Every value
-    returned has been checked to lie in [0, 1]."""
+    returned has been checked to lie in [0, 1].
+
+    The spec is parsed and validated on every call, and the [0, 1]
+    check runs on every call.  The evaluated ``(label, probability)``
+    is memoized per process, keyed on the parsed form and arguments,
+    so ``condorcet-loser:plurality`` and ``condorcet-loser:lambda=0``
+    share one entry while each result keeps the caller's spec text.
+    A failure is never memoized: a spec that raises raises again on
+    the next call.  The geometry below keeps its own per-polytope memo
+    of vertices and volumes."""
     spec = text.strip()
     kind, *args = spec.split(":")
     if kind not in EVENT_SPECS:
@@ -591,13 +615,20 @@ def probability_for_spec(text: str) -> EventResult:
         usages = " or ".join(f.usage for f in forms)
         raise ValueError(f"spec {spec!r} does not match the form {usages}")
     try:
-        values = [ARGUMENT_FORMS[f](a) for f, a in zip(form.fields, args)]
+        values = tuple(ARGUMENT_FORMS[f](a) for f, a in zip(form.fields, args))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"spec {spec!r} does not match the form {form.usage}: {exc}") from None
-    label, p = form.build(*values)
+    label, p = _evaluate(form, values)
     if not 0 <= p <= 1:
         raise GeometryError(f"{spec}: probability {p} escaped [0, 1]")
     return EventResult(label, spec, p)
+
+
+@functools.lru_cache(maxsize=4096)
+def _evaluate(form: SpecForm, values: tuple) -> tuple[str, Fraction]:
+    """``(label, probability)`` of one parsed spec, memoized on the
+    form and its parsed arguments; a builder that raises leaves no entry."""
+    return form.build(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +669,10 @@ def table_rows(number: int) -> list[EventResult]:
     """Recompute one of the five summary tables from first principles.
 
     Every row is evaluated through :func:`probability_for_spec` on the
-    spec it prints, so ``polyvote prob SPEC`` reproduces each row."""
+    spec it prints, so ``polyvote prob SPEC`` reproduces each row, and
+    in the same process reads it back from the spec memo.  Evaluated
+    events and the shared row builders are memoized per process, keyed
+    on the parsed form and arguments; failures are never memoized, and
+    the geometry below keeps its own per-polytope memo."""
     return [EventResult(label, spec, probability_for_spec(spec).probability)
             for label, spec in _table_specs(number)]

@@ -8,8 +8,9 @@ table of counts by dilation and a
 quasipolynomial fit on positive dilations alone, interpolated by
 Lagrange's formula over ``Fraction``, equality elimination
 done in ``Fraction`` arithmetic as a reference for the share-space
-compiler, the rule weights the event tests sweep, and the Irwin-Hall
-closed form of the referendum paradox."""
+compiler, the rule weights the event tests sweep, the Irwin-Hall
+closed form of the referendum paradox, and a reset of the event
+layer's memos."""
 
 import itertools
 import math
@@ -25,6 +26,7 @@ from polyvote.ehrhart import (
 )
 from polyvote.linalg import DimensionError
 from polyvote.polytope import EventRegion, HPolytope, _vertices
+import polyvote.socialchoice as sc
 
 # -- count tables and their fit -----------------------------------------------
 
@@ -311,3 +313,19 @@ def eliminate_over_fractions(poly, j):
 
 # rule weights lam of (1, lam, 0) at which the event tests check every rule
 LAMBDAS = (F(0), F(1, 3), F(2, 5), F(1, 2), F(37228, 100000), F(1))
+
+
+# -- the event layer's memos --------------------------------------------------
+
+
+def clear_event_memos():
+    """Empty every memo of ``polyvote.socialchoice``: the evaluated
+    specs and the shared row builders."""
+    for fn in event_memos():
+        fn.cache_clear()
+
+
+def event_memos():
+    """The memoized functions defined in ``polyvote.socialchoice``."""
+    return [fn for fn in vars(sc).values()
+            if hasattr(fn, "cache_clear") and fn.__module__ == sc.__name__]

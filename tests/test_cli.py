@@ -9,12 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from polyvote import cli
+from polyvote import cli, polytope
 from polyvote.cli import main
 from polyvote.polytope import format_hrep
 import polyvote.socialchoice as sc
 
-from helpers import referendum_irwin_hall
+from helpers import clear_event_memos, referendum_irwin_hall
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -154,6 +154,34 @@ def test_table_text_json_csv_agree(run):
         assert abs(row["decimal"] - F(row["exact"])) <= F(1, 2 * 10**5)
 
 
+@pytest.mark.parametrize("number", [1, 2, 3, 4, 5])
+def test_prob_after_table_reads_the_memo(run, monkeypatch, number):
+    # every spec a table prints is evaluated once; `prob` on it in the
+    # same process compiles no polytope and computes no volume
+    clear_event_memos()
+    calls = []
+    compile_rows, volume = sc.share_space_polytope, polytope._volume
+
+    def compile_spy(rows):
+        calls.append("compile")
+        return compile_rows(rows)
+
+    def volume_spy(poly):
+        calls.append("volume")
+        return volume(poly)
+
+    monkeypatch.setattr(sc, "share_space_polytope", compile_spy)
+    monkeypatch.setattr(polytope, "_volume", volume_spy)
+    code, out, _ = run("table", "--table", str(number), "--format", "json")
+    assert code == 0 and "volume" in calls
+    rows = json.loads(out)
+    calls.clear()
+    for row in rows:
+        code, out, _ = run("prob", row["spec"], "--format", "json")
+        assert code == 0 and json.loads(out)["exact"] == row["exact"]
+    assert calls == []
+
+
 def test_prob_referendum_at_fifteen_districts(run):
     code, out, _ = run("prob", "referendum:N=15")
     assert code == 0
@@ -258,6 +286,16 @@ def test_malformed_classes_name_the_flag(run, classes):
     assert (code, out) == (2, "")
     assert ("argument --classes: expected comma-separated integers such as 0,1,6, "
             f"got {classes!r}") in err
+
+
+def test_empty_classes_is_an_input_error(run):
+    # an empty list of classes is not "every class": that is the flag left out
+    code, out, err = run("ehrhart", "--classes", "", files=[("--polytope-file", CUBE3)])
+    assert (code, out) == (2, "")
+    assert ("argument --classes: expected comma-separated integers such as 0,1,6, "
+            "got ''") in err
+    code, out, _ = run("ehrhart", files=[("--polytope-file", CUBE3)])
+    assert code == 0 and "class 0: 1 3 3 1" in out
 
 
 def test_ehrhart_budget_exit_reports_requirements(run):

@@ -18,7 +18,9 @@ from helpers import (
     LAMBDAS,
     MANIPULABLE_UNION_SERIES,
     brute_count,
+    clear_event_memos,
     eliminate_over_fractions,
+    event_memos,
     gf_coefficients,
     vertices,
 )
@@ -536,13 +538,81 @@ def test_table1_exact_fractions_and_cross_identities():
 
 
 def test_table_volumes_are_computed_once():
+    # the second pass reads every row from the spec memo, so it reaches
+    # the volume memo not even once
+    clear_event_memos()
     polytope._volume.cache_clear()
     first = sc.table_rows(1)
     cold = polytope._volume.cache_info()
     assert sc.table_rows(1) == first
     warm = polytope._volume.cache_info()
-    assert cold.misses > 0 and warm.misses == cold.misses
-    assert warm.hits - cold.hits == cold.hits + cold.misses
+    assert cold.misses > 0 and cold.hits > 0
+    assert (warm.hits, warm.misses) == (cold.hits, cold.misses)
+
+
+# the specs the benchmark's iac-events workload evaluates besides the tables
+EXTRA_SPECS = (["manipulable:plurality", "manipulable:borda", "manipulable:antiplurality",
+                "condorcet-paradox"]
+               + [f"rule-winner:{r}" for r in ("plurality", "borda", "antiplurality")])
+
+MEMOIZED = {"scoring_vector", "pairwise_vector", "rule_winner_conditions",
+            "rule_ranking_conditions", "condorcet_winner", "condorcet_loser", "_evaluate"}
+
+
+@pytest.fixture
+def cleared_memos():
+    # a test that patches a builder must not leave its values in the memos
+    clear_event_memos()
+    yield
+    clear_event_memos()
+
+
+def test_memoized_functions_are_the_shared_builders():
+    assert {fn.__name__ for fn in event_memos()} == MEMOIZED
+
+
+def test_memoized_specs_equal_their_cold_evaluation(cleared_memos):
+    specs = [spec for n in (1, 2, 3, 4) for _, spec in sc._table_specs(n)] + EXTRA_SPECS
+    cold = [sc.probability_for_spec(spec) for spec in specs]
+    assert sc._evaluate.cache_info().misses == len(set(specs))
+    warm = [sc.probability_for_spec(spec) for spec in specs]
+    assert warm == cold
+    assert all(type(r.probability) is F for r in warm)
+    assert sc._evaluate.cache_info().hits == 2 * len(specs) - len(set(specs))
+
+
+def test_alias_specs_share_one_entry_and_keep_their_text(cleared_memos):
+    first = sc.probability_for_spec("condorcet-loser:plurality")
+    second = sc.probability_for_spec(" condorcet-loser:lambda=0 ")
+    info = sc._evaluate.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert first.spec == "condorcet-loser:plurality"
+    assert second.spec == "condorcet-loser:lambda=0"
+    assert (first.label, first.probability) == (second.label, second.probability)
+
+
+@pytest.mark.parametrize("spec", [
+    "nope", "manipulable", "manipulable:foo", "condorcet-loser:lambda=3/2",
+    "condorcet-loser:lambda=1/0", "agreement:plurality,borda:tie", "referendum:N=x",
+    # parsed, then refused by the builder
+    "referendum:N=2",
+])
+def test_invalid_specs_raise_on_every_call(cleared_memos, spec):
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            sc.probability_for_spec(spec)
+    assert sc._evaluate.cache_info().currsize == 0
+
+
+def test_escaped_probability_raises_on_every_call(cleared_memos, monkeypatch):
+    monkeypatch.setattr(sc, "iac_probability", lambda target, factor: F(3, 2))
+    for _ in range(2):
+        with pytest.raises(GeometryError,
+                           match=r"^condorcet-winner: probability 3/2 escaped \[0, 1\]$"):
+            sc.probability_for_spec("condorcet-winner")
+    info = sc._evaluate.cache_info()
+    # the second call read the memo and still ran the check
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def test_table_shapes_and_spot_values():
@@ -585,6 +655,9 @@ def test_table_polytopes_equal_their_fraction_construction(monkeypatch):
         intersected.append((self, other, out))
         return out
 
+    # memoized builders and specs would otherwise hand back polytopes
+    # built before the spies were installed
+    clear_event_memos()
     monkeypatch.setattr(sc, "share_space_polytope", compile_spy)
     monkeypatch.setattr(HPolytope, "intersect", intersect_spy)
     for number in (1, 2, 3, 4):
