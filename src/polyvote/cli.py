@@ -6,6 +6,12 @@ H-representation files (repeatable ``--polytope-file`` plus
 ``table`` recomputes one of the five summary tables from first
 principles; ``prob`` evaluates a canonical event-spec string.  Exit
 codes: 0 success, 2 input error, 3 geometric error, 4 budget exceeded.
+
+One ``COMMANDS`` table maps each subcommand to its help line, its
+argument builder and its handler.  Each subcommand's parser is built
+on first use and cached per process; the full parser with every
+subcommand is built only for a command line that names none of them
+(no arguments, ``-h`` or an unknown command).
 """
 
 from __future__ import annotations
@@ -154,75 +160,113 @@ def _classes(text: str) -> list[int]:
             f"expected comma-separated integers such as 0,1,6, got {text!r}") from None
 
 
+def _add_files(p) -> None:
+    p.add_argument("--polytope-file", action="append", required=True,
+                   metavar="PATH", help="H-representation file (repeatable)")
+    p.add_argument("--subtract-file", action="append", metavar="PATH",
+                   help="file whose count enters with sign -1 (repeatable)")
+
+
+def _add_budget(p) -> None:
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help="ceiling (>= 0) on the nodes each lattice count "
+                        "visits; a count already made in this process "
+                        "(by polytope and dilation) is reused and "
+                        "charges the nodes it visited the first time; "
+                        "count also holds the steps of reading "
+                        "the Ehrhart series to it; ehrhart stops at once "
+                        "when its window would pass it, checked before "
+                        "building the series denominator and, in "
+                        "dimension <= 2, again after")
+
+
+def _count_arguments(p) -> None:
+    _add_files(p)
+    _add_budget(p)
+    p.add_argument("--n", type=int, required=True)
+
+
+def _ehrhart_arguments(p) -> None:
+    _add_files(p)
+    _add_budget(p)
+    p.add_argument("--classes", type=_classes, metavar="R1,R2,...",
+                   help="restrict to these residue classes (taken modulo the "
+                        "period), one or more comma-separated integers; "
+                        "default, with the flag left out: all")
+
+
+def _table_arguments(p) -> None:
+    p.add_argument("--table", type=int, choices=range(1, 6), required=True)
+
+
+def _prob_arguments(p) -> None:
+    p.add_argument("spec", help="one of " + ", ".join(
+        form.usage for forms in EVENT_SPECS.values() for form in forms)
+        + "; RULE is plurality, borda, antiplurality or lambda=P/Q")
+
+
+Command = namedtuple("Command", "help add_arguments run")
+
+# each subcommand: its help line, the builder of its arguments (every
+# subcommand also takes --format) and its handler
+COMMANDS = {
+    "volume": Command("exact volume of a polytope file", _add_files, cmd_volume),
+    "count": Command("lattice points of the n-fold dilation", _count_arguments, cmd_count),
+    "ehrhart": Command("counting quasipolynomial by interpolation", _ehrhart_arguments,
+                       cmd_ehrhart),
+    "table": Command("recompute one of the five summary tables", _table_arguments, cmd_table),
+    "prob": Command("probability of a canonical event spec", _prob_arguments, cmd_prob),
+}
+
+
+def _add_command_arguments(p, command: str) -> None:
+    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    COMMANDS[command].add_arguments(p)
+
+
 @functools.cache
+def command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built on its first use and cached
+    per process; parsing leaves no state in it.  Its prog is
+    ``polyvote <command>``, as in the tree of ``build_parser``."""
+    p = argparse.ArgumentParser(prog=f"polyvote {command}")
+    _add_command_arguments(p, command)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves no
-    state in it."""
+    """The full parser with every subcommand, from ``COMMANDS``.  Only
+    a command line that names no subcommand needs it: for the usage
+    error, the top-level help or the unknown command."""
     parser = argparse.ArgumentParser(
         prog="polyvote",
         description="Exact polytope volumes, lattice counts, Ehrhart "
                     "quasipolynomials and IAC voting probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, files=False, budget=False):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        if files:
-            p.add_argument("--polytope-file", action="append", required=True,
-                           metavar="PATH", help="H-representation file (repeatable)")
-            p.add_argument("--subtract-file", action="append", metavar="PATH",
-                           help="file whose count enters with sign -1 (repeatable)")
-        if budget:
-            p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
-                           help="ceiling (>= 0) on the nodes each lattice count "
-                                "visits; a count already made in this process "
-                                "(by polytope and dilation) is reused and "
-                                "charges the nodes it visited the first time; "
-                                "count also holds the steps of reading "
-                                "the Ehrhart series to it; ehrhart stops at once "
-                                "when its window would pass it, checked before "
-                                "building the series denominator and, in "
-                                "dimension <= 2, again after")
-
-    p = sub.add_parser("volume", help="exact volume of a polytope file")
-    add_common(p, files=True)
-    p.set_defaults(func=cmd_volume)
-
-    p = sub.add_parser("count", help="lattice points of the n-fold dilation")
-    add_common(p, files=True, budget=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("ehrhart", help="counting quasipolynomial by interpolation")
-    add_common(p, files=True, budget=True)
-    p.add_argument("--classes", type=_classes, metavar="R1,R2,...",
-                   help="restrict to these residue classes (taken modulo the "
-                        "period), one or more comma-separated integers; "
-                        "default, with the flag left out: all")
-    p.set_defaults(func=cmd_ehrhart)
-
-    p = sub.add_parser("table", help="recompute one of the five summary tables")
-    add_common(p)
-    p.add_argument("--table", type=int, choices=range(1, 6), required=True)
-    p.set_defaults(func=cmd_table)
-
-    p = sub.add_parser("prob", help="probability of a canonical event spec")
-    add_common(p)
-    p.add_argument("spec", help="one of " + ", ".join(
-        form.usage for forms in EVENT_SPECS.values() for form in forms)
-        + "; RULE is plurality, borda, antiplurality or lambda=P/Q")
-    p.set_defaults(func=cmd_prob)
+    for name, command in COMMANDS.items():
+        _add_command_arguments(sub.add_parser(name, help=command.help), name)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command in COMMANDS:
+            # as in the full tree, the subcommand parses what it knows
+            # and the top level reports the rest
+            args, extra = command_parser(command).parse_known_args(argv[1:])
+            if extra:
+                build_parser().error("unrecognized arguments: " + " ".join(extra))
+        else:
+            args = build_parser().parse_args(argv)
+            command = args.command
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        sys.stdout.write(args.func(args))
+        sys.stdout.write(COMMANDS[command].run(args))
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 4

@@ -379,7 +379,8 @@ def test_output_is_deterministic(run):
 
 
 def test_parser_is_built_once_and_keeps_no_state(run):
-    cli.build_parser.cache_clear()
+    # one parser per subcommand, built on its first use
+    cli.command_parser.cache_clear()
     code, out, err = run("volume", "--format", "json")  # no --polytope-file
     assert code == 2 and out == "" and "--polytope-file" in err
     code, out, _ = run("volume", files=[("--polytope-file", CUBE3)])
@@ -391,5 +392,45 @@ def test_parser_is_built_once_and_keeps_no_state(run):
     assert len(out.split("spec=")[1].split("+")) == 2
     code, out, _ = run("prob", "condorcet-paradox")
     assert code == 0 and out.startswith("no pairwise-majority winner exists: exact=1/16 ")
-    info = cli.build_parser.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    info = cli.command_parser.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+@pytest.mark.parametrize("argv", [[], ["nope"]])
+def test_no_or_unknown_subcommand_is_a_usage_error(run, argv):
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: polyvote [-h] {volume,count,ehrhart,table,prob} ...")
+    assert "polyvote: error: " in err
+
+
+def test_top_level_help_lists_every_subcommand(run):
+    code, out, err = run("-h")
+    assert code == 0 and err == "" and out.startswith("usage: polyvote ")
+    for command, (help_text, _, _) in cli.COMMANDS.items():
+        assert command in out and help_text in out
+    assert len(cli.COMMANDS) == 5
+
+
+def test_subcommand_help_lists_the_spec_forms(run, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "2000")  # no wrapping at the hyphens
+    code, out, err = run("prob", "-h")
+    assert code == 0 and err == "" and out.startswith("usage: polyvote prob ")
+    for forms in sc.EVENT_SPECS.values():
+        for form in forms:
+            assert form.usage in out
+
+
+def test_subcommand_parser_reports_unknown_arguments_at_the_top_level(run):
+    code, out, err = run("prob", "condorcet-paradox", "--bogus")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: polyvote [-h] {volume,count,ehrhart,table,prob} ...")
+    assert "polyvote: error: unrecognized arguments: --bogus" in err
+
+
+def test_module_entry_point_reads_sys_argv():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "polyvote.cli", "prob", "condorcet-paradox"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stderr == ""
+    assert "exact=1/16 " in done.stdout

@@ -245,6 +245,55 @@ def test_symmetric_cut_box_volume_matches_generalized_irwin_hall(case):
     assert poly.volume() == _cut_box_volume(*box)
 
 
+def _ordered(poly):
+    """The polytope with every class of two or more interchangeable
+    coordinates ordered, x_c(0) >= x_c(1) >= ..., keeping all its rows."""
+    rows = list(poly.integer_rows())
+    for cls in _interchangeable_classes(poly.integer_rows(), poly.dim):
+        for a, b in zip(cls, cls[1:]):
+            rows.append((tuple(-int(i == a) + int(i == b) for i in range(poly.dim)), "<=", 0))
+    return HPolytope(poly.dim, rows)
+
+
+@given(symmetric_cut_boxes())
+def test_weyl_chamber_drops_only_implied_rows(case):
+    # the chamber keeps the rows sorted along each class; each row it
+    # drops holds at every vertex, and the vertices are those of the
+    # polytope with all its rows and the ordering rows
+    poly = _cut_box(*case[0])
+    chamber, copies = _weyl_chamber(poly)
+    if copies == 1:
+        assert chamber is poly
+        return
+    dropped = set(poly.integer_rows()) - set(chamber.integer_rows())
+    verts = _vertices(chamber)
+    for coeffs, rel, rhs in dropped:
+        assert rel == "<="
+        for nums, den in verts:
+            assert sum(map(operator.mul, coeffs, nums)) <= rhs * den
+    full = _ordered(poly)
+    assert set(chamber.integer_rows()) <= set(full.integer_rows())
+    assert _vertices(chamber) == _vertices(full)
+
+
+def test_weyl_chamber_prunes_permuted_rows_to_a_simplex():
+    # {x >= 0, s(1, 2, 3).x <= 1 for all six permutations s}: on the
+    # chamber x0 >= x1 >= x2 the row (3, 2, 1) implies the other five,
+    # and x2 >= 0 the other two sign rows; the chamber is the simplex
+    # 0, (1/3, 0, 0), (1/5, 1/5, 0), (1/6, 1/6, 1/6)
+    rows = [(_unit(i, 3), ">=", 0) for i in range(3)]
+    rows += [(perm, "<=", 1) for perm in itertools.permutations((1, 2, 3))]
+    poly = HPolytope(3, rows)
+    chamber, copies = _weyl_chamber(poly)
+    assert copies == 6 and len(_ordered(poly).integer_rows()) == 11
+    assert chamber.integer_rows() == (
+        ((-1, 1, 0), "<=", 0), ((0, -1, 1), "<=", 0), ((0, 0, -1), "<=", 0),
+        ((3, 2, 1), "<=", 1))
+    simplex = sympy.Matrix([[F(1, 3), 0, 0], [F(1, 5), F(1, 5), 0], [F(1, 6), F(1, 6), F(1, 6)]])
+    assert _vertices(chamber) == (((0, 0, 0), 1), ((1, 0, 0), 3), ((1, 1, 0), 5), ((1, 1, 1), 6))
+    assert poly.volume() == F(1, 90) == copies * abs(simplex.det()) / math.factorial(3)
+
+
 def test_joint_swap_gives_no_class():
     # {(u, v) in [0, 1]^2 : u + 2v <= 3/2} on (x0, x2) times the same on
     # (x1, x3): (0 1)(2 3) maps it onto itself, no transposition does;

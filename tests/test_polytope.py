@@ -281,6 +281,10 @@ def test_volume_enumerates_only_the_weyl_chamber():
     assert info.currsize == 1
     chamber, copies = polytope._weyl_chamber(district)
     assert copies == factorial(7) * factorial(6)
+    # of the 27 rows and the 6 + 5 ordering rows, the chamber keeps the
+    # 5 sorted along both classes and the ordering rows
+    assert len(district.integer_rows()) + 6 + 5 == 38
+    assert len(chamber.integer_rows()) == 16
     assert len(polytope._vertices(chamber)) == 119
     assert polytope._vertices.cache_info().misses == info.misses
     full = len(polytope._vertices(district))
