@@ -17,7 +17,6 @@ subcommand is built only for a command line that names none of them
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -59,6 +58,8 @@ def render_records(records: list[OutputRecord], fmt: str) -> str:
         payload = [r.as_json_obj() for r in records]
         return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
     if fmt == "csv":
+        import csv  # imported here: only csv output needs it
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["label", "exact", "decimal", "spec"])
@@ -114,6 +115,8 @@ def cmd_ehrhart(args) -> str:
         }
         return json.dumps(payload, indent=2) + "\n"
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["class"] + [f"c{i}" for i in range(q.degree + 1)])

@@ -41,13 +41,19 @@ pulling triangulation by a facet recursion down the face lattice, read
 from the incidence bitmasks and memoized on faces; each step is one
 integer product and one exact division, and the sum is divided once
 by D^dim * dim!.  Vertices and volumes are memoized per polytope.
+The double-description states are memoized across polytopes, keyed on
+the seed (dim, its rows in order, its number of equalities) and the
+rows cut so far, in order, for the 4096 most recently used states: a
+run resumes from the longest prefix of its cuts that another polytope
+already made.  Zero sets index processing positions, not a polytope's
+rows, and ``_vertices`` maps them back to its inequality rows.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import namedtuple
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -297,6 +303,40 @@ def _nonzeros(row) -> int:
     return len(row) - row.count(0)
 
 
+class _LRUMemo(OrderedDict):
+    """A memo of the ``limit`` most recently used entries, least
+    recently used first.  ``hits`` counts the entries read, ``misses``
+    the entries stored; ``clear`` resets both."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+        self.hits = self.misses = 0
+
+    def read(self, key):
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+            self.hits += 1
+        return value
+
+    def keep(self, key, value) -> None:
+        self[key] = value
+        self.misses += 1
+        if len(self) > self.limit:
+            self.popitem(last=False)
+
+    def clear(self) -> None:
+        super().clear()
+        self.hits = self.misses = 0
+
+
+# double-description states shared by every polytope of the process:
+# (dim, seed rows in seed order, equalities in the seed, *rows cut so
+# far, in order) -> (rays, zero sets) after the last of those cuts
+_dd_states = _LRUMemo(4096)
+
+
 def _basic_solutions(rows, dim):
     """Vertices and recession rays of a row system, by double description.
 
@@ -315,17 +355,33 @@ def _basic_solutions(rows, dim):
     h.r <= 0 stay, and each adjacent pair with h.r+ > 0 > h.r- gives
     (h.r+) r- - (h.r-) r+, reduced by its gcd.  Two rays are adjacent
     when no third ray is tight on every processed row both are tight
-    on: zero sets are int bitmasks over the rows, and the test scans
+    on: zero sets are int bitmasks over the processing positions (the
+    seed rows in seed order, then each cut in turn), and the test scans
     the current zero sets for supersets of the pair's common one,
     stopping at the third.  A new ray is tight exactly on the rows both
     its parents are tight on, and on the row that made it, so every
     zero set is exact.
+
+    The cone after a row sequence is a function of that sequence, so
+    its states are shared by every polytope of the process
+    (``_dd_states``): the key is (dim, the seed's rows in seed order,
+    the number of equalities in the seed) followed by the rows cut so
+    far, in order, and the value the rays and zero sets after the last
+    of them, the seed's own state included.  Position bits name no
+    polytope's row indices, so a state serves every polytope whose cuts
+    start with its rows.  A run resumes after the longest prefix of its
+    cuts already made and stores the state after each new cut, one that
+    no ray violates too; the memo keeps the 4096 most recently used
+    states.  The paper's events are many polytopes over one seed whose
+    densest rows recur, so their runs share many of their cuts.
     Returns the vertices as ((numerator tuple, denominator), mask)
-    pairs, the mask holding bit k when the vertex is tight on the k-th
-    inequality row, and the extreme rays with t = 0, the recession
-    directions; ([], []) when the equalities are inconsistent, and None
-    when the seed holds t >= 0 but fewer than dim+1 rows: the rows then
-    have rank < dim, and the cone is not pointed."""
+    pairs, the mask holding bit p when the vertex is tight on the row at
+    position p, the extreme rays with t = 0, the recession directions,
+    and the index among the inequality rows of the row at each position
+    (None for the seed's equalities and t >= 0); ([], [], []) when the
+    equalities are inconsistent, and None when the seed holds t >= 0
+    but fewer than dim+1 rows: the rows then have rank < dim, and the
+    cone is not pointed.  Both are decided before the memo is read."""
     width = dim + 1
     cone = [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel == EQ]
     t_row = len(cone)
@@ -336,63 +392,77 @@ def _basic_solutions(rows, dim):
     order = [*range(t_row + 1), *sorted(inequalities, key=lambda i: _nonzeros(cone[i]))]
     seed = [order[k] for k in _independent([cone[i] for i in order], width)]
     if t_row not in seed:
-        return [], []  # the equalities force t = 0: they are inconsistent
+        return [], [], []  # the equalities force t = 0: they are inconsistent
     if len(seed) < width:
         return None  # the rows have rank < dim: the cone holds a line
     # an equality that is not in the seed is implied by the ones that are
 
-    # column s of -m^-1 is tight on every seed row but the s-th, and
-    # strictly inside that one
-    seed_rays = _seed_rays([cone[i] for i in seed])
-    seed_mask = sum(1 << i for i in seed if i >= t_row)
-    rays, zeros = [], []
-    for ray, i in zip(seed_rays, seed):
-        if i >= t_row:
-            rays.append(ray)
-            zeros.append(seed_mask & ~(1 << i))
+    # zero sets index processing positions: the seed rows, then the cuts
+    equalities = seed.index(t_row)
+    seeded = set(seed)
+    cut = [i for i in sorted(inequalities, key=lambda i: -_nonzeros(cone[i])) if i not in seeded]
+    key = (dim, tuple(cone[i] for i in seed), equalities)
+    state = _dd_states.read(key)
+    if state is None:
+        # column s of -m^-1 is tight on every seed row but the s-th, and
+        # strictly inside that one; the equalities' columns leave them
+        seed_mask = (1 << width) - (1 << equalities)
+        state = (tuple(_seed_rays(key[1])[equalities:]),
+                 tuple(seed_mask & ~(1 << s) for s in range(equalities, width)))
+        _dd_states.keep(key, state)
+    # resume after the longest prefix of the cuts already made
+    done = 0
+    for i in cut:
+        found = _dd_states.read(key + (cone[i],))
+        if found is None:
+            break
+        key += (cone[i],)
+        state, done = found, done + 1
+    rays, zeros = state
 
     # adjacent rays share a 2-face, so at least this many tight
     # inequalities besides the seed's equalities
-    need = width - 2 - seed.index(t_row)
-    seeded = set(seed)
-    for i in sorted(inequalities, key=lambda i: -_nonzeros(cone[i])):
-        if i in seeded:
-            continue
-        h, bit = cone[i], 1 << i
+    need = width - 2 - equalities
+    for position, i in enumerate(cut[done:], width + done):
+        h, bit = cone[i], 1 << position
         vals = [sum(map(mul, h, ray)) for ray in rays]
         pos = [k for k, v in enumerate(vals) if v > 0]
-        if not pos:
+        if pos:
+            neg = [k for k, v in enumerate(vals) if v < 0]
+            fresh_rays, fresh_zeros = [], []
+            for p in pos:
+                zp, vp = zeros[p], vals[p]
+                for n in neg:
+                    z = zp & zeros[n]
+                    if z.bit_count() < need:
+                        continue
+                    # p and n are tight on z; adjacent when no third ray is
+                    hits = 0
+                    for zk in zeros:
+                        if zk & z == z:
+                            hits += 1
+                            if hits > 2:
+                                break
+                    if hits > 2:
+                        continue
+                    vn = vals[n]
+                    ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
+                    g = gcd(*ray)
+                    fresh_rays.append(tuple(v // g for v in ray))
+                    fresh_zeros.append(z | bit)
+            rays = tuple([ray for ray, v in zip(rays, vals) if v <= 0] + fresh_rays)
+            zeros = tuple([z | bit if v == 0 else z for z, v in zip(zeros, vals) if v <= 0]
+                          + fresh_zeros)
+        else:
             # no ray violates the row: the cone stays, the rays on it
             # gain its bit
-            zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals)]
-            continue
-        neg = [k for k, v in enumerate(vals) if v < 0]
-        fresh_rays, fresh_zeros = [], []
-        for p in pos:
-            zp, vp = zeros[p], vals[p]
-            for n in neg:
-                z = zp & zeros[n]
-                if z.bit_count() < need:
-                    continue
-                # p and n are tight on z; adjacent when no third ray is
-                hits = 0
-                for zk in zeros:
-                    if zk & z == z:
-                        hits += 1
-                        if hits > 2:
-                            break
-                if hits > 2:
-                    continue
-                vn = vals[n]
-                ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
-                g = gcd(*ray)
-                fresh_rays.append(tuple(v // g for v in ray))
-                fresh_zeros.append(z | bit)
-        rays = [ray for ray, v in zip(rays, vals) if v <= 0] + fresh_rays
-        zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals) if v <= 0] + fresh_zeros
+            zeros = tuple([z | bit if v == 0 else z for z, v in zip(zeros, vals)])
+        key += (h,)
+        _dd_states.keep(key, (rays, zeros))
     first = t_row + 1
-    return ([((ray[:dim], ray[dim]), z >> first) for ray, z in zip(rays, zeros) if ray[dim] > 0],
-            [ray[:dim] for ray in rays if ray[dim] == 0])
+    rows_at = [None] * (equalities + 1) + [i - first for i in seed[equalities + 1:] + cut]
+    return ([((ray[:dim], ray[dim]), z) for ray, z in zip(rays, zeros) if ray[dim] > 0],
+            [ray[:dim] for ray in rays if ray[dim] == 0], rows_at)
 
 
 class _Vertices(tuple):
@@ -428,15 +498,16 @@ def _vertices(poly: HPolytope) -> _Vertices:
         if _basic_solutions(rows + tuple(pinned), dim)[0]:
             raise UnboundedPolytopeError("polytope is unbounded (its rows leave a line)")
         return _Vertices()
-    sols, rays = found
+    sols, rays, rows_at = found
     if sols and rays:
         raise UnboundedPolytopeError("polytope is unbounded (the cone has a ray at t = 0)")
     sols.sort()
     incidence = [0] * sum(rel != EQ for _, rel, _ in rows)
+    # zero sets index processing positions; rows_at names their rows
     for v, (_, zeros) in enumerate(sols):
         while zeros:
             low = zeros & -zeros
-            incidence[low.bit_length() - 1] |= 1 << v
+            incidence[rows_at[low.bit_length() - 1]] |= 1 << v
             zeros ^= low
     out = _Vertices(pair for pair, _ in sols)
     out.incidence = tuple(incidence)

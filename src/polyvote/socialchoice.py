@@ -138,7 +138,12 @@ def rule_from_token(token: str) -> ScoringRule:
     if token in _NAMED_RULES:
         return _NAMED_RULES[token]
     if token.startswith("lambda="):
-        return ScoringRule(Fraction(token.split("=", 1)[1]))
+        value = token.split("=", 1)[1]
+        try:
+            lam = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+        return ScoringRule(lam)
     raise ValueError(f"unknown scoring rule {token!r}")
 
 
@@ -616,7 +621,7 @@ def probability_for_spec(text: str) -> EventResult:
         raise ValueError(f"spec {spec!r} does not match the form {usages}")
     try:
         values = tuple(ARGUMENT_FORMS[f](a) for f, a in zip(form.fields, args))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise ValueError(f"spec {spec!r} does not match the form {form.usage}: {exc}") from None
     label, p = _evaluate(form, values)
     if not 0 <= p <= 1:

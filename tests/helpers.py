@@ -9,8 +9,8 @@ quasipolynomial fit on positive dilations alone, interpolated by
 Lagrange's formula over ``Fraction``, equality elimination
 done in ``Fraction`` arithmetic as a reference for the share-space
 compiler, the rule weights the event tests sweep, the Irwin-Hall
-closed form of the referendum paradox, and a reset of the event
-layer's memos."""
+closed form of the referendum paradox, and resets of the event
+layer's and the geometry kernel's memos."""
 
 import itertools
 import math
@@ -26,6 +26,8 @@ from polyvote.ehrhart import (
 )
 from polyvote.linalg import DimensionError
 from polyvote.polytope import EventRegion, HPolytope, _vertices
+import polyvote.ehrhart as ehrhart
+import polyvote.polytope as polytope
 import polyvote.socialchoice as sc
 
 # -- count tables and their fit -----------------------------------------------
@@ -329,3 +331,18 @@ def event_memos():
     """The memoized functions defined in ``polyvote.socialchoice``."""
     return [fn for fn in vars(sc).values()
             if hasattr(fn, "cache_clear") and fn.__module__ == sc.__name__]
+
+
+# -- the geometry kernel's memos ----------------------------------------------
+
+
+def clear_geometry_memos():
+    """Empty every process-wide memo of the geometry kernel: vertices
+    and volumes per polytope, the shared double-description states, the
+    counting plans and the lattice counts.  Their hit and miss counts
+    start again from zero."""
+    polytope._vertices.cache_clear()
+    polytope._volume.cache_clear()
+    polytope._dd_states.clear()
+    ehrhart._count_plan.cache_clear()
+    ehrhart._counts.clear()

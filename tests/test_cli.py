@@ -248,6 +248,13 @@ def test_zero_denominator_is_an_input_error(run):
     assert "input error: line 3: not a rational literal: '0.5'" in err
 
 
+def test_zero_denominator_in_a_spec_is_an_input_error(run):
+    code, out, err = run("prob", "manipulable:lambda=1/0")
+    assert code == 2 and out == ""
+    assert err == ("input error: spec 'manipulable:lambda=1/0' does not match the form "
+                   "manipulable:RULE: zero denominator in '1/0'\n")
+
+
 def test_exit_code_geometric_error(run):
     code, _, err = run("count", "--n", "3", files=[("--polytope-file", UNBOUNDED2)])
     assert code == 3 and "geometric error" in err
@@ -362,14 +369,15 @@ def test_output_records_render_by_field():
 
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
-    # every command line call pays for the modules its import chain loads
+    # every command line call pays for the modules its import chain
+    # loads; csv is imported by the csv output branches alone
     code = ("import sys; before = set(sys.modules); import polyvote.cli; "
             "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, timeout=60, check=True).stdout.split())
     assert "polyvote.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "csv", "_csv"}
 
 
 def test_output_is_deterministic(run):

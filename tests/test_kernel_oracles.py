@@ -39,6 +39,7 @@ from polyvote.polytope import (
 
 from helpers import (
     bounding_box,
+    clear_geometry_memos,
     irwin_hall_cdf,
     referendum_irwin_hall,
     relint_count,
@@ -426,12 +427,73 @@ def test_double_description_ignores_row_order(case, data):
     shuffled = [rows[i] for i in order]
 
     def by_vertex(rows_in_order, row_ids):
-        sols, rays = _basic_solutions(rows_in_order, dim)
+        sols, rays, rows_at = _basic_solutions(rows_in_order, dim)
         ineq = [i for i, row in zip(row_ids, rows_in_order) if row[1] != "="]
-        return {pair: {ineq[k] for k in range(len(ineq)) if mask >> k & 1}
+        return {pair: {ineq[rows_at[k]] for k in range(mask.bit_length()) if mask >> k & 1}
                 for pair, mask in sols}, sorted(rays)
 
     assert by_vertex(shuffled, order) == by_vertex(list(rows), range(len(rows)))
+
+
+@st.composite
+def polytope_families(draw, max_dim=4):
+    """Polytopes sharing a base: the lower sides of a box and one or two
+    dense rows through its corners or its centre, now and then with an
+    equality through the centre.  The base alone is unbounded, so the
+    cone after its cuts still has rays at t = 0.  Each sibling adds the
+    box's upper sides, now and then missing one, some of up to three
+    rows through corners or the centre that the family shares, some of
+    them equalities, and now and then a row of its own; so siblings cut
+    common prefixes and part at rows of equal density."""
+    dim = draw(st.integers(min_value=2, max_value=max_dim))
+    lo = [F(draw(st.integers(-4, 2)), 2) for _ in range(dim)]
+    hi = [v + F(draw(st.integers(1, 4)), 2) for v in lo]
+    centre = [(a + b) / 2 for a, b in zip(lo, hi)]
+    coeffs = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim).map(tuple).filter(any)
+
+    def through(relations):
+        c = draw(coeffs)
+        point = draw(st.sampled_from((
+            centre, [draw(st.sampled_from((a, b))) for a, b in zip(lo, hi)])))
+        return c, draw(st.sampled_from(relations)), sum(x * v for x, v in zip(c, point))
+
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    base = [(e, ">=", a) for e, a in zip(units, lo)]
+    base += [through(("<=", ">=")) for _ in range(draw(st.integers(1, 2)))]
+    if draw(st.integers(0, 2)) == 0:
+        c = draw(coeffs)
+        base.append((c, "=", sum(x * v for x, v in zip(c, centre))))
+    shared = [through(("<=", ">=", "<=", ">=", "=")) for _ in range(draw(st.integers(1, 3)))]
+    family = []
+    for _ in range(draw(st.integers(2, 4))):
+        missing = draw(st.sampled_from((None, None, None, *range(dim))))
+        rows = base + [(e, "<=", b) for i, (e, b) in enumerate(zip(units, hi)) if i != missing]
+        rows += [row for row in shared if draw(st.booleans())]
+        rows += [through(("<=", ">=")) for _ in range(draw(st.integers(0, 1)))]
+        family.append(HPolytope(dim, rows))
+    return family
+
+
+def _vertices_or_unbounded(poly):
+    try:
+        verts = _vertices(poly)
+    except UnboundedPolytopeError:
+        return "unbounded"
+    return tuple(verts), verts.incidence
+
+
+@settings(max_examples=60)
+@given(polytope_families())
+def test_shared_dd_states_give_the_vertices_of_a_cold_run(family):
+    # a run after its siblings resumes from the states they stored; its
+    # vertices and incidence must be those of a run with every memo empty
+    clear_geometry_memos()
+    warm = [_vertices_or_unbounded(poly) for poly in family]
+    cold = []
+    for poly in family:
+        clear_geometry_memos()
+        cold.append(_vertices_or_unbounded(poly))
+    assert warm == cold
 
 
 @pytest.mark.parametrize("won", [5, 6, 7])

@@ -16,13 +16,15 @@ from polyvote.polytope import (
     parse_hrep,
 )
 from polyvote.socialchoice import (
+    BORDA,
     PLURALITY,
     manipulability_event,
+    participation_event,
     referendum_district_polytope,
     share_space_polytope,
 )
 
-from helpers import contains, vertices
+from helpers import clear_geometry_memos, contains, vertices
 
 
 def ge(coeffs, rhs=0):
@@ -268,6 +270,52 @@ def test_volume_memo_is_keyed_on_the_rows():
     assert same is not meet and same.volume() == F(1, 12)
     info = polytope._volume.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def _incidence(poly):
+    verts = polytope._vertices(poly)
+    return tuple(verts), verts.incidence
+
+
+def test_dd_resumes_after_the_cuts_another_polytope_made():
+    # NAP has PPP's 11 rows and one more, of 4 nonzeros; both cut their
+    # three rows of 5 nonzeros and one of 4 first, from the same seed
+    ppp, nap = participation_event(BORDA, "PPP"), participation_event(BORDA, "NAP")
+    clear_geometry_memos()
+    cold = _incidence(nap)
+    clear_geometry_memos()
+    states = polytope._dd_states
+    _incidence(ppp)
+    assert (states.hits, states.misses) == (0, 1 + 6)  # the seed and six cuts, stored
+    assert _incidence(nap) == cold
+    # NAP reads the seed and the four shared cuts, then makes three of its own
+    assert (states.hits, states.misses) == (1 + 4, 7 + 3)
+    assert len(states) == 10
+
+
+def test_dd_state_memo_keeps_the_most_recently_used_states():
+    # every segment 0 <= x <= k shares the seed {t >= 0, x >= 0} and
+    # cuts one row of its own, so each run reads one state and stores one
+    clear_geometry_memos()
+    states = polytope._dd_states
+    limit = states.limit
+    assert limit == 4096
+    seed = (1, ((0, -1), (-1, 0)), 0)
+    for k in range(1, limit + 2):
+        polytope._vertices(HPolytope(1, [ge((1,)), le((1,), k)]))
+        assert len(states) <= limit
+    assert (states.hits, states.misses) == (limit, limit + 2)
+    # the seed, stored first and read by every run, stays; the oldest
+    # cut states leave
+    assert seed in states
+    assert seed + ((1, -1),) not in states and seed + ((1, -2),) not in states
+    assert next(iter(states)) == seed + ((1, -3),)
+    assert list(states)[-2:] == [seed, seed + ((1, -limit - 1),)]
+    # an evicted state is made again, with the same vertices
+    polytope._vertices.cache_clear()
+    assert vertices(HPolytope(1, [ge((1,)), le((1,), 1)])) == ((F(0),), (F(1),))
+    assert (states.hits, states.misses) == (limit + 1, limit + 3)
+    assert len(states) == limit
 
 
 def test_volume_enumerates_only_the_weyl_chamber():

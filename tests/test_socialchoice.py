@@ -501,6 +501,15 @@ def test_probability_for_spec_errors():
         sc.probability_for_spec("manipulable:borda:junk")
 
 
+def test_zero_denominator_in_a_rule_weight_is_named():
+    # the wording parse_rational uses for H-rep files, not Fraction's
+    with pytest.raises(ValueError, match=r"^spec 'manipulable:lambda=1/0' does not match the "
+                                         r"form manipulable:RULE: zero denominator in '1/0'$"):
+        sc.probability_for_spec("manipulable:lambda=1/0")
+    with pytest.raises(ValueError, match=r"^zero denominator in '-2/0'$"):
+        sc.rule_from_token("lambda=-2/0")
+
+
 def test_registry_forms_are_distinct_and_readable():
     for kind, forms in sc.EVENT_SPECS.items():
         assert len({len(f.fields) for f in forms}) == len(forms), kind
