@@ -19,9 +19,10 @@ zero sets kept as int bitmasks: a scan of the current zero sets must
 find no third ray tight on every row the pair is tight on.  The rays
 with t > 0 are the vertices, and their zero sets are the vertex/row
 incidence.  The greedy reduction that picks the seed
-(``_independent``) answers every rank question of the kernel.  When the seed fills, the rows have rank dim, and the pointed
-cone also decides emptiness (no ray with t > 0) and boundedness (no
-ray with t = 0).  When it holds t >= 0 but fewer rows, the rows have
+(``_independent``) answers every rank question of the kernel.  When
+the seed fills, the rows have rank dim, and the pointed cone also
+decides emptiness (no ray with t > 0) and boundedness (no ray with
+t = 0).  When it holds t >= 0 but fewer rows, the rows have
 rank below dim and the polytope is empty or holds a line; the unit
 rows that complete them to a basis pin those coordinates to 0, and one
 more run on that system of rank dim tells which.  Vertices stay
@@ -39,8 +40,10 @@ district chamber has 16 rows instead of 38).  It scales the
 vertices to their common denominator D and sums the determinants of a
 pulling triangulation by a facet recursion down the face lattice, read
 from the incidence bitmasks and memoized on faces; each step is one
-integer product and one exact division, and the sum is divided once
-by D^dim * dim!.  Vertices and volumes are memoized per polytope.
+integer product and one exact division.  Faces of dimension 3 or less
+sum their simplices' determinants directly, read from the bitmasks
+alone, and the sum is divided once by D^dim * dim!.  Vertices and
+volumes are memoized per polytope.
 The double-description states are memoized across polytopes, keyed on
 the seed (dim, its rows in order, its number of equalities) and the
 rows cut so far, in order, for the 4096 most recently used states: a
@@ -148,6 +151,10 @@ class HPolytope:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of an HPolytope")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _from_rows, not __setattr__
+        return HPolytope._from_rows, (self.dim, self._rows)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -610,9 +617,12 @@ def _volume(poly: HPolytope) -> Fraction:
     the inclusion-maximal proper nonempty sets of its vertices tight on
     one row; the facets of G are its intersections with the other
     facets of F, whose rows take G's row substituted for x_j (Lasserre
-    1983).  S is memoized on (vertex set, C), and the volume is
-    S(P, all) / (D^dim * dim!).  A polytope with an implicit equality
-    is flat: volume 0.
+    1983).  Only faces of dimension k >= 4 substitute rows: a face of
+    dimension 3 or less sums |det| over the same simplices (``fan``),
+    so a 4-face hands its facets their masks only; every division is
+    exact, so the integer sum is the same.  S is memoized on (vertex
+    set, C), and the volume is S(P, all) / (D^dim * dim!).  A polytope
+    with an implicit equality is flat: volume 0.
 
     All of this runs on the Weyl chamber of ``_weyl_chamber``, and the
     sum is multiplied by its number of copies; the full polytope's
@@ -630,17 +640,48 @@ def _volume(poly: HPolytope) -> Fraction:
     points = [[p * (D // den) for p in nums] for nums, den in verts]
     memo = {}
 
+    def fan(ids, cols, masks):
+        """S(F, C) for a face F of dimension k = len(cols) <= 3, read from
+        the bitmasks ``masks`` of its parent's facets: |det_k| on ``cols``
+        of (v - p) for an edge pv, of (u - p, v - p) for each edge uv of
+        a polygon missing its lowest vertex p, and of (q - p, u - p,
+        v - p) for each facet polygon G of a 3-face missing p, q lowest
+        in G, and each edge uv of G missing q.  The facets of F are the
+        sets F & m with at least k vertices, the edges of G the sets
+        G & H, H another facet, with two."""
+        p = ids & -ids
+        origin, vec, rest = points[p.bit_length() - 1], {}, ids
+        # vectors padded to three entries: a 2 x 2 determinant is the
+        # 3 x 3 one under the row (1, 0, 0)
+        pad = [0] * (3 - len(cols))
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            vec[bit] = pad + [points[bit.bit_length() - 1][c] - origin[c] for c in cols]
+        if len(cols) == 1:
+            return abs(vec[ids ^ p][2])
+        polygons = [(ids, masks, (1, 0, 0))]
+        if len(cols) == 3:
+            facets = [g for g in {m & ids for m in masks} if g.bit_count() >= 3]
+            polygons = [(g, facets, vec[g & -g]) for g in facets if not g & p]
+        total = 0
+        for g, above, (w0, w1, w2) in polygons:
+            q = g & -g
+            for e in {m & g for m in above}:
+                if e.bit_count() == 2 and not e & q:
+                    (x0, x1, x2), (y0, y1, y2) = vec[e & -e], vec[e & (e - 1)]
+                    total += abs(w0 * (x1 * y2 - x2 * y1) - w1 * (x0 * y2 - x2 * y0)
+                                 + w2 * (x0 * y1 - x1 * y0))
+        return total
+
     def faces(ids, cols, cuts):
-        """S(F, C) for the face F with vertex bitmask ``ids``, projected
-        onto the coordinate tuple ``cols``, one per dimension of F.
+        """S(F, C) for the face F of dimension 4 or more with vertex
+        bitmask ``ids``, projected onto the coordinate tuple ``cols``,
+        one per dimension of F.
         ``cuts`` hold the rows that may cut a facet from F (those of the
         parent's facets that meet F in a proper subset) as (mask,
         coefficients on ``cols``, rhs)."""
         k = len(cols)
-        if k == 1:
-            lo = ids & -ids
-            c = cols[0]
-            return abs(points[(ids ^ lo).bit_length() - 1][c] - points[lo.bit_length() - 1][c])
         sets = {}
         for row in cuts:
             sets.setdefault(row[0] & ids, row)
@@ -666,20 +707,24 @@ def _volume(poly: HPolytope) -> Fraction:
             base = memo.get(key)
             if base is None:
                 # G's facets are its ridges with the other facets of F
-                child = []
-                if k > 2:
-                    for h, (mask, c, r) in facets:
-                        if h != g and (h & g).bit_count() >= k - 1:
-                            cj = c[j]
-                            reduced = [aj * x - cj * y for x, y in zip(c, a)]
-                            del reduced[j]
-                            child.append((mask, reduced, aj * r - cj * b))
-                base = memo[key] = faces(g, key[1], child)
+                ridges = [row for h, row in facets if h != g and (h & g).bit_count() >= k - 1]
+                if k == 4:
+                    base = memo[key] = fan(g, key[1], [mask for mask, _, _ in ridges])
+                else:
+                    child = []
+                    for mask, c, r in ridges:
+                        cj = c[j]
+                        reduced = [aj * x - cj * y for x, y in zip(c, a)]
+                        del reduced[j]
+                        child.append((mask, reduced, aj * r - cj * b))
+                    base = memo[key] = faces(g, key[1], child)
             total += abs(b - sum(map(mul, a, apex))) * base // abs(aj)
         return total
 
-    top = [(mask, coeffs, rhs * D) for mask, (coeffs, _, rhs) in zip(verts.incidence, rows) if mask]
-    return Fraction(copies * faces(full, tuple(range(dim)), top), D**dim * math.factorial(dim))
+    cols = tuple(range(dim))
+    total = fan(full, cols, verts.incidence) if dim <= 3 else faces(full, cols, [
+        (mask, coeffs, rhs * D) for mask, (coeffs, _, rhs) in zip(verts.incidence, rows) if mask])
+    return Fraction(copies * total, D**dim * math.factorial(dim))
 
 
 # ---------------------------------------------------------------------------

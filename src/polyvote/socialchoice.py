@@ -37,6 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
+from .linalg import parse_rational
 from .polytope import LE, EventRegion, GeometryError, HPolytope, _integer_row
 
 ORDERS = ("abc", "acb", "bac", "bca", "cab", "cba")
@@ -138,12 +139,8 @@ def rule_from_token(token: str) -> ScoringRule:
     if token in _NAMED_RULES:
         return _NAMED_RULES[token]
     if token.startswith("lambda="):
-        value = token.split("=", 1)[1]
-        try:
-            lam = Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-        return ScoringRule(lam)
+        # the literal grammar of H-rep files: p or p/q, nothing else
+        return ScoringRule(Fraction(*parse_rational(token.split("=", 1)[1])))
     raise ValueError(f"unknown scoring rule {token!r}")
 
 

@@ -6,4 +6,12 @@ hypothesis.settings.register_profile(
     deadline=None,
     derandomize=True,
 )
+# fresh examples on every run, more of them: select it with
+# `pytest --hypothesis-profile=polyvote-fresh`
+hypothesis.settings.register_profile(
+    "polyvote-fresh",
+    max_examples=300,
+    deadline=None,
+    derandomize=False,
+)
 hypothesis.settings.load_profile("polyvote")

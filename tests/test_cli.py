@@ -255,6 +255,20 @@ def test_zero_denominator_in_a_spec_is_an_input_error(run):
                    "manipulable:RULE: zero denominator in '1/0'\n")
 
 
+@pytest.mark.parametrize("weight, message", [
+    ("0.5", "not a rational literal: '0.5'"),
+    ("1e-1", "not a rational literal: '1e-1'"),
+    ("1/0x", "not a rational literal: '1/0x'"),
+    ("1/0", "zero denominator in '1/0'"),
+])
+def test_rule_weights_read_as_hrep_literals(run, weight, message):
+    # a rule weight is p or p/q, as in an H-rep file; decimals are refused
+    code, out, err = run("prob", f"rule-winner:lambda={weight}")
+    assert code == 2 and out == ""
+    assert err == (f"input error: spec 'rule-winner:lambda={weight}' does not match the form "
+                   f"rule-winner:RULE: {message}\n")
+
+
 def test_exit_code_geometric_error(run):
     code, _, err = run("count", "--n", "3", files=[("--polytope-file", UNBOUNDED2)])
     assert code == 3 and "geometric error" in err

@@ -198,6 +198,51 @@ def test_cut_box_volume_matches_generalized_irwin_hall(case):
     assert _cut_box(*case).volume() == _cut_box_volume(*case)
 
 
+# -- volumes of linear images of the cube and the cross-polytope -------------
+#
+# Each vertex of the cross-polytope |x|_1 <= 1 lies on 2^(d-1) facets,
+# and the faces of the cube's image are parallelograms; the simplex, box
+# and Irwin-Hall oracles above have neither.
+
+
+@st.composite
+def linear_images(draw):
+    """A nonsingular integer matrix A, entries in -3..3, in dims 2-5, and
+    a rational offset t: the map x -> A x + t."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+                      min_size=dim, max_size=dim))
+    assume(sympy.Matrix(a).det() != 0)
+    return a, draw(st.lists(rationals, min_size=dim, max_size=dim))
+
+
+def _image_rows(a, offset, rows):
+    """The rows c.x rel b of a polytope in x, written for y = A x + t as
+    the rational rows c.A^-1.y rel b + c.A^-1.t."""
+    inverse = sympy.Matrix(a).inv()
+    t = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in offset])
+    image = []
+    for c, rel, b in rows:
+        w = sympy.Matrix([c]) * inverse
+        image.append((tuple(F(str(v)) for v in w), rel, F(str(b + (w * t)[0]))))
+    return image
+
+
+@given(linear_images())
+def test_linear_image_volume_matches_sympy_determinant(image):
+    # vol(A C + t) = |det A| vol(C): the unit cube has volume 1 and the
+    # cross-polytope, 2^d simplices of volume 1/d!, 2^d / d!
+    a, offset = image
+    dim = len(a)
+    det = abs(int(sympy.Matrix(a).det()))
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    cube = [(e, rel, b) for e in units for rel, b in ((">=", 0), ("<=", 1))]
+    cross = [(s, "<=", 1) for s in itertools.product((1, -1), repeat=dim)]
+    assert HPolytope(dim, _image_rows(a, offset, cube)).volume() == det
+    assert (HPolytope(dim, _image_rows(a, offset, cross)).volume()
+            == F(det * 2**dim, math.factorial(dim)))
+
+
 # -- volumes of symmetric polytopes ------------------------------------------
 #
 # Volume integrates one Weyl chamber of the interchangeable coordinates

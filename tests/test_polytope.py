@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 from math import factorial
 from pathlib import Path
@@ -83,6 +85,17 @@ def test_equal_polytopes_share_one_memo_entry_and_are_immutable():
         with pytest.raises(AttributeError):
             delattr(box, field)
     assert repr(box) == f"HPolytope(dim=2, _rows={box.integer_rows()!r})"
+
+
+@pytest.mark.parametrize("rebuild", [
+    copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_polytopes_survive_copy_and_pickle(rebuild):
+    # the default reduce would set the slots through the blocked __setattr__
+    for poly in (unit_box(3), share_space_polytope([]), HPolytope(2, [le((0, 0), -1)])):
+        other = rebuild(poly)
+        assert other == poly and hash(other) == hash(poly)
+        assert other.integer_rows() == poly.integer_rows() and other.volume() == poly.volume()
 
 
 def test_ge_rows_store_as_le():
