@@ -174,8 +174,7 @@ def _add_budget(p) -> None:
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="ceiling (>= 0) on the nodes each lattice count "
                         "visits; a count already made in this process "
-                        "(by polytope and dilation) is reused and "
-                        "charges the nodes it visited the first time; "
+                        "(by polytope, dilation and budget) is reused; "
                         "count also holds the steps of reading "
                         "the Ehrhart series to it; ehrhart stops at once "
                         "when its window would pass it, checked before "

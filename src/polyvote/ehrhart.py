@@ -26,11 +26,10 @@ separate every prefix make none, and the recursion runs unmemoized.
 A count is budgeted on the nodes it visits: each enumerated range of
 x_l charges its length, so a memo hit costs one node and the closures
 none.  Each finished count is also memoized per process on (P, n,
-interior), with the nodes it visited, for the 4096 most recently used:
-a count asked again (a window that the pipeline counted and a region
-count then reads, or an n of several windows) is not enumerated again.
-It is held to its budget by the nodes it visited the first time, so it
-passes or raises as that count did.
+interior, budget), for the 4096 most recently used: a count asked
+again under the same budget (a window that the pipeline counted and a
+region count then reads, or an n of several windows) is not enumerated
+again.  A count past its budget raises and is not memoized.
 The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
 deg D, where the cyclotomic Phi_k divides D at most #{vertices v of a
 term : k divides den v} times (Stanley, EC I, 4.6), and at most 1 +
@@ -57,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -297,45 +296,21 @@ def _polygon_count(upper, lower, res: list[int], xlo: int, xhi: int) -> int:
     return total
 
 
-# (P, n, interior) -> (count, nodes its enumeration visited), least
-# recently used first
-_counts: OrderedDict[tuple[HPolytope, int, int], tuple[int, int]] = OrderedDict()
-_COUNTS_MAX = 4096
-
-
+@functools.lru_cache(maxsize=4096)
 def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
     """Integer points x of a nonempty P's dilation with a.x <= b.n -
     interior.s on each row (a, b, s) of ``_le_rows``: nP itself at
     interior = 0, its relative interior at interior = 1.
-
-    Each finished enumeration (``_enumerate``) is memoized on (P, n,
-    interior) with the nodes it visited, for the ``_COUNTS_MAX``
-    most recently used keys.  A memoized count whose nodes fit
-    ``budget`` is returned and charges nothing; one whose nodes do not
-    is enumerated again, so it raises BudgetExceededError exactly as
-    the first count would have."""
-    key = (poly, n, interior)
-    hit = _counts.get(key)
-    if hit is not None and hit[1] <= budget:
-        _counts.move_to_end(key)
-        return hit[0]
-    total, nodes = _enumerate(poly, n, interior, budget)
-    _counts[key] = total, nodes
-    if len(_counts) > _COUNTS_MAX:
-        _counts.popitem(last=False)
-    return total
-
-
-def _enumerate(poly: HPolytope, n: int, interior: int, budget: int) -> tuple[int, int]:
-    """(count, nodes) for ``_count``: the count enumerated afresh and
-    the nodes it visited.
 
     Coordinates before the last two are enumerated between their
     ``_shadows`` bounds, which a bounded P has on both sides at every
     level; the last two are closed by ``_polygon_count`` (a
     1-dimensional P by its interval).  Each enumeration of x_l over
     [xlo, xhi] first charges xhi - xlo + 1 nodes, and a charge past
-    ``budget`` raises BudgetExceededError."""
+    ``budget`` raises BudgetExceededError.  Counts are memoized on (P,
+    n, interior, budget) in the process; a refused count raises and
+    stores nothing, so a count read from the memo finished under that
+    budget."""
     rows, deltas, shadows, memo_keys, upper, lower, _ = _count_plan(poly)
     closed = poly.dim - 2
     nodes = 0
@@ -398,7 +373,7 @@ def _enumerate(poly: HPolytope, n: int, interior: int, budget: int) -> tuple[int
         return total
 
     enter = [memoized if level in memos else rec for level in range(poly.dim)]
-    return enter[0](0, [b * n - interior * s for _, b, s in rows]), nodes
+    return enter[0](0, [b * n - interior * s for _, b, s in rows])
 
 
 def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -418,10 +393,10 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     window's nodes alone are tested on the largest vertex denominator,
     a lower bound of deg D as 1 - t^den divides D; a dimension <= 2
     always enumerates.  On either route ``budget`` also bounds each
-    count.  Counts are memoized by polytope and dilation (``_count``),
-    so a window that an earlier call counted, or a dilation it
-    enumerated, is read from the memo and charges the nodes it visited
-    the first time."""
+    count.  Counts are memoized on polytope, dilation and budget
+    (``_count``), so a window that an earlier call counted, or a
+    dilation it enumerated, under the same budget is read from the
+    memo."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
@@ -764,9 +739,9 @@ def ehrhart_pipeline(
     whose build factors every vertex denominator, is built, and in
     dimension <= 2 once more on deg D.  Either raises
     BudgetExceededError before any count.  The window's counts are
-    memoized by polytope and dilation (``_count``): a window counted
-    before in the process is read from the memo, each count charging
-    the nodes it visited the first time.
+    memoized on polytope, dilation and budget (``_count``): a window
+    counted before in the process under the same budget is read from
+    the memo.
     """
     dim, terms = _target_parts(target)
     terms = [(s, p) for s, p in terms if not p.is_empty()]

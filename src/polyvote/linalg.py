@@ -15,7 +15,8 @@ class DimensionError(ValueError):
     """Operands have incompatible shapes."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# [0-9], not \d, which matches every Unicode decimal digit
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> tuple[int, int]:

@@ -44,19 +44,20 @@ integer product and one exact division.  Faces of dimension 3 or less
 sum their simplices' determinants directly, read from the bitmasks
 alone, and the sum is divided once by D^dim * dim!.  Vertices and
 volumes are memoized per polytope.
-The double-description states are memoized across polytopes, keyed on
-the seed (dim, its rows in order, its number of equalities) and the
-rows cut so far, in order, for the 4096 most recently used states: a
-run resumes from the longest prefix of its cuts that another polytope
-already made.  Zero sets index processing positions, not a polytope's
-rows, and ``_vertices`` maps them back to its inequality rows.
+The double-description steps are memoized across polytopes: the seed
+cone on its rows and its number of equalities, and each cut on the
+cone before it, the row and the row's position, so polytopes whose cuts
+start alike share those cuts.  Every memo is a ``functools.lru_cache``
+of the 4096 most recently used entries.  Zero sets index processing
+positions, not a polytope's rows, and ``_vertices`` maps them back to
+its inequality rows.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -310,38 +311,56 @@ def _nonzeros(row) -> int:
     return len(row) - row.count(0)
 
 
-class _LRUMemo(OrderedDict):
-    """A memo of the ``limit`` most recently used entries, least
-    recently used first.  ``hits`` counts the entries read, ``misses``
-    the entries stored; ``clear`` resets both."""
-
-    def __init__(self, limit: int):
-        super().__init__()
-        self.limit = limit
-        self.hits = self.misses = 0
-
-    def read(self, key):
-        value = self.get(key)
-        if value is not None:
-            self.move_to_end(key)
-            self.hits += 1
-        return value
-
-    def keep(self, key, value) -> None:
-        self[key] = value
-        self.misses += 1
-        if len(self) > self.limit:
-            self.popitem(last=False)
-
-    def clear(self) -> None:
-        super().clear()
-        self.hits = self.misses = 0
+@functools.lru_cache(maxsize=4096)
+def _seed_state(seed_rows, equalities: int):
+    """(rays, zero sets) of the simplicial seed cone of ``seed_rows``,
+    the ``equalities`` equalities first: column s of -m^-1 is tight on
+    every seed row but the s-th, and strictly inside that one; the
+    equalities' columns leave them."""
+    width = len(seed_rows)
+    seed_mask = (1 << width) - (1 << equalities)
+    return (tuple(_seed_rays(seed_rows)[equalities:]),
+            tuple(seed_mask & ~(1 << s) for s in range(equalities, width)))
 
 
-# double-description states shared by every polytope of the process:
-# (dim, seed rows in seed order, equalities in the seed, *rows cut so
-# far, in order) -> (rays, zero sets) after the last of those cuts
-_dd_states = _LRUMemo(4096)
+@functools.lru_cache(maxsize=4096)
+def _cut(rays, zeros, h, bit: int, need: int):
+    """(rays, zero sets) of the cone of ``rays`` cut by h.r <= 0, the
+    row at the processing position of ``bit``.  A cut that no ray
+    violates only adds the bit to the zero sets of the rays on it.
+    Otherwise rays with h.r <= 0 stay, and each adjacent pair with
+    h.r+ > 0 > h.r- gives (h.r+) r- - (h.r-) r+, reduced by its gcd.
+    A pair is adjacent when its common zero set holds at least ``need``
+    bits and no third ray's zero set holds it."""
+    vals = [sum(map(mul, h, ray)) for ray in rays]
+    pos = [k for k, v in enumerate(vals) if v > 0]
+    if not pos:
+        return rays, tuple([z | bit if v == 0 else z for z, v in zip(zeros, vals)])
+    neg = [k for k, v in enumerate(vals) if v < 0]
+    fresh_rays, fresh_zeros = [], []
+    for p in pos:
+        zp, vp = zeros[p], vals[p]
+        for n in neg:
+            z = zp & zeros[n]
+            if z.bit_count() < need:
+                continue
+            # p and n are tight on z; adjacent when no third ray is
+            hits = 0
+            for zk in zeros:
+                if zk & z == z:
+                    hits += 1
+                    if hits > 2:
+                        break
+            if hits > 2:
+                continue
+            vn = vals[n]
+            ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
+            g = gcd(*ray)
+            fresh_rays.append(tuple(v // g for v in ray))
+            fresh_zeros.append(z | bit)
+    return (tuple([ray for ray, v in zip(rays, vals) if v <= 0] + fresh_rays),
+            tuple([z | bit if v == 0 else z for z, v in zip(zeros, vals) if v <= 0]
+                  + fresh_zeros))
 
 
 def _basic_solutions(rows, dim):
@@ -357,10 +376,7 @@ def _basic_solutions(rows, dim):
     other inequalities then cut the cone densest first (Fukuda &
     Prodon 1996: the order decides how large the cone grows; a dense
     row such as the popular vote of a district polytope, cut before the
-    box rows, keeps it small).  A cut that no ray violates only adds
-    its row to the zero sets of the rays on it.  Otherwise rays with
-    h.r <= 0 stay, and each adjacent pair with h.r+ > 0 > h.r- gives
-    (h.r+) r- - (h.r-) r+, reduced by its gcd.  Two rays are adjacent
+    box rows, keeps it small), each by ``_cut``.  Two rays are adjacent
     when no third ray is tight on every processed row both are tight
     on: zero sets are int bitmasks over the processing positions (the
     seed rows in seed order, then each cut in turn), and the test scans
@@ -369,18 +385,13 @@ def _basic_solutions(rows, dim):
     its parents are tight on, and on the row that made it, so every
     zero set is exact.
 
-    The cone after a row sequence is a function of that sequence, so
-    its states are shared by every polytope of the process
-    (``_dd_states``): the key is (dim, the seed's rows in seed order,
-    the number of equalities in the seed) followed by the rows cut so
-    far, in order, and the value the rays and zero sets after the last
-    of them, the seed's own state included.  Position bits name no
-    polytope's row indices, so a state serves every polytope whose cuts
-    start with its rows.  A run resumes after the longest prefix of its
-    cuts already made and stores the state after each new cut, one that
-    no ray violates too; the memo keeps the 4096 most recently used
-    states.  The paper's events are many polytopes over one seed whose
-    densest rows recur, so their runs share many of their cuts.
+    The seed cone is memoized on its rows and its number of equalities
+    (``_seed_state``), and each cut on the cone before it, the row and
+    the row's position bit (``_cut``), for the 4096 most recently used
+    of each, in the process.  Position bits name no polytope's row
+    indices, so two polytopes whose cuts start with the same rows from
+    the same seed share those cuts; the paper's events are many
+    polytopes over one seed whose densest rows recur.
     Returns the vertices as ((numerator tuple, denominator), mask)
     pairs, the mask holding bit p when the vertex is tight on the row at
     position p, the extreme rays with t = 0, the recession directions,
@@ -388,7 +399,7 @@ def _basic_solutions(rows, dim):
     (None for the seed's equalities and t >= 0); ([], [], []) when the
     equalities are inconsistent, and None when the seed holds t >= 0
     but fewer than dim+1 rows: the rows then have rank < dim, and the
-    cone is not pointed.  Both are decided before the memo is read."""
+    cone is not pointed."""
     width = dim + 1
     cone = [(*coeffs, -rhs) for coeffs, rel, rhs in rows if rel == EQ]
     t_row = len(cone)
@@ -408,64 +419,12 @@ def _basic_solutions(rows, dim):
     equalities = seed.index(t_row)
     seeded = set(seed)
     cut = [i for i in sorted(inequalities, key=lambda i: -_nonzeros(cone[i])) if i not in seeded]
-    key = (dim, tuple(cone[i] for i in seed), equalities)
-    state = _dd_states.read(key)
-    if state is None:
-        # column s of -m^-1 is tight on every seed row but the s-th, and
-        # strictly inside that one; the equalities' columns leave them
-        seed_mask = (1 << width) - (1 << equalities)
-        state = (tuple(_seed_rays(key[1])[equalities:]),
-                 tuple(seed_mask & ~(1 << s) for s in range(equalities, width)))
-        _dd_states.keep(key, state)
-    # resume after the longest prefix of the cuts already made
-    done = 0
-    for i in cut:
-        found = _dd_states.read(key + (cone[i],))
-        if found is None:
-            break
-        key += (cone[i],)
-        state, done = found, done + 1
-    rays, zeros = state
-
+    rays, zeros = _seed_state(tuple(cone[i] for i in seed), equalities)
     # adjacent rays share a 2-face, so at least this many tight
     # inequalities besides the seed's equalities
     need = width - 2 - equalities
-    for position, i in enumerate(cut[done:], width + done):
-        h, bit = cone[i], 1 << position
-        vals = [sum(map(mul, h, ray)) for ray in rays]
-        pos = [k for k, v in enumerate(vals) if v > 0]
-        if pos:
-            neg = [k for k, v in enumerate(vals) if v < 0]
-            fresh_rays, fresh_zeros = [], []
-            for p in pos:
-                zp, vp = zeros[p], vals[p]
-                for n in neg:
-                    z = zp & zeros[n]
-                    if z.bit_count() < need:
-                        continue
-                    # p and n are tight on z; adjacent when no third ray is
-                    hits = 0
-                    for zk in zeros:
-                        if zk & z == z:
-                            hits += 1
-                            if hits > 2:
-                                break
-                    if hits > 2:
-                        continue
-                    vn = vals[n]
-                    ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
-                    g = gcd(*ray)
-                    fresh_rays.append(tuple(v // g for v in ray))
-                    fresh_zeros.append(z | bit)
-            rays = tuple([ray for ray, v in zip(rays, vals) if v <= 0] + fresh_rays)
-            zeros = tuple([z | bit if v == 0 else z for z, v in zip(zeros, vals) if v <= 0]
-                          + fresh_zeros)
-        else:
-            # no ray violates the row: the cone stays, the rays on it
-            # gain its bit
-            zeros = tuple([z | bit if v == 0 else z for z, v in zip(zeros, vals)])
-        key += (h,)
-        _dd_states.keep(key, (rays, zeros))
+    for position, i in enumerate(cut, width):
+        rays, zeros = _cut(rays, zeros, cone[i], 1 << position, need)
     first = t_row + 1
     rows_at = [None] * (equalities + 1) + [i - first for i in seed[equalities + 1:] + cut]
     return ([((ray[:dim], ray[dim]), z) for ray, z in zip(rays, zeros) if ray[dim] > 0],

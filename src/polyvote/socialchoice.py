@@ -460,9 +460,12 @@ def _one_of(options: tuple[str, ...]):
 
 
 def _district_count(token: str) -> int:
-    if not token.startswith("N="):
+    # ASCII digits only: int() would also read "1_0", "+5", " 5" and
+    # non-ASCII digits
+    digits = token[2:]
+    if not (token.startswith("N=") and digits.isascii() and digits.isdigit()):
         raise ValueError("expected N=INT")
-    return int(token[2:])
+    return int(digits)
 
 
 # how each argument form appearing in a spec is read

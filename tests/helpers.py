@@ -338,11 +338,16 @@ def event_memos():
 
 def clear_geometry_memos():
     """Empty every process-wide memo of the geometry kernel: vertices
-    and volumes per polytope, the shared double-description states, the
-    counting plans and the lattice counts.  Their hit and miss counts
-    start again from zero."""
-    polytope._vertices.cache_clear()
-    polytope._volume.cache_clear()
-    polytope._dd_states.clear()
-    ehrhart._count_plan.cache_clear()
-    ehrhart._counts.clear()
+    and volumes per polytope, the double-description seeds and cuts,
+    the counting plans, the lattice counts and the series denominators'
+    divisors and faces.  Their hit and miss counts start again from
+    zero."""
+    for fn in geometry_memos():
+        fn.cache_clear()
+
+
+def geometry_memos():
+    """The memoized functions defined in ``polyvote.polytope`` and
+    ``polyvote.ehrhart``."""
+    return [fn for mod in (polytope, ehrhart) for fn in vars(mod).values()
+            if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__]

@@ -240,40 +240,45 @@ def test_count_budget_guard():
     assert str(err.value) == "dilation 1000 reached 2002 nodes (budget 2001)"
 
 
-def test_a_memoized_count_is_held_to_the_budget_by_its_first_nodes(monkeypatch):
+def test_a_memoized_count_is_held_to_its_budget(monkeypatch):
     box = unit_box(4)
-    ehrhart._counts.clear()
+    ehrhart._count.cache_clear()
     with pytest.raises(BudgetExceededError) as cold:
         count_lattice_points(box, 1000, budget=2001)
-    assert (box, 1000, 0) not in ehrhart._counts  # a refused count is not memoized
+    assert ehrhart._count.cache_info().currsize == 0  # a refused count leaves no entry
     assert count_lattice_points(box, 1000, budget=10**6) == 1001**4
-    assert ehrhart._counts[(box, 1000, 0)] == (1001**4, 2002)
-    # below its nodes the count runs again and raises as the cold one did
+    assert ehrhart._count.cache_info().currsize == 1
+    # under a lower budget the count runs again and raises as the cold one did
     with pytest.raises(BudgetExceededError) as warm:
         count_lattice_points(box, 1000, budget=2001)
     assert ((str(warm.value), warm.value.nodes, warm.value.dilation)
             == (str(cold.value), cold.value.nodes, cold.value.dilation)
             == ("dilation 1000 reached 2002 nodes (budget 2001)", 2002, 1000))
-    # at or above them it is read from the memo, closing no polygon
+    # a repeat under the same budget is read from the memo, closing no polygon
     closed = []
     polygon_count = ehrhart._polygon_count
     monkeypatch.setattr(ehrhart, "_polygon_count",
                         lambda *args: closed.append(args) or polygon_count(*args))
-    for budget in (2002, 10**6):
-        assert count_lattice_points(box, 1000, budget=budget) == 1001**4
+    assert count_lattice_points(box, 1000, budget=10**6) == 1001**4
     assert closed == []
+    assert ehrhart._count.cache_info().hits == 1
 
 
 def test_count_memo_keeps_the_most_recently_used_counts():
     seg = HPolytope(1, [ge((1,)), le((3,), 1)])
-    ehrhart._counts.clear()
-    for n in range(ehrhart._COUNTS_MAX):
+    ehrhart._count.cache_clear()
+    limit = ehrhart._count.cache_parameters()["maxsize"]
+    for n in range(limit):
         count_lattice_points(seg, n)
     count_lattice_points(seg, 0)  # a hit makes n = 0 the most recent
-    count_lattice_points(seg, ehrhart._COUNTS_MAX)
-    assert len(ehrhart._counts) == ehrhart._COUNTS_MAX
-    assert (seg, 0, 0) in ehrhart._counts and (seg, 1, 0) not in ehrhart._counts
-    assert next(iter(ehrhart._counts)) == (seg, 2, 0)
+    count_lattice_points(seg, limit)  # n = 1, now the oldest, leaves
+    assert ehrhart._count.cache_info()[:2] == (1, limit + 1)  # (hits, misses)
+    assert count_lattice_points(seg, 0) == 1  # still held
+    assert ehrhart._count.cache_info()[:2] == (2, limit + 1)
+    assert count_lattice_points(seg, 1) == 1  # made again; n = 2 leaves
+    assert count_lattice_points(seg, 2) == 1  # made again
+    assert ehrhart._count.cache_info()[:2] == (2, limit + 3)
+    assert ehrhart._count.cache_info().currsize == limit
 
 
 def test_count_budget_guard_charges_the_range_before_enumerating_it():
@@ -472,25 +477,20 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     assert built == [] and sorted(set(counted)) == list(range(11))
 
 
-def test_region_count_after_the_pipeline_visits_no_count_node(monkeypatch):
+def test_region_count_after_the_pipeline_visits_no_count_node():
     # the pipeline counts the window n = -12 ... 13 on each of the three
     # terms; the series route of region_count reads the same 78 counts
     region = manipulability_event(PLURALITY)
-    ehrhart._counts.clear()
-    enumerated = []
-    enumerate_ = ehrhart._enumerate
-    monkeypatch.setattr(ehrhart, "_enumerate",
-                        lambda *args: enumerated.append(args) or enumerate_(*args))
+    ehrhart._count.cache_clear()
     q = ehrhart_pipeline(region, classes=[0, 1, 6])
     assert [q.polys[r] for r in (0, 1, 6)] == [
         (1, F(137, 120), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)),
         (F(-209, 1296), F(-917, 17280), F(5, 36), F(341, 5184), F(1, 108), F(7, 17280)),
         (F(5, 8), F(61, 60), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)),
     ]
-    assert len(enumerated) == 78
-    enumerated.clear()
+    assert ehrhart._count.cache_info()[:2] == (0, 78)  # (hits, misses)
     assert region_count(region, 96) == 4176821
-    assert enumerated == []
+    assert ehrhart._count.cache_info()[:2] == (78, 78)
 
 
 def test_region_count_reads_plurality_at_a_billion():

@@ -1,13 +1,17 @@
 import copy
+import importlib
 import pickle
+import pkgutil
+from collections import OrderedDict
 from fractions import Fraction as F
 from math import factorial
 from pathlib import Path
 
 import pytest
 
+import polyvote
 from polyvote import polytope
-from polyvote.ehrhart import period_bound
+from polyvote.ehrhart import ehrhart_pipeline, period_bound, region_count
 from polyvote.linalg import DimensionError
 from polyvote.polytope import (
     EventRegion,
@@ -22,11 +26,19 @@ from polyvote.socialchoice import (
     PLURALITY,
     manipulability_event,
     participation_event,
+    probability_for_spec,
     referendum_district_polytope,
     share_space_polytope,
 )
 
-from helpers import clear_geometry_memos, contains, vertices
+from helpers import (
+    clear_event_memos,
+    clear_geometry_memos,
+    contains,
+    event_memos,
+    geometry_memos,
+    vertices,
+)
 
 
 def ge(coeffs, rhs=0):
@@ -290,6 +302,13 @@ def _incidence(poly):
     return tuple(verts), verts.incidence
 
 
+def _dd_work():
+    """(hits, misses) of the seed cones and of the cuts made since the
+    memos were cleared."""
+    return tuple((info.hits, info.misses) for info in
+                 (polytope._seed_state.cache_info(), polytope._cut.cache_info()))
+
+
 def test_dd_resumes_after_the_cuts_another_polytope_made():
     # NAP has PPP's 11 rows and one more, of 4 nonzeros; both cut their
     # three rows of 5 nonzeros and one of 4 first, from the same seed
@@ -297,38 +316,62 @@ def test_dd_resumes_after_the_cuts_another_polytope_made():
     clear_geometry_memos()
     cold = _incidence(nap)
     clear_geometry_memos()
-    states = polytope._dd_states
     _incidence(ppp)
-    assert (states.hits, states.misses) == (0, 1 + 6)  # the seed and six cuts, stored
+    assert _dd_work() == ((0, 1), (0, 6))  # the seed and six cuts, made
     assert _incidence(nap) == cold
     # NAP reads the seed and the four shared cuts, then makes three of its own
-    assert (states.hits, states.misses) == (1 + 4, 7 + 3)
-    assert len(states) == 10
+    assert _dd_work() == ((1, 1), (4, 9))
+    assert polytope._cut.cache_info().currsize == 9
 
 
 def test_dd_state_memo_keeps_the_most_recently_used_states():
     # every segment 0 <= x <= k shares the seed {t >= 0, x >= 0} and
-    # cuts one row of its own, so each run reads one state and stores one
+    # cuts one row of its own, so each run reads the seed and makes a cut
     clear_geometry_memos()
-    states = polytope._dd_states
-    limit = states.limit
+    limit = polytope._cut.cache_parameters()["maxsize"]
     assert limit == 4096
-    seed = (1, ((0, -1), (-1, 0)), 0)
     for k in range(1, limit + 2):
         polytope._vertices(HPolytope(1, [ge((1,)), le((1,), k)]))
-        assert len(states) <= limit
-    assert (states.hits, states.misses) == (limit, limit + 2)
-    # the seed, stored first and read by every run, stays; the oldest
-    # cut states leave
-    assert seed in states
-    assert seed + ((1, -1),) not in states and seed + ((1, -2),) not in states
-    assert next(iter(states)) == seed + ((1, -3),)
-    assert list(states)[-2:] == [seed, seed + ((1, -limit - 1),)]
-    # an evicted state is made again, with the same vertices
+        assert polytope._cut.cache_info().currsize <= limit
+    assert _dd_work() == ((limit, 1), (0, limit + 1))
+    # the seed, made first and read by every run, stays; the oldest cut
+    # (k = 1) left, the newest (k = limit + 1) is held
     polytope._vertices.cache_clear()
+    assert vertices(HPolytope(1, [ge((1,)), le((1,), limit + 1)])) == ((F(0),), (F(limit + 1),))
+    assert _dd_work() == ((limit + 1, 1), (1, limit + 1))
+    # an evicted cut is made again, with the same vertices
     assert vertices(HPolytope(1, [ge((1,)), le((1,), 1)])) == ((F(0),), (F(1),))
-    assert (states.hits, states.misses) == (limit + 1, limit + 3)
-    assert len(states) == limit
+    assert _dd_work() == ((limit + 2, 1), (1, limit + 2))
+    assert polytope._cut.cache_info().currsize == limit
+
+
+def test_every_memo_is_an_lru_cache_of_4096_entries():
+    # the kernel's and the event layer's memos are functools.lru_cache
+    # wrappers, which count their hits and misses and keep the most
+    # recently used entries; no module holds a container memo beside them
+    memos = geometry_memos() + event_memos()
+    assert {"_vertices", "_volume", "_seed_state", "_cut", "_count_plan", "_count",
+            "_divisors", "_deepest_faces", "_evaluate"} <= {fn.__name__ for fn in memos}
+    assert {fn.__module__ for fn in memos} == {
+        "polyvote.polytope", "polyvote.ehrhart", "polyvote.socialchoice"}
+    assert all(fn.cache_parameters()["maxsize"] == 4096 for fn in memos)
+    modules = [importlib.import_module(f"polyvote.{m.name}")
+               for m in pkgutil.iter_modules(polyvote.__path__)]
+    containers = {(m.__name__, name): value for m in modules
+                  for name, value in vars(m).items()
+                  if not name.startswith("__") and isinstance(value, (dict, list, set))}
+    assert not any(isinstance(v, OrderedDict) for v in containers.values())
+    sizes = {key: len(value) for key, value in containers.items()}
+    # work through every layer: none of those containers grows
+    clear_geometry_memos()
+    clear_event_memos()
+    for spec in ("condorcet-loser:borda", "referendum:N=5", "manipulable:plurality"):
+        probability_for_spec(spec)
+    region = manipulability_event(PLURALITY)
+    ehrhart_pipeline(region, classes=[0])
+    region_count(region, 30)
+    assert {key: len(value) for key, value in containers.items()} == sizes
+    assert all(fn.cache_info().currsize > 0 for fn in geometry_memos())
 
 
 def test_volume_enumerates_only_the_weyl_chamber():
@@ -452,3 +495,6 @@ def test_parse_hrep_errors():
         parse_hrep("# rhs\ndim 2\n1 0 <= 3/0\n")
     with pytest.raises(ValueError, match=r"^line 1: dimension 'two' is not an integer$"):
         parse_hrep("dim two\n1 0 <= 1\n")
+    # Arabic-Indic digits are not read as 1 <= 2
+    with pytest.raises(ValueError, match="^line 2: not a rational literal: '\u0661'$"):
+        parse_hrep("dim 1\n\u0661 <= \u0662\n")

@@ -603,6 +603,9 @@ def test_alias_specs_share_one_entry_and_keep_their_text(cleared_memos):
 @pytest.mark.parametrize("spec", [
     "nope", "manipulable", "manipulable:foo", "condorcet-loser:lambda=3/2",
     "condorcet-loser:lambda=1/0", "agreement:plurality,borda:tie", "referendum:N=x",
+    # ASCII digits only, no sign, space or digit separator
+    "condorcet-loser:lambda=\u0661/\u0662", "referendum:N=1_0", "referendum:N=+5",
+    "referendum:N= 5", "referendum:N=\u0665",
     # parsed, then refused by the builder
     "referendum:N=2",
 ])
