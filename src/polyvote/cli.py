@@ -30,7 +30,7 @@ from .ehrhart import (
     ehrhart_pipeline,
     region_count,
 )
-from .linalg import decimal_string
+from .linalg import decimal_string, parse_integer
 from .polytope import EventRegion, GeometryError, HPolytope, parse_hrep
 from .socialchoice import EVENT_SPECS, probability_for_spec, table_rows
 
@@ -143,21 +143,20 @@ def cmd_prob(args) -> str:
 
 
 def _budget(text: str) -> int:
-    """``--budget``: a non-negative integer."""
+    """``--budget``: a non-negative integer in ASCII digits."""
     try:
-        budget = int(text)
+        return parse_integer(text)
     except ValueError:
-        budget = None
-    if budget is None or budget < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return budget
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}") from None
 
 
 def _classes(text: str) -> list[int]:
-    """``--classes``: one or more comma-separated integers.  An empty
-    value is an input error; leaving the flag out fits every class."""
+    """``--classes``: one or more comma-separated integers in ASCII
+    digits, each with an optional leading "-".  An empty value is an
+    input error; leaving the flag out fits every class."""
     try:
-        return [int(c) for c in text.split(",")]
+        return [parse_integer(c, signed=True) for c in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers such as 0,1,6, got {text!r}") from None

@@ -1,8 +1,8 @@
 """Exact rationals at the edges of the library: parsing "p/q"
-literals to integer pairs, fixed-point decimals, and the error for
-operands of incompatible dimensions.  The elimination the geometry
-kernel needs, ranks and the seed rays of double description, runs on
-its integer rows in ``polyvote.polytope``.
+literals to integer pairs and ASCII integers to ints, fixed-point
+decimals, and the error for operands of incompatible dimensions.  The
+elimination the geometry kernel needs, ranks and the seed rays of
+double description, runs on its integer rows in ``polyvote.polytope``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,16 @@ def parse_rational(text: str) -> tuple[int, int]:
     if not den:
         raise ValueError(f"zero denominator in {text!r}")
     return int(num), den
+
+
+def parse_integer(text: str, signed: bool = False) -> int:
+    """Parse ASCII digits, after one optional leading "-" when
+    ``signed``, to an int; int() alone would also read "1_0", "+5",
+    " 5" and non-ASCII digits."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def decimal_string(q: Fraction, places: int = 5) -> str:

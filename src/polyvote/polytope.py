@@ -40,7 +40,7 @@ district chamber has 16 rows instead of 38).  It scales the
 vertices to their common denominator D and sums the determinants of a
 pulling triangulation by a facet recursion down the face lattice, read
 from the incidence bitmasks and memoized on faces; each step is one
-integer product and one exact division.  Faces of dimension 3 or less
+integer product and one exact division.  Faces of dimension 4 or less
 sum their simplices' determinants directly, read from the bitmasks
 alone, and the sum is divided once by D^dim * dim!.  Vertices and
 volumes are memoized per polytope.
@@ -62,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .linalg import DimensionError, parse_rational
+from .linalg import DimensionError, parse_integer, parse_rational
 
 LE, GE, EQ = "<=", ">=", "="
 _RELATIONS = (LE, GE, EQ)
@@ -356,7 +356,7 @@ def _cut(rays, zeros, h, bit: int, need: int):
             vn = vals[n]
             ray = [vp * a - vn * b for a, b in zip(rays[n], rays[p])]
             g = gcd(*ray)
-            fresh_rays.append(tuple(v // g for v in ray))
+            fresh_rays.append(tuple(v // g for v in ray) if g > 1 else tuple(ray))
             fresh_zeros.append(z | bit)
     return (tuple([ray for ray, v in zip(rays, vals) if v <= 0] + fresh_rays),
             tuple([z | bit if v == 0 else z for z, v in zip(zeros, vals) if v <= 0]
@@ -576,12 +576,13 @@ def _volume(poly: HPolytope) -> Fraction:
     the inclusion-maximal proper nonempty sets of its vertices tight on
     one row; the facets of G are its intersections with the other
     facets of F, whose rows take G's row substituted for x_j (Lasserre
-    1983).  Only faces of dimension k >= 4 substitute rows: a face of
-    dimension 3 or less sums |det| over the same simplices (``fan``),
-    so a 4-face hands its facets their masks only; every division is
-    exact, so the integer sum is the same.  S is memoized on (vertex
-    set, C), and the volume is S(P, all) / (D^dim * dim!).  A polytope
-    with an implicit equality is flat: volume 0.
+    1983).  Only faces of dimension k >= 5 substitute rows: a face of
+    dimension 4 or less sums |det| over the same simplices (``fan``),
+    so a 5-face hands its facets their masks only, and a 5-d polytope
+    substitutes rows once, at the top; every division is exact, so the
+    integer sum is the same.  S is memoized on (vertex set, C), and the
+    volume is S(P, all) / (D^dim * dim!).  A polytope with an implicit
+    equality is flat: volume 0.
 
     All of this runs on the Weyl chamber of ``_weyl_chamber``, and the
     sum is multiplied by its number of copies; the full polytope's
@@ -600,41 +601,55 @@ def _volume(poly: HPolytope) -> Fraction:
     memo = {}
 
     def fan(ids, cols, masks):
-        """S(F, C) for a face F of dimension k = len(cols) <= 3, read from
+        """S(F, C) for a face F of dimension k = len(cols) <= 4, read from
         the bitmasks ``masks`` of its parent's facets: |det_k| on ``cols``
-        of (v - p) for an edge pv, of (u - p, v - p) for each edge uv of
-        a polygon missing its lowest vertex p, and of (q - p, u - p,
-        v - p) for each facet polygon G of a 3-face missing p, q lowest
-        in G, and each edge uv of G missing q.  The facets of F are the
-        sets F & m with at least k vertices, the edges of G the sets
-        G & H, H another facet, with two."""
+        of (q - p, r - p, u - p, v - p) for each facet G of F missing its
+        lowest vertex p, q lowest in G, each polygon of G missing q, r
+        lowest in it, and each edge uv of the polygon missing r.  A face
+        of dimension k < 4 takes the unit rows in place of the levels it
+        lacks: G = F and q = p below 4, the polygon F and r = p below 3.
+        The facets of F are the sets F & m with at least k vertices, the
+        polygons of G the sets G & H, H another facet, with at least
+        three, and the edges of a polygon its intersections with the
+        facets that have two.  Every such set is a face of F; one of
+        four or more vertices may be a polygon of a 4-face, which has no
+        polygon of its own and so adds nothing."""
         p = ids & -ids
         origin, vec, rest = points[p.bit_length() - 1], {}, ids
-        # vectors padded to three entries: a 2 x 2 determinant is the
-        # 3 x 3 one under the row (1, 0, 0)
-        pad = [0] * (3 - len(cols))
+        # vectors padded to four entries: a k x k determinant is the
+        # 4 x 4 one under the unit rows (1, 0, 0, 0), (0, 1, 0, 0), ...
+        k = len(cols)
+        pad = [0] * (4 - k)
         while rest:
             bit = rest & -rest
             rest ^= bit
             vec[bit] = pad + [points[bit.bit_length() - 1][c] - origin[c] for c in cols]
-        if len(cols) == 1:
-            return abs(vec[ids ^ p][2])
-        polygons = [(ids, masks, (1, 0, 0))]
-        if len(cols) == 3:
-            facets = [g for g in {m & ids for m in masks} if g.bit_count() >= 3]
-            polygons = [(g, facets, vec[g & -g]) for g in facets if not g & p]
+        if k == 1:
+            return abs(vec[ids ^ p][3])
+        facets = [g for g in {m & ids for m in masks} if g.bit_count() >= k]
+        tops = ([(g, vec[g & -g]) for g in facets if not g & p] if k == 4
+                else [(ids, (1, 0, 0, 0))])
         total = 0
-        for g, above, (w0, w1, w2) in polygons:
+        for g, (w0, w1, w2, w3) in tops:
             q = g & -g
-            for e in {m & g for m in above}:
-                if e.bit_count() == 2 and not e & q:
-                    (x0, x1, x2), (y0, y1, y2) = vec[e & -e], vec[e & (e - 1)]
-                    total += abs(w0 * (x1 * y2 - x2 * y1) - w1 * (x0 * y2 - x2 * y0)
-                                 + w2 * (x0 * y1 - x1 * y0))
+            polygons = ([(f, vec[f & -f]) for f in {h & g for h in facets}
+                         if f.bit_count() >= 3 and not f & q] if k > 2
+                        else [(g, (0, 1, 0, 0))])
+            for f, (x0, x1, x2, x3) in polygons:
+                r = f & -f
+                # the 2 x 2 minors of (w, x), once per polygon
+                m01, m02, m03 = w0 * x1 - w1 * x0, w0 * x2 - w2 * x0, w0 * x3 - w3 * x0
+                m12, m13, m23 = w1 * x2 - w2 * x1, w1 * x3 - w3 * x1, w2 * x3 - w3 * x2
+                for e in {h & f for h in facets}:
+                    if e.bit_count() == 2 and not e & r:
+                        (u0, u1, u2, u3), (v0, v1, v2, v3) = vec[e & -e], vec[e & (e - 1)]
+                        total += abs(m01 * (u2 * v3 - u3 * v2) - m02 * (u1 * v3 - u3 * v1)
+                                     + m03 * (u1 * v2 - u2 * v1) + m12 * (u0 * v3 - u3 * v0)
+                                     - m13 * (u0 * v2 - u2 * v0) + m23 * (u0 * v1 - u1 * v0))
         return total
 
     def faces(ids, cols, cuts):
-        """S(F, C) for the face F of dimension 4 or more with vertex
+        """S(F, C) for the face F of dimension 5 or more with vertex
         bitmask ``ids``, projected onto the coordinate tuple ``cols``,
         one per dimension of F.
         ``cuts`` hold the rows that may cut a facet from F (those of the
@@ -667,7 +682,7 @@ def _volume(poly: HPolytope) -> Fraction:
             if base is None:
                 # G's facets are its ridges with the other facets of F
                 ridges = [row for h, row in facets if h != g and (h & g).bit_count() >= k - 1]
-                if k == 4:
+                if k == 5:
                     base = memo[key] = fan(g, key[1], [mask for mask, _, _ in ridges])
                 else:
                     child = []
@@ -681,7 +696,7 @@ def _volume(poly: HPolytope) -> Fraction:
         return total
 
     cols = tuple(range(dim))
-    total = fan(full, cols, verts.incidence) if dim <= 3 else faces(full, cols, [
+    total = fan(full, cols, verts.incidence) if dim <= 4 else faces(full, cols, [
         (mask, coeffs, rhs * D) for mask, (coeffs, _, rhs) in zip(verts.incidence, rows) if mask])
     return Fraction(copies * total, D**dim * math.factorial(dim))
 
@@ -706,7 +721,7 @@ def parse_hrep(text: str) -> HPolytope:
             if len(parts) != 2 or parts[0] != "dim":
                 raise ValueError(f"line {lineno}: expected 'dim d' header")
             try:
-                dim = int(parts[1])
+                dim = parse_integer(parts[1])
             except ValueError:
                 raise ValueError(
                     f"line {lineno}: dimension {parts[1]!r} is not an integer") from None

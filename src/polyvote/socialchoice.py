@@ -37,7 +37,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
-from .linalg import parse_rational
+from .linalg import parse_integer, parse_rational
 from .polytope import LE, EventRegion, GeometryError, HPolytope, _integer_row
 
 ORDERS = ("abc", "acb", "bac", "bca", "cab", "cba")
@@ -460,12 +460,9 @@ def _one_of(options: tuple[str, ...]):
 
 
 def _district_count(token: str) -> int:
-    # ASCII digits only: int() would also read "1_0", "+5", " 5" and
-    # non-ASCII digits
-    digits = token[2:]
-    if not (token.startswith("N=") and digits.isascii() and digits.isdigit()):
+    if not token.startswith("N="):
         raise ValueError("expected N=INT")
-    return int(digits)
+    return parse_integer(token[2:])
 
 
 # how each argument form appearing in a spec is read

@@ -295,13 +295,15 @@ def test_exit_code_budget_error(run):
 
 
 def test_negative_budget_is_an_input_error(run):
-    code, out, err = run("count", "--n", "5", "--budget", "-5",
-                         files=[("--polytope-file", CUBE3)])
-    assert (code, out) == (2, "")
-    assert "argument --budget: expected a non-negative integer, got '-5'" in err
+    # ASCII digits only, no sign, space or digit separator
+    for budget in ("-5", "+5", " 5", "1_000", "\u0665"):
+        code, out, err = run("count", "--n", "5", "--budget", budget,
+                             files=[("--polytope-file", CUBE3)])
+        assert (code, out) == (2, "")
+        assert f"argument --budget: expected a non-negative integer, got {budget!r}" in err
 
 
-@pytest.mark.parametrize("classes", [",0", "0,x"])
+@pytest.mark.parametrize("classes", [",0", "0,x", "\u0661,+2", "1_0", "0, 1", "1,--1", "0,-"])
 def test_malformed_classes_name_the_flag(run, classes):
     code, out, err = run("ehrhart", "--classes", classes, files=[("--polytope-file", CUBE3)])
     assert (code, out) == (2, "")
@@ -316,6 +318,11 @@ def test_empty_classes_is_an_input_error(run):
     assert ("argument --classes: expected comma-separated integers such as 0,1,6, "
             "got ''") in err
     code, out, _ = run("ehrhart", files=[("--polytope-file", CUBE3)])
+    assert code == 0 and "class 0: 1 3 3 1" in out
+
+
+def test_classes_take_a_leading_minus(run):
+    code, out, _ = run("ehrhart", "--classes=-1,0", files=[("--polytope-file", CUBE3)])
     assert code == 0 and "class 0: 1 3 3 1" in out
 
 

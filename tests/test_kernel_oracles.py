@@ -201,7 +201,10 @@ def test_cut_box_volume_matches_generalized_irwin_hall(case):
 #
 # Each vertex of the cross-polytope |x|_1 <= 1 lies on 2^(d-1) facets,
 # and the faces of the cube's image are parallelograms; the simplex, box
-# and Irwin-Hall oracles above have neither.
+# and Irwin-Hall oracles above have neither.  In dimension 5 the image
+# of pentagon x octahedron joins them: two of its facets, over faces of
+# the octahedron that share a vertex, meet in a pentagon, so four or
+# more vertices tight on two facets need not be a 3-face.
 
 
 @st.composite
@@ -228,6 +231,8 @@ def _image_rows(a, offset, rows):
 
 
 @given(linear_images())
+@example(([[1, 1, 0, 0, 0], [0, 1, 2, 0, 0], [1, 0, 1, 1, 0], [0, 0, 0, 1, -1],
+           [2, 0, 0, 0, 1]], [F(0)] * 5))
 def test_linear_image_volume_matches_sympy_determinant(image):
     # vol(A C + t) = |det A| vol(C): the unit cube has volume 1 and the
     # cross-polytope, 2^d simplices of volume 1/d!, 2^d / d!
@@ -240,6 +245,14 @@ def test_linear_image_volume_matches_sympy_determinant(image):
     assert HPolytope(dim, _image_rows(a, offset, cube)).volume() == det
     assert (HPolytope(dim, _image_rows(a, offset, cross)).volume()
             == F(det * 2**dim, math.factorial(dim)))
+    if dim == 5:
+        # the pentagon (0, 0), (2, 0), (3, 2), (1, 3), (-1, 2), of area 8,
+        # times the octahedron |z|_1 <= 1, of volume 4/3: 30 vertices
+        pentagon = [(0, 1, ">=", 0), (2, -1, "<=", 4), (1, 2, "<=", 7), (-1, 2, "<=", 5),
+                    (-2, -1, "<=", 0)]
+        rows = ([((x, y, 0, 0, 0), rel, b) for x, y, rel, b in pentagon]
+                + [((0, 0, *s), "<=", 1) for s in itertools.product((1, -1), repeat=3)])
+        assert HPolytope(5, _image_rows(a, offset, rows)).volume() == F(det * 32, 3)
 
 
 # -- volumes of symmetric polytopes ------------------------------------------

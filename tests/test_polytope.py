@@ -495,6 +495,11 @@ def test_parse_hrep_errors():
         parse_hrep("# rhs\ndim 2\n1 0 <= 3/0\n")
     with pytest.raises(ValueError, match=r"^line 1: dimension 'two' is not an integer$"):
         parse_hrep("dim two\n1 0 <= 1\n")
+    # ASCII digits only, no sign or digit separator
+    for dim in ("\u0662", "0_2", "+2", "-2"):
+        with pytest.raises(ValueError) as exc:
+            parse_hrep(f"dim {dim}\n1 0 <= 1\n")
+        assert str(exc.value) == f"line 1: dimension {dim!r} is not an integer"
     # Arabic-Indic digits are not read as 1 <= 2
     with pytest.raises(ValueError, match="^line 2: not a rational literal: '\u0661'$"):
         parse_hrep("dim 1\n\u0661 <= \u0662\n")
