@@ -142,8 +142,8 @@ def cmd_prob(args) -> str:
     return render_records([rec], args.format)
 
 
-def _budget(text: str) -> int:
-    """``--budget``: a non-negative integer in ASCII digits."""
+def _natural(text: str) -> int:
+    """``--budget``, ``--n``, ``--table``: a non-negative integer, ASCII digits."""
     try:
         return parse_integer(text)
     except ValueError:
@@ -170,7 +170,7 @@ def _add_files(p) -> None:
 
 
 def _add_budget(p) -> None:
-    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
                    help="ceiling (>= 0) on the nodes each lattice count "
                         "visits; a count already made in this process "
                         "(by polytope, dilation and budget) is reused; "
@@ -184,7 +184,7 @@ def _add_budget(p) -> None:
 def _count_arguments(p) -> None:
     _add_files(p)
     _add_budget(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_natural, required=True)
 
 
 def _ehrhart_arguments(p) -> None:
@@ -197,7 +197,7 @@ def _ehrhart_arguments(p) -> None:
 
 
 def _table_arguments(p) -> None:
-    p.add_argument("--table", type=int, choices=range(1, 6), required=True)
+    p.add_argument("--table", type=_natural, choices=range(1, 6), required=True)
 
 
 def _prob_arguments(p) -> None:

@@ -10,16 +10,22 @@ the integer weights (q, p, 0), and a row that weighs terms by lam and
 1 - lam weighs them by p and q - p instead, a positive multiple of the
 rational row.  Substituting x_6 = 1 - (x_1+..+x_5) turns them into
 integer rows of a polytope over x_1..x_5 bounded by the standard
-inequalities (x_i >= 0 and x_1+..+x_5 <= 1, a simplex of volume 1/120).  A limiting probability is the event volume over 1/120,
-times the number of equally likely candidate relabelings the compiled
-polytope stands for.  Every row is built from candidate names
-(``scoring_vector``, ``pairwise_vector``), so a relabeled event is the
-same builder called with other names.
+inequalities (x_i >= 0 and x_1+..+x_5 <= 1, a simplex of volume 1/120).
+Every row is built from candidate names (``scoring_vector``,
+``pairwise_vector``), so a relabeled event is the same builder called
+with other names.
 
 Events are named by spec strings such as ``manipulable:borda``; the
-registry ``EVENT_SPECS`` maps each spec kind and argument form to the
-builder that evaluates it, and :func:`probability_for_spec` is the one
-reader of that grammar.
+registry ``EVENT_SPECS`` maps each spec kind and argument form to its
+builder, and :func:`probability_for_spec` is the one reader of that
+grammar.  A builder returns weighted terms (w, polytope) of the event
+and of what it is measured against, and the probability divides
+sum(w * volume) over the first by the same sum over the second.  An
+unconditional event is measured against the share simplex, and its
+weight 3 or 6 counts the equally likely relabelings its polytope
+stands for (3 when it fixes the winner's label, 6 a full ranking); a
+conditional event is intersected with its condition and measured
+against it.
 
 Evaluated events and the builders shared across specs
 (``scoring_vector``, ``pairwise_vector``, ``rule_winner_conditions``,
@@ -44,12 +50,6 @@ ORDERS = ("abc", "acb", "bac", "bca", "cab", "cba")
 CANDIDATES = ("a", "b", "c")
 
 SIMPLEX_VOLUME = Fraction(1, 120)
-
-# number of equally likely label permutations a compiled polytope represents:
-# 6 when a full ranking is fixed, 3 when only the winner's label is fixed
-FACTOR_RANKING = 6
-FACTOR_WINNER = 3
-_VALID_FACTORS = (1, 3, 6)
 
 Row = tuple[int, ...]
 
@@ -100,6 +100,11 @@ def share_space_polytope(rows: list[Row]) -> HPolytope:
     for c in rows:
         out.append(_integer_row([c[5] - a for a in c[:5]], LE, c[5]))
     return HPolytope._from_rows(5, out)
+
+
+SHARE_SIMPLEX = share_space_polytope([])
+# what an unconditional event is measured against
+_IAC = ((1, SHARE_SIMPLEX),)
 
 
 # ---------------------------------------------------------------------------
@@ -235,34 +240,6 @@ def manipulability_event(rule: ScoringRule) -> EventRegion:
 
 
 # ---------------------------------------------------------------------------
-# probabilities
-
-
-def iac_probability(target, factor: int) -> Fraction:
-    """Limiting probability: factor * volume / (simplex volume 1/120).
-
-    ``target`` is an HPolytope or an EventRegion in the reduced share
-    space.  Whether the result lies in [0, 1] is checked once, by
-    :func:`probability_for_spec`.
-    """
-    if factor not in _VALID_FACTORS:
-        raise ValueError(f"symmetry factor must be one of {_VALID_FACTORS}")
-    return factor * target.volume() / SIMPLEX_VOLUME
-
-
-def conditional_probability(event, given) -> Fraction:
-    """volume(event intersect given) / volume(given)."""
-    if isinstance(event, HPolytope):
-        event = EventRegion.of(event)
-    if isinstance(given, HPolytope):
-        given = EventRegion.of(given)
-    denom = given.volume()
-    if denom == 0:
-        raise GeometryError("conditioning event has zero volume")
-    return event.intersect(given).volume() / denom
-
-
-# ---------------------------------------------------------------------------
 # agreement between rules
 
 
@@ -271,10 +248,10 @@ def agreement_event(rule1: ScoringRule, rule2: ScoringRule, mode: str):
     a >= b >= c (mode "ranking", factor 6)."""
     if mode == "winner":
         poly = rule_winner_conditions(rule1).intersect(rule_winner_conditions(rule2))
-        return poly, FACTOR_WINNER
+        return poly, 3
     if mode == "ranking":
         poly = rule_ranking_conditions(rule1).intersect(rule_ranking_conditions(rule2))
-        return poly, FACTOR_RANKING
+        return poly, 6
     raise ValueError("mode must be 'winner' or 'ranking'")
 
 
@@ -283,43 +260,26 @@ def _agreement_label(rule1, rule2, mode):
     return f"{rule1.name} and {rule2.name} {what}"
 
 
-def cyclic_agreement_probability() -> Fraction:
-    """Volume ratio, over the simplex, of the cases where the pairwise
-    comparisons form a cycle and plurality and antiplurality (hence all
-    positional rules) rank the candidates in one fixed way, summed over
-    the two cycle orientations.
+def cyclic_agreement_polytopes() -> list[HPolytope]:
+    """The cases where the pairwise comparisons form a cycle and
+    plurality and antiplurality (hence all positional rules) rank the
+    candidates in one fixed way, one polytope per cycle orientation.
 
-    Each orientation contributes one ranking class only: a > b > c for
-    the cycle a > b > c > a, and its b <-> c relabeling, a > c > b for
-    the reverse cycle.  The other common rankings, and the cases where
-    the rules share a winner but not a full ranking, are not counted
-    here."""
-    volume = 0
+    Each orientation holds one ranking class only: a > b > c for the
+    cycle a > b > c > a, and its b <-> c relabeling, a > c > b for the
+    reverse cycle.  The other common rankings, and the cases where the
+    rules share a winner but not a full ranking, are not in them."""
+    polytopes = []
     for order in ("abc", "acb"):
         rows = [pairwise_vector(x, y) for x, y in zip(order, order[1:] + order[0])]
         for rule in (PLURALITY, ANTIPLURALITY):
             rows += _ranking_rows(rule, order)
-        volume += share_space_polytope(rows).volume()
-    return volume / SIMPLEX_VOLUME
+        polytopes.append(share_space_polytope(rows))
+    return polytopes
 
 
 # label permutations the cyclic agreement case stands for
 CYCLIC_CASE_MULTIPLIER = 32
-
-
-def all_rules_agree_probability() -> Fraction:
-    """All positional rules and every Condorcet-consistent rule elect
-    the same candidate: the conditional part when a pairwise-majority
-    winner exists, plus the cyclic-case contribution.  Score vectors are
-    convex combinations of the plurality and antiplurality ones, so all
-    positional rules agree exactly when those two extremes do."""
-    both = rule_winner_conditions(PLURALITY).intersect(
-        rule_winner_conditions(ANTIPLURALITY)
-    )
-    with_winner = conditional_probability(both, condorcet_winner()) * iac_probability(
-        condorcet_winner(), FACTOR_WINNER
-    )
-    return with_winner + CYCLIC_CASE_MULTIPLIER * cyclic_agreement_probability()
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +373,13 @@ def referendum_district_polytope(districts: int, k: int) -> HPolytope:
     return HPolytope._from_rows(districts, rows)
 
 
-def referendum_probability(districts: int) -> Fraction:
-    """Probability that the winner of a majority of equal districts
-    loses the overall popular vote, per-district shares uniform."""
-    if districts < 3:
-        raise ValueError("need at least 3 districts")
-    total = Fraction(0)
-    for k in range(districts // 2 + 1, districts):
-        vol = referendum_district_polytope(districts, k).volume()
-        total += 2 * comb(districts, k) * vol
-    return total
+def unit_cube(dim: int) -> HPolytope:
+    """[0, 1]^dim, the district shares' sample space, of volume 1."""
+    rows = []
+    for i in range(dim):
+        e = tuple(int(j == i) for j in range(dim))
+        rows += [(tuple(-v for v in e), LE, 0), (e, LE, 1)]
+    return HPolytope._from_rows(dim, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +392,7 @@ RULE_M_LAMBDA = Fraction(37228, 100000)
 
 
 # ---------------------------------------------------------------------------
-# event specs: one registry maps each spec kind and argument form to the
-# builder that evaluates it
+# event specs: one registry maps each spec kind and argument form to its builder
 
 
 EventResult = namedtuple("EventResult", "label spec probability")
@@ -479,8 +435,9 @@ ARGUMENT_FORMS = {
 class SpecForm(namedtuple("SpecForm", "kind fields build")):
     """One argument form of a spec kind: the spec ``kind``, the argument
     forms ``fields`` and ``build``, which takes the parsed arguments and
-    returns the row label and the exact probability; its docstring says
-    what the event is."""
+    returns the row label and the (int or Fraction weight, polytope)
+    terms of the event and of what it is measured against; its
+    docstring says what the event is."""
 
     __slots__ = ()
 
@@ -502,52 +459,52 @@ def _event(kind: str, *fields: str):
 @_event("manipulable", "RULE")
 def _manipulable(rule):
     """A coalition preferring another candidate to the winner can make it win."""
-    return (f"coalitional manipulability ({rule.name})",
-            iac_probability(manipulability_event(rule), FACTOR_RANKING))
+    terms = [(6 * sign, p) for sign, p in manipulability_event(rule).terms]
+    return f"coalitional manipulability ({rule.name})", terms, _IAC
 
 
 @_event("condorcet-winner")
 def _condorcet_winner():
     """A pairwise-majority winner exists."""
-    return ("a pairwise-majority winner exists",
-            iac_probability(condorcet_winner(), FACTOR_WINNER))
+    return "a pairwise-majority winner exists", [(3, condorcet_winner())], _IAC
 
 
 @_event("condorcet-paradox")
 def _condorcet_paradox():
     """No pairwise-majority winner exists."""
     return ("no pairwise-majority winner exists",
-            1 - iac_probability(condorcet_winner(), FACTOR_WINNER))
+            [(1, SHARE_SIMPLEX), (-3, condorcet_winner())], _IAC)
 
 
 @_event("condorcet-loser")
 def _condorcet_loser():
     """A pairwise-majority loser exists."""
-    return ("a pairwise-majority loser exists",
-            iac_probability(condorcet_loser(), FACTOR_WINNER))
+    return "a pairwise-majority loser exists", [(3, condorcet_loser())], _IAC
 
 
 @_event("condorcet-loser", "RULE")
 def _condorcet_loser_elected(rule):
     """The rule elects a candidate who loses every pairwise comparison."""
     region = rule_winner_conditions(rule).intersect(condorcet_loser())
-    return f"{rule.name} elects the pairwise loser", iac_probability(region, FACTOR_WINNER)
+    return f"{rule.name} elects the pairwise loser", [(3, region)], _IAC
 
 
 @_event("condorcet-efficiency", "RULE")
 def _condorcet_efficiency(rule):
     """The rule elects the pairwise-majority winner, given that one exists."""
+    given = condorcet_winner()
     return (f"condorcet efficiency ({rule.name})",
-            conditional_probability(rule_winner_conditions(rule), condorcet_winner()))
+            [(1, rule_winner_conditions(rule).intersect(given))], [(1, given)])
 
 
 @_event("joint-efficiency", "RULE,RULE")
 def _joint_efficiency(rules):
     """Both rules elect the pairwise-majority winner, given that one exists."""
     r1, r2 = rules
+    given = condorcet_winner()
     both = rule_winner_conditions(r1).intersect(rule_winner_conditions(r2))
     return (f"{r1.name} and {r2.name} both elect the pairwise-majority winner",
-            conditional_probability(both, condorcet_winner()))
+            [(1, both.intersect(given))], [(1, given)])
 
 
 @_event("relative-efficiency", "RULE|RULE")
@@ -556,40 +513,66 @@ def _relative_efficiency(rules):
     r1, r2 = rules
     given = rule_winner_conditions(r2).intersect(condorcet_winner())
     return (f"{r1.name} elects the pairwise-majority winner when {r2.name} does",
-            conditional_probability(rule_winner_conditions(r1), given))
+            [(1, rule_winner_conditions(r1).intersect(given))], [(1, given)])
 
 
 @_event("rule-winner", "RULE")
 def _rule_winner(rule):
     """Candidate a wins under the rule (1/3 by symmetry)."""
-    return (f"candidate a wins under {rule.name}",
-            iac_probability(rule_winner_conditions(rule), 1))
+    return f"candidate a wins under {rule.name}", [(1, rule_winner_conditions(rule))], _IAC
 
 
 @_event("agreement", "RULE,RULE", "winner|ranking")
 def _agreement(rules, mode):
     """The two rules elect the same winner, or produce the same full ranking."""
     poly, factor = agreement_event(*rules, mode)
-    return _agreement_label(*rules, mode), iac_probability(poly, factor)
+    return _agreement_label(*rules, mode), [(factor, poly)], _IAC
 
 
 @_event("all-rules-agree")
 def _all_rules_agree():
     """All positional rules and every Condorcet-consistent rule elect the same winner."""
-    return "all common rules elect the same winner", all_rules_agree_probability()
+    # score vectors are convex combinations of the plurality and antiplurality
+    # ones, so all positional rules agree exactly when those two do
+    both = rule_winner_conditions(PLURALITY).intersect(rule_winner_conditions(ANTIPLURALITY))
+    terms = [(3, both.intersect(condorcet_winner()))]
+    terms += [(CYCLIC_CASE_MULTIPLIER, p) for p in cyclic_agreement_polytopes()]
+    return "all common rules elect the same winner", terms, _IAC
 
 
 @_event("participation", "RULE", "|".join(PARADOXES))
 def _participation(rule, paradox):
     """The runoff of the rule shows the named participation or abstention paradox."""
-    return (f"{paradox} for {rule.name} runoff",
-            iac_probability(participation_event(rule, paradox), FACTOR_RANKING))
+    return f"{paradox} for {rule.name} runoff", [(6, participation_event(rule, paradox))], _IAC
 
 
 @_event("referendum", "N=INT")
 def _referendum(districts):
     """The winner of a majority of N equal districts loses the popular vote."""
-    return f"referendum paradox with {districts} districts", referendum_probability(districts)
+    if districts < 3:
+        raise ValueError("need at least 3 districts")
+    # the k districts won can be any C(N, k), and either candidate wins them
+    terms = [(2 * comb(districts, k), referendum_district_polytope(districts, k))
+             for k in range(districts // 2 + 1, districts)]
+    return f"referendum paradox with {districts} districts", terms, [(1, unit_cube(districts))]
+
+
+def _parse_spec(text: str) -> tuple[str, SpecForm, tuple]:
+    """The stripped spec, its registry form and its parsed arguments."""
+    spec = text.strip()
+    kind, *args = spec.split(":")
+    if kind not in EVENT_SPECS:
+        raise ValueError(f"unknown event spec {spec!r}")
+    forms = EVENT_SPECS[kind]
+    form = next((f for f in forms if len(f.fields) == len(args)), None)
+    if form is None:
+        usages = " or ".join(f.usage for f in forms)
+        raise ValueError(f"spec {spec!r} does not match the form {usages}")
+    try:
+        values = tuple(ARGUMENT_FORMS[f](a) for f, a in zip(form.fields, args))
+    except ValueError as exc:
+        raise ValueError(f"spec {spec!r} does not match the form {form.usage}: {exc}") from None
+    return spec, form, values
 
 
 def probability_for_spec(text: str) -> EventResult:
@@ -605,32 +588,41 @@ def probability_for_spec(text: str) -> EventResult:
     so ``condorcet-loser:plurality`` and ``condorcet-loser:lambda=0``
     share one entry while each result keeps the caller's spec text.
     A failure is never memoized: a spec that raises raises again on
-    the next call.  The geometry below keeps its own per-polytope memo
-    of vertices and volumes."""
-    spec = text.strip()
-    kind, *args = spec.split(":")
-    if kind not in EVENT_SPECS:
-        raise ValueError(f"unknown event spec {spec!r}")
-    forms = EVENT_SPECS[kind]
-    form = next((f for f in forms if len(f.fields) == len(args)), None)
-    if form is None:
-        usages = " or ".join(f.usage for f in forms)
-        raise ValueError(f"spec {spec!r} does not match the form {usages}")
-    try:
-        values = tuple(ARGUMENT_FORMS[f](a) for f, a in zip(form.fields, args))
-    except ValueError as exc:
-        raise ValueError(f"spec {spec!r} does not match the form {form.usage}: {exc}") from None
+    the next call."""
+    spec, form, values = _parse_spec(text)
     label, p = _evaluate(form, values)
     if not 0 <= p <= 1:
         raise GeometryError(f"{spec}: probability {p} escaped [0, 1]")
     return EventResult(label, spec, p)
 
 
+def _volume(polytope: HPolytope) -> Fraction:
+    """The polytope's volume, but the two sample spaces keep theirs: the
+    share simplex 1/120 and the unit cube, all of whose rows lie on the
+    axes, 1."""
+    if polytope == SHARE_SIMPLEX:
+        return SIMPLEX_VOLUME
+    on_axes = all(c.count(0) == len(c) - 1 for c, _, _ in polytope.integer_rows())
+    return 1 if on_axes and polytope == unit_cube(polytope.dim) else polytope.volume()
+
+
 @functools.lru_cache(maxsize=4096)
 def _evaluate(form: SpecForm, values: tuple) -> tuple[str, Fraction]:
-    """``(label, probability)`` of one parsed spec, memoized on the
-    form and its parsed arguments; a builder that raises leaves no entry."""
-    return form.build(*values)
+    """``(label, probability)`` of one parsed spec, sum(w * volume) over
+    its event's terms divided by the same nonzero sum over what it is
+    measured against; memoized on the form and its parsed arguments, a
+    builder that raises leaves no entry."""
+    label, event, over = form.build(*values)
+    whole = sum((w * _volume(p) for w, p in over), Fraction(0))
+    if whole == 0:
+        raise GeometryError("conditioning event has zero volume")
+    return label, sum((w * _volume(p) for w, p in event), Fraction(0)) / whole
+
+
+def referendum_probability(districts: int) -> Fraction:
+    """Probability that the winner of a majority of equal districts
+    loses the overall popular vote, per-district shares uniform."""
+    return _evaluate(EVENT_SPECS["referendum"][0], (districts,))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +664,6 @@ def table_rows(number: int) -> list[EventResult]:
 
     Every row is evaluated through :func:`probability_for_spec` on the
     spec it prints, so ``polyvote prob SPEC`` reproduces each row, and
-    in the same process reads it back from the spec memo.  Evaluated
-    events and the shared row builders are memoized per process, keyed
-    on the parsed form and arguments; failures are never memoized, and
-    the geometry below keeps its own per-polytope memo."""
+    in the same process reads it back from the spec memo."""
     return [EventResult(label, spec, probability_for_spec(spec).probability)
             for label, spec in _table_specs(number)]

@@ -198,8 +198,9 @@ def test_criterion_6_agreement():
         prob("agreement:plurality,borda:winner") == F(89, 108),
         prob("agreement:antiplurality,borda:winner") == F(1039, 1512),
         prob("joint-efficiency:antiplurality,plurality") == F(3437, 6480),
-        sc.cyclic_agreement_probability() == F(5, 10368),
-        sc.all_rules_agree_probability() == F(10631, 20736),
+        sum(p.volume() for p in sc.cyclic_agreement_polytopes()) / sc.SIMPLEX_VOLUME
+        == F(5, 10368),
+        prob("all-rules-agree") == F(10631, 20736),
         prob("agreement:plurality,antiplurality:ranking") == F(8, 27),
         prob("agreement:plurality,borda:ranking") == F(61, 108),
         F(3437, 6480) * F(15, 16) + F(5, 324) == F(10631, 20736),

@@ -222,6 +222,14 @@ def test_exit_code_input_error(run):
     assert run("prob", "referendum", "--districts", "4")[0] == 2
     code, _, err = run("count", "--n", "3", files=[("--polytope-file", "dim 2\n1 0 < 1\n")])
     assert code == 2
+    # --n and --table read ASCII digits only, no sign, space or digit separator
+    for n in ("1_0", "٥", " 3", "+3", "-3"):
+        code, out, err = run("count", "--n", n, files=[("--polytope-file", CUBE3)])
+        assert (code, out) == (2, "")
+        assert f"argument --n: expected a non-negative integer, got {n!r}" in err
+    for table in ("٣", "+3", " 3", "3_0", "6"):
+        code, out, err = run("table", "--table", table)
+        assert (code, out) == (2, "") and "argument --table" in err, table
 
 
 @pytest.mark.parametrize("content, message", [

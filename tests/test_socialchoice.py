@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import polyvote.socialchoice as sc
 from polyvote import polytope
-from polyvote.ehrhart import count_lattice_points, period_bound
+from polyvote.ehrhart import (
+    BudgetExceededError,
+    count_lattice_points,
+    ehrhart_pipeline,
+    period_bound,
+)
 from polyvote.linalg import decimal_string
 from polyvote.polytope import GeometryError, HPolytope
 
@@ -54,6 +59,7 @@ def test_pairwise_vector_antisymmetry():
 def test_share_space_polytope_has_standard_inequalities():
     poly = sc.share_space_polytope([])
     assert poly.dim == 5
+    assert poly == sc.SHARE_SIMPLEX
     assert poly.volume() == sc.SIMPLEX_VOLUME
 
 
@@ -103,14 +109,12 @@ def test_plurality_winner_row_matches_top_share_comparison():
 
 def test_rule_winner_probability_is_one_third():
     for lam in (F(0), F(1, 3), F(1, 2), F(4, 5), F(1)):
-        poly = sc.rule_winner_conditions(sc.ScoringRule(lam))
-        assert sc.iac_probability(poly, 1) == F(1, 3)
+        assert prob(f"rule-winner:lambda={lam}") == F(1, 3)
 
 
 @given(st.fractions(min_value=0, max_value=1).filter(lambda q: q.denominator <= 12))
 def test_rule_winner_probability_is_one_third_generic(lam):
-    poly = sc.rule_winner_conditions(sc.ScoringRule(lam))
-    assert sc.iac_probability(poly, 1) == F(1, 3)
+    assert prob(f"rule-winner:lambda={lam}") == F(1, 3)
 
 
 def test_condorcet_winner_volume():
@@ -142,21 +146,24 @@ def test_condorcet_loser_elections():
     assert prob("condorcet-loser:antiplurality") == F(17, 576)
 
 
-def test_iac_probability_of_whole_simplex_is_one():
-    assert sc.iac_probability(sc.share_space_polytope([]), 1) == 1
+def _spec_form(event, over):
+    """A registry form outside the registry, measuring ``event`` against ``over``."""
+    return sc.SpecForm("test", (), lambda: ("test", event, over))
 
 
-def test_iac_probability_validates_factor():
-    with pytest.raises(ValueError):
-        sc.iac_probability(sc.condorcet_winner(), 2)
+def test_iac_probability_of_whole_simplex_is_one(cleared_memos):
+    # the evaluator reads the simplex's volume as the constant; the kernel agrees
+    assert sc.share_space_polytope([]).volume() == F(1, 120) == sc.SIMPLEX_VOLUME
+    simplex = [(1, sc.share_space_polytope([]))]
+    assert sc._evaluate(_spec_form(simplex, simplex), ()) == ("test", 1)
 
 
-def test_conditional_probability_rejects_null_condition():
-    with pytest.raises(GeometryError):
-        sc.conditional_probability(
-            sc.condorcet_winner(),
-            sc.rule_winner_conditions(sc.BORDA).intersect(sc.condorcet_loser()),
-        )
+def test_conditional_probability_rejects_null_condition(cleared_memos):
+    null = sc.rule_winner_conditions(sc.BORDA).intersect(sc.condorcet_loser())
+    form = _spec_form([(1, sc.condorcet_winner().intersect(null))], [(1, null)])
+    with pytest.raises(GeometryError, match="^conditioning event has zero volume$"):
+        sc._evaluate(form, ())
+    assert sc._evaluate.cache_info().currsize == 0
 
 
 # -- manipulability --------------------------------------------------------------
@@ -340,11 +347,13 @@ def test_agreement_given_condorcet_winner():
 
 
 def test_cyclic_agreement_contribution():
-    assert sc.cyclic_agreement_probability() == F(5, 10368)
+    cyclic = sc.cyclic_agreement_polytopes()
+    assert len(cyclic) == 2
+    assert sum(p.volume() for p in cyclic) / sc.SIMPLEX_VOLUME == F(5, 10368)
 
 
 def test_all_rules_agree_probability_and_identity():
-    assert sc.all_rules_agree_probability() == F(10631, 20736)
+    assert prob("all-rules-agree") == F(10631, 20736)
     assert F(3437, 6480) * F(15, 16) + F(5, 324) == F(10631, 20736)
 
 
@@ -522,10 +531,7 @@ def test_registry_forms_are_distinct_and_readable():
 @pytest.mark.parametrize("value", [F(-1, 16), F(17, 16)])
 def test_probability_for_spec_guards_unit_interval(monkeypatch, value):
     # every registry entry returns through one [0, 1] check
-    for kind, forms in sc.EVENT_SPECS.items():
-        broken = [sc.SpecForm(f.kind, f.fields, lambda *args: ("broken", value))
-                  for f in forms]
-        monkeypatch.setitem(sc.EVENT_SPECS, kind, broken)
+    monkeypatch.setattr(sc, "_evaluate", lambda form, values: ("broken", value))
     for spec in ("condorcet-paradox", "manipulable:borda", "referendum:N=3",
                  "agreement:plurality,borda:winner"):
         with pytest.raises(GeometryError, match="escaped"):
@@ -590,6 +596,44 @@ def test_memoized_specs_equal_their_cold_evaluation(cleared_memos):
     assert sc._evaluate.cache_info().hits == 2 * len(specs) - len(set(specs))
 
 
+def test_printed_values_equal_ehrhart_leading_coefficients():
+    # a second route to every printed value of tables 1-4 and the extra
+    # specs: each term's Ehrhart leading coefficient (the n^dim coefficient
+    # of class 0) in place of its volume.  It shares the compiled polytopes
+    # and their vertices with the volume, but not the kernel's volume sum;
+    # the weights, CYCLIC_CASE_MULTIPLIER among them, are the same on both
+    # sides.  Rule M's polytope has a period bound of about 1.8e13, which
+    # the default budget refuses.
+    def leading(terms):
+        total = F(0)
+        for w, p in terms:
+            coeffs = ehrhart_pipeline(p, classes=[0]).class_coefficients(0)
+            total += w * (coeffs[p.dim] if len(coeffs) > p.dim else 0)
+        return total
+
+    rule_m = f"condorcet-loser:lambda={sc.RULE_M_LAMBDA}"
+    specs = [spec for n in (1, 2, 3, 4) for _, spec in sc._table_specs(n)] + EXTRA_SPECS
+    assert rule_m in specs
+    for spec in specs:
+        _, form, values = sc._parse_spec(spec)
+        _, event, over = form.build(*values)
+        if spec == rule_m:
+            with pytest.raises(BudgetExceededError):
+                leading(event)
+        else:
+            assert leading(event) / leading(over) == prob(spec), spec
+
+
+def test_builders_return_weighted_terms():
+    specs = [spec for n in (1, 2, 3, 4, 5) for _, spec in sc._table_specs(n)] + EXTRA_SPECS
+    for spec in specs:
+        _, form, values = sc._parse_spec(spec)
+        label, event, over = form.build(*values)
+        assert isinstance(label, str) and event and over, spec
+        for w, p in (*event, *over):
+            assert type(w) in (int, F) and isinstance(p, HPolytope), spec
+
+
 def test_alias_specs_share_one_entry_and_keep_their_text(cleared_memos):
     first = sc.probability_for_spec("condorcet-loser:plurality")
     second = sc.probability_for_spec(" condorcet-loser:lambda=0 ")
@@ -617,7 +661,9 @@ def test_invalid_specs_raise_on_every_call(cleared_memos, spec):
 
 
 def test_escaped_probability_raises_on_every_call(cleared_memos, monkeypatch):
-    monkeypatch.setattr(sc, "iac_probability", lambda target, factor: F(3, 2))
+    # every polytope but the simplex measures half the simplex's volume,
+    # so the event, weight 3, comes out at 3/2
+    monkeypatch.setattr(sc, "_volume", lambda p: F(1) if p == sc.SHARE_SIMPLEX else F(1, 2))
     for _ in range(2):
         with pytest.raises(GeometryError,
                            match=r"^condorcet-winner: probability 3/2 escaped \[0, 1\]$"):
