@@ -377,7 +377,7 @@ def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
 
 
 def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> int:
-    """Signed inclusion-exclusion count over the region's terms.  A
+    """The region's count, sum(w * count) over its weighted terms.  A
     negative total means the terms describe no set of points, which
     raises GeometryError, as a negative volume does.
 

@@ -198,17 +198,20 @@ class HPolytope:
 
 
 class EventRegion(namedtuple("EventRegion", "terms")):
-    """Signed inclusion-exclusion decomposition of a union of polytopes:
-    ``terms`` holds (sign, polytope) pairs, each sign +1 or -1."""
+    """Integer-weighted sum of polytopes: ``terms`` holds (weight,
+    polytope) pairs, each weight a nonzero ``int``.  Its volume is
+    sum(w * volume) and its lattice count sum(w * count), so one region
+    carries an inclusion-exclusion union (weights +-1) or a symmetry
+    factor (the 3 or 6 relabelings a polytope stands for) alike."""
 
     __slots__ = ()
 
     def __new__(cls, terms):
-        terms = tuple((int(s), p) for s, p in terms)
+        terms = tuple(terms)
         if not terms:
             raise ValueError("region needs at least one term")
-        if any(s not in (1, -1) for s, _ in terms):
-            raise ValueError("term signs must be +1 or -1")
+        if any(type(w) is not int or w == 0 for w, _ in terms):
+            raise ValueError("term weights must be nonzero ints")
         dims = {p.dim for _, p in terms}
         if len(dims) != 1:
             raise DimensionError("all region terms must share one dimension")
@@ -219,16 +222,10 @@ class EventRegion(namedtuple("EventRegion", "terms")):
         return self.terms[0][1].dim
 
     def volume(self) -> Fraction:
-        total = sum((s * p.volume() for s, p in self.terms), Fraction(0))
+        total = sum((w * p.volume() for w, p in self.terms), Fraction(0))
         if total < 0:
             raise GeometryError("signed region volume came out negative")
         return total
-
-    def intersect(self, other: "EventRegion") -> "EventRegion":
-        terms = tuple(
-            (s * t, p.intersect(q)) for s, p in self.terms for t, q in other.terms
-        )
-        return EventRegion(terms)
 
     @classmethod
     def of(cls, polytope: HPolytope) -> "EventRegion":

@@ -18,14 +18,15 @@ with other names.
 Events are named by spec strings such as ``manipulable:borda``; the
 registry ``EVENT_SPECS`` maps each spec kind and argument form to its
 builder, and :func:`probability_for_spec` is the one reader of that
-grammar.  A builder returns weighted terms (w, polytope) of the event
-and of what it is measured against, and the probability divides
-sum(w * volume) over the first by the same sum over the second.  An
-unconditional event is measured against the share simplex, and its
-weight 3 or 6 counts the equally likely relabelings its polytope
-stands for (3 when it fixes the winner's label, 6 a full ranking); a
-conditional event is intersected with its condition and measured
-against it.
+grammar.  A builder returns the event as an ``EventRegion`` of
+integer-weighted polytopes, and the region it is measured against,
+or None when the event's own volume is its probability.  An IAC event
+is measured against ``IAC``, the share simplex, and its weight 3 or 6
+counts the equally likely relabelings its polytope stands for (3 when
+it fixes the winner's label, 6 a full ranking); a conditional event is
+intersected with its condition and measured against it; the
+referendum's district shares are uniform on a unit cube, so it is
+measured against nothing.
 
 Evaluated events and the builders shared across specs
 (``scoring_vector``, ``pairwise_vector``, ``rule_winner_conditions``,
@@ -48,8 +49,6 @@ from .polytope import LE, EventRegion, GeometryError, HPolytope, _integer_row
 
 ORDERS = ("abc", "acb", "bac", "bca", "cab", "cba")
 CANDIDATES = ("a", "b", "c")
-
-SIMPLEX_VOLUME = Fraction(1, 120)
 
 Row = tuple[int, ...]
 
@@ -103,8 +102,8 @@ def share_space_polytope(rows: list[Row]) -> HPolytope:
 
 
 SHARE_SIMPLEX = share_space_polytope([])
-# what an unconditional event is measured against
-_IAC = ((1, SHARE_SIMPLEX),)
+# what an IAC event is measured against
+IAC = EventRegion.of(SHARE_SIMPLEX)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +372,6 @@ def referendum_district_polytope(districts: int, k: int) -> HPolytope:
     return HPolytope._from_rows(districts, rows)
 
 
-def unit_cube(dim: int) -> HPolytope:
-    """[0, 1]^dim, the district shares' sample space, of volume 1."""
-    rows = []
-    for i in range(dim):
-        e = tuple(int(j == i) for j in range(dim))
-        rows += [(tuple(-v for v in e), LE, 0), (e, LE, 1)]
-    return HPolytope._from_rows(dim, rows)
-
-
 # ---------------------------------------------------------------------------
 # the most Condorcet-efficient positional rule ("rule M")
 
@@ -435,9 +425,9 @@ ARGUMENT_FORMS = {
 class SpecForm(namedtuple("SpecForm", "kind fields build")):
     """One argument form of a spec kind: the spec ``kind``, the argument
     forms ``fields`` and ``build``, which takes the parsed arguments and
-    returns the row label and the (int or Fraction weight, polytope)
-    terms of the event and of what it is measured against; its
-    docstring says what the event is."""
+    returns the row label, the event's ``EventRegion`` and the region it
+    is measured against, or None when the event's volume is its
+    probability; its docstring says what the event is."""
 
     __slots__ = ()
 
@@ -460,33 +450,33 @@ def _event(kind: str, *fields: str):
 def _manipulable(rule):
     """A coalition preferring another candidate to the winner can make it win."""
     terms = [(6 * sign, p) for sign, p in manipulability_event(rule).terms]
-    return f"coalitional manipulability ({rule.name})", terms, _IAC
+    return f"coalitional manipulability ({rule.name})", EventRegion(terms), IAC
 
 
 @_event("condorcet-winner")
 def _condorcet_winner():
     """A pairwise-majority winner exists."""
-    return "a pairwise-majority winner exists", [(3, condorcet_winner())], _IAC
+    return "a pairwise-majority winner exists", EventRegion(((3, condorcet_winner()),)), IAC
 
 
 @_event("condorcet-paradox")
 def _condorcet_paradox():
     """No pairwise-majority winner exists."""
     return ("no pairwise-majority winner exists",
-            [(1, SHARE_SIMPLEX), (-3, condorcet_winner())], _IAC)
+            EventRegion(((1, SHARE_SIMPLEX), (-3, condorcet_winner()))), IAC)
 
 
 @_event("condorcet-loser")
 def _condorcet_loser():
     """A pairwise-majority loser exists."""
-    return "a pairwise-majority loser exists", [(3, condorcet_loser())], _IAC
+    return "a pairwise-majority loser exists", EventRegion(((3, condorcet_loser()),)), IAC
 
 
 @_event("condorcet-loser", "RULE")
 def _condorcet_loser_elected(rule):
     """The rule elects a candidate who loses every pairwise comparison."""
     region = rule_winner_conditions(rule).intersect(condorcet_loser())
-    return f"{rule.name} elects the pairwise loser", [(3, region)], _IAC
+    return f"{rule.name} elects the pairwise loser", EventRegion(((3, region),)), IAC
 
 
 @_event("condorcet-efficiency", "RULE")
@@ -494,7 +484,7 @@ def _condorcet_efficiency(rule):
     """The rule elects the pairwise-majority winner, given that one exists."""
     given = condorcet_winner()
     return (f"condorcet efficiency ({rule.name})",
-            [(1, rule_winner_conditions(rule).intersect(given))], [(1, given)])
+            EventRegion.of(rule_winner_conditions(rule).intersect(given)), EventRegion.of(given))
 
 
 @_event("joint-efficiency", "RULE,RULE")
@@ -504,7 +494,7 @@ def _joint_efficiency(rules):
     given = condorcet_winner()
     both = rule_winner_conditions(r1).intersect(rule_winner_conditions(r2))
     return (f"{r1.name} and {r2.name} both elect the pairwise-majority winner",
-            [(1, both.intersect(given))], [(1, given)])
+            EventRegion.of(both.intersect(given)), EventRegion.of(given))
 
 
 @_event("relative-efficiency", "RULE|RULE")
@@ -513,20 +503,20 @@ def _relative_efficiency(rules):
     r1, r2 = rules
     given = rule_winner_conditions(r2).intersect(condorcet_winner())
     return (f"{r1.name} elects the pairwise-majority winner when {r2.name} does",
-            [(1, rule_winner_conditions(r1).intersect(given))], [(1, given)])
+            EventRegion.of(rule_winner_conditions(r1).intersect(given)), EventRegion.of(given))
 
 
 @_event("rule-winner", "RULE")
 def _rule_winner(rule):
     """Candidate a wins under the rule (1/3 by symmetry)."""
-    return f"candidate a wins under {rule.name}", [(1, rule_winner_conditions(rule))], _IAC
+    return f"candidate a wins under {rule.name}", EventRegion.of(rule_winner_conditions(rule)), IAC
 
 
 @_event("agreement", "RULE,RULE", "winner|ranking")
 def _agreement(rules, mode):
     """The two rules elect the same winner, or produce the same full ranking."""
     poly, factor = agreement_event(*rules, mode)
-    return _agreement_label(*rules, mode), [(factor, poly)], _IAC
+    return _agreement_label(*rules, mode), EventRegion(((factor, poly),)), IAC
 
 
 @_event("all-rules-agree")
@@ -537,13 +527,14 @@ def _all_rules_agree():
     both = rule_winner_conditions(PLURALITY).intersect(rule_winner_conditions(ANTIPLURALITY))
     terms = [(3, both.intersect(condorcet_winner()))]
     terms += [(CYCLIC_CASE_MULTIPLIER, p) for p in cyclic_agreement_polytopes()]
-    return "all common rules elect the same winner", terms, _IAC
+    return "all common rules elect the same winner", EventRegion(terms), IAC
 
 
 @_event("participation", "RULE", "|".join(PARADOXES))
 def _participation(rule, paradox):
     """The runoff of the rule shows the named participation or abstention paradox."""
-    return f"{paradox} for {rule.name} runoff", [(6, participation_event(rule, paradox))], _IAC
+    return (f"{paradox} for {rule.name} runoff",
+            EventRegion(((6, participation_event(rule, paradox)),)), IAC)
 
 
 @_event("referendum", "N=INT")
@@ -551,10 +542,11 @@ def _referendum(districts):
     """The winner of a majority of N equal districts loses the popular vote."""
     if districts < 3:
         raise ValueError("need at least 3 districts")
-    # the k districts won can be any C(N, k), and either candidate wins them
+    # the k districts won can be any C(N, k), and either candidate wins
+    # them; the shares are uniform on [0, 1]^N, of volume 1
     terms = [(2 * comb(districts, k), referendum_district_polytope(districts, k))
              for k in range(districts // 2 + 1, districts)]
-    return f"referendum paradox with {districts} districts", terms, [(1, unit_cube(districts))]
+    return f"referendum paradox with {districts} districts", EventRegion(terms), None
 
 
 def _parse_spec(text: str) -> tuple[str, SpecForm, tuple]:
@@ -596,33 +588,26 @@ def probability_for_spec(text: str) -> EventResult:
     return EventResult(label, spec, p)
 
 
-def _volume(polytope: HPolytope) -> Fraction:
-    """The polytope's volume, but the two sample spaces keep theirs: the
-    share simplex 1/120 and the unit cube, all of whose rows lie on the
-    axes, 1."""
-    if polytope == SHARE_SIMPLEX:
-        return SIMPLEX_VOLUME
-    on_axes = all(c.count(0) == len(c) - 1 for c, _, _ in polytope.integer_rows())
-    return 1 if on_axes and polytope == unit_cube(polytope.dim) else polytope.volume()
-
-
 @functools.lru_cache(maxsize=4096)
 def _evaluate(form: SpecForm, values: tuple) -> tuple[str, Fraction]:
-    """``(label, probability)`` of one parsed spec, sum(w * volume) over
-    its event's terms divided by the same nonzero sum over what it is
-    measured against; memoized on the form and its parsed arguments, a
-    builder that raises leaves no entry."""
-    label, event, over = form.build(*values)
-    whole = sum((w * _volume(p) for w, p in over), Fraction(0))
-    if whole == 0:
-        raise GeometryError("conditioning event has zero volume")
-    return label, sum((w * _volume(p) for w, p in event), Fraction(0)) / whole
+    """``(label, probability)`` of one parsed spec: its event's volume,
+    divided by the nonzero volume of what it is measured against when
+    the builder names one; memoized on the form and its parsed
+    arguments, a builder that raises leaves no entry."""
+    label, event, given = form.build(*values)
+    p = event.volume()
+    if given is not None:
+        whole = given.volume()
+        if whole == 0:
+            raise GeometryError("conditioning event has zero volume")
+        p /= whole
+    return label, p
 
 
 def referendum_probability(districts: int) -> Fraction:
     """Probability that the winner of a majority of equal districts
     loses the overall popular vote, per-district shares uniform."""
-    return _evaluate(EVENT_SPECS["referendum"][0], (districts,))[1]
+    return probability_for_spec(f"referendum:N={districts}").probability
 
 
 # ---------------------------------------------------------------------------

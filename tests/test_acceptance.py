@@ -198,7 +198,7 @@ def test_criterion_6_agreement():
         prob("agreement:plurality,borda:winner") == F(89, 108),
         prob("agreement:antiplurality,borda:winner") == F(1039, 1512),
         prob("joint-efficiency:antiplurality,plurality") == F(3437, 6480),
-        sum(p.volume() for p in sc.cyclic_agreement_polytopes()) / sc.SIMPLEX_VOLUME
+        sum(p.volume() for p in sc.cyclic_agreement_polytopes()) / sc.IAC.volume()
         == F(5, 10368),
         prob("all-rules-agree") == F(10631, 20736),
         prob("agreement:plurality,antiplurality:ranking") == F(8, 27),

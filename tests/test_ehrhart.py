@@ -493,6 +493,23 @@ def test_region_count_after_the_pipeline_visits_no_count_node():
     assert ehrhart._count.cache_info()[:2] == (78, 78)
 
 
+def test_weighted_regions_count_and_fit_their_weight_times(monkeypatch):
+    # the terms of manipulable:plurality, each weighted by 6: both count
+    # routes and the pipeline sum weight times count
+    region = manipulability_event(PLURALITY)
+    six = EventRegion([(6 * s, p) for s, p in region.terms])
+    counted, _ = _route_spies(monkeypatch)
+    # n = 10 enumerates; n = 96 and 1000 read the series
+    assert region_count(six, 10) == 6 * region_count(region, 10)
+    assert 10 in counted
+    for n in (96, 1000):
+        assert region_count(six, n) == 6 * region_count(region, n)
+        assert n not in counted, n
+    lead = ehrhart_pipeline(six, classes=[0]).leading_coefficient()
+    assert lead == 6 * ehrhart_pipeline(region, classes=[0]).leading_coefficient()
+    assert lead == six.volume()
+
+
 def test_region_count_reads_plurality_at_a_billion():
     region = manipulability_event(PLURALITY)
     t0 = time.perf_counter()

@@ -434,8 +434,14 @@ def test_region_volume_single_term_and_cancellation():
 
 def test_region_validation():
     p = unit_box(2)
+    # weights are nonzero ints, never rounded: a bool is no weight either
+    for weight in (0, 1.5, 1.7, F(1, 2), F(3, 2), F(2), True):
+        with pytest.raises(ValueError, match="^term weights must be nonzero ints$"):
+            EventRegion(((weight, p),))
     with pytest.raises(ValueError):
-        EventRegion(((2, p),))
+        EventRegion(())
+    assert EventRegion(((2, p),)).volume() == 2
+    assert EventRegion(((720, p), (-1, p))).volume() == 719
     with pytest.raises(DimensionError):
         EventRegion(((1, p), (1, unit_box(3))))
     with pytest.raises(AttributeError):
@@ -443,14 +449,6 @@ def test_region_validation():
     surplus = EventRegion(((1, standard_simplex(2)), (-1, unit_box(2))))
     with pytest.raises(GeometryError):
         surplus.volume()
-
-
-def test_region_intersect_distributes():
-    cube = unit_box(2)
-    half = cube.intersect(HPolytope(2, [le((1, 0), F(1, 2))]))
-    region = EventRegion(((1, cube), (-1, half)))
-    meet = region.intersect(EventRegion.of(cube))
-    assert meet.volume() == F(1, 2)
 
 
 HREP_TEXT = """\

@@ -14,7 +14,7 @@ from polyvote.ehrhart import (
     period_bound,
 )
 from polyvote.linalg import decimal_string
-from polyvote.polytope import GeometryError, HPolytope
+from polyvote.polytope import EventRegion, GeometryError, HPolytope
 
 from helpers import (
     FAVOR_B_SERIES,
@@ -60,7 +60,7 @@ def test_share_space_polytope_has_standard_inequalities():
     poly = sc.share_space_polytope([])
     assert poly.dim == 5
     assert poly == sc.SHARE_SIMPLEX
-    assert poly.volume() == sc.SIMPLEX_VOLUME
+    assert poly.volume() == F(1, 120)
 
 
 def test_rule_validation():
@@ -152,15 +152,18 @@ def _spec_form(event, over):
 
 
 def test_iac_probability_of_whole_simplex_is_one(cleared_memos):
-    # the evaluator reads the simplex's volume as the constant; the kernel agrees
-    assert sc.share_space_polytope([]).volume() == F(1, 120) == sc.SIMPLEX_VOLUME
-    simplex = [(1, sc.share_space_polytope([]))]
-    assert sc._evaluate(_spec_form(simplex, simplex), ()) == ("test", 1)
+    # the kernel computes the simplex's volume; no evaluator constant stands in
+    assert sc.IAC == EventRegion.of(sc.share_space_polytope([]))
+    assert sc.IAC.volume() == F(1, 120)
+    assert sc._evaluate(_spec_form(sc.IAC, sc.IAC), ()) == ("test", 1)
+    # an event measured against nothing is its own volume, weights included
+    whole = EventRegion(((384, sc.condorcet_winner()),))
+    assert sc._evaluate(_spec_form(whole, None), ()) == ("test", 1)
 
 
 def test_conditional_probability_rejects_null_condition(cleared_memos):
     null = sc.rule_winner_conditions(sc.BORDA).intersect(sc.condorcet_loser())
-    form = _spec_form([(1, sc.condorcet_winner().intersect(null))], [(1, null)])
+    form = _spec_form(EventRegion.of(sc.condorcet_winner().intersect(null)), EventRegion.of(null))
     with pytest.raises(GeometryError, match="^conditioning event has zero volume$"):
         sc._evaluate(form, ())
     assert sc._evaluate.cache_info().currsize == 0
@@ -349,7 +352,7 @@ def test_agreement_given_condorcet_winner():
 def test_cyclic_agreement_contribution():
     cyclic = sc.cyclic_agreement_polytopes()
     assert len(cyclic) == 2
-    assert sum(p.volume() for p in cyclic) / sc.SIMPLEX_VOLUME == F(5, 10368)
+    assert sum(p.volume() for p in cyclic) / sc.IAC.volume() == F(5, 10368)
 
 
 def test_all_rules_agree_probability_and_identity():
@@ -423,6 +426,15 @@ def test_referendum_decimals():
 def test_referendum_rejects_small_n():
     with pytest.raises(ValueError):
         sc.referendum_probability(2)
+
+
+def test_referendum_probability_checks_the_unit_interval(cleared_memos, monkeypatch):
+    # every district polytope measures 1, so the weights alone, 2 * C(3, 2),
+    # make the probability; referendum_probability reads probability_for_spec,
+    # whose [0, 1] check refuses it
+    monkeypatch.setattr(polytope, "_volume", lambda p: F(1))
+    with pytest.raises(GeometryError, match=r"^referendum:N=3: probability 6 escaped \[0, 1\]$"):
+        sc.referendum_probability(3)
 
 
 def test_referendum_polytope_shape():
@@ -616,22 +628,33 @@ def test_printed_values_equal_ehrhart_leading_coefficients():
     assert rule_m in specs
     for spec in specs:
         _, form, values = sc._parse_spec(spec)
-        _, event, over = form.build(*values)
+        _, event, given = form.build(*values)
         if spec == rule_m:
             with pytest.raises(BudgetExceededError):
-                leading(event)
+                leading(event.terms)
         else:
-            assert leading(event) / leading(over) == prob(spec), spec
+            assert leading(event.terms) / leading(given.terms) == prob(spec), spec
+
+
+CONDITIONAL_KINDS = ("condorcet-efficiency", "joint-efficiency", "relative-efficiency")
 
 
 def test_builders_return_weighted_terms():
+    # IAC events are measured against the share simplex, conditional ones
+    # against their condition, and the referendum against nothing
     specs = [spec for n in (1, 2, 3, 4, 5) for _, spec in sc._table_specs(n)] + EXTRA_SPECS
     for spec in specs:
         _, form, values = sc._parse_spec(spec)
-        label, event, over = form.build(*values)
-        assert isinstance(label, str) and event and over, spec
-        for w, p in (*event, *over):
-            assert type(w) in (int, F) and isinstance(p, HPolytope), spec
+        label, event, given = form.build(*values)
+        assert isinstance(label, str) and isinstance(event, EventRegion), spec
+        if form.kind == "referendum":
+            assert given is None, spec
+        elif form.kind in CONDITIONAL_KINDS:
+            assert isinstance(given, EventRegion) and given != sc.IAC, spec
+        else:
+            assert given == sc.IAC, spec
+        for w, p in event.terms + (given.terms if given else ()):
+            assert type(w) is int and isinstance(p, HPolytope), spec
 
 
 def test_alias_specs_share_one_entry_and_keep_their_text(cleared_memos):
@@ -663,7 +686,8 @@ def test_invalid_specs_raise_on_every_call(cleared_memos, spec):
 def test_escaped_probability_raises_on_every_call(cleared_memos, monkeypatch):
     # every polytope but the simplex measures half the simplex's volume,
     # so the event, weight 3, comes out at 3/2
-    monkeypatch.setattr(sc, "_volume", lambda p: F(1) if p == sc.SHARE_SIMPLEX else F(1, 2))
+    monkeypatch.setattr(polytope, "_volume",
+                        lambda p: F(1) if p == sc.SHARE_SIMPLEX else F(1, 2))
     for _ in range(2):
         with pytest.raises(GeometryError,
                            match=r"^condorcet-winner: probability 3/2 escaped \[0, 1\]$"):
