@@ -18,7 +18,16 @@ from polyvote.ehrhart import (
     count_lattice_points,
     ehrhart_pipeline,
 )
+from polyvote.linalg import parse_integer
 from polyvote.socialchoice import PLURALITY, manipulability_event
+
+
+def classes(text):
+    """'all', or comma-separated integers in ASCII digits, each with an
+    optional leading "-"."""
+    if text == "all":
+        return None
+    return [parse_integer(c, signed=True) for c in text.split(",")]
 
 
 def run(classes, check_at, budget):
@@ -47,12 +56,11 @@ def run(classes, check_at, budget):
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--classes", default="0,1,6",
+    parser.add_argument("--classes", type=classes, default="0,1,6",
                         help="residue classes to fit, or 'all'")
-    parser.add_argument("--check-at", type=int, default=96)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    parser.add_argument("--check-at", type=parse_integer, default=96)
+    parser.add_argument("--budget", type=parse_integer, default=DEFAULT_BUDGET,
                         help="ceiling on the nodes each term's count visits "
                              "at --check-at")
     args = parser.parse_args()
-    classes = None if args.classes == "all" else [int(c) for c in args.classes.split(",")]
-    run(classes, args.check_at, args.budget)
+    run(args.classes, args.check_at, args.budget)

@@ -4,12 +4,12 @@
 import argparse
 import time
 
-from polyvote.linalg import decimal_string
+from polyvote.linalg import decimal_string, parse_integer
 from polyvote.socialchoice import referendum_probability
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-districts", type=int, default=10)
+    parser.add_argument("--max-districts", type=parse_integer, default=10)
     args = parser.parse_args()
     for n in range(3, args.max_districts + 1):
         t0 = time.perf_counter()

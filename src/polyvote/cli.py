@@ -8,21 +8,21 @@ principles; ``prob`` evaluates a canonical event-spec string.  Exit
 codes: 0 success, 2 input error, 3 geometric error, 4 budget exceeded.
 
 One ``COMMANDS`` table maps each subcommand to its help line, its
-argument builder and its handler.  Each subcommand's parser is built
-on first use and cached per process; the full parser with every
-subcommand is built only for a command line that names none of them
-(no arguments, ``-h`` or an unknown command).
+options as data and its handler; ``_parse`` reads a command line from
+it and the usage, errors (exit 2) and help are printed from it.  No
+parser object is built, and no call imports argparse, whose first
+parser calls gettext, which imports locale.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import io
 import json
+import re
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .ehrhart import (
     DEFAULT_BUDGET,
@@ -147,8 +147,7 @@ def _natural(text: str) -> int:
     try:
         return parse_integer(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a non-negative integer, got {text!r}") from None
+        raise ValueError(f"expected a non-negative integer, got {text!r}") from None
 
 
 def _classes(text: str) -> list[int]:
@@ -158,96 +157,208 @@ def _classes(text: str) -> list[int]:
     try:
         return [parse_integer(c, signed=True) for c in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(
+        raise ValueError(
             f"expected comma-separated integers such as 0,1,6, got {text!r}") from None
 
 
-def _add_files(p) -> None:
-    p.add_argument("--polytope-file", action="append", required=True,
-                   metavar="PATH", help="H-representation file (repeatable)")
-    p.add_argument("--subtract-file", action="append", metavar="PATH",
-                   help="file whose count enters with sign -1 (repeatable)")
+def _format(text: str) -> str:
+    if text not in ("text", "json", "csv"):
+        raise ValueError(f"invalid choice: {text!r} (choose from 'text', 'json', 'csv')")
+    return text
 
 
-def _add_budget(p) -> None:
-    p.add_argument("--budget", type=_natural, default=DEFAULT_BUDGET,
-                   help="ceiling (>= 0) on the nodes each lattice count "
-                        "visits; a count already made in this process "
-                        "(by polytope, dilation and budget) is reused; "
-                        "count also holds the steps of reading "
-                        "the Ehrhart series to it; ehrhart stops at once "
-                        "when its window would pass it, checked before "
-                        "building the series denominator and, in "
-                        "dimension <= 2, again after")
+def _table(text: str) -> int:
+    number = _natural(text)
+    if not 1 <= number <= 5:
+        raise ValueError(f"invalid choice: {number} (choose from 1, 2, 3, 4, 5)")
+    return number
 
 
-def _count_arguments(p) -> None:
-    _add_files(p)
-    _add_budget(p)
-    p.add_argument("--n", type=_natural, required=True)
+def _spec_help() -> str:
+    return "one of " + ", ".join(
+        form.usage for forms in EVENT_SPECS.values() for form in forms
+    ) + "; RULE is plurality, borda, antiplurality or lambda=P/Q"
 
 
-def _ehrhart_arguments(p) -> None:
-    _add_files(p)
-    _add_budget(p)
-    p.add_argument("--classes", type=_classes, metavar="R1,R2,...",
-                   help="restrict to these residue classes (taken modulo the "
-                        "period), one or more comma-separated integers; "
-                        "default, with the flag left out: all")
+# One argument of a subcommand.  A flag without leading dashes names
+# the positional; ``read`` turns the text into the value or raises
+# ValueError; a ``many`` flag appends each value to a list (None while
+# absent); ``help`` is a string, or a function that joins it on -h.
+Option = namedtuple("Option", "flag metavar read many required default help",
+                    defaults=(False, False, None, None))
 
+_HELP = Option("--help", None, None, help="show this help message and exit")
+_FORMAT = Option("--format", "{text,json,csv}", _format, default="text")
+_FILES = (
+    Option("--polytope-file", "PATH", str, many=True, required=True,
+           help="H-representation file (repeatable)"),
+    Option("--subtract-file", "PATH", str, many=True,
+           help="file whose count enters with sign -1 (repeatable)"),
+)
+_BUDGET = Option("--budget", "BUDGET", _natural, default=DEFAULT_BUDGET,
+                 help="ceiling (>= 0) on the nodes each lattice count visits; a count "
+                      "already made in this process (by polytope, dilation and budget) "
+                      "is reused; count also holds the steps of reading the Ehrhart "
+                      "series to it; ehrhart stops at once when its window would pass "
+                      "it, checked before building the series denominator and, in "
+                      "dimension <= 2, again after")
 
-def _table_arguments(p) -> None:
-    p.add_argument("--table", type=_natural, choices=range(1, 6), required=True)
+Command = namedtuple("Command", "help options run")
 
-
-def _prob_arguments(p) -> None:
-    p.add_argument("spec", help="one of " + ", ".join(
-        form.usage for forms in EVENT_SPECS.values() for form in forms)
-        + "; RULE is plurality, borda, antiplurality or lambda=P/Q")
-
-
-Command = namedtuple("Command", "help add_arguments run")
-
-# each subcommand: its help line, the builder of its arguments (every
-# subcommand also takes --format) and its handler
+# each subcommand: its help line, its arguments (every subcommand also
+# takes -h and --format) and its handler
 COMMANDS = {
-    "volume": Command("exact volume of a polytope file", _add_files, cmd_volume),
-    "count": Command("lattice points of the n-fold dilation", _count_arguments, cmd_count),
-    "ehrhart": Command("counting quasipolynomial by interpolation", _ehrhart_arguments,
-                       cmd_ehrhart),
-    "table": Command("recompute one of the five summary tables", _table_arguments, cmd_table),
-    "prob": Command("probability of a canonical event spec", _prob_arguments, cmd_prob),
+    "volume": Command("exact volume of a polytope file", _FILES, cmd_volume),
+    "count": Command("lattice points of the n-fold dilation", _FILES + (
+        _BUDGET, Option("--n", "N", _natural, required=True)), cmd_count),
+    "ehrhart": Command("counting quasipolynomial by interpolation", _FILES + (
+        _BUDGET, Option("--classes", "R1,R2,...", _classes,
+                        help="restrict to these residue classes (taken modulo the period), "
+                             "one or more comma-separated integers; default, with the flag "
+                             "left out: all")), cmd_ehrhart),
+    "table": Command("recompute one of the five summary tables", (
+        Option("--table", "{1,2,3,4,5}", _table, required=True),), cmd_table),
+    "prob": Command("probability of a canonical event spec", (
+        Option("spec", "spec", str, required=True, help=_spec_help),), cmd_prob),
 }
 
 
-def _add_command_arguments(p, command: str) -> None:
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    COMMANDS[command].add_arguments(p)
+class UsageError(Exception):
+    """A command line the parser refuses, reported with the usage of
+    ``polyvote <command>`` (of ``polyvote`` when command is None)."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.command = command
 
 
-@functools.cache
-def command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of one subcommand, built on its first use and cached
-    per process; parsing leaves no state in it.  Its prog is
-    ``polyvote <command>``, as in the tree of ``build_parser``."""
-    p = argparse.ArgumentParser(prog=f"polyvote {command}")
-    _add_command_arguments(p, command)
-    return p
+def _prog(command: str | None) -> str:
+    return f"polyvote {command}" if command else "polyvote"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full parser with every subcommand, from ``COMMANDS``.  Only
-    a command line that names no subcommand needs it: for the usage
-    error, the top-level help or the unknown command."""
-    parser = argparse.ArgumentParser(
-        prog="polyvote",
-        description="Exact polytope volumes, lattice counts, Ehrhart "
-                    "quasipolynomials and IAC voting probabilities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        _add_command_arguments(sub.add_parser(name, help=command.help), name)
-    return parser
+def _option(token: str, flags) -> tuple[Option | None, str | None] | None:
+    """What ``token`` is, read as argparse reads it: None for a value
+    ("-", a negative number, or text with a space that names no flag),
+    else the flag of ``flags`` or -h/--help that it names, exactly or
+    by a unique prefix, with the value after any "=", or ``(None,
+    None)`` for a flag it does not know."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token == "-h":
+        return _HELP, None
+    if token.startswith("--"):
+        name, eq, value = token.partition("=")
+        matches = [o for o in (_HELP, *flags) if o.flag.startswith(name)]
+        exact = [o for o in matches if o.flag == name]
+        if exact or len(matches) == 1 and name != "--":
+            return (exact or matches)[0], value if eq else None
+    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+        return None
+    return None, None
+
+
+def _usage(command: str | None) -> str:
+    """The usage line, wrapped at 79 columns between arguments."""
+    if command is None:
+        words = ["[-h]", "{" + ",".join(COMMANDS) + "}", "..."]
+    else:
+        options = (_FORMAT, *COMMANDS[command].options)
+        words = ["[-h]"] + [f"{o.flag} {o.metavar}" if o.required else f"[{o.flag} {o.metavar}]"
+                            for o in options if o.flag[0] == "-"]
+        words += [o.metavar for o in options if o.flag[0] != "-"]
+    lines = [f"usage: {_prog(command)}"]
+    indent = " " * len(lines[0])
+    for word in words:
+        if len(lines[-1]) + len(word) >= 79:
+            lines.append(indent)
+        lines[-1] += " " + word
+    return "\n".join(lines)
+
+
+def _help(command: str | None) -> str:
+    """The help of ``polyvote`` or of one subcommand, wrapped at 79
+    columns without breaking a word or a spec form."""
+    import textwrap  # imported here: only -h needs it
+
+    def wrap(text: str, width: int) -> list[str]:
+        return textwrap.wrap(text, width, break_long_words=False, break_on_hyphens=False)
+
+    def row(head: str, text) -> list[str]:
+        text = text() if callable(text) else text
+        lines = wrap(text, 55) if text else []
+        if len(head) > 20 or not lines:
+            lines.insert(0, "")
+        return [f"  {head:<20}  {lines[0]}".rstrip()] + [" " * 24 + line for line in lines[1:]]
+
+    lines = [_usage(command), ""]
+    if command is None:
+        lines += wrap("Exact polytope volumes, lattice counts, Ehrhart quasipolynomials "
+                      "and IAC voting probabilities.", 79)
+        lines += ["", "commands:"]
+        for name, entry in COMMANDS.items():
+            lines += row(name, entry.help)
+        lines.append("")
+        options = ()
+    else:
+        options = (_FORMAT, *COMMANDS[command].options)
+        positionals = [o for o in options if o.flag[0] != "-"]
+        if positionals:
+            lines.append("positional arguments:")
+            for o in positionals:
+                lines += row(o.metavar, o.help)
+            lines.append("")
+        options = [o for o in options if o.flag[0] == "-"]
+    lines += ["options:"] + row("-h, --help", _HELP.help)
+    for o in options:
+        lines += row(f"{o.flag} {o.metavar}", o.help)
+    return "\n".join(lines) + "\n"
+
+
+def _parse(command: str, argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of ``polyvote <command>`` in ``argv``, read from
+    its entry in ``COMMANDS``, or None once -h has printed the help.
+    Forms: ``--flag value``, ``--flag=value``, a unique prefix of a
+    flag, and ``--``, after which every token is a value.  A value
+    that starts with "-" is taken only if it is a negative number.
+    Raises UsageError, as argparse did: a bad value at once, then
+    missing required arguments, then unrecognized ones."""
+    options = (_FORMAT, *COMMANDS[command].options)
+    flags = [o for o in options if o.flag[0] == "-"]
+    positionals = [o for o in options if o.flag[0] != "-"]
+    values = {o.flag: o.default for o in options}
+    given, extra = set(), []
+    only_values = False
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not only_values:
+            only_values = True
+            continue
+        found = None if only_values else _option(token, flags)
+        if found is None and not positionals or found == (None, None):
+            extra.append(token)
+            continue
+        option, text = (positionals.pop(0), token) if found is None else found
+        if option is _HELP:
+            sys.stdout.write(_help(command))
+            return None
+        if text is None:
+            # the end of argv reads as "--", which is no value
+            text = next(tokens, "--")
+            if _option(text, flags) is not None:
+                raise UsageError(command, f"argument {option.flag}: expected one argument")
+        try:
+            value = option.read(text)
+        except ValueError as exc:
+            raise UsageError(command, f"argument {option.flag}: {exc}") from None
+        flag = option.flag
+        values[flag] = (values[flag] or []) + [value] if option.many else value
+        given.add(flag)
+    missing = [o.flag for o in options if o.required and o.flag not in given]
+    if missing:
+        raise UsageError(command, "the following arguments are required: " + ", ".join(missing))
+    if extra:
+        raise UsageError(None, "unrecognized arguments: " + " ".join(extra))
+    return SimpleNamespace(**{f.lstrip("-").replace("-", "_"): v for f, v in values.items()})
 
 
 def main(argv=None) -> int:
@@ -256,16 +367,21 @@ def main(argv=None) -> int:
     command = argv[0] if argv else None
     try:
         if command in COMMANDS:
-            # as in the full tree, the subcommand parses what it knows
-            # and the top level reports the rest
-            args, extra = command_parser(command).parse_known_args(argv[1:])
-            if extra:
-                build_parser().error("unrecognized arguments: " + " ".join(extra))
+            args = _parse(command, argv[1:])
+        elif argv and _option(command, ()) is None:
+            raise UsageError(None, f"argument command: invalid choice: {command!r} "
+                             f"(choose from {', '.join(map(repr, COMMANDS))})")
+        elif argv and _option(command, ())[0] is _HELP:
+            sys.stdout.write(_help(None))
+            return 0
         else:
-            args = build_parser().parse_args(argv)
-            command = args.command
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+            raise UsageError(None, "the following arguments are required: command")
+    except UsageError as exc:
+        print(_usage(exc.command), f"{_prog(exc.command)}: error: {exc}",
+              sep="\n", file=sys.stderr)
+        return 2
+    if args is None:
+        return 0
     try:
         sys.stdout.write(COMMANDS[command].run(args))
     except BudgetExceededError as exc:
@@ -274,7 +390,7 @@ def main(argv=None) -> int:
     except (GeometryError, RecursionError) as exc:
         print(f"geometric error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -399,14 +399,34 @@ def test_output_records_render_by_field():
 
 def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     # every command line call pays for the modules its import chain
-    # loads; csv is imported by the csv output branches alone
+    # loads; csv is imported by the csv output branches alone, and
+    # argparse would bring gettext, which imports locale
     code = ("import sys; before = set(sys.modules); import polyvote.cli; "
             "print(*sorted(set(sys.modules) - before))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     loaded = set(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env=env, timeout=60, check=True).stdout.split())
     assert "polyvote.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "csv", "_csv"}
+    assert not loaded & {"dataclasses", "inspect", "csv", "_csv", "argparse", "gettext", "locale"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["prob", "condorcet-paradox"],
+    ["volume", "--polytope-file", str(ROOT / "perfbench" / "inputs" / "plurality_both.hrep")],
+    ["-h"],
+    ["prob", "-h"],
+])
+def test_a_call_loads_no_argparse_gettext_or_locale(argv):
+    code = ("import contextlib, io, sys; before = set(sys.modules); "
+            "from polyvote.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
+            "print(code, *sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    exit_code, *loaded = done.stdout.split()
+    assert exit_code == "0" and done.stderr == ""
+    assert not set(loaded) & {"argparse", "gettext", "locale"}
 
 
 def test_output_is_deterministic(run):
@@ -415,9 +435,7 @@ def test_output_is_deterministic(run):
     assert first == second
 
 
-def test_parser_is_built_once_and_keeps_no_state(run):
-    # one parser per subcommand, built on its first use
-    cli.command_parser.cache_clear()
+def test_parse_keeps_no_state_between_calls(run):
     code, out, err = run("volume", "--format", "json")  # no --polytope-file
     assert code == 2 and out == "" and "--polytope-file" in err
     code, out, _ = run("volume", files=[("--polytope-file", CUBE3)])
@@ -427,10 +445,74 @@ def test_parser_is_built_once_and_keeps_no_state(run):
     code, out, _ = run("volume", files=[("--polytope-file", CUBE3), ("--polytope-file", CUBE3)])
     assert code == 0 and "exact=2 " in out
     assert len(out.split("spec=")[1].split("+")) == 2
+    code, out, _ = run("volume", files=[("--polytope-file", CUBE3)])
+    assert code == 0 and "exact=1 " in out
+    assert len(out.split("spec=")[1].split("+")) == 1
     code, out, _ = run("prob", "condorcet-paradox")
     assert code == 0 and out.startswith("no pairwise-majority winner exists: exact=1/16 ")
-    info = cli.command_parser.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
+
+
+# command lines with their exit code, stdout and the stderr line that
+# holds "error:", as argparse gave them; {F} stands for a file of CUBE3
+PINNED = [
+    ("", 2, "", "polyvote: error: the following arguments are required: command"),
+    ("nope", 2, "", "polyvote: error: argument command: invalid choice: 'nope' "
+                    "(choose from 'volume', 'count', 'ehrhart', 'table', 'prob')"),
+    ("--version", 2, "", "polyvote: error: the following arguments are required: command"),
+    ("prob a b", 2, "", "polyvote: error: unrecognized arguments: b"),
+    ("prob -- condorcet-paradox", 0,
+     "no pairwise-majority winner exists: exact=1/16 decimal=0.06250 spec=condorcet-paradox\n",
+     None),
+    ("prob condorcet-paradox --format xml", 2, "",
+     "polyvote prob: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'text', 'json', 'csv')"),
+    ("prob condorcet-paradox --form json", 0,
+     '{\n  "label": "no pairwise-majority winner exists",\n  "exact": "1/16",\n'
+     '  "decimal": 0.0625,\n  "spec": "condorcet-paradox"\n}\n', None),
+    ("prob condorcet-paradox --bogus", 2, "", "polyvote: error: unrecognized arguments: --bogus"),
+    ("volume", 2, "",
+     "polyvote volume: error: the following arguments are required: --polytope-file"),
+    ("volume --polytope-file", 2, "",
+     "polyvote volume: error: argument --polytope-file: expected one argument"),
+    ("volume --polytope-file={F}", 0, "volume: exact=1 decimal=1.00000 spec={F}\n", None),
+    ("table --table 6", 2, "",
+     "polyvote table: error: argument --table: invalid choice: 6 (choose from 1, 2, 3, 4, 5)"),
+    ("count --polytope-file {F} --n", 2, "",
+     "polyvote count: error: argument --n: expected one argument"),
+    ("count --polytope-file {F} --n -3", 2, "",
+     "polyvote count: error: argument --n: expected a non-negative integer, got '-3'"),
+    ("count --polytope-file {F} --n 5 --n 6", 0,
+     "lattice count at dilation 6: exact=343 decimal=343.00000 spec={F}\n", None),
+    ("ehrhart --polytope-file {F} --classes -1,0", 2, "",
+     "polyvote ehrhart: error: argument --classes: expected one argument"),
+    ("ehrhart --polytope-file {F} --classes=-1,0", 0, "period 1\ndegree 3\nclass 0: 1 3 3 1\n",
+     None),
+]
+
+
+@pytest.mark.parametrize("line, code, out, error", PINNED,
+                         ids=[case[0] or "no-arguments" for case in PINNED])
+def test_command_line_forms(run, tmp_path, line, code, out, error):
+    path = tmp_path / "cube.hrep"
+    path.write_text(CUBE3)
+    got_code, got_out, err = run(*line.replace("{F}", str(path)).split())
+    assert (got_code, got_out) == (code, out.replace("{F}", str(path)))
+    if error is None:
+        assert err == ""
+    else:
+        assert [row for row in err.splitlines() if "error:" in row] == [error]
+        prog = error.split(": error: ")[0]
+        assert err.startswith(f"usage: {prog} ")
+
+
+def test_a_key_error_is_not_reported_as_an_input_error(monkeypatch):
+    # no input path raises KeyError: one comes from a bug, not the user
+    def broken(spec):
+        raise KeyError(spec)
+
+    monkeypatch.setattr(cli, "probability_for_spec", broken)
+    with pytest.raises(KeyError):
+        main(["prob", "condorcet-paradox"])
 
 
 @pytest.mark.parametrize("argv", [[], ["nope"]])

@@ -8,17 +8,20 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from helpers import referendum_irwin_hall
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, check=True):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run(
+    done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
-    ).stdout
+        capture_output=True, text=True, env=env, timeout=300, check=check,
+    )
+    return done.stdout if check else done
 
 
 def test_plurality_quasipolynomial_script_checks_its_fit():
@@ -58,3 +61,16 @@ def test_referendum_scan_matches_irwin_hall():
     assert [int(n) for n, _ in printed] == list(range(3, 10))
     for n, exact in printed:
         assert F(exact) == referendum_irwin_hall(int(n))
+
+
+@pytest.mark.parametrize("name, args", [
+    ("plurality_quasipolynomial.py", ("--check-at", "-3")),
+    ("plurality_quasipolynomial.py", ("--classes", "0,+1")),
+    ("referendum_scan.py", ("--max-districts", "\u0663")),
+    ("referendum_scan.py", ("--max-districts", "0_3")),
+])
+def test_scripts_read_integers_in_ascii_digits(name, args):
+    # int() would read these as -3, 1 and 3
+    done = run_script(name, *args, check=False)
+    assert done.returncode == 2 and done.stdout == ""
+    assert f"argument {args[0]}: invalid " in done.stderr
