@@ -11,30 +11,27 @@ the integer weights (q, p, 0), and a row that weighs terms by lam and
 rational row.  Substituting x_6 = 1 - (x_1+..+x_5) turns them into
 integer rows of a polytope over x_1..x_5 bounded by the standard
 inequalities (x_i >= 0 and x_1+..+x_5 <= 1, a simplex of volume 1/120).
-Every row is built from candidate names (``scoring_vector``,
-``pairwise_vector``), so a relabeled event is the same builder called
-with other names.
+
+Most events are weighted conjunctions of atoms, weak inequalities
+between named candidates: ``score(x, y, rule)``, x scores at least as
+much as y, and ``margin(x, y)``, x wins or ties its pairwise comparison
+with y.  :func:`conjunction` compiles atoms to a polytope; the table
+``FORMULAS`` writes each such spec kind as a label, the event's
+``(weight, atoms)`` terms and the terms it is measured against.
+``manipulability_event`` (whose sincere ranking is atoms),
+``participation_event`` and ``referendum_district_polytope`` derive
+their rows and stay builders.
 
 Events are named by spec strings such as ``manipulable:borda``; the
 registry ``EVENT_SPECS`` maps each spec kind and argument form to its
-builder, and :func:`probability_for_spec` is the one reader of that
-grammar.  A builder returns the event as an ``EventRegion`` of
-integer-weighted polytopes, and the region it is measured against,
-or None when the event's own volume is its probability.  An IAC event
-is measured against ``IAC``, the share simplex, and its weight 3 or 6
-counts the equally likely relabelings its polytope stands for (3 when
-it fixes the winner's label, 6 a full ranking); a conditional event is
-intersected with its condition and measured against it; the
-referendum's district shares are uniform on a unit cube, so it is
-measured against nothing.
-
-Evaluated events and the builders shared across specs
-(``scoring_vector``, ``pairwise_vector``, ``rule_winner_conditions``,
-``rule_ranking_conditions``, ``condorcet_winner``, ``condorcet_loser``)
-are memoized per process in bounded LRU caches, keyed on the parsed
-spec form and arguments or on the builder's arguments; each returns an
-immutable tuple or ``HPolytope``.  Failures are never memoized.  The
-geometry below keeps its own per-polytope memo of vertices and volumes.
+``FORMULAS`` row or builder, and :func:`probability_for_spec` is the
+one reader of that grammar.  Each yields the event as an
+``EventRegion`` of integer-weighted polytopes and the region it is
+measured against: ``IAC``, the share simplex, for an IAC event, whose
+weight 3 or 6 counts the equally likely relabelings its polytope
+stands for (3 when it fixes the winner's label, 6 a full ranking); its
+condition for a conditional event; None for the referendum, whose
+district shares are uniform on a unit cube.
 """
 
 from __future__ import annotations
@@ -49,6 +46,8 @@ from .polytope import LE, EventRegion, GeometryError, HPolytope, _integer_row
 
 ORDERS = ("abc", "acb", "bac", "bca", "cab", "cba")
 CANDIDATES = ("a", "b", "c")
+# each candidate's place (0, 1 or 2) in each order
+_PLACES = {c: tuple(order.index(c) for order in ORDERS) for c in CANDIDATES}
 
 Row = tuple[int, ...]
 
@@ -57,18 +56,15 @@ Row = tuple[int, ...]
 # share-space primitives
 
 
-@functools.lru_cache(maxsize=4096)
 def scoring_vector(candidate: str, lam: Fraction) -> Row:
     """Per-order points the candidate receives under weights (q, p, 0),
     q times the weights (1, lam, 0) for lam = p/q."""
-    weights = (lam.denominator, lam.numerator, 0)
-    return tuple(weights[order.index(candidate)] for order in ORDERS)
+    return tuple(map((lam.denominator, lam.numerator, 0).__getitem__, _PLACES[candidate]))
 
 
-@functools.lru_cache(maxsize=4096)
 def pairwise_vector(x: str, y: str) -> Row:
     """Per-order +-1 margin contribution of x against y."""
-    return tuple(1 if order.index(x) < order.index(y) else -1 for order in ORDERS)
+    return tuple(1 if u < v else -1 for u, v in zip(_PLACES[x], _PLACES[y]))
 
 
 def _sub(u: Row, v: Row, s: int = 1, t: int = 1) -> Row:
@@ -101,9 +97,8 @@ def share_space_polytope(rows: list[Row]) -> HPolytope:
     return HPolytope._from_rows(5, out)
 
 
-SHARE_SIMPLEX = share_space_polytope([])
-# what an IAC event is measured against
-IAC = EventRegion.of(SHARE_SIMPLEX)
+# what an IAC event is measured against: the share simplex
+IAC = EventRegion.of(share_space_polytope([]))
 
 
 # ---------------------------------------------------------------------------
@@ -149,47 +144,62 @@ def rule_from_token(token: str) -> ScoringRule:
 
 
 # ---------------------------------------------------------------------------
-# basic events
+# atoms: weak score and margin comparisons between named candidates
+
+
+def score(x: str, y: str, rule=0) -> tuple:
+    """The atom s_x >= s_y under ``rule``: a ``ScoringRule``, or i for a spec's i-th rule."""
+    return ("score", x, y, rule)
+
+
+def margin(x: str, y: str) -> tuple:
+    """The atom m_xy >= 0: at least as many voters rank x over y as y over x."""
+    return ("margin", x, y, None)
+
+
+def _row(atom: tuple) -> Row:
+    """The homogeneous row of an atom with a ``ScoringRule``: per order,
+    x's points less y's under weights (q, p, 0), or x's +-1 margin over y."""
+    kind, x, y, rule = atom
+    if x not in CANDIDATES or y not in CANDIDATES:
+        raise ValueError(f"unknown candidate {x if x not in CANDIDATES else y!r}")
+    if kind == "margin":
+        return pairwise_vector(x, y)
+    weights = (rule.lam.denominator, rule.lam.numerator, 0)
+    return tuple(weights[i] - weights[j] for i, j in zip(_PLACES[x], _PLACES[y]))
 
 
 @functools.lru_cache(maxsize=4096)
-def rule_winner_conditions(rule: ScoringRule) -> HPolytope:
-    """Candidate a scores at least b and at least c (factor 3 event)."""
-    sa = scoring_vector("a", rule.lam)
-    rows = [_sub(sa, scoring_vector("b", rule.lam)),
-            _sub(sa, scoring_vector("c", rule.lam))]
-    return share_space_polytope(rows)
+def conjunction(atoms) -> HPolytope:
+    """The share-space polytope on which every atom holds, for a tuple or
+    frozenset of atoms; memoized, and an atom that raises leaves no entry."""
+    return share_space_polytope([_row(atom) for atom in atoms])
 
 
-def _ranking_rows(rule: ScoringRule, order: str = "abc") -> list[Row]:
-    """The rows s_x - s_y >= 0 and s_y - s_z >= 0 of the rule's scores,
-    for the ranking x > y > z named by ``order``."""
-    sx, sy, sz = (scoring_vector(c, rule.lam) for c in order)
-    return [_sub(sx, sy), _sub(sy, sz)]
+def _wins(rule) -> tuple:
+    """Candidate a scores at least as much as b and as c."""
+    return score("a", "b", rule), score("a", "c", rule)
 
 
-@functools.lru_cache(maxsize=4096)
-def rule_ranking_conditions(rule: ScoringRule) -> HPolytope:
-    """Scores order the candidates a >= b >= c (factor 6 event)."""
-    return share_space_polytope(_ranking_rows(rule))
+def _ranks(rule, order: str = "abc") -> tuple:
+    """The scores order the candidates x >= y >= z for ``order`` xyz."""
+    x, y, z = order
+    return score(x, y, rule), score(y, z, rule)
 
 
-def _others(candidate: str) -> list[str]:
-    if candidate not in CANDIDATES:
-        raise ValueError(f"unknown candidate {candidate!r}")
-    return [c for c in CANDIDATES if c != candidate]
+# candidate a wins, or loses, both pairwise comparisons
+_WINNER = (margin("a", "b"), margin("a", "c"))
+_LOSER = (margin("b", "a"), margin("c", "a"))
 
 
-@functools.lru_cache(maxsize=4096)
-def condorcet_winner(candidate: str = "a") -> HPolytope:
-    """The candidate beats both others in pairwise majority comparisons."""
-    return share_space_polytope([pairwise_vector(candidate, o) for o in _others(candidate)])
-
-
-@functools.lru_cache(maxsize=4096)
-def condorcet_loser(candidate: str = "a") -> HPolytope:
-    """The candidate loses both pairwise comparisons."""
-    return share_space_polytope([pairwise_vector(o, candidate) for o in _others(candidate)])
+def _cycle(order: str) -> tuple:
+    """For ``order`` xyz, the pairwise comparisons cycle x > y > z > x and
+    plurality and antiplurality (hence all positional rules) rank
+    x >= y >= z, one ranking class per orientation; the other common
+    rankings, and shared winners without a shared ranking, are not in it."""
+    x, y, z = order
+    cycle = (margin(x, y), margin(y, z), margin(z, x))
+    return cycle + _ranks(PLURALITY, order) + _ranks(ANTIPLURALITY, order)
 
 
 # ---------------------------------------------------------------------------
@@ -229,56 +239,13 @@ def manipulability_event(rule: ScoringRule) -> EventRegion:
     Both sides keep the sincere ranking rows a > b > c; only the
     strategic rows name b or c as the coalition's favourite.
     """
-    sincere = _ranking_rows(rule)
+    sincere = [_row(atom) for atom in _ranks(rule)]
     strategic_b = _strategic_rows(rule, "b")
     strategic_c = _strategic_rows(rule, "c")
     favor_b = share_space_polytope(sincere + strategic_b)
     favor_c = share_space_polytope(sincere + strategic_c)
     both = share_space_polytope(sincere + strategic_b + strategic_c)
     return EventRegion(((1, favor_b), (1, favor_c), (-1, both)))
-
-
-# ---------------------------------------------------------------------------
-# agreement between rules
-
-
-def agreement_event(rule1: ScoringRule, rule2: ScoringRule, mode: str):
-    """Both rules pick winner a (mode "winner", factor 3) or both rank
-    a >= b >= c (mode "ranking", factor 6)."""
-    if mode == "winner":
-        poly = rule_winner_conditions(rule1).intersect(rule_winner_conditions(rule2))
-        return poly, 3
-    if mode == "ranking":
-        poly = rule_ranking_conditions(rule1).intersect(rule_ranking_conditions(rule2))
-        return poly, 6
-    raise ValueError("mode must be 'winner' or 'ranking'")
-
-
-def _agreement_label(rule1, rule2, mode):
-    what = "elect the same winner" if mode == "winner" else "agree on the full ranking"
-    return f"{rule1.name} and {rule2.name} {what}"
-
-
-def cyclic_agreement_polytopes() -> list[HPolytope]:
-    """The cases where the pairwise comparisons form a cycle and
-    plurality and antiplurality (hence all positional rules) rank the
-    candidates in one fixed way, one polytope per cycle orientation.
-
-    Each orientation holds one ranking class only: a > b > c for the
-    cycle a > b > c > a, and its b <-> c relabeling, a > c > b for the
-    reverse cycle.  The other common rankings, and the cases where the
-    rules share a winner but not a full ranking, are not in them."""
-    polytopes = []
-    for order in ("abc", "acb"):
-        rows = [pairwise_vector(x, y) for x, y in zip(order, order[1:] + order[0])]
-        for rule in (PLURALITY, ANTIPLURALITY):
-            rows += _ranking_rows(rule, order)
-        polytopes.append(share_space_polytope(rows))
-    return polytopes
-
-
-# label permutations the cyclic agreement case stands for
-CYCLIC_CASE_MULTIPLIER = 32
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +394,8 @@ class SpecForm(namedtuple("SpecForm", "kind fields build")):
     forms ``fields`` and ``build``, which takes the parsed arguments and
     returns the row label, the event's ``EventRegion`` and the region it
     is measured against, or None when the event's volume is its
-    probability; its docstring says what the event is."""
+    probability.  A builder's docstring, or a ``FORMULAS`` row's label,
+    says what the event is."""
 
     __slots__ = ()
 
@@ -453,81 +421,62 @@ def _manipulable(rule):
     return f"coalitional manipulability ({rule.name})", EventRegion(terms), IAC
 
 
-@_event("condorcet-winner")
-def _condorcet_winner():
-    """A pairwise-majority winner exists."""
-    return "a pairwise-majority winner exists", EventRegion(((3, condorcet_winner()),)), IAC
+# label permutations the cyclic agreement case stands for
+CYCLIC_CASE_MULTIPLIER = 32
+
+# The spec kinds whose events are weighted conjunctions of atoms, by usage:
+# the row label ({0} and {1} name the spec's rules), the event's (weight,
+# atoms) terms and the terms it is measured against, by default the share
+# simplex (no atoms).  An option field maps each option to a formula.
+Formula = namedtuple("Formula", "label event given", defaults=(((1, ()),),))
+FORMULAS = {
+    "condorcet-winner": Formula("a pairwise-majority winner exists", ((3, _WINNER),)),
+    "condorcet-paradox": Formula("no pairwise-majority winner exists", ((1, ()), (-3, _WINNER))),
+    "condorcet-loser": Formula("a pairwise-majority loser exists", ((3, _LOSER),)),
+    "condorcet-loser:RULE": Formula("{0} elects the pairwise loser", ((3, _wins(0) + _LOSER),)),
+    "condorcet-efficiency:RULE": Formula(
+        "condorcet efficiency ({0})", ((1, _wins(0) + _WINNER),), ((1, _WINNER),)),
+    "joint-efficiency:RULE,RULE": Formula(
+        "{0} and {1} both elect the pairwise-majority winner",
+        ((1, _wins(0) + _wins(1) + _WINNER),), ((1, _WINNER),)),
+    "relative-efficiency:RULE|RULE": Formula(
+        "{0} elects the pairwise-majority winner when {1} does",
+        ((1, _wins(0) + _wins(1) + _WINNER),), ((1, _wins(1) + _WINNER),)),
+    "rule-winner:RULE": Formula("candidate a wins under {0}", ((1, _wins(0)),)),
+    "agreement:RULE,RULE:winner|ranking": {
+        "winner": Formula("{0} and {1} elect the same winner", ((3, _wins(0) + _wins(1)),)),
+        "ranking": Formula("{0} and {1} agree on the full ranking", ((6, _ranks(0) + _ranks(1)),)),
+    },
+    # score vectors are convex combinations of the plurality and
+    # antiplurality ones, so all positional rules agree exactly when those two do
+    "all-rules-agree": Formula("all common rules elect the same winner", (
+        (3, _wins(PLURALITY) + _wins(ANTIPLURALITY) + _WINNER),
+        (CYCLIC_CASE_MULTIPLIER, _cycle("abc")), (CYCLIC_CASE_MULTIPLIER, _cycle("acb")))),
+}
 
 
-@_event("condorcet-paradox")
-def _condorcet_paradox():
-    """No pairwise-majority winner exists."""
-    return ("no pairwise-majority winner exists",
-            EventRegion(((1, SHARE_SIMPLEX), (-3, condorcet_winner()))), IAC)
+def _compile(usage: str, *values):
+    """The label, event and given regions of the ``FORMULAS`` row of
+    ``usage`` under a spec's parsed arguments: an option picks a formula,
+    and the rules stand in for the score atoms' numbers and label's names."""
+    formula, rules = FORMULAS[usage], []
+    for value in values:
+        if type(value) is str:
+            formula = formula[value]
+        else:
+            rules += value if type(value) is tuple else [value]
+
+    def region(terms):
+        return EventRegion([(w, conjunction(frozenset(
+            (kind, x, y, rules[rule] if type(rule) is int else rule)
+            for kind, x, y, rule in atoms))) for w, atoms in terms])
+
+    return (formula.label.format(*(rule.name for rule in rules)),
+            region(formula.event), region(formula.given))
 
 
-@_event("condorcet-loser")
-def _condorcet_loser():
-    """A pairwise-majority loser exists."""
-    return "a pairwise-majority loser exists", EventRegion(((3, condorcet_loser()),)), IAC
-
-
-@_event("condorcet-loser", "RULE")
-def _condorcet_loser_elected(rule):
-    """The rule elects a candidate who loses every pairwise comparison."""
-    region = rule_winner_conditions(rule).intersect(condorcet_loser())
-    return f"{rule.name} elects the pairwise loser", EventRegion(((3, region),)), IAC
-
-
-@_event("condorcet-efficiency", "RULE")
-def _condorcet_efficiency(rule):
-    """The rule elects the pairwise-majority winner, given that one exists."""
-    given = condorcet_winner()
-    return (f"condorcet efficiency ({rule.name})",
-            EventRegion.of(rule_winner_conditions(rule).intersect(given)), EventRegion.of(given))
-
-
-@_event("joint-efficiency", "RULE,RULE")
-def _joint_efficiency(rules):
-    """Both rules elect the pairwise-majority winner, given that one exists."""
-    r1, r2 = rules
-    given = condorcet_winner()
-    both = rule_winner_conditions(r1).intersect(rule_winner_conditions(r2))
-    return (f"{r1.name} and {r2.name} both elect the pairwise-majority winner",
-            EventRegion.of(both.intersect(given)), EventRegion.of(given))
-
-
-@_event("relative-efficiency", "RULE|RULE")
-def _relative_efficiency(rules):
-    """The first rule elects the pairwise-majority winner, given that the second does."""
-    r1, r2 = rules
-    given = rule_winner_conditions(r2).intersect(condorcet_winner())
-    return (f"{r1.name} elects the pairwise-majority winner when {r2.name} does",
-            EventRegion.of(rule_winner_conditions(r1).intersect(given)), EventRegion.of(given))
-
-
-@_event("rule-winner", "RULE")
-def _rule_winner(rule):
-    """Candidate a wins under the rule (1/3 by symmetry)."""
-    return f"candidate a wins under {rule.name}", EventRegion.of(rule_winner_conditions(rule)), IAC
-
-
-@_event("agreement", "RULE,RULE", "winner|ranking")
-def _agreement(rules, mode):
-    """The two rules elect the same winner, or produce the same full ranking."""
-    poly, factor = agreement_event(*rules, mode)
-    return _agreement_label(*rules, mode), EventRegion(((factor, poly),)), IAC
-
-
-@_event("all-rules-agree")
-def _all_rules_agree():
-    """All positional rules and every Condorcet-consistent rule elect the same winner."""
-    # score vectors are convex combinations of the plurality and antiplurality
-    # ones, so all positional rules agree exactly when those two do
-    both = rule_winner_conditions(PLURALITY).intersect(rule_winner_conditions(ANTIPLURALITY))
-    terms = [(3, both.intersect(condorcet_winner()))]
-    terms += [(CYCLIC_CASE_MULTIPLIER, p) for p in cyclic_agreement_polytopes()]
-    return "all common rules elect the same winner", EventRegion(terms), IAC
+for _usage in FORMULAS:
+    _event(*_usage.split(":"))(functools.partial(_compile, _usage))
 
 
 @_event("participation", "RULE", "|".join(PARADOXES))
@@ -614,8 +563,9 @@ def referendum_probability(districts: int) -> Fraction:
 # the summary tables
 
 
-def _table_specs(number: int) -> list[tuple[str, str]]:
-    """The (label, event spec) rows of one summary table."""
+def _table_specs(number: int) -> list[tuple[str | None, str]]:
+    """The (label, event spec) rows of one summary table; a row whose
+    label is None prints the event's own label."""
     if number == 1:
         return [
             ("P | C", "condorcet-efficiency:plurality"),
@@ -633,9 +583,9 @@ def _table_specs(number: int) -> list[tuple[str, str]]:
                  f"condorcet-loser:lambda={rule.lam}") for rule in rules]
     if number == 3:
         pairs = [(ANTIPLURALITY, BORDA), (ANTIPLURALITY, PLURALITY), (PLURALITY, BORDA)]
-        rows = [(_agreement_label(r1, r2, mode), f"agreement:{r1.name},{r2.name}:{mode}")
+        rows = [(None, f"agreement:{r1.name},{r2.name}:{mode}")
                 for r1, r2 in pairs for mode in ("winner", "ranking")]
-        return rows + [("all common rules elect the same winner", "all-rules-agree")]
+        return rows + [(None, "all-rules-agree")]
     if number == 4:
         return [(f"{rule.name} runoff {paradox}", f"participation:{rule.name}:{paradox}")
                 for rule in (PLURALITY, BORDA, ANTIPLURALITY) for paradox in PARADOXES]
@@ -650,5 +600,5 @@ def table_rows(number: int) -> list[EventResult]:
     Every row is evaluated through :func:`probability_for_spec` on the
     spec it prints, so ``polyvote prob SPEC`` reproduces each row, and
     in the same process reads it back from the spec memo."""
-    return [EventResult(label, spec, probability_for_spec(spec).probability)
-            for label, spec in _table_specs(number)]
+    rows = [(label, probability_for_spec(spec)) for label, spec in _table_specs(number)]
+    return [row._replace(label=label) if label else row for label, row in rows]

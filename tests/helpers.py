@@ -8,7 +8,8 @@ table of counts by dilation and a
 quasipolynomial fit on positive dilations alone, interpolated by
 Lagrange's formula over ``Fraction``, equality elimination
 done in ``Fraction`` arithmetic as a reference for the share-space
-compiler, the rule weights the event tests sweep, the Irwin-Hall
+compiler, the rule weights the event tests sweep, the regions a spec
+builds, the Irwin-Hall
 closed form of the referendum paradox, and resets of the event
 layer's and the geometry kernel's memos."""
 
@@ -317,12 +318,19 @@ def eliminate_over_fractions(poly, j):
 LAMBDAS = (F(0), F(1, 3), F(2, 5), F(1, 2), F(37228, 100000), F(1))
 
 
+def spec_regions(spec):
+    """The label, event region and given region (or None) that the
+    registry form of ``spec`` builds from its parsed arguments."""
+    _, form, values = sc._parse_spec(spec)
+    return form.build(*values)
+
+
 # -- the event layer's memos --------------------------------------------------
 
 
 def clear_event_memos():
     """Empty every memo of ``polyvote.socialchoice``: the evaluated
-    specs and the shared row builders."""
+    specs and the compiled conjunctions of atoms."""
     for fn in event_memos():
         fn.cache_clear()
 

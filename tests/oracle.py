@@ -69,6 +69,20 @@ def condorcet_loser(profile, candidate):
                for other in CANDIDATES if other != candidate)
 
 
+def atoms_hold(profile, atoms):
+    """Every atom holds: ("score", x, y, lam), x scores at least as much
+    as y under lam, or ("margin", x, y), at least as many voters rank x
+    over y as y over x."""
+    for kind, x, y, *lam in atoms:
+        if kind == "score":
+            s = scores(profile, *lam)
+            if s[x] < s[y]:
+                return False
+        elif margin(profile, x, y) < 0:
+            return False
+    return True
+
+
 def agreement(profile, lam1, lam2, mode):
     """Both rules make a the winner (mode "winner") or rank a >= b >= c
     (mode "ranking")."""

@@ -26,6 +26,7 @@ from helpers import (
     UNION_CLASS_6,
     enumerated_count,
     gf_coefficients,
+    spec_regions,
     vertices,
 )
 
@@ -62,7 +63,7 @@ def test_criterion_1_exact_volumes(borda_region):
     t0 = time.perf_counter()
     checks = [
         sc.share_space_polytope([]).volume() == F(1, 120),
-        sc.condorcet_winner().volume() == F(1, 384),
+        sc.conjunction((sc.margin("a", "b"), sc.margin("a", "c"))).volume() == F(1, 384),
         borda_region.terms[0][1].volume() == F(371, 559872),
         borda_region.terms[1][1].volume() == F(881, 6531840),
         borda_region.terms[2][1].volume() == F(170873, 1714608000),
@@ -198,8 +199,8 @@ def test_criterion_6_agreement():
         prob("agreement:plurality,borda:winner") == F(89, 108),
         prob("agreement:antiplurality,borda:winner") == F(1039, 1512),
         prob("joint-efficiency:antiplurality,plurality") == F(3437, 6480),
-        sum(p.volume() for p in sc.cyclic_agreement_polytopes()) / sc.IAC.volume()
-        == F(5, 10368),
+        sum(p.volume() for w, p in spec_regions("all-rules-agree")[1].terms
+            if w == sc.CYCLIC_CASE_MULTIPLIER) / sc.IAC.volume() == F(5, 10368),
         prob("all-rules-agree") == F(10631, 20736),
         prob("agreement:plurality,antiplurality:ranking") == F(8, 27),
         prob("agreement:plurality,borda:ranking") == F(61, 108),
@@ -306,8 +307,8 @@ def test_criterion_10_property_suite():
 
 def test_criterion_11_vertex_diagnostics(borda_region):
     favor_b, favor_c, both = (p for _, p in borda_region.terms)
-    agree, _ = sc.agreement_event(sc.PLURALITY, sc.ANTIPLURALITY, "winner")
-    agree_cond = agree.intersect(sc.condorcet_winner())
+    [(_, agree)] = spec_regions("agreement:plurality,antiplurality:winner")[1].terms
+    [(_, agree_cond)] = spec_regions("joint-efficiency:antiplurality,plurality")[1].terms
     checks = [
         period_bound(favor_b) == 72,
         period_bound(favor_c) == 504,

@@ -34,8 +34,9 @@ from polyvote.socialchoice import (
     BORDA,
     PLURALITY,
     ScoringRule,
-    condorcet_winner,
+    conjunction,
     manipulability_event,
+    margin,
 )
 
 from helpers import (
@@ -598,7 +599,7 @@ def test_condorcet_winner_counts_follow_gehrlein_and_fishburn_at_odd_n(n):
     # 3 count(a wins) / C(n + 5, 5) = 15 (n + 3)^2 / (16 (n + 2) (n + 4)):
     # odd n has no pairwise tie; D = (1 - t^2)^6, so a large n reads the
     # series
-    count = region_count(EventRegion.of(condorcet_winner("a")), n)
+    count = region_count(EventRegion.of(conjunction((margin("a", "b"), margin("a", "c")))), n)
     assert F(3 * count, comb(n + 5, 5)) == F(15 * (n + 3) ** 2, 16 * (n + 2) * (n + 4))
 
 

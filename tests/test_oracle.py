@@ -3,15 +3,19 @@ oracle of ``oracle.py``, which decides each event on every profile of
 n <= 10 voters without the event compilers."""
 
 from fractions import Fraction as F
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import polyvote.socialchoice as sc
 from polyvote.ehrhart import count_lattice_points, region_count
+from polyvote.polytope import EventRegion
 
 import oracle
-from helpers import LAMBDAS, MANIPULABLE_UNION_SERIES, gf_coefficients
+from helpers import LAMBDAS, MANIPULABLE_UNION_SERIES, gf_coefficients, spec_regions
 
 DILATIONS = range(11)
 
@@ -28,8 +32,8 @@ def test_profiles_are_the_lattice_points_of_the_share_simplex():
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 def test_rule_winner_and_ranking_counts(lam):
     rule = sc.ScoringRule(lam)
-    winner = sc.rule_winner_conditions(rule)
-    ranking = sc.rule_ranking_conditions(rule)
+    winner = sc.conjunction((sc.score("a", "b", rule), sc.score("a", "c", rule)))
+    ranking = sc.conjunction((sc.score("a", "b", rule), sc.score("b", "c", rule)))
     for n in DILATIONS:
         assert count_lattice_points(winner, n) == oracle.count(oracle.rule_winner, n, lam)
         assert count_lattice_points(ranking, n) == oracle.count(oracle.rule_ranking, n, lam)
@@ -37,8 +41,9 @@ def test_rule_winner_and_ranking_counts(lam):
 
 @pytest.mark.parametrize("candidate", sc.CANDIDATES)
 def test_condorcet_winner_and_loser_counts(candidate):
-    winner = sc.condorcet_winner(candidate)
-    loser = sc.condorcet_loser(candidate)
+    others = [c for c in sc.CANDIDATES if c != candidate]
+    winner = sc.conjunction(tuple(sc.margin(candidate, o) for o in others))
+    loser = sc.conjunction(tuple(sc.margin(o, candidate) for o in others))
     for n in DILATIONS:
         assert (count_lattice_points(winner, n)
                 == oracle.count(oracle.condorcet_winner, n, candidate))
@@ -51,9 +56,29 @@ def test_condorcet_winner_and_loser_counts(candidate):
     (F(0), F(1)), (F(0), F(1, 2)), (F(1), F(1, 2)), (F(1, 3), F(2, 5)),
 ], ids=lambda lams: ",".join(map(str, lams)))
 def test_agreement_counts(lams, mode):
-    poly, _ = sc.agreement_event(*map(sc.ScoringRule, lams), mode)
+    rules = ",".join(f"lambda={lam}" for lam in lams)
+    [(weight, poly)] = spec_regions(f"agreement:{rules}:{mode}")[1].terms
+    assert weight == (3 if mode == "winner" else 6)
     for n in DILATIONS:
         assert count_lattice_points(poly, n) == oracle.count(oracle.agreement, n, *lams, mode)
+
+
+PAIRS = list(permutations(sc.CANDIDATES, 2))
+# an atom as the oracle reads it: ("score", x, y, lam) or ("margin", x, y)
+ATOMS = st.one_of(
+    st.builds(lambda pair, lam: ("score", *pair, lam),
+              st.sampled_from(PAIRS), st.sampled_from(LAMBDAS)),
+    st.builds(lambda pair: ("margin", *pair), st.sampled_from(PAIRS)),
+)
+
+
+@given(st.lists(ATOMS, min_size=1, max_size=4))
+def test_atom_conjunctions_count_like_the_oracle(atoms):
+    compiled = tuple(sc.score(x, y, sc.ScoringRule(*lam)) if kind == "score" else sc.margin(x, y)
+                     for kind, x, y, *lam in atoms)
+    region = EventRegion.of(sc.conjunction(compiled))
+    for n in range(9):
+        assert region_count(region, n) == oracle.count(oracle.atoms_hold, n, atoms), n
 
 
 def test_plurality_manipulability_counts():

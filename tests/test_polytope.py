@@ -133,6 +133,9 @@ def test_vacuous_rows_dropped_and_false_rows_kept():
 def test_intersect_idempotent():
     p = standard_simplex(3)
     assert p.intersect(p) == p
+    # a meet holds the stored rows of both sides, as if built from them
+    q = HPolytope(3, [le((2, 1, 0), F(1, 2))])
+    assert p.intersect(q) == HPolytope(3, p.integer_rows() + q.integer_rows())
 
 
 def test_intersect_dimension_mismatch():
@@ -351,7 +354,8 @@ def test_every_memo_is_an_lru_cache_of_4096_entries():
     # recently used entries; no module holds a container memo beside them
     memos = geometry_memos() + event_memos()
     assert {"_vertices", "_volume", "_seed_state", "_cut", "_count_plan", "_count",
-            "_divisors", "_deepest_faces", "_evaluate"} <= {fn.__name__ for fn in memos}
+            "_divisors", "_deepest_faces", "_evaluate", "conjunction"} <= {
+        fn.__name__ for fn in memos}
     assert {fn.__module__ for fn in memos} == {
         "polyvote.polytope", "polyvote.ehrhart", "polyvote.socialchoice"}
     assert all(fn.cache_parameters()["maxsize"] == 4096 for fn in memos)

@@ -27,12 +27,24 @@ from helpers import (
     eliminate_over_fractions,
     event_memos,
     gf_coefficients,
+    spec_regions,
     vertices,
 )
 
 
 def prob(spec):
     return sc.probability_for_spec(spec).probability
+
+
+def wins(rule):
+    """Candidate a scores at least as much as b and as c."""
+    return sc.score("a", "b", rule), sc.score("a", "c", rule)
+
+
+def condorcet(candidate, loser=False):
+    """The candidate wins, or loses, both pairwise comparisons."""
+    others = [c for c in sc.CANDIDATES if c != candidate]
+    return tuple(sc.margin(o, candidate) if loser else sc.margin(candidate, o) for o in others)
 
 
 # -- share-space plumbing ------------------------------------------------------
@@ -59,7 +71,7 @@ def test_pairwise_vector_antisymmetry():
 def test_share_space_polytope_has_standard_inequalities():
     poly = sc.share_space_polytope([])
     assert poly.dim == 5
-    assert poly == sc.SHARE_SIMPLEX
+    assert poly == sc.conjunction(())
     assert poly.volume() == F(1, 120)
 
 
@@ -79,7 +91,7 @@ def test_winner_conditions_reduce_to_known_rows():
     # x1 + (1+lam)x2 + (2lam-1)x3 + (lam-1)x4 + 2lam*x5 >= lam  (a vs b)
     # 2x1 + (2-lam)x2 + (1+lam)x3 + (1-lam)x4 + lam*x5 >= 1     (a vs c)
     lam = F(2, 5)
-    poly = sc.rule_winner_conditions(sc.ScoringRule(lam))
+    poly = sc.conjunction(wins(sc.ScoringRule(lam)))
     rows = set(poly.integer_rows())
 
     def normalized(coeffs, rhs):
@@ -98,7 +110,7 @@ def test_winner_conditions_reduce_to_known_rows():
 
 
 def test_plurality_winner_row_matches_top_share_comparison():
-    poly = sc.rule_winner_conditions(sc.PLURALITY)
+    poly = sc.conjunction(wins(sc.PLURALITY))
     rows = set(poly.integer_rows())
     # a's top shares beat b's: x1 + x2 - x3 - x4 >= 0
     assert ((-1, -1, 1, 1, 0), "<=", 0) in rows
@@ -118,16 +130,14 @@ def test_rule_winner_probability_is_one_third_generic(lam):
 
 
 def test_condorcet_winner_volume():
-    assert sc.condorcet_winner().volume() == F(1, 384)
+    assert sc.conjunction(condorcet("a")).volume() == F(1, 384)
 
 
 def test_condorcet_events_symmetric_under_relabeling():
-    base = sc.condorcet_winner("a").volume()
-    assert sc.condorcet_winner("b").volume() == base
-    assert sc.condorcet_winner("c").volume() == base
-    lbase = sc.condorcet_loser("a").volume()
-    assert sc.condorcet_loser("b").volume() == lbase
-    assert sc.condorcet_loser("c").volume() == lbase
+    for loser in (False, True):
+        base = sc.conjunction(condorcet("a", loser)).volume()
+        assert sc.conjunction(condorcet("b", loser)).volume() == base
+        assert sc.conjunction(condorcet("c", loser)).volume() == base
 
 
 def test_condorcet_paradox_probability():
@@ -157,13 +167,14 @@ def test_iac_probability_of_whole_simplex_is_one(cleared_memos):
     assert sc.IAC.volume() == F(1, 120)
     assert sc._evaluate(_spec_form(sc.IAC, sc.IAC), ()) == ("test", 1)
     # an event measured against nothing is its own volume, weights included
-    whole = EventRegion(((384, sc.condorcet_winner()),))
+    whole = EventRegion(((384, sc.conjunction(condorcet("a"))),))
     assert sc._evaluate(_spec_form(whole, None), ()) == ("test", 1)
 
 
 def test_conditional_probability_rejects_null_condition(cleared_memos):
-    null = sc.rule_winner_conditions(sc.BORDA).intersect(sc.condorcet_loser())
-    form = _spec_form(EventRegion.of(sc.condorcet_winner().intersect(null)), EventRegion.of(null))
+    null = wins(sc.BORDA) + condorcet("a", loser=True)
+    form = _spec_form(EventRegion.of(sc.conjunction(condorcet("a") + null)),
+                      EventRegion.of(sc.conjunction(null)))
     with pytest.raises(GeometryError, match="^conditioning event has zero volume$"):
         sc._evaluate(form, ())
     assert sc._evaluate.cache_info().currsize == 0
@@ -299,12 +310,14 @@ def test_events_named_by_other_candidates_are_relabelings():
     winner_a = [A_BEATS_B, A_BEATS_C]
     loser_a = [tuple(-v for v in r) for r in winner_a]
     for c in "bc":
-        for event, rows in ((sc.condorcet_winner, winner_a), (sc.condorcet_loser, loser_a)):
+        for loser, rows in ((False, winner_a), (True, loser_a)):
             expected = sc.share_space_polytope([relabel(r, "a" + c) for r in rows])
-            assert event(c).integer_rows() == expected.integer_rows()
-    for event in (sc.condorcet_winner, sc.condorcet_loser):
-        with pytest.raises(ValueError, match="unknown candidate"):
-            event("d")
+            assert sc.conjunction(condorcet(c, loser)).integer_rows() == expected.integer_rows()
+    # an atom names its unknown candidate, on either side
+    for atom, name in ((sc.margin("a", "d"), "d"), (sc.margin("x", "b"), "x"),
+                       (sc.score("c", "d", sc.BORDA), "d")):
+        with pytest.raises(ValueError, match=f"^unknown candidate '{name}'$"):
+            sc.conjunction((atom,))
 
 
 def test_manipulability_rejects_other_rules():
@@ -322,7 +335,7 @@ def test_manipulability_rejects_other_rules():
 
 
 def test_all_positional_agreement():
-    poly, factor = sc.agreement_event(sc.PLURALITY, sc.ANTIPLURALITY, "winner")
+    [(factor, poly)] = spec_regions("agreement:plurality,antiplurality:winner")[1].terms
     assert factor == 3
     assert poly.volume() == F(113, 77760)
     assert len(vertices(poly)) == 18
@@ -336,21 +349,20 @@ def test_pairwise_agreement_probabilities():
     assert prob("agreement:plurality,antiplurality:ranking") == F(8, 27)
     assert prob("agreement:plurality,borda:ranking") == F(61, 108)
     assert prob("agreement:antiplurality,borda:ranking") == F(61, 108)
-    with pytest.raises(ValueError):
-        sc.agreement_event(sc.PLURALITY, sc.BORDA, "podium")
+    with pytest.raises(ValueError, match=r"expected one of winner\|ranking$"):
+        prob("agreement:plurality,borda:podium")
 
 
 def test_agreement_given_condorcet_winner():
-    both = sc.rule_winner_conditions(sc.PLURALITY).intersect(
-        sc.rule_winner_conditions(sc.ANTIPLURALITY)
-    )
-    joint = both.intersect(sc.condorcet_winner())
+    [(_, joint)] = spec_regions("joint-efficiency:antiplurality,plurality")[1].terms
+    assert joint == sc.conjunction(wins(sc.PLURALITY) + wins(sc.ANTIPLURALITY) + condorcet("a"))
     assert len(vertices(joint)) == 29
     assert prob("joint-efficiency:antiplurality,plurality") == F(3437, 6480)
 
 
 def test_cyclic_agreement_contribution():
-    cyclic = sc.cyclic_agreement_polytopes()
+    cyclic = [p for w, p in spec_regions("all-rules-agree")[1].terms
+              if w == sc.CYCLIC_CASE_MULTIPLIER]
     assert len(cyclic) == 2
     assert sum(p.volume() for p in cyclic) / sc.IAC.volume() == F(5, 10368)
 
@@ -582,8 +594,7 @@ EXTRA_SPECS = (["manipulable:plurality", "manipulable:borda", "manipulable:antip
                 "condorcet-paradox"]
                + [f"rule-winner:{r}" for r in ("plurality", "borda", "antiplurality")])
 
-MEMOIZED = {"scoring_vector", "pairwise_vector", "rule_winner_conditions",
-            "rule_ranking_conditions", "condorcet_winner", "condorcet_loser", "_evaluate"}
+MEMOIZED = {"conjunction", "_evaluate"}
 
 
 @pytest.fixture
@@ -627,8 +638,7 @@ def test_printed_values_equal_ehrhart_leading_coefficients():
     specs = [spec for n in (1, 2, 3, 4) for _, spec in sc._table_specs(n)] + EXTRA_SPECS
     assert rule_m in specs
     for spec in specs:
-        _, form, values = sc._parse_spec(spec)
-        _, event, given = form.build(*values)
+        _, event, given = spec_regions(spec)
         if spec == rule_m:
             with pytest.raises(BudgetExceededError):
                 leading(event.terms)
@@ -644,12 +654,12 @@ def test_builders_return_weighted_terms():
     # against their condition, and the referendum against nothing
     specs = [spec for n in (1, 2, 3, 4, 5) for _, spec in sc._table_specs(n)] + EXTRA_SPECS
     for spec in specs:
-        _, form, values = sc._parse_spec(spec)
-        label, event, given = form.build(*values)
+        label, event, given = spec_regions(spec)
+        kind = spec.split(":")[0]
         assert isinstance(label, str) and isinstance(event, EventRegion), spec
-        if form.kind == "referendum":
+        if kind == "referendum":
             assert given is None, spec
-        elif form.kind in CONDITIONAL_KINDS:
+        elif kind in CONDITIONAL_KINDS:
             assert isinstance(given, EventRegion) and given != sc.IAC, spec
         else:
             assert given == sc.IAC, spec
@@ -687,7 +697,7 @@ def test_escaped_probability_raises_on_every_call(cleared_memos, monkeypatch):
     # every polytope but the simplex measures half the simplex's volume,
     # so the event, weight 3, comes out at 3/2
     monkeypatch.setattr(polytope, "_volume",
-                        lambda p: F(1) if p == sc.SHARE_SIMPLEX else F(1, 2))
+                        lambda p: F(1) if p == sc.conjunction(()) else F(1, 2))
     for _ in range(2):
         with pytest.raises(GeometryError,
                            match=r"^condorcet-winner: probability 3/2 escaped \[0, 1\]$"):
@@ -720,11 +730,10 @@ def _same_polytope(out, expected):
 
 def test_table_polytopes_equal_their_fraction_construction(monkeypatch):
     # share_space_polytope compiles integer rows and substitutes x_6
-    # itself, and intersect merges stored rows; every polytope tables 1-4,
-    # the manipulability terms and the Condorcet events build either way
-    # must equal the one built from the rows in 6-d with the simplex
-    # equality eliminated in Fraction arithmetic
-    compiled, intersected = [], []
+    # itself; every polytope tables 1-4, the manipulability terms and the
+    # Condorcet events build must equal the one built from the rows in
+    # 6-d with the simplex equality eliminated in Fraction arithmetic
+    compiled = []
     compile_rows = sc.share_space_polytope
 
     def compile_spy(rows):
@@ -732,32 +741,24 @@ def test_table_polytopes_equal_their_fraction_construction(monkeypatch):
         compiled.append((rows, out))
         return out
 
-    def intersect_spy(self, other, _intersect=HPolytope.intersect):
-        out = _intersect(self, other)
-        intersected.append((self, other, out))
-        return out
-
-    # memoized builders and specs would otherwise hand back polytopes
-    # built before the spies were installed
+    # memoized conjunctions and specs would otherwise hand back polytopes
+    # built before the spy was installed
     clear_event_memos()
     monkeypatch.setattr(sc, "share_space_polytope", compile_spy)
-    monkeypatch.setattr(HPolytope, "intersect", intersect_spy)
     for number in (1, 2, 3, 4):
         sc.table_rows(number)
     for rule in (sc.PLURALITY, sc.BORDA, sc.ANTIPLURALITY):
         sc.manipulability_event(rule)
     for candidate in sc.CANDIDATES:
-        sc.condorcet_winner(candidate)
-        sc.condorcet_loser(candidate)
-    assert compiled and intersected
+        sc.conjunction(condorcet(candidate))
+        sc.conjunction(condorcet(candidate, loser=True))
+    assert compiled
     for rows, out in compiled:
         assert all(type(v) is int for row in rows for v in row)
         full = [((1,) * 6, "=", 1)]
         full += [(tuple(int(i == j) for j in range(6)), ">=", 0) for i in range(6)]
         full += [(row, ">=", 0) for row in rows]
         _same_polytope(out, eliminate_over_fractions(HPolytope(6, full), 5))
-    for poly, other, out in intersected:
-        _same_polytope(out, HPolytope(poly.dim, poly.integer_rows() + other.integer_rows()))
 
 
 def test_referendum_district_polytope_equals_its_fraction_construction():
