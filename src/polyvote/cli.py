@@ -28,6 +28,7 @@ from .ehrhart import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     ehrhart_pipeline,
+    ehrhart_series,
     region_count,
 )
 from .linalg import decimal_string, parse_integer
@@ -101,8 +102,38 @@ def cmd_count(args) -> str:
     return render_records([rec], args.format)
 
 
+def _render_series(series, fmt: str) -> str:
+    """The Ehrhart series of ``polyvote ehrhart`` without --classes:
+    period, degree, D's factors (1 - t^j)^e_j, the window's first n and
+    the numerator h."""
+    factors = list(series.factors.items())
+    if fmt == "json":
+        payload = {
+            "period": series.period,
+            "degree": series.dim,
+            "denominator": [[j, e] for j, e in factors],
+            "start": series.start,
+            "numerator": list(series.h),
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    denominator = " ".join(f"(1-t{f'^{j}' if j > 1 else ''})^{e}" for j, e in factors) or "1"
+    numerator = " ".join(map(str, series.h)) or "0"
+    if fmt == "csv":
+        import csv
+
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["period", "degree", "denominator", "start", "numerator"])
+        writer.writerow([series.period, series.dim, denominator, series.start, numerator])
+        return buf.getvalue()
+    return (f"period {series.period}\ndegree {series.dim}\ndenominator {denominator}\n"
+            f"start {series.start}\nnumerator {numerator}\n")
+
+
 def cmd_ehrhart(args) -> str:
     region, _ = _load_region(args)
+    if args.classes is None:
+        return _render_series(ehrhart_series(region, budget=args.budget), args.format)
     q = ehrhart_pipeline(region, classes=args.classes, budget=args.budget)
     fitted = [(r, poly) for r, poly in enumerate(q.polys) if poly is not None]
     if args.format == "json":
@@ -153,7 +184,8 @@ def _natural(text: str) -> int:
 def _classes(text: str) -> list[int]:
     """``--classes``: one or more comma-separated integers in ASCII
     digits, each with an optional leading "-".  An empty value is an
-    input error; leaving the flag out fits every class."""
+    input error; leaving the flag out fits no class and prints the
+    Ehrhart series instead."""
     try:
         return [parse_integer(c, signed=True) for c in text.split(",")]
     except ValueError:
@@ -197,11 +229,12 @@ _FILES = (
 )
 _BUDGET = Option("--budget", "BUDGET", _natural, default=DEFAULT_BUDGET,
                  help="ceiling (>= 0) on the nodes each lattice count visits; a count "
-                      "already made in this process (by polytope, dilation and budget) "
-                      "is reused; count also holds the steps of reading the Ehrhart "
-                      "series to it; ehrhart stops at once when its window would pass "
-                      "it, checked before building the series denominator and, in "
-                      "dimension <= 2, again after")
+                      "(by polytope, dilation and budget) or a region's Ehrhart series "
+                      "(by region and budget) already made in this process is reused, "
+                      "so count and ehrhart on one region share the series; count also "
+                      "holds the steps of reading the series to it; the series stops "
+                      "at once when its window would pass it, checked before building "
+                      "its denominator and, in dimension <= 2, again after")
 
 Command = namedtuple("Command", "help options run")
 
@@ -211,11 +244,13 @@ COMMANDS = {
     "volume": Command("exact volume of a polytope file", _FILES, cmd_volume),
     "count": Command("lattice points of the n-fold dilation", _FILES + (
         _BUDGET, Option("--n", "N", _natural, required=True)), cmd_count),
-    "ehrhart": Command("counting quasipolynomial by interpolation", _FILES + (
+    "ehrhart": Command("Ehrhart series, or the quasipolynomial's classes", _FILES + (
         _BUDGET, Option("--classes", "R1,R2,...", _classes,
-                        help="restrict to these residue classes (taken modulo the period), "
-                             "one or more comma-separated integers; default, with the flag "
-                             "left out: all")), cmd_ehrhart),
+                        help="fit these residue classes (taken modulo the period), one or "
+                             "more comma-separated integers, and print their polynomials; "
+                             "default, with the flag left out: print the series (period, "
+                             "degree, denominator factors, window start, numerator) and "
+                             "fit no class")), cmd_ehrhart),
     "table": Command("recompute one of the five summary tables", (
         Option("--table", "{1,2,3,4,5}", _table, required=True),), cmd_table),
     "prob": Command("probability of a canonical event spec", (

@@ -27,8 +27,8 @@ A count is budgeted on the nodes it visits: each enumerated range of
 x_l charges its length, so a memo hit costs one node and the closures
 none.  Each finished count is also memoized per process on (P, n,
 interior, budget), for the 4096 most recently used: a count asked
-again under the same budget (a window that the pipeline counted and a
-region count then reads, or an n of several windows) is not enumerated
+again under the same budget (a dilation enumerated twice, or an n in
+the windows of several regions that share a term) is not enumerated
 again.  A count past its budget raises and is not memoized.
 The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
 deg D, where the cyclotomic Phi_k divides D at most #{vertices v of a
@@ -39,16 +39,21 @@ q all divides (McMullen 1978: q divides the index of that face).  So
 the deg D values of one window fix every residue class.  D stays
 factored as prod_j (1 - t^j)^e_j, and each use of it is one strided
 pass per factor (``_times_d``): the window times D gives the numerator
-h and spare values that must vanish, and h divided by D extends it to
-the dilations each class is fitted on.  By Ehrhart-Macdonald
+h and spare values that must vanish.  By Ehrhart-Macdonald
 reciprocity the value at n = -k is (-1)^dim(P) times the lattice count
 of the relative interior of kP, whose rows not tight on all of P are
 strict: a.x <= b.k - 1.  So the window is about n = -deg D / 2 ...
-deg D / 2, whatever the period (``_window_span``).  A region count
-past it reads h / D by Bostan and Mori's halving of n on D's factors
-when the window's counts and those rounds cost less than enumerating
-nP would.  A window past the budget is refused before D is built, and
-in dimension <= 2 once more after.
+deg D / 2, whatever the period (``_window_span``).  The series, D's
+factors, the window's first n and h (``EhrhartSeries``), is built once
+per process for each region's nonempty terms and budget (``_series``),
+and both the pipeline and a region count read it.  A value at n comes
+from h / D extended by ``_times_d`` or from Bostan and Mori's halving
+of n on D's factors, whichever takes fewer steps (``_read_steps``); a
+residue class is fitted in integers on dim + 1 extended values, only
+when asked.  A region count reads the series when the window's counts
+and the read cost less than enumerating nP would.  A window past the
+budget is refused before D is built, and in dimension <= 2 once more
+after.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
+from types import MappingProxyType
 
 from . import polytope
 from .polytope import EQ, EventRegion, GeometryError, HPolytope
@@ -78,8 +84,9 @@ class BudgetExceededError(Exception):
         self.dilation = dilation
 
 
-class PeriodTooSmallError(ValueError):
-    """Held-back counts disagreed with the series recurrence."""
+class PeriodTooSmallError(GeometryError):
+    """Held-back counts disagreed with the series recurrence: a fault of
+    the series denominator's bound, not of the input."""
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +393,21 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     the window's ``_window_nodes``, make fewer nodes: a step per test of
     a vertex denominator by a divisor in D's build (per term, its
     vertices times its ``_divisors``; the face search is memoized and
-    not priced), and 2 deg D per factor of each halving round's
-    denominator (``_halvings``).  The window is then counted and checked
-    against D (``_window``), and f(n) read off h / D by halving n less
-    the window's first n (``_series_term``).  Before D is built, the
-    window's nodes alone are tested on the largest vertex denominator,
-    a lower bound of deg D as 1 - t^den divides D; a dimension <= 2
-    always enumerates.  On either route ``budget`` also bounds each
-    count.  Counts are memoized on polytope, dilation and budget
-    (``_count``), so a window that an earlier call counted, or a
-    dilation it enumerated, under the same budget is read from the
+    not priced), and the steps of reading f(n) off h / D
+    (``_read_steps``).  The series is then the one ``ehrhart_pipeline``
+    reads (``_series``): built once per process for these terms and
+    this budget, so after the pipeline a count builds no D and counts
+    no window.  Before D is built, the window's nodes alone are tested
+    on the largest vertex denominator, a lower bound of deg D as 1 -
+    t^den divides D; a dimension <= 2 always enumerates.  On either
+    route ``budget`` also bounds each count.  Counts are memoized on
+    polytope, dilation and budget (``_count``), so a dilation that an
+    earlier call enumerated under the same budget is read from the
     memo."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
-    terms = [(s, p) for s, p in region.terms if not p.is_empty()]
+    terms = tuple((s, p) for s, p in region.terms if not p.is_empty())
     total = None
     if dim > 2 and terms:
         nodes = (n + 1) ** (dim - 2)
@@ -408,12 +415,10 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
         if _window_nodes(top, dim) < nodes:
             exps = _series_denominator(terms)
             deg = sum(j * e for j, e in exps.items())
-            i = n - _window_span(deg).start
-            passes = sum(abs(e) for _, f in _halvings(exps, i) for e in f.values())
             tests = sum(len(_divisors(p)) * len(polytope._vertices(p)) for _, p in terms)
-            steps = tests + 2 * deg * passes
+            steps = tests + _read_steps(exps, n - _window_span(deg).start)[0]
             if steps <= budget and _window_nodes(deg, dim) + steps < nodes:
-                total = _series_term(_window(terms, exps, budget)[1], exps, i)
+                total = _series(dim, terms, budget).value(n)
     if total is None:
         total = sum(s * count_lattice_points(p, n, budget) for s, p in terms)
     if total < 0:
@@ -466,21 +471,27 @@ def _horner(poly, n: int) -> Fraction:
     return acc
 
 
-def _newton_fit(points: list[tuple[int, Fraction]]) -> list[Fraction]:
-    """Exact interpolating polynomial through the points, ascending coeffs."""
-    xs = [Fraction(x) for x, _ in points]
-    divided = [Fraction(y) for _, y in points]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - level])
-    poly = [divided[-1]]
-    for k in range(len(points) - 2, -1, -1):
-        # poly = poly*(x - xs[k]) + divided[k]
-        poly = [Fraction(0)] + poly
-        for i in range(len(poly) - 1):
-            poly[i] -= poly[i + 1] * xs[k]
-        poly[0] += divided[k]
-    return poly
+def _class_fit(ys, r: int, m: int) -> tuple[Fraction, ...]:
+    """Ascending coefficients of the degree-d polynomial p with p(r +
+    k.m) = ys[k], k = 0 ... d, in integers until one division per
+    coefficient.  With Newton's forward differences on u = (n - r) / m,
+    p(n) = sum_k Delta^k ys[0] C(u, k), and d! m^d C(u, k) is
+    d!/k! m^(d-k) prod_{j<k} (n - r - j.m), a polynomial in n with
+    integer coefficients; so is d! m^d p, built by Horner's rule on the
+    Newton form."""
+    d = len(ys) - 1
+    diffs = list(ys)
+    newton = []
+    for k in range(d + 1):
+        newton.append(diffs[0] * math.factorial(d) // math.factorial(k) * m ** (d - k))
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    poly = [newton[d]]
+    for k in range(d - 1, -1, -1):
+        # poly = poly * (n - (r + k.m)) + newton[k]
+        x = r + k * m
+        poly = [newton[k] - x * poly[0]] + [a - x * b for a, b in zip(poly, poly[1:])] + [poly[-1]]
+    scale = math.factorial(d) * m**d
+    return tuple(Fraction(c, scale) for c in poly)
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +595,7 @@ def _deepest_faces(poly: HPolytope) -> dict[int, int]:
     return deepest
 
 
+@functools.lru_cache(maxsize=4096)
 def _series_denominator(terms) -> dict[int, int]:
     """D = prod_k Phi_k^c_k, c_k the largest over the nonempty ``terms``
     of the least of two bounds, as its factors {j: e_j} of D = prod_j
@@ -599,7 +611,9 @@ def _series_denominator(terms) -> dict[int, int]:
     most 1 + min e_q times, q over 1 and the prime powers exactly
     dividing k (``_deepest_faces``).  k walks the divisors of each
     term's vertex denominators (``_divisors``); c_k = 0 for every other
-    k."""
+    k.  Memoized on the tuple of terms, as a read-only mapping: a
+    region count prices its series route on D before it reads the
+    series, which needs the same D."""
     mult = {}
     for _, p in terms:
         dens = [den for _, den in polytope._vertices(p)]
@@ -612,7 +626,7 @@ def _series_denominator(terms) -> dict[int, int]:
         e = mult[k] - sum(f for j, f in exps.items() if j % k == 0)
         if e:
             exps[k] = e
-    return exps
+    return MappingProxyType(exps)
 
 
 def _times_d(seq, exps, power: int) -> list[int]:
@@ -714,21 +728,62 @@ def _window_nodes(deg: int, dim: int) -> int:
     return power_sum(1 - span.start) + power_sum(span[-1] + 1) - 1
 
 
-def ehrhart_pipeline(
-    target,
-    classes=None,
-    budget: int = DEFAULT_BUDGET,
-) -> Quasipolynomial:
-    """Evaluate the counting quasipolynomial on one window of dilations
-    and interpolate it.
+def _read_steps(exps, i: int) -> tuple[int, bool]:
+    """The steps of reading coefficient i of h / D, and whether that
+    is by halving: extending h by ``_times_d`` makes a pass over i + 1
+    coefficients per factor of D, sum |e_j| of them, and each round of
+    ``_series_term`` one over 2 deg D per factor of its denominator
+    (``_halvings``).  The cheaper of the two is taken, on n and D
+    alone."""
+    extend = (i + 1) * sum(abs(e) for e in exps.values())
+    halve = 2 * sum(j * e for j, e in exps.items()) * sum(
+        abs(e) for _, f in _halvings(exps, i) for e in f.values())
+    return min(extend, halve), halve < extend
 
-    The period used is the vertex-denominator lcm m (the minimal period
-    always divides it).  With D = ``_series_denominator``, the deg D +
-    ``VALIDATION_POINTS`` values of ``_window`` from n = -floor(deg D / 2)
-    on are counted and checked against D, or PeriodTooSmallError; its
-    numerator h, padded with zeros and divided by D factor by factor,
-    extends them, and each requested residue class r is interpolated
-    through n = r, r + m, ..., r + dim * m.
+
+class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors start h")):
+    """sum_{n >= start} f(n) t^(n - start) = h(t) / D(t) for the counting
+    quasipolynomial f of a region in dimension ``dim``: D = prod_j (1 -
+    t^j)^e_j from ``factors`` {j: e_j}, h its deg D integer coefficients
+    and ``period`` the vertex-denominator lcm, a multiple of f's
+    period."""
+
+    __slots__ = ()
+
+    def values(self, stop: int) -> list[int]:
+        """f(start), ..., f(stop - 1): h, padded with zeros, over D."""
+        size = stop - self.start
+        return _times_d((list(self.h) + [0] * size)[:size], self.factors, -1)
+
+    def value(self, n: int) -> int:
+        """f(n) for n >= start, by ``values`` or ``_series_term``,
+        whichever ``_read_steps`` finds fewer."""
+        i = n - self.start
+        if i < 0:
+            raise ValueError(f"the series starts at n={self.start}, not {n}")
+        if _read_steps(self.factors, i)[1]:
+            return _series_term(self.h, self.factors, i)
+        return self.values(n + 1)[i]
+
+    def quasipolynomial(self, classes=None) -> Quasipolynomial:
+        """f fitted on each residue class r of ``classes`` (modulo the
+        period; every class when None) through its extended values at n
+        = r, r + m, ..., r + dim.m (``_class_fit``)."""
+        m, d = self.period, self.dim
+        wanted = range(m) if classes is None else sorted({c % m for c in classes})
+        polys = [None] * m
+        if wanted:
+            values = self.values(max(wanted) + d * m + 1)
+            for r in wanted:
+                polys[r] = _class_fit(values[r - self.start :: m][: d + 1], r, m)
+        return Quasipolynomial(m, d, tuple(polys))
+
+
+@functools.lru_cache(maxsize=4096)
+def _series(dim: int, terms, budget: int) -> EhrhartSeries:
+    """The Ehrhart series of the nonempty ``terms`` in dimension dim,
+    memoized per process on the terms and the budget, as ``_count`` is:
+    a refused or failed build raises and stores nothing.
 
     A window of degree deg or more is refused on ``_window_span(deg)``.
     In dimension >= 3 its first count is at its last n, where x0 alone
@@ -738,15 +793,8 @@ def ehrhart_pipeline(
     the largest vertex denominator, which deg D is at least, before D,
     whose build factors every vertex denominator, is built, and in
     dimension <= 2 once more on deg D.  Either raises
-    BudgetExceededError before any count.  The window's counts are
-    memoized on polytope, dilation and budget (``_count``): a window
-    counted before in the process under the same budget is read from
-    the memo.
-    """
-    dim, terms = _target_parts(target)
-    terms = [(s, p) for s, p in terms if not p.is_empty()]
-    m = period_bound(target)
-    wanted = range(m) if classes is None else sorted(set(c % m for c in classes))
+    BudgetExceededError before any count.  Then the window is counted
+    and checked against D (``_window``)."""
 
     def refuse_past_budget(deg: int, what: str) -> None:
         span = _window_span(deg)
@@ -761,17 +809,37 @@ def ehrhart_pipeline(
             raise BudgetExceededError(f"{reached} (budget {budget}): the window of "
                                       f"{what} {deg}", nodes=nodes)
 
+    dens = [den for _, p in terms for _, den in polytope._vertices(p)]
     if terms:
-        refuse_past_budget(max(den for _, p in terms for _, den in polytope._vertices(p)),
-                           "denominator")
+        refuse_past_budget(max(dens), "denominator")
     exps = _series_denominator(terms)
     if terms and dim <= 2:
         refuse_past_budget(sum(j * e for j, e in exps.items()), "degree")
     start, h = _window(terms, exps, budget)
-    size = max(wanted, default=0) + dim * m - start + 1
-    values = _times_d(h + [0] * (size - len(h)), exps, -1)
-    polys = [None] * m
-    for r in wanted:
-        polys[r] = tuple(_newton_fit([(n, values[n - start])
-                                      for n in range(r, r + (dim + 1) * m, m)]))
-    return Quasipolynomial(m, dim, tuple(polys))
+    return EhrhartSeries(dim, lcm(*dens), exps, start, tuple(h))
+
+
+def ehrhart_series(target, budget: int = DEFAULT_BUDGET) -> EhrhartSeries:
+    """The Ehrhart series of an HPolytope or EventRegion: its
+    ``_window_span(deg D)`` values counted, checked against D, or
+    PeriodTooSmallError, and kept as D's factors and the numerator h
+    (``_series``).  The counts are those of ``_count``; the series is
+    memoized per process on the nonempty terms and ``budget``, so the
+    pipeline and ``region_count`` share it."""
+    dim, terms = _target_parts(target)
+    return _series(dim, tuple((s, p) for s, p in terms if not p.is_empty()), budget)
+
+
+def ehrhart_pipeline(target, classes=None, budget: int = DEFAULT_BUDGET) -> Quasipolynomial:
+    """The counting quasipolynomial of an HPolytope or EventRegion on
+    the residue classes ``classes`` (every class when None), fitted on
+    its Ehrhart series (``ehrhart_series``).
+
+    The period used is the vertex-denominator lcm m (the minimal period
+    always divides it).  The series' numerator h, padded with zeros and
+    divided by D factor by factor, extends the window, and each
+    requested residue class r is fitted in integers through n = r, r +
+    m, ..., r + dim * m.  A series built before in the process under the
+    same budget, by this pipeline or by ``region_count``, is read from
+    the memo and no count runs."""
+    return ehrhart_series(target, budget).quasipolynomial(classes)

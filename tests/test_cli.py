@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polyvote import cli, polytope
+from polyvote import cli, ehrhart, polytope
 from polyvote.cli import main
 from polyvote.polytope import format_hrep
 import polyvote.socialchoice as sc
@@ -102,24 +102,72 @@ def test_count_inclusion_exclusion_region(run):
 
 
 def test_ehrhart_unit_cube(run):
+    # without --classes the series: the window n = -2 ... 3 of
+    # -1, 0, 1, 8, 27, 64 times D = (1 - t)^4 is h and two zeros
     code, out, _ = run("ehrhart", files=[("--polytope-file", CUBE3)])
     assert code == 0
-    assert "period 1" in out
-    assert "class 0: 1 3 3 1" in out
+    assert out == "period 1\ndegree 3\ndenominator (1-t)^4\nstart -2\nnumerator -1 4 -5 8\n"
+    code, out, _ = run("ehrhart", "--classes", "0", files=[("--polytope-file", CUBE3)])
+    assert code == 0
+    assert out == "period 1\ndegree 3\nclass 0: 1 3 3 1\n"
 
 
 def test_ehrhart_csv_rows(run):
     square = "dim 2\n1 0 >= 0\n0 1 >= 0\n1 0 <= 1\n0 1 <= 1\n"
-    code, out, _ = run("ehrhart", "--format", "csv", files=[("--polytope-file", square)])
+    code, out, _ = run("ehrhart", "--format", "csv", "--classes", "0",
+                       files=[("--polytope-file", square)])
     assert code == 0 and out == "class,c0,c1,c2\r\n0,1,2,1\r\n"
+    code, out, _ = run("ehrhart", "--format", "csv", files=[("--polytope-file", square)])
+    assert code == 0 and out == ("period,degree,denominator,start,numerator\r\n"
+                                 "1,2,(1-t)^3,-1,0 1 1\r\n")
 
 
 def test_ehrhart_json_shape(run):
-    code, out, _ = run("ehrhart", "--format", "json",
+    code, out, _ = run("ehrhart", "--format", "json", "--classes", "0",
                        files=[("--polytope-file", CUBE3)])
     data = json.loads(out)
     assert data["period"] == 1 and data["degree"] == 3
     assert data["classes"]["0"] == ["1", "3", "3", "1"]
+    code, out, _ = run("ehrhart", "--format", "json", files=[("--polytope-file", CUBE3)])
+    assert code == 0
+    assert json.loads(out) == {"period": 1, "degree": 3, "denominator": [[1, 4]], "start": -2,
+                               "numerator": [-1, 4, -5, 8]}
+
+
+PLURALITY_FILES = [
+    (flag, (ROOT / "perfbench" / "inputs" / f"plurality_{name}.hrep").read_text())
+    for flag, name in (("--polytope-file", "favor_b"), ("--polytope-file", "favor_c"),
+                       ("--subtract-file", "both"))
+]
+
+
+def test_ehrhart_prints_the_plurality_series_without_classes(run):
+    # D = (1 - t^4)^3 (1 - t^3)^4 (1 - t^2) / (1 - t)^2, of degree 24;
+    # the README shows the same lines
+    code, out, err = run("ehrhart", files=PLURALITY_FILES)
+    assert (code, err) == (0, "")
+    assert out == (
+        "period 12\n"
+        "degree 5\n"
+        "denominator (1-t^4)^3 (1-t^3)^4 (1-t^2)^1 (1-t)^-2\n"
+        "start -12\n"
+        "numerator -16 -32 -32 32 144 192 96 -192 -432 -416 -64 416 609 418 -58 -402 "
+        "-399 -142 169 266 222 100 25 0\n"
+    )
+    assert out in (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def test_a_failed_window_check_is_a_geometric_error(run, monkeypatch):
+    # D = (1 - t)^2 is too small a denominator for plurality: the window
+    # check fails, a fault of the bound and not of the input, so both
+    # commands that read the series exit 3
+    ehrhart._series.cache_clear()
+    monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: {1: 2})
+    message = ("geometric error: count at n=1 deviates from the series recurrence "
+               "of degree 2\n")
+    for command in (("ehrhart", "--classes", "0"), ("count", "--n", "96"), ("ehrhart",)):
+        code, out, err = run(*command, files=PLURALITY_FILES)
+        assert (code, out, err) == (3, "", message), command
 
 
 def test_ehrhart_region_with_class_restriction(run):
@@ -326,7 +374,7 @@ def test_empty_classes_is_an_input_error(run):
     assert ("argument --classes: expected comma-separated integers such as 0,1,6, "
             "got ''") in err
     code, out, _ = run("ehrhart", files=[("--polytope-file", CUBE3)])
-    assert code == 0 and "class 0: 1 3 3 1" in out
+    assert code == 0 and out.startswith("period 1\ndegree 3\ndenominator (1-t)^4\n")
 
 
 def test_classes_take_a_leading_minus(run):
@@ -365,10 +413,7 @@ def test_ehrhart_budget_exit_on_a_triangle_window_past_its_denominator(run):
 
 
 def test_count_at_n_1000_fits_the_default_budget(run):
-    files = [(flag, (ROOT / "perfbench" / "inputs" / f"plurality_{name}.hrep").read_text())
-             for flag, name in (("--polytope-file", "favor_b"), ("--polytope-file", "favor_c"),
-                                ("--subtract-file", "both"))]
-    code, out, err = run("count", "--n", "1000", "--format", "json", files=files)
+    code, out, err = run("count", "--n", "1000", "--format", "json", files=PLURALITY_FILES)
     assert (code, err) == (0, "")
     assert json.loads(out)["exact"] == "414433614658"
 

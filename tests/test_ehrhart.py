@@ -45,6 +45,7 @@ from helpers import (
     RationalGF,
     bounding_box,
     brute_count,
+    clear_geometry_memos,
     enumerated_count,
     expand_factors,
     gf_coefficients,
@@ -366,10 +367,16 @@ def _passes(exps, n):
     return sum(abs(e) for _, f in rounds for e in f.values())
 
 
-def _series_cost(deg, passes, dim, tests):
-    """(cost, steps) of reading a count off the series as ``region_count``
-    prices it: the window's nodes and the steps of D's build and halving."""
-    steps = tests + 2 * deg * passes
+def _series_cost(exps, n, dim, tests):
+    """(cost, steps) of reading the count at n off the series as
+    ``region_count`` prices it: the window's nodes, and the steps of D's
+    build and of the cheaper read, extending h over D (i + 1
+    coefficients per factor pass, i = n less the window's first n) or
+    halving (2 deg D per factor pass of each round)."""
+    deg = _degree(exps)
+    i = n - ehrhart._window_span(deg).start
+    read = min((i + 1) * sum(abs(e) for e in exps.values()), 2 * deg * _passes(exps, n))
+    steps = tests + read
     return ehrhart._window_nodes(deg, dim) + steps, steps
 
 
@@ -384,7 +391,7 @@ def _first_series_dilation(region, exps):
                 for _, t in region.terms if not t.is_empty())
     n = 0
     while True:
-        cost, steps = _series_cost(_degree(exps), _passes(exps, n), dim, tests)
+        cost, steps = _series_cost(exps, n, dim, tests)
         if cost < (n + 1) ** (dim - 2):
             assert steps <= DEFAULT_BUDGET
             return n
@@ -399,16 +406,16 @@ def test_region_count_equals_enumeration_past_and_inside_the_window(pair, union)
     region = EventRegion(((1, p), (1, r), (-1, p.intersect(r)))) if union else EventRegion.of(p)
     terms = [(s, t) for s, t in region.terms if not t.is_empty()]
     assume(terms)
-    exps = _series_denominator(terms)
+    exps = _series_denominator(tuple(terms))
     deg = _degree(exps)
     past = _first_series_dilation(region, exps)
     # the oracle enumerates nP at n = past, about 15 us a node
     assume((past + 1) ** (region.dim - 2) <= 50_000)
     inside = ehrhart._window_span(deg)[-1]
-    for n, reads_window in ((past, True), (inside, False)):
-        with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
+    for n, reads_series in ((past, True), (inside, False)):
+        with mock.patch.object(ehrhart, "_series", wraps=ehrhart._series) as series:
             assert region_count(region, n) == enumerated_count(region, n)
-        assert window.called == reads_window
+        assert series.called == reads_series
 
 
 class _Enumerated(Exception):
@@ -417,11 +424,14 @@ class _Enumerated(Exception):
 
 def _route_spies(monkeypatch, stop_at=None):
     """The dilations ``count_lattice_points`` is asked for and the
-    dimensions ``_series_denominator`` builds D in, as lists that fill
-    as ``region_count`` runs; an enumeration at ``stop_at`` raises
+    dimensions ``_series_denominator`` builds D in (its memo's misses,
+    from empty memos of D and of the series), as lists that fill as
+    ``region_count`` runs; an enumeration at ``stop_at`` raises
     _Enumerated instead of counting."""
     counted, built = [], []
     count, denominator = ehrhart.count_lattice_points, ehrhart._series_denominator
+    denominator.cache_clear()
+    ehrhart._series.cache_clear()
 
     def count_spy(poly, n, budget=DEFAULT_BUDGET):
         counted.append(n)
@@ -430,8 +440,11 @@ def _route_spies(monkeypatch, stop_at=None):
         return count(poly, n, budget)
 
     def denominator_spy(terms):
-        built.append(terms[0][1].dim)
-        return denominator(terms)
+        misses = denominator.cache_info().misses
+        exps = denominator(terms)
+        if denominator.cache_info().misses > misses:
+            built.append(terms[0][1].dim)
+        return exps
 
     monkeypatch.setattr(ehrhart, "count_lattice_points", count_spy)
     monkeypatch.setattr(ehrhart, "_series_denominator", denominator_spy)
@@ -440,27 +453,32 @@ def _route_spies(monkeypatch, stop_at=None):
 
 def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     counted, built = _route_spies(monkeypatch, stop_at=120)
-    # plurality: deg D = 24, a window of 19,305 nodes, and 4,968 steps:
-    # 168 to build D (each term's 14 vertices times its 4 divisors
-    # 1, 2, 3, 4) and 2 * 24 * 100 to halve n - start = 108 down in
-    # rounds of 100 factor passes in all, against 97^3 nodes
-    exps = _series_denominator(manipulability_event(PLURALITY).terms)
-    assert (_degree(exps), _passes(exps, 96)) == (24, 100)
-    assert ehrhart._window_nodes(24, 5) == 19305
-    assert _series_cost(24, 100, 5, 3 * 14 * 4) == (24273, 4968)
     assert region_count(manipulability_event(PLURALITY), 96) == 4176821
     assert 96 not in counted and built == [5]
-    # Borda: deg D = 90 and 160 factor passes, a window of 2,440,944
-    # nodes and 29,225 steps (425 to build D, 2 * 90 * 160 to halve)
-    # against 121^3
-    exps = _series_denominator(manipulability_event(BORDA).terms)
-    assert (_degree(exps), _passes(exps, 120)) == (90, 160)
-    assert _series_cost(90, 160, 5, 425)[0] == 2470169 > 121**3
+    # plurality: deg D = 24, a window of 19,305 nodes, and 1,258 steps:
+    # 168 to build D (each term's 14 vertices times its 4 divisors
+    # 1, 2, 3, 4) and 109 * 10 to extend h over D to n - start = 108,
+    # D having 10 factor passes, where halving 108 down would take
+    # rounds of 100 factor passes in all, 2 * 24 * 100 steps; against
+    # 97^3 nodes
+    exps = _series_denominator(manipulability_event(PLURALITY).terms)
+    assert (_degree(exps), _passes(exps, 96)) == (24, 100)
+    assert sum(abs(e) for e in exps.values()) == 10
+    assert ehrhart._window_nodes(24, 5) == 19305
+    assert _series_cost(exps, 96, 5, 3 * 14 * 4) == (20563, 1258)
+    # Borda: deg D = 90, a window of 2,440,944 nodes and 3,413 steps
+    # (425 to build D, 166 * 18 to extend h, fewer than 2 * 90 * 160
+    # to halve) against 121^3
     counted.clear()
     built.clear()
     with pytest.raises(_Enumerated):
         region_count(manipulability_event(BORDA), 120)
     assert counted == [120] and built == [5]
+    exps = _series_denominator(manipulability_event(BORDA).terms)
+    assert (_degree(exps), _passes(exps, 120)) == (90, 160)
+    assert sum(abs(e) for e in exps.values()) == 18
+    assert _series_cost(exps, 120, 5, 425) == (2444357, 3413)
+    assert 2444357 > 121**3
     # a segment always enumerates
     counted.clear()
     built.clear()
@@ -478,20 +496,49 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     assert built == [] and sorted(set(counted)) == list(range(11))
 
 
+PLURALITY_CLASSES = {
+    0: (1, F(137, 120), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)),
+    1: (F(-209, 1296), F(-917, 17280), F(5, 36), F(341, 5184), F(1, 108), F(7, 17280)),
+    6: (F(5, 8), F(61, 60), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)),
+}
+
+
+def _series_work():
+    """(hits, misses) of the memos of the series, of the counts and of
+    D."""
+    return tuple(fn.cache_info()[:2]
+                 for fn in (ehrhart._series, ehrhart._count, ehrhart._series_denominator))
+
+
 def test_region_count_after_the_pipeline_visits_no_count_node():
-    # the pipeline counts the window n = -12 ... 13 on each of the three
-    # terms; the series route of region_count reads the same 78 counts
+    # the pipeline builds D and counts the window n = -12 ... 13 on each
+    # of the three terms, 78 counts; region_count at n = 96 prices its
+    # route on D from the memo and reads the same series from its memo,
+    # summing no window and counting nothing
     region = manipulability_event(PLURALITY)
-    ehrhart._count.cache_clear()
+    clear_geometry_memos()
     q = ehrhart_pipeline(region, classes=[0, 1, 6])
-    assert [q.polys[r] for r in (0, 1, 6)] == [
-        (1, F(137, 120), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)),
-        (F(-209, 1296), F(-917, 17280), F(5, 36), F(341, 5184), F(1, 108), F(7, 17280)),
-        (F(5, 8), F(61, 60), F(15, 32), F(3, 32), F(1, 108), F(7, 17280)),
-    ]
-    assert ehrhart._count.cache_info()[:2] == (0, 78)  # (hits, misses)
+    assert {r: q.polys[r] for r in (0, 1, 6)} == PLURALITY_CLASSES
+    assert _series_work() == ((0, 1), (0, 78), (0, 1))  # series, counts, D
+    with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
+        assert region_count(region, 96) == 4176821
+    assert not window.called
+    assert _series_work() == ((1, 1), (0, 78), (1, 1))
+
+
+def test_the_pipeline_after_region_count_visits_no_count_node():
+    # the same sharing the other way round: region_count builds D to
+    # price its route, and the series it builds reads that D from the
+    # memo; the pipeline then fits its classes on the memoized series
+    region = manipulability_event(PLURALITY)
+    clear_geometry_memos()
     assert region_count(region, 96) == 4176821
-    assert ehrhart._count.cache_info()[:2] == (78, 78)
+    assert _series_work() == ((0, 1), (0, 78), (1, 1))
+    with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
+        q = ehrhart_pipeline(region, classes=[0, 1, 6])
+    assert not window.called
+    assert {r: q.polys[r] for r in (0, 1, 6)} == PLURALITY_CLASSES
+    assert _series_work() == ((1, 1), (0, 78), (1, 1))
 
 
 def test_weighted_regions_count_and_fit_their_weight_times(monkeypatch):
@@ -524,7 +571,7 @@ def test_region_count_reads_plurality_at_a_billion():
     # enumerates, which passes it at once
     exps = _series_denominator(region.terms)
     assert _passes(exps, 10**9) == 468
-    assert _series_cost(24, 468, 5, 168)[1] == 22632
+    assert _series_cost(exps, 10**9, 5, 168)[1] == 22632
     assert region_count(region, 10**9, budget=22632) == value
     with pytest.raises(BudgetExceededError):
         region_count(region, 10**9, budget=22631)
@@ -548,9 +595,9 @@ def test_region_count_charges_the_series_steps():
     # enumeration's 10^6 + 1 nodes, but a budget of 1000 does not hold
     # those steps: the count enumerates and stops at once
     box = _wide_box()
-    exps = _series_denominator([(1, box)])
+    exps = _series_denominator(((1, box),))
     assert (_degree(exps), _passes(exps, 10**6)) == (1312, 80)
-    cost, steps = _series_cost(1312, 80, 3, 64)
+    cost, steps = _series_cost(exps, 10**6, 3, 64)
     assert ehrhart._window_nodes(1312, 3) == 432963 < cost == 642947 < 10**6 + 1
     assert steps == 209984 > 1000
     t0 = time.perf_counter()
@@ -565,9 +612,9 @@ def test_region_count_reads_a_wide_box_at_ten_million():
     # against 10^7 + 1 nodes
     box = _wide_box()
     n = 10**7
-    exps = _series_denominator([(1, box)])
+    exps = _series_denominator(((1, box),))
     assert _passes(exps, n) == 96
-    assert _series_cost(1312, 96, 3, 64) == (684931, 251968)
+    assert _series_cost(exps, n, 3, 64) == (684931, 251968)
     with mock.patch.object(ehrhart, "count_lattice_points", wraps=count_lattice_points) as count:
         value = region_count(EventRegion.of(box), n)
     assert value == (n // 7 + 1) * (n // 11 + 1) * (n // 13 + 1)
@@ -582,7 +629,7 @@ def test_region_count_reads_a_long_period_without_its_classes():
         for signs in product((1, -1), repeat=3)
     ])
     assert period_bound(octahedron) == 1616615
-    exps = _series_denominator([(1, octahedron)])
+    exps = _series_denominator(((1, octahedron),))
     assert _degree(exps) == 70
     start, h = ehrhart._window([(1, octahedron)], exps, DEFAULT_BUDGET)
     assert _series_term(h, exps, 50000 - start) == count_lattice_points(octahedron, 50000)
@@ -745,7 +792,7 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
     # vertices alone, so Phi_q divides D 1 + 3 times, not Stanley's 5:
     # deg D = 5 + 4 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
     #         + 2 (48 + 80 + 120 + 240) + 480: the window is -1102 ... 1104
-    assert _degree(_series_denominator([(1, wide)])) == 2205
+    assert _degree(_series_denominator(((1, wide),))) == 2205
     asked = _asked_dilations(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
         ehrhart_pipeline(wide, budget=589)
@@ -849,7 +896,7 @@ def test_series_denominator_degrees_and_lattice_polytopes():
         assert _degree(_series_denominator(region.terms)) == degree
     for dim in (1, 2, 3, 5):
         for poly in (unit_box(dim), standard_simplex(dim)):
-            assert _series_denominator([(1, poly)]) == {1: dim + 1}
+            assert _series_denominator(((1, poly),)) == {1: dim + 1}
 
 
 def test_series_denominator_is_a_multiple_of_the_plurality_series_denominator():
@@ -864,14 +911,17 @@ def test_series_denominator_is_a_multiple_of_the_plurality_series_denominator():
 
 def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
     # (1 - t)^6 annihilates polynomials of degree 5, not plurality's
-    # period-12 quasipolynomial: a held-back count must disagree
+    # period-12 quasipolynomial: a held-back count must disagree.  A
+    # failed series is not memoized, so each call checks it again
     region = manipulability_event(PLURALITY)
+    ehrhart._series.cache_clear()
     monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: {1: 6})
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         ehrhart_pipeline(region, classes=[0])
     # a count past the window reads the same checked window
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         region_count(region, 96)
+    assert ehrhart._series.cache_info().currsize == 0
 
 
 def test_pipeline_restricted_classes():

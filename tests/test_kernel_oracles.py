@@ -721,7 +721,7 @@ def test_series_denominator_annihilates_brute_force_counts(case):
     dim, rows = case
     vertices = _brute_force_vertices(dim, rows)
     assume(vertices)
-    exps = _series_denominator([(1, HPolytope(dim, rows))])
+    exps = _series_denominator(((1, HPolytope(dim, rows)),))
     t = sympy.Symbol("t")
     d = sympy.Poly(sympy.cancel(sympy.prod([(1 - t**j) ** e for j, e in exps.items()])), t)
     deg = d.degree()

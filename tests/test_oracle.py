@@ -4,18 +4,31 @@ n <= 10 voters without the event compilers."""
 
 from fractions import Fraction as F
 from itertools import permutations
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import polyvote.socialchoice as sc
-from polyvote.ehrhart import count_lattice_points, region_count
+from polyvote.ehrhart import (
+    _read_steps,
+    _series_term,
+    count_lattice_points,
+    ehrhart_series,
+    region_count,
+)
 from polyvote.polytope import EventRegion
 
 import oracle
-from helpers import LAMBDAS, MANIPULABLE_UNION_SERIES, gf_coefficients, spec_regions
+from helpers import (
+    LAMBDAS,
+    MANIPULABLE_UNION_SERIES,
+    CountTable,
+    gf_coefficients,
+    interpolate_quasipolynomial,
+    spec_regions,
+)
 
 DILATIONS = range(11)
 
@@ -94,3 +107,38 @@ def test_manipulability_counts_against_every_coalition_ballot(lam):
     region = sc.manipulability_event(sc.ScoringRule(lam))
     counts = [oracle.count(oracle.manipulable, n, lam) for n in DILATIONS]
     assert counts == [region_count(region, n) for n in DILATIONS]
+
+
+SERIES_REGIONS = {
+    "manipulable:plurality": (sc.manipulability_event(sc.PLURALITY),
+                              (oracle.plurality_manipulable,)),
+    "CW(a)": (EventRegion.of(sc.conjunction((sc.margin("a", "b"), sc.margin("a", "c")))),
+              (oracle.condorcet_winner, "a")),
+}
+
+
+@pytest.mark.parametrize("name", SERIES_REGIONS)
+def test_the_ehrhart_series_against_the_oracle(name):
+    region, (event, *args) = SERIES_REGIONS[name]
+    series = ehrhart_series(region)
+    # every value the profiles of n <= 10 voters give
+    assert [series.value(n) for n in DILATIONS] == [
+        oracle.count(event, n, *args) for n in DILATIONS]
+    # extending h / D at n = 96 and halving at n = 10^9 read what the
+    # halving alone reads
+    for n, halves in ((96, False), (10**9, True)):
+        i = n - series.start
+        assert _read_steps(series.factors, i)[1] == halves
+        assert series.value(n) == _series_term(series.h, series.factors, i)
+    # D = prod (1 - t^j)^e_j is (1 - t)^(dim + 1) times a unit at t = 1
+    # over prod j^e_j, so the count grows as h(1) n^dim / (dim! prod j^e_j)
+    assert sum(series.factors.values()) == region.dim + 1
+    scale = factorial(region.dim) * prod(F(j) ** e for j, e in series.factors.items())
+    assert sum(series.h) / scale == region.volume()
+
+
+def test_the_integer_class_fits_equal_lagrange_on_every_plurality_class():
+    series = ehrhart_series(sc.manipulability_event(sc.PLURALITY))
+    assert series.period == 12
+    table = CountTable(gf_coefficients(MANIPULABLE_UNION_SERIES, 12 * 8).entries)
+    assert series.quasipolynomial() == interpolate_quasipolynomial(table, 12, 5)
