@@ -228,10 +228,9 @@ _FILES = (
            help="file whose count enters with sign -1 (repeatable)"),
 )
 _BUDGET = Option("--budget", "BUDGET", _natural, default=DEFAULT_BUDGET,
-                 help="ceiling (>= 0) on the nodes each lattice count visits; a count "
-                      "(by polytope, dilation and budget) or a region's Ehrhart series "
-                      "(by region and budget) already made in this process is reused, "
-                      "so count and ehrhart on one region share the series; count also "
+                 help="ceiling (>= 0) on the nodes each lattice count visits; a region's "
+                      "Ehrhart series (by region and budget) already made in this process "
+                      "is reused, so count and ehrhart on one region share it; count also "
                       "holds the steps of reading the series to it; the series stops "
                       "at once when its window would pass it, checked before building "
                       "its denominator and, in dimension <= 2, again after")

@@ -25,11 +25,7 @@ through their sums (plurality's x0 + x1) make such levels; rows that
 separate every prefix make none, and the recursion runs unmemoized.
 A count is budgeted on the nodes it visits: each enumerated range of
 x_l charges its length, so a memo hit costs one node and the closures
-none.  Each finished count is also memoized per process on (P, n,
-interior, budget), for the 4096 most recently used: a count asked
-again under the same budget (a dilation enumerated twice, or an n in
-the windows of several regions that share a term) is not enumerated
-again.  A count past its budget raises and is not memoized.
+none, and a count past its budget raises.
 The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
 deg D, where the cyclotomic Phi_k divides D at most #{vertices v of a
 term : k divides den v} times (Stanley, EC I, 4.6), and at most 1 +
@@ -303,7 +299,6 @@ def _polygon_count(upper, lower, res: list[int], xlo: int, xhi: int) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=4096)
 def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
     """Integer points x of a nonempty P's dilation with a.x <= b.n -
     interior.s on each row (a, b, s) of ``_le_rows``: nP itself at
@@ -314,10 +309,7 @@ def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
     level; the last two are closed by ``_polygon_count`` (a
     1-dimensional P by its interval).  Each enumeration of x_l over
     [xlo, xhi] first charges xhi - xlo + 1 nodes, and a charge past
-    ``budget`` raises BudgetExceededError.  Counts are memoized on (P,
-    n, interior, budget) in the process; a refused count raises and
-    stores nothing, so a count read from the memo finished under that
-    budget."""
+    ``budget`` raises BudgetExceededError."""
     rows, deltas, shadows, memo_keys, upper, lower, _ = _count_plan(poly)
     closed = poly.dim - 2
     nodes = 0
@@ -392,18 +384,15 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     series is read instead when its steps fit in ``budget`` and, with
     the window's ``_window_nodes``, make fewer nodes: a step per test of
     a vertex denominator by a divisor in D's build (per term, its
-    vertices times its ``_divisors``; the face search is memoized and
-    not priced), and the steps of reading f(n) off h / D
-    (``_read_steps``).  The series is then the one ``ehrhart_pipeline``
-    reads (``_series``): built once per process for these terms and
-    this budget, so after the pipeline a count builds no D and counts
-    no window.  Before D is built, the window's nodes alone are tested
-    on the largest vertex denominator, a lower bound of deg D as 1 -
-    t^den divides D; a dimension <= 2 always enumerates.  On either
-    route ``budget`` also bounds each count.  Counts are memoized on
-    polytope, dilation and budget (``_count``), so a dilation that an
-    earlier call enumerated under the same budget is read from the
-    memo."""
+    vertices times its ``_divisors``; the face search is not priced),
+    and the steps of reading f(n) off h / D (``_read_steps``).  The
+    series is then the one ``ehrhart_pipeline`` reads (``_series``):
+    built once per process for these terms and this budget, so after
+    the pipeline a count builds no D and counts no window.  Before D is
+    built, the window's nodes alone are tested on the largest vertex
+    denominator, a lower bound of deg D as 1 - t^den divides D; a
+    dimension <= 2 always enumerates.  On either route ``budget`` also
+    bounds each count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
@@ -515,7 +504,6 @@ def period_bound(target) -> int:
     return lcm(*(den for _, p in terms for _, den in polytope._vertices(p)))
 
 
-@functools.lru_cache(maxsize=4096)
 def _divisors(poly: HPolytope) -> dict[int, tuple[int, ...]]:
     """{k: qs} for k over the divisors of a nonempty P's vertex
     denominators, qs holding 1 and the prime powers exactly dividing
@@ -538,12 +526,11 @@ def _divisors(poly: HPolytope) -> dict[int, tuple[int, ...]]:
     return divisors
 
 
-@functools.lru_cache(maxsize=4096)
-def _deepest_faces(poly: HPolytope) -> dict[int, int]:
+def _deepest_faces(poly: HPolytope, divisors) -> dict[int, int]:
     """{q: e_q} for q = 1 and every prime power q dividing a vertex
-    denominator of a nonempty P (the qs of ``_divisors``): e_q is the
-    largest dimension of a face of P all of whose vertices v have q |
-    den v, so e_1 = dim P.
+    denominator of a nonempty P (the qs of ``divisors``, P's
+    ``_divisors``): e_q is the largest dimension of a face of P all of
+    whose vertices v have q | den v, so e_1 = dim P.
 
     The faces inside V_q, the vertices with q | den, grow from its
     vertices by joins: the least face holding a vertex set S is the AND
@@ -569,7 +556,7 @@ def _deepest_faces(poly: HPolytope) -> dict[int, int]:
         return poly.dim - polytope._rank(equalities + tight)
 
     deepest = {}
-    for q in set().union(*_divisors(poly).values()):
+    for q in set().union(*divisors.values()):
         inside = sum(1 << v for v, (_, den) in enumerate(verts) if den % q == 0)
         if closure(inside) == inside:  # V_q is a face itself
             deepest[q] = face_dim(inside)
@@ -617,8 +604,9 @@ def _series_denominator(terms) -> dict[int, int]:
     mult = {}
     for _, p in terms:
         dens = [den for _, den in polytope._vertices(p)]
-        deepest = _deepest_faces(p)
-        for k, qs in _divisors(p).items():
+        divisors = _divisors(p)
+        deepest = _deepest_faces(p, divisors)
+        for k, qs in divisors.items():
             c = min(sum(den % k == 0 for den in dens), 1 + min(deepest[q] for q in qs))
             mult[k] = max(mult.get(k, 0), c)
     exps = {}
@@ -782,8 +770,8 @@ class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors start h")):
 @functools.lru_cache(maxsize=4096)
 def _series(dim: int, terms, budget: int) -> EhrhartSeries:
     """The Ehrhart series of the nonempty ``terms`` in dimension dim,
-    memoized per process on the terms and the budget, as ``_count`` is:
-    a refused or failed build raises and stores nothing.
+    memoized per process on the terms and the budget; a refused or
+    failed build raises and stores nothing.
 
     A window of degree deg or more is refused on ``_window_span(deg)``.
     In dimension >= 3 its first count is at its last n, where x0 alone
@@ -823,9 +811,8 @@ def ehrhart_series(target, budget: int = DEFAULT_BUDGET) -> EhrhartSeries:
     """The Ehrhart series of an HPolytope or EventRegion: its
     ``_window_span(deg D)`` values counted, checked against D, or
     PeriodTooSmallError, and kept as D's factors and the numerator h
-    (``_series``).  The counts are those of ``_count``; the series is
-    memoized per process on the nonempty terms and ``budget``, so the
-    pipeline and ``region_count`` share it."""
+    (``_series``), memoized per process on the nonempty terms and
+    ``budget``, so the pipeline and ``region_count`` share it."""
     dim, terms = _target_parts(target)
     return _series(dim, tuple((s, p) for s, p in terms if not p.is_empty()), budget)
 

@@ -347,8 +347,7 @@ def event_memos():
 def clear_geometry_memos():
     """Empty every process-wide memo of the geometry kernel: vertices
     and volumes per polytope, the double-description seeds and cuts,
-    the counting plans, the lattice counts, the series denominators'
-    divisors and faces, the series denominators and the Ehrhart series
+    the counting plans, the series denominators and the Ehrhart series
     per region.  Their hit and miss counts start again from zero."""
     for fn in geometry_memos():
         fn.cache_clear()

@@ -242,45 +242,19 @@ def test_count_budget_guard():
     assert str(err.value) == "dilation 1000 reached 2002 nodes (budget 2001)"
 
 
-def test_a_memoized_count_is_held_to_its_budget(monkeypatch):
+def test_a_memoized_count_is_held_to_its_budget():
+    # a count made under a larger budget does not lift a lower one: asked
+    # again under the lower budget, it runs again and raises as the
+    # first refusal did
     box = unit_box(4)
-    ehrhart._count.cache_clear()
     with pytest.raises(BudgetExceededError) as cold:
         count_lattice_points(box, 1000, budget=2001)
-    assert ehrhart._count.cache_info().currsize == 0  # a refused count leaves no entry
     assert count_lattice_points(box, 1000, budget=10**6) == 1001**4
-    assert ehrhart._count.cache_info().currsize == 1
-    # under a lower budget the count runs again and raises as the cold one did
     with pytest.raises(BudgetExceededError) as warm:
         count_lattice_points(box, 1000, budget=2001)
     assert ((str(warm.value), warm.value.nodes, warm.value.dilation)
             == (str(cold.value), cold.value.nodes, cold.value.dilation)
             == ("dilation 1000 reached 2002 nodes (budget 2001)", 2002, 1000))
-    # a repeat under the same budget is read from the memo, closing no polygon
-    closed = []
-    polygon_count = ehrhart._polygon_count
-    monkeypatch.setattr(ehrhart, "_polygon_count",
-                        lambda *args: closed.append(args) or polygon_count(*args))
-    assert count_lattice_points(box, 1000, budget=10**6) == 1001**4
-    assert closed == []
-    assert ehrhart._count.cache_info().hits == 1
-
-
-def test_count_memo_keeps_the_most_recently_used_counts():
-    seg = HPolytope(1, [ge((1,)), le((3,), 1)])
-    ehrhart._count.cache_clear()
-    limit = ehrhart._count.cache_parameters()["maxsize"]
-    for n in range(limit):
-        count_lattice_points(seg, n)
-    count_lattice_points(seg, 0)  # a hit makes n = 0 the most recent
-    count_lattice_points(seg, limit)  # n = 1, now the oldest, leaves
-    assert ehrhart._count.cache_info()[:2] == (1, limit + 1)  # (hits, misses)
-    assert count_lattice_points(seg, 0) == 1  # still held
-    assert ehrhart._count.cache_info()[:2] == (2, limit + 1)
-    assert count_lattice_points(seg, 1) == 1  # made again; n = 2 leaves
-    assert count_lattice_points(seg, 2) == 1  # made again
-    assert ehrhart._count.cache_info()[:2] == (2, limit + 3)
-    assert ehrhart._count.cache_info().currsize == limit
 
 
 def test_count_budget_guard_charges_the_range_before_enumerating_it():
@@ -503,42 +477,53 @@ PLURALITY_CLASSES = {
 }
 
 
-def _series_work():
-    """(hits, misses) of the memos of the series, of the counts and of
-    D."""
-    return tuple(fn.cache_info()[:2]
-                 for fn in (ehrhart._series, ehrhart._count, ehrhart._series_denominator))
+def _count_spy(monkeypatch):
+    """A list that gets one entry per call of ``ehrhart._count`` (one
+    count of one term at one dilation) from here on."""
+    calls = []
+    count = ehrhart._count
+    monkeypatch.setattr(ehrhart, "_count", lambda *args: calls.append(args) or count(*args))
+    return calls
 
 
-def test_region_count_after_the_pipeline_visits_no_count_node():
+def _series_work(counts):
+    """(hits, misses) of the memo of the series, the number of counts
+    made, and (hits, misses) of the memo of D."""
+    return (ehrhart._series.cache_info()[:2], len(counts),
+            ehrhart._series_denominator.cache_info()[:2])
+
+
+def test_region_count_after_the_pipeline_visits_no_count_node(monkeypatch):
     # the pipeline builds D and counts the window n = -12 ... 13 on each
     # of the three terms, 78 counts; region_count at n = 96 prices its
     # route on D from the memo and reads the same series from its memo,
     # summing no window and counting nothing
     region = manipulability_event(PLURALITY)
     clear_geometry_memos()
+    counts = _count_spy(monkeypatch)
     q = ehrhart_pipeline(region, classes=[0, 1, 6])
     assert {r: q.polys[r] for r in (0, 1, 6)} == PLURALITY_CLASSES
-    assert _series_work() == ((0, 1), (0, 78), (0, 1))  # series, counts, D
+    assert _series_work(counts) == ((0, 1), 78, (0, 1))  # series, counts, D
     with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
         assert region_count(region, 96) == 4176821
     assert not window.called
-    assert _series_work() == ((1, 1), (0, 78), (1, 1))
+    assert _series_work(counts) == ((1, 1), 78, (1, 1))
 
 
-def test_the_pipeline_after_region_count_visits_no_count_node():
+def test_the_pipeline_after_region_count_visits_no_count_node(monkeypatch):
     # the same sharing the other way round: region_count builds D to
     # price its route, and the series it builds reads that D from the
     # memo; the pipeline then fits its classes on the memoized series
     region = manipulability_event(PLURALITY)
     clear_geometry_memos()
+    counts = _count_spy(monkeypatch)
     assert region_count(region, 96) == 4176821
-    assert _series_work() == ((0, 1), (0, 78), (1, 1))
+    assert _series_work(counts) == ((0, 1), 78, (1, 1))
     with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
         q = ehrhart_pipeline(region, classes=[0, 1, 6])
     assert not window.called
     assert {r: q.polys[r] for r in (0, 1, 6)} == PLURALITY_CLASSES
-    assert _series_work() == ((1, 1), (0, 78), (1, 1))
+    assert _series_work(counts) == ((1, 1), 78, (1, 1))
 
 
 def test_weighted_regions_count_and_fit_their_weight_times(monkeypatch):
