@@ -39,7 +39,10 @@ h and spare values that must vanish.  By Ehrhart-Macdonald
 reciprocity the value at n = -k is (-1)^dim(P) times the lattice count
 of the relative interior of kP, whose rows not tight on all of P are
 strict: a.x <= b.k - 1.  So the window is about n = -deg D / 2 ...
-deg D / 2, whatever the period (``_window_span``).  The series, D's
+deg D / 2, whatever the period (``_window_span``).  It prepares one
+counter per term and side, closed and relative interior
+(``_counter``): the plan is read and the recursion built once, and
+each dilation still has its own node budget and memo.  The series, D's
 factors, the window's first n and h (``EhrhartSeries``), is built once
 per process for each region's nonempty terms and budget (``_series``),
 and both the pipeline and a region count read it.  A value at n comes
@@ -131,22 +134,32 @@ def _memo_keys(rows, dim: int) -> dict[int, list[int]]:
 def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Number of integer points x with x/n in P (points of the dilation
     nP); BudgetExceededError once the count visits more than ``budget``
-    nodes (see ``_count``)."""
+    nodes (see ``_counter``)."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     if poly.is_empty():
         return 0
-    return _count(poly, n, 0, budget)
+    return _counter(poly, 0, budget)(n)
 
 
 def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
-    """The counting quasipolynomial of a nonempty P at n: the count of
-    nP for n >= 0, and at n = -k (-1)^dim(P) times the lattice points of
-    the relative interior of kP, where the implicit equalities stay and
-    every other inequality row becomes a.x <= b.k - 1."""
-    if n >= 0:
-        return count_lattice_points(poly, n, budget)
-    return (-1) ** (poly.dim - _count_plan(poly)[-1]) * _count(poly, -n, 1, budget)
+    """The counting quasipolynomial of P at n (``_term_value``); 0 at
+    n >= 0 when P is empty."""
+    if n >= 0 and poly.is_empty():
+        return 0
+    return _term_value(poly, budget)(n)
+
+
+def _term_value(poly: HPolytope, budget: int):
+    """value(n): the counting quasipolynomial of a nonempty P at n, the
+    count of nP for n >= 0, and at n = -k (-1)^dim(P) times the lattice
+    points of the relative interior of kP, where the implicit equalities
+    stay and every other inequality row becomes a.x <= b.k - 1.
+    dim(P) is the ambient dimension less the codimension.  It holds one
+    closed and one relative-interior counter (``_counter``)."""
+    closed, interior = _counter(poly, 0, budget), _counter(poly, 1, budget)
+    sign = (-1) ** (poly.dim - _count_plan(poly)[-1])
+    return lambda n: closed(n) if n >= 0 else sign * interior(-n)
 
 
 def _shadows(rows, dim: int):
@@ -299,10 +312,12 @@ def _polygon_count(upper, lower, res: list[int], xlo: int, xhi: int) -> int:
     return total
 
 
-def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
-    """Integer points x of a nonempty P's dilation with a.x <= b.n -
-    interior.s on each row (a, b, s) of ``_le_rows``: nP itself at
-    interior = 0, its relative interior at interior = 1.
+def _counter(poly: HPolytope, interior: int, budget: int):
+    """count(n): the integer points x of a nonempty P's dilation with
+    a.x <= b.n - interior.s on each row (a, b, s) of ``_le_rows``: nP
+    itself at interior = 0, its relative interior at interior = 1.  The
+    plan is read and the recursion built once; each count starts its own
+    node tally and its own memo per memoized level.
 
     Coordinates before the last two are enumerated between their
     ``_shadows`` bounds, which a bounded P has on both sides at every
@@ -312,7 +327,8 @@ def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
     ``budget`` raises BudgetExceededError."""
     rows, deltas, shadows, memo_keys, upper, lower, _ = _count_plan(poly)
     closed = poly.dim - 2
-    nodes = 0
+    n = nodes = 0
+    memos = {}
 
     def rec(level: int, res: list[int]) -> int:
         nonlocal nodes
@@ -361,8 +377,6 @@ def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
                 sub[j] -= a
         return total
 
-    memos = {level: ({}, key_of) for level, key_of in memo_keys.items()}
-
     def memoized(level: int, res: list[int]) -> int:
         memo, key_of = memos[level]
         key = key_of(res)
@@ -371,8 +385,15 @@ def _count(poly: HPolytope, n: int, interior: int, budget: int) -> int:
             total = memo[key] = rec(level, res)
         return total
 
-    enter = [memoized if level in memos else rec for level in range(poly.dim)]
-    return enter[0](0, [b * n - interior * s for _, b, s in rows])
+    enter = [memoized if level in memo_keys else rec for level in range(poly.dim)]
+
+    def count(dilation: int) -> int:
+        nonlocal n, nodes, memos
+        n, nodes = dilation, 0
+        memos = {level: ({}, key_of) for level, key_of in memo_keys.items()}
+        return enter[0](0, [b * n - interior * s for _, b, s in rows])
+
+    return count
 
 
 def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -383,16 +404,16 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     A count of nP visits about (n + 1)^(dim - 2) nodes.  The Ehrhart
     series is read instead when its steps fit in ``budget`` and, with
     the window's ``_window_nodes``, make fewer nodes: a step per test of
-    a vertex denominator by a divisor in D's build (per term, its
-    vertices times its ``_divisors``; the face search is not priced),
-    and the steps of reading f(n) off h / D (``_read_steps``).  The
-    series is then the one ``ehrhart_pipeline`` reads (``_series``):
-    built once per process for these terms and this budget, so after
-    the pipeline a count builds no D and counts no window.  Before D is
-    built, the window's nodes alone are tested on the largest vertex
-    denominator, a lower bound of deg D as 1 - t^den divides D; a
-    dimension <= 2 always enumerates.  On either route ``budget`` also
-    bounds each count."""
+    a vertex denominator by a divisor in D's build, as the build counts
+    them (per term, its vertices times its ``_divisors``; the face
+    search is not priced), and the steps of reading f(n) off h / D
+    (``_read_steps``).  The series is then the one ``ehrhart_pipeline``
+    reads (``_series``): built once per process for these terms and
+    this budget, so after the pipeline a count builds no D and counts
+    no window.  Before D is built, the window's nodes alone are tested
+    on the largest vertex denominator, a lower bound of deg D as 1 -
+    t^den divides D; a dimension <= 2 always enumerates.  On either
+    route ``budget`` also bounds each count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
     dim = region.dim
@@ -402,9 +423,8 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
         nodes = (n + 1) ** (dim - 2)
         top = max(den for _, p in terms for _, den in polytope._vertices(p))
         if _window_nodes(top, dim) < nodes:
-            exps = _series_denominator(terms)
+            exps, tests = _series_denominator(terms)
             deg = sum(j * e for j, e in exps.items())
-            tests = sum(len(_divisors(p)) * len(polytope._vertices(p)) for _, p in terms)
             steps = tests + _read_steps(exps, n - _window_span(deg).start)[0]
             if steps <= budget and _window_nodes(deg, dim) + steps < nodes:
                 total = _series(dim, terms, budget).value(n)
@@ -583,11 +603,13 @@ def _deepest_faces(poly: HPolytope, divisors) -> dict[int, int]:
 
 
 @functools.lru_cache(maxsize=4096)
-def _series_denominator(terms) -> dict[int, int]:
-    """D = prod_k Phi_k^c_k, c_k the largest over the nonempty ``terms``
-    of the least of two bounds, as its factors {j: e_j} of D = prod_j
-    (1 - t^j)^e_j: e_j is c_j less the e of j's proper multiples, and
-    may be negative.  D(0) = 1 and deg D = sum_j j.e_j.
+def _series_denominator(terms) -> tuple[MappingProxyType, int]:
+    """(exps, tests): D = prod_k Phi_k^c_k, c_k the largest over the
+    nonempty ``terms`` of the least of two bounds, as its factors exps =
+    {j: e_j} of D = prod_j (1 - t^j)^e_j, and the tests of a vertex
+    denominator by a divisor that the build made, each term's vertices
+    times its divisors.  e_j is c_j less the e of j's proper multiples,
+    and may be negative.  D(0) = 1 and deg D = sum_j j.e_j.
 
     Stanley's bound is #{v : k divides den v} (EC I, 4.6; its cap
     dim + 1 is implied by the other).  McMullen's: the coefficient of
@@ -598,14 +620,16 @@ def _series_denominator(terms) -> dict[int, int]:
     most 1 + min e_q times, q over 1 and the prime powers exactly
     dividing k (``_deepest_faces``).  k walks the divisors of each
     term's vertex denominators (``_divisors``); c_k = 0 for every other
-    k.  Memoized on the tuple of terms, as a read-only mapping: a
-    region count prices its series route on D before it reads the
-    series, which needs the same D."""
+    k.  Memoized on the tuple of terms, the factors as a read-only
+    mapping: a region count prices its series route on D and its tests
+    before it reads the series, which needs the same D."""
     mult = {}
+    tests = 0
     for _, p in terms:
         dens = [den for _, den in polytope._vertices(p)]
         divisors = _divisors(p)
         deepest = _deepest_faces(p, divisors)
+        tests += len(divisors) * len(dens)
         for k, qs in divisors.items():
             c = min(sum(den % k == 0 for den in dens), 1 + min(deepest[q] for q in qs))
             mult[k] = max(mult.get(k, 0), c)
@@ -614,7 +638,7 @@ def _series_denominator(terms) -> dict[int, int]:
         e = mult[k] - sum(f for j, f in exps.items() if j % k == 0)
         if e:
             exps[k] = e
-    return MappingProxyType(exps)
+    return MappingProxyType(exps), tests
 
 
 def _times_d(seq, exps, power: int) -> list[int]:
@@ -642,19 +666,21 @@ def _window_span(deg: int) -> range:
 def _window(terms, exps, budget: int) -> tuple[int, list[int]]:
     """(start, h): start the first n of ``_window_span`` and the deg D
     coefficients h of sum_i f(start + i) t^i = h(t) / D(t), f the
-    signed value of the nonempty ``terms``.  f is counted at every n of
-    the span, largest |n| first, so the count likeliest to
-    pass ``budget`` nodes runs before the others; at n >= 0 it is the
-    signed count of nP, which must not be negative (GeometryError), and
-    at n = -k the signed sum of the terms' reciprocity values (see
-    ``_quasipolynomial_value``).  The values times D are h and then
-    held-back coefficients that must be 0, or PeriodTooSmallError."""
+    signed value of the nonempty ``terms``.  Each term's value
+    (``_term_value``) is prepared once, and f is counted at every n of
+    the span, largest |n| first, so the count likeliest to pass
+    ``budget`` nodes runs before the others; at n >= 0 it is the signed
+    count of nP, which must not be negative (GeometryError), and at n =
+    -k the signed sum of the terms' reciprocity values.  The values
+    times D are h and then held-back coefficients that must be 0, or
+    PeriodTooSmallError."""
     deg = sum(j * e for j, e in exps.items())
     window = _window_span(deg)
     start = window.start
+    values = [(s, _term_value(p, budget)) for s, p in terms]
     counted = {}
     for n in sorted(window, key=abs, reverse=True):
-        counted[n] = sum(s * _quasipolynomial_value(p, n, budget) for s, p in terms)
+        counted[n] = sum(s * value(n) for s, value in values)
         if counted[n] < 0 <= n:
             raise GeometryError(f"signed region count at dilation {n} came out negative")
     h = _times_d([counted[n] for n in window], exps, 1)
@@ -800,7 +826,7 @@ def _series(dim: int, terms, budget: int) -> EhrhartSeries:
     dens = [den for _, p in terms for _, den in polytope._vertices(p)]
     if terms:
         refuse_past_budget(max(dens), "denominator")
-    exps = _series_denominator(terms)
+    exps, _ = _series_denominator(terms)
     if terms and dim <= 2:
         refuse_past_budget(sum(j * e for j, e in exps.items()), "degree")
     start, h = _window(terms, exps, budget)

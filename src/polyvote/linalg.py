@@ -22,8 +22,12 @@ _RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[0-9]+)?$")
 def parse_rational(text: str) -> tuple[int, int]:
     """Parse the serialized form "p/q" (or "p"), optional leading sign,
     to the integers (p, q), q = 1 for "p"; the denominator q must be
-    nonzero.  The pair is not reduced."""
+    nonzero.  The pair is not reduced.  ASCII digits after an optional
+    sign are read by int() before the pattern is tried."""
     s = text.strip()
+    digits = s[1:] if s[:1] in "+-" else s
+    if digits.isascii() and digits.isdigit():
+        return int(s), 1
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
     num, slash, den = s.partition("/")

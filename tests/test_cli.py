@@ -162,7 +162,7 @@ def test_a_failed_window_check_is_a_geometric_error(run, monkeypatch):
     # check fails, a fault of the bound and not of the input, so both
     # commands that read the series exit 3
     ehrhart._series.cache_clear()
-    monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: {1: 2})
+    monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: ({1: 2}, 0))
     message = ("geometric error: count at n=1 deviates from the series recurrence "
                "of degree 2\n")
     for command in (("ehrhart", "--classes", "0"), ("count", "--n", "96"), ("ehrhart",)):

@@ -255,6 +255,30 @@ def test_a_memoized_count_is_held_to_its_budget():
     assert ((str(warm.value), warm.value.nodes, warm.value.dilation)
             == (str(cold.value), cold.value.nodes, cold.value.dilation)
             == ("dilation 1000 reached 2002 nodes (budget 2001)", 2002, 1000))
+    # one counter refuses, counts a smaller dilation exactly and refuses
+    # again: each count starts its own node tally and memos
+    count = ehrhart._counter(box, 0, 2001)
+    with pytest.raises(BudgetExceededError) as first:
+        count(1000)
+    assert count(10) == 11**4
+    with pytest.raises(BudgetExceededError) as again:
+        count(1000)
+    assert ((str(first.value), first.value.nodes, first.value.dilation)
+            == (str(again.value), again.value.nodes, again.value.dilation)
+            == (str(cold.value), cold.value.nodes, cold.value.dilation))
+    # the simplex memoizes levels 2 and 3 on what the prefix leaves of n,
+    # which recurs from one dilation to the next: a memo kept from n = 20
+    # would let n = 30 through in fewer than its 1,023 nodes
+    simplex = standard_simplex(5)
+    with pytest.raises(BudgetExceededError) as cold:
+        ehrhart._counter(simplex, 0, 1022)(30)
+    count = ehrhart._counter(simplex, 0, 1022)
+    assert count(20) == comb(25, 5)
+    with pytest.raises(BudgetExceededError) as warm:
+        count(30)
+    assert ((str(warm.value), warm.value.nodes, warm.value.dilation)
+            == (str(cold.value), cold.value.nodes, cold.value.dilation)
+            == ("dilation 30 reached 1023 nodes (budget 1022)", 1023, 30))
 
 
 def test_count_budget_guard_charges_the_range_before_enumerating_it():
@@ -380,7 +404,7 @@ def test_region_count_equals_enumeration_past_and_inside_the_window(pair, union)
     region = EventRegion(((1, p), (1, r), (-1, p.intersect(r)))) if union else EventRegion.of(p)
     terms = [(s, t) for s, t in region.terms if not t.is_empty()]
     assume(terms)
-    exps = _series_denominator(tuple(terms))
+    exps, _ = _series_denominator(tuple(terms))
     deg = _degree(exps)
     past = _first_series_dilation(region, exps)
     # the oracle enumerates nP at n = past, about 15 us a node
@@ -435,7 +459,8 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     # D having 10 factor passes, where halving 108 down would take
     # rounds of 100 factor passes in all, 2 * 24 * 100 steps; against
     # 97^3 nodes
-    exps = _series_denominator(manipulability_event(PLURALITY).terms)
+    exps, tests = _series_denominator(manipulability_event(PLURALITY).terms)
+    assert tests == 3 * 14 * 4
     assert (_degree(exps), _passes(exps, 96)) == (24, 100)
     assert sum(abs(e) for e in exps.values()) == 10
     assert ehrhart._window_nodes(24, 5) == 19305
@@ -448,7 +473,8 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     with pytest.raises(_Enumerated):
         region_count(manipulability_event(BORDA), 120)
     assert counted == [120] and built == [5]
-    exps = _series_denominator(manipulability_event(BORDA).terms)
+    exps, tests = _series_denominator(manipulability_event(BORDA).terms)
+    assert tests == 425
     assert (_degree(exps), _passes(exps, 120)) == (90, 160)
     assert sum(abs(e) for e in exps.values()) == 18
     assert _series_cost(exps, 120, 5, 425) == (2444357, 3413)
@@ -478,11 +504,18 @@ PLURALITY_CLASSES = {
 
 
 def _count_spy(monkeypatch):
-    """A list that gets one entry per call of ``ehrhart._count`` (one
-    count of one term at one dilation) from here on."""
+    """A list that gets one entry per count made from here on through a
+    counter of ``ehrhart._counter`` (one count of one term at one
+    dilation), in order: the dilation n of a count of nP, and -k of a
+    count of the relative interior of kP."""
     calls = []
-    count = ehrhart._count
-    monkeypatch.setattr(ehrhart, "_count", lambda *args: calls.append(args) or count(*args))
+    counter = ehrhart._counter
+
+    def spy(poly, interior, budget):
+        count = counter(poly, interior, budget)
+        return lambda n: calls.append(-n if interior else n) or count(n)
+
+    monkeypatch.setattr(ehrhart, "_counter", spy)
     return calls
 
 
@@ -554,7 +587,7 @@ def test_region_count_reads_plurality_at_a_billion():
     # and the 30 halvings, of 468 factor passes in all over 2 * 24
     # coefficients, take 168 + 22,464 = 22,632 steps: a smaller budget
     # enumerates, which passes it at once
-    exps = _series_denominator(region.terms)
+    exps, _ = _series_denominator(region.terms)
     assert _passes(exps, 10**9) == 468
     assert _series_cost(exps, 10**9, 5, 168)[1] == 22632
     assert region_count(region, 10**9, budget=22632) == value
@@ -580,7 +613,8 @@ def test_region_count_charges_the_series_steps():
     # enumeration's 10^6 + 1 nodes, but a budget of 1000 does not hold
     # those steps: the count enumerates and stops at once
     box = _wide_box()
-    exps = _series_denominator(((1, box),))
+    exps, tests = _series_denominator(((1, box),))
+    assert tests == 64
     assert (_degree(exps), _passes(exps, 10**6)) == (1312, 80)
     cost, steps = _series_cost(exps, 10**6, 3, 64)
     assert ehrhart._window_nodes(1312, 3) == 432963 < cost == 642947 < 10**6 + 1
@@ -597,7 +631,7 @@ def test_region_count_reads_a_wide_box_at_ten_million():
     # against 10^7 + 1 nodes
     box = _wide_box()
     n = 10**7
-    exps = _series_denominator(((1, box),))
+    exps, _ = _series_denominator(((1, box),))
     assert _passes(exps, n) == 96
     assert _series_cost(exps, n, 3, 64) == (684931, 251968)
     with mock.patch.object(ehrhart, "count_lattice_points", wraps=count_lattice_points) as count:
@@ -614,7 +648,7 @@ def test_region_count_reads_a_long_period_without_its_classes():
         for signs in product((1, -1), repeat=3)
     ])
     assert period_bound(octahedron) == 1616615
-    exps = _series_denominator(((1, octahedron),))
+    exps, _ = _series_denominator(((1, octahedron),))
     assert _degree(exps) == 70
     start, h = ehrhart._window([(1, octahedron)], exps, DEFAULT_BUDGET)
     assert _series_term(h, exps, 50000 - start) == count_lattice_points(octahedron, 50000)
@@ -750,20 +784,6 @@ def test_pipeline_leading_coefficient_equals_volume():
     assert q.leading_coefficient() == skew.volume()
 
 
-def _asked_dilations(monkeypatch):
-    """The dilations the pipeline asks ``_quasipolynomial_value`` for,
-    in order."""
-    asked = []
-    value = ehrhart._quasipolynomial_value
-
-    def spy(poly, n, budget):
-        asked.append(n)
-        return value(poly, n, budget)
-
-    monkeypatch.setattr(ehrhart, "_quasipolynomial_value", spy)
-    return asked
-
-
 def test_pipeline_budget_guard_reports_requirements(monkeypatch):
     wide = HPolytope(
         4,
@@ -777,8 +797,8 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
     # vertices alone, so Phi_q divides D 1 + 3 times, not Stanley's 5:
     # deg D = 5 + 4 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
     #         + 2 (48 + 80 + 120 + 240) + 480: the window is -1102 ... 1104
-    assert _degree(_series_denominator(((1, wide),))) == 2205
-    asked = _asked_dilations(monkeypatch)
+    assert _degree(_series_denominator(((1, wide),))[0]) == 2205
+    asked = _count_spy(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
         ehrhart_pipeline(wide, budget=589)
     # the window's largest |n| is counted first: x0 takes 369 values and
@@ -795,7 +815,7 @@ def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda(monkeypatch
     # nodes on the first term, more than a budget of 8,000, but fits the
     # default budget
     borda = manipulability_event(BORDA)
-    asked = _asked_dilations(monkeypatch)
+    asked = _count_spy(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
         ehrhart_pipeline(borda, classes=[0], budget=8000)
     assert asked == [46]
@@ -812,7 +832,7 @@ def test_pipeline_refuses_a_window_past_the_budget_before_building_d(monkeypatch
     # than the budget
     rule_m = manipulability_event(ScoringRule(F(9307, 25000)))
     _, built = _route_spies(monkeypatch)
-    asked = _asked_dilations(monkeypatch)
+    asked = _count_spy(monkeypatch)
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="dilation 633659507433225001 or more"):
         ehrhart_pipeline(rule_m, classes=[0])
@@ -840,7 +860,7 @@ def test_pipeline_refuses_a_huge_window_in_dimension_two_or_less(monkeypatch):
     # value charges one: [0, 1/10^6] has at least 10^6 + 2 of them, past
     # a budget of 1000, and stops before D is built
     _, built = _route_spies(monkeypatch)
-    asked = _asked_dilations(monkeypatch)
+    asked = _count_spy(monkeypatch)
     for seg in (HPolytope(1, [ge((1,)), le((10**6,), 1)]),
                 HPolytope(2, [ge((1, 0)), le((10**6, 0), 1), ge((0, 1)), le((0, 1), 0)])):
         t0 = time.perf_counter()
@@ -878,15 +898,15 @@ def test_series_denominator_degrees_and_lattice_polytopes():
     for rule, degree in ((PLURALITY, 24), (BORDA, 90), (ANTIPLURALITY, 16)):
         region = manipulability_event(rule)
         assert all(not p.is_empty() for _, p in region.terms)
-        assert _degree(_series_denominator(region.terms)) == degree
+        assert _degree(_series_denominator(region.terms)[0]) == degree
     for dim in (1, 2, 3, 5):
         for poly in (unit_box(dim), standard_simplex(dim)):
-            assert _series_denominator(((1, poly),)) == {1: dim + 1}
+            assert _series_denominator(((1, poly),))[0] == {1: dim + 1}
 
 
 def test_series_denominator_is_a_multiple_of_the_plurality_series_denominator():
     region = manipulability_event(PLURALITY)
-    exps = _series_denominator(region.terms)
+    exps, _ = _series_denominator(region.terms)
     deg = _degree(exps)
     series = gf_coefficients(MANIPULABLE_UNION_SERIES, deg + 60).entries
     # D * h / Q is a polynomial of degree < deg D when Q divides D
@@ -900,7 +920,7 @@ def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
     # failed series is not memoized, so each call checks it again
     region = manipulability_event(PLURALITY)
     ehrhart._series.cache_clear()
-    monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: {1: 6})
+    monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: ({1: 6}, 0))
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         ehrhart_pipeline(region, classes=[0])
     # a count past the window reads the same checked window

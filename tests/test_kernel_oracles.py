@@ -22,6 +22,7 @@ from polyvote.ehrhart import (
     DEFAULT_BUDGET,
     _quasipolynomial_value,
     _series_denominator,
+    _term_value,
     count_lattice_points,
     ehrhart_pipeline,
 )
@@ -720,7 +721,7 @@ def test_series_denominator_annihilates_brute_force_counts(case):
     dim, rows = case
     vertices = _brute_force_vertices(dim, rows)
     assume(vertices)
-    exps = _series_denominator(((1, HPolytope(dim, rows)),))
+    exps, _ = _series_denominator(((1, HPolytope(dim, rows)),))
     t = sympy.Symbol("t")
     d = sympy.Poly(sympy.cancel(sympy.prod([(1 - t**j) ** e for j, e in exps.items()])), t)
     deg = d.degree()
@@ -793,17 +794,23 @@ def test_interior_counts_through_the_closure_match_a_box_scan(case):
 
 @given(rational_polytopes(), st.lists(st.integers(-3, 5), min_size=1, max_size=4))
 def test_memoized_counts_match_a_box_scan(case, dilations):
-    # each value is counted twice, and both counts equal the box scan
+    # each value is counted twice, and both counts equal the box scan;
+    # then the list, twice over in the drawn order, through one term
+    # value, whose closed and relative-interior counters carry nothing
+    # from one count to the next
     vertices = _brute_force_vertices(*case)
     assume(vertices)
     poly = HPolytope(*case)
     sign = (-1) ** _affine_dimension(vertices)
+    want = {n: vertex_box_count(poly, n, vertices) if n >= 0
+            else sign * relint_count(poly, -n, vertices) for n in dilations}
     for n in dilations:
-        want = (vertex_box_count(poly, n, vertices) if n >= 0
-                else sign * relint_count(poly, -n, vertices))
         first = _quasipolynomial_value(poly, n, DEFAULT_BUDGET)
         again = _quasipolynomial_value(poly, n, DEFAULT_BUDGET)
-        assert first == again == want
+        assert first == again == want[n]
+    value = _term_value(poly, DEFAULT_BUDGET)
+    for n in dilations + dilations:
+        assert value(n) == want[n]
 
 
 # -- emptiness and boundedness against Fourier-Motzkin elimination ---------
