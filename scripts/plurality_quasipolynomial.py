@@ -13,11 +13,7 @@ reads past its window, and stops once a term's count visits more than
 import argparse
 import time
 
-from polyvote.ehrhart import (
-    DEFAULT_BUDGET,
-    count_lattice_points,
-    ehrhart_pipeline,
-)
+from polyvote.ehrhart import DEFAULT_BUDGET, count_lattice_points, ehrhart_series
 from polyvote.linalg import parse_integer
 from polyvote.socialchoice import PLURALITY, manipulability_event
 
@@ -35,23 +31,24 @@ def run(classes, check_at, budget):
     if classes is not None:
         classes = classes + [check_at]  # the check evaluates check_at's class
     t0 = time.perf_counter()
-    q = ehrhart_pipeline(region, classes=classes)
-    print(f"period {q.period}, degree {q.degree}  (fit in {time.perf_counter()-t0:.1f}s)")
-    for r, poly in enumerate(q.polys):
-        if poly is None:
-            continue
+    series = ehrhart_series(region)
+    fitted = series.fit(range(series.period) if classes is None else classes)
+    print(f"period {series.period}, degree {series.dim}"
+          f"  (fit in {time.perf_counter()-t0:.1f}s)")
+    for r, poly in fitted.items():
         coeffs = " ".join(map(str, poly))
         print(f"class {r}: {coeffs}")
-    print(f"leading coefficient {q.leading_coefficient()}"
-          f" = region volume {region.volume()}")
-    print(f"limiting manipulability probability: "
-          f"{720 * q.leading_coefficient()}")
+    (lead,) = {poly[-1] for poly in fitted.values()}  # every class shares it
+    print(f"leading coefficient {lead} = region volume {region.volume()}")
+    print(f"limiting manipulability probability: {720 * lead}")
     t0 = time.perf_counter()
     enumerated = sum(s * count_lattice_points(p, check_at, budget)
                      for s, p in region.terms)
     print(f"f({check_at}) by enumeration: {enumerated}"
           f"  (in {time.perf_counter()-t0:.1f}s)")
-    print(f"f({check_at}) by the fitted polynomial: {q.evaluate(check_at)}")
+    poly = fitted[check_at % series.period]
+    print(f"f({check_at}) by the fitted polynomial: "
+          f"{sum(c * check_at**i for i, c in enumerate(poly))}")
 
 
 if __name__ == "__main__":

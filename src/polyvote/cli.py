@@ -2,7 +2,10 @@
 
 Subcommands: ``volume``, ``count`` and ``ehrhart`` operate on plaintext
 H-representation files (repeatable ``--polytope-file`` plus
-``--subtract-file`` assemble a signed inclusion-exclusion region);
+``--subtract-file`` assemble a signed inclusion-exclusion region).
+``ehrhart`` prints the region's Ehrhart series, or with ``--classes``
+the polynomials ``EhrhartSeries.fit`` fits on those residue classes;
+``count`` reads the same series when that is cheaper than enumerating.
 ``table`` recomputes one of the five summary tables from first
 principles; ``prob`` evaluates a canonical event-spec string.  Exit
 codes: 0 success, 2 input error, 3 geometric error, 4 budget exceeded.
@@ -24,13 +27,7 @@ from collections import namedtuple
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .ehrhart import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    ehrhart_pipeline,
-    ehrhart_series,
-    region_count,
-)
+from .ehrhart import DEFAULT_BUDGET, BudgetExceededError, ehrhart_series, region_count
 from .linalg import decimal_string, parse_integer
 from .polytope import EventRegion, GeometryError, HPolytope, parse_hrep
 from .socialchoice import EVENT_SPECS, probability_for_spec, table_rows
@@ -54,19 +51,21 @@ class OutputRecord(namedtuple("OutputRecord", "label exact spec")):
         }
 
 
+def _csv(rows) -> str:
+    import csv  # imported here: only csv output needs it
+
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def render_records(records: list[OutputRecord], fmt: str) -> str:
     if fmt == "json":
         payload = [r.as_json_obj() for r in records]
         return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
     if fmt == "csv":
-        import csv  # imported here: only csv output needs it
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["label", "exact", "decimal", "spec"])
-        for r in records:
-            writer.writerow([r.label, r.exact, r.decimal_str, r.spec])
-        return buf.getvalue()
+        return _csv([["label", "exact", "decimal", "spec"]]
+                    + [[r.label, r.exact, r.decimal_str, r.spec] for r in records])
     lines = [f"{r.label}: exact={r.exact} decimal={r.decimal_str} spec={r.spec}"
              for r in records]
     return "\n".join(lines) + "\n"
@@ -102,63 +101,37 @@ def cmd_count(args) -> str:
     return render_records([rec], args.format)
 
 
-def _render_series(series, fmt: str) -> str:
-    """The Ehrhart series of ``polyvote ehrhart`` without --classes:
-    period, degree, D's factors (1 - t^j)^e_j, the window's first n and
-    the numerator h."""
-    factors = list(series.factors.items())
-    if fmt == "json":
-        payload = {
-            "period": series.period,
-            "degree": series.dim,
-            "denominator": [[j, e] for j, e in factors],
-            "start": series.start,
-            "numerator": list(series.h),
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    denominator = " ".join(f"(1-t{f'^{j}' if j > 1 else ''})^{e}" for j, e in factors) or "1"
-    numerator = " ".join(map(str, series.h)) or "0"
-    if fmt == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["period", "degree", "denominator", "start", "numerator"])
-        writer.writerow([series.period, series.dim, denominator, series.start, numerator])
-        return buf.getvalue()
-    return (f"period {series.period}\ndegree {series.dim}\ndenominator {denominator}\n"
-            f"start {series.start}\nnumerator {numerator}\n")
-
-
 def cmd_ehrhart(args) -> str:
+    """The region's Ehrhart series without --classes: period, degree,
+    D's factors (1 - t^j)^e_j, the window's first n and the numerator h.
+    With it, the period, the degree and each fitted class's polynomial."""
     region, _ = _load_region(args)
+    series = ehrhart_series(region, budget=args.budget)
+    fmt = args.format
+    head = {"period": series.period, "degree": series.dim}
     if args.classes is None:
-        return _render_series(ehrhart_series(region, budget=args.budget), args.format)
-    q = ehrhart_pipeline(region, classes=args.classes, budget=args.budget)
-    fitted = [(r, poly) for r, poly in enumerate(q.polys) if poly is not None]
-    if args.format == "json":
-        payload = {
-            "period": q.period,
-            "degree": q.degree,
-            "classes": {
-                str(r): list(map(str, poly)) for r, poly in fitted
-            },
-        }
+        factors = list(series.factors.items())
+        if fmt == "json":
+            payload = {**head, "denominator": [[j, e] for j, e in factors],
+                       "start": series.start, "numerator": list(series.h)}
+            return json.dumps(payload, indent=2) + "\n"
+        fields = {**head,
+                  "denominator": " ".join(f"(1-t{f'^{j}' if j > 1 else ''})^{e}"
+                                          for j, e in factors) or "1",
+                  "start": series.start,
+                  "numerator": " ".join(map(str, series.h)) or "0"}
+        if fmt == "csv":
+            return _csv([list(fields), list(fields.values())])
+        return "".join(f"{k} {v}\n" for k, v in fields.items())
+    fitted = series.fit(args.classes)
+    if fmt == "json":
+        payload = {**head, "classes": {str(r): list(map(str, poly)) for r, poly in fitted.items()}}
         return json.dumps(payload, indent=2) + "\n"
-    if args.format == "csv":
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["class"] + [f"c{i}" for i in range(q.degree + 1)])
-        for r, poly in fitted:
-            writer.writerow([r] + list(map(str, poly)))
-        return buf.getvalue()
-    lines = [f"period {q.period}", f"degree {q.degree}"]
-    for r, poly in fitted:
-        coeffs = " ".join(map(str, poly))
-        lines.append(f"class {r}: {coeffs}")
-    return "\n".join(lines) + "\n"
+    if fmt == "csv":
+        return _csv([["class"] + [f"c{i}" for i in range(series.dim + 1)]]
+                    + [[r, *map(str, poly)] for r, poly in fitted.items()])
+    return "".join([f"{k} {v}\n" for k, v in head.items()]
+                   + [f"class {r}: {' '.join(map(str, poly))}\n" for r, poly in fitted.items()])
 
 
 def cmd_table(args) -> str:

@@ -45,14 +45,14 @@ counter per term and side, closed and relative interior
 each dilation still has its own node budget and memo.  The series, D's
 factors, the window's first n and h (``EhrhartSeries``), is built once
 per process for each region's nonempty terms and budget (``_series``),
-and both the pipeline and a region count read it.  A value at n comes
+and both a fit and a region count read it.  A value at n comes
 from h / D extended by ``_times_d`` or from Bostan and Mori's halving
 of n on D's factors, whichever takes fewer steps (``_read_steps``); a
 residue class is fitted in integers on dim + 1 extended values, only
-when asked.  A region count reads the series when the window's counts
-and the read cost less than enumerating nP would.  A window past the
-budget is refused before D is built, and in dimension <= 2 once more
-after.
+when asked (``EhrhartSeries.fit``).  A region count reads the series
+when the window's counts and the read cost less than enumerating nP
+would.  A window past the budget is refused before D is built, and in
+dimension <= 2 once more after.
 """
 
 from __future__ import annotations
@@ -140,14 +140,6 @@ def count_lattice_points(poly: HPolytope, n: int, budget: int = DEFAULT_BUDGET) 
     if poly.is_empty():
         return 0
     return _counter(poly, 0, budget)(n)
-
-
-def _quasipolynomial_value(poly: HPolytope, n: int, budget: int) -> int:
-    """The counting quasipolynomial of P at n (``_term_value``); 0 at
-    n >= 0 when P is empty."""
-    if n >= 0 and poly.is_empty():
-        return 0
-    return _term_value(poly, budget)(n)
 
 
 def _term_value(poly: HPolytope, budget: int):
@@ -407,12 +399,12 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
     a vertex denominator by a divisor in D's build, as the build counts
     them (per term, its vertices times its ``_divisors``; the face
     search is not priced), and the steps of reading f(n) off h / D
-    (``_read_steps``).  The series is then the one ``ehrhart_pipeline``
-    reads (``_series``): built once per process for these terms and
-    this budget, so after the pipeline a count builds no D and counts
-    no window.  Before D is built, the window's nodes alone are tested
-    on the largest vertex denominator, a lower bound of deg D as 1 -
-    t^den divides D; a dimension <= 2 always enumerates.  On either
+    (``_read_steps``).  The series is then the one ``ehrhart_series``
+    returns (``_series``): built once per process for these terms and
+    this budget, so after ``ehrhart_series`` a count builds no D and
+    counts no window.  Before D is built, the window's nodes alone are
+    tested on the largest vertex denominator, a lower bound of deg D as
+    1 - t^den divides D; a dimension <= 2 always enumerates.  On either
     route ``budget`` also bounds each count."""
     if n < 0:
         raise ValueError("dilation must be non-negative")
@@ -439,47 +431,6 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
 # quasipolynomials
 
 
-class Quasipolynomial(namedtuple("Quasipolynomial", "period degree polys")):
-    """One degree-d polynomial per residue class modulo the period.
-
-    ``polys[r]`` holds ascending coefficients for n == r (mod period);
-    classes not fitted (a restricted pipeline run) hold None.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, period: int, degree: int, polys):
-        if period < 1 or len(polys) != period:
-            raise ValueError("need one (possibly None) polynomial per residue class")
-        return super().__new__(cls, period, degree, polys)
-
-    def class_coefficients(self, r: int) -> tuple[Fraction, ...]:
-        poly = self.polys[r % self.period]
-        if poly is None:
-            raise ValueError(f"residue class {r} was not fitted")
-        return poly
-
-    def evaluate(self, n: int) -> Fraction:
-        """For a counting quasipolynomial and n = -k < 0, (-1)^dim(P)
-        times the lattice points of the relative interior of kP."""
-        return _horner(self.class_coefficients(n % self.period), n)
-
-    def leading_coefficient(self) -> Fraction:
-        leads = {p[self.degree] for p in self.polys if p is not None}
-        if not leads:
-            raise ValueError("no fitted residue classes")
-        if len(leads) != 1:
-            raise ValueError(f"leading coefficients differ between classes: {leads}")
-        return leads.pop()
-
-
-def _horner(poly, n: int) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * n + c
-    return acc
-
-
 def _class_fit(ys, r: int, m: int) -> tuple[Fraction, ...]:
     """Ascending coefficients of the degree-d polynomial p with p(r +
     k.m) = ys[k], k = 0 ... d, in integers until one division per
@@ -504,24 +455,15 @@ def _class_fit(ys, r: int, m: int) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# the Ehrhart series
 
 
-def _target_parts(target) -> tuple[int, list[tuple[int, HPolytope]]]:
-    if isinstance(target, HPolytope):
-        return target.dim, [(1, target)]
-    if isinstance(target, EventRegion):
-        return target.dim, list(target.terms)
-    raise TypeError("target must be an HPolytope or EventRegion")
-
-
-def period_bound(target) -> int:
-    """LCM of vertex-coordinate denominators across the target's terms
-    (empty terms contribute nothing; an entirely empty target has period 1).
+def period_bound(region: EventRegion) -> int:
+    """LCM of vertex-coordinate denominators across the region's terms
+    (empty terms contribute nothing; an entirely empty region has period 1).
     Each vertex is a (numerators, denominator) pair reduced by its gcd,
     so its denominator is the lcm of its coordinates' denominators."""
-    _, terms = _target_parts(target)
-    return lcm(*(den for _, p in terms for _, den in polytope._vertices(p)))
+    return lcm(*(den for _, p in region.terms for _, den in polytope._vertices(p)))
 
 
 def _divisors(poly: HPolytope) -> dict[int, tuple[int, ...]]:
@@ -765,8 +707,8 @@ class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors start h")):
     __slots__ = ()
 
     def values(self, stop: int) -> list[int]:
-        """f(start), ..., f(stop - 1): h, padded with zeros, over D."""
-        size = stop - self.start
+        """f(n) for n in range(start, stop): h, padded with zeros, over D."""
+        size = max(stop - self.start, 0)
         return _times_d((list(self.h) + [0] * size)[:size], self.factors, -1)
 
     def value(self, n: int) -> int:
@@ -779,18 +721,18 @@ class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors start h")):
             return _series_term(self.h, self.factors, i)
         return self.values(n + 1)[i]
 
-    def quasipolynomial(self, classes=None) -> Quasipolynomial:
-        """f fitted on each residue class r of ``classes`` (modulo the
-        period; every class when None) through its extended values at n
-        = r, r + m, ..., r + dim.m (``_class_fit``)."""
+    def fit(self, classes) -> dict[int, tuple[Fraction, ...]]:
+        """{r: ascending coefficients of f on n == r (mod m)} for the
+        residue classes r of ``classes`` taken modulo m, the period, in
+        ascending r; ``fit(range(period))`` fits every class.  m is the
+        vertex-denominator lcm, which f's minimal period divides.  The
+        values, h padded with zeros over D, are extended to n = r, r + m,
+        ..., r + dim.m, and each class is fitted through them in integers
+        (``_class_fit``)."""
         m, d = self.period, self.dim
-        wanted = range(m) if classes is None else sorted({c % m for c in classes})
-        polys = [None] * m
-        if wanted:
-            values = self.values(max(wanted) + d * m + 1)
-            for r in wanted:
-                polys[r] = _class_fit(values[r - self.start :: m][: d + 1], r, m)
-        return Quasipolynomial(m, d, tuple(polys))
+        wanted = sorted({c % m for c in classes})
+        values = self.values(wanted[-1] + d * m + 1) if wanted else []
+        return {r: _class_fit(values[r - self.start :: m][: d + 1], r, m) for r in wanted}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -833,26 +775,12 @@ def _series(dim: int, terms, budget: int) -> EhrhartSeries:
     return EhrhartSeries(dim, lcm(*dens), exps, start, tuple(h))
 
 
-def ehrhart_series(target, budget: int = DEFAULT_BUDGET) -> EhrhartSeries:
-    """The Ehrhart series of an HPolytope or EventRegion: its
-    ``_window_span(deg D)`` values counted, checked against D, or
-    PeriodTooSmallError, and kept as D's factors and the numerator h
-    (``_series``), memoized per process on the nonempty terms and
-    ``budget``, so the pipeline and ``region_count`` share it."""
-    dim, terms = _target_parts(target)
-    return _series(dim, tuple((s, p) for s, p in terms if not p.is_empty()), budget)
-
-
-def ehrhart_pipeline(target, classes=None, budget: int = DEFAULT_BUDGET) -> Quasipolynomial:
-    """The counting quasipolynomial of an HPolytope or EventRegion on
-    the residue classes ``classes`` (every class when None), fitted on
-    its Ehrhart series (``ehrhart_series``).
-
-    The period used is the vertex-denominator lcm m (the minimal period
-    always divides it).  The series' numerator h, padded with zeros and
-    divided by D factor by factor, extends the window, and each
-    requested residue class r is fitted in integers through n = r, r +
-    m, ..., r + dim * m.  A series built before in the process under the
-    same budget, by this pipeline or by ``region_count``, is read from
-    the memo and no count runs."""
-    return ehrhart_series(target, budget).quasipolynomial(classes)
+def ehrhart_series(region: EventRegion, budget: int = DEFAULT_BUDGET) -> EhrhartSeries:
+    """The Ehrhart series of a region: its ``_window_span(deg D)``
+    values counted, checked against D, or PeriodTooSmallError, and kept
+    as D's factors and the numerator h (``_series``).  It is memoized
+    per process on the nonempty terms and ``budget``, so ``fit`` and
+    ``region_count`` share it: a series built before under the same
+    budget is read from the memo and no count runs."""
+    terms = tuple((s, p) for s, p in region.terms if not p.is_empty())
+    return _series(region.dim, terms, budget)

@@ -21,12 +21,11 @@ from fractions import Fraction as F
 from polyvote.ehrhart import (
     VALIDATION_POINTS,
     PeriodTooSmallError,
-    Quasipolynomial,
     count_lattice_points,
     period_bound,
 )
 from polyvote.linalg import DimensionError
-from polyvote.polytope import EventRegion, HPolytope, _vertices
+from polyvote.polytope import HPolytope, _vertices
 import polyvote.ehrhart as ehrhart
 import polyvote.polytope as polytope
 import polyvote.socialchoice as sc
@@ -70,11 +69,13 @@ def lagrange_fit(points):
 
 
 def interpolate_quasipolynomial(counts, period, degree, classes=None):
-    """Fit a degree-``degree`` polynomial on each residue class modulo
-    ``period``; any supplied count beyond the d+1 used for fitting must
-    agree with the fit or the period/degree is rejected."""
+    """{r: ascending coefficients} of a degree-``degree`` polynomial
+    fitted on each residue class r modulo ``period`` (every class when
+    ``classes`` is None), in ascending r; any supplied count beyond the
+    d+1 used for fitting must agree with the fit or the period/degree is
+    rejected."""
     wanted = range(period) if classes is None else sorted(set(c % period for c in classes))
-    polys = [None] * period
+    polys = {}
     for r in wanted:
         points = counts.residue_class(r, period)
         if len(points) < degree + 1:
@@ -82,9 +83,15 @@ def interpolate_quasipolynomial(counts, period, degree, classes=None):
                              f"needs {degree + 1}")
         polys[r] = lagrange_fit(points[: degree + 1])
         for n, c in points[degree + 1 :]:
-            if sum(a * n**k for k, a in enumerate(polys[r])) != c:
+            if at(polys[r], n) != c:
                 raise PeriodTooSmallError(f"count at n={n} deviates from the class-{r} fit")
-    return Quasipolynomial(period, degree, tuple(polys))
+    return polys
+
+
+def at(coeffs, n):
+    """The polynomial of ascending ``coeffs`` at n: one fitted class of
+    a quasipolynomial, evaluated on that class's n."""
+    return sum(c * n**k for k, c in enumerate(coeffs))
 
 
 # -- rational generating functions --------------------------------------------
@@ -287,12 +294,12 @@ def enumerated_count(region, n):
     return sum(s * count_lattice_points(p, n) for s, p in region.terms)
 
 
-def positive_dilation_fit(target, classes=None):
-    """The counting quasipolynomial fitted on counts at n = r + m*j,
-    j = 0 ... dim + 2 (m the period bound), with no value at a negative
-    dilation: a ``CountTable`` handed to ``interpolate_quasipolynomial``."""
-    region = target if isinstance(target, EventRegion) else EventRegion.of(target)
-    m = period_bound(target)
+def positive_dilation_fit(region, classes=None):
+    """The region's counting quasipolynomial fitted on counts at n = r +
+    m*j, j = 0 ... dim + 2 (m the period bound), with no value at a
+    negative dilation: a ``CountTable`` handed to
+    ``interpolate_quasipolynomial``."""
+    m = period_bound(region)
     wanted = range(m) if classes is None else {c % m for c in classes}
     dilations = [r + m * j for r in wanted for j in range(region.dim + 1 + VALIDATION_POINTS)]
     table = CountTable({n: enumerated_count(region, n) for n in dilations})

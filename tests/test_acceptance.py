@@ -13,17 +13,16 @@ from fractions import Fraction as F
 import pytest
 
 import polyvote.socialchoice as sc
-from polyvote.ehrhart import (
-    ehrhart_pipeline,
-    period_bound,
-)
+from polyvote.ehrhart import ehrhart_series, period_bound
 from polyvote.linalg import decimal_string
+from polyvote.polytope import EventRegion
 
 from helpers import (
     MANIPULABLE_UNION_SERIES,
     UNION_CLASS_0,
     UNION_CLASS_1,
     UNION_CLASS_6,
+    at,
     enumerated_count,
     gf_coefficients,
     spec_regions,
@@ -76,9 +75,7 @@ def test_criterion_1_exact_volumes(borda_region):
 def test_criterion_2_manipulability(plurality_region, borda_region):
     t0 = time.perf_counter()
     plur_vol = 720 * plurality_region.volume()
-    plur_lead = 720 * ehrhart_pipeline(
-        plurality_region, classes=[0]
-    ).leading_coefficient()
+    plur_lead = 720 * ehrhart_series(plurality_region).fit([0])[0][-1]
     borda = 720 * borda_region.volume()
     elapsed = time.perf_counter() - t0
     ok = (
@@ -94,12 +91,12 @@ def test_criterion_2_manipulability(plurality_region, borda_region):
 def test_criterion_2b_borda_quasipolynomial(borda_region):
     assert period_bound(borda_region) == 2520
     t0 = time.perf_counter()
-    q = ehrhart_pipeline(borda_region, classes=[0, 60, 120])
+    q = ehrhart_series(borda_region).fit([0, 60, 120])
     elapsed = time.perf_counter() - t0
     ok = (
-        720 * q.leading_coefficient() == F(132953, 264600)
-        and q.evaluate(60) == 716414 == enumerated_count(borda_region, 60)
-        and q.evaluate(120) == 19983919
+        {720 * poly[-1] for poly in q.values()} == {F(132953, 264600)}
+        and at(q[60], 60) == 716414 == enumerated_count(borda_region, 60)
+        and at(q[120], 120) == 19983919
         and elapsed < 30
     )
     report("criterion 2 addendum (Borda quasipolynomial, period 2520)", ok,
@@ -108,13 +105,14 @@ def test_criterion_2b_borda_quasipolynomial(borda_region):
 
 def test_criterion_3_plurality_quasipolynomial(plurality_region):
     t0 = time.perf_counter()
-    q = ehrhart_pipeline(plurality_region, classes=[0, 6, 1])
+    series = ehrhart_series(plurality_region)
+    q = series.fit([0, 6, 1])
     fit_elapsed = time.perf_counter() - t0
     coeffs_ok = (
-        list(q.class_coefficients(0)) == UNION_CLASS_0
-        and list(q.class_coefficients(6)) == UNION_CLASS_6
-        and list(q.class_coefficients(1)) == UNION_CLASS_1
-        and q.period == 12
+        list(q[0]) == UNION_CLASS_0
+        and list(q[6]) == UNION_CLASS_6
+        and list(q[1]) == UNION_CLASS_1
+        and series.period == 12
     )
 
     t0 = time.perf_counter()
@@ -125,7 +123,7 @@ def test_criterion_3_plurality_quasipolynomial(plurality_region):
     by_recurrence = gf_coefficients(MANIPULABLE_UNION_SERIES, 96).entries[96]
     rec_elapsed = time.perf_counter() - t0
 
-    by_polynomial = q.evaluate(96)
+    by_polynomial = at(q[96 % 12], 96)
     ok = (
         coeffs_ok
         and by_enumeration == 4176821
@@ -296,7 +294,7 @@ def test_criterion_10_property_suite():
 
     polys = props._sample_polytopes(12, dims=(2, 3, 4), max_period=3, seed=1234)
     leading_ok = all(
-        ehrhart_pipeline(p, classes=[0]).leading_coefficient() == p.volume()
+        ehrhart_series(EventRegion.of(p)).fit([0])[0][-1] == p.volume()
         for p in polys
     )
     report(
@@ -310,9 +308,9 @@ def test_criterion_11_vertex_diagnostics(borda_region):
     [(_, agree)] = spec_regions("agreement:plurality,antiplurality:winner")[1].terms
     [(_, agree_cond)] = spec_regions("joint-efficiency:antiplurality,plurality")[1].terms
     checks = [
-        period_bound(favor_b) == 72,
-        period_bound(favor_c) == 504,
-        period_bound(both) == 1260,
+        period_bound(EventRegion.of(favor_b)) == 72,
+        period_bound(EventRegion.of(favor_c)) == 504,
+        period_bound(EventRegion.of(both)) == 1260,
         len(vertices(agree)) == 18,
         len(vertices(agree_cond)) == 29,
     ]

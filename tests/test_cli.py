@@ -382,6 +382,24 @@ def test_classes_take_a_leading_minus(run):
     assert code == 0 and "class 0: 1 3 3 1" in out
 
 
+def test_classes_are_taken_modulo_the_period_once_each_in_order(run):
+    # plurality's period is 12: 13 and -11 are class 1, and 6 repeats
+    classes = {"1": "-209/1296 -917/17280 5/36 341/5184 1/108 7/17280".split(),
+               "6": "5/8 61/60 15/32 3/32 1/108 7/17280".split()}
+    outputs = {}
+    for fmt in ("text", "json", "csv"):
+        code, outputs[fmt], err = run("ehrhart", "--classes=13,-11,1,6,6", "--format", fmt,
+                                      files=PLURALITY_FILES)
+        assert (code, err) == (0, ""), fmt
+    assert outputs["text"] == "period 12\ndegree 5\n" + "".join(
+        f"class {r}: {' '.join(c)}\n" for r, c in classes.items())
+    data = json.loads(outputs["json"])
+    assert (data["period"], data["degree"]) == (12, 5)
+    assert list(data["classes"].items()) == list(classes.items())
+    assert outputs["csv"] == "class,c0,c1,c2,c3,c4,c5\r\n" + "".join(
+        f"{r},{','.join(c)}\r\n" for r, c in classes.items())
+
+
 def test_ehrhart_budget_exit_reports_requirements(run):
     # deg D = 1312, so the window's first count is at n = -656 + 1312 +
     # 1 = 657, where x0 takes floor(657 / 7) + 1 = 94 values and the

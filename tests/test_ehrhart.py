@@ -14,7 +14,6 @@ from polyvote.ehrhart import (
     VALIDATION_POINTS,
     BudgetExceededError,
     PeriodTooSmallError,
-    Quasipolynomial,
     _floor_sum,
     _le_rows,
     _memo_keys,
@@ -24,7 +23,7 @@ from polyvote.ehrhart import (
     _shadows,
     _times_d,
     count_lattice_points,
-    ehrhart_pipeline,
+    ehrhart_series,
     period_bound,
     region_count,
 )
@@ -43,6 +42,7 @@ from helpers import (
     MANIPULABLE_UNION_SERIES,
     CountTable,
     RationalGF,
+    at,
     bounding_box,
     brute_count,
     clear_geometry_memos,
@@ -527,15 +527,14 @@ def _series_work(counts):
 
 
 def test_region_count_after_the_pipeline_visits_no_count_node(monkeypatch):
-    # the pipeline builds D and counts the window n = -12 ... 13 on each
+    # the series builds D and counts the window n = -12 ... 13 on each
     # of the three terms, 78 counts; region_count at n = 96 prices its
     # route on D from the memo and reads the same series from its memo,
     # summing no window and counting nothing
     region = manipulability_event(PLURALITY)
     clear_geometry_memos()
     counts = _count_spy(monkeypatch)
-    q = ehrhart_pipeline(region, classes=[0, 1, 6])
-    assert {r: q.polys[r] for r in (0, 1, 6)} == PLURALITY_CLASSES
+    assert ehrhart_series(region).fit([0, 1, 6]) == PLURALITY_CLASSES
     assert _series_work(counts) == ((0, 1), 78, (0, 1))  # series, counts, D
     with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
         assert region_count(region, 96) == 4176821
@@ -546,22 +545,22 @@ def test_region_count_after_the_pipeline_visits_no_count_node(monkeypatch):
 def test_the_pipeline_after_region_count_visits_no_count_node(monkeypatch):
     # the same sharing the other way round: region_count builds D to
     # price its route, and the series it builds reads that D from the
-    # memo; the pipeline then fits its classes on the memoized series
+    # memo; ehrhart_series then returns the memoized series to fit on
     region = manipulability_event(PLURALITY)
     clear_geometry_memos()
     counts = _count_spy(monkeypatch)
     assert region_count(region, 96) == 4176821
     assert _series_work(counts) == ((0, 1), 78, (1, 1))
     with mock.patch.object(ehrhart, "_window", wraps=ehrhart._window) as window:
-        q = ehrhart_pipeline(region, classes=[0, 1, 6])
+        fitted = ehrhart_series(region).fit([0, 1, 6])
     assert not window.called
-    assert {r: q.polys[r] for r in (0, 1, 6)} == PLURALITY_CLASSES
+    assert fitted == PLURALITY_CLASSES
     assert _series_work(counts) == ((1, 1), 78, (1, 1))
 
 
 def test_weighted_regions_count_and_fit_their_weight_times(monkeypatch):
     # the terms of manipulable:plurality, each weighted by 6: both count
-    # routes and the pipeline sum weight times count
+    # routes and the series sum weight times count
     region = manipulability_event(PLURALITY)
     six = EventRegion([(6 * s, p) for s, p in region.terms])
     counted, _ = _route_spies(monkeypatch)
@@ -571,8 +570,8 @@ def test_weighted_regions_count_and_fit_their_weight_times(monkeypatch):
     for n in (96, 1000):
         assert region_count(six, n) == 6 * region_count(region, n)
         assert n not in counted, n
-    lead = ehrhart_pipeline(six, classes=[0]).leading_coefficient()
-    assert lead == 6 * ehrhart_pipeline(region, classes=[0]).leading_coefficient()
+    lead = ehrhart_series(six).fit([0])[0][-1]
+    assert lead == 6 * ehrhart_series(region).fit([0])[0][-1]
     assert lead == six.volume()
 
 
@@ -581,7 +580,8 @@ def test_region_count_reads_plurality_at_a_billion():
     t0 = time.perf_counter()
     value = region_count(region, 10**9)
     elapsed = time.perf_counter() - t0
-    assert value == ehrhart_pipeline(region, classes=[10**9]).evaluate(10**9)
+    (coeffs,) = ehrhart_series(region).fit([10**9]).values()
+    assert value == at(coeffs, 10**9)
     assert elapsed < 1
     # D's build, 168 tests (3 terms of 14 vertices, 4 divisors each),
     # and the 30 halvings, of 468 factor passes in all over 2 * 24
@@ -647,7 +647,7 @@ def test_region_count_reads_a_long_period_without_its_classes():
         le(tuple(p if s > 0 else -q for s, p, q in zip(signs, (5, 7, 11), (13, 17, 19))), 1)
         for signs in product((1, -1), repeat=3)
     ])
-    assert period_bound(octahedron) == 1616615
+    assert period_bound(EventRegion.of(octahedron)) == 1616615
     exps, _ = _series_denominator(((1, octahedron),))
     assert _degree(exps) == 70
     start, h = ehrhart._window([(1, octahedron)], exps, DEFAULT_BUDGET)
@@ -711,8 +711,8 @@ def test_count_table_rejects_negative():
 def test_interpolation_recovers_polynomial():
     counts = CountTable({n: (n + 1) ** 3 for n in range(0, 9)})
     q = interpolate_quasipolynomial(counts, period=1, degree=3)
-    assert q.class_coefficients(0) == (1, 3, 3, 1)
-    assert q.evaluate(25) == 26**3
+    assert q == {0: (1, 3, 3, 1)}
+    assert at(q[0], 25) == 26**3
 
 
 def test_interpolation_needs_enough_points():
@@ -727,61 +727,50 @@ def test_interpolation_detects_period_too_small():
     with pytest.raises(PeriodTooSmallError):
         interpolate_quasipolynomial(counts, period=1, degree=1)
     q = interpolate_quasipolynomial(counts, period=2, degree=1)
-    assert q.evaluate(11) == 12
+    assert at(q[1], 11) == 12
 
 
-def test_quasipolynomial_validation():
-    with pytest.raises(ValueError):
-        Quasipolynomial(2, 1, ((F(0), F(1)),))  # wrong class count
-    q = Quasipolynomial(2, 1, ((F(0), F(1)), (F(1), F(2))))
-    with pytest.raises(ValueError):
-        q.leading_coefficient()  # classes disagree
-    partial = Quasipolynomial(2, 1, ((F(0), F(1)), None))
-    with pytest.raises(ValueError):
-        partial.evaluate(1)
-    assert partial.leading_coefficient() == 1
-    constant = Quasipolynomial(1, 0, ((F(1),),))
-    assert constant.leading_coefficient() == 1
-
-
-# -- pipeline ----------------------------------------------------------------
+# -- series and fits ---------------------------------------------------------
 
 
 def test_pipeline_unit_cube():
-    q = ehrhart_pipeline(unit_box(3))
-    assert q.period == 1
-    assert q.class_coefficients(0) == (1, 3, 3, 1)
+    series = ehrhart_series(EventRegion.of(unit_box(3)))
+    assert series.period == 1
+    assert series.fit(range(series.period)) == {0: (1, 3, 3, 1)}
 
 
 def test_pipeline_unit_square():
-    q = ehrhart_pipeline(unit_box(2))
-    assert q.period == 1
-    assert q.class_coefficients(0) == (1, 2, 1)
+    series = ehrhart_series(EventRegion.of(unit_box(2)))
+    assert series.period == 1
+    assert series.fit(range(series.period)) == {0: (1, 2, 1)}
 
 
 def test_pipeline_standard_simplex():
-    q = ehrhart_pipeline(standard_simplex(5))
-    assert q.period == 1
-    assert q.leading_coefficient() == F(1, 120)
+    series = ehrhart_series(EventRegion.of(standard_simplex(5)))
+    assert series.period == 1
+    q = series.fit(range(series.period))
+    assert q[0][-1] == F(1, 120)
     for n in (9, 14):
-        assert q.evaluate(n) == comb(n + 5, 5)
+        assert at(q[0], n) == comb(n + 5, 5)
 
 
 def test_pipeline_half_integral_segment():
-    seg = HPolytope(1, [ge((1,)), le((2,), 1)])  # [0, 1/2]
+    seg = EventRegion.of(HPolytope(1, [ge((1,)), le((2,), 1)]))  # [0, 1/2]
     assert period_bound(seg) == 2
-    q = ehrhart_pipeline(seg)
-    assert q.period == 2
-    assert q.evaluate(4) == 3 and q.evaluate(5) == 3
-    assert q.leading_coefficient() == F(1, 2)
+    series = ehrhart_series(seg)
+    assert series.period == 2
+    q = series.fit(range(series.period))
+    assert at(q[0], 4) == 3 and at(q[1], 5) == 3
+    assert {poly[-1] for poly in q.values()} == {F(1, 2)}
 
 
 def test_pipeline_leading_coefficient_equals_volume():
     skew = HPolytope(
         2, [ge((1, 0)), ge((0, 1)), le((1, 2), 2), le((3, 1), 3)]
     )
-    q = ehrhart_pipeline(skew)
-    assert q.leading_coefficient() == skew.volume()
+    series = ehrhart_series(EventRegion.of(skew))
+    q = series.fit(range(series.period))
+    assert {poly[-1] for poly in q.values()} == {skew.volume()}
 
 
 def test_pipeline_budget_guard_reports_requirements(monkeypatch):
@@ -792,7 +781,7 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
          ge((0, 0, 7, 0)), le((0, 0, 7, 0), 1),
          ge((0, 0, 0, 11), 0), le((0, 0, 0, 11), 1)],
     )
-    assert period_bound(wide) == 3 * 5 * 7 * 11
+    assert period_bound(EventRegion.of(wide)) == 3 * 5 * 7 * 11
     # a prime q among 3, 5, 7, 11 divides the denominators of a facet's
     # vertices alone, so Phi_q divides D 1 + 3 times, not Stanley's 5:
     # deg D = 5 + 4 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
@@ -800,7 +789,7 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
     assert _degree(_series_denominator(((1, wide),))[0]) == 2205
     asked = _count_spy(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(wide, budget=589)
+        ehrhart_series(EventRegion.of(wide), budget=589)
     # the window's largest |n| is counted first: x0 takes 369 values and
     # the first of them (the rest hit its memo) x1 221, the polygon of
     # (x2, x3) costing nothing
@@ -817,7 +806,7 @@ def test_pipeline_budget_guard_reports_the_largest_dilation_on_borda(monkeypatch
     borda = manipulability_event(BORDA)
     asked = _count_spy(monkeypatch)
     with pytest.raises(BudgetExceededError) as err:
-        ehrhart_pipeline(borda, classes=[0], budget=8000)
+        ehrhart_series(borda, budget=8000)
     assert asked == [46]
     assert err.value.dilation == 46
     assert "dilation 46 reached" in str(err.value)
@@ -835,7 +824,7 @@ def test_pipeline_refuses_a_window_past_the_budget_before_building_d(monkeypatch
     asked = _count_spy(monkeypatch)
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError, match="dilation 633659507433225001 or more"):
-        ehrhart_pipeline(rule_m, classes=[0])
+        ehrhart_series(rule_m)
     assert time.perf_counter() - t0 < 1
     assert built == [] and asked == []
     # on [0, 1/7] x [0, 1/11] x [0, 1/13] the largest vertex denominator
@@ -848,10 +837,10 @@ def test_pipeline_refuses_a_window_past_the_budget_before_building_d(monkeypatch
         asked.clear()
         with pytest.raises(BudgetExceededError,
                            match=r"dilation 502 or more reached 71 nodes or more \(budget 70\)"):
-            ehrhart_pipeline(_wide_box(shift), budget=70)
+            ehrhart_series(EventRegion.of(_wide_box(shift)), budget=70)
         assert built == [] and asked == []
         with pytest.raises(BudgetExceededError, match="dilation 657 reached 94 nodes"):
-            ehrhart_pipeline(_wide_box(shift), budget=71)
+            ehrhart_series(EventRegion.of(_wide_box(shift)), budget=71)
         assert built == [3] and asked == [657]
 
 
@@ -867,7 +856,7 @@ def test_pipeline_refuses_a_huge_window_in_dimension_two_or_less(monkeypatch):
         with pytest.raises(BudgetExceededError,
                            match=r"1000002 window values or more, a node each \(budget 1000\): "
                                  r"the window of denominator 1000000") as err:
-            ehrhart_pipeline(seg, classes=[0], budget=1000)
+            ehrhart_series(EventRegion.of(seg), budget=1000)
         assert time.perf_counter() - t0 < 1
         assert err.value.nodes == 10**6 + 2
     assert built == [] and asked == []
@@ -879,14 +868,14 @@ def test_pipeline_refuses_a_huge_window_in_dimension_two_or_less(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match=r"^1991 window values or more, a node each \(budget 1000\): "
                              r"the window of degree 1989$") as err:
-        ehrhart_pipeline(triangle, classes=[0], budget=1000)
+        ehrhart_series(EventRegion.of(triangle), budget=1000)
     assert time.perf_counter() - t0 < 1
     assert err.value.nodes == 1991
     assert built == [2] and asked == []
     # [0, 1/12000] needs 12,002 values or more, inside the default budget
     # (``test_pipeline_extends_a_wide_segment_by_the_factors_of_d``)
     seg = HPolytope(1, [ge((1,)), le((12000,), 1)])
-    assert ehrhart_pipeline(seg, classes=[0]).class_coefficients(0) == (1, F(1, 12000))
+    assert ehrhart_series(EventRegion.of(seg)).fit([0]) == {0: (1, F(1, 12000))}
 
 
 def test_series_denominator_degrees_and_lattice_polytopes():
@@ -922,7 +911,7 @@ def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
     ehrhart._series.cache_clear()
     monkeypatch.setattr(ehrhart, "_series_denominator", lambda terms: ({1: 6}, 0))
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
-        ehrhart_pipeline(region, classes=[0])
+        ehrhart_series(region)
     # a count past the window reads the same checked window
     with pytest.raises(PeriodTooSmallError, match="series recurrence"):
         region_count(region, 96)
@@ -930,12 +919,23 @@ def test_pipeline_checks_the_window_against_the_recurrence(monkeypatch):
 
 
 def test_pipeline_restricted_classes():
-    seg = HPolytope(1, [ge((1,)), le((2,), 1)])
-    q = ehrhart_pipeline(seg, classes=[0])
-    assert q.polys[1] is None
-    assert q.class_coefficients(0) == (1, F(1, 2))
-    assert q.leading_coefficient() == F(1, 2)
-    assert ehrhart_pipeline(seg, classes=[]).polys == (None, None)
+    series = ehrhart_series(EventRegion.of(HPolytope(1, [ge((1,)), le((2,), 1)])))
+    q = series.fit([0])
+    assert list(q) == [0]
+    assert q[0] == (1, F(1, 2))
+    assert q[0][-1] == F(1, 2)
+    assert series.fit([]) == {}
+    # classes are taken modulo the period, each once, in ascending order
+    assert list(series.fit([5, -4, 1, 2])) == [0, 1]
+
+
+def test_series_values_stop_at_the_window_start():
+    # values(stop) is f over range(start, stop), empty when stop <= start
+    series = ehrhart_series(manipulability_event(PLURALITY))
+    assert series.start == -12
+    for stop in (series.start - 3, series.start, series.start + 2, 0):
+        assert series.values(stop) == [series.value(n) for n in range(series.start, stop)]
+    assert series.values(series.start - 3) == []
 
 
 def test_pipeline_extends_a_wide_segment_by_the_factors_of_d():
@@ -943,9 +943,9 @@ def test_pipeline_extends_a_wide_segment_by_the_factors_of_d():
     # values past a window of 12,003 counts
     seg = HPolytope(1, [ge((1,)), le((12000,), 1)])
     t0 = time.perf_counter()
-    q = ehrhart_pipeline(seg, classes=[0])
+    q = ehrhart_series(EventRegion.of(seg)).fit([0])
     assert time.perf_counter() - t0 < 1
-    assert q.class_coefficients(0) == (1, F(1, 12000))
+    assert q == {0: (1, F(1, 12000))}
 
 
 @st.composite
@@ -971,7 +971,9 @@ def small_polytopes(draw, dim):
 
 @given(st.integers(1, 3).flatmap(small_polytopes))
 def test_pipeline_equals_positive_dilation_fit(poly):
-    assert ehrhart_pipeline(poly) == positive_dilation_fit(poly)
+    region = EventRegion.of(poly)
+    series = ehrhart_series(region)
+    assert series.fit(range(series.period)) == positive_dilation_fit(region)
 
 
 @settings(max_examples=25)
@@ -979,14 +981,16 @@ def test_pipeline_equals_positive_dilation_fit(poly):
 def test_pipeline_equals_positive_dilation_fit_on_regions(pair):
     p, r = pair
     region = EventRegion(((1, p), (1, r), (-1, p.intersect(r))))
-    assert ehrhart_pipeline(region) == positive_dilation_fit(region)
+    series = ehrhart_series(region)
+    assert series.fit(range(series.period)) == positive_dilation_fit(region)
 
 
 def test_pipeline_fits_every_plurality_class_to_the_series():
-    q = ehrhart_pipeline(manipulability_event(PLURALITY))
-    assert q.period == 12
-    series = gf_coefficients(MANIPULABLE_UNION_SERIES, 12 * 10).entries
-    assert all(q.evaluate(n) == c for n, c in series.items())
+    series = ehrhart_series(manipulability_event(PLURALITY))
+    assert series.period == 12
+    q = series.fit(range(12))
+    expected = gf_coefficients(MANIPULABLE_UNION_SERIES, 12 * 10).entries
+    assert all(at(q[n % 12], n) == c for n, c in expected.items())
 
 
 def _memo_levels_of(poly):

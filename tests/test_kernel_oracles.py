@@ -20,13 +20,13 @@ from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 import polyvote.socialchoice as sc
 from polyvote.ehrhart import (
     DEFAULT_BUDGET,
-    _quasipolynomial_value,
     _series_denominator,
     _term_value,
     count_lattice_points,
-    ehrhart_pipeline,
+    ehrhart_series,
 )
 from polyvote.polytope import (
+    EventRegion,
     HPolytope,
     UnboundedPolytopeError,
     _basic_solutions,
@@ -37,6 +37,7 @@ from polyvote.polytope import (
 )
 
 from helpers import (
+    at,
     bounding_box,
     clear_geometry_memos,
     irwin_hall_cdf,
@@ -599,10 +600,11 @@ def _affine_dimension(vertices):
 def _check_reciprocity(dim, rows):
     vertices = _brute_force_vertices(dim, rows)
     poly = HPolytope(dim, rows)
-    q = ehrhart_pipeline(poly)
+    series = ehrhart_series(EventRegion.of(poly))
+    q = series.fit(range(series.period))
     sign = (-1) ** _affine_dimension(vertices)
     for k in (1, 2, 3):
-        assert q.evaluate(-k) == sign * relint_count(poly, k, vertices)
+        assert at(q[-k % series.period], -k) == sign * relint_count(poly, k, vertices)
 
 
 def _unit(i, dim, scale=1):
@@ -788,8 +790,7 @@ def test_interior_counts_through_the_closure_match_a_box_scan(case):
     poly = HPolytope(*case)
     sign = (-1) ** _affine_dimension(vertices)
     for k in (1, 2, 3):
-        assert (_quasipolynomial_value(poly, -k, DEFAULT_BUDGET)
-                == sign * relint_count(poly, k, vertices))
+        assert _term_value(poly, DEFAULT_BUDGET)(-k) == sign * relint_count(poly, k, vertices)
 
 
 @given(rational_polytopes(), st.lists(st.integers(-3, 5), min_size=1, max_size=4))
@@ -805,8 +806,8 @@ def test_memoized_counts_match_a_box_scan(case, dilations):
     want = {n: vertex_box_count(poly, n, vertices) if n >= 0
             else sign * relint_count(poly, -n, vertices) for n in dilations}
     for n in dilations:
-        first = _quasipolynomial_value(poly, n, DEFAULT_BUDGET)
-        again = _quasipolynomial_value(poly, n, DEFAULT_BUDGET)
+        first = _term_value(poly, DEFAULT_BUDGET)(n)
+        again = _term_value(poly, DEFAULT_BUDGET)(n)
         assert first == again == want[n]
     value = _term_value(poly, DEFAULT_BUDGET)
     for n in dilations + dilations:

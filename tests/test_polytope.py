@@ -12,7 +12,7 @@ import pytest
 
 import polyvote
 from polyvote import cli, polytope
-from polyvote.ehrhart import ehrhart_pipeline, period_bound, region_count
+from polyvote.ehrhart import ehrhart_series, period_bound, region_count
 from polyvote.linalg import DimensionError
 from polyvote.polytope import (
     EventRegion,
@@ -163,7 +163,7 @@ def test_unit_square_vertices():
 def test_standard_simplex_vertices():
     simplex = standard_simplex(5)
     assert len(vertices(simplex)) == 6
-    assert period_bound(simplex) == 1
+    assert period_bound(EventRegion.of(simplex)) == 1
 
 
 def test_vertices_satisfy_constraints_with_d_tight():
@@ -373,7 +373,7 @@ def test_every_memo_is_an_lru_cache_of_4096_entries():
     for spec in ("condorcet-loser:borda", "referendum:N=5", "manipulable:plurality"):
         probability_for_spec(spec)
     region = manipulability_event(PLURALITY)
-    ehrhart_pipeline(region, classes=[0])
+    ehrhart_series(region).fit([0])
     region_count(region, 30)
     assert {key: len(value) for key, value in containers.items()} == sizes
     assert all(fn.cache_info().currsize > 0 for fn in geometry_memos())
@@ -469,7 +469,7 @@ def test_contains():
 
 def test_period_bound_of_empty_target_is_one():
     empty = HPolytope(2, [le((0, 0), -1)])
-    assert period_bound(empty) == 1
+    assert period_bound(EventRegion.of(empty)) == 1
     assert period_bound(EventRegion(((1, empty), (-1, empty)))) == 1
 
 

@@ -10,7 +10,7 @@ from polyvote import polytope
 from polyvote.ehrhart import (
     BudgetExceededError,
     count_lattice_points,
-    ehrhart_pipeline,
+    ehrhart_series,
     period_bound,
 )
 from polyvote.linalg import decimal_string
@@ -190,9 +190,9 @@ def test_borda_manipulation_volumes_and_period_bounds():
     assert favor_b.volume() == F(371, 559872)
     assert favor_c.volume() == F(881, 6531840)
     assert both.volume() == F(170873, 1714608000)
-    assert period_bound(favor_b) == 72
-    assert period_bound(favor_c) == 504
-    assert period_bound(both) == 1260
+    assert period_bound(EventRegion.of(favor_b)) == 72
+    assert period_bound(EventRegion.of(favor_c)) == 504
+    assert period_bound(EventRegion.of(both)) == 1260
 
 
 def test_borda_manipulability_probability():
@@ -339,7 +339,7 @@ def test_all_positional_agreement():
     assert factor == 3
     assert poly.volume() == F(113, 77760)
     assert len(vertices(poly)) == 18
-    assert period_bound(poly) == 12
+    assert period_bound(EventRegion.of(poly)) == 12
     assert prob("agreement:plurality,antiplurality:winner") == F(113, 216)
 
 
@@ -412,7 +412,7 @@ def test_participation_exact_fractions():
 def test_borda_ppp_polytope_shape():
     poly = sc.participation_event(sc.BORDA, "PPP")
     assert len(vertices(poly)) == 6
-    assert period_bound(poly) == 18
+    assert period_bound(EventRegion.of(poly)) == 18
 
 
 def test_participation_rejects_unknown_paradox():
@@ -630,7 +630,7 @@ def test_printed_values_equal_ehrhart_leading_coefficients():
     def leading(terms):
         total = F(0)
         for w, p in terms:
-            coeffs = ehrhart_pipeline(p, classes=[0]).class_coefficients(0)
+            coeffs = ehrhart_series(EventRegion.of(p)).fit([0])[0]
             total += w * (coeffs[p.dim] if len(coeffs) > p.dim else 0)
         return total
 
