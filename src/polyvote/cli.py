@@ -3,7 +3,8 @@
 Subcommands: ``volume``, ``count`` and ``ehrhart`` operate on plaintext
 H-representation files (repeatable ``--polytope-file`` plus
 ``--subtract-file`` assemble a signed inclusion-exclusion region).
-``ehrhart`` prints the region's Ehrhart series, or with ``--classes``
+``ehrhart`` prints the region's Ehrhart series sum_{n >= 0} f(n) t^n
+as its denominator's factors and its numerator, or with ``--classes``
 the polynomials ``EhrhartSeries.fit`` fits on those residue classes;
 ``count`` reads the same series when that is cheaper than enumerating.
 ``table`` recomputes one of the five summary tables from first
@@ -103,7 +104,7 @@ def cmd_count(args) -> str:
 
 def cmd_ehrhart(args) -> str:
     """The region's Ehrhart series without --classes: period, degree,
-    D's factors (1 - t^j)^e_j, the window's first n and the numerator h.
+    D's factors (1 - t^j)^e_j and the numerator h of the series from n = 0.
     With it, the period, the degree and each fitted class's polynomial."""
     region, _ = _load_region(args)
     series = ehrhart_series(region, budget=args.budget)
@@ -113,12 +114,11 @@ def cmd_ehrhart(args) -> str:
         factors = list(series.factors.items())
         if fmt == "json":
             payload = {**head, "denominator": [[j, e] for j, e in factors],
-                       "start": series.start, "numerator": list(series.h)}
+                       "numerator": list(series.h)}
             return json.dumps(payload, indent=2) + "\n"
         fields = {**head,
                   "denominator": " ".join(f"(1-t{f'^{j}' if j > 1 else ''})^{e}"
                                           for j, e in factors) or "1",
-                  "start": series.start,
                   "numerator": " ".join(map(str, series.h)) or "0"}
         if fmt == "csv":
             return _csv([list(fields), list(fields.values())])
@@ -221,7 +221,7 @@ COMMANDS = {
                         help="fit these residue classes (taken modulo the period), one or "
                              "more comma-separated integers, and print their polynomials; "
                              "default, with the flag left out: print the series (period, "
-                             "degree, denominator factors, window start, numerator) and "
+                             "degree, denominator factors, numerator from n = 0) and "
                              "fit no class")), cmd_ehrhart),
     "table": Command("recompute one of the five summary tables", (
         Option("--table", "{1,2,3,4,5}", _table, required=True),), cmd_table),

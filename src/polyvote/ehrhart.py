@@ -26,33 +26,34 @@ separate every prefix make none, and the recursion runs unmemoized.
 A count is budgeted on the nodes it visits: each enumerated range of
 x_l charges its length, so a memo hit costs one node and the closures
 none, and a count past its budget raises.
-The Ehrhart series sum f(n) t^n of a region is h(t)/D(t) with deg h <
-deg D, where the cyclotomic Phi_k divides D at most #{vertices v of a
-term : k divides den v} times (Stanley, EC I, 4.6), and at most 1 +
-min e_q times, q over 1 and the prime powers exactly dividing k, e_q
-the largest dimension of a face of the term whose vertex denominators
-q all divides (McMullen 1978: q divides the index of that face).  So
-the deg D values of one window fix every residue class.  D stays
-factored as prod_j (1 - t^j)^e_j, and each use of it is one strided
-pass per factor (``_times_d``): the window times D gives the numerator
-h and spare values that must vanish.  By Ehrhart-Macdonald
-reciprocity the value at n = -k is (-1)^dim(P) times the lattice count
-of the relative interior of kP, whose rows not tight on all of P are
-strict: a.x <= b.k - 1.  So the window is about n = -deg D / 2 ...
-deg D / 2, whatever the period (``_window_span``).  It prepares one
-counter per term and side, closed and relative interior
-(``_counter``): the plan is read and the recursion built once, and
-each dilation still has its own node budget and memo.  The series, D's
-factors, the window's first n and h (``EhrhartSeries``), is built once
-per process for each region's nonempty terms and budget (``_series``),
-and both a fit and a region count read it.  A value at n comes
-from h / D extended by ``_times_d`` or from Bostan and Mori's halving
-of n on D's factors, whichever takes fewer steps (``_read_steps``); a
-residue class is fitted in integers on dim + 1 extended values, only
-when asked (``EhrhartSeries.fit``).  A region count reads the series
-when the window's counts and the read cost less than enumerating nP
-would.  A window past the budget is refused before D is built, and in
-dimension <= 2 once more after.
+The Ehrhart series sum_{n >= 0} f(n) t^n of a region is h(t)/D(t),
+deg h < deg D, where the cyclotomic Phi_k divides D at most
+#{vertices v of a term : k divides den v} times (Stanley, EC I, 4.6),
+and at most 1 + min e_q times, q over 1 and the prime powers exactly
+dividing k, e_q the largest dimension of a face of the term whose
+vertex denominators q all divides (McMullen 1978: q divides the index
+of that face).  So the deg D values of one window fix every residue
+class.  D stays factored as prod_j (1 - t^j)^e_j, and each use of it
+is one strided pass per factor (``_times_d``): the window times D
+gives the numerator of the series from its first n and spare values
+that must vanish; less D times the window's values at n < 0, that
+numerator is h shifted.  By Ehrhart-Macdonald reciprocity the value at
+n = -k is (-1)^dim(P) times the lattice count of the relative interior
+of kP, whose rows not tight on all of P are strict: a.x <= b.k - 1.
+So the window is about n = -deg D / 2 ... deg D / 2, whatever the
+period (``_window_span``).  It prepares one counter per term and side,
+closed and relative interior (``_counter``): the plan is read and the
+recursion built once, and each dilation still has its own node budget
+and memo.  The series, D's factors and h (``EhrhartSeries``), is built
+once per process for each region's nonempty terms and budget
+(``_series``), and both a fit and a region count read it.  A value at
+n comes from h / D extended by ``_times_d`` or from Bostan and Mori's
+halving of n on D's factors, whichever takes fewer steps
+(``_read_steps``); a residue class is fitted in integers on dim + 1
+extended values, only when asked (``EhrhartSeries.fit``).  A region
+count reads the series when the window's counts and the read cost less
+than enumerating nP would.  A window past the budget is refused before
+D is built, and in dimension <= 2 once more after.
 """
 
 from __future__ import annotations
@@ -417,7 +418,7 @@ def region_count(region: EventRegion, n: int, budget: int = DEFAULT_BUDGET) -> i
         if _window_nodes(top, dim) < nodes:
             exps, tests = _series_denominator(terms)
             deg = sum(j * e for j, e in exps.items())
-            steps = tests + _read_steps(exps, n - _window_span(deg).start)[0]
+            steps = tests + _read_steps(exps, n)[0]
             if steps <= budget and _window_nodes(deg, dim) + steps < nodes:
                 total = _series(dim, terms, budget).value(n)
     if total is None:
@@ -456,14 +457,6 @@ def _class_fit(ys, r: int, m: int) -> tuple[Fraction, ...]:
 
 # ---------------------------------------------------------------------------
 # the Ehrhart series
-
-
-def period_bound(region: EventRegion) -> int:
-    """LCM of vertex-coordinate denominators across the region's terms
-    (empty terms contribute nothing; an entirely empty region has period 1).
-    Each vertex is a (numerators, denominator) pair reduced by its gcd,
-    so its denominator is the lcm of its coordinates' denominators."""
-    return lcm(*(den for _, p in region.terms for _, den in polytope._vertices(p)))
 
 
 def _divisors(poly: HPolytope) -> dict[int, tuple[int, ...]]:
@@ -605,20 +598,20 @@ def _window_span(deg: int) -> range:
     return range(-(deg // 2), deg - deg // 2 + VALIDATION_POINTS)
 
 
-def _window(terms, exps, budget: int) -> tuple[int, list[int]]:
-    """(start, h): start the first n of ``_window_span`` and the deg D
-    coefficients h of sum_i f(start + i) t^i = h(t) / D(t), f the
-    signed value of the nonempty ``terms``.  Each term's value
-    (``_term_value``) is prepared once, and f is counted at every n of
-    the span, largest |n| first, so the count likeliest to pass
-    ``budget`` nodes runs before the others; at n >= 0 it is the signed
-    count of nP, which must not be negative (GeometryError), and at n =
-    -k the signed sum of the terms' reciprocity values.  The values
-    times D are h and then held-back coefficients that must be 0, or
-    PeriodTooSmallError."""
+def _window(terms, exps, budget: int) -> list[int]:
+    """The deg D coefficients h of sum_{n >= 0} f(n) t^n = h(t) / D(t),
+    f the signed value of the nonempty ``terms``, from f counted on
+    ``_window_span``.  Each term's value (``_term_value``) is prepared
+    once, and f is counted at every n of the span, largest |n| first, so
+    the count likeliest to pass ``budget`` nodes runs before the others;
+    at n >= 0 it is the signed count of nP, which must not be negative
+    (GeometryError), and at n = -k the signed sum of the terms'
+    reciprocity values.  The values times D are the numerator of the
+    series from the span's first n, then held-back coefficients that
+    must be 0, or PeriodTooSmallError.  That numerator less the span's
+    values at n < 0 times D is t^k h(t), k the number of those n."""
     deg = sum(j * e for j, e in exps.items())
     window = _window_span(deg)
-    start = window.start
     values = [(s, _term_value(p, budget)) for s, p in terms]
     counted = {}
     for n in sorted(window, key=abs, reverse=True):
@@ -629,10 +622,12 @@ def _window(terms, exps, budget: int) -> tuple[int, list[int]]:
     for i in range(deg, len(h)):
         if h[i]:
             raise PeriodTooSmallError(
-                f"count at n={start + i} deviates from the series recurrence "
+                f"count at n={window.start + i} deviates from the series recurrence "
                 f"of degree {deg}"
             )
-    return start, h[:deg]
+    k = -window.start
+    below = _times_d([counted[n] for n in range(window.start, 0)] + [0] * deg, exps, 1)
+    return [a - b for a, b in zip(h[k:deg] + [0] * k, below[k:])]
 
 
 def _halvings(exps, i: int):
@@ -697,8 +692,8 @@ def _read_steps(exps, i: int) -> tuple[int, bool]:
     return min(extend, halve), halve < extend
 
 
-class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors start h")):
-    """sum_{n >= start} f(n) t^(n - start) = h(t) / D(t) for the counting
+class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors h")):
+    """sum_{n >= 0} f(n) t^n = h(t) / D(t) for the counting
     quasipolynomial f of a region in dimension ``dim``: D = prod_j (1 -
     t^j)^e_j from ``factors`` {j: e_j}, h its deg D integer coefficients
     and ``period`` the vertex-denominator lcm, a multiple of f's
@@ -707,19 +702,18 @@ class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors start h")):
     __slots__ = ()
 
     def values(self, stop: int) -> list[int]:
-        """f(n) for n in range(start, stop): h, padded with zeros, over D."""
-        size = max(stop - self.start, 0)
+        """f(n) for n in range(stop): h, padded with zeros, over D."""
+        size = max(stop, 0)
         return _times_d((list(self.h) + [0] * size)[:size], self.factors, -1)
 
     def value(self, n: int) -> int:
-        """f(n) for n >= start, by ``values`` or ``_series_term``,
-        whichever ``_read_steps`` finds fewer."""
-        i = n - self.start
-        if i < 0:
-            raise ValueError(f"the series starts at n={self.start}, not {n}")
-        if _read_steps(self.factors, i)[1]:
-            return _series_term(self.h, self.factors, i)
-        return self.values(n + 1)[i]
+        """f(n) for n >= 0, by ``values`` or ``_series_term``, whichever
+        ``_read_steps`` finds fewer."""
+        if n < 0:
+            raise ValueError(f"the series starts at n=0, not {n}")
+        if _read_steps(self.factors, n)[1]:
+            return _series_term(self.h, self.factors, n)
+        return self.values(n + 1)[n]
 
     def fit(self, classes) -> dict[int, tuple[Fraction, ...]]:
         """{r: ascending coefficients of f on n == r (mod m)} for the
@@ -732,7 +726,7 @@ class EhrhartSeries(namedtuple("EhrhartSeries", "dim period factors start h")):
         m, d = self.period, self.dim
         wanted = sorted({c % m for c in classes})
         values = self.values(wanted[-1] + d * m + 1) if wanted else []
-        return {r: _class_fit(values[r - self.start :: m][: d + 1], r, m) for r in wanted}
+        return {r: _class_fit(values[r::m][: d + 1], r, m) for r in wanted}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -771,14 +765,13 @@ def _series(dim: int, terms, budget: int) -> EhrhartSeries:
     exps, _ = _series_denominator(terms)
     if terms and dim <= 2:
         refuse_past_budget(sum(j * e for j, e in exps.items()), "degree")
-    start, h = _window(terms, exps, budget)
-    return EhrhartSeries(dim, lcm(*dens), exps, start, tuple(h))
+    return EhrhartSeries(dim, lcm(*dens), exps, tuple(_window(terms, exps, budget)))
 
 
 def ehrhart_series(region: EventRegion, budget: int = DEFAULT_BUDGET) -> EhrhartSeries:
     """The Ehrhart series of a region: its ``_window_span(deg D)``
     values counted, checked against D, or PeriodTooSmallError, and kept
-    as D's factors and the numerator h (``_series``).  It is memoized
+    as D's factors and h from n = 0 (``_series``).  It is memoized
     per process on the nonempty terms and ``budget``, so ``fit`` and
     ``region_count`` share it: a series built before under the same
     budget is read from the memo and no count runs."""

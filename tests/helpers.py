@@ -22,7 +22,6 @@ from polyvote.ehrhart import (
     VALIDATION_POINTS,
     PeriodTooSmallError,
     count_lattice_points,
-    period_bound,
 )
 from polyvote.linalg import DimensionError
 from polyvote.polytope import HPolytope, _vertices
@@ -299,11 +298,17 @@ def positive_dilation_fit(region, classes=None):
     m*j, j = 0 ... dim + 2 (m the period bound), with no value at a
     negative dilation: a ``CountTable`` handed to
     ``interpolate_quasipolynomial``."""
-    m = period_bound(region)
+    m = vertex_lcm(*(p for _, p in region.terms))
     wanted = range(m) if classes is None else {c % m for c in classes}
     dilations = [r + m * j for r in wanted for j in range(region.dim + 1 + VALIDATION_POINTS)]
     table = CountTable({n: enumerated_count(region, n) for n in dilations})
     return interpolate_quasipolynomial(table, m, region.dim, classes=wanted)
+
+
+def vertex_lcm(*polys):
+    """The lcm of the polytopes' vertex denominators, the period their
+    series has, read without building the series."""
+    return math.lcm(*(den for p in polys for _, den in _vertices(p)))
 
 
 def eliminate_over_fractions(poly, j):

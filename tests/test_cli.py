@@ -102,11 +102,11 @@ def test_count_inclusion_exclusion_region(run):
 
 
 def test_ehrhart_unit_cube(run):
-    # without --classes the series: the window n = -2 ... 3 of
-    # -1, 0, 1, 8, 27, 64 times D = (1 - t)^4 is h and two zeros
+    # without --classes the series from n = 0: sum (n + 1)^3 t^n is
+    # (1 + 4t + t^2) / (1 - t)^4, h padded to deg D = 4 coefficients
     code, out, _ = run("ehrhart", files=[("--polytope-file", CUBE3)])
     assert code == 0
-    assert out == "period 1\ndegree 3\ndenominator (1-t)^4\nstart -2\nnumerator -1 4 -5 8\n"
+    assert out == "period 1\ndegree 3\ndenominator (1-t)^4\nnumerator 1 4 1 0\n"
     code, out, _ = run("ehrhart", "--classes", "0", files=[("--polytope-file", CUBE3)])
     assert code == 0
     assert out == "period 1\ndegree 3\nclass 0: 1 3 3 1\n"
@@ -118,8 +118,8 @@ def test_ehrhart_csv_rows(run):
                        files=[("--polytope-file", square)])
     assert code == 0 and out == "class,c0,c1,c2\r\n0,1,2,1\r\n"
     code, out, _ = run("ehrhart", "--format", "csv", files=[("--polytope-file", square)])
-    assert code == 0 and out == ("period,degree,denominator,start,numerator\r\n"
-                                 "1,2,(1-t)^3,-1,0 1 1\r\n")
+    assert code == 0 and out == ("period,degree,denominator,numerator\r\n"
+                                 "1,2,(1-t)^3,1 1 0\r\n")
 
 
 def test_ehrhart_json_shape(run):
@@ -130,8 +130,8 @@ def test_ehrhart_json_shape(run):
     assert data["classes"]["0"] == ["1", "3", "3", "1"]
     code, out, _ = run("ehrhart", "--format", "json", files=[("--polytope-file", CUBE3)])
     assert code == 0
-    assert json.loads(out) == {"period": 1, "degree": 3, "denominator": [[1, 4]], "start": -2,
-                               "numerator": [-1, 4, -5, 8]}
+    assert json.loads(out) == {"period": 1, "degree": 3, "denominator": [[1, 4]],
+                               "numerator": [1, 4, 1, 0]}
 
 
 PLURALITY_FILES = [
@@ -150,9 +150,7 @@ def test_ehrhart_prints_the_plurality_series_without_classes(run):
         "period 12\n"
         "degree 5\n"
         "denominator (1-t^4)^3 (1-t^3)^4 (1-t^2)^1 (1-t)^-2\n"
-        "start -12\n"
-        "numerator -16 -32 -32 32 144 192 96 -192 -432 -416 -64 416 609 418 -58 -402 "
-        "-399 -142 169 266 222 100 25 0\n"
+        "numerator 1 2 6 14 33 50 73 74 78 68 57 32 16 0 0 0 0 0 0 0 0 0 0 0\n"
     )
     assert out in (ROOT / "README.md").read_text(encoding="utf-8")
 

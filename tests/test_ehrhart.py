@@ -24,13 +24,13 @@ from polyvote.ehrhart import (
     _times_d,
     count_lattice_points,
     ehrhart_series,
-    period_bound,
     region_count,
 )
 from polyvote.polytope import EventRegion, HPolytope
 from polyvote.socialchoice import (
     ANTIPLURALITY,
     BORDA,
+    IAC,
     PLURALITY,
     ScoringRule,
     conjunction,
@@ -39,6 +39,9 @@ from polyvote.socialchoice import (
 )
 
 from helpers import (
+    FAVOR_B_SERIES,
+    FAVOR_BOTH_SERIES,
+    FAVOR_C_SERIES,
     MANIPULABLE_UNION_SERIES,
     CountTable,
     RationalGF,
@@ -53,6 +56,7 @@ from helpers import (
     interpolate_quasipolynomial,
     poly_mul,
     positive_dilation_fit,
+    vertex_lcm,
 )
 
 
@@ -337,12 +341,53 @@ def factored_series(draw):
 def test_series_primitive_matches_the_expanded_recurrence(case, i):
     h, exps = case
     # h / D = h Q / P, P and Q the factors with positive and negative e_j
-    num = expand_factors([([1] + [0] * (j - 1) + [-1], -e) for j, e in exps.items() if e < 0])
-    den = expand_factors([([1] + [0] * (j - 1) + [-1], e) for j, e in exps.items() if e > 0])
-    series = gf_series(RationalGF(poly_mul(h, num), den), i)
+    series = gf_series(RationalGF(poly_mul(h, _cyclotomic(exps, -1)), _cyclotomic(exps, 1)), i)
     size = max(i + 1, len(h))
     assert _times_d(h + [0] * (size - len(h)), exps, -1)[: i + 1] == series
     assert _series_term(h, exps, i) == series[i]
+
+
+def _cyclotomic(exps, sign):
+    """prod (1 - t^j)^(sign.e_j) over D's factors whose sign.e_j > 0."""
+    return expand_factors([([1] + [0] * (j - 1) + [-1], sign * e)
+                           for j, e in exps.items() if sign * e > 0])
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _plurality_term(i):
+    return EventRegion.of(manipulability_event(PLURALITY).terms[i][1])
+
+
+STANDARD_FORMS = {
+    "unit cube": (lambda: EventRegion.of(unit_box(3)),
+                  RationalGF([1, 4, 1, 0], expand_factors([([1, -1], 4)]))),
+    "the point (1/2, 1/3)": (
+        lambda: EventRegion.of(HPolytope(2, [((2, 0), "=", 1), ((0, 3), "=", 1)])),
+        RationalGF([1], [1, 0, 0, 0, 0, 0, -1])),
+    "IAC share simplex": (lambda: IAC, RationalGF([1], expand_factors([([1, -1], 6)]))),
+    "plurality favor b": (lambda: _plurality_term(0), FAVOR_B_SERIES),
+    "plurality favor c": (lambda: _plurality_term(1), FAVOR_C_SERIES),
+    "plurality favor both": (lambda: _plurality_term(2), FAVOR_BOTH_SERIES),
+    "plurality manipulable": (lambda: manipulability_event(PLURALITY),
+                              MANIPULABLE_UNION_SERIES),
+}
+
+
+@pytest.mark.parametrize("name", STANDARD_FORMS)
+def test_the_series_is_sum_f_n_t_n_from_n_zero(name):
+    # h / D against a numerator and denominator that share no polyvote
+    # code, as rational functions: h.den == num.D, with D's factors of
+    # negative exponent multiplied over to the other side
+    region, gf = STANDARD_FORMS[name]
+    series = ehrhart_series(region())
+    lhs = poly_mul(poly_mul(list(series.h), _cyclotomic(series.factors, -1)), gf.denominator)
+    assert _trimmed(lhs) == _trimmed(poly_mul(gf.numerator, _cyclotomic(series.factors, 1)))
 
 
 def test_window_nodes_sums_the_window():
@@ -361,19 +406,18 @@ def _degree(exps):
 
 def _passes(exps, n):
     """The strided passes of the halving rounds that read the count at n."""
-    rounds = ehrhart._halvings(exps, n - ehrhart._window_span(_degree(exps)).start)
+    rounds = ehrhart._halvings(exps, n)
     return sum(abs(e) for _, f in rounds for e in f.values())
 
 
 def _series_cost(exps, n, dim, tests):
     """(cost, steps) of reading the count at n off the series as
     ``region_count`` prices it: the window's nodes, and the steps of D's
-    build and of the cheaper read, extending h over D (i + 1
-    coefficients per factor pass, i = n less the window's first n) or
-    halving (2 deg D per factor pass of each round)."""
+    build and of the cheaper read, extending h over D (n + 1
+    coefficients per factor pass) or halving (2 deg D per factor pass of
+    each round)."""
     deg = _degree(exps)
-    i = n - ehrhart._window_span(deg).start
-    read = min((i + 1) * sum(abs(e) for e in exps.values()), 2 * deg * _passes(exps, n))
+    read = min((n + 1) * sum(abs(e) for e in exps.values()), 2 * deg * _passes(exps, n))
     steps = tests + read
     return ehrhart._window_nodes(deg, dim) + steps, steps
 
@@ -453,20 +497,19 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     counted, built = _route_spies(monkeypatch, stop_at=120)
     assert region_count(manipulability_event(PLURALITY), 96) == 4176821
     assert 96 not in counted and built == [5]
-    # plurality: deg D = 24, a window of 19,305 nodes, and 1,258 steps:
+    # plurality: deg D = 24, a window of 19,305 nodes, and 1,138 steps:
     # 168 to build D (each term's 14 vertices times its 4 divisors
-    # 1, 2, 3, 4) and 109 * 10 to extend h over D to n - start = 108,
-    # D having 10 factor passes, where halving 108 down would take
-    # rounds of 100 factor passes in all, 2 * 24 * 100 steps; against
-    # 97^3 nodes
+    # 1, 2, 3, 4) and 97 * 10 to extend h over D to n = 96, D having
+    # 10 factor passes, where halving 96 down would take rounds of 100
+    # factor passes in all, 2 * 24 * 100 steps; against 97^3 nodes
     exps, tests = _series_denominator(manipulability_event(PLURALITY).terms)
     assert tests == 3 * 14 * 4
     assert (_degree(exps), _passes(exps, 96)) == (24, 100)
     assert sum(abs(e) for e in exps.values()) == 10
     assert ehrhart._window_nodes(24, 5) == 19305
-    assert _series_cost(exps, 96, 5, 3 * 14 * 4) == (20563, 1258)
-    # Borda: deg D = 90, a window of 2,440,944 nodes and 3,413 steps
-    # (425 to build D, 166 * 18 to extend h, fewer than 2 * 90 * 160
+    assert _series_cost(exps, 96, 5, 3 * 14 * 4) == (20443, 1138)
+    # Borda: deg D = 90, a window of 2,440,944 nodes and 2,603 steps
+    # (425 to build D, 121 * 18 to extend h, fewer than 2 * 90 * 142
     # to halve) against 121^3
     counted.clear()
     built.clear()
@@ -475,10 +518,10 @@ def test_region_count_takes_the_route_with_fewer_nodes(monkeypatch):
     assert counted == [120] and built == [5]
     exps, tests = _series_denominator(manipulability_event(BORDA).terms)
     assert tests == 425
-    assert (_degree(exps), _passes(exps, 120)) == (90, 160)
+    assert (_degree(exps), _passes(exps, 120)) == (90, 142)
     assert sum(abs(e) for e in exps.values()) == 18
-    assert _series_cost(exps, 120, 5, 425) == (2444357, 3413)
-    assert 2444357 > 121**3
+    assert _series_cost(exps, 120, 5, 425) == (2443547, 2603)
+    assert 2443547 > 121**3
     # a segment always enumerates
     counted.clear()
     built.clear()
@@ -647,17 +690,17 @@ def test_region_count_reads_a_long_period_without_its_classes():
         le(tuple(p if s > 0 else -q for s, p, q in zip(signs, (5, 7, 11), (13, 17, 19))), 1)
         for signs in product((1, -1), repeat=3)
     ])
-    assert period_bound(EventRegion.of(octahedron)) == 1616615
+    assert vertex_lcm(octahedron) == 1616615
     exps, _ = _series_denominator(((1, octahedron),))
     assert _degree(exps) == 70
-    start, h = ehrhart._window([(1, octahedron)], exps, DEFAULT_BUDGET)
-    assert _series_term(h, exps, 50000 - start) == count_lattice_points(octahedron, 50000)
+    h = ehrhart._window([(1, octahedron)], exps, DEFAULT_BUDGET)
+    assert _series_term(h, exps, 50000) == count_lattice_points(octahedron, 50000)
     t0 = time.perf_counter()
     with mock.patch.object(ehrhart, "count_lattice_points", wraps=count_lattice_points) as count:
         value = region_count(EventRegion.of(octahedron), 10**9)
     assert time.perf_counter() - t0 < 1
     assert 10**9 not in [call.args[1] for call in count.call_args_list]
-    assert value == _series_term(h, exps, 10**9 - start)
+    assert value == _series_term(h, exps, 10**9)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 101, 1001, 10**9 + 1])
@@ -756,7 +799,6 @@ def test_pipeline_standard_simplex():
 
 def test_pipeline_half_integral_segment():
     seg = EventRegion.of(HPolytope(1, [ge((1,)), le((2,), 1)]))  # [0, 1/2]
-    assert period_bound(seg) == 2
     series = ehrhart_series(seg)
     assert series.period == 2
     q = series.fit(range(series.period))
@@ -781,7 +823,7 @@ def test_pipeline_budget_guard_reports_requirements(monkeypatch):
          ge((0, 0, 7, 0)), le((0, 0, 7, 0), 1),
          ge((0, 0, 0, 11), 0), le((0, 0, 0, 11), 1)],
     )
-    assert period_bound(EventRegion.of(wide)) == 3 * 5 * 7 * 11
+    assert vertex_lcm(wide) == 3 * 5 * 7 * 11
     # a prime q among 3, 5, 7, 11 divides the denominators of a facet's
     # vertices alone, so Phi_q divides D 1 + 3 times, not Stanley's 5:
     # deg D = 5 + 4 (2 + 4 + 6 + 10) + 4 (8 + 12 + 20 + 24 + 40 + 60)
@@ -930,12 +972,14 @@ def test_pipeline_restricted_classes():
 
 
 def test_series_values_stop_at_the_window_start():
-    # values(stop) is f over range(start, stop), empty when stop <= start
+    # values(stop) is f over range(stop), empty when stop <= 0; the
+    # series starts at n = 0, wherever the window that built it started
     series = ehrhart_series(manipulability_event(PLURALITY))
-    assert series.start == -12
-    for stop in (series.start - 3, series.start, series.start + 2, 0):
-        assert series.values(stop) == [series.value(n) for n in range(series.start, stop)]
-    assert series.values(series.start - 3) == []
+    for stop in (-3, 0, 2, 13):
+        assert series.values(stop) == [series.value(n) for n in range(stop)]
+    assert series.values(-3) == series.values(0) == []
+    with pytest.raises(ValueError, match="starts at n=0"):
+        series.value(-1)
 
 
 def test_pipeline_extends_a_wide_segment_by_the_factors_of_d():

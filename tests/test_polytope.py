@@ -12,7 +12,7 @@ import pytest
 
 import polyvote
 from polyvote import cli, polytope
-from polyvote.ehrhart import ehrhart_series, period_bound, region_count
+from polyvote.ehrhart import ehrhart_series, region_count
 from polyvote.linalg import DimensionError
 from polyvote.polytope import (
     EventRegion,
@@ -163,7 +163,7 @@ def test_unit_square_vertices():
 def test_standard_simplex_vertices():
     simplex = standard_simplex(5)
     assert len(vertices(simplex)) == 6
-    assert period_bound(EventRegion.of(simplex)) == 1
+    assert ehrhart_series(EventRegion.of(simplex)).period == 1
 
 
 def test_vertices_satisfy_constraints_with_d_tight():
@@ -469,8 +469,8 @@ def test_contains():
 
 def test_period_bound_of_empty_target_is_one():
     empty = HPolytope(2, [le((0, 0), -1)])
-    assert period_bound(EventRegion.of(empty)) == 1
-    assert period_bound(EventRegion(((1, empty), (-1, empty)))) == 1
+    assert ehrhart_series(EventRegion.of(empty)).period == 1
+    assert ehrhart_series(EventRegion(((1, empty), (-1, empty)))).period == 1
 
 
 def test_region_volume_single_term_and_cancellation():

@@ -13,11 +13,10 @@ from polyvote.ehrhart import (
     _memo_keys,
     count_lattice_points,
     ehrhart_series,
-    period_bound,
 )
 from polyvote.polytope import EventRegion, HPolytope
 
-from helpers import at, bounding_box, brute_count, dilation_contains, vertices
+from helpers import at, bounding_box, brute_count, dilation_contains, vertex_lcm, vertices
 
 
 def ge(coeffs, rhs=0):
@@ -55,7 +54,7 @@ def _sample_polytopes(count, dims, max_period, seed):
         poly = _random_polytope(rng, rng.choice(dims))
         if len(vertices(poly)) <= poly.dim:
             continue
-        if period_bound(EventRegion.of(poly)) > max_period:
+        if vertex_lcm(poly) > max_period:
             continue
         found.append(poly)
     return found

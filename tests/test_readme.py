@@ -1,6 +1,7 @@
 """The README's event-spec examples and spec table stay in step with the
 code: every ``polyvote prob ...`` line runs, and so does every
-``polyvote count ...`` command on the repository's own input files, and
+``polyvote count ...`` command on the repository's own input files, the
+``$ polyvote ehrhart ...`` example prints what the command prints, and
 the table lists exactly the forms of the registry."""
 
 import re
@@ -34,6 +35,9 @@ def _commands(prefix):
 
 PROB_LINES = _commands("polyvote prob ")
 COUNT_LINES = [c for c in _commands("polyvote count ") if "perfbench/inputs/" in c]
+# the fenced example: the command, backslash-continued, then its output
+EHRHART_EXAMPLE = re.search(r"^```\n\$ (polyvote ehrhart .*?)^```$", README,
+                            flags=re.MULTILINE | re.DOTALL).group(1)
 
 
 def test_readme_has_prob_examples():
@@ -57,6 +61,13 @@ def test_readme_count_past_the_window_runs(monkeypatch, capsys):
         assert main(argv) == 0, line
         # f(10^9) of the plurality manipulability region
         assert "exact=405092601851851933256173197145062573765433 " in capsys.readouterr().out
+
+
+def test_readme_ehrhart_example_is_the_command_output(monkeypatch, capsys):
+    command, _, printed = EHRHART_EXAMPLE.replace("\\\n", "").partition("\n")
+    monkeypatch.chdir(ROOT)
+    assert main(shlex.split(command)[1:]) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_readme_spec_table_matches_registry():

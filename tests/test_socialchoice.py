@@ -11,7 +11,6 @@ from polyvote.ehrhart import (
     BudgetExceededError,
     count_lattice_points,
     ehrhart_series,
-    period_bound,
 )
 from polyvote.linalg import decimal_string
 from polyvote.polytope import EventRegion, GeometryError, HPolytope
@@ -28,6 +27,7 @@ from helpers import (
     event_memos,
     gf_coefficients,
     spec_regions,
+    vertex_lcm,
     vertices,
 )
 
@@ -190,9 +190,9 @@ def test_borda_manipulation_volumes_and_period_bounds():
     assert favor_b.volume() == F(371, 559872)
     assert favor_c.volume() == F(881, 6531840)
     assert both.volume() == F(170873, 1714608000)
-    assert period_bound(EventRegion.of(favor_b)) == 72
-    assert period_bound(EventRegion.of(favor_c)) == 504
-    assert period_bound(EventRegion.of(both)) == 1260
+    assert vertex_lcm(favor_b) == 72
+    assert vertex_lcm(favor_c) == 504
+    assert vertex_lcm(both) == 1260
 
 
 def test_borda_manipulability_probability():
@@ -339,7 +339,7 @@ def test_all_positional_agreement():
     assert factor == 3
     assert poly.volume() == F(113, 77760)
     assert len(vertices(poly)) == 18
-    assert period_bound(EventRegion.of(poly)) == 12
+    assert ehrhart_series(EventRegion.of(poly)).period == 12
     assert prob("agreement:plurality,antiplurality:winner") == F(113, 216)
 
 
@@ -412,7 +412,7 @@ def test_participation_exact_fractions():
 def test_borda_ppp_polytope_shape():
     poly = sc.participation_event(sc.BORDA, "PPP")
     assert len(vertices(poly)) == 6
-    assert period_bound(EventRegion.of(poly)) == 18
+    assert ehrhart_series(EventRegion.of(poly)).period == 18
 
 
 def test_participation_rejects_unknown_paradox():
